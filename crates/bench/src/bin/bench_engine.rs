@@ -46,14 +46,11 @@ use ck_congest::graph::Graph;
 use ck_congest::net::{ChaosPlan, NetOptions};
 use ck_congest::session::Session;
 use ck_core::batch::BatchJob;
-use ck_core::decide::decide_all_rejects;
 use ck_core::rank::total_rounds;
 use ck_core::robust::{
     adaptive_vs_fixed, crash_detection_curve, loss_detection_curve, AdaptiveComparison, CrashPoint,
     LossPoint,
 };
-use ck_core::scan::{decide_all_rejects_scanned, ScanBackend, ScanScratch};
-use ck_core::seq::IdSeq;
 use ck_core::session::TesterSession;
 use ck_core::tester::{CkTester, NodeLayout, NodeVerdict, TesterConfig, TesterRun};
 use ck_graphgen::basic::cycle;
@@ -430,181 +427,6 @@ fn batch_sweep(n: usize, count: usize, budget: &Budget) -> (Vec<BatchRow>, Vec<(
                 runs,
                 secs_per_sweep: secs,
                 jobs_per_sec: rate,
-            });
-        }
-    }
-    (rows, ratios)
-}
-
-/// One row of the scan sweep: how one collision-scan backend ran the
-/// full accounted C5 tester.
-struct ScanRow {
-    workload: &'static str,
-    n: usize,
-    backend: &'static str,
-    runs: u32,
-    secs_per_run: f64,
-    rounds_per_sec: f64,
-}
-
-/// The schema-v4 scan section: the accounted sequential C5 tester on
-/// the committed planted + Behrend sweeps plus a dense-decide layered
-/// instance (per-node candidate blocks far past the kernel
-/// break-even), once per collision-scan backend — scalar reference,
-/// forced portable lane kernels, the size-dispatching hybrid default,
-/// and (when compiled) the forced `core::arch` intrinsics — with full
-/// verdict and per-round bit-identity asserted across backends before
-/// any timing. Returns the rows plus `"workload/n/backend"`-keyed
-/// over-scalar ratios.
-fn scan_sweep(n: usize, budget: &Budget) -> (Vec<ScanRow>, Vec<(String, f64)>) {
-    let mut backends: Vec<(ScanBackend, &'static str)> = vec![
-        (ScanBackend::Scalar, "scalar"),
-        (ScanBackend::Lanes, "kernel"),
-        (ScanBackend::Hybrid, "hybrid"),
-    ];
-    if ScanBackend::simd_compiled() {
-        backends.push((ScanBackend::Simd, "simd"));
-    }
-    // Per-case `n` is the row's recorded scale: the sweep scale for the
-    // committed workloads (matching their main-sweep entries), the
-    // instance's true node count for the purpose-built dense case.
-    let mut cases: Vec<(&'static str, usize, Graph, TesterConfig, u32)> = workloads_for(n)
-        .into_iter()
-        .filter_map(|w| {
-            let tcfg = w.tester?;
-            // The scan section is the C5 sweep.
-            (tcfg.k == 5).then_some((w.name, n, w.graph, tcfg, w.max_rounds))
-        })
-        .collect();
-    // Dense-decide case: a layered instance with a large stride set, so
-    // every node's final-round candidate block (each neighbor
-    // contributes its pruned send set, degree ≈ 2·|strides|) sits far
-    // past KERNEL_MIN_SEQS — the workload where the forced kernel's win
-    // must survive a full engine run, not just a microbench.
-    let dense_width = (n / 25).clamp(40, 4_000);
-    let strides = behrend_ap_free_set(dense_width as u64 / 2);
-    let strides = if strides.is_empty() { vec![1] } else { strides };
-    let take = strides.len().min(12);
-    let dense = layered_ck(5, dense_width, &strides[..take]);
-    let ck5 = TesterConfig { repetitions: Some(TESTER_REPS), ..TesterConfig::new(5, 0.1, 42) };
-    let dense_n = dense.graph.n();
-    cases.push(("ck5-dense-decide", dense_n, dense.graph, ck5, total_rounds(5, TESTER_REPS)));
-    let mut rows = Vec::new();
-    let mut ratios = Vec::new();
-    for (name, case_n, graph, tcfg, max_rounds) in &cases {
-        let outcome_of = |scan: ScanBackend| {
-            let mut cfg = engine_config(true, Executor::Sequential);
-            cfg.max_rounds = *max_rounds;
-            let tcfg = TesterConfig { scan, ..*tcfg };
-            tester_outcome(graph, Engine::Arena, &tcfg, &cfg)
-        };
-        // Verdict bit-identity across every backend, before timing.
-        let reference = outcome_of(ScanBackend::Scalar);
-        assert!(
-            reference.verdicts.iter().any(|v| v.rejected),
-            "scan sweep instance not rejected: {name}/{case_n}"
-        );
-        for &(scan, bname) in &backends[1..] {
-            let got = outcome_of(scan);
-            assert_eq!(reference.verdicts, got.verdicts, "scan verdicts diverge: {bname} {name}");
-            assert_eq!(
-                reference.report.per_round, got.report.per_round,
-                "scan stats diverge: {bname} {name}"
-            );
-        }
-        // All backends sampled round-robin in one shared window (the
-        // hybrid never-regress floor gates on the over-scalar ratio of
-        // these rows): see `time_runs_min_interleaved`.
-        let outcome_of = &outcome_of;
-        let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = backends
-            .iter()
-            .map(|&(scan, _)| {
-                let b: Box<dyn FnMut() -> u32 + '_> =
-                    Box::new(move || outcome_of(scan).report.rounds);
-                b
-            })
-            .collect();
-        let stats = time_runs_min_interleaved(budget, &mut closures);
-        drop(closures);
-        let mut scalar_rate = 0.0f64;
-        for (&(_, bname), &(runs, secs, rounds)) in backends.iter().zip(&stats) {
-            let rate = f64::from(rounds) / secs;
-            eprintln!(
-                "{name} n={case_n} scan={bname} [accounted]: {secs:.4} s/run (best of {runs} \
-                 interleaved runs)"
-            );
-            if bname == "scalar" {
-                scalar_rate = rate;
-            } else {
-                ratios.push((format!("{name}/{case_n}/{bname}"), rate / scalar_rate));
-            }
-            rows.push(ScanRow {
-                workload: name,
-                n: *case_n,
-                backend: bname,
-                runs,
-                secs_per_run: secs,
-                rounds_per_sec: rate,
-            });
-        }
-    }
-    // Micro rows: one decide call on a synthetic candidate block of R
-    // overlapping sequences — the isolated unit the kernels are built
-    // for, and the only stable way to measure them on this box: full
-    // tester runs keep per-node blocks under the break-even by design
-    // (Lemma 3 pruning caps each neighbor's contribution, rank
-    // arbitration activates one check per neighborhood), which is
-    // exactly what the ungated full-run kernel rows document. The
-    // scalar row times the scalar reference API as protocols would
-    // call it; `n` carries R. Witness-list identity is asserted across
-    // every backend before timing.
-    for r in [16usize, 32, 64] {
-        let myid = 1_000_000u64;
-        let received: Vec<IdSeq> = (0..r as u64).map(|i| IdSeq::from_slice(&[i, i + 1])).collect();
-        let expect = decide_all_rejects(5, myid, &[], &received);
-        let mut scratch = ScanScratch::new();
-        let mut got = Vec::new();
-        for &(scan, bname) in &backends[1..] {
-            decide_all_rejects_scanned(scan, 5, myid, &[], &received, &mut scratch, &mut got);
-            assert_eq!(got, expect, "micro decide diverges: {bname} R={r}");
-        }
-        let iters: u32 = if r <= 16 { 4_000 } else { 128_000 / r as u32 };
-        let mut scalar_rate = 0.0f64;
-        for &(scan, bname) in &backends {
-            let start = Instant::now();
-            let mut sink = 0usize;
-            for _ in 0..iters {
-                if scan == ScanBackend::Scalar {
-                    sink += decide_all_rejects(5, myid, &[], &received).len();
-                } else {
-                    decide_all_rejects_scanned(
-                        scan,
-                        5,
-                        myid,
-                        &[],
-                        &received,
-                        &mut scratch,
-                        &mut got,
-                    );
-                    sink += got.len();
-                }
-            }
-            let secs = start.elapsed().as_secs_f64() / f64::from(iters);
-            assert!(sink > 0, "micro decide produced no witnesses");
-            let rate = 1.0 / secs;
-            eprintln!("scan-micro-decide R={r} scan={bname}: {:.1} ns/call", secs * 1e9);
-            if bname == "scalar" {
-                scalar_rate = rate;
-            } else {
-                ratios.push((format!("scan-micro-decide/{r}/{bname}"), rate / scalar_rate));
-            }
-            rows.push(ScanRow {
-                workload: "scan-micro-decide",
-                n: r,
-                backend: bname,
-                runs: iters,
-                secs_per_run: secs,
-                rounds_per_sec: rate,
             });
         }
     }
@@ -1224,19 +1046,6 @@ fn main() {
     let (batch_n, batch_count) = if smoke { (300, 6) } else { (10_000, 24) };
     let (batch_rows, batch_ratios) = batch_sweep(batch_n, batch_count, &budget);
 
-    // ---- collision-scan sweep (schema v4) ----------------------------
-    // Scalar vs lane-kernel vs (when compiled) intrinsics on the
-    // accounted C5 tester, bit-identity asserted inside.
-    let scan_n = sizes.iter().copied().max().unwrap_or(300);
-    // The scan rows back gated ratios (micro-kernel wins, the hybrid
-    // never-regress floor), so like the soa rows they get a wider
-    // noise-floor budget than the informational engine rows: at the
-    // full-run scale a tester run costs ~0.3-0.4 s, and best-of-3 under
-    // the generic budget leaves the gated hybrid-over-scalar ratio
-    // hostage to a single slow sample.
-    let scan_budget = if smoke { budget } else { Budget { measure_secs: 4.0, max_runs: 16 } };
-    let (scan_rows, scan_ratios) = scan_sweep(scan_n, &scan_budget);
-
     // ---- layout/threads sweep (schema v5) ----------------------------
     // The SoA node-state arena vs the boxed reference layout, plus the
     // threads axis at forced worker counts, bit-identity asserted
@@ -1316,14 +1125,7 @@ fn main() {
          v3 adds the batch block: the sharded multi-graph batch runner (one reusable engine \
          workspace + tester scratch per shard) vs the one-by-one run_tester loop on a \
          multi-graph planted sweep, all three strategies asserted bit-identical per job \
-         before timing, shards/threads recorded honestly per row. v4 adds the scan block: \
-         the accounted sequential C5 tester per collision-scan backend — scalar IdSeq \
-         reference vs the forced SeqBlock lane kernels vs the size-dispatching hybrid \
-         default vs (when compiled with --features simd) the forced core::arch SSE2/AVX2 \
-         variants — on the committed planted/Behrend sweeps, a dense layered case, and \
-         synthetic micro decide rows whose candidate blocks sit past the kernel \
-         break-even, with verdicts (and witness lists on the micro rows) asserted \
-         bit-identical across backends before timing. v6 adds the robust block: \
+         before timing, shards/threads recorded honestly per row. v6 adds the robust block: \
          detection-rate curves of the full tester under fault-model v2 — i.i.d. loss on a \
          lone C6 and rotating crash-stop sets on an eps-far instance — plus the \
          adaptive-vs-fixed comparison (paper schedule vs the loss_inflation-inflated \
@@ -1341,7 +1143,7 @@ fn main() {
          v5 designates the SoA/threads revision and supersedes the v7-lineage records) \
          adds the soa block: the SoA node-state arena (per-node tester scratch packed \
          into a few large buffers — lane-major CSR port streams, node-major sequence-set \
-         headers, chunk-shared prune/scan workspaces) vs the boxed reference layout on \
+         headers, chunk-shared prune workspaces) vs the boxed reference layout on \
          the accounted testers, cold session per run at a single repetition (the two \
          layouts run the identical round schedule, so extra repetitions only dilute the \
          setup/teardown costs the cold unit measures; the planted instance is asserted \
@@ -1428,30 +1230,6 @@ fn main() {
     for (i, (case, ratio)) in batch_ratios.iter().enumerate() {
         let _ = write!(json, "      {{\"case\": \"{case}\", \"batch_over_loop\": {ratio:.3}}}");
         json.push_str(if i + 1 < batch_ratios.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ]\n  },\n");
-
-    // The v4 scan block: collision-scan backends on the C5 sweep.
-    let _ = writeln!(json, "  \"scan\": {{");
-    let _ = writeln!(json, "    \"mode\": \"accounted\",");
-    let _ = writeln!(json, "    \"executor\": \"sequential\",");
-    let _ = writeln!(json, "    \"n\": {scan_n},");
-    let _ = writeln!(json, "    \"simd_compiled\": {},", ScanBackend::simd_compiled());
-    let _ = writeln!(json, "    \"bit_identical\": true,");
-    json.push_str("    \"entries\": [\n");
-    for (i, r) in scan_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"workload\": \"{}\", \"n\": {}, \"backend\": \"{}\", \"runs\": {}, \
-             \"secs_per_run\": {:.6}, \"rounds_per_sec\": {:.2}}}",
-            r.workload, r.n, r.backend, r.runs, r.secs_per_run, r.rounds_per_sec
-        );
-        json.push_str(if i + 1 < scan_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n    \"speedups\": [\n");
-    for (i, (case, ratio)) in scan_ratios.iter().enumerate() {
-        let _ = write!(json, "      {{\"case\": \"{case}\", \"over_scalar\": {ratio:.3}}}");
-        json.push_str(if i + 1 < scan_ratios.len() { ",\n" } else { "\n" });
     }
     json.push_str("    ]\n  },\n");
 
@@ -1661,44 +1439,6 @@ fn main() {
         batch_pass = false;
     }
     all_pass &= batch_pass;
-    // Scan acceptance, two rules. (1) The forced lane kernels must
-    // beat the scalar reference on the past-break-even micro decide
-    // rows (R ∈ {32, 64}) — the unit the kernels are built for, and
-    // the only measurement stable enough to gate on this box: full
-    // tester runs keep candidate blocks small by design (Lemma 3
-    // pruning + rank arbitration), which the ungated full-run kernel
-    // rows document. (2) The hybrid default must never regress the
-    // scalar reference beyond noise on ANY case — on the committed
-    // sweeps its size dispatch sends nearly every block to the scalar
-    // path, so its honest expectation there is parity, not a win.
-    const MICRO_KERNEL_MIN: f64 = 1.0;
-    const HYBRID_FLOOR: f64 = 0.90;
-    let mut scan_pass = true;
-    let mut scan_cases = String::new();
-    for (i, (case, ratio)) in scan_ratios.iter().enumerate() {
-        let micro_kernel = (case.starts_with("scan-micro-decide/32/")
-            || case.starts_with("scan-micro-decide/64/"))
-            && case.ends_with("/kernel");
-        let hybrid = case.ends_with("/hybrid");
-        let (gated, pass) = if micro_kernel {
-            (true, *ratio > MICRO_KERNEL_MIN)
-        } else if hybrid {
-            (true, *ratio >= HYBRID_FLOOR)
-        } else {
-            (false, true)
-        };
-        scan_pass &= pass;
-        let _ = write!(
-            scan_cases,
-            "      {{\"case\": \"{case}\", \"over_scalar\": {ratio:.3}, \
-             \"gated\": {gated}, \"pass\": {pass}}}"
-        );
-        scan_cases.push_str(if i + 1 < scan_ratios.len() { ",\n" } else { "" });
-    }
-    if scan_ratios.is_empty() {
-        scan_pass = false;
-    }
-    all_pass &= scan_pass;
     // SoA acceptance, two rules. (1) The arena layout must beat the
     // boxed reference by >= 1.2x on the accounted C4/C5 tester rows at
     // n = 1e5 under the sequential executor — the single-thread
@@ -1788,24 +1528,19 @@ fn main() {
     // (stats completed == jobs driven), and the clean drain were all
     // asserted inside the sweep — reaching this line proves them. The
     // rendered gate additionally checks the service-side latency
-    // quantiles are ordered sanely per row: p50 <= p99, and p99 no
-    // higher than the exact max's own bucket can reach (the histogram
-    // quantiles are power-of-two bucket upper bounds, so p99 may sit
-    // slightly above the exact max, but never by 2x or more).
-    let serve_quantiles_ordered = serve_block
-        .rows
-        .iter()
-        .all(|r| r.p50_us <= r.p99_us && r.p99_us < r.max_us.max(1).saturating_mul(2));
+    // quantiles are ordered per row: p50 <= p99 <= max (the histogram
+    // clamps every quantile to the observed max).
+    let serve_quantiles_ordered =
+        serve_block.rows.iter().all(|r| r.p50_us <= r.p99_us && r.p99_us <= r.max_us);
     let mut serve_pass = serve_quantiles_ordered && !serve_block.rows.is_empty();
     all_pass &= serve_pass;
     // Smoke runs exist to catch bitrot, not to measure: tiny-n runs are
     // setup-dominated, so the perf ratio never gates them (reaching
     // this line at all means both engines and executors ran and agreed,
-    // and the batch strategies and scan backends were bit-identical).
+    // and the batch strategies were bit-identical).
     if smoke {
         all_pass = true;
         batch_pass = true;
-        scan_pass = true;
         soa_pass = true;
         robust_pass = true;
         net_pass = true;
@@ -1856,10 +1591,6 @@ fn main() {
          \"pr1_absolute_speedup_met\": {pr1_absolute_met},\n    \
          \"required_batch_over_loop\": 1.0,\n    \"batch_cases\": [\n{batch_cases}\n    ],\n    \
          \"batch_pass\": {batch_pass},\n    \
-         \"scan_gates\": {{\"micro_kernel_over_scalar\": {MICRO_KERNEL_MIN}, \
-         \"hybrid_floor_over_scalar\": {HYBRID_FLOOR}}},\n    \
-         \"scan_cases\": [\n{scan_cases}\n    ],\n    \
-         \"scan_pass\": {scan_pass},\n    \
          \"soa_gates\": {{\"required_soa_over_boxed\": {REQUIRED_SOA_OVER_BOXED}, \
          \"threads_monotone_noise\": {THREADS_MONOTONE_NOISE}, \
          \"honest_thread_prefix\": \"workers <= cores\"}},\n    \
@@ -1892,7 +1623,6 @@ fn main() {
         "\"speedups\"",
         "\"acceptance\"",
         "\"batch\"",
-        "\"scan\"",
         "\"soa\"",
         "\"thread_axis\"",
         "\"robust\"",

@@ -36,7 +36,8 @@ struct Slot<P: Program> {
 }
 
 /// Runs `factory`-instantiated programs with the pre-arena engine.
-/// Signature-compatible with [`ck_congest::engine::run`].
+/// Same inputs and outcome as a fresh [`ck_congest::session::Session`]
+/// configured with `config`.
 pub fn run_legacy<'g, P, F>(
     graph: &'g Graph,
     config: &EngineConfig,

@@ -188,8 +188,8 @@ impl<V> RunOutcome<V> {
 /// arenas (lane form for the parallel executor, per-receiver inbox form
 /// for the sequential one) plus the flat wire-load table.
 ///
-/// A fresh workspace owns nothing but empty vectors; the first run
-/// through it allocates exactly what a standalone [`run`] would. Runs
+/// A fresh workspace owns nothing but empty vectors, so the first run
+/// through it allocates the arenas. Later runs
 /// *reset* the workspace instead of reallocating: lanes, inboxes, and
 /// load rows in the previously used extent are cleared with their
 /// capacities kept, and the backing arrays grow only when the next
@@ -717,7 +717,7 @@ pub const NODE_STEP_MIN_PAR_LEN: usize = 1024;
 /// state. Node `v` steps on the thread owning chunk `v / chunk_len`.
 ///
 /// This is the contract external chunk-local state keys off: the SoA
-/// node-state arena allocates one prune/scan scratch per chunk of this
+/// node-state arena allocates one prune scratch per chunk of this
 /// exact plan, so two nodes share scratch only when they provably step
 /// on the same thread. Because the plan is a snapshot of *mutable*
 /// state (forced workers can change between calls), callers that size
@@ -827,7 +827,7 @@ fn run_rounds_par_lanes<P: Program>(
 /// The engine proper: executes `factory`-instantiated programs on
 /// `graph` through a caller-owned workspace until every node halts or
 /// `config.max_rounds` is reached. This is the single implementation
-/// behind [`crate::session::Session`] and every legacy entry point.
+/// behind [`crate::session::Session`] and [`EngineWorkspace::run_on`].
 ///
 /// The workspace is reset (never reallocated when the graph fits)
 /// before the run; outputs are bit-identical to a fresh-workspace run
@@ -1017,74 +1017,6 @@ where
     Ok(())
 }
 
-/// Runs `factory`-instantiated programs on `graph` until every node halts
-/// or `config.max_rounds` is reached.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `ck_congest::session::Session` — one composable entry point with \
-            workspace reuse by default"
-)]
-pub fn run<'g, P, F>(
-    graph: &'g Graph,
-    config: &EngineConfig,
-    factory: F,
-) -> Result<RunOutcome<P::Verdict>, EngineError>
-where
-    P: Program,
-    F: FnMut(NodeInit<'g>) -> P,
-{
-    crate::session::Session::builder(graph).config(config.clone()).build().run(factory)
-}
-
-/// As [`run`], with explicit wire parameters (used when a harness wants to
-/// pin `id_bits`/`rank_bits` across differently-labeled graphs).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `ck_congest::session::Session` and pin the params with \
-            `SessionBuilder::wire_params`"
-)]
-pub fn run_with_params<'g, P, F>(
-    graph: &'g Graph,
-    config: &EngineConfig,
-    params: &WireParams,
-    factory: &mut F,
-) -> Result<RunOutcome<P::Verdict>, EngineError>
-where
-    P: Program,
-    F: FnMut(NodeInit<'g>) -> P,
-{
-    crate::session::Session::builder(graph)
-        .config(config.clone())
-        .wire_params(*params)
-        .build()
-        .run(&mut *factory)
-}
-
-/// As [`run_with_params`], executing through a caller-owned
-/// [`EngineWorkspace`] — the pre-session batch hot path. A
-/// [`crate::session::Session`] owns its workspace and recycles it on
-/// every `run`, making this explicit threading unnecessary.
-#[deprecated(
-    since = "0.2.0",
-    note = "a `ck_congest::session::Session` owns and recycles its workspace; use \
-            `Session::run_reclaiming`"
-)]
-pub fn run_with_workspace<'g, P, F, R>(
-    graph: &'g Graph,
-    config: &EngineConfig,
-    params: &WireParams,
-    ws: &mut EngineWorkspace<P::Msg>,
-    factory: &mut F,
-    reclaim: R,
-) -> Result<RunOutcome<P::Verdict>, EngineError>
-where
-    P: Program,
-    F: FnMut(NodeInit<'g>) -> P,
-    R: FnMut(P),
-{
-    ws.run_on(graph, config, params, &mut *factory, reclaim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,8 +1024,7 @@ mod tests {
     use crate::message::WireMessage;
     use crate::session::Session;
 
-    /// The tests' single-run entry: the session path (shadows the
-    /// deprecated free function the glob import would otherwise bind).
+    /// The tests' single-run entry: a fresh session per call.
     fn run<'g, P, F>(
         graph: &'g Graph,
         config: &EngineConfig,

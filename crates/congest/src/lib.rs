@@ -77,11 +77,6 @@ pub use batch::{effective_shards, run_sharded, run_sharded_with_min_items};
 pub use engine::{
     BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor, RunOutcome, SlotStats,
 };
-// The legacy free-function entry points, kept importable at the crate
-// root for out-of-tree callers mid-migration.
-#[allow(deprecated)]
-// ck-lint: allow(legacy-entry, reason = "the one sanctioned re-export keeping deprecated names importable for out-of-tree callers mid-migration")
-pub use engine::{run, run_with_workspace};
 pub use graph::{Edge, Graph, GraphBuilder, GraphError, NodeId, NodeIndex};
 pub use message::{bits_for, BitReader, BitWriter, CodecError, WireCodec, WireMessage, WireParams};
 pub use metrics::{NetReport, RoundStats, RunReport};

@@ -1,20 +1,17 @@
 //! The composable entry point over the round engine: build a
 //! [`Session`] once, run programs through it repeatedly.
 //!
-//! Four PRs of engine work grew three free-function entry points
-//! (`run`, `run_with_params`, `run_with_workspace`) whose signatures
-//! widened with every capability — explicit [`WireParams`] pinning,
-//! caller-threaded [`EngineWorkspace`]s, reclaim hooks. A `Session`
-//! folds them into one builder: graph + [`EngineConfig`] + optional
-//! pinned wire parameters, with the workspace owned *inside* the
-//! session so the fast path (arena/load-table/slot-array reuse across
-//! runs) is the default rather than an expert opt-in. Repeated
+//! A `Session` is one builder: graph + [`EngineConfig`] + optional
+//! pinned [`WireParams`], with the [`EngineWorkspace`] owned *inside*
+//! the session so the fast path (arena/load-table/slot-array reuse
+//! across runs) is the default rather than an expert opt-in. Repeated
 //! [`Session::run`] calls on the same session allocate nothing once
 //! the first run has warmed the arenas.
 //!
-//! Outputs are bit-identical to the legacy entry points by the engine's
-//! workspace-reset contract (a reset workspace is observationally a
-//! fresh one) — property-tested in `tests/session_parity.rs`.
+//! Outputs of a reused session are bit-identical to a fresh session's
+//! by the engine's workspace-reset contract (a reset workspace is
+//! observationally a fresh one) — property-tested in
+//! `tests/session_parity.rs`.
 
 use crate::engine::{
     exec_with_workspace, BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor,

@@ -6,8 +6,9 @@
 //! families — reject rates across dozens of planted ε-far graphs,
 //! trials × seeds per `(k, n)` cell — and a naive loop pays full engine
 //! setup (arenas, load table, per-node tester buffers) for every single
-//! run. `run_tester_batch` amortizes that across the batch: jobs are
-//! sharded contiguously over the thread pool, each shard drives its
+//! run. [`crate::session::TesterSession::test_batch`] amortizes that
+//! across the batch: jobs are sharded contiguously over the thread
+//! pool, each shard drives its
 //! jobs through one [`EngineWorkspace`] + [`TesterScratch`] pair that
 //! is cleared and re-sized between jobs (never reallocated when the
 //! next graph fits), and the per-job [`TesterRun`]s come back in input
@@ -108,23 +109,13 @@ impl std::error::Error for BatchError {
     }
 }
 
-/// How a batch runs.
-#[derive(Clone, Debug, Default)]
-pub struct BatchOptions {
-    /// Engine template applied to every job (faults, bandwidth policy,
-    /// round recording). The executor field is ignored — shards run
-    /// jobs sequentially; see the module docs.
-    pub engine: EngineConfig,
-    /// Shard count (`None` = the thread pool's width). Clamped to the
-    /// job count; `Some(1)` forces the single-threaded reference path.
-    pub shards: Option<usize>,
-}
-
 /// The batch engine proper — the implementation behind
-/// [`crate::session::TesterSession::test_batch`] and the deprecated
-/// [`run_tester_batch`]. Every job's [`TesterConfig`] is validated
-/// before anything runs, so a bad cell is a [`BatchFailure::Config`]
-/// naming the job, never a panic mid-sweep.
+/// [`crate::session::TesterSession::test_batch`]. Every job's
+/// [`TesterConfig`] is validated before anything runs, so a bad cell is
+/// a [`BatchFailure::Config`] naming the job, never a panic mid-sweep.
+/// The engine template's executor field is ignored (shards run jobs
+/// sequentially; see the module docs); `shards = None` uses the thread
+/// pool's width, clamped to the job count.
 pub(crate) fn batch_exec(
     jobs: &[BatchJob<'_>],
     engine_template: &EngineConfig,
@@ -157,24 +148,6 @@ pub(crate) fn batch_exec(
     // Results are in input order, so `collect` surfaces the first
     // failing job deterministically regardless of shard scheduling.
     results.into_iter().collect()
-}
-
-/// Runs every job and returns the per-job [`TesterRun`]s in input
-/// order. Configurations are validated up front: the first
-/// (lowest-index) out-of-range job is reported as a
-/// [`BatchFailure::Config`] before anything runs; otherwise the first
-/// (lowest-index) run failure is returned. See the module docs for the
-/// sharding/reuse contract.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ck_core::session::TesterSession::test_batch` — same sharded runner, \
-            validated configs"
-)]
-pub fn run_tester_batch(
-    jobs: &[BatchJob<'_>],
-    opts: &BatchOptions,
-) -> Result<Vec<TesterRun>, BatchError> {
-    batch_exec(jobs, &opts.engine, opts.shards)
 }
 
 #[cfg(test)]

@@ -57,8 +57,7 @@ mod tests {
     use super::*;
     use crate::tester::TesterConfig;
 
-    /// The tests' single-run entry: a fresh session per call (shadows
-    /// the deprecated free function).
+    /// The tests' single-run entry: a fresh session per call.
     fn run_tester(
         g: &ck_congest::graph::Graph,
         cfg: &TesterConfig,

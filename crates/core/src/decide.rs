@@ -116,6 +116,9 @@ pub fn decide_all_rejects(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::MAX_SEQ_LEN;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn seq(ids: &[u64]) -> IdSeq {
         IdSeq::from_slice(ids)
@@ -189,5 +192,95 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 7);
+    }
+
+    /// Cycle lengths of the random decide cases: the small range the
+    /// protocols live in, plus the `MAX_K` boundary (full-length
+    /// sequences).
+    const KS: [usize; 9] = [3, 4, 5, 6, 7, 8, 9, 32, 33];
+
+    /// First `want` distinct values of `ids`, as a sequence (None when too
+    /// few distinct values remain).
+    fn distinct_prefix(ids: &[u64], want: usize) -> Option<Vec<u64>> {
+        let mut d: Vec<u64> = Vec::with_capacity(want);
+        for &x in ids {
+            if !d.contains(&x) {
+                d.push(x);
+                if d.len() == want {
+                    return Some(d);
+                }
+            }
+        }
+        (want == 0).then(Vec::new)
+    }
+
+    /// A random decide-round input: `k`, the deciding node's ID (drawn
+    /// from the same small universe so sequences can contain it), received
+    /// sequences of exact and off-by-one lengths, and — for even `k` —
+    /// own-send sequences ending in `myid`.
+    #[allow(clippy::type_complexity)]
+    fn arb_decide_case() -> impl Strategy<Value = (usize, u64, Vec<IdSeq>, Vec<IdSeq>)> {
+        (0usize..KS.len())
+            .prop_flat_map(|ki| {
+                let k = KS[ki];
+                let half = k / 2;
+                let universe = 2 * half as u64 + 6;
+                (
+                    Just(k),
+                    0u64..universe,
+                    vec(vec(0u64..universe, half + 4), 0..9),
+                    vec(vec(0u64..universe, half + 4), 0..4),
+                )
+            })
+            .prop_map(|(k, myid, recv_raw, own_raw)| {
+                let half = k / 2;
+                let received: Vec<IdSeq> = recv_raw
+                    .iter()
+                    .filter_map(|ids| {
+                        // Mostly exact-length sequences, with off-length
+                        // noise the rule must skip.
+                        let want = match ids.first().copied().unwrap_or(0) % 4 {
+                            0 if half > 1 => half - 1,
+                            1 => (half + 1).min(MAX_SEQ_LEN),
+                            _ => half,
+                        };
+                        distinct_prefix(ids, want).map(|d| IdSeq::from_slice(&d))
+                    })
+                    .collect();
+                let own: Vec<IdSeq> = own_raw
+                    .iter()
+                    .filter_map(|ids| {
+                        let body: Vec<u64> = ids.iter().copied().filter(|&x| x != myid).collect();
+                        distinct_prefix(&body, half.saturating_sub(1)).map(|mut d| {
+                            d.push(myid);
+                            IdSeq::from_slice(&d)
+                        })
+                    })
+                    .collect();
+                (k, myid, own, received)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Every witness the rule reports is a genuine `k`-cycle at the
+        /// deciding node: both sequences have length `⌊k/2⌋`, and the
+        /// reconstructed cycle has exactly `k` distinct IDs including
+        /// `myid`. `decide_reject` reports the first of them.
+        #[test]
+        fn random_witnesses_are_k_distinct_ids((k, myid, own, received) in arb_decide_case()) {
+            let all = decide_all_rejects(k, myid, &own, &received);
+            for w in &all {
+                prop_assert_eq!((w.l1.len(), w.l2.len()), (k / 2, k / 2), "{:?}", w);
+                let mut ids = w.cycle_ids();
+                prop_assert_eq!(ids.len(), k, "{:?}", w);
+                prop_assert!(ids.contains(&myid), "{:?}", w);
+                ids.sort_unstable();
+                ids.dedup();
+                prop_assert_eq!(ids.len(), k, "repeated ID in {:?}", w);
+            }
+            prop_assert_eq!(decide_reject(k, myid, &own, &received), all.first().cloned());
+        }
     }
 }

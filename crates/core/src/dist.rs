@@ -55,7 +55,6 @@ use ck_congest::net::{LostCause, NetError, NetOptions};
 use crate::decide::RejectWitness;
 use crate::msg::{CkCodec, CkMsg, EdgeTag};
 use crate::prune::PrunerKind;
-use crate::scan::ScanBackend;
 use crate::seq::IdSeq;
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
@@ -120,15 +119,6 @@ fn pruner_tag(p: PrunerKind) -> u8 {
     }
 }
 
-fn scan_tag(s: ScanBackend) -> u8 {
-    match s {
-        ScanBackend::Scalar => 0,
-        ScanBackend::Lanes => 1,
-        ScanBackend::Simd => 2,
-        ScanBackend::Hybrid => 3,
-    }
-}
-
 impl JobSpec {
     /// Encodes the spec as a `Spec` frame body.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -145,7 +135,6 @@ impl JobSpec {
             None => w.u8(0),
         }
         w.u8(pruner_tag(self.cfg.pruner));
-        w.u8(scan_tag(self.cfg.scan));
         w.u8(self.cfg.early_abort as u8);
         match self.cfg.assumed_loss {
             Some(l) => {
@@ -196,13 +185,6 @@ impl JobSpec {
             1 => PrunerKind::Representative,
             _ => return Err(FrameError::BadBody("unknown pruner tag")),
         };
-        let scan = match r.u8()? {
-            0 => ScanBackend::Scalar,
-            1 => ScanBackend::Lanes,
-            2 => ScanBackend::Simd,
-            3 => ScanBackend::Hybrid,
-            _ => return Err(FrameError::BadBody("unknown scan tag")),
-        };
         let early_abort = r.u8()? != 0;
         let assumed_loss = if r.u8()? != 0 { Some(r.f64()?) } else { None };
         let verify_witnesses = r.u8()? != 0;
@@ -212,7 +194,6 @@ impl JobSpec {
         cfg.seed = seed;
         cfg.repetitions = repetitions;
         cfg.pruner = pruner;
-        cfg.scan = scan;
         cfg.early_abort = early_abort;
         cfg.assumed_loss = assumed_loss;
         cfg.verify_witnesses = verify_witnesses;

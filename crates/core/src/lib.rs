@@ -15,10 +15,6 @@
 //! * [`single`] — `DetectCk(u, v)`: Phase 2 for one designated edge,
 //!   deterministic, rejects **iff** a `Ck` passes through the edge
 //!   (Lemma 2);
-//! * [`scan`] — the collision-scan kernels: Phase-2 rejection and
-//!   pruning as branchless batch sweeps over a lane-major sequence
-//!   block (optionally `core::arch` SIMD via the `simd` feature), with
-//!   the scalar paths preserved as the reference;
 //! * [`rank`] — Phase 1: edge ranks, arbitration keys, repetition
 //!   schedule (Lemmas 4 and 5);
 //! * [`tester`] — the full tester: concurrent rank-arbitrated checks,
@@ -61,36 +57,23 @@ pub mod msg;
 pub mod prune;
 pub mod rank;
 pub mod robust;
-pub mod scan;
 pub mod seq;
 pub mod session;
 pub mod single;
 pub mod soa;
 pub mod tester;
 
-pub use batch::{BatchError, BatchFailure, BatchJob, BatchOptions};
-// The legacy free-function entry points, kept importable at the crate
-// root for out-of-tree callers mid-migration.
-#[allow(deprecated)]
-// ck-lint: allow(legacy-entry, reason = "the one sanctioned re-export keeping the deprecated name importable for out-of-tree callers mid-migration")
-pub use batch::run_tester_batch;
+pub use batch::{BatchError, BatchFailure, BatchJob};
 pub use decide::{decide_reject, RejectWitness};
 pub use msg::{CkCodec, CkMsg, EdgeTag, SeqBundle, SeqPool};
 pub use prune::{
-    build_send_set, build_send_set_into, build_send_set_scanned, lemma3_bound, prune, PrunerKind,
-    SendSetScratch,
+    build_send_set, build_send_set_into, lemma3_bound, prune, PrunerKind, SendSetScratch,
 };
 pub use rank::{repetitions_for, rounds_per_repetition, total_rounds, try_repetitions_for};
-pub use scan::{
-    decide_all_rejects_scanned, decide_reject_scanned, ScanBackend, ScanScratch, SeqBlock,
-};
 pub use seq::{IdSeq, MAX_K, MAX_SEQ_LEN};
 pub use session::{TesterSession, TesterSessionBuilder};
 pub use single::{detect_ck_through_edge, DetectSingle, SingleRun, SingleVerdict};
 pub use soa::SoaArena;
-#[allow(deprecated)]
-// ck-lint: allow(legacy-entry, reason = "the one sanctioned re-export keeping deprecated names importable for out-of-tree callers mid-migration")
-pub use tester::{run_tester, run_tester_reusing};
 pub use tester::{
     test_ck_freeness, CkTester, CkTesterCore, ConfigError, NodeLayout, NodeScratch, NodeVerdict,
     TesterConfig, TesterRun, TesterScratch,

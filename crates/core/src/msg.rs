@@ -408,7 +408,7 @@ impl WireCodec for CkCodec {
             // Lemma 1: the wire only ever carries *simple* paths, so a
             // sequence repeating an identity is not a well-formed frame.
             // Rejecting it here keeps corrupted-but-parseable frames from
-            // smuggling non-paths into the scan kernels.
+            // smuggling non-paths into the pruner and the decide rule.
             for i in 1..self.seq_len {
                 if ids[..i].contains(&ids[i]) {
                     return Err(CodecError::Invalid(

@@ -27,7 +27,6 @@
 //!   constant `k`, and *provably identical output* to the literal rule for
 //!   the same iteration order (property-tested below).
 
-use crate::scan::{ScanBackend, ScanScratch, SeqBlock};
 use crate::seq::IdSeq;
 use ck_congest::graph::NodeId;
 
@@ -259,7 +258,11 @@ pub fn build_send_set_into(
     out: &mut Vec<IdSeq>,
 ) {
     out.clear();
-    if !canonicalize_received(received, myid, scratch) {
+    scratch.filtered.clear();
+    scratch.filtered.extend(received.iter().filter(|s| !s.contains(myid)).copied());
+    scratch.filtered.sort_unstable();
+    scratch.filtered.dedup();
+    if scratch.filtered.is_empty() {
         return;
     }
     match kind {
@@ -276,137 +279,6 @@ pub fn build_send_set_into(
         ),
     }
     out.extend(scratch.accepted.iter().map(|&i| scratch.filtered[i].appended(myid)));
-}
-
-/// As [`build_send_set_into`], running the representative pruner's
-/// membership scans on the [`SeqBlock`] batch kernels: the transversal
-/// hit test over the accepted family becomes one maintained hit row
-/// (updated by a whole-block `contains` sweep per branching step)
-/// instead of per-pair scalar scans. Identical accept/reject decisions
-/// and output to the scalar path for every input (property-tested in
-/// `tests/scan_differential.rs`); with `backend` resolving to
-/// [`ScanBackend::Scalar`] — or for the literal pruner, which stays a
-/// fidelity reference — this delegates to [`build_send_set_into`].
-///
-/// [`ScanBackend::Hybrid`] (the production default) *always* takes the
-/// scalar branch here: the scalar transversal search touches only the
-/// ≤ `lemma3_bound` accepted sequences and exits each membership probe
-/// on the first hit, while the hit row pays two whole-block sweeps per
-/// branch push/backtrack — measured 1.4–5× slower across k ∈ 5..=13 at
-/// every realistic set size. The forced kernel backends keep the
-/// scanned pruner exercised so its equivalence cannot bitrot.
-#[allow(clippy::too_many_arguments)]
-pub fn build_send_set_scanned(
-    kind: PrunerKind,
-    backend: ScanBackend,
-    received: &[IdSeq],
-    myid: NodeId,
-    k: usize,
-    t: usize,
-    scratch: &mut SendSetScratch,
-    scan: &mut ScanScratch,
-    out: &mut Vec<IdSeq>,
-) {
-    let backend = backend.resolve();
-    if backend == ScanBackend::Scalar
-        || backend == ScanBackend::Hybrid
-        || kind == PrunerKind::Literal
-    {
-        build_send_set_into(kind, received, myid, k, t, scratch, out);
-        return;
-    }
-    out.clear();
-    if !canonicalize_received(received, myid, scratch) {
-        return;
-    }
-    prune_representative_scanned(&scratch.filtered, k, t, backend, scan, &mut scratch.accepted);
-    out.extend(scratch.accepted.iter().map(|&i| scratch.filtered[i].appended(myid)));
-}
-
-/// Instructions 11–12 shared by every send-set builder: canonicalize
-/// the received collection into `scratch.filtered` (set semantics:
-/// sort + dedup) and drop sequences containing `myid`. Returns false
-/// when nothing survives. One implementation on purpose — the scalar
-/// and scanned builders must keep identical inputs to their pruners.
-fn canonicalize_received(received: &[IdSeq], myid: NodeId, scratch: &mut SendSetScratch) -> bool {
-    scratch.filtered.clear();
-    scratch.filtered.extend(received.iter().filter(|s| !s.contains(myid)).copied());
-    scratch.filtered.sort_unstable();
-    scratch.filtered.dedup();
-    !scratch.filtered.is_empty()
-}
-
-/// The representative pruner on the block kernels; same scan order —
-/// and therefore the same accepted indices — as
-/// [`prune_representative`].
-fn prune_representative_scanned(
-    seqs: &[IdSeq],
-    k: usize,
-    t: usize,
-    backend: ScanBackend,
-    scan: &mut ScanScratch,
-    accepted: &mut Vec<usize>,
-) {
-    validate(seqs, k, t);
-    let budget = k - t;
-    accepted.clear();
-    let ScanScratch { block, hits, row, .. } = scan;
-    block.load(seqs);
-    for i in 0..seqs.len() {
-        // Transversal empty at the top of every candidate: zero the
-        // maintained hit row (a successful branch returns without
-        // unwinding its pushes).
-        hits.clear();
-        hits.resize(seqs.len(), 0);
-        if admits_transversal_scanned(block, seqs, accepted, &seqs[i], budget, backend, hits, row) {
-            accepted.push(i);
-        }
-    }
-    debug_assert!(accepted.len() as u128 <= lemma3_bound(k, t), "Lemma 3 violated");
-}
-
-/// [`admits_transversal`] on the maintained hit row: `hits[s]` counts
-/// the transversal elements contained in sequence `s`, updated by one
-/// whole-block contains sweep per push/backtrack, so the "first
-/// accepted sequence not yet hit" query is a row lookup instead of a
-/// nested membership scan.
-#[allow(clippy::too_many_arguments)]
-fn admits_transversal_scanned(
-    block: &SeqBlock,
-    seqs: &[IdSeq],
-    accepted: &[usize],
-    l: &IdSeq,
-    budget: usize,
-    backend: ScanBackend,
-    hits: &mut Vec<u64>,
-    row: &mut Vec<u64>,
-) -> bool {
-    let unhit = accepted.iter().copied().find(|&i| hits[i] == 0);
-    let Some(a) = unhit else {
-        return true; // everything hit; pad with fakes
-    };
-    if budget == 0 {
-        return false;
-    }
-    for id in seqs[a].iter() {
-        if l.contains(id) {
-            continue; // T must avoid L
-        }
-        block.contains_row(id, backend, row);
-        for (h, r) in hits.iter_mut().zip(row.iter()) {
-            *h += *r;
-        }
-        if admits_transversal_scanned(block, seqs, accepted, l, budget - 1, backend, hits, row) {
-            return true;
-        }
-        // Backtrack: re-derive the same containment row (the recursion
-        // clobbered the scratch) and subtract it.
-        block.contains_row(id, backend, row);
-        for (h, r) in hits.iter_mut().zip(row.iter()) {
-            *h -= *r;
-        }
-    }
-    false
 }
 
 /// As [`build_send_set_into`], allocating fresh buffers — the
@@ -577,57 +449,6 @@ mod tests {
             true
         }
         rec(&ids, 0, &mut Vec::new(), budget, input, accepted)
-    }
-
-    #[test]
-    fn scanned_pruner_matches_scalar() {
-        use crate::scan::{ScanBackend, ScanScratch};
-        let cases: Vec<(Vec<IdSeq>, u64, usize, usize)> = vec![
-            (seqs(&[&[1, 2]]), 3, 9, 3),
-            (seqs(&[&[1, 2], &[2, 1]]), 9, 9, 3),
-            (seqs(&[&[100], &[200]]), 7, 5, 2),
-            (seqs(&[&[1], &[2], &[3], &[4], &[5]]), 7, 4, 2),
-            ((0..10u64).map(|i| IdSeq::from_slice(&[2 * i, 2 * i + 1])).collect(), 50, 6, 3),
-            (seqs(&[&[1, 2], &[1, 2], &[3, 7], &[4, 5]]), 7, 9, 3),
-            (Vec::new(), 1, 8, 3),
-        ];
-        let mut scan = ScanScratch::new();
-        let mut scratch = SendSetScratch::default();
-        let mut got = Vec::new();
-        let mut backends = vec![ScanBackend::Lanes, ScanBackend::Scalar, ScanBackend::Hybrid];
-        if ScanBackend::simd_compiled() {
-            backends.push(ScanBackend::Simd);
-        }
-        for (input, myid, k, t) in &cases {
-            let expect = build_send_set(PrunerKind::Representative, input, *myid, *k, *t);
-            for &backend in &backends {
-                build_send_set_scanned(
-                    PrunerKind::Representative,
-                    backend,
-                    input,
-                    *myid,
-                    *k,
-                    *t,
-                    &mut scratch,
-                    &mut scan,
-                    &mut got,
-                );
-                assert_eq!(got, expect, "{backend:?} k={k} t={t} input={input:?}");
-            }
-            // The literal pruner always takes the scalar reference path.
-            build_send_set_scanned(
-                PrunerKind::Literal,
-                ScanBackend::Lanes,
-                input,
-                *myid,
-                *k,
-                *t,
-                &mut scratch,
-                &mut scan,
-                &mut got,
-            );
-            assert_eq!(got, build_send_set(PrunerKind::Literal, input, *myid, *k, *t));
-        }
     }
 
     #[test]

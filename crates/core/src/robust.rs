@@ -238,8 +238,7 @@ pub fn adaptive_vs_fixed(
 mod tests {
     use super::*;
 
-    /// The tests' single-run entry: a fresh session per call (shadows
-    /// the deprecated free function).
+    /// The tests' single-run entry: a fresh session per call.
     fn run_tester(
         g: &ck_congest::graph::Graph,
         cfg: &TesterConfig,

@@ -204,7 +204,7 @@ mod tests {
     }
 
     /// Boundary coverage at full capacity: `MAX_SEQ_LEN`-long sequences
-    /// (every lane populated) and unions reaching exactly `MAX_K`.
+    /// (every slot populated) and unions reaching exactly `MAX_K`.
     #[test]
     fn full_capacity_sequences_scalar() {
         let a = IdSeq::from_slice(&(0..MAX_SEQ_LEN as u64).collect::<Vec<_>>());
@@ -240,62 +240,6 @@ mod tests {
         let a = IdSeq::from_slice(&[1, 2]);
         assert_eq!(e.union_size_with(&a, 1), 2);
         assert_eq!(a.union_size_with(&e, 9), 3);
-    }
-
-    /// The kernel forms of `contains`/`disjoint_with`/`union_size_with`
-    /// at the same boundaries: full lanes, empty sequences, extras on
-    /// either side — every compiled backend against the scalar methods.
-    #[test]
-    fn full_capacity_sequences_kernel_forms() {
-        use crate::scan::{ScanBackend, SeqBlock};
-        let full_a = IdSeq::from_slice(&(0..MAX_SEQ_LEN as u64).collect::<Vec<_>>());
-        let full_b =
-            IdSeq::from_slice(&(MAX_SEQ_LEN as u64..2 * MAX_SEQ_LEN as u64).collect::<Vec<_>>());
-        let mut overlap_ids: Vec<u64> = (100..100 + MAX_SEQ_LEN as u64 - 1).collect();
-        overlap_ids.push(0);
-        let seqs =
-            vec![full_a, full_b, IdSeq::empty(), IdSeq::single(7), IdSeq::from_slice(&overlap_ids)];
-        let mut block = SeqBlock::new();
-        block.load(&seqs);
-        let mut backends = vec![ScanBackend::Lanes];
-        if ScanBackend::simd_compiled() {
-            backends.push(ScanBackend::Simd);
-        }
-        let (mut row, mut marks, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        for &backend in &backends {
-            for probe in &seqs {
-                block.pairwise_disjoint(probe, backend, &mut row);
-                for (s, q) in seqs.iter().enumerate() {
-                    assert_eq!(row[s] == 1, probe.disjoint_with(q), "{backend:?}");
-                }
-                for extra in [0u64, 7, MAX_SEQ_LEN as u64, 2 * MAX_SEQ_LEN as u64, 999] {
-                    block.union_size_with(probe, extra, backend, &mut marks, &mut out);
-                    for (s, q) in seqs.iter().enumerate() {
-                        assert_eq!(
-                            out[s],
-                            probe.union_size_with(q, extra) as u64,
-                            "{backend:?} s={s} extra={extra}"
-                        );
-                    }
-                }
-            }
-            for id in [0u64, 7, 15, 16, 100, 999] {
-                block.contains_row(id, backend, &mut row);
-                for (s, q) in seqs.iter().enumerate() {
-                    assert_eq!(row[s] == 1, q.contains(id), "{backend:?} id={id}");
-                }
-            }
-        }
-    }
-
-    /// The kernels require duplicate-free sequences (the protocol
-    /// invariant); the block enforces it in debug builds.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "duplicate-free")]
-    fn kernel_block_rejects_duplicates() {
-        let mut block = crate::scan::SeqBlock::new();
-        block.load(&[IdSeq::from_slice(&[3, 3])]);
     }
 
     #[test]

@@ -2,26 +2,20 @@
 //! [`TesterSession`] once — parameters validated at build time — and
 //! test graphs through it repeatedly.
 //!
-//! Four PRs of tester work grew three free-function entry points
-//! (`run_tester`, `run_tester_reusing`, `run_tester_batch`) whose
-//! signatures widened with every capability — caller-threaded
-//! [`ck_congest::engine::EngineWorkspace`]s,
-//! [`TesterScratch`] pools, batch option structs. A `TesterSession`
-//! folds them into one builder over [`TesterConfig`] with validated
-//! setters (`k ∈ 3..=MAX_K`, `ε ∈ (0, 1)` via
-//! [`crate::rank::try_repetitions_for`]), owning the engine workspace
-//! and scratch pool so the fast path — arena, slot-array, and per-node
-//! buffer reuse across runs — is the default rather than an expert
-//! opt-in.
+//! A `TesterSession` is one builder over [`TesterConfig`] with
+//! validated setters (`k ∈ 3..=MAX_K`, `ε ∈ (0, 1)` via
+//! [`crate::rank::try_repetitions_for`]). It owns the
+//! [`ck_congest::engine::EngineWorkspace`] and the [`TesterScratch`]
+//! pool, so the fast path — arena, slot-array, and per-node buffer
+//! reuse across runs — is the default rather than an expert opt-in.
 //!
-//! Outputs are bit-identical to the legacy entry points by the
-//! engine's reuse contracts — property-tested in
+//! Outputs of a reused session are bit-identical to a fresh session's
+//! by the engine's reuse contracts — property-tested in
 //! `tests/session_parity.rs`.
 
 use crate::batch::{batch_exec, BatchError, BatchJob};
 use crate::msg::CkMsg;
 use crate::prune::PrunerKind;
-use crate::scan::ScanBackend;
 use crate::tester::{
     tester_exec, tester_exec_into, ConfigError, NodeLayout, TesterConfig, TesterRun, TesterScratch,
 };
@@ -57,12 +51,6 @@ impl TesterSessionBuilder {
     /// Pruning implementation (identical semantics across kinds).
     pub fn pruner(mut self, pruner: PrunerKind) -> Self {
         self.cfg.pruner = pruner;
-        self
-    }
-
-    /// Collision-scan backend for the Phase-2 hot paths.
-    pub fn scan(mut self, scan: ScanBackend) -> Self {
-        self.cfg.scan = scan;
         self
     }
 
@@ -319,7 +307,6 @@ mod tests {
             .seed(9)
             .repetitions(4)
             .pruner(PrunerKind::Literal)
-            .scan(ScanBackend::Scalar)
             .layout(NodeLayout::Boxed)
             .early_abort(true)
             .assume_loss(0.1)
@@ -330,7 +317,6 @@ mod tests {
         let cfg = session.config();
         assert_eq!((cfg.k, cfg.seed, cfg.repetitions), (7, 9, Some(4)));
         assert_eq!(cfg.pruner, PrunerKind::Literal);
-        assert_eq!(cfg.scan, ScanBackend::Scalar);
         assert_eq!(cfg.layout, NodeLayout::Boxed);
         assert!(cfg.early_abort);
         assert_eq!(cfg.assumed_loss, Some(0.1));

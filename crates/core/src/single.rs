@@ -12,10 +12,9 @@
 //! at engine round `⌊k/2⌋` on the sequences sent at engine round
 //! `⌊k/2⌋ − 1`.
 
-use crate::decide::RejectWitness;
+use crate::decide::{decide_all_rejects, RejectWitness};
 use crate::msg::{SeqBundle, SeqPool};
-use crate::prune::{build_send_set_scanned, PrunerKind, SendSetScratch};
-use crate::scan::{decide_all_rejects_scanned, ScanBackend, ScanScratch};
+use crate::prune::{build_send_set_into, PrunerKind, SendSetScratch};
 use crate::seq::{IdSeq, MAX_K};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
 use ck_congest::graph::{Edge, Graph, NodeId};
@@ -46,8 +45,6 @@ pub struct DetectSingle {
     u_id: NodeId,
     v_id: NodeId,
     pruner: PrunerKind,
-    /// Resolved collision-scan backend for prune/decide.
-    scan_backend: ScanBackend,
     /// Sequences broadcast at the last send round (consulted for even k).
     own_sent: Vec<IdSeq>,
     verdict: SingleVerdict,
@@ -57,8 +54,6 @@ pub struct DetectSingle {
     send_buf: Vec<IdSeq>,
     /// Pruner workspace.
     scratch: SendSetScratch,
-    /// Collision-scan workspace (block + kernel rows).
-    scan: ScanScratch,
     /// Recycling pool for outgoing bundle backings, refilled by the
     /// payloads the engine's broadcast slot evicts.
     pool: SeqPool,
@@ -66,22 +61,8 @@ pub struct DetectSingle {
 
 impl DetectSingle {
     /// Creates the program for one node; `edge_ids` are the identities of
-    /// the designated edge's endpoints. Uses the build's best
-    /// collision-scan backend; see [`DetectSingle::with_scan`].
+    /// the designated edge's endpoints.
     pub fn new(k: usize, init: &NodeInit, edge_ids: (NodeId, NodeId), pruner: PrunerKind) -> Self {
-        DetectSingle::with_scan(k, init, edge_ids, pruner, ScanBackend::auto())
-    }
-
-    /// As [`DetectSingle::new`] with an explicit collision-scan backend
-    /// (identical outputs on every backend; benches and the
-    /// differential suite force specific paths through this).
-    pub fn with_scan(
-        k: usize,
-        init: &NodeInit,
-        edge_ids: (NodeId, NodeId),
-        pruner: PrunerKind,
-        scan: ScanBackend,
-    ) -> Self {
         assert!((3..=MAX_K).contains(&k), "k = {k} outside supported range");
         DetectSingle {
             k,
@@ -90,13 +71,11 @@ impl DetectSingle {
             u_id: edge_ids.0,
             v_id: edge_ids.1,
             pruner,
-            scan_backend: scan.resolve(),
             own_sent: Vec::new(),
             verdict: SingleVerdict::default(),
             recv: Vec::new(),
             send_buf: Vec::new(),
             scratch: SendSetScratch::default(),
-            scan: ScanScratch::new(),
             pool: SeqPool::new(),
         }
     }
@@ -150,15 +129,13 @@ impl Program for DetectSingle {
             // Paper round t = round + 1: prune and forward, entirely
             // within recycled buffers.
             self.collect(inbox);
-            build_send_set_scanned(
+            build_send_set_into(
                 self.pruner,
-                self.scan_backend,
                 &self.recv,
                 self.myid,
                 self.k,
                 round as usize + 1,
                 &mut self.scratch,
-                &mut self.scan,
                 &mut self.send_buf,
             );
             if !self.send_buf.is_empty() {
@@ -177,16 +154,7 @@ impl Program for DetectSingle {
         }
         // round == half_k: decision round.
         self.collect(inbox);
-        let mut all = Vec::new();
-        decide_all_rejects_scanned(
-            self.scan_backend,
-            self.k,
-            self.myid,
-            &self.own_sent,
-            &self.recv,
-            &mut self.scan,
-            &mut all,
-        );
+        let all = decide_all_rejects(self.k, self.myid, &self.own_sent, &self.recv);
         if !all.is_empty() {
             self.verdict.reject = true;
             self.verdict.witness = all.first().cloned();
@@ -365,53 +333,6 @@ mod tests {
                 let b = detect_ck_through_edge(&g, k, e, PrunerKind::Representative, &cfg).unwrap();
                 assert_eq!(a.reject, b.reject);
                 assert_eq!(a.outcome.report.per_round, b.outcome.report.per_round);
-            }
-        }
-    }
-
-    /// The single-edge detector must be bit-identical across
-    /// collision-scan backends: same rejects, same witness lists (the
-    /// exhaustive `all_witnesses`, order included), same traffic.
-    #[test]
-    fn scan_backends_agree_on_single_edge() {
-        use crate::scan::ScanBackend;
-        let g = petersen();
-        for k in [5usize, 6] {
-            for &e in &g.edges()[..6] {
-                let ids = (g.id(e.a), g.id(e.b));
-                let digest = |out: &SingleRun| {
-                    let v: Vec<_> = out
-                        .outcome
-                        .verdicts
-                        .iter()
-                        .map(|v| {
-                            (v.reject, v.witness.clone(), v.all_witnesses.clone(), v.max_sent_seqs)
-                        })
-                        .collect();
-                    (out.reject, v, out.outcome.report.per_round.clone())
-                };
-                let mut outs = Vec::new();
-                for scan in [
-                    ScanBackend::Scalar,
-                    ScanBackend::Lanes,
-                    ScanBackend::Simd,
-                    ScanBackend::Hybrid,
-                ] {
-                    let cfg =
-                        EngineConfig { max_rounds: (k / 2) as u32 + 1, ..EngineConfig::default() };
-                    let outcome = Session::builder(&g)
-                        .config(cfg)
-                        .build()
-                        .run(|init| {
-                            DetectSingle::with_scan(k, &init, ids, PrunerKind::Representative, scan)
-                        })
-                        .unwrap();
-                    let reject = outcome.verdicts.iter().any(|v| v.reject);
-                    outs.push((scan, digest(&SingleRun { reject, outcome })));
-                }
-                for (scan, d) in &outs[1..] {
-                    assert_eq!(d, &outs[0].1, "{scan:?} diverges (k={k}, e={e:?})");
-                }
             }
         }
     }

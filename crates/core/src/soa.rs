@@ -24,20 +24,17 @@
 //!   `Vec` backings, but the *headers* live contiguously in one arena
 //!   array, as do the per-node payload pools (whose `outstanding`
 //!   accounting is per-node state in the verdict).
-//! * **chunk-shared** — the prune and collision-scan workspaces are
-//!   per-round temporaries cleared at the start of every use, so nodes
-//!   that provably step on the same executor thread share one: the arena
-//!   allocates one per contiguous chunk of the
-//!   [`ck_congest::engine::node_step_plan`] snapshot the tester pins on
-//!   the run, instead of one per node. These are the two largest
-//!   scratch objects, so sharing them is most of the footprint win.
+//! * **chunk-shared** — the prune workspace is a per-round temporary
+//!   cleared at the start of every use, so nodes that provably step on
+//!   the same executor thread share one: the arena allocates one per
+//!   contiguous chunk of the [`ck_congest::engine::node_step_plan`]
+//!   snapshot the tester pins on the run, instead of one per node.
 //!
 //! A warm `SoaArena::prepare` performs zero heap operations for a
 //! same-shape rerun — the contract `tests/alloc_gate.rs` pins down.
 
 use crate::msg::{EdgeTag, SeqBundle, SeqPool};
 use crate::prune::SendSetScratch;
-use crate::scan::ScanScratch;
 use crate::seq::IdSeq;
 use ck_congest::graph::Graph;
 
@@ -85,12 +82,10 @@ pub struct SoaArena {
     pools: Vec<SeqPool>,
     /// Chunk-shared pruner workspaces (one per executor chunk).
     chunk_prune: Vec<SendSetScratch>,
-    /// Chunk-shared collision-scan workspaces (one per executor chunk).
-    chunk_scan: Vec<ScanScratch>,
     /// The executor partition's chunk length this arena was prepared for.
     chunk_len: usize,
     /// The base-pointer table, refreshed by [`SoaArena::bases`]; views
-    /// hold one pointer to this field instead of an 88-byte copy each,
+    /// hold one pointer to this field instead of an 80-byte copy each,
     /// keeping the engine's per-node slots small.
     bases: SoaBases,
 }
@@ -135,7 +130,6 @@ impl SoaArena {
         self.chunk_len = chunk_len.max(1);
         let chunks = n.div_ceil(self.chunk_len).max(1);
         self.chunk_prune.resize_with(chunks, SendSetScratch::default);
-        self.chunk_scan.resize_with(chunks, ScanScratch::default);
     }
 
     /// Refreshes and returns the arena's base-pointer table, for
@@ -155,7 +149,6 @@ impl SoaArena {
             send_buf: self.send_buf.as_mut_ptr(),
             pools: self.pools.as_mut_ptr(),
             chunk_prune: self.chunk_prune.as_mut_ptr(),
-            chunk_scan: self.chunk_scan.as_mut_ptr(),
             chunk_len: self.chunk_len,
         };
         &self.bases
@@ -178,7 +171,6 @@ pub(crate) struct SoaBases {
     send_buf: *mut Vec<IdSeq>,
     pools: *mut SeqPool,
     chunk_prune: *mut SendSetScratch,
-    chunk_scan: *mut ScanScratch,
     chunk_len: usize,
 }
 
@@ -201,7 +193,6 @@ impl Default for SoaBases {
             send_buf: std::ptr::null_mut(),
             pools: std::ptr::null_mut(),
             chunk_prune: std::ptr::null_mut(),
-            chunk_scan: std::ptr::null_mut(),
             chunk_len: 1,
         }
     }
@@ -222,7 +213,7 @@ impl Default for SoaBases {
 ///   prepared arena's own tables.
 /// * Per-node regions are disjoint across views: lane slices by CSR
 ///   construction, node-major headers and pools by index.
-/// * The chunk-shared prune/scan scratch is aliased only by views whose
+/// * The chunk-shared prune scratch is aliased only by views whose
 ///   nodes step on the same executor thread: the tester captures one
 ///   [`ck_congest::engine::node_step_plan`] snapshot, sizes this
 ///   arena's scratch from its `chunk_len` (`prepare`), and pins the
@@ -301,7 +292,6 @@ impl SoaView {
                 send_buf: &mut *b.send_buf.add(node),
                 pool: &mut *b.pools.add(node),
                 prune: &mut *b.chunk_prune.add(chunk),
-                scan: &mut *b.chunk_scan.add(chunk),
             }
         }
     }

@@ -17,11 +17,10 @@
 //! minimal key; Lemma 5 only enters the analysis to make that edge
 //! *uniformly distributed*, which is what the ε-far detection bound needs.
 
-use crate::decide::RejectWitness;
+use crate::decide::{decide_reject, RejectWitness};
 use crate::msg::{CkMsg, EdgeTag, SeqPool};
-use crate::prune::{build_send_set_scanned, PrunerKind, SendSetScratch};
+use crate::prune::{build_send_set_into, PrunerKind, SendSetScratch};
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
-use crate::scan::{decide_reject_scanned, ScanBackend, ScanScratch};
 use crate::seq::{IdSeq, MAX_K};
 use crate::soa::{BundleLoc, SoaArena, SoaView, TAG_FILL};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
@@ -82,10 +81,6 @@ pub struct TesterConfig {
     pub repetitions: Option<u32>,
     /// Pruning implementation (identical semantics; see `prune`).
     pub pruner: PrunerKind,
-    /// Collision-scan backend for the Phase-2 hot paths (identical
-    /// results on every backend; see `scan`). Defaults to the best the
-    /// build provides.
-    pub scan: ScanBackend,
     /// Early-abort extension (off by default, matching the paper): a
     /// rejecting node floods a 1-bit abort flag; every node halts within
     /// diameter+1 rounds of the first rejection instead of finishing the
@@ -135,7 +130,6 @@ impl TesterConfig {
             seed,
             repetitions: None,
             pruner: PrunerKind::Representative,
-            scan: ScanBackend::auto(),
             early_abort: false,
             assumed_loss: None,
             verify_witnesses: false,
@@ -227,7 +221,6 @@ pub struct NodeScratch {
     tag_locs: Vec<BundleLoc>,
     send_buf: Vec<IdSeq>,
     prune: SendSetScratch,
-    scan: ScanScratch,
     pool: SeqPool,
 }
 
@@ -289,8 +282,6 @@ pub(crate) struct BufsRef<'a> {
     pub(crate) pool: &'a mut SeqPool,
     /// Pruner workspace (chunk-shared under the SoA layout).
     pub(crate) prune: &'a mut SendSetScratch,
-    /// Collision-scan workspace (chunk-shared under the SoA layout).
-    pub(crate) scan: &'a mut ScanScratch,
 }
 
 /// A per-node buffer provider: the seam between the shared tester logic
@@ -316,7 +307,6 @@ impl TesterBufs for NodeScratch {
             send_buf: &mut self.send_buf,
             pool: &mut self.pool,
             prune: &mut self.prune,
-            scan: &mut self.scan,
         }
     }
 
@@ -358,9 +348,6 @@ pub struct CkTesterCore<'g, B> {
     /// ownerless stream would never be drawn from.
     owns_edges: bool,
     pruner: PrunerKind,
-    /// Resolved collision-scan backend (never `Simd` without the
-    /// intrinsics compiled).
-    scan_backend: ScanBackend,
     early_abort: bool,
     /// Early-abort: an abort flag was seen or originated.
     aborting: bool,
@@ -396,7 +383,6 @@ impl<'g, B: TesterBufs> CkTesterCore<'g, B> {
             ranks: RankStream::new(cfg.seed, init.id),
             owns_edges: init.neighbor_ids.iter().any(|&nb| init.id < nb),
             pruner: cfg.pruner,
-            scan_backend: cfg.scan.resolve(),
             early_abort: cfg.early_abort,
             aborting: false,
             abort_forwarded: false,
@@ -505,8 +491,7 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
     type Verdict = NodeVerdict;
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, CkMsg>, out: &mut Outbox<CkMsg>) -> Status {
-        let BufsRef { ports, tags, locs, recv, own_sent, send_buf, pool, prune, scan } =
-            self.bufs.bufs();
+        let BufsRef { ports, tags, locs, recv, own_sent, send_buf, pool, prune } = self.bufs.bufs();
 
         // Early-abort extension: adopt an incoming flag, forward it once,
         // halt the round after (the normal protocol below never runs
@@ -594,15 +579,13 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
             // Paper round t = local: prioritized prune-and-forward,
             // entirely within recycled buffers.
             absorb(&mut self.cur, tags, locs, recv, &inbox);
-            build_send_set_scanned(
+            build_send_set_into(
                 self.pruner,
-                self.scan_backend,
                 recv,
                 self.myid,
                 self.k,
                 local as usize,
                 prune,
-                scan,
                 send_buf,
             );
             if !send_buf.is_empty() {
@@ -629,9 +612,7 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
         let own: &[IdSeq] =
             if self.own_sent_tag == self.cur && self.cur.is_some() { own_sent } else { &[] };
         if !self.verdict.rejected {
-            if let Some(w) =
-                decide_reject_scanned(self.scan_backend, self.k, self.myid, own, recv, scan)
-            {
+            if let Some(w) = decide_reject(self.k, self.myid, own, recv) {
                 self.verdict.rejected = true;
                 self.verdict.first_rejection = Some(Box::new(Rejection {
                     repetition: rep,
@@ -703,8 +684,8 @@ impl TesterRun {
 
 /// The tester engine proper: one full run through a caller-owned
 /// engine workspace and tester-scratch pool. This is the single
-/// implementation behind [`crate::session::TesterSession`], the batch
-/// runner's per-shard hot path, and the deprecated free functions.
+/// implementation behind [`crate::session::TesterSession`] and the batch
+/// runner's per-shard hot path.
 /// Arenas, wire-load rows, slot arrays, and per-node tester buffers are
 /// recycled from the previous run instead of reallocated; the output is
 /// bit-identical to a fresh-state run (a reset workspace and a cleared
@@ -902,50 +883,6 @@ fn witness_is_valid(g: &Graph, k: usize, r: &Rejection) -> bool {
     })
 }
 
-/// Runs the full tester on `g`.
-///
-/// # Panics
-/// Panics on an out-of-range `cfg` (use
-/// [`crate::session::TesterSession`] for a [`ConfigError`] instead).
-/// Validation is strict since the session redesign: `eps` must lie in
-/// `(0, 1)` even when a `repetitions` override means the schedule
-/// never reads it — previously such configs ran, now they are rejected
-/// up front like every other out-of-domain parameter.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `ck_core::session::TesterSession` — validated config, workspace and \
-            scratch reuse by default"
-)]
-pub fn run_tester(
-    g: &Graph,
-    cfg: &TesterConfig,
-    engine: &EngineConfig,
-) -> Result<TesterRun, EngineError> {
-    crate::session::TesterSession::from_config(*cfg, engine.clone())
-        // ck-lint: allow(no-panic, reason = "deprecated shim preserving the legacy API's historical panic-on-bad-config behavior")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .test(g)
-}
-
-/// As [`run_tester`], executing through a caller-owned engine workspace
-/// and tester-scratch pool. A [`crate::session::TesterSession`] owns
-/// both and recycles them on every `test`, making the explicit
-/// threading unnecessary.
-#[deprecated(
-    since = "0.2.0",
-    note = "a `ck_core::session::TesterSession` owns and recycles the workspace and scratch; \
-            use `TesterSession::test`"
-)]
-pub fn run_tester_reusing(
-    g: &Graph,
-    cfg: &TesterConfig,
-    engine: &EngineConfig,
-    ws: &mut ck_congest::engine::EngineWorkspace<CkMsg>,
-    scratch: &mut TesterScratch,
-) -> Result<TesterRun, EngineError> {
-    tester_exec(g, cfg, engine, ws, scratch)
-}
-
 /// One-call convenience: tests `Ck`-freeness of `g` at parameter `eps`.
 ///
 /// # Panics
@@ -968,8 +905,7 @@ mod tests {
     use ck_congest::engine::Executor;
     use ck_graphgen::basic::{complete_bipartite, cycle, petersen};
 
-    /// The tests' single-run entry: a fresh session per call (shadows
-    /// the deprecated free function the glob import would bind).
+    /// The tests' single-run entry: a fresh session per call.
     fn run_tester(
         g: &Graph,
         cfg: &TesterConfig,
@@ -1186,38 +1122,6 @@ mod tests {
             assert_eq!(digest(&a), digest(&b));
             assert_eq!(a.outcome.report.per_round, b.outcome.report.per_round);
             assert_eq!(a.outcome.report.rounds, b.outcome.report.rounds);
-        }
-    }
-
-    /// Every collision-scan backend must produce bit-identical full
-    /// runs — verdicts, witnesses, and wire statistics — on odd and
-    /// even k (the two decision shapes), the `Simd` request resolving
-    /// to the portable kernels when not compiled.
-    #[test]
-    fn scan_backends_agree_on_full_tester() {
-        for k in [4usize, 5] {
-            let inst = eps_far_instance(48, k, 0.05, 2);
-            let digest = |r: &TesterRun| {
-                (
-                    r.reject,
-                    r.outcome.verdicts.clone(),
-                    r.outcome.report.per_round.clone(),
-                    r.outcome.report.rounds,
-                )
-            };
-            let mut runs = Vec::new();
-            for scan in
-                [ScanBackend::Scalar, ScanBackend::Lanes, ScanBackend::Simd, ScanBackend::Hybrid]
-            {
-                let cfg =
-                    TesterConfig { repetitions: Some(2), scan, ..TesterConfig::new(k, 0.05, 7) };
-                let run = run_tester(&inst.graph, &cfg, &EngineConfig::default()).unwrap();
-                assert!(run.reject, "planted instance must reject (k={k}, {scan:?})");
-                runs.push((scan, digest(&run)));
-            }
-            for (scan, d) in &runs[1..] {
-                assert_eq!(d, &runs[0].1, "backend {scan:?} diverges from scalar (k={k})");
-            }
         }
     }
 

@@ -6,8 +6,8 @@
 //!   dependency-free lint pass over every workspace `.rs` file,
 //!   enforcing the repo-specific invariants the compiler cannot —
 //!   `// SAFETY:` coverage of `unsafe`, a panic-free library surface,
-//!   determinism hygiene in the bit-identity-critical modules, and
-//!   containment of deprecated entry points. Run it as
+//!   and determinism hygiene in the bit-identity-critical modules. Run
+//!   it as
 //!   `cargo run -p ck-lint` (nonzero exit on findings; CI's `lint`
 //!   job does exactly this).
 //! * **Dynamic analysis** (`alloc_gate`, behind the `alloc-gate`

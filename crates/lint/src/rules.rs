@@ -10,7 +10,6 @@
 //! | `no-panic` | the panic-free library surface (`ckserve` north star) |
 //! | `index-literal` | same — a literal index is a latent panic site |
 //! | `determinism` | the sequential ≡ parallel ≡ distributed bit-identity oracle |
-//! | `legacy-entry` | containment of deprecated pre-`Session` entry points |
 //! | `bad-allow` | integrity of the suppression mechanism itself |
 //!
 //! Findings are suppressed **only** by an inline
@@ -49,20 +48,14 @@ pub enum Rule {
     /// carry a reasoned allow arguing why the bound holds.
     IndexLiteral,
     /// **R3 — `determinism`.** The bit-identity-critical modules
-    /// (`engine`, `fault`, `net/*`, `dist`, `msg`, `scan`, `soa`,
-    /// `serve`, `rpc`) must not
+    /// (`engine`, `fault`, `net/*`, `dist`, `msg`, `soa`, `serve`,
+    /// `rpc`) must not
     /// use wall clocks (`Instant`, `SystemTime`), hash-randomized
     /// collections (`HashMap`, `HashSet`, `RandomState`), or process
     /// environment reads — any of these can silently break the
     /// sequential ≡ parallel ≡ distributed oracle that every
     /// equivalence proptest and the whole bench gate rests on.
     Determinism,
-    /// **R4 — `legacy-entry`.** The deprecated pre-`Session` entry
-    /// points (`run_with_params`, `run_with_workspace`, `run_tester`,
-    /// `run_tester_reusing`, `run_tester_batch`) may be named only in
-    /// their defining module and the `session_parity` legacy-vs-session
-    /// equivalence tests, so the deprecated surface can only shrink.
-    LegacyEntry,
     /// **Meta — `bad-allow`.** A malformed `ck-lint:` suppression
     /// comment: unknown rule name, missing or empty `reason`. Never
     /// itself suppressible.
@@ -77,7 +70,6 @@ impl Rule {
             Rule::NoPanic => "no-panic",
             Rule::IndexLiteral => "index-literal",
             Rule::Determinism => "determinism",
-            Rule::LegacyEntry => "legacy-entry",
             Rule::BadAllow => "bad-allow",
         }
     }
@@ -89,7 +81,6 @@ impl Rule {
             "no-panic" => Rule::NoPanic,
             "index-literal" => Rule::IndexLiteral,
             "determinism" => Rule::Determinism,
-            "legacy-entry" => Rule::LegacyEntry,
             _ => return None,
         })
     }
@@ -117,8 +108,7 @@ impl std::fmt::Display for Finding {
 /// unit tests.
 #[derive(Debug, Clone, Default)]
 pub struct FileContext {
-    /// Workspace-relative path with `/` separators (diagnostics + the
-    /// `legacy-entry` location check).
+    /// Workspace-relative path with `/` separators (diagnostics).
     pub rel_path: String,
     /// True for library-crate source (`no-panic` / `index-literal`
     /// apply): `crates/{congest,core,graphgen,lint,serve}/src/**`
@@ -126,24 +116,9 @@ pub struct FileContext {
     pub library: bool,
     /// True for the bit-identity-critical modules (`determinism`
     /// applies): `engine.rs`, `fault.rs`, `net/**`, `dist.rs`,
-    /// `msg.rs`, `scan.rs`, `soa.rs`, `serve.rs`, `rpc.rs` under a
-    /// `src/` tree.
+    /// `msg.rs`, `soa.rs`, `serve.rs`, `rpc.rs` under a `src/` tree.
     pub determinism_critical: bool,
 }
-
-/// The deprecated pre-`Session` entry points and the single module
-/// allowed to define (and therefore name) each.
-const LEGACY_ENTRY_POINTS: &[(&str, &str)] = &[
-    ("run_with_params", "crates/congest/src/engine.rs"),
-    ("run_with_workspace", "crates/congest/src/engine.rs"),
-    ("run_tester", "crates/core/src/tester.rs"),
-    ("run_tester_reusing", "crates/core/src/tester.rs"),
-    ("run_tester_batch", "crates/core/src/batch.rs"),
-];
-
-/// Test files additionally allowed to name legacy entry points: the
-/// legacy-vs-session bit-identity parity suite is *about* them.
-const LEGACY_OK_SUFFIX: &str = "tests/session_parity.rs";
 
 /// Identifiers banned in determinism-critical modules, with the reason
 /// given in the diagnostic.
@@ -490,22 +465,6 @@ pub fn lint_source(src: &str, ctx: &FileContext) -> Vec<Finding> {
                 );
             }
         }
-
-        // R4: deprecated entry points stay in their defining module.
-        if !facts.in_test[idx] && !ctx.rel_path.ends_with(LEGACY_OK_SUFFIX) {
-            for &(name, home) in LEGACY_ENTRY_POINTS {
-                if ctx.rel_path != home && has_token(code, name) {
-                    emit(
-                        idx,
-                        Rule::LegacyEntry,
-                        format!(
-                            "deprecated entry point `{name}` outside its defining module \
-                             ({home}) — migrate to the Session API"
-                        ),
-                    );
-                }
-            }
-        }
     }
 
     findings
@@ -728,42 +687,6 @@ mod tests {
     fn btree_collections_pass_the_determinism_rule() {
         let src = "use std::collections::{BTreeMap, BTreeSet};\npub fn f(m: &BTreeMap<u32, u32>, s: &BTreeSet<u32>) -> usize { m.len() + s.len() }\n";
         assert!(lint_source(src, &det_ctx()).is_empty());
-    }
-
-    // ---- R4: legacy-entry ----
-
-    #[test]
-    fn legacy_entry_point_flagged_outside_home() {
-        let ctx = FileContext {
-            rel_path: "crates/bench/src/experiments.rs".into(),
-            ..Default::default()
-        };
-        let f = lint_source("let r = run_tester_batch(&jobs, &opts);\n", &ctx);
-        assert_eq!(rules_of(&f), vec![Rule::LegacyEntry]);
-    }
-
-    #[test]
-    fn legacy_entry_point_ok_in_home_and_parity_tests() {
-        let home = FileContext {
-            rel_path: "crates/core/src/batch.rs".into(),
-            library: false,
-            determinism_critical: false,
-        };
-        assert!(lint_source("pub fn run_tester_batch() {}\n", &home).is_empty());
-        let parity =
-            FileContext { rel_path: "tests/session_parity.rs".into(), ..Default::default() };
-        assert!(lint_source("let l = run_tester_batch(&jobs, &opts);\n", &parity).is_empty());
-    }
-
-    #[test]
-    fn legacy_name_in_comment_is_not_flagged() {
-        let ctx = FileContext {
-            rel_path: "crates/congest/src/session.rs".into(),
-            library: true,
-            determinism_critical: false,
-        };
-        let src = "//! Folds `run_with_params` into the builder.\npub fn f() {}\n";
-        assert!(lint_source(src, &ctx).is_empty());
     }
 
     // ---- suppression ----

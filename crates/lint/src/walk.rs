@@ -26,8 +26,7 @@ const LIBRARY_CRATES: &[&str] = &["congest", "core", "graphgen", "lint", "serve"
 /// to reasoned allows for latency histograms and idle-reclaim timers)
 /// and `rpc` its verdict-carrying wire grammar, whose encode/decode
 /// must be a pure function of the message bytes.
-const DETERMINISM_STEMS: &[&str] =
-    &["engine", "fault", "dist", "msg", "scan", "soa", "serve", "rpc"];
+const DETERMINISM_STEMS: &[&str] = &["engine", "fault", "dist", "msg", "soa", "serve", "rpc"];
 
 /// Classifies a workspace-relative path (with `/` separators) into the
 /// rule context the engine needs. Pure so the mapping itself is
@@ -134,7 +133,6 @@ mod tests {
         assert!(classify("crates/congest/src/net/mod.rs").determinism_critical);
         assert!(classify("crates/core/src/dist.rs").determinism_critical);
         assert!(classify("crates/core/src/msg.rs").determinism_critical);
-        assert!(classify("crates/core/src/scan.rs").determinism_critical);
         assert!(classify("crates/core/src/soa.rs").determinism_critical);
         assert!(classify("crates/serve/src/serve.rs").determinism_critical);
         assert!(classify("crates/serve/src/rpc.rs").determinism_critical);

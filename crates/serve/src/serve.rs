@@ -120,7 +120,8 @@ pub fn warm_job(
 
 /// Power-of-two-bucket latency histogram: bucket `i` holds samples
 /// whose microsecond count has bit length `i`, so quantiles come back
-/// as the covering bucket's upper bound. Fixed-size, allocation-free,
+/// as the covering bucket's upper bound, clamped to the observed max
+/// (a quantile never exceeds `max_us`). Fixed-size, allocation-free,
 /// and mergeable by field addition. 65 buckets, because a `u64` has
 /// bit lengths 0..=64 — every sample lands in exactly one bucket and
 /// contributes quantile mass, even `u64::MAX`.
@@ -159,7 +160,8 @@ impl LatencyHistogram {
     }
 
     /// The upper bound of the bucket at or below which at least
-    /// `num/den` of the recorded mass lies (0 when empty).
+    /// `num/den` of the recorded mass lies, clamped to the observed max
+    /// (0 when empty).
     pub fn quantile_us(&self, num: u64, den: u64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -172,7 +174,8 @@ impl LatencyHistogram {
                 // Bucket i covers bit-length-i values: upper bound
                 // 2^i - 1, except the last bucket (bit length 64),
                 // which tops out at u64::MAX.
-                return if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
+                let upper = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
+                return upper.min(self.max_us);
             }
         }
         self.max_us
@@ -628,9 +631,15 @@ mod tests {
         assert_eq!(s.max_us, 1000);
         // p50 lands in the bit-length-2 bucket (values 2..=3).
         assert_eq!(s.p50_us, 3);
-        // p99 needs all 10 samples: the 1000 µs bucket (bit length 10).
-        assert_eq!(s.p99_us, 1023);
-        assert!(s.p50_us <= s.p99_us && s.p99_us <= 1023);
+        // p99 needs all 10 samples: the 1000 µs bucket (bit length 10),
+        // whose 1023 upper bound is clamped to the observed max.
+        assert_eq!(s.p99_us, 1000);
+        assert!(s.p50_us <= s.p99_us && s.p99_us <= s.max_us);
+        // A bucket bound below the max is reported as is.
+        assert_eq!(h.quantile_us(9, 10), 3);
+        for (num, den) in [(1, 2), (9, 10), (99, 100), (1, 1)] {
+            assert!(h.quantile_us(num, den) <= s.max_us, "{num}/{den} above the max");
+        }
     }
 
     #[test]

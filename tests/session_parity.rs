@@ -1,20 +1,18 @@
-//! Session/legacy parity: the `Session` / `TesterSession` builders must
-//! be **bit-identical** to the deprecated free-function entry points —
+//! Session reuse parity: a `Session` / `TesterSession` reused run after
+//! run must be **bit-identical** to a fresh session built for each run —
 //! reports (rounds, executor, per-round wire counters), verdicts, and
-//! `pool_outstanding` — across both executors, fault plans, and
-//! repeated session reuse (a recycled workspace is observationally a
-//! fresh one).
-#![allow(deprecated)] // comparing against the legacy entry points is the point
+//! `pool_outstanding` — across both executors, fault plans, pinned wire
+//! parameters, and graphs of different shapes (a recycled workspace is
+//! observationally a fresh one).
 
-use ck_congest::engine::{run, run_with_params, EngineConfig, Executor, RunOutcome};
+use ck_congest::engine::{EngineConfig, Executor, RunOutcome};
 use ck_congest::fault::FaultPlan;
 use ck_congest::graph::{Graph, GraphBuilder};
 use ck_congest::message::WireParams;
 use ck_congest::node::{Inbox, Outbox, Program, Status};
 use ck_congest::session::Session;
-use ck_core::batch::{run_tester_batch, BatchJob, BatchOptions};
 use ck_core::session::TesterSession;
-use ck_core::tester::{run_tester, NodeVerdict, TesterConfig, TesterRun};
+use ck_core::tester::{NodeVerdict, TesterConfig, TesterRun};
 use ck_graphgen::basic::cycle;
 use ck_graphgen::planted::{eps_far_instance, matched_free_instance};
 use proptest::prelude::*;
@@ -102,11 +100,11 @@ fn tester_digest(r: &TesterRun) -> (bool, u32, Vec<NodeVerdict>, u32, Vec<u64>) 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
-    /// Engine level: a reused `Session` equals fresh legacy `run` /
-    /// `run_with_params` calls bit for bit, on both executors, with and
-    /// without faults, run after run.
+    /// Engine level: a reused `Session` equals a fresh session per run
+    /// bit for bit, on both executors, with and without faults, with
+    /// derived and pinned wire parameters, run after run.
     #[test]
-    fn session_equals_legacy_engine_entry_points(
+    fn reused_session_equals_fresh_sessions(
         g in arb_graph(),
         loss_i in 0usize..3,
         record_rounds in any::<bool>(),
@@ -130,44 +128,45 @@ proptest! {
                 faults: faults.clone(),
                 ..EngineConfig::default()
             };
-            let mut session = Session::builder(&g).config(cfg.clone()).build();
-            // Reuse the session: every repetition must equal a fresh
-            // legacy run (reports, verdicts, wire counters).
-            for rep in 0..3 {
-                let legacy = run(&g, &cfg, mk).unwrap();
-                let via_session = session.run(mk).unwrap();
-                prop_assert_eq!(
-                    engine_digest(&legacy),
-                    engine_digest(&via_session),
-                    "rep {} {:?}",
-                    rep,
-                    executor
-                );
-            }
-            // Pinned wire parameters: run_with_params vs the builder's
-            // wire_params knob.
+            // Derived and pinned wire parameters: the pinned set widens
+            // every ID, so the wire counters differ between the two.
             let fat = WireParams {
                 id_bits: WireParams::for_graph(&g).id_bits + 5,
                 ..WireParams::for_graph(&g)
             };
-            let legacy = run_with_params(&g, &cfg, &fat, &mut mk.clone()).unwrap();
-            let via_session = Session::builder(&g)
-                .config(cfg.clone())
-                .wire_params(fat)
-                .build()
-                .run(mk)
-                .unwrap();
-            prop_assert_eq!(engine_digest(&legacy), engine_digest(&via_session), "{:?}", executor);
+            for params in [None, Some(fat)] {
+                let build = || {
+                    let b = Session::builder(&g).config(cfg.clone());
+                    match params {
+                        Some(p) => b.wire_params(p).build(),
+                        None => b.build(),
+                    }
+                };
+                let mut session = build();
+                // Reuse the session: every repetition must equal a
+                // fresh session's run (reports, verdicts, wire counters).
+                for rep in 0..3 {
+                    let fresh = build().run(mk).unwrap();
+                    let reused = session.run(mk).unwrap();
+                    prop_assert_eq!(
+                        engine_digest(&fresh),
+                        engine_digest(&reused),
+                        "rep {} {:?} pinned={}",
+                        rep,
+                        executor,
+                        params.is_some()
+                    );
+                }
+            }
         }
     }
 
-    /// Tester level: a reused `TesterSession` equals fresh legacy
-    /// `run_tester` calls bit for bit — verdicts (including
-    /// `pool_outstanding` and witnesses), reports, wire counters — on
-    /// both executors and under faults; and `test_batch` equals the
-    /// legacy batch runner.
+    /// Tester level: a reused `TesterSession` equals a fresh session
+    /// per run bit for bit — verdicts (including `pool_outstanding` and
+    /// witnesses), reports, wire counters — on both executors and under
+    /// faults. (Batch ≡ one-by-one is `tests/batch_runner.rs`.)
     #[test]
-    fn tester_session_equals_legacy_tester_entry_points(
+    fn reused_tester_session_equals_fresh_sessions(
         k in 4usize..6,
         seed in 0u64..50,
         loss_i in 0usize..3,
@@ -193,11 +192,12 @@ proptest! {
             // cross-graph workspace/scratch reuse must stay invisible.
             for pass in 0..2 {
                 for g in [&far.graph, &free, &ck] {
-                    let legacy = run_tester(g, &cfg, &engine).unwrap();
-                    let via_session = session.test(g).unwrap();
+                    let fresh =
+                        TesterSession::from_config(cfg, engine.clone()).unwrap().test(g).unwrap();
+                    let reused = session.test(g).unwrap();
                     prop_assert_eq!(
-                        tester_digest(&legacy),
-                        tester_digest(&via_session),
+                        tester_digest(&fresh),
+                        tester_digest(&reused),
                         "pass {} n={} {:?}",
                         pass,
                         g.n(),
@@ -205,26 +205,6 @@ proptest! {
                     );
                 }
             }
-        }
-        // Batch: session sharded runner vs the legacy one.
-        let jobs: Vec<BatchJob> = [&far.graph, &free, &ck]
-            .into_iter()
-            .enumerate()
-            .map(|(i, g)| {
-                BatchJob::new(g, TesterConfig { seed: seed + i as u64, ..cfg })
-            })
-            .collect();
-        let engine = EngineConfig { faults: faults.clone(), ..EngineConfig::default() };
-        let legacy = run_tester_batch(
-            &jobs,
-            &BatchOptions { engine: engine.clone(), shards: Some(2) },
-        )
-        .unwrap();
-        let session = TesterSession::from_config(cfg, engine).unwrap();
-        let via_session = session.test_batch(&jobs, Some(2)).unwrap();
-        prop_assert_eq!(legacy.len(), via_session.len());
-        for (a, b) in legacy.iter().zip(&via_session) {
-            prop_assert_eq!(tester_digest(a), tester_digest(b));
         }
     }
 }

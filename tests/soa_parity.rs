@@ -2,8 +2,8 @@
 //! ([`ck_core::tester::NodeLayout::Soa`]) must be **bit-identical** to
 //! the boxed reference layout — verdicts (including witnesses and
 //! `pool_outstanding`), reject bits, reports, per-round wire counters —
-//! across executors, fault plans, scan backends, early abort, and
-//! repeated warm-session reuse. The two layouts share one `Program`
+//! across executors, fault plans, early abort, forced worker counts,
+//! and repeated warm-session reuse. The two layouts share one `Program`
 //! implementation by construction (`CkTesterCore` is generic over the
 //! buffer seam); these tests pin the construction down end to end,
 //! where the arena's CSR offsets, chunk-shared scratch, and raw-pointer
@@ -11,7 +11,6 @@
 
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::fault::FaultPlan;
-use ck_core::scan::ScanBackend;
 use ck_core::session::TesterSession;
 use ck_core::tester::{NodeLayout, NodeVerdict, TesterConfig, TesterRun};
 use ck_graphgen::basic::cycle;
@@ -90,26 +89,6 @@ proptest! {
                         executor
                     );
                 }
-            }
-        }
-    }
-
-    /// Scan-backend × layout grid: the chunk-shared scan scratch under
-    /// SoA must not perturb any backend's output.
-    #[test]
-    fn soa_equals_boxed_across_scan_backends(
-        k in 4usize..6,
-        seed in 0u64..30,
-    ) {
-        let far = eps_far_instance(36, k, 0.1, seed % 3);
-        let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(k, 0.1, seed) };
-        for scan in [ScanBackend::Scalar, ScanBackend::Lanes] {
-            let cfg = TesterConfig { scan, ..cfg };
-            for executor in [Executor::Sequential, Executor::Parallel] {
-                let engine = EngineConfig { executor, ..EngineConfig::default() };
-                let a = session(cfg, &engine, NodeLayout::Boxed).test(&far.graph).unwrap();
-                let b = session(cfg, &engine, NodeLayout::Soa).test(&far.graph).unwrap();
-                prop_assert_eq!(digest(&a), digest(&b), "{:?} {:?}", scan, executor);
             }
         }
     }
