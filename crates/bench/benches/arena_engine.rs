@@ -1,4 +1,5 @@
-//! Arena engine vs the preserved pre-arena engine, small and mid scale.
+//! Arena engine vs the preserved pre-arena engine on min-ID flooding,
+//! plus the full tester through `TesterSession`, small and mid scale.
 //!
 //! The committed scaling record (including n = 10⁵) lives in
 //! `BENCH_engine.json`, produced by the `bench_engine` binary; this
@@ -10,8 +11,8 @@ use ck_bench::workloads::MinFlood;
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::node::Program;
 use ck_congest::session::Session;
-use ck_core::rank::total_rounds;
-use ck_core::tester::{CkTester, TesterConfig};
+use ck_core::session::TesterSession;
+use ck_core::tester::TesterConfig;
 use ck_graphgen::basic::cycle;
 use ck_graphgen::planted::plant_on_host;
 use ck_graphgen::random::{gnp, random_tree};
@@ -93,8 +94,10 @@ fn bench_gnp(c: &mut Criterion) {
 }
 
 /// The paper's full Ck tester at k = 5 (heavy pooled `SeqBundle`
-/// broadcasts through the clone-free slot path), arena vs legacy and
-/// sequential vs parallel, in both accounting modes.
+/// broadcasts through the clone-free slot path) through a cold
+/// `TesterSession` per run — the path callers take — sequential vs
+/// parallel, in both accounting modes. The legacy engine keeps only the
+/// MinFlood groups above.
 fn bench_ck5_tester(c: &mut Criterion) {
     let n = 4000;
     let host = random_tree(n, 7);
@@ -102,33 +105,21 @@ fn bench_ck5_tester(c: &mut Criterion) {
     let tcfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(5, 0.1, 42) };
     let mut group = c.benchmark_group("engine/ck5-tester-planted4000");
     for (mode, record) in [("fast", false), ("accounted", true)] {
-        let cfg = |exec| EngineConfig {
-            executor: exec,
-            record_rounds: record,
-            max_rounds: total_rounds(5, 2),
-            ..EngineConfig::default()
-        };
-        group.bench_function(BenchmarkId::new("legacy-seq", mode), |b| {
-            let cfg = cfg(Executor::Sequential);
-            b.iter(|| {
-                let out = run_legacy(&inst.graph, &cfg, |i| CkTester::new(&tcfg, &i)).unwrap();
-                black_box(out.verdicts.len())
+        for (name, executor) in
+            [("session-seq", Executor::Sequential), ("session-par", Executor::Parallel)]
+        {
+            let engine =
+                EngineConfig { executor, record_rounds: record, ..EngineConfig::default() };
+            group.bench_function(BenchmarkId::new(name, mode), |b| {
+                b.iter(|| {
+                    let run = TesterSession::from_config(tcfg, engine.clone())
+                        .unwrap()
+                        .test(&inst.graph)
+                        .unwrap();
+                    black_box(run.outcome.verdicts.len())
+                });
             });
-        });
-        group.bench_function(BenchmarkId::new("arena-seq", mode), |b| {
-            let cfg = cfg(Executor::Sequential);
-            b.iter(|| {
-                let out = run(&inst.graph, &cfg, |i| CkTester::new(&tcfg, &i)).unwrap();
-                black_box(out.verdicts.len())
-            });
-        });
-        group.bench_function(BenchmarkId::new("arena-par", mode), |b| {
-            let cfg = cfg(Executor::Parallel);
-            b.iter(|| {
-                let out = run(&inst.graph, &cfg, |i| CkTester::new(&tcfg, &i)).unwrap();
-                black_box(out.verdicts.len())
-            });
-        });
+        }
     }
     group.finish();
 }

@@ -1,12 +1,12 @@
-//! Emits `BENCH_engine.json` (schema v8: the id follows this
-//! workspace's revision series — v8 is the ckserve probe-service
-//! revision, superseding the v5 SoA/threads records): rounds-per-second of the
-//! arena engine vs the preserved pre-arena (legacy) engine, on the
-//! workloads the round loop is actually bottlenecked by:
+//! Emits `BENCH_engine.json` (schema v8; revisions in the order they
+//! were added: v2 engine and tester rows, v3 batch, v4 scan (retired),
+//! v6 robust, v7 net, soa under the out-of-order id v5, v8 serve):
+//! rounds-per-second of the arena engine on the workloads the round
+//! loop is actually bottlenecked by:
 //!
 //! * `minflood-ring` — min-ID flooding on a ring of `n` nodes, the pure
 //!   engine stress (every node broadcasts every round while the minimum
-//!   propagates);
+//!   propagates), timed against the preserved pre-arena (legacy) engine;
 //! * `c4-tester-planted` — the paper's `Ck` tester at `k = 4` on a
 //!   random-tree host with planted vertex-disjoint C4 copies;
 //! * `ck5-tester-planted` — the full tester at `k = 5` (an odd-`k`
@@ -18,20 +18,17 @@
 //!
 //! Each workload is timed in two modes — `fast` (`record_rounds: false`,
 //! the counter-free delivery path) and `accounted` (`record_rounds:
-//! true`, fused wire accounting) — and, for the arena engine, under both
-//! executors; every entry records its `executor` and `threads` honestly.
-//! Before timing, each configuration's verdicts are checked identical
-//! across the two engines, and the arena engine's sequential and
-//! parallel outputs are asserted **bit-identical** (verdicts and, in
-//! accounted mode, the full per-round statistics).
+//! true`, fused wire accounting) — under both executors; every entry
+//! records its `executor` and `threads` honestly. The tester rows time
+//! a cold `TesterSession` per run, the path callers take. Before
+//! timing, the MinFlood verdicts are checked identical across the two
+//! engines, and the arena engine's sequential and parallel outputs are
+//! asserted **bit-identical** (verdicts and, in accounted mode, the
+//! full per-round statistics).
 //!
-//! The `acceptance` block gates on the same-run arena-over-legacy
-//! ratio of every accounted tester case at the largest `n` (the only
-//! comparison immune to machine drift between bench days), and
-//! additionally reports the absolute comparison against the PR-1 arena
-//! numbers from the committed schema-v1 record — with the unchanged
-//! legacy engine as the drift control and an explicit
-//! `pr1_absolute_speedup_met` verdict.
+//! The `acceptance` block gates on the same-run MinFlood
+//! arena-over-legacy ratio in both modes at the largest `n` (the only
+//! comparison immune to machine drift between bench days).
 //!
 //! Usage: `cargo run --release -p ck-bench --bin bench_engine
 //! [--smoke] [OUT.json]` (default output `BENCH_engine.json`; `--smoke`
@@ -46,13 +43,12 @@ use ck_congest::graph::Graph;
 use ck_congest::net::{ChaosPlan, NetOptions};
 use ck_congest::session::Session;
 use ck_core::batch::BatchJob;
-use ck_core::rank::total_rounds;
 use ck_core::robust::{
     adaptive_vs_fixed, crash_detection_curve, loss_detection_curve, AdaptiveComparison, CrashPoint,
     LossPoint,
 };
 use ck_core::session::TesterSession;
-use ck_core::tester::{CkTester, NodeLayout, NodeVerdict, TesterConfig, TesterRun};
+use ck_core::tester::{NodeVerdict, TesterConfig, TesterRun};
 use ck_graphgen::basic::cycle;
 use ck_graphgen::behrend::{behrend_ap_free_set, layered_ck};
 use ck_graphgen::planted::{eps_far_instance, plant_on_host};
@@ -66,19 +62,9 @@ const FLOOD_TTL: u32 = 60;
 /// Tester repetitions for the `Ck` workloads.
 const TESTER_REPS: u32 = 2;
 
-/// PR-1 rounds/sec from the committed schema-v1 `BENCH_engine.json`
-/// (same machine class): `(case, arena_rps, legacy_rps)`. The legacy
-/// engine is code-identical across PRs, so its drift measures the
-/// *machine*, not the code — the absolute PR-1 comparison is reported
-/// with that control alongside.
-const PR1_BASELINES: [(&str, f64, f64); 2] = [
-    ("c4-tester-planted/100000", 13.68, 8.50),
-    ("c4-tester-planted/100000/accounted", 13.18, 7.86),
-];
-/// Required same-run arena-over-legacy ratio on the accounted tester
-/// cases at the largest `n` — the clone-free-broadcast acceptance
-/// check. (PR-1 recorded 1.2–1.7× here; the broadcast slots and pooled
-/// payloads must lift every tester case past 1.5×.)
+/// Required same-run arena-over-legacy ratio on the MinFlood cases at
+/// the largest `n` — the engine acceptance check (the committed record
+/// reads 2.4–3.4× there).
 const REQUIRED_SPEEDUP: f64 = 1.5;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -132,8 +118,8 @@ struct Measurement {
 const MODES: [(&str, bool); 2] = [("fast", false), ("accounted", true)];
 
 /// Engine/executor combinations measured per workload: the legacy
-/// baseline (sequential), the arena engine on the same executor, and
-/// the arena engine under the parallel executor.
+/// baseline (sequential, MinFlood only), the arena engine on the same
+/// executor, and the arena engine under the parallel executor.
 const COMBOS: [(Engine, Executor); 3] = [
     (Engine::Legacy, Executor::Sequential),
     (Engine::Arena, Executor::Sequential),
@@ -202,21 +188,14 @@ fn minflood_outcome(g: &Graph, engine: Engine, cfg: &EngineConfig) -> RunOutcome
     }
 }
 
-fn tester_outcome(
-    g: &Graph,
-    engine: Engine,
-    tcfg: &TesterConfig,
-    cfg: &EngineConfig,
-) -> RunOutcome<NodeVerdict> {
-    let mk = |init| CkTester::new(tcfg, &init);
-    match engine {
-        Engine::Legacy => run_legacy(g, cfg, mk).expect("measure policy cannot fail"),
-        Engine::Arena => Session::builder(g)
-            .config(cfg.clone())
-            .build()
-            .run(mk)
-            .expect("measure policy cannot fail"),
-    }
+/// One tester run through a cold `TesterSession` — the path callers
+/// take (the session sets `max_rounds` from the schedule itself).
+fn tester_outcome(g: &Graph, tcfg: &TesterConfig, cfg: &EngineConfig) -> RunOutcome<NodeVerdict> {
+    TesterSession::from_config(*tcfg, cfg.clone())
+        .expect("valid config")
+        .test(g)
+        .expect("measure policy cannot fail")
+        .outcome
 }
 
 fn engine_config(record: bool, executor: Executor) -> EngineConfig {
@@ -242,7 +221,6 @@ struct Workload {
     name: &'static str,
     graph: Graph,
     tester: Option<TesterConfig>,
-    max_rounds: u32,
     /// Whether the instance is guaranteed to be rejected (planted/hard
     /// instances) — checked before timing so the benchmark can't
     /// silently measure a trivial accept.
@@ -264,32 +242,23 @@ fn workloads_for(n: usize) -> Vec<Workload> {
     let take = strides.len().min(4);
     let behrend = layered_ck(5, width, &strides[..take]);
     vec![
-        Workload {
-            name: "minflood-ring",
-            graph: cycle(n),
-            tester: None,
-            max_rounds: FLOOD_TTL + 1,
-            expect_reject: false,
-        },
+        Workload { name: "minflood-ring", graph: cycle(n), tester: None, expect_reject: false },
         Workload {
             name: "c4-tester-planted",
             graph: plant_on_host(&host, 4, (n / 40).max(1), 7).graph,
             tester: Some(c4),
-            max_rounds: total_rounds(4, TESTER_REPS),
             expect_reject: true,
         },
         Workload {
             name: "ck5-tester-planted",
             graph: plant_on_host(&host, 5, (n / 40).max(1), 7).graph,
             tester: Some(ck5),
-            max_rounds: total_rounds(5, TESTER_REPS),
             expect_reject: true,
         },
         Workload {
             name: "ck5-tester-behrend",
             graph: behrend.graph,
             tester: Some(ck5),
-            max_rounds: total_rounds(5, TESTER_REPS),
             expect_reject: true,
         },
     ]
@@ -483,14 +452,11 @@ fn robust_sweep(smoke: bool) -> RobustBlock {
     }
 }
 
-/// One row of the layout/threads sweep: one (layout, executor, forced
-/// worker count) configuration on an accounted tester workload.
+/// One row of the soa sweep: one (executor, forced worker count)
+/// configuration on an accounted tester workload.
 struct SoaRow {
     workload: &'static str,
     n: usize,
-    /// `"boxed"` (per-node heap buffers, the reference layout) or
-    /// `"soa"` (the arena layout, the default).
-    layout: &'static str,
     executor: &'static str,
     /// Worker count the parallel shim was forced to (`CK_FORCED_WORKERS`
     /// semantics); 0 = unforced sequential row.
@@ -501,138 +467,99 @@ struct SoaRow {
     rounds_per_sec: f64,
 }
 
-/// Repetitions for the soa block. The layout comparison runs a single
-/// repetition of Algorithm 1 (vs [`TESTER_REPS`] elsewhere): the two
-/// layouts execute the identical round schedule, so extra repetitions
-/// only re-run layout-insensitive round work and dilute the
-/// setup/teardown costs the cold-session unit exists to measure.
-/// Detection probability is irrelevant to these rows — the planted
-/// instance is asserted rejected before any timing.
+/// Repetitions for the soa block: a single repetition of Algorithm 1
+/// (vs [`TESTER_REPS`] elsewhere), so the cold-session rows weigh the
+/// per-run arena setup against one repetition's round work. Detection
+/// probability is irrelevant to these rows — the planted instance is
+/// asserted rejected before any timing.
 const SOA_REPS: u32 = 1;
 
-/// The schema-v5 soa block: the SoA node-state arena vs the boxed
-/// reference layout on the accounted `Ck` testers, plus the threads
-/// axis — rounds/sec of the SoA parallel executor at forced worker
-/// counts {1, 2, 4, 8}. The timed unit is a cold session per run
-/// (layout setup included), matching every other tester row in the
-/// record, at a single repetition ([`SOA_REPS`]). Before any timing,
-/// the boxed sequential, SoA sequential, and SoA parallel outcomes are
-/// asserted bit-identical (verdicts and full per-round statistics) at
-/// every forced worker count.
-fn soa_sweep(
-    sizes: &[usize],
-    budget: &Budget,
-    thread_axis: &[usize],
-) -> (Vec<SoaRow>, Vec<(String, f64)>) {
+/// The soa block: the SoA node-state arena on the accounted `Ck`
+/// testers — a sequential row plus the threads axis, rounds/sec of the
+/// parallel executor at forced worker counts {1, 2, 4, 8}. The timed
+/// unit is a cold session per run (arena setup included), matching
+/// every other tester row in the record, at a single repetition
+/// ([`SOA_REPS`]). Before any timing, the sequential and parallel
+/// outcomes are asserted bit-identical (verdicts and full per-round
+/// statistics) at every forced worker count.
+fn soa_sweep(sizes: &[usize], budget: &Budget, thread_axis: &[usize]) -> Vec<SoaRow> {
     let mut rows = Vec::new();
-    let mut ratios = Vec::new();
     for &n in sizes {
         let host = random_tree(n, 7);
         for (name, k) in [("c4-tester-planted", 4usize), ("ck5-tester-planted", 5usize)] {
             let g = plant_on_host(&host, k, (n / 40).max(1), 7).graph;
             let tcfg =
                 TesterConfig { repetitions: Some(SOA_REPS), ..TesterConfig::new(k, 0.1, 42) };
-            let max_rounds = total_rounds(k, SOA_REPS);
-            let outcome_of = |layout: NodeLayout, executor: Executor| -> RunOutcome<NodeVerdict> {
-                let mut cfg = engine_config(true, executor);
-                cfg.max_rounds = max_rounds;
-                let tcfg = TesterConfig { layout, ..tcfg };
-                TesterSession::from_config(tcfg, cfg)
-                    .expect("valid config")
-                    .test(&g)
-                    .expect("measure policy cannot fail")
-                    .outcome
-            };
-            // Bit-identity across layouts, executors, and every forced
-            // worker count, before any timing.
-            let reference = outcome_of(NodeLayout::Boxed, Executor::Sequential);
+            let outcome_of =
+                |executor: Executor| tester_outcome(&g, &tcfg, &engine_config(true, executor));
+            // Bit-identity across executors and every forced worker
+            // count, before any timing.
+            let reference = outcome_of(Executor::Sequential);
             assert!(
                 reference.verdicts.iter().any(|v| v.rejected),
                 "soa sweep instance not rejected: {name}/{n}"
             );
-            let check = |label: &str, got: &RunOutcome<NodeVerdict>| {
-                assert_eq!(
-                    reference.verdicts, got.verdicts,
-                    "verdicts diverge: {label} {name}/{n}"
-                );
-                assert_eq!(
-                    reference.report.per_round, got.report.per_round,
-                    "round stats diverge: {label} {name}/{n}"
-                );
-            };
-            check("soa/sequential", &outcome_of(NodeLayout::Soa, Executor::Sequential));
             for &w in thread_axis {
                 rayon::force_workers_for_tests(w);
-                let got = outcome_of(NodeLayout::Soa, Executor::Parallel);
+                let got = outcome_of(Executor::Parallel);
                 rayon::force_workers_for_tests(0);
-                check(&format!("soa/parallel/w={w}"), &got);
+                assert_eq!(reference.verdicts, got.verdicts, "verdicts diverge: w={w} {name}/{n}");
+                assert_eq!(
+                    reference.report.per_round, got.report.per_round,
+                    "round stats diverge: w={w} {name}/{n}"
+                );
             }
-            // Every row of this case — boxed/soa sequential (backing
-            // the gated soa-over-boxed ratio) and the full forced-
-            // worker threads axis (backing the monotone gate; forcing
-            // above the machine's cores measures oversubscription
-            // honestly, the `cores` field names the honest prefix) —
-            // is sampled round-robin in ONE shared window, so both
-            // gates consume drift-immune ratios: see
-            // `time_runs_min_interleaved`. Each parallel closure sets
-            // its forced worker count for exactly its own run (the run
-            // pins its partition at entry, so mid-window changes
-            // between runs are safe by the engine's contract).
-            let variants: Vec<(&'static str, &'static str, usize)> = {
-                let mut v = vec![("boxed", "sequential", 0usize), ("soa", "sequential", 0usize)];
-                v.extend(thread_axis.iter().map(|&w| ("soa", "parallel", w)));
-                v
-            };
+            // The sequential row and the full forced-worker threads axis
+            // (backing the monotone gate; forcing above the machine's
+            // cores measures oversubscription honestly, the `cores`
+            // field names the honest prefix) are sampled round-robin in
+            // ONE shared window, so the gate consumes drift-immune
+            // ratios: see `time_runs_min_interleaved`. Each parallel
+            // closure sets its forced worker count for exactly its own
+            // run (the run pins its partition at entry, so mid-window
+            // changes between runs are safe by the engine's contract).
+            let variants: Vec<(&'static str, usize)> = std::iter::once(("sequential", 0))
+                .chain(thread_axis.iter().map(|&w| ("parallel", w)))
+                .collect();
             let outcome_of = &outcome_of;
             let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = variants
                 .iter()
-                .map(|&(lname, ename, w)| {
-                    let b: Box<dyn FnMut() -> u32 + '_> = match (lname, ename) {
-                        ("boxed", _) => Box::new(move || {
-                            outcome_of(NodeLayout::Boxed, Executor::Sequential).report.rounds
-                        }),
-                        (_, "sequential") => Box::new(move || {
-                            outcome_of(NodeLayout::Soa, Executor::Sequential).report.rounds
-                        }),
-                        _ => Box::new(move || {
+                .map(|&(ename, w)| {
+                    let b: Box<dyn FnMut() -> u32 + '_> = if ename == "sequential" {
+                        Box::new(move || outcome_of(Executor::Sequential).report.rounds)
+                    } else {
+                        Box::new(move || {
                             rayon::force_workers_for_tests(w);
-                            let o = outcome_of(NodeLayout::Soa, Executor::Parallel);
+                            let o = outcome_of(Executor::Parallel);
                             rayon::force_workers_for_tests(0);
                             o.report.rounds
-                        }),
+                        })
                     };
                     b
                 })
                 .collect();
             let stats = time_runs_min_interleaved(budget, &mut closures);
             drop(closures);
-            let mut seq_rates = Vec::new();
-            for (&(lname, ename, w), &(runs, secs, rounds)) in variants.iter().zip(&stats) {
-                let rate = f64::from(rounds) / secs;
+            for (&(ename, w), &(runs, secs, rounds)) in variants.iter().zip(&stats) {
                 let wlabel = if ename == "parallel" { format!(" w={w}") } else { String::new() };
                 eprintln!(
-                    "{name} n={n} layout={lname} {ename}{wlabel} [accounted]: {secs:.4} s/run \
+                    "{name} n={n} {ename}{wlabel} [accounted]: {secs:.4} s/run \
                      (best of {runs} interleaved runs)"
                 );
-                if ename == "sequential" {
-                    seq_rates.push(rate);
-                }
                 rows.push(SoaRow {
                     workload: name,
                     n,
-                    layout: lname,
                     executor: ename,
                     workers: w,
                     rounds,
                     runs,
                     secs_per_run: secs,
-                    rounds_per_sec: rate,
+                    rounds_per_sec: f64::from(rounds) / secs,
                 });
             }
-            ratios.push((format!("{name}/{n}/accounted"), seq_rates[1] / seq_rates[0]));
         }
     }
-    (rows, ratios)
+    rows
 }
 
 /// One row of the net sweep: one executor configuration on the
@@ -955,8 +882,8 @@ fn main() {
     for &n in sizes {
         for w in workloads_for(n) {
             for (mode, record) in MODES {
-                // Cross-engine verdict check + arena seq-vs-par
-                // bit-identity, before any timing.
+                // Arena seq-vs-par bit-identity (plus the cross-engine
+                // verdict check on MinFlood), before any timing.
                 let label = format!("{}/{n}/{mode}", w.name);
                 match &w.tester {
                     None => {
@@ -972,17 +899,8 @@ fn main() {
                     }
                     Some(tcfg) => {
                         let arena = assert_seq_par_identical(&label, |exec| {
-                            let mut cfg = engine_config(record, exec);
-                            cfg.max_rounds = w.max_rounds;
-                            tester_outcome(&w.graph, Engine::Arena, tcfg, &cfg)
+                            tester_outcome(&w.graph, tcfg, &engine_config(record, exec))
                         });
-                        let mut cfg = engine_config(record, Executor::Sequential);
-                        cfg.max_rounds = w.max_rounds;
-                        let legacy = tester_outcome(&w.graph, Engine::Legacy, tcfg, &cfg);
-                        let flags = |o: &RunOutcome<NodeVerdict>| {
-                            o.verdicts.iter().map(|v| v.rejected).collect::<Vec<_>>()
-                        };
-                        assert_eq!(flags(&legacy), flags(&arena), "engines disagree: {label}");
                         if w.expect_reject {
                             assert!(
                                 arena.verdicts.iter().any(|v| v.rejected),
@@ -991,30 +909,35 @@ fn main() {
                         }
                     }
                 }
-                // All three combos sampled round-robin in one shared
-                // window (the arena-over-legacy acceptance gate is a
-                // ratio of these rows): see `time_runs_min_interleaved`.
+                // Every combo sampled round-robin in one shared window
+                // (the arena-over-legacy acceptance gate is a ratio of
+                // the MinFlood rows): see `time_runs_min_interleaved`.
+                // The legacy engine times MinFlood only.
                 let graph = &w.graph;
                 let tester = w.tester.as_ref();
-                let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = COMBOS
+                let combos: Vec<(Engine, Executor)> = COMBOS
+                    .iter()
+                    .copied()
+                    .filter(|&(engine, _)| tester.is_none() || engine == Engine::Arena)
+                    .collect();
+                let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = combos
                     .iter()
                     .map(|&(engine, executor)| {
-                        let mut cfg = engine_config(record, executor);
-                        cfg.max_rounds = w.max_rounds;
+                        let cfg = engine_config(record, executor);
                         let b: Box<dyn FnMut() -> u32 + '_> = match tester {
                             None => Box::new(move || {
                                 minflood_outcome(graph, engine, &cfg).report.rounds
                             }),
-                            Some(tcfg) => Box::new(move || {
-                                tester_outcome(graph, engine, tcfg, &cfg).report.rounds
-                            }),
+                            Some(tcfg) => {
+                                Box::new(move || tester_outcome(graph, tcfg, &cfg).report.rounds)
+                            }
                         };
                         b
                     })
                     .collect();
                 let stats = time_runs_min_interleaved(&budget, &mut closures);
                 drop(closures);
-                for (&(engine, executor), &(runs, secs, rounds)) in COMBOS.iter().zip(&stats) {
+                for (&(engine, executor), &(runs, secs, rounds)) in combos.iter().zip(&stats) {
                     eprintln!(
                         "{} n={n} {} {} [{mode}]: {:.4} s/run ({rounds} rounds, best of {runs} \
                          interleaved runs)",
@@ -1046,25 +969,21 @@ fn main() {
     let (batch_n, batch_count) = if smoke { (300, 6) } else { (10_000, 24) };
     let (batch_rows, batch_ratios) = batch_sweep(batch_n, batch_count, &budget);
 
-    // ---- layout/threads sweep (schema v5) ----------------------------
-    // The SoA node-state arena vs the boxed reference layout, plus the
-    // threads axis at forced worker counts, bit-identity asserted
-    // inside at every point.
+    // ---- soa/threads sweep (schema v5) -------------------------------
+    // The SoA node-state arena's sequential row plus the threads axis at
+    // forced worker counts, bit-identity asserted inside at every point.
     let thread_axis = [1usize, 2, 4, 8];
     let soa_sizes: &[usize] = if smoke { &[300] } else { &[100_000, 1_000_000] };
-    // Wider sample budget than the engine rows: the soa rows back gated
-    // best-of-N ratios, so more samples directly tighten the estimator
-    // (at n=10⁶ a single run exceeds the budget either way — those rows
-    // are ungated and informational). The smoke budget is wider still
-    // relative to the row cost (~0.5 ms at n=300): the CI bench-gate
-    // job floors the smoke soa-over-boxed ratio, and best-of-20 makes
-    // that ratio reproducible across shared CI runners.
+    // Wider sample budget than the engine rows: the thread-axis rows
+    // back the gated monotone check, so more samples directly tighten
+    // the best-of-N estimator (at n=10⁶ a single run exceeds the budget
+    // either way).
     let soa_budget = if smoke {
         Budget { measure_secs: 0.5, max_runs: 20 }
     } else {
         Budget { measure_secs: 10.0, max_runs: 24 }
     };
-    let (soa_rows, soa_ratios) = soa_sweep(soa_sizes, &soa_budget, &thread_axis);
+    let soa_rows = soa_sweep(soa_sizes, &soa_budget, &thread_axis);
 
     // ---- robustness sweep (schema v6 lineage) ------------------------
     // Loss/crash detection curves and the adaptive-vs-fixed schedule
@@ -1112,59 +1031,53 @@ fn main() {
     json.push_str("{\n  \"schema\": \"ck-bench/engine/v8\",\n");
     let _ = writeln!(
         json,
-        "  \"description\": \"Round-engine throughput, arena (zero-allocation double-buffered \
-         CSR lanes + clone-free broadcast slots + pooled tester payloads) vs legacy (per-round \
-         Vec allocation, clone-per-port broadcasts). Mode 'fast' = record_rounds off; mode \
-         'accounted' = record_rounds on (fused wire accounting). Every entry records its \
-         executor and thread count; arena sequential/parallel outputs are asserted \
-         bit-identical before timing. acceptance gates on the same-run arena-over-legacy \
-         ratio of the accounted tester cases at the largest n (immune to machine drift \
-         between bench days); pr1_reference reports the absolute comparison against the \
-         committed schema-v1 PR-1 record with the unchanged legacy engine as drift control, \
-         and pr1_absolute_speedup_met states plainly whether the raw vs-PR-1 bar is met. \
-         v3 adds the batch block: the sharded multi-graph batch runner (one reusable engine \
-         workspace + tester scratch per shard) vs the one-by-one run_tester loop on a \
-         multi-graph planted sweep, all three strategies asserted bit-identical per job \
-         before timing, shards/threads recorded honestly per row. v6 adds the robust block: \
-         detection-rate curves of the full tester under fault-model v2 — i.i.d. loss on a \
-         lone C6 and rotating crash-stop sets on an eps-far instance — plus the \
-         adaptive-vs-fixed comparison (paper schedule vs the loss_inflation-inflated \
-         schedule at 40% loss), all on deterministic fault plans; acceptance gates the \
-         loss curve monotone-nonincreasing within noise and the adaptive arm at the \
-         paper's 2/3 detection floor. v7 adds the net block: the distributed executor \
+        "  \"description\": \"Round-engine throughput of the arena engine (zero-allocation \
+         double-buffered CSR lanes + clone-free broadcast slots + pooled tester payloads). Mode \
+         'fast' = record_rounds off; mode 'accounted' = record_rounds on (fused wire \
+         accounting). Every entry records its executor and thread count; arena \
+         sequential/parallel outputs are asserted bit-identical before timing. The MinFlood \
+         rows also time the legacy engine (per-round Vec allocation, clone-per-port \
+         broadcasts), verdicts checked identical first; the tester rows time a cold \
+         TesterSession per run, the path callers take. acceptance gates on the same-run \
+         MinFlood arena-over-legacy ratio in both modes at the largest n (immune to machine \
+         drift between bench days). Schema revisions, in the order they were added: v2 (these \
+         rows), v3 batch, v4 scan (retired, no longer emitted), v6 robust, v7 net, v5 soa (an \
+         out-of-order id), v8 serve; the current id is v8. The v3 batch block: the sharded \
+         multi-graph batch runner (one reusable engine workspace + node-state arena per \
+         shard) vs a one-by-one loop of fresh sessions on a multi-graph planted sweep, all \
+         three strategies asserted bit-identical per job before timing, shards/threads \
+         recorded honestly per row. The v6 robust block: detection-rate curves of the full \
+         tester under fault-model v2 — i.i.d. loss on a lone C6 and rotating crash-stop sets \
+         on an eps-far instance — plus the adaptive-vs-fixed comparison (paper schedule vs \
+         the loss_inflation-inflated schedule at 40% loss), all on deterministic fault plans; \
+         acceptance gates the loss curve monotone-nonincreasing within noise and the adaptive \
+         arm at the paper's 2/3 detection floor. The v7 net block: the distributed executor \
          (partitioned graph, thread-mode workers speaking the full wire protocol — \
-         length-prefixed CkCodec frames with the seq_len context-word handshake, \
-         per-round barriers, heartbeats — over loopback TCP) vs the sequential oracle \
-         on a planted instance, verdicts and per-round statistics asserted bit-identical \
-         per worker count before timing, plus a recovery-latency row: a chaos-injected \
-         worker abort mid-run must be detected within the round deadline and degrade to \
-         the sequential oracle inside an explicit wall-clock budget, gated. v5 (the \
-         schema id follows this workspace's revision series, not a monotone counter: \
-         v5 designates the SoA/threads revision and supersedes the v7-lineage records) \
-         adds the soa block: the SoA node-state arena (per-node tester scratch packed \
-         into a few large buffers — lane-major CSR port streams, node-major sequence-set \
-         headers, chunk-shared prune workspaces) vs the boxed reference layout on \
-         the accounted testers, cold session per run at a single repetition (the two \
-         layouts run the identical round schedule, so extra repetitions only dilute the \
-         setup/teardown costs the cold unit measures; the planted instance is asserted \
-         rejected first), best-of-N noise-floor timing per \
-         row, plus the threads axis: rounds/sec \
-         of the SoA parallel executor at forced worker counts {{1,2,4,8}} (the cores field \
-         names the honest prefix; counts past it measure oversubscription). Sequential \
+         length-prefixed CkCodec frames with the seq_len context-word handshake, per-round \
+         barriers, heartbeats — over loopback TCP) vs the sequential oracle on a planted \
+         instance, verdicts and per-round statistics asserted bit-identical per worker count \
+         before timing, plus a recovery-latency row: a chaos-injected worker abort mid-run \
+         must be detected within the round deadline and degrade to the sequential oracle \
+         inside an explicit wall-clock budget, gated. The v5 soa block: the SoA node-state \
+         arena (the only node-state layout — lane-major CSR port streams, node-major \
+         sequence-set headers, chunk-shared prune workspaces) on the accounted testers, cold \
+         session per run at a single repetition (the planted instance is asserted rejected \
+         first), best-of-N interleaved timing: a sequential row plus the threads axis, \
+         rounds/sec of the parallel executor at forced worker counts {{1,2,4,8}} (the cores \
+         field names the honest prefix; counts past it measure oversubscription). Sequential \
          and parallel outputs are asserted bit-identical at every worker count before \
-         timing. acceptance gates soa-over-boxed >= 1.2 on the accounted C4/C5 rows at \
-         n=1e5 and the parallel curve monotone non-decreasing over the honest prefix. \
-         v8 adds the serve block: the long-running ckserve probe service (one warm \
-         TesterSession per worker thread, recycled arena-to-arena across jobs, ServeMsg \
-         RPC over length-prefixed loopback-TCP frames) driven by closed-loop clients — \
-         each row runs a fresh service at a fixed worker count while N client threads \
-         each push their job stream back-to-back (heterogeneous eps/seed per job, the \
-         multi-tenant reconfigure pattern), recording end-to-end jobs/sec plus the \
-         service-side submit-to-result p50/p99/max latency from the Stats RPC. Every \
-         job's verdict (reject bit and per-node verdicts) is asserted bit-identical to \
-         a direct TesterSession run under the service's engine template before any \
-         timing. acceptance gates verdict bit-identity, zero lost jobs per row (stats \
-         completed == driven), and a clean drain (in_flight == pool_outstanding == 0).\","
+         timing. acceptance gates the parallel curve monotone non-decreasing over the honest \
+         prefix. The v8 serve block: the long-running ckserve probe service (one warm \
+         TesterSession per worker thread, recycled arena-to-arena across jobs, ServeMsg RPC \
+         over length-prefixed loopback-TCP frames) driven by closed-loop clients — each row \
+         runs a fresh service at a fixed worker count while N client threads each push their \
+         job stream back-to-back (heterogeneous eps/seed per job, the multi-tenant \
+         reconfigure pattern), recording end-to-end jobs/sec plus the service-side \
+         submit-to-result p50/p99/max latency from the Stats RPC. Every job's verdict (reject \
+         bit and per-node verdicts) is asserted bit-identical to a direct TesterSession run \
+         under the service's engine template before any timing. acceptance gates verdict \
+         bit-identity, zero lost jobs per row (stats completed == driven), and a clean drain \
+         (in_flight == pool_outstanding == 0).\","
     );
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let _ = writeln!(json, "  \"cores\": {cores},");
@@ -1233,7 +1146,7 @@ fn main() {
     }
     json.push_str("    ]\n  },\n");
 
-    // The v5 soa block: node-state layouts and the threads axis.
+    // The v5 soa block: the arena's sequential row and the threads axis.
     let _ = writeln!(json, "  \"soa\": {{");
     let _ = writeln!(json, "    \"mode\": \"accounted\",");
     let _ = writeln!(json, "    \"repetitions\": {SOA_REPS},");
@@ -1247,12 +1160,11 @@ fn main() {
     for (i, r) in soa_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "      {{\"workload\": \"{}\", \"n\": {}, \"layout\": \"{}\", \
-             \"executor\": \"{}\", \"workers\": {}, \"rounds\": {}, \"runs\": {}, \
-             \"secs_per_run\": {:.6}, \"rounds_per_sec\": {:.2}}}",
+            "      {{\"workload\": \"{}\", \"n\": {}, \"executor\": \"{}\", \
+             \"workers\": {}, \"rounds\": {}, \"runs\": {}, \"secs_per_run\": {:.6}, \
+             \"rounds_per_sec\": {:.2}}}",
             r.workload,
             r.n,
-            r.layout,
             r.executor,
             r.workers,
             r.rounds,
@@ -1261,11 +1173,6 @@ fn main() {
             r.rounds_per_sec
         );
         json.push_str(if i + 1 < soa_rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n    \"speedups\": [\n");
-    for (i, (case, ratio)) in soa_ratios.iter().enumerate() {
-        let _ = write!(json, "      {{\"case\": \"{case}\", \"soa_over_boxed\": {ratio:.3}}}");
-        json.push_str(if i + 1 < soa_ratios.len() { ",\n" } else { "\n" });
     }
     json.push_str("    ]\n  },\n");
 
@@ -1380,21 +1287,18 @@ fn main() {
         a.adaptive_rate()
     );
 
-    // Acceptance: every *accounted* tester case at the largest measured
-    // n must beat the legacy engine by the required ratio in the same
-    // run (same machine, same minute — the only comparison that
-    // isolates the code from datacenter drift).
+    // Acceptance: the MinFlood case in both modes at the largest
+    // measured n must beat the legacy engine by the required ratio in
+    // the same run (same machine, same minute — the only comparison
+    // that isolates the code from datacenter drift).
     let top_n = sizes.iter().copied().max().unwrap_or(0);
     let mut all_pass = true;
     let mut cases = String::new();
     let mut first = true;
-    for workload in workload_names {
-        if workload == "minflood-ring" {
-            continue;
-        }
+    for (mode, _) in MODES {
         let (Some(arena), Some(legacy)) = (
-            rps_of(workload, top_n, Engine::Arena, "accounted", Executor::Sequential),
-            rps_of(workload, top_n, Engine::Legacy, "accounted", Executor::Sequential),
+            rps_of("minflood-ring", top_n, Engine::Arena, mode, Executor::Sequential),
+            rps_of("minflood-ring", top_n, Engine::Legacy, mode, Executor::Sequential),
         ) else {
             continue;
         };
@@ -1407,8 +1311,9 @@ fn main() {
         first = false;
         let _ = write!(
             cases,
-            "      {{\"case\": \"{workload}/{top_n}/accounted\", \"arena_rps\": {arena:.2}, \
-             \"legacy_rps\": {legacy:.2}, \"arena_over_legacy\": {ratio:.3}, \"pass\": {pass}}}"
+            "      {{\"case\": \"{}\", \"arena_rps\": {arena:.2}, \
+             \"legacy_rps\": {legacy:.2}, \"arena_over_legacy\": {ratio:.3}, \"pass\": {pass}}}",
+            case_key("minflood-ring", top_n, mode)
         );
     }
     if first {
@@ -1439,34 +1344,14 @@ fn main() {
         batch_pass = false;
     }
     all_pass &= batch_pass;
-    // SoA acceptance, two rules. (1) The arena layout must beat the
-    // boxed reference by >= 1.2x on the accounted C4/C5 tester rows at
-    // n = 1e5 under the sequential executor — the single-thread
-    // improvement the SoA refactor exists for (the n = 1e6 ratios are
-    // reported ungated: at that scale the host's memory system, not
-    // the layout, is the variable under test). (2) The SoA parallel
-    // curve must be monotone non-decreasing, within noise, over the
-    // honest thread prefix (forced workers <= physical cores); counts
-    // past the prefix measure oversubscription and are never gated.
-    const REQUIRED_SOA_OVER_BOXED: f64 = 1.2;
+    // SoA acceptance: the parallel curve must be monotone
+    // non-decreasing, within noise, over the honest thread prefix
+    // (forced workers <= physical cores); counts past the prefix
+    // measure oversubscription and are never gated.
     const THREADS_MONOTONE_NOISE: f64 = 0.08;
     let mut soa_pass = true;
     let mut soa_cases = String::new();
     let mut soa_first = true;
-    for (case, ratio) in &soa_ratios {
-        let gated = case.contains("/100000/");
-        let pass = !gated || *ratio >= REQUIRED_SOA_OVER_BOXED;
-        soa_pass &= pass;
-        if !soa_first {
-            soa_cases.push_str(",\n");
-        }
-        soa_first = false;
-        let _ = write!(
-            soa_cases,
-            "      {{\"case\": \"{case}/soa-over-boxed\", \"soa_over_boxed\": {ratio:.3}, \
-             \"gated\": {gated}, \"pass\": {pass}}}"
-        );
-    }
     for &n in soa_sizes {
         for workload in ["c4-tester-planted", "ck5-tester-planted"] {
             let honest: Vec<f64> = thread_axis
@@ -1546,53 +1431,13 @@ fn main() {
         net_pass = true;
         serve_pass = true;
     }
-    // Informational: absolute comparison against the committed PR-1
-    // record, with the legacy engine as the machine-drift control (the
-    // legacy code is identical across PRs, so legacy_now/legacy_pr1
-    // measures the machine, and the drift-normalized column is the
-    // code's own movement).
-    let mut pr1 = String::new();
-    let mut pr1_first = true;
-    let mut pr1_absolute_met = true;
-    for (case, pr1_arena, pr1_legacy) in PR1_BASELINES {
-        let mut parts = case.split('/');
-        let workload = parts.next().unwrap_or_default();
-        let case_n: usize = parts.next().unwrap_or("0").parse().unwrap_or(0);
-        let mode = if case.ends_with("/accounted") { "accounted" } else { "fast" };
-        let (Some(arena), Some(legacy)) = (
-            rps_of(workload, case_n, Engine::Arena, mode, Executor::Sequential),
-            rps_of(workload, case_n, Engine::Legacy, mode, Executor::Sequential),
-        ) else {
-            continue;
-        };
-        if !pr1_first {
-            pr1.push_str(",\n");
-        }
-        pr1_first = false;
-        pr1_absolute_met &= arena / pr1_arena >= REQUIRED_SPEEDUP;
-        let _ = write!(
-            pr1,
-            "      {{\"case\": \"{case}\", \"pr1_arena_rps\": {pr1_arena:.2}, \
-             \"arena_rps\": {arena:.2}, \"speedup_vs_pr1\": {:.3}, \
-             \"machine_drift_legacy\": {:.3}, \"drift_normalized_speedup\": {:.3}}}",
-            arena / pr1_arena,
-            legacy / pr1_legacy,
-            (arena / legacy) / (pr1_arena / pr1_legacy)
-        );
-    }
-    if pr1_first {
-        pr1_absolute_met = false;
-    }
     let _ = writeln!(
         json,
         "  \"acceptance\": {{\n    \"required_arena_over_legacy\": {REQUIRED_SPEEDUP},\n    \
          \"seq_par_bit_identical\": true,\n    \"cases\": [\n{cases}\n    ],\n    \
-         \"pr1_reference\": [\n{pr1}\n    ],\n    \
-         \"pr1_absolute_speedup_met\": {pr1_absolute_met},\n    \
          \"required_batch_over_loop\": 1.0,\n    \"batch_cases\": [\n{batch_cases}\n    ],\n    \
          \"batch_pass\": {batch_pass},\n    \
-         \"soa_gates\": {{\"required_soa_over_boxed\": {REQUIRED_SOA_OVER_BOXED}, \
-         \"threads_monotone_noise\": {THREADS_MONOTONE_NOISE}, \
+         \"soa_gates\": {{\"threads_monotone_noise\": {THREADS_MONOTONE_NOISE}, \
          \"honest_thread_prefix\": \"workers <= cores\"}},\n    \
          \"soa_cases\": [\n{soa_cases}\n    ],\n    \
          \"soa_pass\": {soa_pass},\n    \

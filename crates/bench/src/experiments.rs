@@ -205,7 +205,7 @@ pub fn e2_detection() -> Result<ExperimentResult, ExperimentError> {
         for &eps in &[0.10f64, 0.05] {
             let inst = eps_far_instance(60, k, eps, 0);
             // Trials are independent runs: submit the whole cell as one
-            // sharded batch (engine arenas and tester scratch are
+            // sharded batch (engine and node-state arenas are
             // reused per shard instead of rebuilt per trial).
             let jobs: Vec<BatchJob> = (0..trials)
                 .map(|seed| {

@@ -1,17 +1,17 @@
 //! The sharded multi-graph batch runner: run the full `Ck` tester over
 //! a family of `(graph, config, seed)` jobs with one reusable engine
-//! workspace and tester-scratch pool per shard.
+//! workspace and node-state arena per shard.
 //!
 //! The paper's experimental claims are statements over instance
 //! families — reject rates across dozens of planted ε-far graphs,
 //! trials × seeds per `(k, n)` cell — and a naive loop pays full engine
-//! setup (arenas, load table, per-node tester buffers) for every single
+//! setup (engine arenas, load table, node-state arena) for every single
 //! run. [`crate::session::TesterSession::test_batch`] amortizes that
 //! across the batch: jobs are sharded contiguously over the thread
 //! pool, each shard drives its
-//! jobs through one [`EngineWorkspace`] + [`TesterScratch`] pair that
-//! is cleared and re-sized between jobs (never reallocated when the
-//! next graph fits), and the per-job [`TesterRun`]s come back in input
+//! jobs through one [`EngineWorkspace`] + [`SoaArena`] pair that is
+//! cleared and re-sized between jobs (never reallocated when the next
+//! graph fits), and the per-job [`TesterRun`]s come back in input
 //! order, **bit-identical** to one-by-one single-shot runs under
 //! the sequential executor.
 //!
@@ -23,7 +23,8 @@
 //! changes no observable output except the report's executor label.
 
 use crate::msg::CkMsg;
-use crate::tester::{tester_exec, ConfigError, TesterConfig, TesterRun, TesterScratch};
+use crate::soa::SoaArena;
+use crate::tester::{tester_exec, ConfigError, TesterConfig, TesterRun};
 use ck_congest::batch::{effective_shards, run_sharded};
 use ck_congest::engine::{EngineConfig, EngineError, EngineWorkspace, Executor};
 use ck_congest::graph::Graph;
@@ -135,9 +136,9 @@ pub(crate) fn batch_exec(
     let results = run_sharded(
         jobs,
         shards,
-        || (EngineWorkspace::<CkMsg>::new(), TesterScratch::new()),
-        |(ws, scratch), idx, job| {
-            tester_exec(job.graph, &job.cfg, &engine, ws, scratch).map_err(|error| BatchError {
+        || (EngineWorkspace::<CkMsg>::new(), SoaArena::default()),
+        |(ws, arena), idx, job| {
+            tester_exec(job.graph, &job.cfg, &engine, ws, arena).map_err(|error| BatchError {
                 job: idx,
                 label: job.label.clone(),
                 seed: job.cfg.seed,

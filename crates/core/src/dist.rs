@@ -5,11 +5,13 @@
 //!
 //! This is the protocol-specific half of the distributed executor —
 //! the generic engine cannot ship arbitrary in-process programs, but
-//! [`CkTester`] is fully described by a [`TesterConfig`] plus the
-//! graph, so a [`JobSpec`] frame reconstructs byte-identical node
-//! programs inside every worker. Each worker steps its contiguous
+//! the tester's node program is fully described by a [`TesterConfig`]
+//! plus the graph, so a [`JobSpec`] frame reconstructs byte-identical
+//! node programs inside every worker. Each worker steps its contiguous
 //! node range through a [`PartitionEngine`] (the *same* fused send
-//! path as the in-process sequential oracle); cross-partition
+//! path as the in-process sequential oracle), its programs running
+//! over views into one worker-owned [`SoaArena`] exactly as the
+//! in-process executors' do; cross-partition
 //! deliveries travel as `Msg` frames whose payload is the canonical
 //! [`CkCodec`] bit string and whose header carries the
 //! [`ContextCodec`] handshake word, so the receiving worker rebuilds
@@ -56,6 +58,7 @@ use crate::decide::RejectWitness;
 use crate::msg::{CkCodec, CkMsg, EdgeTag};
 use crate::prune::PrunerKind;
 use crate::seq::IdSeq;
+use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
@@ -401,13 +404,20 @@ fn worker_serve_inner(
     let spec = JobSpec::from_bytes(&spec_frame.body)?;
     let params = WireParams::for_graph(&spec.graph);
     let cfg = spec.cfg;
+    // Node state lives in one arena, prepared for the whole graph as a
+    // single chunk: the partition engine steps the owned range on this
+    // one thread. Declared before the engine so it outlives every view
+    // the engine's programs hold; views are built for owned nodes only.
+    let mut arena = SoaArena::default();
+    arena.prepare(&spec.graph, spec.graph.n().max(1));
+    let bases = arena.bases();
     let mut engine = PartitionEngine::new(
         &spec.graph,
         &spec.engine,
         params,
         spec.workers,
         spec.worker,
-        |init| CkTester::new(&cfg, &init),
+        |init| CkTester::new(&cfg, &init, SoaView::new(bases, init.index as usize)),
     );
 
     let hb =

@@ -21,7 +21,7 @@
 //!   `⌈(e²/ε)·ln 3⌉` repetitions (Theorem 1);
 //! * [`session`] — the composable entry point: a
 //!   [`session::TesterSession`] validates its configuration at build
-//!   time and recycles engine workspace + per-node scratch across its
+//!   time and recycles engine workspace + node-state arena across its
 //!   `test` runs (batches recycle per-shard state internally);
 //! * [`batch`] — the sharded multi-graph batch runner: whole instance
 //!   families through reusable per-shard engine workspaces, bit-identical
@@ -74,7 +74,4 @@ pub use seq::{IdSeq, MAX_K, MAX_SEQ_LEN};
 pub use session::{TesterSession, TesterSessionBuilder};
 pub use single::{detect_ck_through_edge, DetectSingle, SingleRun, SingleVerdict};
 pub use soa::SoaArena;
-pub use tester::{
-    test_ck_freeness, CkTester, CkTesterCore, ConfigError, NodeLayout, NodeScratch, NodeVerdict,
-    TesterConfig, TesterRun, TesterScratch,
-};
+pub use tester::{test_ck_freeness, ConfigError, NodeVerdict, TesterConfig, TesterRun};

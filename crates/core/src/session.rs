@@ -5,9 +5,10 @@
 //! A `TesterSession` is one builder over [`TesterConfig`] with
 //! validated setters (`k ∈ 3..=MAX_K`, `ε ∈ (0, 1)` via
 //! [`crate::rank::try_repetitions_for`]). It owns the
-//! [`ck_congest::engine::EngineWorkspace`] and the [`TesterScratch`]
-//! pool, so the fast path — arena, slot-array, and per-node buffer
-//! reuse across runs — is the default rather than an expert opt-in.
+//! [`ck_congest::engine::EngineWorkspace`] and the node-state
+//! [`SoaArena`], so the fast path — engine-arena, slot-array, and
+//! node-state reuse across runs — is the default rather than an expert
+//! opt-in.
 //!
 //! Outputs of a reused session are bit-identical to a fresh session's
 //! by the engine's reuse contracts — property-tested in
@@ -16,9 +17,8 @@
 use crate::batch::{batch_exec, BatchError, BatchJob};
 use crate::msg::CkMsg;
 use crate::prune::PrunerKind;
-use crate::tester::{
-    tester_exec, tester_exec_into, ConfigError, NodeLayout, TesterConfig, TesterRun, TesterScratch,
-};
+use crate::soa::SoaArena;
+use crate::tester::{tester_exec, tester_exec_into, ConfigError, TesterConfig, TesterRun};
 use ck_congest::engine::{EngineConfig, EngineError, EngineWorkspace, Executor, SlotStats};
 use ck_congest::graph::Graph;
 
@@ -58,14 +58,6 @@ impl TesterSessionBuilder {
     /// first rejection).
     pub fn early_abort(mut self, early_abort: bool) -> Self {
         self.cfg.early_abort = early_abort;
-        self
-    }
-
-    /// Node-state memory layout (identical outputs across layouts;
-    /// [`NodeLayout::Soa`] is the default fast path, `Boxed` the
-    /// reference layout).
-    pub fn layout(mut self, layout: NodeLayout) -> Self {
-        self.cfg.layout = layout;
         self
     }
 
@@ -118,7 +110,7 @@ impl TesterSessionBuilder {
 
 /// A reusable execution context for the full `Ck`-freeness tester:
 /// validated [`TesterConfig`], engine template, and internally owned
-/// engine workspace + [`TesterScratch`] pool, all recycled on every
+/// engine workspace + node-state [`SoaArena`], both recycled on every
 /// [`test`](TesterSession::test).
 ///
 /// # Examples
@@ -139,7 +131,7 @@ impl TesterSessionBuilder {
 /// assert!(!session.test(&free).unwrap().reject);
 ///
 /// // … while a 5-cycle is rejected; the second run reuses the
-/// // session's arenas and per-node scratch.
+/// // session's engine workspace and node-state arena.
 /// let c5 = cycle(5);
 /// assert!(session.test(&c5).unwrap().reject);
 ///
@@ -151,12 +143,12 @@ pub struct TesterSession {
     cfg: TesterConfig,
     engine: EngineConfig,
     ws: EngineWorkspace<CkMsg>,
-    scratch: TesterScratch,
+    arena: SoaArena,
 }
 
 impl std::fmt::Debug for TesterSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The workspace and scratch are opaque recycled storage; the
+        // The workspace and arena are opaque recycled storage; the
         // configs are the session's identity.
         f.debug_struct("TesterSession")
             .field("cfg", &self.cfg)
@@ -177,7 +169,7 @@ impl TesterSession {
     /// validating it.
     pub fn from_config(cfg: TesterConfig, engine: EngineConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        Ok(TesterSession { cfg, engine, ws: EngineWorkspace::new(), scratch: TesterScratch::new() })
+        Ok(TesterSession { cfg, engine, ws: EngineWorkspace::new(), arena: SoaArena::default() })
     }
 
     /// The validated tester configuration.
@@ -192,14 +184,14 @@ impl TesterSession {
 
     /// Changes the Phase-1 master seed for subsequent tests. Seeds are
     /// not part of validation, so sweeping seeds through one session
-    /// keeps the workspace and scratch warm instead of rebuilding a
+    /// keeps the workspace and arena warm instead of rebuilding a
     /// session per trial.
     pub fn set_seed(&mut self, seed: u64) {
         self.cfg.seed = seed;
     }
 
     /// Swaps the full tester configuration, keeping the warm workspace
-    /// and scratch pool. This is the session-pool seam for long-running
+    /// and arena. This is the session-pool seam for long-running
     /// services: a worker holds one session across *heterogeneous*
     /// jobs (different `k`/`ε`/seed per client) and revalidates each
     /// incoming configuration here — a bad job is a [`ConfigError`] for
@@ -226,9 +218,9 @@ impl TesterSession {
     }
 
     /// Runs the full tester on `g`, recycling the session's workspace
-    /// and scratch pool. Output is bit-identical to a fresh-state run.
+    /// and arena. Output is bit-identical to a fresh-state run.
     pub fn test(&mut self, g: &Graph) -> Result<TesterRun, EngineError> {
-        tester_exec(g, &self.cfg, &self.engine, &mut self.ws, &mut self.scratch)
+        tester_exec(g, &self.cfg, &self.engine, &mut self.ws, &mut self.arena)
     }
 
     /// As [`test`](TesterSession::test), writing the result into a
@@ -239,11 +231,11 @@ impl TesterSession {
     /// `ck_lint::alloc_gate` regression tests turn into a CI gate. On
     /// error the run's contents are unspecified.
     pub fn test_into(&mut self, g: &Graph, run: &mut TesterRun) -> Result<(), EngineError> {
-        tester_exec_into(g, &self.cfg, &self.engine, &mut self.ws, &mut self.scratch, run)
+        tester_exec_into(g, &self.cfg, &self.engine, &mut self.ws, &mut self.arena, run)
     }
 
     /// Runs a family of jobs through the sharded batch runner (one
-    /// engine workspace + scratch pool per shard; results in input
+    /// engine workspace + node-state arena per shard; results in input
     /// order, bit-identical to one-by-one [`test`](TesterSession::test)
     /// calls under the sequential executor). `shards = None` uses the
     /// thread pool's width.
@@ -307,7 +299,6 @@ mod tests {
             .seed(9)
             .repetitions(4)
             .pruner(PrunerKind::Literal)
-            .layout(NodeLayout::Boxed)
             .early_abort(true)
             .assume_loss(0.1)
             .verify_witnesses(true)
@@ -317,7 +308,6 @@ mod tests {
         let cfg = session.config();
         assert_eq!((cfg.k, cfg.seed, cfg.repetitions), (7, 9, Some(4)));
         assert_eq!(cfg.pruner, PrunerKind::Literal);
-        assert_eq!(cfg.layout, NodeLayout::Boxed);
         assert!(cfg.early_abort);
         assert_eq!(cfg.assumed_loss, Some(0.1));
         assert!(cfg.verify_witnesses);

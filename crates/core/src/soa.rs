@@ -1,12 +1,13 @@
-//! SoA node-state arena for the full tester.
+//! The tester's node state, in one arena.
 //!
-//! PR-2 profiling showed light-degree tester rounds bound by per-node
-//! state scatter: the boxed layout gives every [`crate::tester::CkTester`]
-//! ~8 small heap buffers, one cache miss each per step. This module packs
-//! the same state into a few large buffers owned by one [`SoaArena`]
-//! inside [`crate::tester::TesterScratch`]; each node's program becomes a
-//! ~40-byte `SoaView` of index-based raw-pointer slices instead of an
-//! owner of heap boxes.
+//! Every node of the full tester (Algorithm 1) carries O(degree) state:
+//! port ranks, absorb lanes, its received, sent and outgoing sequence
+//! sets, a payload pool and a prune workspace. Instead of ~8 small heap
+//! buffers per node, one cache miss each per step, a [`SoaArena`] packs
+//! that state into a few large buffers, and each node's program holds a
+//! 24-byte `SoaView` of index-based raw-pointer slices into it. This is
+//! the only node-state layout: the sequential, parallel and distributed
+//! executors (and so `ckserve`) all run the tester over arena views.
 //!
 //! Layout, by access pattern:
 //!
@@ -47,7 +48,7 @@ pub(crate) struct BundleLoc(pub(crate) *const SeqBundle);
 impl BundleLoc {
     /// Lane fill value; never dereferenced (reads are bounded by the
     /// absorb pass's live length).
-    pub(crate) const NULL: BundleLoc = BundleLoc(std::ptr::null());
+    const NULL: BundleLoc = BundleLoc(std::ptr::null());
 }
 
 // SAFETY: the pointer is only formed and dereferenced inside a single
@@ -57,11 +58,11 @@ unsafe impl Send for BundleLoc {}
 
 /// Lane fill value for the tag lane; never read (bounded by the absorb
 /// pass's live length).
-pub(crate) const TAG_FILL: EdgeTag = EdgeTag { rank: 0, lo: 0, hi: 0 };
+const TAG_FILL: EdgeTag = EdgeTag { rank: 0, lo: 0, hi: 0 };
 
-/// The arena owning every SoA-layout tester's node state. Lives in
-/// [`crate::tester::TesterScratch`] and is recycled across runs; see the
-/// module docs for the layout.
+/// The arena owning every tester node's state. A `TesterSession` and
+/// each batch shard own one and recycle it across runs; a distributed
+/// worker prepares one per job. See the module docs for the layout.
 #[derive(Default)]
 pub struct SoaArena {
     /// CSR port offsets: node `v`'s lane slice is `port_off[v]..port_off[v+1]`.
@@ -97,9 +98,10 @@ impl SoaArena {
     /// elements per executor chunk. The caller passes the chunk length
     /// of the *same* plan snapshot it pins on the run (parallel:
     /// [`ck_congest::engine::node_step_plan`] via
-    /// `EngineWorkspace::pin_node_chunk_plan`; sequential: one chunk of
-    /// `n`), so the scratch layout and the executing partition agree by
-    /// construction. Warm same-shape calls allocate nothing.
+    /// `EngineWorkspace::pin_node_chunk_plan`; sequential executor and
+    /// distributed worker: one chunk of `n`), so the scratch layout and
+    /// the executing partition agree by construction. Warm same-shape
+    /// calls allocate nothing.
     pub(crate) fn prepare(&mut self, g: &Graph, chunk_len: usize) {
         let n = g.n();
         let lanes = g.num_directed_edges();
@@ -198,10 +200,33 @@ impl Default for SoaBases {
     }
 }
 
-/// One node's index-based window into the arena: the SoA replacement
-/// for the boxed `NodeScratch`. 24 bytes — one pointer to the arena's
-/// base table plus this node's coordinates — so the engine's slot
-/// array stays dense.
+/// Exclusive borrows of every buffer one tester step touches, handed
+/// out by [`SoaView::bufs`]. Lane buffers (`ports`, `tags`, `locs`) are
+/// degree-sized slices; the sequence sets stay growable `Vec`s because
+/// Lemma 3's send-set bound is astronomically large near `MAX_K`, which
+/// rules out statically sized slabs.
+pub(crate) struct BufsRef<'a> {
+    /// Phase-1 rank per port (`0` = unknown).
+    pub(crate) ports: &'a mut [u64],
+    /// Absorb-pass tag lane (capacity = degree).
+    pub(crate) tags: &'a mut [EdgeTag],
+    /// Absorb-pass payload-location lane.
+    pub(crate) locs: &'a mut [BundleLoc],
+    /// Deduplicated sequences of the served edge (absorb output).
+    pub(crate) recv: &'a mut Vec<IdSeq>,
+    /// Last sent sequences, kept for the decision round.
+    pub(crate) own_sent: &'a mut Vec<IdSeq>,
+    /// The send set under construction.
+    pub(crate) send_buf: &'a mut Vec<IdSeq>,
+    /// Recycling pool for outgoing bundle backings.
+    pub(crate) pool: &'a mut SeqPool,
+    /// Pruner workspace (shared by the nodes of one executor chunk).
+    pub(crate) prune: &'a mut SendSetScratch,
+}
+
+/// One node's index-based window into the arena. 24 bytes — one
+/// pointer to the arena's base table plus this node's coordinates — so
+/// the engine's slot array stays dense.
 ///
 /// # Invariants (uphold all uses of the raw bases)
 ///
@@ -222,9 +247,12 @@ impl Default for SoaBases {
 ///   partition — contiguous chunks of exactly `chunk_len` nodes — and
 ///   the scratch layout agree by construction for the whole run, even
 ///   if the forced-worker state mutates concurrently. The sequential
-///   executor is one thread with one chunk. Within a thread, at most
-///   one `bufs()` borrow is live at a time (`&mut self` methods of one
-///   program).
+///   executor is one thread with one chunk, and so is a distributed
+///   worker: its partition engine steps the owned node range on one
+///   thread, so it prepares the arena for the whole graph as a single
+///   chunk and builds views only for its own nodes. Within a thread, at
+///   most one `bufs()` borrow is live at a time (`&mut self` methods of
+///   one program).
 /// * The arena is dormant for the whole run: no `&`/`&mut` to it is
 ///   formed between `bases()` and the last program drop.
 pub(crate) struct SoaView {
@@ -270,7 +298,7 @@ impl SoaView {
     }
 
     /// Exclusive borrows of every buffer this node's step touches.
-    pub(crate) fn bufs(&mut self) -> crate::tester::BufsRef<'_> {
+    pub(crate) fn bufs(&mut self) -> BufsRef<'_> {
         // SAFETY: `bases` targets the dormant arena's base table
         // (shared read; only `SoaArena::bases` writes it, before any
         // view exists).
@@ -283,7 +311,7 @@ impl SoaView {
         // invariants; the borrows' lifetime is tied to `&mut self`, so a
         // second `bufs()` on the same view cannot overlap the first.
         unsafe {
-            crate::tester::BufsRef {
+            BufsRef {
                 ports: std::slice::from_raw_parts_mut(b.port_rank.add(off), deg),
                 tags: std::slice::from_raw_parts_mut(b.tag_tags.add(off), deg),
                 locs: std::slice::from_raw_parts_mut(b.tag_locs.add(off), deg),
@@ -294,5 +322,77 @@ impl SoaView {
                 prune: &mut *b.chunk_prune.add(chunk),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ck_congest::graph::NodeIndex;
+    use ck_graphgen::planted::eps_far_instance;
+
+    /// Prepares `arena` for `g` with `chunk_len` nodes per chunk, builds
+    /// one view per node, and checks `SoaView`'s `# Invariants` directly
+    /// against the arena's base pointers.
+    fn check_views(arena: &mut SoaArena, g: &Graph, chunk_len: usize) {
+        let (min_deg, max_deg) = (0..g.n() as NodeIndex)
+            .map(|v| g.degree(v))
+            .fold((usize::MAX, 0), |(lo, hi), d| (lo.min(d), hi.max(d)));
+        assert!(min_deg < max_deg, "the graph must mix degrees");
+        arena.prepare(g, chunk_len);
+        let bases = arena.bases();
+        // SAFETY: `bases` was just returned by `bases()` on the prepared
+        // arena, which is not touched again until every view drops.
+        let b = unsafe { *bases };
+        let lane = |p: *const u8, base: *const u8, size: usize| (p as usize - base as usize) / size;
+        let mut next_lane = 0usize;
+        let mut headers = Vec::new();
+        for v in 0..g.n() {
+            let mut view = SoaView::new(bases, v);
+            assert_eq!(view.chunk as usize, v / chunk_len, "node {v}: chunk");
+            let deg = g.degree(v as NodeIndex);
+            let start = g.directed_edge_range(v as NodeIndex).start as usize;
+            let bufs = view.bufs();
+            assert_eq!((bufs.ports.len(), bufs.tags.len(), bufs.locs.len()), (deg, deg, deg));
+            // Each lane slice starts at the node's CSR offset, and that
+            // offset is where the previous node's lanes ended.
+            assert_eq!(start, next_lane, "node {v}: lanes must abut the previous node's");
+            let ports = lane(bufs.ports.as_ptr().cast(), b.port_rank.cast(), size_of::<u64>());
+            let tags = lane(bufs.tags.as_ptr().cast(), b.tag_tags.cast(), size_of::<EdgeTag>());
+            let locs = lane(bufs.locs.as_ptr().cast(), b.tag_locs.cast(), size_of::<BundleLoc>());
+            assert_eq!((ports, tags, locs), (start, start, start), "node {v}: lane offsets");
+            next_lane += deg;
+            // The node-major headers and the pool are this node's own
+            // entries; the prune scratch is its chunk's.
+            let recv: *const Vec<IdSeq> = &*bufs.recv;
+            let own_sent: *const Vec<IdSeq> = &*bufs.own_sent;
+            let send_buf: *const Vec<IdSeq> = &*bufs.send_buf;
+            let pool: *const SeqPool = &*bufs.pool;
+            let prune: *const SendSetScratch = &*bufs.prune;
+            // SAFETY: offsets within the prepared arrays (`v < n`,
+            // `v / chunk_len` < chunk count); only addresses are formed.
+            unsafe {
+                assert_eq!(recv, b.recv.add(v).cast_const());
+                assert_eq!(own_sent, b.own_sent.add(v).cast_const());
+                assert_eq!(send_buf, b.send_buf.add(v).cast_const());
+                assert_eq!(pool, b.pools.add(v).cast_const());
+                assert_eq!(prune, b.chunk_prune.add(v / chunk_len).cast_const());
+            }
+            headers.extend([recv as usize, own_sent as usize, send_buf as usize, pool as usize]);
+        }
+        assert_eq!(next_lane, g.num_directed_edges(), "views must tile every directed-edge lane");
+        let count = headers.len();
+        headers.sort_unstable();
+        headers.dedup();
+        assert_eq!(headers.len(), count, "recv/own_sent/send_buf/pool addresses must be distinct");
+    }
+
+    #[test]
+    fn views_tile_the_arena() {
+        let mut arena = SoaArena::default();
+        check_views(&mut arena, &eps_far_instance(40, 5, 0.1, 1).graph, 3);
+        // A warm re-prepare for a smaller graph: the shape change a
+        // batch shard makes between jobs.
+        check_views(&mut arena, &eps_far_instance(20, 4, 0.1, 2).graph, 3);
     }
 }

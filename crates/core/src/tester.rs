@@ -16,13 +16,16 @@
 //! With deterministic tie-breaking there is always a unique globally
 //! minimal key; Lemma 5 only enters the analysis to make that edge
 //! *uniformly distributed*, which is what the ε-far detection bound needs.
+//!
+//! Every node's buffers live in one [`SoaArena`] (see [`crate::soa`]);
+//! each node program holds a view into it, on every executor.
 
 use crate::decide::{decide_reject, RejectWitness};
 use crate::msg::{CkMsg, EdgeTag, SeqPool};
-use crate::prune::{build_send_set_into, PrunerKind, SendSetScratch};
+use crate::prune::{build_send_set_into, PrunerKind};
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
 use crate::seq::{IdSeq, MAX_K};
-use crate::soa::{BundleLoc, SoaArena, SoaView, TAG_FILL};
+use crate::soa::{BufsRef, BundleLoc, SoaArena, SoaView};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
 use ck_congest::graph::{Graph, NodeId};
 use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
@@ -103,22 +106,6 @@ pub struct TesterConfig {
     /// are genuine by Lemma 1); under frame corruption it restores
     /// 1-sidedness: garbage payloads can no longer fabricate a reject.
     pub verify_witnesses: bool,
-    /// Per-node state layout of the in-process executors (identical
-    /// outputs by construction; `tests/soa_parity.rs` pins it down).
-    pub layout: NodeLayout,
-}
-
-/// How the in-process executors lay out per-node tester state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NodeLayout {
-    /// Every node owns its ~8 heap buffers ([`NodeScratch`]), recycled
-    /// through the scratch pool — the pre-SoA reference layout.
-    Boxed,
-    /// All node state lives in one [`crate::soa::SoaArena`] owned by the
-    /// [`TesterScratch`]; programs are index-based views over a few
-    /// large buffers (see the `soa` module docs for the layout).
-    #[default]
-    Soa,
 }
 
 impl TesterConfig {
@@ -133,7 +120,6 @@ impl TesterConfig {
             early_abort: false,
             assumed_loss: None,
             verify_witnesses: false,
-            layout: NodeLayout::default(),
         }
     }
 
@@ -202,136 +188,13 @@ pub struct NodeVerdict {
     pub pool_outstanding: u64,
 }
 
-/// The recyclable buffers of one boxed-layout [`CkTester`] node:
-/// everything that warms up during a run and is worth carrying into the
-/// next one. [`CkTester::with_scratch`] adopts a scratch (contents
-/// cleared, capacities kept) and [`CkTester::into_scratch`] releases it
-/// after the run — the batch runner's per-shard reuse cycle.
-#[derive(Default)]
-pub struct NodeScratch {
-    /// Phase-1 rank per port (`0` = unknown; ranks are ≥ 1).
-    port_rank: Vec<u64>,
-    own_sent: Vec<IdSeq>,
-    recv: Vec<IdSeq>,
-    /// Absorb's one-pass tag/payload-location lanes, sized to the
-    /// degree (at most one Phase-2 message per port per round). The raw
-    /// pointers are produced and consumed inside one absorb pass —
-    /// never stored across rounds, only the capacity is.
-    tag_tags: Vec<EdgeTag>,
-    tag_locs: Vec<BundleLoc>,
-    send_buf: Vec<IdSeq>,
-    prune: SendSetScratch,
-    pool: SeqPool,
-}
-
-/// A shard-local pool of [`NodeScratch`]es plus the [`SoaArena`] of the
-/// SoA layout, recycled across the jobs of a batch: graph sizes vary
-/// between jobs, so the pool simply hands out whatever it has and grows
-/// on demand — after the largest job every `take` (and every arena
-/// `prepare`) is served warm.
-#[derive(Default)]
-pub struct TesterScratch {
-    nodes: Vec<NodeScratch>,
-    /// The SoA layout's node-state arena (empty until the first
-    /// SoA-layout run through this scratch).
-    soa: SoaArena,
-}
-
-impl TesterScratch {
-    /// An empty pool.
-    pub fn new() -> Self {
-        TesterScratch::default()
-    }
-
-    /// Takes one node's scratch (fresh if the pool is dry).
-    pub fn take(&mut self) -> NodeScratch {
-        self.nodes.pop().unwrap_or_default()
-    }
-
-    /// Returns one node's scratch to the pool.
-    pub fn put(&mut self, scratch: NodeScratch) {
-        self.nodes.push(scratch);
-    }
-
-    /// Number of scratches currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.nodes.len()
-    }
-}
-
-/// Exclusive borrows of every buffer one tester step touches — the
-/// layout-neutral view [`TesterBufs`] implementations hand to the
-/// shared step logic. Lane buffers (`ports`, `tags`, `locs`) are
-/// degree-sized slices; the sequence sets stay growable `Vec`s because
-/// Lemma 3's send-set bound is astronomically large near `MAX_K`, which
-/// rules out statically sized slabs.
-pub(crate) struct BufsRef<'a> {
-    /// Phase-1 rank per port (`0` = unknown).
-    pub(crate) ports: &'a mut [u64],
-    /// Absorb-pass tag lane (capacity = degree).
-    pub(crate) tags: &'a mut [EdgeTag],
-    /// Absorb-pass payload-location lane.
-    pub(crate) locs: &'a mut [BundleLoc],
-    /// Deduplicated sequences of the served edge (absorb output).
-    pub(crate) recv: &'a mut Vec<IdSeq>,
-    /// Last sent sequences, kept for the decision round.
-    pub(crate) own_sent: &'a mut Vec<IdSeq>,
-    /// The send set under construction.
-    pub(crate) send_buf: &'a mut Vec<IdSeq>,
-    /// Recycling pool for outgoing bundle backings.
-    pub(crate) pool: &'a mut SeqPool,
-    /// Pruner workspace (chunk-shared under the SoA layout).
-    pub(crate) prune: &'a mut SendSetScratch,
-}
-
-/// A per-node buffer provider: the seam between the shared tester logic
-/// ([`CkTesterCore`]) and the two layouts — owned boxes
-/// ([`NodeScratch`]) or arena views ([`SoaView`]). Both hand out the
-/// same [`BufsRef`] shape, so the step code is layout-oblivious and the
-/// two layouts are bit-identical by construction.
-pub(crate) trait TesterBufs: Send {
-    /// Exclusive borrows of the node's buffers for one step.
-    fn bufs(&mut self) -> BufsRef<'_>;
-    /// The node's payload-pool `outstanding` counter (verdict field).
-    fn pool_outstanding(&self) -> u64;
-}
-
-impl TesterBufs for NodeScratch {
-    fn bufs(&mut self) -> BufsRef<'_> {
-        BufsRef {
-            ports: &mut self.port_rank,
-            tags: &mut self.tag_tags,
-            locs: &mut self.tag_locs,
-            recv: &mut self.recv,
-            own_sent: &mut self.own_sent,
-            send_buf: &mut self.send_buf,
-            pool: &mut self.pool,
-            prune: &mut self.prune,
-        }
-    }
-
-    fn pool_outstanding(&self) -> u64 {
-        self.pool.outstanding()
-    }
-}
-
-impl TesterBufs for SoaView {
-    fn bufs(&mut self) -> BufsRef<'_> {
-        SoaView::bufs(self)
-    }
-
-    fn pool_outstanding(&self) -> u64 {
-        SoaView::pool_outstanding(self)
-    }
-}
-
-/// One node of the full tester, generic over the buffer layout `B`.
+/// One node of the full tester.
 ///
 /// Borrows the graph's neighbor-identity row (`'g`) instead of copying
-/// it: instantiating `n` testers performs no per-node allocation for
-/// the adjacency view. All protocol logic lives here once; the layouts
-/// differ only in where `TesterBufs::bufs` points.
-pub struct CkTesterCore<'g, B> {
+/// it, and keeps every buffer in the prepared [`SoaArena`] behind its
+/// [`SoaView`]: instantiating `n` testers performs no per-node
+/// allocation, and the program itself is a few scalars plus the view.
+pub(crate) struct CkTester<'g> {
     k: usize,
     half_k: u32,
     rpr: u32,
@@ -357,22 +220,15 @@ pub struct CkTesterCore<'g, B> {
     cur: Option<EdgeTag>,
     own_sent_tag: Option<EdgeTag>,
     verdict: NodeVerdict,
-    bufs: B,
+    view: SoaView,
 }
 
-/// The boxed-layout tester: each node owns its buffers. The historical
-/// type; [`NodeLayout::Soa`] runs the same core over arena views.
-pub type CkTester<'g> = CkTesterCore<'g, NodeScratch>;
-
-// The layout seam is deliberately crate-private (its `BufsRef` hands
-// out views into arena internals); `B` is only ever instantiated
-// in-crate, the generic core is merely nameable outside.
-#[allow(private_bounds)]
-impl<'g, B: TesterBufs> CkTesterCore<'g, B> {
-    /// Shared constructor over an already-sized buffer provider.
-    fn init(cfg: &TesterConfig, init: &NodeInit<'g>, bufs: B) -> Self {
+impl<'g> CkTester<'g> {
+    /// The program for one node over its view into a prepared arena
+    /// (the view's invariants are in the `soa` module).
+    pub(crate) fn new(cfg: &TesterConfig, init: &NodeInit<'g>, view: SoaView) -> Self {
         assert!((3..=MAX_K).contains(&cfg.k), "k = {} outside supported range", cfg.k);
-        CkTesterCore {
+        CkTester {
             k: cfg.k,
             half_k: (cfg.k / 2) as u32,
             rpr: rounds_per_repetition(cfg.k),
@@ -389,50 +245,8 @@ impl<'g, B: TesterBufs> CkTesterCore<'g, B> {
             cur: None,
             own_sent_tag: None,
             verdict: NodeVerdict::default(),
-            bufs,
+            view,
         }
-    }
-}
-
-impl<'g> CkTester<'g> {
-    /// Builds the boxed-layout program for one node.
-    pub fn new(cfg: &TesterConfig, init: &NodeInit<'g>) -> Self {
-        CkTester::with_scratch(cfg, init, NodeScratch::default())
-    }
-
-    /// As [`CkTester::new`], adopting recycled buffers: `scratch` is
-    /// cleared (capacities kept), its lanes sized to the node's degree,
-    /// and its payload-pool accounting reset, so the resulting program
-    /// is observationally identical to a fresh one — only warmer.
-    pub fn with_scratch(cfg: &TesterConfig, init: &NodeInit<'g>, mut scratch: NodeScratch) -> Self {
-        let deg = init.degree();
-        scratch.port_rank.clear();
-        scratch.port_rank.resize(deg, 0);
-        scratch.tag_tags.clear();
-        scratch.tag_tags.resize(deg, TAG_FILL);
-        scratch.tag_locs.clear();
-        scratch.tag_locs.resize(deg, BundleLoc::NULL);
-        scratch.own_sent.clear();
-        scratch.recv.clear();
-        scratch.send_buf.clear();
-        scratch.pool.reset_accounting();
-        CkTesterCore::init(cfg, init, scratch)
-    }
-
-    /// Releases the node's recyclable buffers after a run (the verdict
-    /// must have been collected first; the engine's reclaim hook runs
-    /// after verdict collection by contract).
-    pub fn into_scratch(self) -> NodeScratch {
-        self.bufs
-    }
-}
-
-impl<'g> CkTesterCore<'g, SoaView> {
-    /// The SoA-layout program for one node: all state lives in the
-    /// prepared arena behind `view`; the program itself is a few scalars
-    /// plus the ~40-byte view.
-    pub(crate) fn over_soa(cfg: &TesterConfig, init: &NodeInit<'g>, view: SoaView) -> Self {
-        CkTesterCore::init(cfg, init, view)
     }
 }
 
@@ -486,12 +300,12 @@ fn recycle(pool: &mut SeqPool, evicted: Option<CkMsg>) {
     }
 }
 
-impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
+impl Program for CkTester<'_> {
     type Msg = CkMsg;
     type Verdict = NodeVerdict;
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, CkMsg>, out: &mut Outbox<CkMsg>) -> Status {
-        let BufsRef { ports, tags, locs, recv, own_sent, send_buf, pool, prune } = self.bufs.bufs();
+        let BufsRef { ports, tags, locs, recv, own_sent, send_buf, pool, prune } = self.view.bufs();
 
         // Early-abort extension: adopt an incoming flag, forward it once,
         // halt the round after (the normal protocol below never runs
@@ -640,16 +454,16 @@ impl<B: TesterBufs> Program for CkTesterCore<'_, B> {
 
     fn verdict(&self) -> NodeVerdict {
         let mut v = self.verdict.clone();
-        v.pool_outstanding = self.bufs.pool_outstanding();
+        v.pool_outstanding = self.view.pool_outstanding();
         v
     }
 
     /// End-of-run drain of the broadcast payloads still parked in the
     /// engine's slots (the last two generations' bundles): back into
-    /// the pool they came from, so a scratch-recycled rerun reaches a
-    /// steady state where `SeqPool::take` is always served warm.
+    /// the pool they came from, so a warm rerun reaches a steady state
+    /// where `SeqPool::take` is always served warm.
     fn reclaim_msg(&mut self, msg: CkMsg) {
-        recycle(self.bufs.bufs().pool, Some(msg));
+        recycle(self.view.bufs().pool, Some(msg));
     }
 }
 
@@ -683,22 +497,22 @@ impl TesterRun {
 }
 
 /// The tester engine proper: one full run through a caller-owned
-/// engine workspace and tester-scratch pool. This is the single
+/// engine workspace and node-state arena. This is the single
 /// implementation behind [`crate::session::TesterSession`] and the batch
 /// runner's per-shard hot path.
-/// Arenas, wire-load rows, slot arrays, and per-node tester buffers are
-/// recycled from the previous run instead of reallocated; the output is
-/// bit-identical to a fresh-state run (a reset workspace and a cleared
-/// scratch are observationally fresh).
+/// Engine arenas, wire-load rows, slot arrays, and the node-state arena
+/// are recycled from the previous run instead of reallocated; the output
+/// is bit-identical to a fresh-state run (a reset workspace and a
+/// re-prepared arena are observationally fresh).
 pub(crate) fn tester_exec(
     g: &Graph,
     cfg: &TesterConfig,
     engine: &EngineConfig,
     ws: &mut ck_congest::engine::EngineWorkspace<CkMsg>,
-    scratch: &mut TesterScratch,
+    arena: &mut SoaArena,
 ) -> Result<TesterRun, EngineError> {
     let mut run = TesterRun::default();
-    tester_exec_into(g, cfg, engine, ws, scratch, &mut run)?;
+    tester_exec_into(g, cfg, engine, ws, arena, &mut run)?;
     Ok(run)
 }
 
@@ -713,7 +527,7 @@ pub(crate) fn tester_exec_into(
     cfg: &TesterConfig,
     engine: &EngineConfig,
     ws: &mut ck_congest::engine::EngineWorkspace<CkMsg>,
-    scratch: &mut TesterScratch,
+    arena: &mut SoaArena,
     run: &mut TesterRun,
 ) -> Result<(), EngineError> {
     let reps = cfg.effective_repetitions();
@@ -741,7 +555,7 @@ pub(crate) fn tester_exec_into(
                 let recovery_start = std::time::Instant::now();
                 let mut seq = ecfg.clone();
                 seq.executor = ck_congest::engine::Executor::Sequential;
-                tester_exec_inproc(g, cfg, reps, &seq, ws, scratch, run)?;
+                tester_exec_inproc(g, cfg, reps, &seq, ws, arena, run)?;
                 let report = &mut run.outcome.report;
                 report.executor = "distributed";
                 report.threads = w as usize;
@@ -755,7 +569,7 @@ pub(crate) fn tester_exec_into(
             }
         }
     }
-    tester_exec_inproc(g, cfg, reps, &ecfg, ws, scratch, run)
+    tester_exec_inproc(g, cfg, reps, &ecfg, ws, arena, run)
 }
 
 /// The in-process execution path (sequential or parallel executor)
@@ -767,63 +581,37 @@ fn tester_exec_inproc(
     reps: u32,
     ecfg: &EngineConfig,
     ws: &mut ck_congest::engine::EngineWorkspace<CkMsg>,
-    scratch: &mut TesterScratch,
+    arena: &mut SoaArena,
     run: &mut TesterRun,
 ) -> Result<(), EngineError> {
     let params = ck_congest::message::WireParams::for_graph(g);
-    match cfg.layout {
-        NodeLayout::Boxed => {
-            // The factory and the reclaim hook both feed on the scratch
-            // pool; they never run concurrently (setup vs teardown), so
-            // a RefCell splits the borrow cleanly.
-            let pool = std::cell::RefCell::new(std::mem::take(scratch));
-            let result = ws.run_on_into(
-                g,
-                ecfg,
-                &params,
-                |init| CkTester::with_scratch(cfg, &init, pool.borrow_mut().take()),
-                |prog: CkTester<'_>| pool.borrow_mut().put(prog.into_scratch()),
-                &mut run.outcome,
-            );
-            // Restore the pool before propagating any failure: a shard
-            // whose job trips bandwidth enforcement keeps its warm
-            // buffers for the remaining jobs (only the failed run's node
-            // scratches are gone — the engine drops its programs without
-            // the reclaim hook on error).
-            *scratch = pool.into_inner();
-            result?;
-        }
-        NodeLayout::Soa => {
-            // One node→thread plan snapshot shared between the arena's
-            // chunk-shared scratch and the run itself: sizing and
-            // pinning off the same capture closes the window where a
-            // concurrent forced-worker change could hand two threads
-            // aliased scratch (the partition the engine executes is, by
-            // construction, the one the scratch was laid out for).
-            let parallel = matches!(ecfg.executor, ck_congest::engine::Executor::Parallel);
-            if parallel {
-                let plan = ck_congest::engine::node_step_plan(g.n());
-                scratch.soa.prepare(g, plan.chunk_len);
-                ws.pin_node_chunk_plan(plan);
-            } else {
-                scratch.soa.prepare(g, g.n().max(1));
-            }
-            // The arena stays dormant behind these Copy base pointers
-            // for the whole run (`SoaView`'s invariants); nothing needs
-            // reclaiming — every buffer a view touched is already owned
-            // by the arena, including the pools `reclaim_msg` drains the
-            // parked broadcast payloads into.
-            let bases = scratch.soa.bases();
-            ws.run_on_into(
-                g,
-                ecfg,
-                &params,
-                |init| CkTesterCore::over_soa(cfg, &init, SoaView::new(bases, init.index as usize)),
-                |_prog: CkTesterCore<'_, SoaView>| {},
-                &mut run.outcome,
-            )?;
-        }
+    // One node→thread plan snapshot shared between the arena's
+    // chunk-shared scratch and the run itself: sizing and pinning off
+    // the same capture closes the window where a concurrent
+    // forced-worker change could hand two threads aliased scratch (the
+    // partition the engine executes is, by construction, the one the
+    // scratch was laid out for).
+    if matches!(ecfg.executor, ck_congest::engine::Executor::Parallel) {
+        let plan = ck_congest::engine::node_step_plan(g.n());
+        arena.prepare(g, plan.chunk_len);
+        ws.pin_node_chunk_plan(plan);
+    } else {
+        arena.prepare(g, g.n().max(1));
     }
+    // The arena stays dormant behind these Copy base pointers for the
+    // whole run (`SoaView`'s invariants); nothing needs reclaiming —
+    // every buffer a view touched is already owned by the arena,
+    // including the pools `reclaim_msg` drains the parked broadcast
+    // payloads into.
+    let bases = arena.bases();
+    ws.run_on_into(
+        g,
+        ecfg,
+        &params,
+        |init| CkTester::new(cfg, &init, SoaView::new(bases, init.index as usize)),
+        |_prog: CkTester<'_>| {},
+        &mut run.outcome,
+    )?;
     finish_tester_run(g, cfg, reps, run);
     Ok(())
 }

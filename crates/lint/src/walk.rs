@@ -145,6 +145,6 @@ mod tests {
         // Test files named like critical modules are out of scope: the
         // rule is about library behavior, not test harness clocks.
         assert!(!classify("crates/congest/tests/engine.rs").determinism_critical);
-        assert!(!classify("tests/soa_parity.rs").determinism_critical);
+        assert!(!classify("tests/tester_golden.rs").determinism_critical);
     }
 }

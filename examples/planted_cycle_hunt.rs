@@ -26,7 +26,7 @@ fn main() {
         let mut rejects = 0;
         let mut sample_witness = None;
         // The seed sweep runs as one sharded session batch: per-shard
-        // engine workspaces and tester scratch are recycled across
+        // engine workspaces and node-state arenas are recycled across
         // trials instead of rebuilt per seed.
         let session = TesterSession::builder(k, eps).build().expect("valid parameters");
         let jobs: Vec<_> = (0..trials).map(|seed| session.job(&inst.graph, seed)).collect();

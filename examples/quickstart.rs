@@ -1,6 +1,6 @@
 //! Quickstart: test a network for C5-freeness through the `Session`
-//! API — one builder, parameters validated up front, arenas and
-//! per-node scratch recycled across runs.
+//! API — one builder, parameters validated up front, engine and
+//! node-state arenas recycled across runs.
 //!
 //! ```text
 //! cargo run --release --example quickstart

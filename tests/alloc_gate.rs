@@ -3,8 +3,8 @@
 //!
 //! The repo's hot paths document themselves as allocation-free once
 //! warm: `Session::run` reruns recycle arenas and slot arrays,
-//! `TesterSession::test` reruns additionally recycle per-node tester
-//! scratch, and the `SeqPool` take/return cycle recycles payload
+//! `TesterSession::test` reruns additionally recycle the node-state
+//! arena, and the `SeqPool` take/return cycle recycles payload
 //! backings. These tests install [`CountingAlloc`] as the binary's
 //! `#[global_allocator]` and assert the warm reruns perform **zero**
 //! heap operations through the `_into` entry points — turning the
@@ -22,7 +22,7 @@ use ck_congest::session::Session;
 use ck_core::msg::SeqPool;
 use ck_core::seq::IdSeq;
 use ck_core::session::TesterSession;
-use ck_core::tester::{NodeLayout, TesterRun};
+use ck_core::tester::TesterRun;
 use ck_graphgen::planted::matched_free_instance;
 use ck_lint::alloc_gate::{AllocGate, CountingAlloc};
 
@@ -92,16 +92,14 @@ fn warm_reruns_perform_zero_heap_operations() {
     // (b) Warm `TesterSession::test_into` rerun on the accept path: the
     // full Ck tester — rank draws, Phase-2 sequence traffic, pruning,
     // verdict collection — reruns without heap traffic once the
-    // session's workspace, scratch pool, and run buffer are warm. Both
-    // node-state layouts carry the contract: the boxed per-node buffers
-    // and the SoA arena (whose `prepare` must clear-and-resize over
-    // kept capacity, never reallocate, on a same-shape rerun).
+    // session's workspace, node-state arena, and run buffer are warm
+    // (the arena's `prepare` must clear-and-resize over kept capacity,
+    // never reallocate, on a same-shape rerun).
     let free = matched_free_instance(40, 5);
-    for layout in [NodeLayout::Boxed, NodeLayout::Soa] {
+    {
         let mut tester = TesterSession::builder(5, 0.1)
             .seed(7)
             .repetitions(2)
-            .layout(layout)
             .executor(Executor::Sequential)
             .build()
             .unwrap();
@@ -115,11 +113,7 @@ fn warm_reruns_perform_zero_heap_operations() {
             tester.test_into(&free, &mut run).unwrap();
         }
         let d = gate.delta();
-        assert_eq!(
-            d.heap_ops(),
-            0,
-            "warm TesterSession::test_into rerun must not allocate ({layout:?}): {d:?}"
-        );
+        assert_eq!(d.heap_ops(), 0, "warm TesterSession::test_into rerun must not allocate: {d:?}");
         assert!(!run.reject);
     }
 
