@@ -34,6 +34,12 @@ carry the same ratio families (pinning the smoke measurement surface
 against bitrot); fresh-vs-committed drift is printed as information,
 never gated.
 
+3. In both smoke records, fresh and committed, every distributed net row
+   must take less per run than the worker heartbeat interval its block
+   records. Heartbeats carry liveness only and no protocol step waits
+   for one, so a run that lasts a whole interval waited out a beat: the
+   fixed per-run floor the distributed executor used to have.
+
 Usage: bench_gate.py FRESH_SMOKE COMMITTED_SMOKE COMMITTED_FULL
 """
 
@@ -97,6 +103,20 @@ def check_serve(record, who):
         assert case["pass"] is True, f"{who}: {case}"
 
 
+def check_heartbeat_floor(record, who):
+    """No distributed row may wait out a heartbeat (check 3)."""
+    net = record["net"]
+    assert "heartbeat_ms" in net, f"{who}: net block does not record its heartbeat_ms"
+    interval_s = net["heartbeat_ms"] / 1000.0
+    rows = [e for e in net["entries"] if e["executor"] == "distributed"]
+    assert rows, f"{who}: no distributed net rows"
+    for e in rows:
+        assert e["secs_per_run"] < interval_s, (
+            f"{who}: distributed w={e['workers']} takes {e['secs_per_run']} s per run, "
+            f"at least the {net['heartbeat_ms']} ms heartbeat interval"
+        )
+
+
 def check_full(full):
     assert full["schema"] == "ck-bench/engine/v8", full["schema"]
     acc = full["acceptance"]
@@ -120,11 +140,13 @@ def main():
     assert fresh["schema"] == "ck-bench/engine/v8", fresh["schema"]
     assert fresh["acceptance"]["pass"] is True, "fresh smoke failed its own structure gates"
     check_serve(fresh, "fresh smoke")
+    check_heartbeat_floor(fresh, "fresh smoke")
     # The committed smoke record pins the measurement surface: same
     # schema, same ratio families. Its timings are from another box and
     # are never gated against.
     assert baseline["schema"] == "ck-bench/engine/v8", baseline["schema"]
     check_serve(baseline, "committed smoke")
+    check_heartbeat_floor(baseline, "committed smoke")
     base, now = ratios(baseline), ratios(fresh)
     missing = sorted(set(base) - set(now))
     assert not missing, f"fresh smoke lost ratio rows the committed record has: {missing}"
@@ -146,8 +168,8 @@ def main():
         sys.exit(1)
     print(
         f"bench-gate: {len(now)} same-run ratios above their family floors; "
-        "committed full record is schema v8 with the threads axis and the "
-        "serve block, and passes its gates"
+        "no distributed smoke row waits out a heartbeat; committed full record "
+        "is schema v8 with the threads axis and the serve block, and passes its gates"
     )
 
 

@@ -582,6 +582,10 @@ struct NetBlock {
     n: usize,
     k: usize,
     rows: Vec<NetRow>,
+    /// The worker heartbeat interval every row ran with. Heartbeats
+    /// carry liveness only, so a distributed row at or above this per
+    /// run waited for one (`ci/bench_gate.py` fails such a record).
+    heartbeat_ms: u64,
     /// Cross-partition frames routed per distributed run (2 workers).
     frames_routed: u64,
     /// Sequential-rerun latency recorded by the degraded run.
@@ -673,6 +677,7 @@ fn net_sweep(smoke: bool, budget: &Budget) -> NetBlock {
     // run round 1; the coordinator must type the loss within the round
     // deadline and finish via the sequential oracle inside the budget.
     let round_deadline_ms = 2_000u64;
+    let heartbeat_ms = healthy_net.heartbeat_ms;
     let chaos_net = NetOptions {
         round_deadline_ms,
         chaos: Some(ChaosPlan { abort_at_round: Some(1), ..ChaosPlan::for_worker(0) }),
@@ -702,6 +707,7 @@ fn net_sweep(smoke: bool, budget: &Budget) -> NetBlock {
         n,
         k,
         rows,
+        heartbeat_ms,
         frames_routed,
         recovery_ms,
         recovery_wall_ms,
@@ -1183,6 +1189,7 @@ fn main() {
     let _ = writeln!(json, "    \"k\": {},", net_block.k);
     let _ = writeln!(json, "    \"transport\": \"loopback-tcp-thread-workers\",");
     let _ = writeln!(json, "    \"bit_identical\": true,");
+    let _ = writeln!(json, "    \"heartbeat_ms\": {},", net_block.heartbeat_ms);
     let _ = writeln!(json, "    \"frames_routed\": {},", net_block.frames_routed);
     json.push_str("    \"entries\": [\n");
     for (i, r) in net_block.rows.iter().enumerate() {

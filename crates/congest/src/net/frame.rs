@@ -165,8 +165,13 @@ pub struct Deadline {
 impl Deadline {
     /// A deadline `ms` milliseconds from now.
     pub fn after_ms(ms: u64) -> Self {
+        Deadline::after(Duration::from_millis(ms))
+    }
+
+    /// A deadline `d` from now.
+    pub fn after(d: Duration) -> Self {
         // ck-lint: allow(determinism, reason = "deadline arming is transport-side only; expiry surfaces as a typed fault")
-        Deadline { at: Instant::now() + Duration::from_millis(ms) }
+        Deadline { at: Instant::now() + d }
     }
 
     /// True once the budget is spent.
@@ -182,8 +187,10 @@ impl Deadline {
     }
 }
 
-/// Writes one frame. The caller flushes (heartbeats and barrier
-/// batches share a flush).
+/// Writes one frame. The caller flushes, so frames written into a
+/// buffered writer leave together: a worker's round `Msg`s with its
+/// `Done`, the coordinator's routed `Msg`s with `Barrier` and the next
+/// `Go`.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
     assert!(body.len() as u64 <= u64::from(MAX_BODY), "frame body exceeds MAX_BODY");
     let [l0, l1, l2, l3] = (body.len() as u32).to_le_bytes();

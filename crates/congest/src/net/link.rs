@@ -1,15 +1,16 @@
 //! Connection establishment and liveness plumbing: bounded-retry
-//! connect with exponential backoff, and the worker-side heartbeat
-//! writer that keeps a long round from being mistaken for a dead
+//! connect with exponential backoff, the buffered frame writer a
+//! protocol thread shares with its heartbeat, and the worker-side
+//! heartbeat that keeps a long round from being mistaken for a dead
 //! process.
 
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use super::frame::{write_frame, FrameKind};
+use super::frame::{write_frame, Deadline, FrameKind};
 
 /// Connects to `addr`, retrying with exponential backoff (`base_ms`,
 /// doubling per attempt) up to `attempts` tries. Bounded time by
@@ -38,11 +39,14 @@ pub fn connect_with_retry(
     Err(last.unwrap_or_else(|| std::io::Error::other("no connect attempts made")))
 }
 
-/// A frame writer shared between a protocol thread and its heartbeat
-/// thread: every frame goes out under one lock, so heartbeats can
-/// never interleave into the middle of a protocol frame.
+/// A buffered frame writer shared between a protocol thread and its
+/// heartbeat thread. Every frame goes into the buffer under one lock,
+/// so heartbeats can never interleave into the middle of a protocol
+/// frame. [`send`](Self::send) flushes; [`queue`](Self::queue) does
+/// not, so a batch of queued frames closed by one `send` leaves in a
+/// single write.
 pub struct SharedWriter<W: Write + Send> {
-    inner: Arc<Mutex<W>>,
+    inner: Arc<Mutex<BufWriter<W>>>,
 }
 
 impl<W: Write + Send> Clone for SharedWriter<W> {
@@ -53,24 +57,38 @@ impl<W: Write + Send> Clone for SharedWriter<W> {
 
 impl<W: Write + Send + 'static> SharedWriter<W> {
     pub fn new(w: W) -> Self {
-        SharedWriter { inner: Arc::new(Mutex::new(w)) }
+        SharedWriter { inner: Arc::new(Mutex::new(BufWriter::new(w))) }
     }
 
-    /// Writes one frame and flushes it, atomically w.r.t. other frames.
-    pub fn send(&self, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
+    fn lock(&self) -> MutexGuard<'_, BufWriter<W>> {
         // A poisoned lock means a peer thread panicked mid-write; the
         // stream may carry a torn frame, which the reader's length
         // checks surface as a typed FrameError. Propagating the write
         // is strictly more informative than poisoning-panicking here.
-        let mut w = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Writes one frame and flushes it together with every frame
+    /// queued before it.
+    pub fn send(&self, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
+        let mut w = self.lock();
         write_frame(&mut *w, kind, body)?;
         w.flush()
+    }
+
+    /// Writes one frame into the buffer without flushing; the next
+    /// [`send`](Self::send) (the caller's, or a heartbeat's) carries it
+    /// out. A body larger than the buffer goes straight through.
+    pub fn queue(&self, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
+        write_frame(&mut *self.lock(), kind, body)
     }
 }
 
 /// Emits [`FrameKind::Heartbeat`] frames every `interval` until
 /// stopped; write failures end the beat silently (the protocol side
-/// observes the dead link itself).
+/// observes the dead link itself). The thread parks between beats, and
+/// [`stop`](Self::stop) (or drop) unparks it, so stopping returns at
+/// once instead of waiting out the interval.
 pub struct HeartbeatHandle {
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
@@ -81,24 +99,31 @@ impl HeartbeatHandle {
     pub fn spawn<W: Write + Send + 'static>(writer: SharedWriter<W>, interval: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let join = std::thread::spawn(move || {
-            while !flag.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                if writer.send(FrameKind::Heartbeat, &[]).is_err() {
-                    break;
-                }
+        let join = std::thread::spawn(move || loop {
+            // Acquire pairs with the Release store in `halt`; `park`
+            // may wake spuriously, so the loop re-checks both the flag
+            // and the deadline.
+            let due = Deadline::after(interval);
+            while !flag.load(Ordering::Acquire) && !due.expired() {
+                std::thread::park_timeout(due.remaining());
+            }
+            if flag.load(Ordering::Acquire) || writer.send(FrameKind::Heartbeat, &[]).is_err() {
+                break;
             }
         });
         HeartbeatHandle { stop, join: Some(join) }
     }
 
-    /// Stops the beat and joins the thread.
+    /// Stops the beat and joins the thread; returns without waiting
+    /// for the current interval to run out.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.halt();
+    }
+
+    fn halt(&mut self) {
+        self.stop.store(true, Ordering::Release);
         if let Some(j) = self.join.take() {
+            j.thread().unpark();
             let _ = j.join();
         }
     }
@@ -106,17 +131,15 @@ impl HeartbeatHandle {
 
 impl Drop for HeartbeatHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+        self.halt();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::frame::{read_frame, Deadline, FrameError};
+    use crate::net::frame::{read_frame, FrameError};
+    use std::time::Instant;
 
     #[test]
     fn connect_retry_fails_typed_and_bounded() {
@@ -131,11 +154,17 @@ mod tests {
         let buf: Vec<u8> = Vec::new();
         let shared = SharedWriter::new(buf);
         let hb = HeartbeatHandle::spawn(shared.clone(), Duration::from_micros(200));
+        // Even frames are queued, odd ones sent: a heartbeat may flush
+        // a half-built batch, but never lands inside a frame.
         for i in 0..50u32 {
-            shared.send(FrameKind::Go, &i.to_le_bytes()).unwrap();
+            if i % 2 == 0 {
+                shared.queue(FrameKind::Go, &i.to_le_bytes()).unwrap();
+            } else {
+                shared.send(FrameKind::Go, &i.to_le_bytes()).unwrap();
+            }
         }
         hb.stop();
-        let wire = shared.inner.lock().unwrap().clone();
+        let wire = shared.lock().get_ref().clone();
         // Every frame parses cleanly — no interleaving corrupted one.
         let d = Deadline::after_ms(200);
         let mut r = &wire[..];
@@ -144,6 +173,7 @@ mod tests {
             match read_frame(&mut r, &d) {
                 Ok(f) => {
                     if f.kind == FrameKind::Go {
+                        assert_eq!(f.body, (gos as u32).to_le_bytes());
                         gos += 1;
                     } else {
                         assert_eq!(f.kind, FrameKind::Heartbeat);
@@ -154,5 +184,53 @@ mod tests {
             }
         }
         assert_eq!(gos, 50);
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn queued_frames_leave_with_the_next_send_in_one_write() {
+        const N: u32 = 16;
+        let shared = SharedWriter::new(CountingSink::default());
+        let mut expected = Vec::new();
+        for i in 0..N {
+            let body = [i as u8; 9];
+            shared.queue(FrameKind::Msg, &body).unwrap();
+            write_frame(&mut expected, FrameKind::Msg, &body).unwrap();
+        }
+        assert_eq!(shared.lock().get_ref().writes, 0, "queue must not write through");
+        shared.send(FrameKind::Done, &N.to_le_bytes()).unwrap();
+        write_frame(&mut expected, FrameKind::Done, &N.to_le_bytes()).unwrap();
+        let w = shared.lock();
+        assert_eq!(w.get_ref().writes, 1, "N queued frames and one send are one write");
+        assert_eq!(w.get_ref().bytes, expected, "batching leaves the bytes unchanged");
+    }
+
+    #[test]
+    fn stop_does_not_wait_out_the_interval() {
+        let shared = SharedWriter::new(Vec::<u8>::new());
+        let hb = HeartbeatHandle::spawn(shared.clone(), Duration::from_secs(5));
+        let started = Instant::now();
+        hb.stop();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "stop waited {took:?} for a 5 s beat");
+        assert!(shared.lock().get_ref().is_empty(), "no beat was due yet");
     }
 }

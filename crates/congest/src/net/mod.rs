@@ -112,15 +112,19 @@ impl std::error::Error for NetError {}
 pub struct NetOptions {
     /// Total budget for spawning and handshaking all workers.
     pub connect_timeout_ms: u64,
-    /// Worker-side connect attempts (exponential backoff between).
+    /// Connect attempts for a thread worker's socket, which the
+    /// coordinator opens itself (exponential backoff between).
     pub connect_retries: u32,
     /// Backoff base for the first retry.
     pub connect_backoff_ms: u64,
     /// Per-round deadline: a round that has not produced every
     /// worker's `Done` by then loses the overdue worker.
     pub round_deadline_ms: u64,
-    /// Worker heartbeat interval (distinguishes a slow worker from a
-    /// dead one at the deadline).
+    /// Worker heartbeat interval. Liveness only: at a missed deadline
+    /// it tells a slow worker from a dead one, and it is never on the
+    /// path to completion — no protocol step waits for a beat, and a
+    /// finishing worker stops its beat without waiting out the
+    /// interval.
     pub heartbeat_ms: u64,
     /// Process-mode worker command: argv executed per worker with the
     /// coordinator's `host:port` appended. `None` runs workers as

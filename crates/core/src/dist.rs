@@ -20,23 +20,32 @@
 //! ## Protocol
 //!
 //! ```text
-//! worker  → Hello(magic, index)
-//! coord   → Spec(job)                  worker → Ready
+//! worker  → Hello(magic, index) ⇥
+//! coord   → Spec(job) ⇥                worker → Ready ⇥
 //! per round r:
-//!   coord → Go(r)
-//!   worker: step; → Msg* ; → Done(r, digest)     [Heartbeat freely]
+//!   coord → Go(r) ⇥
+//!   worker: step; → Msg* ; → Done(r, digest) ⇥   [Heartbeat ⇥ freely]
 //!   coord: merge digests, route every Msg to its owner
 //!   coord → Msg* ; → Barrier(r)        worker: inject, commit
-//! coord   → Finish                     worker → Verdicts
-//! any failure: coord → Abort / worker → Error
+//! coord   → Finish ⇥                   worker → Verdicts ⇥
+//! any failure: coord → Abort ⇥ / worker → Error ⇥
 //! ```
+//!
+//! `⇥` marks a flush. Both sides write through buffers and flush only
+//! before they wait for an answer, so every frame queued on a link
+//! since its last flush leaves in one write: a worker's round is one
+//! write (its `Msg`s and `Done`), and so is the coordinator's answer to
+//! it (the routed `Msg`s, `Barrier(r)` and `Go(r+1)`, or `Finish` after
+//! the last round). Both sides read through buffers too, so one read
+//! returns a whole batch. Heartbeats carry liveness only: no step of
+//! the protocol waits for one.
 //!
 //! Every failure is a typed [`NetError`] produced within the
 //! configured deadlines (see the [`ck_congest::net`] failure table);
 //! [`crate::tester`] degrades a failed distributed run to the
 //! sequential oracle and records the fallback in the run report.
 
-use std::io::Write;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 // ck-lint: allow(determinism, reason = "Instant only drives heartbeat liveness deadlines; a late worker becomes a typed NetError and the run falls back to the sequential oracle, so verdict bits never depend on the clock")
 use std::time::{Duration, Instant};
@@ -47,8 +56,8 @@ use ck_congest::message::{BitReader, ContextCodec, WireCodec, WireParams};
 use ck_congest::metrics::{NetReport, RunReport};
 use ck_congest::net::chaos::{ChaosPlan, ChaosTransport};
 use ck_congest::net::frame::{
-    decode_msg_body, encode_msg_body, read_frame, ByteReader, ByteWriter, Deadline, Frame,
-    FrameError, FrameKind, MsgHeader,
+    decode_msg_body, encode_msg_body, read_frame, write_frame, ByteReader, ByteWriter, Deadline,
+    Frame, FrameError, FrameKind, MsgHeader,
 };
 use ck_congest::net::link::{connect_with_retry, HeartbeatHandle, SharedWriter};
 use ck_congest::net::partition::{partition_range, OutFrame, PartitionEngine, RoundDigest};
@@ -125,49 +134,14 @@ fn pruner_tag(p: PrunerKind) -> u8 {
 impl JobSpec {
     /// Encodes the spec as a `Spec` frame body.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.bytes(self.graph.to_edge_list().as_bytes());
-        w.u32(self.cfg.k as u32);
-        w.f64(self.cfg.eps);
-        w.u64(self.cfg.seed);
-        match self.cfg.repetitions {
-            Some(r) => {
-                w.u8(1);
-                w.u32(r);
-            }
-            None => w.u8(0),
-        }
-        w.u8(pruner_tag(self.cfg.pruner));
-        w.u8(self.cfg.early_abort as u8);
-        match self.cfg.assumed_loss {
-            Some(l) => {
-                w.u8(1);
-                w.f64(l);
-            }
-            None => w.u8(0),
-        }
-        w.u8(self.cfg.verify_witnesses as u8);
-        w.u32(self.engine.max_rounds);
-        match self.engine.bandwidth {
-            BandwidthPolicy::Measure => w.u8(0),
-            BandwidthPolicy::Enforce { bits } => {
-                w.u8(1);
-                w.u64(bits);
-            }
-        }
-        w.u8(self.engine.record_rounds as u8);
-        w.bytes(&self.engine.faults.to_bytes());
-        w.u32(self.workers);
-        w.u32(self.worker);
-        match self.abort_at_round {
-            Some(r) => {
-                w.u8(1);
-                w.u32(r);
-            }
-            None => w.u8(0),
-        }
-        w.u64(self.heartbeat_ms);
-        w.u64(self.round_deadline_ms);
+        let mut w = encode_spec_prefix(&self.graph, &self.cfg, &self.engine, self.workers);
+        encode_spec_tail(
+            &mut w,
+            self.worker,
+            self.abort_at_round,
+            self.heartbeat_ms,
+            self.round_deadline_ms,
+        );
         w.0
     }
 
@@ -239,6 +213,71 @@ impl JobSpec {
             round_deadline_ms,
         })
     }
+}
+
+/// The part of a `Spec` body that every worker of one run shares: the
+/// graph, the tester and engine parameters, and the worker count.
+fn encode_spec_prefix(
+    graph: &Graph,
+    cfg: &TesterConfig,
+    engine: &EngineConfig,
+    workers: u32,
+) -> ByteWriter {
+    let mut w = ByteWriter::new();
+    w.bytes(graph.to_edge_list().as_bytes());
+    w.u32(cfg.k as u32);
+    w.f64(cfg.eps);
+    w.u64(cfg.seed);
+    match cfg.repetitions {
+        Some(r) => {
+            w.u8(1);
+            w.u32(r);
+        }
+        None => w.u8(0),
+    }
+    w.u8(pruner_tag(cfg.pruner));
+    w.u8(cfg.early_abort as u8);
+    match cfg.assumed_loss {
+        Some(l) => {
+            w.u8(1);
+            w.f64(l);
+        }
+        None => w.u8(0),
+    }
+    w.u8(cfg.verify_witnesses as u8);
+    w.u32(engine.max_rounds);
+    match engine.bandwidth {
+        BandwidthPolicy::Measure => w.u8(0),
+        BandwidthPolicy::Enforce { bits } => {
+            w.u8(1);
+            w.u64(bits);
+        }
+    }
+    w.u8(engine.record_rounds as u8);
+    w.bytes(&engine.faults.to_bytes());
+    w.u32(workers);
+    w
+}
+
+/// Appends one worker's own fields, and the liveness timings that
+/// follow them on the wire, to a [`encode_spec_prefix`] body.
+fn encode_spec_tail(
+    w: &mut ByteWriter,
+    worker: u32,
+    abort_at_round: Option<u32>,
+    heartbeat_ms: u64,
+    round_deadline_ms: u64,
+) {
+    w.u32(worker);
+    match abort_at_round {
+        Some(r) => {
+            w.u8(1);
+            w.u32(r);
+        }
+        None => w.u8(0),
+    }
+    w.u64(heartbeat_ms);
+    w.u64(round_deadline_ms);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,8 +415,9 @@ pub fn decode_in_frame(body: &[u8], params: &WireParams) -> Result<(MsgHeader, C
 /// threads.
 pub fn worker_serve(stream: TcpStream, index: u32, hard_abort: bool) -> Result<(), FrameError> {
     let _ = stream.set_nodelay(true);
-    let mut reader = stream.try_clone().map_err(FrameError::from)?;
+    let reader = stream.try_clone().map_err(FrameError::from)?;
     reader.set_read_timeout(Some(Duration::from_millis(20))).map_err(FrameError::from)?;
+    let mut reader = BufReader::new(reader);
     let writer = SharedWriter::new(stream);
     let result = worker_serve_inner(&mut reader, &writer, index, hard_abort);
     if let Err(e) = &result {
@@ -387,7 +427,7 @@ pub fn worker_serve(stream: TcpStream, index: u32, hard_abort: bool) -> Result<(
 }
 
 fn worker_serve_inner(
-    reader: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     writer: &SharedWriter<TcpStream>,
     index: u32,
     hard_abort: bool,
@@ -440,13 +480,14 @@ fn worker_serve_inner(
                         std::process::abort();
                     }
                     hb.stop();
-                    let _ = reader.shutdown(Shutdown::Both);
+                    let _ = reader.get_ref().shutdown(Shutdown::Both);
                     return Ok(());
                 }
                 out.clear();
                 let digest = engine.step_round(round, &mut out);
+                // The round's deliveries and its Done leave in one write.
                 for f in &out {
-                    writer.send(FrameKind::Msg, &encode_out_frame(f, &params)?)?;
+                    writer.queue(FrameKind::Msg, &encode_out_frame(f, &params)?)?;
                 }
                 let mut done = Vec::with_capacity(4 + 128);
                 done.extend_from_slice(&round.to_le_bytes());
@@ -494,8 +535,8 @@ pub fn worker_main(addr: &str, index: u32) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 struct WorkerLink {
-    reader: TcpStream,
-    writer: ChaosTransport<TcpStream>,
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<ChaosTransport<TcpStream>>,
     // ck-lint: allow(determinism, reason = "liveness bookkeeping only; see the use-declaration allow")
     last_beat: Instant,
     child: Option<std::process::Child>,
@@ -504,7 +545,7 @@ struct WorkerLink {
 
 impl WorkerLink {
     fn shutdown(&mut self) {
-        let _ = self.reader.shutdown(Shutdown::Both);
+        let _ = self.reader.get_ref().shutdown(Shutdown::Both);
     }
 
     fn reap(&mut self) {
@@ -538,11 +579,14 @@ impl Coordinator {
     /// by `Drop` on every early exit).
     fn abort_all(&mut self) {
         for link in &mut self.links {
-            let _ = write_framed(&mut link.writer, FrameKind::Abort, &[]);
+            let _ = write_frame(&mut link.writer, FrameKind::Abort, &[]);
+            let _ = link.writer.flush();
         }
     }
 
-    /// Sends one frame to worker `w`; a write failure is the link
+    /// Queues one frame for worker `w`; it leaves with the link's next
+    /// [`flush_all`](Self::flush_all). A write failure (a body too
+    /// large for the buffer goes straight through) is the link
     /// observing that worker's death.
     fn send_to(
         &mut self,
@@ -551,10 +595,21 @@ impl Coordinator {
         body: &[u8],
         round: u32,
     ) -> Result<(), NetError> {
-        write_framed(&mut self.links[w].writer, kind, body).map_err(|_| {
-            self.links[w].shutdown();
-            NetError::WorkerLost { worker: w as u32, round, cause: LostCause::Death }
-        })
+        write_frame(&mut self.links[w].writer, kind, body).map_err(|_| self.lost(w, round))
+    }
+
+    /// Flushes every link, each in one write; called once before each
+    /// blocking read. A failed flush is that worker's death.
+    fn flush_all(&mut self, round: u32) -> Result<(), NetError> {
+        for w in 0..self.links.len() {
+            self.links[w].writer.flush().map_err(|_| self.lost(w, round))?;
+        }
+        Ok(())
+    }
+
+    fn lost(&mut self, w: usize, round: u32) -> NetError {
+        self.links[w].shutdown();
+        NetError::WorkerLost { worker: w as u32, round, cause: LostCause::Death }
     }
 
     /// Reads the next protocol frame from worker `w`, consuming (and
@@ -603,15 +658,6 @@ impl Coordinator {
     }
 }
 
-fn write_framed(
-    w: &mut ChaosTransport<TcpStream>,
-    kind: FrameKind,
-    body: &[u8],
-) -> std::io::Result<()> {
-    ck_congest::net::frame::write_frame(w, kind, body)?;
-    w.flush()
-}
-
 /// Runs the full tester distributed over `workers` partitions;
 /// `engine.max_rounds` must already hold the schedule's total round
 /// count (as [`crate::tester`] resolves it). On success the outcome is
@@ -628,53 +674,65 @@ pub fn run_distributed(
     let net = engine.net.clone();
     let n = g.n();
 
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| DistError::Net(NetError::Spawn(e.to_string())))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| DistError::Net(NetError::Spawn(e.to_string())))?
-        .to_string();
-    listener.set_nonblocking(true).map_err(|e| DistError::Net(NetError::Spawn(e.to_string())))?;
+    let spawn_err = |e: std::io::Error| DistError::Net(NetError::Spawn(e.to_string()));
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(spawn_err)?;
+    let addr = listener.local_addr().map_err(spawn_err)?.to_string();
+    // Only worker processes connect on their own schedule, so only
+    // their accepts poll; a thread worker's connection is already
+    // queued when the coordinator accepts it.
+    listener.set_nonblocking(net.worker_cmd.is_some()).map_err(spawn_err)?;
 
     // Spawn: worker processes when a command is configured, protocol-
-    // identical worker threads over real sockets otherwise.
-    let mut children: Vec<Option<std::process::Child>> = Vec::new();
-    let mut threads: Vec<Option<std::thread::JoinHandle<()>>> = Vec::new();
-    for i in 0..w_count {
-        match &net.worker_cmd {
-            Some(argv) => {
-                let (head, rest) = argv
-                    .split_first()
-                    .ok_or(DistError::Net(NetError::Spawn("empty worker command".to_string())))?;
-                let child = std::process::Command::new(head)
-                    .args(rest)
-                    .arg(&addr)
-                    .arg(i.to_string())
-                    .stdout(std::process::Stdio::null())
-                    .stderr(std::process::Stdio::null())
-                    .spawn()
-                    .map_err(|e| DistError::Net(NetError::Spawn(e.to_string())))?;
-                children.push(Some(child));
-                threads.push(None);
-            }
-            None => {
-                let addr = addr.clone();
-                let (retries, backoff) = (net.connect_retries, net.connect_backoff_ms);
-                threads.push(Some(std::thread::spawn(move || {
-                    if let Ok(stream) = connect_with_retry(&addr, retries, backoff) {
-                        let _ = worker_serve(stream, i, false);
-                    }
-                })));
-                children.push(None);
-            }
-        }
-    }
-
-    // Accept + Hello: workers self-identify, so process handles and
-    // links stay index-aligned regardless of connect order.
+    // identical worker threads over real sockets otherwise. Handles sit
+    // at their worker's index until `admit` files them with its link.
+    let mut children: Vec<Option<std::process::Child>> = (0..w_count).map(|_| None).collect();
+    let mut threads: Vec<Option<std::thread::JoinHandle<()>>> =
+        (0..w_count).map(|_| None).collect();
     let mut slots: Vec<Option<WorkerLink>> = (0..w_count).map(|_| None).collect();
     let accept_deadline = Deadline::after_ms(net.connect_timeout_ms);
     let mut accepted = 0u32;
+    for i in 0..w_count {
+        let started = match &net.worker_cmd {
+            Some(argv) => argv
+                .split_first()
+                .ok_or(NetError::Spawn("empty worker command".to_string()))
+                .and_then(|(head, rest)| {
+                    std::process::Command::new(head)
+                        .args(rest)
+                        .arg(&addr)
+                        .arg(i.to_string())
+                        .stdout(std::process::Stdio::null())
+                        .stderr(std::process::Stdio::null())
+                        .spawn()
+                        .map_err(|e| NetError::Spawn(e.to_string()))
+                })
+                .map(|child| children[i as usize] = Some(child)),
+            // The coordinator connects the thread worker's socket
+            // itself, accepts it at once and hands the client end to
+            // the thread, so this accept never waits or polls.
+            None => connect_with_retry(&addr, net.connect_retries, net.connect_backoff_ms)
+                .and_then(|client| {
+                    let (server, _) = listener.accept()?;
+                    threads[i as usize] = Some(std::thread::spawn(move || {
+                        let _ = worker_serve(client, i, false);
+                    }));
+                    Ok(server)
+                })
+                .map_err(|e| NetError::Connect { worker: i, detail: e.to_string() })
+                .and_then(|server| {
+                    admit(server, &accept_deadline, &net, &mut slots, &mut children, &mut threads)
+                })
+                .map(|()| accepted += 1),
+        };
+        if let Err(e) = started {
+            teardown_partial(&mut slots, &mut children, &mut threads);
+            return Err(DistError::Net(e));
+        }
+    }
+
+    // Accept + Hello for worker processes: they self-identify, so
+    // process handles and links stay index-aligned regardless of
+    // connect order.
     while accepted < w_count {
         if accept_deadline.expired() {
             let missing = slots.iter().position(|s| s.is_none()).unwrap_or(0) as u32;
@@ -684,48 +742,20 @@ pub fn run_distributed(
                 detail: "accept deadline passed before the handshake".to_string(),
             }));
         }
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
+        let admitted = match listener.accept() {
+            Ok((stream, _)) => {
+                admit(stream, &accept_deadline, &net, &mut slots, &mut children, &mut threads)
+            }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
                 continue;
             }
-            Err(e) => {
-                teardown_partial(&mut slots, &mut children, &mut threads);
-                return Err(DistError::Net(NetError::Spawn(e.to_string())));
-            }
+            Err(e) => Err(NetError::Spawn(e.to_string())),
         };
-        let _ = stream.set_nodelay(true);
-        let index = match handshake(&stream, &accept_deadline, w_count, &slots) {
-            Ok(i) => i,
-            Err(e) => {
-                teardown_partial(&mut slots, &mut children, &mut threads);
-                return Err(DistError::Net(e));
-            }
-        };
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(e) => {
-                teardown_partial(&mut slots, &mut children, &mut threads);
-                return Err(DistError::Net(NetError::Connect {
-                    worker: index,
-                    detail: e.to_string(),
-                }));
-            }
-        };
-        let _ = reader.set_read_timeout(Some(Duration::from_millis(20)));
-        let plan = match net.chaos {
-            Some(c) if c.worker == index => c,
-            _ => ChaosPlan::for_worker(index),
-        };
-        slots[index as usize] = Some(WorkerLink {
-            reader,
-            writer: ChaosTransport::new(stream, &plan),
-            // ck-lint: allow(determinism, reason = "liveness baseline for the heartbeat monitor")
-            last_beat: Instant::now(),
-            child: children[index as usize].take(),
-            thread: threads[index as usize].take(),
-        });
+        if let Err(e) = admitted {
+            teardown_partial(&mut slots, &mut children, &mut threads);
+            return Err(DistError::Net(e));
+        }
         accepted += 1;
     }
     let links: Vec<WorkerLink> = slots.into_iter().flatten().collect();
@@ -744,24 +774,26 @@ pub fn run_distributed(
         report_net: NetReport { workers: w_count, ..NetReport::default() },
     };
 
-    // Spec out, Ready back.
+    // Spec out, Ready back. The shared prefix (graph and parameters) is
+    // encoded once; each worker's body appends its own fields to it.
+    let mut spec = encode_spec_prefix(g, cfg, engine, w_count);
+    let prefix_len = spec.0.len();
     for i in 0..w_count as usize {
         let abort_at_round = match net.chaos {
             Some(c) if c.worker == i as u32 => c.abort_at_round,
             _ => None,
         };
-        let spec = JobSpec {
-            graph: g.clone(),
-            cfg: *cfg,
-            engine: engine.clone(),
-            workers: w_count,
-            worker: i as u32,
+        spec.0.truncate(prefix_len);
+        encode_spec_tail(
+            &mut spec,
+            i as u32,
             abort_at_round,
-            heartbeat_ms: net.heartbeat_ms,
-            round_deadline_ms: net.round_deadline_ms,
-        };
-        coord.send_to(i, FrameKind::Spec, &spec.to_bytes(), 0).map_err(DistError::Net)?;
+            net.heartbeat_ms,
+            net.round_deadline_ms,
+        );
+        coord.send_to(i, FrameKind::Spec, &spec.0, 0).map_err(DistError::Net)?;
     }
+    coord.flush_all(0).map_err(DistError::Net)?;
     let ready_deadline = Deadline::after_ms(net.connect_timeout_ms);
     for i in 0..w_count as usize {
         let f = coord.read_protocol(i, &ready_deadline, 0).map_err(DistError::Net)?;
@@ -786,10 +818,13 @@ pub fn run_distributed(
         if active == 0 {
             break;
         }
-        // Scheduled coordinator-side chaos fires at the round boundary.
+        // Scheduled coordinator-side chaos fires at the round boundary,
+        // after the previous round's queued frames have left: the cut
+        // lands at the same protocol point as on an unbuffered link.
         if let Some((kw, kr)) = net.kill_worker {
             if kr == round && (kw as usize) < coord.links.len() {
                 let link = &mut coord.links[kw as usize];
+                let _ = link.writer.flush();
                 match link.child.take() {
                     Some(mut child) => {
                         // The real thing: SIGKILL, no cleanup handlers.
@@ -804,13 +839,18 @@ pub fn run_distributed(
         }
         if let Some(c) = net.chaos {
             if c.disconnect_at_round == Some(round) && (c.worker as usize) < coord.links.len() {
-                coord.links[c.worker as usize].shutdown();
+                let link = &mut coord.links[c.worker as usize];
+                let _ = link.writer.flush();
+                link.shutdown();
             }
         }
 
+        // Go(r) joins the routed Msgs and Barrier(r−1) still queued on
+        // each link: one write per worker per round.
         for i in 0..w_count as usize {
             coord.send_to(i, FrameKind::Go, &round.to_le_bytes(), round).map_err(DistError::Net)?;
         }
+        coord.flush_all(round).map_err(DistError::Net)?;
 
         // Collect this round: Msg frames buffer for routing, Done
         // frames carry the partition digests; merged in ascending
@@ -886,7 +926,8 @@ pub fn run_distributed(
         }
 
         // Route, then barrier: a worker that saw `Barrier(r)` has, by
-        // FIFO, already received every delivery of round `r`.
+        // FIFO, already received every delivery of round `r`. Both are
+        // queued; the next Go or Finish flushes them.
         for (owner, body) in routed.drain(..) {
             coord.report_net.frames_routed += 1;
             coord.report_net.frame_bytes += body.len() as u64;
@@ -906,6 +947,7 @@ pub fn run_distributed(
     for i in 0..w_count as usize {
         coord.send_to(i, FrameKind::Finish, &[], round).map_err(DistError::Net)?;
     }
+    coord.flush_all(round).map_err(DistError::Net)?;
     let final_deadline = Deadline::after_ms(net.round_deadline_ms);
     for (i, range) in ranges.iter().enumerate() {
         let frame = coord.read_protocol(i, &final_deadline, round).map_err(DistError::Net)?;
@@ -932,20 +974,37 @@ pub fn run_distributed(
     report.all_halted = active == 0;
     report.faults.crashed_nodes = engine.faults.crashed_by(round, n);
     report.net = Some(coord.report_net.clone());
+    // Every worker has sent its verdicts and is exiting. Join the
+    // thread workers before closing the coordinator's ends, so each
+    // link's TIME_WAIT sits on a worker's ephemeral port, which later
+    // connects may reuse, instead of pinning the listener's port for a
+    // minute: at hundreds of runs per second the pinned ports made
+    // every later run slower.
+    for link in &mut coord.links {
+        if let Some(join) = link.thread.take() {
+            let _ = join.join();
+        }
+    }
     drop(coord); // Clean teardown before returning.
     Ok(RunOutcome { report, verdicts })
 }
 
-/// Reads and validates a Hello frame on a fresh connection.
-fn handshake(
-    stream: &TcpStream,
+/// Reads and validates the Hello on a fresh connection, then files its
+/// link, with the worker's process or thread handle, under the index
+/// the worker announced.
+fn admit(
+    stream: TcpStream,
     deadline: &Deadline,
-    workers: u32,
-    slots: &[Option<WorkerLink>],
-) -> Result<u32, NetError> {
-    let mut reader =
+    net: &NetOptions,
+    slots: &mut [Option<WorkerLink>],
+    children: &mut [Option<std::process::Child>],
+    threads: &mut [Option<std::thread::JoinHandle<()>>],
+) -> Result<(), NetError> {
+    let _ = stream.set_nodelay(true);
+    let reader =
         stream.try_clone().map_err(|e| NetError::Connect { worker: 0, detail: e.to_string() })?;
     let _ = reader.set_read_timeout(Some(Duration::from_millis(20)));
+    let mut reader = BufReader::new(reader);
     let hello = read_frame(&mut reader, deadline)
         .map_err(|e| NetError::Connect { worker: 0, detail: format!("bad hello: {e}") })?;
     if hello.kind != FrameKind::Hello || hello.body.len() != 8 || &hello.body[0..4] != MAGIC {
@@ -959,13 +1018,26 @@ fn handshake(
     let mut idx_bytes = [0u8; 4];
     idx_bytes.copy_from_slice(&hello.body[4..8]);
     let index = u32::from_le_bytes(idx_bytes);
-    if index >= workers || slots[index as usize].is_some() {
+    let i = index as usize;
+    if i >= slots.len() || slots[i].is_some() {
         return Err(NetError::Connect {
             worker: index,
             detail: "worker index out of range or duplicated".to_string(),
         });
     }
-    Ok(index)
+    let plan = match net.chaos {
+        Some(c) if c.worker == index => c,
+        _ => ChaosPlan::for_worker(index),
+    };
+    slots[i] = Some(WorkerLink {
+        reader,
+        writer: BufWriter::new(ChaosTransport::new(stream, &plan)),
+        // ck-lint: allow(determinism, reason = "liveness baseline for the heartbeat monitor")
+        last_beat: Instant::now(),
+        child: children.get_mut(i).and_then(Option::take),
+        thread: threads.get_mut(i).and_then(Option::take),
+    });
+    Ok(())
 }
 
 fn teardown_partial(

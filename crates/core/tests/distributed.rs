@@ -272,6 +272,41 @@ fn warm_session_restarts_cleanly() {
     assert_eq!(third.outcome.report.per_round, first.outcome.report.per_round);
 }
 
+#[test]
+fn run_time_does_not_follow_the_heartbeat_interval() {
+    // Heartbeats are liveness only: with a 5 s interval no healthy run
+    // may wait for a beat, or for the beat thread to notice a stop.
+    let inst = eps_far_instance(24, 4, 0.15, 6);
+    let mut cfg = TesterConfig::new(4, 0.25, 10);
+    cfg.repetitions = Some(2);
+    let oracle = run_with(
+        &inst.graph,
+        cfg,
+        EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() },
+    );
+    let mut session = TesterSession::from_config(
+        cfg,
+        EngineConfig {
+            executor: Executor::Distributed { workers: 2 },
+            net: NetOptions { heartbeat_ms: 5_000, ..fast_net() },
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    for job in 0..3 {
+        let started = Instant::now();
+        let run = session.test(&inst.graph).unwrap();
+        let took = started.elapsed();
+        assert!(
+            run.outcome.report.net.as_ref().unwrap().completed_distributed(),
+            "job {job} degraded"
+        );
+        assert_eq!(run.outcome.verdicts, oracle.outcome.verdicts, "job {job} verdicts");
+        assert_eq!(run.outcome.report.per_round, oracle.outcome.report.per_round);
+        assert!(took < Duration::from_secs(1), "job {job} took {took:?} with 5 s heartbeats");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Chaos: every failure terminates in bounded time, typed or recovered.
 // ---------------------------------------------------------------------------

@@ -118,24 +118,58 @@ pub fn warm_job(
     session.test_into(graph, run).map_err(|e| ServeError::Engine(e.to_string()))
 }
 
-/// Power-of-two-bucket latency histogram: bucket `i` holds samples
-/// whose microsecond count has bit length `i`, so quantiles come back
-/// as the covering bucket's upper bound, clamped to the observed max
-/// (a quantile never exceeds `max_us`). Fixed-size, allocation-free,
-/// and mergeable by field addition. 65 buckets, because a `u64` has
-/// bit lengths 0..=64 — every sample lands in exactly one bucket and
-/// contributes quantile mass, even `u64::MAX`.
+/// Sub-buckets per octave of [`LatencyHistogram`] (a power of two).
+const SUB_BUCKETS: u64 = 4;
+/// `log2(SUB_BUCKETS)`.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// Values below `SUB_BUCKETS` get one exact bucket each; every octave
+/// `[2^e, 2^(e+1))` above them splits into `SUB_BUCKETS` equal parts.
+const BUCKETS: usize = (SUB_BUCKETS as usize) * (64 - SUB_BITS as usize + 1);
+
+/// Log-linear latency histogram in the HdrHistogram style: each octave
+/// `[2^e, 2^(e+1))` splits into 4 equal sub-buckets, so a quantile
+/// comes back as its bucket's upper bound, less than 25% above any
+/// sample in that bucket, and clamped to the observed max (a quantile
+/// never exceeds `max_us`). Values 0..=3 are exact. Fixed-size,
+/// allocation-free, and mergeable by field addition; every `u64`
+/// sample, `u64::MAX` included, lands in exactly one bucket and
+/// contributes quantile mass.
 #[derive(Clone, Debug)]
 pub struct LatencyHistogram {
-    buckets: [u64; 65],
+    buckets: [u64; BUCKETS],
     count: u64,
     max_us: u64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
-        LatencyHistogram { buckets: [0; 65], count: 0, max_us: 0 }
+        LatencyHistogram { buckets: [0; BUCKETS], count: 0, max_us: 0 }
     }
+}
+
+/// The bucket holding `us`.
+fn bucket_of(us: u64) -> usize {
+    if us < SUB_BUCKETS {
+        return us as usize;
+    }
+    // us ≥ 4, so its top bit e ≥ SUB_BITS; the SUB_BITS bits below it
+    // pick the sub-bucket.
+    let e = 63 - us.leading_zeros();
+    let sub = (us >> (e - SUB_BITS)) & (SUB_BUCKETS - 1);
+    ((e - SUB_BITS + 1) as u64 * SUB_BUCKETS + sub) as usize
+}
+
+/// The largest value [`bucket_of`] maps to bucket `i`.
+fn bucket_upper(i: usize) -> u64 {
+    let i = i as u64;
+    if i < SUB_BUCKETS {
+        return i;
+    }
+    let shift = (i / SUB_BUCKETS - 1) as u32;
+    let lower = (SUB_BUCKETS + i % SUB_BUCKETS) << shift;
+    // lower + width − 1, which reaches exactly u64::MAX in the top
+    // bucket and never overflows.
+    lower + ((1u64 << shift) - 1)
 }
 
 impl LatencyHistogram {
@@ -146,8 +180,7 @@ impl LatencyHistogram {
 
     /// Records one sample.
     pub fn record_us(&mut self, us: u64) {
-        let bucket = (64 - us.leading_zeros()) as usize;
-        if let Some(slot) = self.buckets.get_mut(bucket) {
+        if let Some(slot) = self.buckets.get_mut(bucket_of(us)) {
             *slot += 1;
         }
         self.count += 1;
@@ -171,11 +204,7 @@ impl LatencyHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= need {
-                // Bucket i covers bit-length-i values: upper bound
-                // 2^i - 1, except the last bucket (bit length 64),
-                // which tops out at u64::MAX.
-                let upper = if i >= 64 { u64::MAX } else { (1u64 << i) - 1 };
-                return upper.min(self.max_us);
+                return bucket_upper(i).min(self.max_us);
             }
         }
         self.max_us
@@ -629,9 +658,9 @@ mod tests {
         let s = h.summary();
         assert_eq!(s.count, 10);
         assert_eq!(s.max_us, 1000);
-        // p50 lands in the bit-length-2 bucket (values 2..=3).
+        // p50 lands in the exact bucket of 3.
         assert_eq!(s.p50_us, 3);
-        // p99 needs all 10 samples: the 1000 µs bucket (bit length 10),
+        // p99 needs all 10 samples: the 1000 µs bucket (896..=1023),
         // whose 1023 upper bound is clamped to the observed max.
         assert_eq!(s.p99_us, 1000);
         assert!(s.p50_us <= s.p99_us && s.p99_us <= s.max_us);
@@ -649,11 +678,42 @@ mod tests {
         h.record_us(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.summary().max_us, u64::MAX);
-        // Bit length 0 (the zero) and bit length 64 (u64::MAX) are the
-        // extreme buckets; both must carry quantile mass, so p50 is
-        // the zero bucket and p99 the top one — not a silent
-        // fall-through to max_us.
+        // 0 and u64::MAX sit in the first and the last bucket; both
+        // must carry quantile mass, so p50 is the zero bucket and p99
+        // the top one — not a silent fall-through to max_us.
         assert_eq!(h.quantile_us(1, 2), 0);
         assert_eq!(h.quantile_us(99, 100), u64::MAX);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+    }
+
+    #[test]
+    fn histogram_sub_buckets_keep_quantiles_within_a_quarter() {
+        let mut h = LatencyHistogram::new();
+        for _ in 0..900 {
+            h.record_us(520);
+        }
+        for _ in 0..100 {
+            h.record_us(1000);
+        }
+        // 520 sits in 512..=639; a power-of-two bucket would say 1000
+        // (its 1023 bound, clamped to the max).
+        let p50 = h.quantile_us(1, 2);
+        assert!((520..=650).contains(&p50), "p50 {p50}");
+        assert_eq!(h.quantile_us(99, 100), 1000);
+    }
+
+    #[test]
+    fn histogram_buckets_tile_u64_with_bounded_error() {
+        // Buckets are contiguous and each upper bound maps back to its
+        // own bucket; within a bucket the bound is < 25% above the
+        // lowest value it holds.
+        for i in 0..BUCKETS - 1 {
+            let upper = bucket_upper(i);
+            assert_eq!(bucket_of(upper), i, "bucket {i}");
+            assert_eq!(bucket_of(upper + 1), i + 1, "bucket {i} + 1");
+            let lower = if i == 0 { 0 } else { bucket_upper(i - 1) + 1 };
+            assert!((upper - lower) as f64 <= 0.25 * lower as f64, "bucket {i}: {lower}..={upper}");
+        }
+        assert_eq!(bucket_upper(BUCKETS - 1), u64::MAX);
     }
 }
