@@ -37,8 +37,9 @@ fn cfg() -> EngineConfig {
     EngineConfig { executor: Executor::Sequential, record_rounds: false, ..EngineConfig::default() }
 }
 
-/// `record_rounds: true` routes the arena engine through the CSR lane
-/// path with fused wire accounting (vs `cfg`'s counter-free delivery).
+/// `record_rounds: true` routes the arena engine through the accounted
+/// send path with fused wire accounting (vs `cfg`'s counter-free
+/// delivery).
 fn cfg_accounted() -> EngineConfig {
     EngineConfig { record_rounds: true, ..cfg() }
 }

@@ -1038,7 +1038,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"description\": \"Round-engine throughput of the arena engine (zero-allocation \
-         double-buffered CSR lanes + clone-free broadcast slots + pooled tester payloads). Mode \
+         double-buffered inboxes with one segment per sender chunk, one round loop for both \
+         in-process executors + clone-free broadcast slots + pooled tester payloads). Mode \
          'fast' = record_rounds off; mode 'accounted' = record_rounds on (fused wire \
          accounting). Every entry records its executor and thread count; arena \
          sequential/parallel outputs are asserted bit-identical before timing. The MinFlood \

@@ -16,7 +16,7 @@
 //! when several ports of one node exceed an enforced bandwidth budget
 //! in the same round, `BandwidthExceeded` may name a different port
 //! (this engine scans per-port aggregates in first-use order; the
-//! arena engine reports the first lane to cross the budget as it
+//! arena engine reports the first link to cross the budget as it
 //! happens). Round and node always agree. The equivalence is asserted
 //! by this module's tests and exploited by the benchmarks, which check
 //! the two engines' verdicts against each other before timing them.
@@ -192,58 +192,116 @@ mod tests {
     use ck_congest::session::Session;
     use ck_graphgen::random::gnp;
 
-    /// Broadcast a round counter for `rounds` rounds; count receipts.
+    /// Broadcast this node's identity and the round for `rounds`
+    /// rounds; the verdict counts receipts and digests them in delivery
+    /// order, so any reordering between engines shows.
     struct Echo {
+        id: u64,
         rounds: u32,
         received: u64,
+        digest: u64,
+    }
+
+    impl Echo {
+        fn new(id: u64, rounds: u32) -> Self {
+            Echo { id, rounds, received: 0, digest: 0 }
+        }
     }
 
     impl Program for Echo {
         type Msg = u64;
-        type Verdict = u64;
+        type Verdict = (u64, u64);
         fn step(
             &mut self,
             round: u32,
             inbox: ck_congest::node::Inbox<'_, u64>,
             out: &mut Outbox<u64>,
         ) -> Status {
-            self.received += inbox.len() as u64;
+            for inc in inbox.iter() {
+                self.received += 1;
+                self.digest = self.digest.rotate_left(7) ^ (u64::from(inc.port) << 48 | *inc.msg);
+            }
             if round < self.rounds {
-                out.broadcast(u64::from(round));
+                out.broadcast(self.id << 8 | u64::from(round));
                 Status::Running
             } else {
                 Status::Halted
             }
         }
-        fn verdict(&self) -> u64 {
-            self.received
+        fn verdict(&self) -> (u64, u64) {
+            (self.received, self.digest)
         }
     }
 
-    /// The legacy engine is the semantic reference: the arena engine
-    /// must reproduce its verdicts, reports, and fault behaviour.
-    #[test]
-    fn arena_engine_matches_legacy_reference() {
-        for seed in 0..4u64 {
-            let g = gnp(40, 0.15, seed);
-            for faults in [FaultPlan::none(), FaultPlan::none().random_loss(0.2, 11)] {
-                let cfg = EngineConfig {
-                    executor: Executor::Sequential,
-                    faults,
-                    ..EngineConfig::default()
-                };
-                let legacy = run_legacy(&g, &cfg, |_| Echo { rounds: 4, received: 0 }).unwrap();
-                let arena = Session::builder(&g)
-                    .config(cfg.clone())
-                    .build()
-                    .run(|_| Echo { rounds: 4, received: 0 })
-                    .unwrap();
-                assert_eq!(legacy.verdicts, arena.verdicts, "seed {seed}");
-                assert_eq!(legacy.report.per_round, arena.report.per_round, "seed {seed}");
-                assert_eq!(legacy.report.rounds, arena.report.rounds);
-                assert_eq!(legacy.report.all_halted, arena.report.all_halted);
+    /// Runs `check` under every arena-engine executor the reference
+    /// vouches for: the sequential one, then the parallel one forced
+    /// onto 2 and 3 workers, so the multi-segment round loop (one inbox
+    /// segment per sender chunk) is compared against this independent
+    /// engine too. Restores the default worker count even on panic.
+    fn for_each_arena_executor(mut check: impl FnMut(Executor, usize)) {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                rayon::force_workers_for_tests(0);
             }
         }
+        let _restore = Restore;
+        check(Executor::Sequential, 1);
+        for workers in [2, 3] {
+            rayon::force_workers_for_tests(workers);
+            check(Executor::Parallel, workers);
+        }
+    }
+
+    /// Whether some receiver of `g` hears from senders in every chunk of
+    /// the current node→thread partition — i.e. gathers from every
+    /// inbox segment.
+    fn some_receiver_spans_all_chunks(g: &Graph) -> bool {
+        let plan = ck_congest::engine::node_step_plan(g.n());
+        (0..g.n() as NodeIndex).any(|v| {
+            let mut seen = vec![false; plan.chunks()];
+            for &w in g.neighbors(v) {
+                seen[plan.chunk_of(w as usize)] = true;
+            }
+            seen.iter().all(|&s| s)
+        })
+    }
+
+    /// The legacy engine is the semantic reference: the arena engine
+    /// must reproduce its verdicts, reports, and fault behaviour on
+    /// every executor. 40 nodes over 3 forced workers split into uneven
+    /// chunks (14, 14, 12).
+    #[test]
+    fn arena_engine_matches_legacy_reference() {
+        for_each_arena_executor(|executor, workers| {
+            for seed in 0..4u64 {
+                let g = gnp(40, 0.15, seed);
+                if workers == 3 && seed == 0 {
+                    assert!(
+                        some_receiver_spans_all_chunks(&g),
+                        "the graph must feed a receiver from all three segments"
+                    );
+                }
+                for faults in [FaultPlan::none(), FaultPlan::none().random_loss(0.2, 11)] {
+                    let cfg = EngineConfig {
+                        executor: Executor::Sequential,
+                        faults,
+                        ..EngineConfig::default()
+                    };
+                    let legacy = run_legacy(&g, &cfg, |init| Echo::new(init.id, 4)).unwrap();
+                    let arena = Session::builder(&g)
+                        .config(EngineConfig { executor, ..cfg.clone() })
+                        .build()
+                        .run(|init| Echo::new(init.id, 4))
+                        .unwrap();
+                    let at = format!("seed {seed}, {executor:?} over {workers} worker(s)");
+                    assert_eq!(legacy.verdicts, arena.verdicts, "{at}");
+                    assert_eq!(legacy.report.per_round, arena.report.per_round, "{at}");
+                    assert_eq!(legacy.report.rounds, arena.report.rounds, "{at}");
+                    assert_eq!(legacy.report.all_halted, arena.report.all_halted, "{at}");
+                }
+            }
+        });
     }
 
     #[test]
@@ -256,23 +314,26 @@ mod tests {
             executor: Executor::Sequential,
             ..EngineConfig::default()
         };
-        let a = run_legacy(&g, &cfg, |_| Echo { rounds: 2, received: 0 }).unwrap_err();
-        let b = Session::builder(&g)
-            .config(cfg.clone())
-            .build()
-            .run(|_| Echo { rounds: 2, received: 0 })
-            .unwrap_err();
-        // Same offending round and node; the reported port may differ in
-        // tie-breaking (legacy scans ports in first-use order, the arena
-        // engine reports the first lane to cross the budget).
-        let (
-            EngineError::BandwidthExceeded { round: ra, node: na, .. },
-            EngineError::BandwidthExceeded { round: rb, node: nb, .. },
-        ) = (&a, &b)
-        else {
-            panic!("expected BandwidthExceeded from both engines, got {a:?} / {b:?}");
-        };
-        assert_eq!(ra, rb);
-        assert_eq!(na, nb);
+        let a = run_legacy(&g, &cfg, |init| Echo::new(init.id, 2)).unwrap_err();
+        for_each_arena_executor(|executor, workers| {
+            let b = Session::builder(&g)
+                .config(EngineConfig { executor, ..cfg.clone() })
+                .build()
+                .run(|init| Echo::new(init.id, 2))
+                .unwrap_err();
+            // Same offending round and node; the reported port may
+            // differ in tie-breaking (legacy scans ports in first-use
+            // order, the arena engine reports the first link to cross
+            // the budget).
+            let (
+                EngineError::BandwidthExceeded { round: ra, node: na, .. },
+                EngineError::BandwidthExceeded { round: rb, node: nb, .. },
+            ) = (&a, &b)
+            else {
+                panic!("expected BandwidthExceeded from both engines, got {a:?} / {b:?}");
+            };
+            assert_eq!(ra, rb, "{executor:?} over {workers} worker(s)");
+            assert_eq!(na, nb, "{executor:?} over {workers} worker(s)");
+        });
     }
 }

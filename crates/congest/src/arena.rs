@@ -1,18 +1,17 @@
-//! Shared internals of the arena engine: per-directed-edge message
-//! lanes, the double-buffered lane arena, and the per-round accumulator
-//! the fused accounting feeds. Split out of `engine` so the node-side
-//! [`crate::node::Outbox`] can write straight into lanes without a
-//! module cycle.
+//! Shared internals of the arena engine: the double-buffered,
+//! sender-segmented inbox arena, the flat per-directed-edge load table,
+//! and the per-round accumulator the fused accounting feeds. Split out
+//! of `engine` so the node-side [`crate::node::Outbox`] can write
+//! straight into inboxes without a module cycle.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::graph::{DirectedEdgeId, NodeIndex};
 use crate::node::Packet;
 
 /// Per-directed-edge wire load for one round, kept in a flat
-/// [`LoadTable`] indexed by [`DirectedEdgeId`] (not inside the message
-/// lanes: the loads are round-scoped accounting state, the lanes are
+/// [`LoadTable`] indexed by [`DirectedEdgeId`] (not inside the inbox
+/// arena: the loads are round-scoped accounting state, the inboxes are
 /// round-crossing transport).
 ///
 /// Loads are *round-stamped* instead of reset: a load whose `stamp`
@@ -48,10 +47,9 @@ impl Default for LinkLoad {
 
 /// The flat per-directed-edge load table the fused accounting writes.
 ///
-/// Disjointness mirrors the write side of [`Arena`]: directed edge
-/// `(v → w)` is loaded only by its unique sender `v`, so rows partition
-/// across nodes and the parallel executor's per-node step calls never
-/// touch the same entry.
+/// Directed edge `(v → w)` is loaded only by its unique sender `v`, so
+/// rows partition across nodes and the parallel executor's per-node
+/// step calls never touch the same entry.
 pub(crate) struct LoadTable {
     cells: Vec<UnsafeCell<LinkLoad>>,
     /// Stamp-space base of the current run; every stamp this run
@@ -93,8 +91,8 @@ impl LoadTable {
         self.base.wrapping_add(u64::from(round))
     }
 
-    /// Raw pointer to the load row starting at directed edge `de` — the
-    /// sender-side counterpart of [`Arena::row_ptr`].
+    /// Raw pointer to the load row starting at directed edge `de`: the
+    /// sender's per-port load counters.
     ///
     /// # Safety
     /// The caller must be the unique accessor of the row's entries while
@@ -108,109 +106,133 @@ impl LoadTable {
     }
 }
 
-/// One per-directed-edge message lane: the messages in flight across
-/// that edge, stored already labeled with their *receiver-side* port
-/// (one sequential `rev_port` lookup at send time), so a receiver's
-/// gather is a whole-`Vec` swap or bulk append — no per-message work.
-/// Broadcast traffic appears as [`Packet::Shared`] refs into the same
-/// generation's broadcast slots.
-pub(crate) type Lane<M> = Vec<Packet<M>>;
-
-/// A flat array of `2m` lanes keyed by [`DirectedEdgeId`], plus one
-/// broadcast slot per node.
+/// Double-buffered, segmented per-receiver inboxes: the message arena
+/// of both in-process executors.
 ///
-/// Interior mutability with hand-verified disjointness: Rust's borrow
-/// checker cannot see that the engine's per-node access patterns
-/// partition the lanes, so the arena exposes unchecked exclusive access
-/// and the round loop upholds the contract documented on the accessors.
-pub(crate) struct Arena<M> {
-    lanes: Vec<UnsafeCell<Lane<M>>>,
+/// A run over `n` receivers whose senders step in `W` chunks (the
+/// chunks of the run's pinned [`rayon::ChunkPlan`]; `W = 1` for the
+/// sequential executor and the partition executor) holds `W·n` boxes in
+/// segment-major order: box `w·n + v` holds the messages for receiver
+/// `v` from the senders of chunk `w`, stored already labeled with their
+/// receiver-side port. Broadcast payloads park once in the sender's
+/// slot and the boxes carry shared refs.
+///
+/// Interior mutability with hand-verified disjointness, upheld by the
+/// round loop: while this arena is in the write role, segment `w` is
+/// written only by the thread stepping chunk `w` (so two writer threads
+/// never touch the same box, and segment-major order gives each one a
+/// contiguous range, off the others' cache lines except at the range
+/// edges); while it is in the read role, the `W` boxes
+/// of receiver `v` are read and cleared only by `v`'s own step.
+pub(crate) struct InboxArena<M> {
+    boxes: Vec<UnsafeCell<Vec<Packet<M>>>>,
     /// Per-sender broadcast slots: slot `v` holds the payload of `v`'s
-    /// broadcast of this generation *once*; the lanes carry shared refs
+    /// broadcast of this generation *once*; the boxes carry shared refs
     /// into it. Written only by `v` during the write phase, read only
     /// by `v`'s neighbors during the following read phase (when no slot
     /// of this arena is written at all), overwritten by `v`'s next
     /// same-parity broadcast — which is when the stale payload is
     /// evicted back to `v` for recycling. Never scanned or cleared.
     slots: Vec<UnsafeCell<Option<M>>>,
-    /// Per-receiver traffic hint: `dirty[w]` is set (relaxed) by the
-    /// first write into any lane `(· → w)` this round, and cleared by
-    /// `w` when it gathers. Lets receivers skip the whole lane scan on
-    /// silent rounds — an O(n) check instead of O(2m) lane visits. The
-    /// flag's value is independent of executor interleaving (it only
-    /// ever goes false→true during a write phase), so determinism is
-    /// preserved.
-    dirty: Vec<AtomicBool>,
-    /// Lane/slot extents the current (or last) run uses; `reset` only
-    /// cleans these prefixes.
-    used_lanes: usize,
-    used_nodes: usize,
+    /// Receivers per segment in the current (or last) run.
+    nodes: usize,
+    /// Segments in the current (or last) run; `reset` only cleans the
+    /// `nodes · segments` prefix.
+    segments: usize,
 }
 
-// SAFETY: lanes are only accessed through `Arena::lane` / `Arena::row`,
-// whose callers guarantee disjointness (each lane touched by exactly one
-// node per phase); `M: Send` makes moving messages across the worker
-// threads sound, and `M: Sync` covers the concurrent shared reads of
-// broadcast slots by multiple receivers. No `&Lane` is ever handed out
-// while a `&mut Lane` exists.
-unsafe impl<M: Send + Sync> Sync for Arena<M> {}
+// SAFETY: boxes are only reached through `segment_ptr`, `gather` and
+// `inbox`, whose callers uphold the segment/receiver disjointness
+// documented on the type, and slots through `slots_ptr`, whose callers
+// uphold the sender-only write rule documented on the field; `nodes`
+// and `segments` change only under `&mut self`. `M: Send` makes moving
+// messages across the worker threads sound, and `M: Sync` covers the
+// concurrent shared reads of broadcast slots by several receivers.
+unsafe impl<M: Send + Sync> Sync for InboxArena<M> {}
 
-impl<M> Arena<M> {
-    pub(crate) fn new(directed_edges: usize, nodes: usize) -> Self {
-        Arena {
-            lanes: (0..directed_edges).map(|_| UnsafeCell::new(Lane::default())).collect(),
-            slots: (0..nodes).map(|_| UnsafeCell::new(None)).collect(),
-            dirty: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
-            used_lanes: directed_edges,
-            used_nodes: nodes,
-        }
+impl<M> InboxArena<M> {
+    /// An empty arena (allocates nothing until its first `reset`).
+    pub(crate) fn new() -> Self {
+        InboxArena { boxes: Vec::new(), slots: Vec::new(), nodes: 0, segments: 0 }
     }
 
-    /// Prepares the arena for a run over `directed_edges` lanes and
-    /// `nodes` slots, reusing the previous run's allocations: lanes in
-    /// the previously used extent are cleared (capacity kept — the
-    /// whole point of batch reuse), stale broadcast payloads are
-    /// dropped, traffic hints are lowered, and the backing arrays grow
-    /// only when the new graph does not fit. `&mut self` proves
-    /// exclusivity, so no unsafe cell access is needed.
-    pub(crate) fn reset(&mut self, directed_edges: usize, nodes: usize) {
-        for lane in self.lanes.iter_mut().take(self.used_lanes) {
-            lane.get_mut().clear();
+    /// Prepares the arena for a run over `nodes` receivers in
+    /// `segments` sender chunks, reusing the previous run's buffer
+    /// capacities: boxes in the previously used extent are cleared
+    /// (capacity kept — the whole point of batch reuse), stale
+    /// broadcast payloads are dropped, and the backing arrays grow only
+    /// when the new shape does not fit. `&mut self` proves exclusivity,
+    /// so no unsafe cell access is needed.
+    pub(crate) fn reset(&mut self, nodes: usize, segments: usize) {
+        for b in self.boxes.iter_mut().take(self.nodes * self.segments) {
+            b.get_mut().clear();
         }
-        for slot in self.slots.iter_mut().take(self.used_nodes) {
+        for slot in self.slots.iter_mut().take(self.nodes) {
             *slot.get_mut() = None;
         }
-        for flag in self.dirty.iter_mut().take(self.used_nodes) {
-            *flag.get_mut() = false;
-        }
-        if self.lanes.len() < directed_edges {
-            self.lanes.resize_with(directed_edges, || UnsafeCell::new(Lane::default()));
+        if self.boxes.len() < nodes * segments {
+            self.boxes.resize_with(nodes * segments, || UnsafeCell::new(Vec::new()));
         }
         if self.slots.len() < nodes {
             self.slots.resize_with(nodes, || UnsafeCell::new(None));
         }
-        if self.dirty.len() < nodes {
-            self.dirty.resize_with(nodes, || AtomicBool::new(false));
+        self.nodes = nodes;
+        self.segments = segments;
+    }
+
+    /// Type-erased base pointer of segment `w` — `nodes` boxes indexed
+    /// by receiver (`*mut Vec<Packet<M>>`) — for the outbox's inbox
+    /// sink. Access contract as documented on the type: only the
+    /// thread stepping chunk `w` writes through it, and only while this
+    /// arena is in the write role.
+    pub(crate) fn segment_ptr(&self, w: usize) -> *mut () {
+        debug_assert!(w < self.segments);
+        // The full-range index keeps all `nodes` boxes the sink may
+        // write inside the array. UnsafeCell<T> is repr(transparent)
+        // over T.
+        self.boxes[w * self.nodes..(w + 1) * self.nodes].as_ptr() as *mut ()
+    }
+
+    /// Gathers receiver `v`'s traffic in place: appends each later
+    /// nonempty box into the first nonempty one and returns it (box
+    /// `(0, v)` when nothing arrived). Ascending segment means
+    /// ascending sender, so the result is in canonical delivery order.
+    /// Every other box of `v` is left empty, so clearing the returned
+    /// box empties all of them; no buffer changes hands.
+    ///
+    /// # Safety
+    /// `v` must be below the node count of the last `reset`, and the
+    /// caller must be `v`'s step while this arena is in the read role:
+    /// no other reference to any of `v`'s boxes may be live.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn gather(&self, v: NodeIndex) -> &mut Vec<Packet<M>> {
+        debug_assert!((v as usize) < self.nodes);
+        // UnsafeCell<T> is repr(transparent) over T.
+        let base = self.boxes.as_ptr() as *mut Vec<Packet<M>>;
+        let mut head = base.add(v as usize);
+        for w in 1..self.segments {
+            let b = base.add(w * self.nodes + v as usize);
+            if (*b).is_empty() {
+                continue;
+            }
+            if (*head).is_empty() {
+                head = b;
+            } else {
+                (*head).append(&mut *b);
+            }
         }
-        self.used_lanes = directed_edges;
-        self.used_nodes = nodes;
+        &mut *head
     }
 
-    /// True if any lane addressed to `v` was written last round.
-    #[inline]
-    pub(crate) fn is_dirty(&self, v: NodeIndex) -> bool {
-        self.dirty[v as usize].load(Ordering::Relaxed)
-    }
-
-    /// Clears `v`'s traffic hint (receiver-side, after gathering).
-    #[inline]
-    pub(crate) fn clear_dirty(&self, v: NodeIndex) {
-        self.dirty[v as usize].store(false, Ordering::Relaxed)
-    }
-
-    /// Base pointer of the dirty-flag array, for the sender-side outbox.
-    pub(crate) fn dirty_ptr(&self) -> *const AtomicBool {
-        self.dirty.as_ptr()
+    /// Exclusive access to box `(w, v)`.
+    ///
+    /// # Safety
+    /// No other reference to that box may be live. The single-chunk
+    /// callers (the partition executor's loop, tests) satisfy this by
+    /// never holding two references at once.
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn inbox(&self, w: usize, v: NodeIndex) -> &mut Vec<Packet<M>> {
+        &mut *self.boxes[w * self.nodes + v as usize].get()
     }
 
     /// Type-erased base pointer of the broadcast-slot array
@@ -222,112 +244,11 @@ impl<M> Arena<M> {
         self.slots.as_ptr() as *mut ()
     }
 
-    /// Exclusive access to one lane.
-    ///
-    /// # Safety
-    /// The caller must guarantee no concurrent or overlapping access to
-    /// `de`. The round loop satisfies this by construction: in the write
-    /// phase a lane is touched only by its unique sender, in the drain
-    /// phase only by its unique receiver, and the two phases address
-    /// different arenas.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn lane(&self, de: DirectedEdgeId) -> &mut Lane<M> {
-        &mut *self.lanes[de as usize].get()
-    }
-
-    /// Raw base pointer of the contiguous lane row starting at `de` —
-    /// handed to a sender's direct-writing outbox for the duration of
-    /// one step call.
-    ///
-    /// # Safety
-    /// Same contract as [`Arena::lane`], for every lane of the row: the
-    /// caller must be the row's unique writer while the pointer lives.
-    pub(crate) unsafe fn row_ptr(&self, de: DirectedEdgeId) -> *mut Lane<M> {
-        // UnsafeCell<T> is repr(transparent) over T.
-        self.lanes.as_ptr().add(de as usize) as *mut Lane<M>
-    }
-
     /// Takes the payload parked in sender `v`'s broadcast slot, if any.
-    /// `&mut self` proves the round loop is over, so no lane can still
+    /// `&mut self` proves the round loop is over, so no box can still
     /// be read and no unsafe cell access is needed. Used by the engine's
     /// end-of-run drain that hands parked payloads back to programs for
     /// recycling (instead of letting the next run's reset drop them).
-    pub(crate) fn take_slot(&mut self, v: NodeIndex) -> Option<M> {
-        self.slots.get_mut(v as usize).and_then(|s| s.get_mut().take())
-    }
-}
-
-/// Double-buffered per-receiver inboxes for the sequential fast path:
-/// senders push pre-labeled [`Packet`]s straight into the receiver's
-/// next-round buffer, receivers read and clear their current one.
-/// Broadcast payloads park once in the sender's slot (same
-/// double-buffered parity discipline as [`Arena`]'s slots) and the
-/// buffers carry shared refs. No `Sync` impl — this arena must never
-/// cross threads (receiver buffers are multi-writer), which the engine
-/// guarantees by using it only under `Executor::Sequential`.
-pub(crate) struct InboxArena<M> {
-    boxes: Vec<UnsafeCell<Vec<Packet<M>>>>,
-    /// Per-sender broadcast slots; see [`Arena::slots`].
-    slots: Vec<UnsafeCell<Option<M>>>,
-    /// Extent the current (or last) run uses; `reset` only cleans this
-    /// prefix.
-    used: usize,
-}
-
-impl<M> InboxArena<M> {
-    pub(crate) fn new(nodes: usize) -> Self {
-        InboxArena {
-            boxes: (0..nodes).map(|_| UnsafeCell::new(Vec::new())).collect(),
-            slots: (0..nodes).map(|_| UnsafeCell::new(None)).collect(),
-            used: nodes,
-        }
-    }
-
-    /// Prepares the arena for a run over `nodes` receivers, reusing the
-    /// previous run's buffer capacities; see [`Arena::reset`].
-    pub(crate) fn reset(&mut self, nodes: usize) {
-        for b in self.boxes.iter_mut().take(self.used) {
-            b.get_mut().clear();
-        }
-        for slot in self.slots.iter_mut().take(self.used) {
-            *slot.get_mut() = None;
-        }
-        if self.boxes.len() < nodes {
-            self.boxes.resize_with(nodes, || UnsafeCell::new(Vec::new()));
-        }
-        if self.slots.len() < nodes {
-            self.slots.resize_with(nodes, || UnsafeCell::new(None));
-        }
-        self.used = nodes;
-    }
-
-    /// Exclusive access to one receiver's buffer.
-    ///
-    /// # Safety
-    /// No other reference to `v`'s buffer may be live. The sequential
-    /// round loop alternates strictly between "owner reads/clears its
-    /// current buffer" and "senders push into next buffers", never
-    /// holding two references at once.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn inbox(&self, v: NodeIndex) -> &mut Vec<Packet<M>> {
-        &mut *self.boxes[v as usize].get()
-    }
-
-    /// Type-erased base pointer of the buffer array, for the outbox's
-    /// inbox sink.
-    pub(crate) fn base_ptr(&self) -> *mut () {
-        self.boxes.as_ptr() as *mut ()
-    }
-
-    /// Type-erased base pointer of the broadcast-slot array
-    /// (`*mut Option<M>`); see [`Arena::slots_ptr`].
-    pub(crate) fn slots_ptr(&self) -> *mut () {
-        // UnsafeCell<T> is repr(transparent) over T.
-        self.slots.as_ptr() as *mut ()
-    }
-
-    /// Takes the payload parked in sender `v`'s broadcast slot, if any;
-    /// see [`Arena::take_slot`].
     pub(crate) fn take_slot(&mut self, v: NodeIndex) -> Option<M> {
         self.slots.get_mut(v as usize).and_then(|s| s.get_mut().take())
     }
@@ -346,8 +267,8 @@ pub(crate) struct RoundAcc {
     pub max_link_messages: u64,
     /// Nodes that transitioned `Running → Halted` this round.
     pub halted: u32,
-    /// First (by node index) lane that exceeded an enforced budget:
-    /// `(sender, port, end-of-round lane bits)`.
+    /// First (by node index) link that exceeded an enforced budget:
+    /// `(sender, port, end-of-round link bits)`.
     pub violation: Option<(NodeIndex, u32, u64)>,
     /// Messages lost to each fault kind, indexed by
     /// [`crate::fault::DropKind::index`].
@@ -411,15 +332,71 @@ mod tests {
         assert_eq!(right.violation, Some((3, 0, 9)));
     }
 
+    /// Box `(w, v)` sits at `w·n + v`: the addresses are distinct and
+    /// tile the `W·n` prefix contiguously, each segment pointer is its
+    /// segment's first box, and fresh boxes start empty.
     #[test]
-    fn lanes_start_zeroed() {
-        let arena: Arena<u64> = Arena::new(4, 2);
-        for de in 0..4 {
-            // SAFETY: single-threaded test, no overlapping access.
-            let lane = unsafe { arena.lane(de) };
-            assert!(lane.is_empty());
+    fn segments_tile_the_boxes() {
+        let (n, segs) = (5usize, 3usize);
+        let mut arena: InboxArena<u64> = InboxArena::new();
+        arena.reset(n, segs);
+        let stride = std::mem::size_of::<Vec<Packet<u64>>>();
+        let base = arena.segment_ptr(0) as usize;
+        let mut addrs = Vec::new();
+        for w in 0..segs {
+            assert_eq!(arena.segment_ptr(w) as usize, base + w * n * stride);
+            for v in 0..n as NodeIndex {
+                // SAFETY: single-threaded test, no overlapping access.
+                let b = unsafe { arena.inbox(w, v) };
+                assert!(b.is_empty(), "box ({w}, {v}) starts empty");
+                let addr = b as *mut Vec<Packet<u64>> as usize;
+                assert_eq!(addr, base + (w * n + v as usize) * stride, "box ({w}, {v})");
+                addrs.push(addr);
+            }
         }
-        assert!(!arena.is_dirty(0) && !arena.is_dirty(1));
+        addrs.sort_unstable();
+        addrs.dedup();
+        assert_eq!(addrs.len(), segs * n, "box addresses must be distinct");
+    }
+
+    /// Reshaping a used arena — (n = 5, W = 3) to (n = 4, W = 1) and
+    /// back — leaves every box empty, including the ones the smaller
+    /// shape does not address; and `gather` merges a receiver's boxes in
+    /// ascending segment order into the first nonempty one.
+    #[test]
+    fn reshaping_reset_empties_every_box() {
+        let fill = |arena: &InboxArena<u64>, n: usize, segs: usize| {
+            for w in 0..segs {
+                for v in 0..n as NodeIndex {
+                    // SAFETY: single-threaded test, no overlapping access.
+                    let b = unsafe { arena.inbox(w, v) };
+                    b.push(Packet::Own { port: w as u32, msg: u64::from(v) });
+                }
+            }
+        };
+        let all_empty =
+            |arena: &mut InboxArena<u64>| arena.boxes.iter_mut().all(|b| b.get_mut().is_empty());
+        let mut arena: InboxArena<u64> = InboxArena::new();
+        arena.reset(5, 3);
+        fill(&arena, 5, 3);
+        // SAFETY: single-threaded test, no overlapping access.
+        let got: Vec<u32> = unsafe { arena.gather(2) }
+            .iter()
+            .map(|p| match p {
+                Packet::Own { port, .. } | Packet::Shared { port, .. } => *port,
+            })
+            .collect();
+        assert_eq!(got, vec![0, 1, 2], "gather keeps ascending segment order");
+        for w in 1..3 {
+            // SAFETY: as above.
+            assert!(unsafe { arena.inbox(w, 2) }.is_empty(), "gathered boxes are emptied");
+        }
+        arena.reset(4, 1);
+        assert_eq!(arena.boxes.len(), 15, "shrinking keeps the backing boxes");
+        assert!(all_empty(&mut arena));
+        fill(&arena, 4, 1);
+        arena.reset(5, 3);
+        assert!(all_empty(&mut arena));
     }
 
     #[test]

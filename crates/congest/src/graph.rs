@@ -21,8 +21,8 @@ pub type NodeIndex = u32;
 /// Identifier of a *directed* edge `(v, p)`: node `v`'s adjacency slot
 /// for local port `p`, i.e. `offsets[v] + p` in the CSR layout. Directed
 /// edges number exactly `2m` and tile `0..2m` contiguously per sender,
-/// which is what lets the round engine key flat per-link message lanes
-/// and accounting counters by this id with no hashing and no search.
+/// which is what lets the round engine key its flat per-link accounting
+/// counters by this id with no hashing and no search.
 pub type DirectedEdgeId = u32;
 
 /// An undirected edge in canonical (smaller index, larger index) order.
@@ -192,7 +192,7 @@ impl GraphBuilder {
 
         // Reverse ports: rev_port[slot of (v -> w)] = port of v in w's row.
         // rev_slot is the same map in directed-edge-id space: the slot of
-        // (w -> v), precomputed so the engine's lane lookups are one load.
+        // (w -> v), precomputed so a reverse lookup is one load.
         let mut rev_port = vec![0u32; neighbors.len()];
         let mut rev_slot = vec![0 as DirectedEdgeId; neighbors.len()];
         for v in 0..n {
@@ -371,7 +371,7 @@ impl Graph {
     }
 
     /// Number of directed edges (`2m`): the size of the engine's
-    /// per-link lane and counter arrays.
+    /// per-link load table.
     pub fn num_directed_edges(&self) -> usize {
         self.neighbors.len()
     }
@@ -382,7 +382,7 @@ impl Graph {
     }
 
     /// The contiguous directed-edge id range owned by sender `v` — one
-    /// lane per local port, in port order.
+    /// id per local port, in port order.
     pub fn directed_edge_range(&self, v: NodeIndex) -> std::ops::Range<DirectedEdgeId> {
         self.offsets[v as usize]..self.offsets[v as usize + 1]
     }

@@ -17,8 +17,8 @@
 //! ```
 //!
 //! `receiver`/`port` address the delivery (the receiver-side local
-//! port, exactly the label the engine's lanes carry); `ctx` ships the
-//! receiver-side codec state of the
+//! port, exactly the label the engine's inbox packets carry); `ctx`
+//! ships the receiver-side codec state of the
 //! [`crate::message::ContextCodec`] handshake (for `CkCodec`, the
 //! Phase-2 sequence length); `bit_len` is the message's exact
 //! [`crate::message::WireMessage::wire_bits`] size, and the payload is
@@ -355,8 +355,8 @@ impl FrameReader {
 pub struct MsgHeader {
     /// Receiving node (global index).
     pub receiver: u32,
-    /// Receiver-side local port — the delivery label the engine lanes
-    /// carry.
+    /// Receiver-side local port — the delivery label the engine's inbox
+    /// packets carry.
     pub port: u32,
     /// Receiver-side codec context ([`crate::message::ContextCodec`]).
     pub ctx: u16,

@@ -46,8 +46,8 @@ pub fn partition_range(n: usize, workers: u32, worker: u32) -> Range<NodeIndex> 
 
 /// One cross-partition delivery: the engine message bound for `port`
 /// of `receiver`, already past the fault plan (drops are absent,
-/// corruption is resolved) — exactly what an in-process lane would
-/// hold.
+/// corruption is resolved) — exactly what an in-process inbox box
+/// would hold.
 #[derive(Clone, Debug)]
 pub struct OutFrame<M> {
     /// Receiving node (global index, outside this partition).
@@ -72,8 +72,8 @@ pub struct RoundDigest {
     pub max_link_messages: u64,
     /// Nodes that transitioned `Running → Halted` this round.
     pub halted: u32,
-    /// First (by node index) lane that exceeded an enforced budget:
-    /// `(sender, port, end-of-round lane bits)`.
+    /// First (by node index) link that exceeded an enforced budget:
+    /// `(sender, port, end-of-round link bits)`.
     pub violation: Option<(NodeIndex, u32, u64)>,
     /// Per-kind drop counters, indexed by
     /// [`crate::fault::DropKind::index`].
@@ -247,10 +247,10 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         let wf = WireFlags::for_config(config);
         let mut loads = LoadTable::new(0);
         loads.reset(if wf.account { graph.num_directed_edges() } else { 0 });
-        let mut cur = InboxArena::new(0);
-        let mut next = InboxArena::new(0);
-        cur.reset(n);
-        next.reset(n);
+        let mut cur = InboxArena::new();
+        let mut next = InboxArena::new();
+        cur.reset(n, 1);
+        next.reset(n, 1);
         PartitionEngine {
             graph,
             config: config.clone(),
@@ -285,13 +285,10 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         let WireFlags { check_faults, limit, account, heavy } = self.wf;
         let mode = if heavy { SinkMode::HeavyInbox } else { SinkMode::FastInbox };
         let ctx = SinkCtx {
-            // The inbox sinks never read receiver traffic hints.
-            dirty: std::ptr::NonNull::dangling().as_ptr(),
             params: &self.params,
             faults: &self.config.faults,
             check_faults,
             account,
-            heavy,
             limit,
             round,
             stamp: self.loads.stamp_for(round),
@@ -302,7 +299,7 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             // SAFETY: single-threaded partition loop — only `v`'s
             // current buffer is referenced here, and sends only touch
             // `next` buffers.
-            let inbox = unsafe { self.cur.inbox(v) };
+            let inbox = unsafe { self.cur.inbox(0, v) };
             if slot.status != Status::Running {
                 // Drop traffic addressed to a halted node.
                 inbox.clear();
@@ -318,15 +315,15 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             } else {
                 std::ptr::NonNull::dangling().as_ptr()
             };
-            // SAFETY: `next.base_ptr()` is the per-receiver inbox
-            // array; single-threaded use per the inbox sink-mode
-            // contracts (remote receivers' buffers are staging space
-            // drained below, written by no one else).
+            // SAFETY: `next.segment_ptr(0)` is the arena's only
+            // segment, written by this single-threaded loop alone
+            // (remote receivers' buffers are staging space drained
+            // below, written by no one else).
             let mut outbox: Outbox<P::Msg> = unsafe {
                 Outbox::direct(
                     lanes.len() as u32,
                     DirectSink {
-                        lanes: self.next.base_ptr(),
+                        inboxes: self.next.segment_ptr(0),
                         slots: self.next.slots_ptr(),
                         receivers: self.graph.neighbors(v).as_ptr(),
                         rev_ports: self.graph.rev_ports_row(v).as_ptr(),
@@ -364,7 +361,7 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             }
             // SAFETY: staging buffers of foreign receivers, written
             // only by this partition's sends this round.
-            let staged = unsafe { self.next.inbox(w) };
+            let staged = unsafe { self.next.inbox(0, w) };
             for pkt in staged.drain(..) {
                 let (port, msg) = match pkt {
                     Packet::Own { port, msg } => (port, msg),
@@ -394,7 +391,7 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         }
         // SAFETY: single-threaded injection into this receiver's
         // next-round buffer.
-        unsafe { self.next.inbox(receiver) }.push(Packet::Own { port, msg });
+        unsafe { self.next.inbox(0, receiver) }.push(Packet::Own { port, msg });
         Ok(())
     }
 
@@ -406,7 +403,7 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
     pub fn commit_round(&mut self) {
         for v in self.lo..self.hi {
             // SAFETY: single-threaded commit, receiver-unique access.
-            let inbox = unsafe { self.next.inbox(v) };
+            let inbox = unsafe { self.next.inbox(0, v) };
             if inbox.len() > 1 {
                 inbox.sort_by_key(|p| match p {
                     Packet::Own { port, .. } => *port,

@@ -12,7 +12,7 @@
 //! shared refs instead of clones. Programs that keep a message beyond
 //! the step clone the payload explicitly.
 
-use crate::arena::{Lane, LinkLoad, RoundAcc};
+use crate::arena::{LinkLoad, RoundAcc};
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::graph::{NodeId, NodeIndex};
 use crate::message::{WireMessage, WireParams};
@@ -78,9 +78,8 @@ impl NodeInit<'_> {
     }
 }
 
-/// Transport form of one delivered message, as stored in the arena's
-/// per-directed-edge lanes, the sequential per-receiver inboxes, and the
-/// engine's gather buffers. Not program-facing — programs read the
+/// Transport form of one delivered message, as stored in the inbox
+/// arena's per-receiver boxes. Not program-facing — programs read the
 /// resolved [`Incoming`] view through an [`Inbox`].
 pub(crate) enum Packet<M> {
     /// A targeted send: payload inline, labeled with the receiver-side
@@ -268,53 +267,33 @@ enum Sink<M> {
     /// Queue into an owned buffer — harnesses, tests, and reference
     /// engines consume it via [`Outbox::drain_sends`]/[`Outbox::take_sends`].
     Buffered(Vec<(u32, M)>),
-    /// Write straight into the engine's next-round message lanes, fusing
-    /// wire accounting and bandwidth checks into the send itself. Built
-    /// only by the arena engine, one per node per round, on the worker's
-    /// stack.
-    Direct(DirectSink),
-    /// As `Direct`, minus wire counters and fault checks — chosen by the
-    /// engine when neither can be observed (no round recording, no
-    /// bandwidth cap, no fault plan): the send is then just a lane push
-    /// plus the receiver's traffic hint.
-    DirectFast(DirectSink),
-    /// The sequential-executor fast path: push straight into the
-    /// receiver's next-round inbox (`lanes` points at the inbox array,
-    /// indexed by node). Sound only single-threaded — receivers' inboxes
-    /// are multi-writer — which the engine guarantees by selecting this
-    /// sink under `Executor::Sequential` alone. Ascending-sender
-    /// iteration makes the resulting inbox order identical to the lane
-    /// path's canonical order.
+    /// Push straight into the receiver's box in the sender's segment of
+    /// the next-round inbox arena: no wire counters and no fault checks
+    /// — chosen by the engine when neither can be observed (no round
+    /// recording, no bandwidth cap, no fault plan). Built only by the
+    /// engines, one per node per round, on the stepping thread's stack.
     DirectInbox(DirectSink),
-    /// As `DirectInbox`, with the full fused accounting/fault path of
-    /// `Direct` — the sequential executor's accounted route: one inbox
-    /// push per delivered message, wire loads in the flat table, no lane
-    /// machinery and no traffic-hint atomics.
+    /// As `DirectInbox`, with the wire accounting, bandwidth check and
+    /// fault decision fused into each send: one push per delivered
+    /// message, wire loads in the flat table.
     DirectInboxHeavy(DirectSink),
 }
 
-/// How the engine wants sends routed this round.
+/// How the engine wants sends routed this round. Both modes push into
+/// the sender's segment of the next-round inbox arena; they differ only
+/// in whether the wire is observed.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SinkMode {
-    /// Full accounting/fault path into lanes (parallel executor).
-    Heavy,
-    /// Counter-free lane path (parallel executor, nothing observable).
-    FastLanes,
-    /// Counter-free per-receiver inbox path (sequential executor only).
+    /// Counter-free path: nothing can observe the wire.
     FastInbox,
-    /// Accounting/fault per-receiver inbox path (sequential executor
-    /// only).
+    /// Accounting/fault path: recorded rounds, an enforced budget, or a
+    /// fault plan.
     HeavyInbox,
 }
 
 /// Round-invariant context shared by every node's direct sink; built
 /// once per round on the engine's frame.
 pub(crate) struct SinkCtx {
-    /// Per-receiver traffic hints of the write arena. Valid for the
-    /// lane sink modes; the inbox modes never read hints (a receiver
-    /// reads its own inbox directly), so the sequential engine passes a
-    /// dangling pointer.
-    pub(crate) dirty: *const std::sync::atomic::AtomicBool,
     pub(crate) params: *const WireParams,
     pub(crate) faults: *const FaultPlan,
     pub(crate) check_faults: bool,
@@ -323,8 +302,6 @@ pub(crate) struct SinkCtx {
     /// true the engine has allocated the flat load table and every
     /// `DirectSink::loads` row pointer is valid.
     pub(crate) account: bool,
-    /// `account || check_faults`: selects the accounting send paths.
-    pub(crate) heavy: bool,
     /// Enforced per-link bit budget; `u64::MAX` under `Measure`.
     pub(crate) limit: u64,
     pub(crate) round: u32,
@@ -335,18 +312,20 @@ pub(crate) struct SinkCtx {
 }
 
 // SAFETY: the context is shared by reference across worker threads; its
-// pointers reference round-lived shared state that is either read-only
-// for the whole round (`params`, `faults`) or accessed atomically
-// (`dirty`).
+// pointers reference round-lived state (`params`, `faults`) that is
+// read-only for the whole round.
 unsafe impl Sync for SinkCtx {}
 
 /// Raw plumbing of the direct sink. Pointers are valid for the duration
 /// of the one `Program::step` call the outbox is built for; the engine
-/// guarantees the lane row is written by no one else meanwhile.
+/// guarantees the sender's segment is written by no other thread
+/// meanwhile.
 pub(crate) struct DirectSink {
-    /// Base of this sender's contiguous lane row in the write arena
-    /// (type-erased here; re-typed in the `send` path where `M` is known).
-    pub(crate) lanes: *mut (),
+    /// Base of the sender's chunk segment in the write arena: one box
+    /// per receiver, indexed by receiver node (`*mut Vec<Packet<M>>`,
+    /// type-erased here and re-typed in the send path where `M` is
+    /// known). Only the thread stepping this chunk writes the segment.
+    pub(crate) inboxes: *mut (),
     /// Base of the write arena's per-node broadcast slot array
     /// (`*mut Option<M>` type-erased). Slot `sender` is written by this
     /// outbox alone; last generation's occupant is evicted back to the
@@ -355,15 +334,15 @@ pub(crate) struct DirectSink {
     /// Receiver node index per local port (the graph's neighbor row).
     pub(crate) receivers: *const NodeIndex,
     /// Receiver-side port per local port (the graph's rev-port row);
-    /// messages land in lanes pre-labeled for delivery.
+    /// messages land in the boxes pre-labeled for delivery.
     pub(crate) rev_ports: *const u32,
     /// The executor-chunk round accumulator.
     pub(crate) acc: *mut RoundAcc,
     /// Base of this sender's row in the flat per-directed-edge load
-    /// table (indexed by local port, like `lanes`). Valid iff the
-    /// context's `account` is set — the engine allocates the table
-    /// whenever the wire counters are observable, and `charge_send`
-    /// only reads this field under that flag (dangling otherwise).
+    /// table (indexed by local port). Valid iff the context's `account`
+    /// is set — the engine allocates the table whenever the wire
+    /// counters are observable, and `charge_send` only reads this field
+    /// under that flag (dangling otherwise).
     pub(crate) loads: *mut LinkLoad,
     /// Shared round-invariant context.
     pub(crate) ctx: *const SinkCtx,
@@ -386,23 +365,19 @@ impl<M: WireMessage> Outbox<M> {
         Outbox { sink: Sink::Buffered(Vec::new()), degree, queued: 0, slot_used: false }
     }
 
-    /// Builds a lane- or inbox-writing outbox for one step call
-    /// (engine-internal); see [`SinkMode`] for when each routing is
-    /// sound.
+    /// Builds an inbox-writing outbox for one step call
+    /// (engine-internal); see [`SinkMode`] for the two routings.
     ///
     /// # Safety
     /// `sink`'s pointers must be valid and exclusive for the outbox's
-    /// lifetime: `lanes` must point at the sender's `degree`-long lane
-    /// row (`*mut Lane<M>` type-erased) — or, for the inbox modes, at
-    /// the full per-receiver inbox array (`*mut Vec<Packet<M>>`) —
-    /// `slots` at the write generation's `Option<M>` slot array (slot
-    /// `sender` unaliased), `loads` at the sender's load row whenever
-    /// the mode accounts, and `acc`/`ctx` at live objects nobody else
-    /// mutates during the call.
+    /// lifetime: `inboxes` must point at the sender's segment of the
+    /// write arena (`*mut Vec<Packet<M>>`, one box per receiver, written
+    /// by no other thread meanwhile), `slots` at the write generation's
+    /// `Option<M>` slot array (slot `sender` unaliased), `loads` at the
+    /// sender's load row whenever the mode accounts, and `acc`/`ctx` at
+    /// live objects nobody else mutates during the call.
     pub(crate) unsafe fn direct(degree: u32, sink: DirectSink, mode: SinkMode) -> Self {
         let sink = match mode {
-            SinkMode::Heavy => Sink::Direct(sink),
-            SinkMode::FastLanes => Sink::DirectFast(sink),
             SinkMode::FastInbox => Sink::DirectInbox(sink),
             SinkMode::HeavyInbox => Sink::DirectInboxHeavy(sink),
         };
@@ -458,12 +433,8 @@ impl<M: WireMessage> Outbox<M> {
         match &mut self.sink {
             Sink::Buffered(v) => v.push((port, msg)),
             // SAFETY: pointer validity/exclusivity guaranteed by the
-            // `Outbox::direct` contract; `lanes` was erased from
-            // `*mut Lane<M>` for this same `M`.
-            Sink::Direct(d) => unsafe { direct_send(d, port, msg) },
-            // SAFETY: as above.
-            Sink::DirectFast(d) => unsafe { direct_send_fast(d, port, msg) },
-            // SAFETY: as above.
+            // `Outbox::direct` contract; `inboxes` was erased from
+            // `*mut Vec<Packet<M>>` for this same `M`.
             Sink::DirectInbox(d) => unsafe { direct_send_inbox(d, port, msg) },
             // SAFETY: as above.
             Sink::DirectInboxHeavy(d) => unsafe { direct_send_inbox_heavy(d, port, msg) },
@@ -473,11 +444,11 @@ impl<M: WireMessage> Outbox<M> {
     /// Sends `msg` on every port.
     ///
     /// Under the engine's direct sinks the payload is stored **once** in
-    /// this sender's broadcast slot of the write arena and every lane
-    /// (or sequential inbox) receives a lightweight shared ref — no
-    /// clone on either side of the wire. Wire accounting still charges
-    /// every link the full message size, and delivery order is
-    /// identical to `degree` targeted sends.
+    /// this sender's broadcast slot of the write arena and every
+    /// receiver's box gets a lightweight shared ref — no clone on either
+    /// side of the wire. Wire accounting still charges every link the
+    /// full message size, and delivery order is identical to `degree`
+    /// targeted sends.
     ///
     /// Returns the payload evicted from the slot — the broadcast this
     /// sender parked **two rounds earlier** (same arena generation),
@@ -508,44 +479,10 @@ impl<M: WireMessage> Outbox<M> {
                 v.push((last, msg));
                 None
             }
-            // SAFETY: the DirectSink contract — exclusive lane row,
+            // SAFETY: the DirectSink contract — exclusive segment,
             // unaliased parked slot, live acc/ctx — was established by
             // the `unsafe` `Outbox::direct` constructor and holds for
             // the outbox's lifetime.
-            Sink::Direct(d) => unsafe {
-                let bits = account_bits(d, &msg);
-                direct_broadcast(
-                    &mut self.slot_used,
-                    self.degree,
-                    d,
-                    msg,
-                    |d, p, m| direct_send(d, p, m),
-                    |d, p, ptr| match charge_send_bits(d, p, bits) {
-                        SendFate::Deliver => lane_push_bcast(d, p, ptr),
-                        SendFate::Dropped => {}
-                        SendFate::Corrupt { entropy } => {
-                            // A corrupted copy diverges from the parked
-                            // payload, so it travels inline instead of
-                            // as a shared slot ref.
-                            if let Some(garbled) = corrupt_payload(d, &*ptr, entropy) {
-                                direct_send_fast(d, p, garbled);
-                            }
-                        }
-                    },
-                )
-            },
-            // SAFETY: same DirectSink contract as the arm above.
-            Sink::DirectFast(d) => unsafe {
-                direct_broadcast(
-                    &mut self.slot_used,
-                    self.degree,
-                    d,
-                    msg,
-                    |d, p, m| direct_send_fast(d, p, m),
-                    |d, p, ptr| lane_push_bcast(d, p, ptr),
-                )
-            },
-            // SAFETY: same DirectSink contract as the arm above.
             Sink::DirectInbox(d) => unsafe {
                 direct_broadcast(
                     &mut self.slot_used,
@@ -569,6 +506,9 @@ impl<M: WireMessage> Outbox<M> {
                         SendFate::Deliver => inbox_push_bcast(d, p, ptr),
                         SendFate::Dropped => {}
                         SendFate::Corrupt { entropy } => {
+                            // A corrupted copy diverges from the parked
+                            // payload, so it travels inline instead of
+                            // as a shared slot ref.
                             if let Some(garbled) = corrupt_payload(d, &*ptr, entropy) {
                                 direct_send_inbox(d, p, garbled);
                             }
@@ -592,7 +532,7 @@ impl<M: WireMessage> Outbox<M> {
 
 /// Whether broadcasts of `M` deliver inline copies instead of shared
 /// refs: when the payload is no bigger than the pointer-sized `Shared`
-/// packet body, an owned copy costs the same lane space as a ref and
+/// packet body, an owned copy costs the same box space as a ref and
 /// spares every receiver the slot indirection (a cache miss on a
 /// random sender's slot). Heavy payloads — anything owning heap memory
 /// is bigger than this — always share. Monomorphizes to a constant, so
@@ -667,42 +607,19 @@ unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
     (evicted, ptr)
 }
 
-/// Pushes one broadcast delivery into the lane of `port`, maintaining
-/// the receiver's traffic hint exactly like a targeted lane push: an
-/// inline copy for pointer-sized payloads, a shared ref into the
-/// sender's parked slot otherwise.
-///
-/// # Safety
-/// As [`direct_send`], with `ptr` pointing at the parked payload of the
-/// same arena generation as `d.lanes`.
-#[inline(always)]
-unsafe fn lane_push_bcast<M: Clone>(d: &mut DirectSink, port: u32, ptr: *const M) {
-    let lane = &mut *(d.lanes as *mut Lane<M>).add(port as usize);
-    if lane.is_empty() {
-        let w = *d.receivers.add(port as usize);
-        let ctx = &*d.ctx;
-        (*ctx.dirty.add(w as usize)).store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-    let rev = *d.rev_ports.add(port as usize);
-    if broadcast_inline::<M>() {
-        lane.push(Packet::Own { port: rev, msg: (*ptr).clone() });
-    } else {
-        lane.push(Packet::Shared { port: rev, msg: ptr });
-    }
-}
-
-/// Pushes one broadcast delivery straight into the receiver's
-/// next-round inbox (sequential executor only); inline/shared split as
-/// [`lane_push_bcast`].
+/// Pushes one broadcast delivery straight into the receiver's box in
+/// the sender's segment: an inline copy for pointer-sized payloads
+/// (see [`broadcast_inline`]), a shared ref into the sender's parked
+/// slot otherwise.
 ///
 /// # Safety
 /// As [`direct_send_inbox`], with `ptr` pointing at the parked payload
-/// of the same inbox-arena generation as `d.lanes`.
+/// of the same inbox-arena generation as `d.inboxes`.
 #[inline(always)]
 unsafe fn inbox_push_bcast<M: Clone>(d: &mut DirectSink, port: u32, ptr: *const M) {
     let w = *d.receivers.add(port as usize);
     let rev = *d.rev_ports.add(port as usize);
-    let inbox = &mut *(d.lanes as *mut Vec<Packet<M>>).add(w as usize);
+    let inbox = &mut *(d.inboxes as *mut Vec<Packet<M>>).add(w as usize);
     if broadcast_inline::<M>() {
         inbox.push(Packet::Own { port: rev, msg: (*ptr).clone() });
     } else {
@@ -816,67 +733,24 @@ unsafe fn corrupt_payload<M: WireMessage>(d: &mut DirectSink, msg: &M, entropy: 
     }
 }
 
-/// The fused lane write path: accounting, bandwidth check, delivery —
-/// one message move, no allocation.
+/// The counter-free write path (see `Sink::DirectInbox`): one push
+/// straight into the receiver's box in the sender's segment.
 ///
 /// # Safety
-/// See [`Outbox::direct`]; additionally `port < degree` was checked by
-/// the caller.
-#[inline(always)]
-unsafe fn direct_send<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
-    match charge_send(d, port, &msg) {
-        SendFate::Deliver => direct_send_fast(d, port, msg),
-        // A fault-dropped send leaves the lane empty and the receiver's
-        // traffic hint untouched — there is nothing to gather.
-        SendFate::Dropped => {}
-        SendFate::Corrupt { entropy } => {
-            if let Some(garbled) = corrupt_payload(d, &msg, entropy) {
-                direct_send_fast(d, port, garbled);
-            }
-        }
-    }
-}
-
-/// The minimal write path (see `Sink::DirectFast`): lane counters stay
-/// untouched (they are unobservable and the gather path then keys
-/// purely off `msgs`), the message-present transition drives the
-/// receiver's traffic hint.
-///
-/// # Safety
-/// As [`direct_send`].
-#[inline(always)]
-unsafe fn direct_send_fast<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
-    let lane = &mut *(d.lanes as *mut Lane<M>).add(port as usize);
-    if lane.is_empty() {
-        let w = *d.receivers.add(port as usize);
-        let ctx = &*d.ctx;
-        (*ctx.dirty.add(w as usize)).store(true, std::sync::atomic::Ordering::Relaxed);
-    }
-    let rev = *d.rev_ports.add(port as usize);
-    lane.push(Packet::Own { port: rev, msg });
-}
-
-/// The sequential-executor write path (see `Sink::DirectInbox`): one
-/// push straight into the receiver's next-round inbox.
-///
-/// # Safety
-/// As [`direct_send`], plus: `d.lanes` points at the per-receiver inbox
-/// array and no other thread touches any inbox during the round (the
-/// engine only selects this sink for the sequential executor).
+/// See [`Outbox::direct`] — `d.inboxes` is the sender's segment, written
+/// by no other thread during the round — and `port < degree` was
+/// checked by the caller.
 #[inline(always)]
 unsafe fn direct_send_inbox<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
     let w = *d.receivers.add(port as usize);
     let rev = *d.rev_ports.add(port as usize);
-    let inbox = &mut *(d.lanes as *mut Vec<Packet<M>>).add(w as usize);
+    let inbox = &mut *(d.inboxes as *mut Vec<Packet<M>>).add(w as usize);
     inbox.push(Packet::Own { port: rev, msg });
 }
 
-/// The sequential-executor accounted write path (see
-/// `Sink::DirectInboxHeavy`): identical wire accounting to the lane
-/// path — same accumulator updates in the same order, so the two
-/// executors' round statistics stay bit-for-bit equal — but delivery is
-/// one push into the receiver's next-round inbox, with no lane
-/// machinery and no traffic-hint atomics.
+/// The accounted write path (see `Sink::DirectInboxHeavy`): accounting,
+/// bandwidth check, fault decision, then one push into the receiver's
+/// box — one message move, no allocation once the box is warm.
 ///
 /// # Safety
 /// As [`direct_send_inbox`], plus `d.loads` must be the sender's valid

@@ -122,8 +122,8 @@ where
         }
         // Step into a buffered side outbox, then replay into the real
         // one: works with any engine backend (the arena engine's outbox
-        // writes straight into message lanes and keeps no queue to
-        // inspect). Tracing is explicitly not a hot path.
+        // writes straight into the receivers' inboxes and keeps no
+        // queue to inspect). Tracing is explicitly not a hot path.
         let mut buffered = Outbox::for_harness(out.degree());
         let status = self.inner.step(round, inbox, &mut buffered);
         for (port, msg) in buffered.drain_sends() {

@@ -55,7 +55,7 @@ impl Program for Echo {
 /// (a `Vec<u64>` bundle, the shape of the tester's sequence bundles):
 /// each round every node broadcasts a content- and degree-dependent
 /// bundle, plus one targeted send to interleave owned and shared
-/// deliveries in the lanes. The verdict digests everything received —
+/// deliveries in the inboxes. The verdict digests everything received —
 /// order included — so the tiniest divergence in delivery order or
 /// content between sink paths shows up as a digest mismatch.
 struct HeavyGossip {
@@ -307,10 +307,12 @@ proptest! {
     }
 
     /// Broadcast-slot equivalence under heavy payloads: the four sink
-    /// paths (accounted/fast × lanes/inbox) must deliver bit-identical
-    /// content in bit-identical order, including under a nontrivial
-    /// fault plan, and the slot must recycle (every node that keeps
-    /// broadcasting sees evictions from round 2 on).
+    /// paths (accounted/fast × sequential/parallel) must deliver
+    /// bit-identical content in bit-identical order (under forced
+    /// workers the parallel runs split into several inbox segments),
+    /// including under a nontrivial fault plan, and the slot must
+    /// recycle (every node that keeps broadcasting sees evictions from
+    /// round 2 on).
     #[test]
     fn broadcast_slots_equivalent_across_sinks(
         g in arb_graph(),

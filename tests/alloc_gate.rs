@@ -1,4 +1,4 @@
-//! Zero-steady-state-allocation regression gates, powered by
+//! Steady-state allocation regression gates, powered by
 //! `ck_lint::alloc_gate`'s counting global allocator.
 //!
 //! The repo's hot paths document themselves as allocation-free once
@@ -6,9 +6,11 @@
 //! `TesterSession::test` reruns additionally recycle the node-state
 //! arena, and the `SeqPool` take/return cycle recycles payload
 //! backings. These tests install [`CountingAlloc`] as the binary's
-//! `#[global_allocator]` and assert the warm reruns perform **zero**
-//! heap operations through the `_into` entry points — turning the
-//! prose claims into regressions-fail-CI facts.
+//! `#[global_allocator]` and assert that a warm sequential rerun
+//! performs **zero** heap operations through the `_into` entry points,
+//! and that a warm parallel rerun's heap operations are bounded by its
+//! rounds (the per-round thread spawns), not by the node count —
+//! turning the prose claims into regressions-fail-CI facts.
 //!
 //! Everything lives in ONE `#[test]`: the counters are process-global,
 //! so concurrently running tests in the same binary would pollute each
@@ -151,6 +153,49 @@ fn warm_reruns_perform_zero_heap_operations() {
         }
         let d = gate.delta();
         assert_eq!(d.heap_ops(), 0, "warm serve-pool job must not allocate: {d:?}");
+    }
+
+    // (e) Warm parallel rerun: with two forced workers every round of a
+    // `TesterSession` under `Executor::Parallel` steps two node chunks
+    // on scoped threads, so the gate is unpinned to count the workers'
+    // heap traffic too. One more warm rerun may allocate only for the
+    // per-round thread spawns — the same number of rounds at n = 2,000
+    // and n = 8,000 — never per node.
+    {
+        AllocGate::unpin();
+        rayon::force_workers_for_tests(2);
+        // (rounds, heap operations) of one more warm rerun at size n.
+        let rerun_ops = |n: usize| {
+            let graph = matched_free_instance(n, 5);
+            let mut tester = TesterSession::builder(5, 0.1)
+                .seed(7)
+                .repetitions(2)
+                .executor(Executor::Parallel)
+                .build()
+                .unwrap();
+            let mut run = TesterRun::default();
+            for _ in 0..2 {
+                tester.test_into(&graph, &mut run).unwrap();
+            }
+            let gate = AllocGate::snapshot();
+            tester.test_into(&graph, &mut run).unwrap();
+            let ops = gate.delta().heap_ops();
+            assert!(!run.reject, "matched free instance must be accepted");
+            (run.outcome.report.rounds, ops)
+        };
+        let small = rerun_ops(2_000);
+        let big = rerun_ops(8_000);
+        rayon::force_workers_for_tests(0);
+        AllocGate::pin_to_current_thread();
+        assert_eq!(small.0, big.0, "both sizes run the same rounds");
+        // Slack for heap traffic outside the engine (the test harness's
+        // own threads, now that the gate is unpinned).
+        const SLACK: u64 = 16;
+        assert!(
+            big.1 <= small.1 + SLACK,
+            "warm parallel rerun heap operations grow with n: \
+             (rounds, ops) = {small:?} at n = 2000, {big:?} at n = 8000"
+        );
     }
 
     // (c) `SeqPool` take/return cycle: once the free list holds a
