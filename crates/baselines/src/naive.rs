@@ -25,8 +25,7 @@ use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
 use ck_congest::rngs::{derived_rng, labels};
 use ck_congest::session::Session;
 use ck_core::decide::decide_reject;
-use ck_core::msg::SeqBundle;
-use ck_core::seq::{IdSeq, MAX_K};
+use ck_core::seq::{SeqRows, SortScratch, MAX_K};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -60,7 +59,7 @@ pub struct NaiveSingle {
     v_id: NodeId,
     policy: DropPolicy,
     rng: StdRng,
-    own_sent: Vec<IdSeq>,
+    own_sent: SeqRows,
     verdict: NaiveVerdict,
 }
 
@@ -79,77 +78,80 @@ impl NaiveSingle {
             v_id: edge_ids.1,
             policy,
             rng: derived_rng(seed, labels::NAIVE_SAMPLER, init.id, 0),
-            own_sent: Vec::new(),
+            own_sent: SeqRows::default(),
             verdict: NaiveVerdict::default(),
         }
     }
 
-    fn collect(inbox: Inbox<'_, SeqBundle>) -> Vec<IdSeq> {
-        let mut r: Vec<IdSeq> = inbox.iter().flat_map(|m| m.msg.0.iter().copied()).collect();
-        r.sort_unstable();
-        r.dedup();
+    /// The deduplicated received `width`-ID sequences (payloads of any
+    /// other width contribute nothing).
+    fn collect(inbox: Inbox<'_, SeqRows>, width: usize) -> SeqRows {
+        let mut r = SeqRows::new(width);
+        for inc in inbox.iter().filter(|inc| inc.msg.width() == width) {
+            r.extend_rows(inc.msg);
+        }
+        r.sort_dedup(&mut SortScratch::default());
         r
     }
 
-    fn shed(&mut self, mut seqs: Vec<IdSeq>) -> Vec<IdSeq> {
-        self.verdict.max_offered = self.verdict.max_offered.max(seqs.len());
-        match self.policy {
-            DropPolicy::KeepAll => seqs,
-            DropPolicy::TruncateDeterministic { cap } => {
-                seqs.truncate(cap);
-                seqs
-            }
+    fn shed(&mut self, offered: SeqRows) -> SeqRows {
+        self.verdict.max_offered = self.verdict.max_offered.max(offered.len());
+        let keep: Vec<usize> = match self.policy {
+            DropPolicy::KeepAll => return offered,
+            DropPolicy::TruncateDeterministic { cap } => (0..cap.min(offered.len())).collect(),
             DropPolicy::SampleRandom { cap, .. } => {
                 // Partial Fisher–Yates for a uniform cap-subset.
-                let take = cap.min(seqs.len());
+                let mut order: Vec<usize> = (0..offered.len()).collect();
+                let take = cap.min(order.len());
                 for i in 0..take {
-                    let j = self.rng.random_range(i..seqs.len());
-                    seqs.swap(i, j);
+                    let j = self.rng.random_range(i..order.len());
+                    order.swap(i, j);
                 }
-                seqs.truncate(take);
-                seqs
+                order.truncate(take);
+                order
             }
+        };
+        let mut kept = SeqRows::new(offered.width());
+        for i in keep {
+            kept.push(offered.row(i));
         }
+        kept
     }
 }
 
 impl Program for NaiveSingle {
-    type Msg = SeqBundle;
+    type Msg = SeqRows;
     type Verdict = NaiveVerdict;
 
-    fn step(
-        &mut self,
-        round: u32,
-        inbox: Inbox<'_, SeqBundle>,
-        out: &mut Outbox<SeqBundle>,
-    ) -> Status {
+    fn step(&mut self, round: u32, inbox: Inbox<'_, SeqRows>, out: &mut Outbox<SeqRows>) -> Status {
         if round == 0 {
             if self.myid == self.u_id || self.myid == self.v_id {
-                let seed = vec![IdSeq::single(self.myid)];
+                let seed = SeqRows::from_rows(1, &[&[self.myid]]);
                 if self.half_k == 1 {
                     self.own_sent = seed.clone();
                 }
-                out.broadcast(SeqBundle(seed));
+                out.broadcast(seed);
             }
             return Status::Running;
         }
+        // Engine round r carries the r-ID sequences sent at round r − 1.
+        let width = round as usize;
         if round < self.half_k {
-            let received = Self::collect(inbox);
-            let appended: Vec<IdSeq> = received
-                .iter()
-                .filter(|s| !s.contains(self.myid))
-                .map(|s| s.appended(self.myid))
-                .collect();
+            let received = Self::collect(inbox, width);
+            let mut appended = SeqRows::new(width + 1);
+            for s in received.rows().filter(|s| !s.contains(&self.myid)) {
+                appended.push_appended(s, self.myid);
+            }
             let send = self.shed(appended);
             if !send.is_empty() {
                 self.own_sent = send.clone();
-                out.broadcast(SeqBundle(send));
+                out.broadcast(send);
             } else if round + 1 == self.half_k {
-                self.own_sent.clear();
+                self.own_sent.reset(0);
             }
             return Status::Running;
         }
-        let received = Self::collect(inbox);
+        let received = Self::collect(inbox, width);
         if let Some(w) = decide_reject(self.k, self.myid, &self.own_sent, &received) {
             let _ = w;
             self.verdict.reject = true;

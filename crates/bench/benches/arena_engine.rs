@@ -94,7 +94,7 @@ fn bench_gnp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The paper's full Ck tester at k = 5 (heavy pooled `SeqBundle`
+/// The paper's full Ck tester at k = 5 (heavy pooled `SeqRows`
 /// broadcasts through the clone-free slot path) through a cold
 /// `TesterSession` per run — the path callers take — sequential vs
 /// parallel, in both accounting modes. The legacy engine keeps only the

@@ -3,18 +3,26 @@
 //! (common-prefix floods, disjoint floods).
 
 use ck_core::prune::{prune_literal, prune_representative};
-use ck_core::seq::IdSeq;
+use ck_core::seq::SeqRows;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 /// `count` sequences all sharing the hub id 1: (1, x_i).
-fn shared_hub(count: usize) -> Vec<IdSeq> {
-    (0..count as u64).map(|i| IdSeq::from_slice(&[1, 10 + i])).collect()
+fn shared_hub(count: usize) -> SeqRows {
+    let mut rows = SeqRows::new(2);
+    for i in 0..count as u64 {
+        rows.push(&[1, 10 + i]);
+    }
+    rows
 }
 
 /// `count` pairwise-disjoint pairs.
-fn disjoint_pairs(count: usize) -> Vec<IdSeq> {
-    (0..count as u64).map(|i| IdSeq::from_slice(&[2 * i + 10, 2 * i + 11])).collect()
+fn disjoint_pairs(count: usize) -> SeqRows {
+    let mut rows = SeqRows::new(2);
+    for i in 0..count as u64 {
+        rows.push(&[2 * i + 10, 2 * i + 11]);
+    }
+    rows
 }
 
 fn bench_representative(c: &mut Criterion) {
@@ -49,12 +57,11 @@ fn bench_deep_rounds(c: &mut Criterion) {
     // Later rounds: longer sequences, deeper transversal search.
     let mut group = c.benchmark_group("prune/representative-depth");
     for (k, t) in [(10usize, 4usize), (12, 5), (14, 6)] {
-        let input: Vec<IdSeq> = (0..64u64)
-            .map(|i| {
-                let ids: Vec<u64> = (0..t as u64 - 1).map(|j| 100 + i * 16 + j).collect();
-                IdSeq::from_slice(&ids)
-            })
-            .collect();
+        let mut input = SeqRows::new(t - 1);
+        for i in 0..64u64 {
+            let ids: Vec<u64> = (0..t as u64 - 1).map(|j| 100 + i * 16 + j).collect();
+            input.push(&ids);
+        }
         group.bench_with_input(BenchmarkId::from_parameter(format!("k{k}t{t}")), &t, |b, _| {
             b.iter(|| black_box(prune_representative(&input, k, t).len()));
         });

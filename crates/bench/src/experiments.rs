@@ -14,7 +14,7 @@ use ck_congest::message::WireParams;
 use ck_core::batch::{BatchError, BatchFailure, BatchJob};
 use ck_core::prune::{build_send_set, lemma3_bound, PrunerKind};
 use ck_core::rank::{draw_rank, minimum_is_unique, rank_rng, E_SQUARED};
-use ck_core::seq::IdSeq;
+use ck_core::seq::SeqRows;
 use ck_core::session::TesterSession;
 use ck_core::single::detect_ck_through_edge;
 use ck_core::tester::{TesterConfig, TesterRun};
@@ -526,11 +526,11 @@ pub fn e8_figure1() -> Result<ExperimentResult, ExperimentError> {
 pub fn e9_c9_example() -> Result<ExperimentResult, ExperimentError> {
     let mut table = Table::new(["check", "result", "expected"]);
     // Node 3 receives (1,2) at paper round t=3 and must forward (1,2,3).
-    let received = vec![IdSeq::from_slice(&[1, 2])];
+    let received = SeqRows::from_rows(2, &[&[1, 2]]);
     let sent = build_send_set(PrunerKind::Representative, &received, 3, 9, 3);
-    let fwd = sent.first().map(|s| format!("{:?}", s.as_slice())).unwrap_or("∅".into());
+    let fwd = sent.rows().next().map(|s| format!("{s:?}")).unwrap_or("∅".into());
     table.row(["node 3 forwards at t=3", &fwd, "[1, 2, 3]"]);
-    let ok1 = sent.len() == 1 && sent[0].as_slice() == [1, 2, 3];
+    let ok1 = sent.len() == 1 && sent.row(0) == [1, 2, 3];
 
     // Full run on C9 with IDs 1..9, detection from edge {1,9}.
     let g = ck_graphgen::basic::cycle(9).with_ids((1..=9).collect()).unwrap();

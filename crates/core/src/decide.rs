@@ -15,8 +15,12 @@
 //!   correction discussed in DESIGN.md (the arXiv pseudocode's
 //!   "`⌊k/2⌋ − 1`" cannot ever reject; the Lemma 2 proof uses the version
 //!   implemented here).
+//!
+//! Both sets arrive as [`SeqRows`]; a set whose width is not `⌊k/2⌋`
+//! takes part in no pair. A witness's two rows are copied into the fixed
+//! [`IdSeq`] form only once the pair has passed.
 
-use crate::seq::IdSeq;
+use crate::seq::{union_size, IdSeq, SeqRows};
 use ck_congest::graph::NodeId;
 
 /// A reject witness: the two sequences that assembled a `Ck` at `myid`.
@@ -44,7 +48,7 @@ impl RejectWitness {
             cycle.push(self.myid);
         }
         // Even: l1 already ends with myid.
-        cycle.extend(self.l2.iter().collect::<Vec<_>>().into_iter().rev());
+        cycle.extend(self.l2.iter().rev());
         cycle
     }
 }
@@ -56,14 +60,20 @@ impl RejectWitness {
 /// * `received_final` — sequences received at round `⌊k/2⌋` (deduplicated
 ///   by the caller or not; duplicates cannot create spurious rejects).
 ///
-/// Returns a witness when the node must output **reject**.
+/// Returns a witness when the node must output **reject**: the first
+/// pair [`decide_all_rejects`] would report.
 pub fn decide_reject(
     k: usize,
     myid: NodeId,
-    own_sent: &[IdSeq],
-    received_final: &[IdSeq],
+    own_sent: &SeqRows,
+    received_final: &SeqRows,
 ) -> Option<RejectWitness> {
-    decide_all_rejects(k, myid, own_sent, received_final).into_iter().next()
+    let mut first = None;
+    for_each_reject(k, myid, own_sent, received_final, |w| {
+        first = Some(w);
+        false
+    });
+    first
 }
 
 /// Exhaustive variant of [`decide_reject`]: every witnessing pair at this
@@ -72,45 +82,60 @@ pub fn decide_reject(
 pub fn decide_all_rejects(
     k: usize,
     myid: NodeId,
-    own_sent: &[IdSeq],
-    received_final: &[IdSeq],
+    own_sent: &SeqRows,
+    received_final: &SeqRows,
 ) -> Vec<RejectWitness> {
+    let mut out = Vec::new();
+    for_each_reject(k, myid, own_sent, received_final, |w| {
+        out.push(w);
+        true
+    });
+    out
+}
+
+/// Hands every witnessing pair, in scan order, to `found` until it
+/// returns `false`.
+fn for_each_reject(
+    k: usize,
+    myid: NodeId,
+    own_sent: &SeqRows,
+    received_final: &SeqRows,
+    mut found: impl FnMut(RejectWitness) -> bool,
+) {
     assert!(k >= 3);
     let half = k / 2;
-    let mut out = Vec::new();
+    if received_final.width() != half {
+        return;
+    }
+    let witness = |l1: &[NodeId], l2: &[NodeId]| RejectWitness {
+        l1: IdSeq::from_slice(l1),
+        l2: IdSeq::from_slice(l2),
+        myid,
+        k,
+    };
     if k % 2 == 1 {
         // Both sequences received, length ⌊k/2⌋ each.
-        for (i, l1) in received_final.iter().enumerate() {
-            if l1.len() != half {
-                continue;
-            }
-            for l2 in &received_final[i + 1..] {
-                if l2.len() != half {
-                    continue;
-                }
-                if l1.union_size_with(l2, myid) == k {
-                    out.push(RejectWitness { l1: *l1, l2: *l2, myid, k });
+        for (i, l1) in received_final.rows().enumerate() {
+            for l2 in received_final.rows().skip(i + 1) {
+                if union_size(l1, l2, myid) == k && !found(witness(l1, l2)) {
+                    return;
                 }
             }
         }
     } else {
         // Exactly one sequence from own S (contains myid), one received.
-        for l1 in own_sent {
-            if l1.len() != half {
-                continue;
-            }
-            debug_assert_eq!(l1.last(), Some(myid), "own sequences end with myid");
-            for l2 in received_final {
-                if l2.len() != half {
-                    continue;
-                }
-                if l1.union_size_with(l2, myid) == k {
-                    out.push(RejectWitness { l1: *l1, l2: *l2, myid, k });
+        if own_sent.width() != half {
+            return;
+        }
+        for l1 in own_sent.rows() {
+            debug_assert_eq!(l1.last(), Some(&myid), "own sequences end with myid");
+            for l2 in received_final.rows() {
+                if union_size(l1, l2, myid) == k && !found(witness(l1, l2)) {
+                    return;
                 }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -120,36 +145,40 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    fn seq(ids: &[u64]) -> IdSeq {
-        IdSeq::from_slice(ids)
+    fn rows(raw: &[&[u64]]) -> SeqRows {
+        SeqRows::from_rows(raw.first().map_or(0, |r| r.len()), raw)
+    }
+
+    fn none() -> SeqRows {
+        SeqRows::default()
     }
 
     #[test]
     fn odd_k_detects_disjoint_pair() {
         // C5 at w=50: received (10, 11) and (20, 21).
-        let rec = vec![seq(&[10, 11]), seq(&[20, 21])];
-        let w = decide_reject(5, 50, &[], &rec).expect("must reject");
+        let rec = rows(&[&[10, 11], &[20, 21]]);
+        let w = decide_reject(5, 50, &none(), &rec).expect("must reject");
         assert_eq!(w.cycle_ids(), vec![10, 11, 50, 21, 20]);
     }
 
     #[test]
     fn odd_k_ignores_overlap() {
         // Shared internal node 11: union size 4 ≠ 5.
-        let rec = vec![seq(&[10, 11]), seq(&[20, 11])];
-        assert!(decide_reject(5, 50, &[], &rec).is_none());
+        let rec = rows(&[&[10, 11], &[20, 11]]);
+        assert!(decide_reject(5, 50, &none(), &rec).is_none());
     }
 
     #[test]
     fn odd_k_ignores_sequences_containing_self() {
-        let rec = vec![seq(&[10, 50]), seq(&[20, 21])];
-        assert!(decide_reject(5, 50, &[], &rec).is_none());
+        let rec = rows(&[&[10, 50], &[20, 21]]);
+        assert!(decide_reject(5, 50, &none(), &rec).is_none());
     }
 
     #[test]
     fn even_k_pairs_own_with_received() {
         // C4 at w=50: own (10, 50), received (20, 21).
-        let own = vec![seq(&[10, 50])];
-        let rec = vec![seq(&[20, 21])];
+        let own = rows(&[&[10, 50]]);
+        let rec = rows(&[&[20, 21]]);
         let w = decide_reject(4, 50, &own, &rec).expect("must reject");
         assert_eq!(w.cycle_ids(), vec![10, 50, 21, 20]);
     }
@@ -158,35 +187,37 @@ mod tests {
     fn even_k_never_pairs_two_received() {
         // The unsoundness the correction avoids: two received paths
         // sharing one node reach union size k without a cycle.
-        let rec = vec![seq(&[10, 11]), seq(&[20, 21])];
-        assert!(decide_reject(4, 50, &[], &rec).is_none());
+        let rec = rows(&[&[10, 11], &[20, 21]]);
+        assert!(decide_reject(4, 50, &none(), &rec).is_none());
     }
 
     #[test]
     fn even_k_requires_disjointness() {
-        let own = vec![seq(&[10, 50])];
-        let rec = vec![seq(&[10, 21])];
+        let own = rows(&[&[10, 50]]);
+        let rec = rows(&[&[10, 21]]);
         assert!(decide_reject(4, 50, &own, &rec).is_none());
     }
 
     #[test]
     fn k3_detects_two_seeds() {
-        let rec = vec![seq(&[1]), seq(&[2])];
-        let w = decide_reject(3, 9, &[], &rec).expect("triangle");
+        let rec = rows(&[&[1], &[2]]);
+        let w = decide_reject(3, 9, &none(), &rec).expect("triangle");
         assert_eq!(w.cycle_ids(), vec![1, 9, 2]);
     }
 
     #[test]
     fn wrong_lengths_are_skipped() {
-        // Stale shorter sequences must not participate.
-        let rec = vec![seq(&[1]), seq(&[2]), seq(&[3, 4])];
-        assert!(decide_reject(5, 9, &[], &rec).is_none());
+        // Stale shorter sequences must not participate, received or own.
+        assert!(decide_reject(5, 9, &none(), &rows(&[&[1], &[2]])).is_none());
+        let rec = rows(&[&[20, 21]]);
+        assert!(decide_reject(4, 50, &rows(&[&[50]]), &rec).is_none());
+        assert!(decide_reject(4, 50, &rows(&[&[10, 50]]), &rows(&[&[20]])).is_none());
     }
 
     #[test]
     fn witness_cycle_has_k_distinct_ids() {
-        let rec = vec![seq(&[10, 11, 12]), seq(&[20, 21, 22])];
-        let w = decide_reject(7, 50, &[], &rec).unwrap();
+        let rec = rows(&[&[10, 11, 12], &[20, 21, 22]]);
+        let w = decide_reject(7, 50, &none(), &rec).unwrap();
         let mut ids = w.cycle_ids();
         assert_eq!(ids.len(), 7);
         ids.sort_unstable();
@@ -215,11 +246,11 @@ mod tests {
     }
 
     /// A random decide-round input: `k`, the deciding node's ID (drawn
-    /// from the same small universe so sequences can contain it), received
-    /// sequences of exact and off-by-one lengths, and — for even `k` —
-    /// own-send sequences ending in `myid`.
-    #[allow(clippy::type_complexity)]
-    fn arb_decide_case() -> impl Strategy<Value = (usize, u64, Vec<IdSeq>, Vec<IdSeq>)> {
+    /// from the same small universe so sequences can contain it), a
+    /// received set that mostly has the exact width (and otherwise an
+    /// off-by-one width the rule must skip), and — for even `k` — an
+    /// own-send set whose rows end in `myid`.
+    fn arb_decide_case() -> impl Strategy<Value = (usize, u64, SeqRows, SeqRows)> {
         (0usize..KS.len())
             .prop_flat_map(|ki| {
                 let k = KS[ki];
@@ -228,35 +259,31 @@ mod tests {
                 (
                     Just(k),
                     0u64..universe,
+                    0u8..4,
                     vec(vec(0u64..universe, half + 4), 0..9),
                     vec(vec(0u64..universe, half + 4), 0..4),
                 )
             })
-            .prop_map(|(k, myid, recv_raw, own_raw)| {
+            .prop_map(|(k, myid, noise, recv_raw, own_raw)| {
                 let half = k / 2;
-                let received: Vec<IdSeq> = recv_raw
-                    .iter()
-                    .filter_map(|ids| {
-                        // Mostly exact-length sequences, with off-length
-                        // noise the rule must skip.
-                        let want = match ids.first().copied().unwrap_or(0) % 4 {
-                            0 if half > 1 => half - 1,
-                            1 => (half + 1).min(MAX_SEQ_LEN),
-                            _ => half,
-                        };
-                        distinct_prefix(ids, want).map(|d| IdSeq::from_slice(&d))
-                    })
-                    .collect();
-                let own: Vec<IdSeq> = own_raw
-                    .iter()
-                    .filter_map(|ids| {
-                        let body: Vec<u64> = ids.iter().copied().filter(|&x| x != myid).collect();
-                        distinct_prefix(&body, half.saturating_sub(1)).map(|mut d| {
-                            d.push(myid);
-                            IdSeq::from_slice(&d)
-                        })
-                    })
-                    .collect();
+                let want = match noise {
+                    0 if half > 1 => half - 1,
+                    1 => (half + 1).min(MAX_SEQ_LEN),
+                    _ => half,
+                };
+                let mut received = SeqRows::new(want);
+                for ids in &recv_raw {
+                    if let Some(d) = distinct_prefix(ids, want) {
+                        received.push(&d);
+                    }
+                }
+                let mut own = SeqRows::new(half);
+                for ids in &own_raw {
+                    let body: Vec<u64> = ids.iter().copied().filter(|&x| x != myid).collect();
+                    if let Some(d) = distinct_prefix(&body, half.saturating_sub(1)) {
+                        own.push_appended(&d, myid);
+                    }
+                }
                 (k, myid, own, received)
             })
     }
@@ -267,10 +294,14 @@ mod tests {
         /// Every witness the rule reports is a genuine `k`-cycle at the
         /// deciding node: both sequences have length `⌊k/2⌋`, and the
         /// reconstructed cycle has exactly `k` distinct IDs including
-        /// `myid`. `decide_reject` reports the first of them.
+        /// `myid`. A received set of another width yields none.
+        /// `decide_reject` reports the first of them.
         #[test]
         fn random_witnesses_are_k_distinct_ids((k, myid, own, received) in arb_decide_case()) {
             let all = decide_all_rejects(k, myid, &own, &received);
+            if received.width() != k / 2 {
+                prop_assert!(all.is_empty());
+            }
             for w in &all {
                 prop_assert_eq!((w.l1.len(), w.l2.len()), (k / 2, k / 2), "{:?}", w);
                 let mut ids = w.cycle_ids();

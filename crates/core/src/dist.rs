@@ -373,17 +373,13 @@ pub fn decode_verdicts(body: &[u8]) -> Result<Vec<NodeVerdict>, FrameError> {
 /// [receiver u32 LE][port u32 LE][ctx u16 LE][bit_len u32 LE][payload]
 /// ```
 ///
-/// `ctx` is the [`ContextCodec`] word (the Phase-2 `seq_len` for
-/// nonempty `Seqs` bundles, `0` otherwise) and `payload` is the
+/// `ctx` is the [`ContextCodec`] word (the row width of a nonempty
+/// `Seqs` payload, `0` otherwise) and `payload` is the
 /// canonical [`CkCodec`] bit string — exactly `bit_len` bits,
 /// zero-padded MSB-first to `ceil(bit_len/8)` bytes, matching the
 /// `wire_bits` accounting of the in-process engine bit for bit.
 pub fn encode_out_frame(f: &OutFrame<CkMsg>, params: &WireParams) -> Result<Vec<u8>, FrameError> {
-    let seq_len = match &f.msg {
-        CkMsg::Seqs { seqs, .. } => seqs.as_slice().first().map(|s| s.len()).unwrap_or(0),
-        _ => 0,
-    };
-    let codec = CkCodec::new(seq_len);
+    let codec = CkCodec::for_msg(&f.msg);
     let ctx = codec.context_for(&f.msg);
     let buf = codec.encode_to_buf(&f.msg, params).map_err(FrameError::Codec)?;
     let header =
@@ -1153,10 +1149,7 @@ mod tests {
             CkMsg::Abort,
             CkMsg::Seqs {
                 tag: EdgeTag { rank: 1, lo: 0, hi: 2 },
-                seqs: crate::msg::SeqBundle(vec![
-                    IdSeq::from_slice(&[1, 2]),
-                    IdSeq::from_slice(&[0, 2]),
-                ]),
+                seqs: crate::seq::SeqRows::from_rows(2, &[&[1, 2], &[0, 2]]),
             },
         ];
         for msg in msgs {

@@ -7,7 +7,8 @@
 //!
 //! The crate decomposes the algorithm the way the paper does:
 //!
-//! * [`seq`] — the ordered ID-sequences exchanged by Phase 2;
+//! * [`seq`] — the ordered ID-sequences exchanged by Phase 2, stored as
+//!   round-width rows;
 //! * [`mod@prune`] — the representative-family pruning rule (Instructions
 //!   13–24 of Algorithm 1), in a literal and an efficient implementation
 //!   with identical semantics;
@@ -65,12 +66,12 @@ pub mod tester;
 
 pub use batch::{BatchError, BatchFailure, BatchJob};
 pub use decide::{decide_reject, RejectWitness};
-pub use msg::{CkCodec, CkMsg, EdgeTag, SeqBundle, SeqPool};
+pub use msg::{CkCodec, CkMsg, EdgeTag, SeqPool};
 pub use prune::{
     build_send_set, build_send_set_into, lemma3_bound, prune, PrunerKind, SendSetScratch,
 };
 pub use rank::{repetitions_for, rounds_per_repetition, total_rounds, try_repetitions_for};
-pub use seq::{IdSeq, MAX_K, MAX_SEQ_LEN};
+pub use seq::{IdSeq, SeqRows, MAX_K, MAX_SEQ_LEN};
 pub use session::{TesterSession, TesterSessionBuilder};
 pub use single::{detect_ck_through_edge, DetectSingle, SingleRun, SingleVerdict};
 pub use soa::SoaArena;

@@ -1,8 +1,14 @@
 //! Message types of the tester protocols, with CONGEST wire accounting,
 //! plus the recycling pool that makes heavy Phase-2 payloads
 //! allocation-free in steady state.
+//!
+//! A Phase-2 payload is a [`SeqRows`] set: every sequence of one round
+//! has the same length, so a payload is one flat `Vec<NodeId>` of rows
+//! of that width, and a seed payload holds 8 bytes of IDs in a 32-byte
+//! backing. The row width is also the codec's round context
+//! ([`CkCodec::seq_len`]), which the wire leaves implicit.
 
-use crate::seq::{IdSeq, MAX_SEQ_LEN};
+use crate::seq::{SeqRows, MAX_SEQ_LEN};
 use ck_congest::graph::NodeId;
 use ck_congest::message::{
     bits_for, flip_frame_bits, flips_for_entropy, BitReader, BitWriter, CodecError, ContextCodec,
@@ -36,36 +42,10 @@ impl EdgeTag {
     }
 }
 
-/// A bundle of sequences — the Phase-2 payload. The backing `Vec` is
-/// meant to circulate through a [`SeqPool`]: protocols build bundles
-/// from pooled buffers, broadcast them by value (the engine parks the
-/// payload in the sender's broadcast slot), and return the buffer to
-/// the pool when the slot evicts it two rounds later. In steady state
-/// no bundle construction allocates.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SeqBundle(pub Vec<IdSeq>);
-
-impl SeqBundle {
-    /// The sequences, in the sender's canonical order.
-    pub fn as_slice(&self) -> &[IdSeq] {
-        &self.0
-    }
-
-    /// Number of sequences bundled.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when no sequence is bundled.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// Take/return recycling pool for the `Vec<IdSeq>` backings of
-/// [`SeqBundle`]s, one per node program.
+/// Take/return recycling pool for the `Vec<NodeId>` backings of
+/// Phase-2 payloads ([`SeqRows`]), one per node program.
 ///
-/// The cycle: `take` a buffer (reusing a returned one's capacity),
+/// The cycle: `take` a set (reusing a returned backing's capacity),
 /// fill it, ship it inside a broadcast; when the engine's broadcast
 /// slot evicts the payload two rounds later, `put` it back. After the
 /// first two rounds every `take` is served from the free list — zero
@@ -75,7 +55,7 @@ impl SeqBundle {
 /// generation) for a leak-free protocol.
 #[derive(Debug, Default)]
 pub struct SeqPool {
-    free: Vec<Vec<IdSeq>>,
+    free: Vec<Vec<NodeId>>,
     taken: u64,
     returned: u64,
 }
@@ -86,29 +66,24 @@ impl SeqPool {
         SeqPool::default()
     }
 
-    /// Takes a cleared buffer, recycling capacity when available.
-    pub fn take(&mut self) -> Vec<IdSeq> {
+    /// Takes an empty set of `width`-ID rows, recycling a backing's
+    /// capacity when available.
+    pub fn take(&mut self, width: usize) -> SeqRows {
         self.taken += 1;
-        self.free.pop().unwrap_or_default()
+        SeqRows::from_backing(width, self.free.pop().unwrap_or_default())
     }
 
-    /// Builds a bundle holding a copy of `seqs` in a pooled buffer.
-    pub fn bundle_from(&mut self, seqs: &[IdSeq]) -> SeqBundle {
-        let mut buf = self.take();
-        buf.extend_from_slice(seqs);
-        SeqBundle(buf)
+    /// A copy of `rows` in a pooled backing.
+    pub fn copy_of(&mut self, rows: &SeqRows) -> SeqRows {
+        let mut copy = self.take(rows.width());
+        copy.extend_rows(rows);
+        copy
     }
 
-    /// Returns a bundle's buffer to the pool (cleared, capacity kept).
-    pub fn put(&mut self, bundle: SeqBundle) {
-        self.put_vec(bundle.0);
-    }
-
-    /// Returns a raw buffer to the pool (cleared, capacity kept).
-    pub fn put_vec(&mut self, mut buf: Vec<IdSeq>) {
-        buf.clear();
+    /// Returns a payload's backing to the pool (capacity kept).
+    pub fn put(&mut self, rows: SeqRows) {
         self.returned += 1;
-        self.free.push(buf);
+        self.free.push(rows.into_backing());
     }
 
     /// Buffers taken and not (yet) returned — the leak indicator. For a
@@ -140,18 +115,18 @@ impl SeqPool {
     }
 }
 
-/// Encoded size of a sequence list: count prefix plus `len · id_bits` per
-/// sequence (the receiver learns lengths from the round number; a
+/// Encoded size of a sequence set: count prefix plus `width · id_bits`
+/// per sequence (the receiver learns lengths from the round number; a
 /// conservative per-sequence length field would not change the asymptotics
 /// tracked by Lemma 3).
-pub fn seqs_wire_bits(seqs: &[IdSeq], params: &WireParams) -> u64 {
-    let ids: u64 = seqs.iter().map(|s| s.len() as u64).sum();
-    u64::from(bits_for(seqs.len().max(1) as u64)) + ids * u64::from(params.id_bits)
+pub fn seqs_wire_bits(seqs: &SeqRows, params: &WireParams) -> u64 {
+    u64::from(bits_for(seqs.len().max(1) as u64))
+        + seqs.ids().len() as u64 * u64::from(params.id_bits)
 }
 
-impl WireMessage for SeqBundle {
+impl WireMessage for SeqRows {
     fn wire_bits(&self, params: &WireParams) -> u64 {
-        seqs_wire_bits(&self.0, params)
+        seqs_wire_bits(self, params)
     }
 }
 
@@ -160,9 +135,9 @@ impl WireMessage for SeqBundle {
 pub enum CkMsg {
     /// Phase 1: the edge owner ships the rank to the other endpoint.
     Rank(u64),
-    /// Phase 2: sequences for the check identified by `tag`, carried in
-    /// a pooled bundle.
-    Seqs { tag: EdgeTag, seqs: SeqBundle },
+    /// Phase 2: sequences for the check identified by `tag`, carried as
+    /// rows of one pooled backing.
+    Seqs { tag: EdgeTag, seqs: SeqRows },
     /// Early-abort extension: a node has rejected; the flag floods so
     /// everyone can skip the remaining repetitions (sound because only a
     /// genuine reject originates it).
@@ -193,13 +168,9 @@ impl WireMessage for CkMsg {
     /// frame; `Some` garbage is delivered and must be survivable by the
     /// protocol's own validation.
     fn corrupt_frame(&self, params: &WireParams, entropy: u64) -> Option<Self> {
-        // The round context is recoverable from the message itself: all
-        // sequences in a bundle share one length by construction.
-        let seq_len = match self {
-            CkMsg::Seqs { seqs, .. } => seqs.as_slice().first().map(|s| s.len()).unwrap_or(0),
-            _ => 0,
-        };
-        let codec = CkCodec::new(seq_len);
+        // The round context is recoverable from the message itself: it
+        // is the payload's row width.
+        let codec = CkCodec::for_msg(self);
         let Ok(buf) = codec.encode_to_buf(self, params) else {
             return None;
         };
@@ -250,6 +221,15 @@ impl CkCodec {
     pub fn new(seq_len: usize) -> Self {
         assert!(seq_len <= MAX_SEQ_LEN, "seq_len {seq_len} exceeds MAX_SEQ_LEN");
         CkCodec { seq_len }
+    }
+
+    /// The codec of the round a message was built in: the row width of
+    /// a nonempty `Seqs` payload, `0` for anything else.
+    pub fn for_msg(msg: &CkMsg) -> Self {
+        match msg {
+            CkMsg::Seqs { seqs, .. } if !seqs.is_empty() => CkCodec::new(seqs.width()),
+            _ => CkCodec::new(0),
+        }
     }
 }
 
@@ -307,16 +287,18 @@ impl WireCodec for CkCodec {
                 fits(tag.rank, params.rank_bits)?;
                 fits(tag.lo, params.id_bits)?;
                 fits(tag.hi, params.id_bits)?;
-                if !seqs.is_empty() && self.seq_len == 0 {
-                    return Err(CodecError::Invalid("a bundle of empty sequences is not framable"));
-                }
-                for s in seqs.as_slice() {
-                    if s.len() != self.seq_len {
+                if !seqs.is_empty() {
+                    if self.seq_len == 0 {
+                        return Err(CodecError::Invalid(
+                            "a bundle of empty sequences is not framable",
+                        ));
+                    }
+                    if seqs.width() != self.seq_len {
                         return Err(CodecError::Invalid(
                             "sequence length differs from the codec's round context",
                         ));
                     }
-                    for id in s.iter() {
+                    for &id in seqs.ids() {
                         fits(id, params.id_bits)?;
                     }
                 }
@@ -340,10 +322,8 @@ impl WireCodec for CkCodec {
                 out.push_bits(tag.hi, params.id_bits)?;
                 let c = seqs.len();
                 out.push_bits(c as u64, bits_for(c.max(1) as u64))?;
-                for s in seqs.as_slice() {
-                    for id in s.iter() {
-                        out.push_bits(id, params.id_bits)?;
-                    }
+                for &id in seqs.ids() {
+                    out.push_bits(id, params.id_bits)?;
                 }
             }
         }
@@ -400,7 +380,7 @@ impl WireCodec for CkCodec {
             return Err(CodecError::Invalid("non-canonical bundle count prefix"));
         }
         let mut ids = [0 as NodeId; MAX_SEQ_LEN];
-        let mut seqs = Vec::with_capacity(count as usize);
+        let mut seqs = SeqRows::new(self.seq_len);
         for _ in 0..count {
             for slot in ids.iter_mut().take(self.seq_len) {
                 *slot = r.read_bits(params.id_bits)?;
@@ -416,10 +396,10 @@ impl WireCodec for CkCodec {
                     ));
                 }
             }
-            seqs.push(IdSeq::from_slice(&ids[..self.seq_len]));
+            seqs.push(&ids[..self.seq_len]);
         }
         debug_assert_eq!(r.remaining_bits(), 0, "count inference consumes the frame exactly");
-        Ok(CkMsg::Seqs { tag: EdgeTag { rank, lo, hi }, seqs: SeqBundle(seqs) })
+        Ok(CkMsg::Seqs { tag: EdgeTag { rank, lo, hi }, seqs })
     }
 }
 
@@ -450,8 +430,8 @@ mod tests {
     #[test]
     fn bundle_bits_scale_with_content() {
         let p = params();
-        let small = SeqBundle(vec![IdSeq::from_slice(&[1])]);
-        let big = SeqBundle(vec![IdSeq::from_slice(&[1, 2, 3]), IdSeq::from_slice(&[4, 5, 6])]);
+        let small = SeqRows::from_rows(1, &[&[1]]);
+        let big = SeqRows::from_rows(3, &[&[1, 2, 3], &[4, 5, 6]]);
         assert!(small.wire_bits(&p) < big.wire_bits(&p));
         assert_eq!(big.wire_bits(&p), bits_for(2) as u64 + 6 * 12);
     }
@@ -460,10 +440,7 @@ mod tests {
     fn ck_msg_bits() {
         let p = params();
         assert_eq!(CkMsg::Rank(7).wire_bits(&p), 15);
-        let m = CkMsg::Seqs {
-            tag: EdgeTag::new(7, 1, 2),
-            seqs: SeqBundle(vec![IdSeq::from_slice(&[1, 2])]),
-        };
+        let m = CkMsg::Seqs { tag: EdgeTag::new(7, 1, 2), seqs: SeqRows::from_rows(2, &[&[1, 2]]) };
         assert_eq!(m.wire_bits(&p), 1 + 14 + 24 + (1 + 24));
     }
 
@@ -475,10 +452,10 @@ mod tests {
             CkMsg::Rank(7),
             CkMsg::Rank((1 << 14) - 1),
             CkMsg::Abort,
-            CkMsg::Seqs { tag: EdgeTag::new(7, 1, 2), seqs: SeqBundle(vec![]) },
+            CkMsg::Seqs { tag: EdgeTag::new(7, 1, 2), seqs: SeqRows::new(2) },
             CkMsg::Seqs {
                 tag: EdgeTag::new(200, 40, 3),
-                seqs: SeqBundle(vec![IdSeq::from_slice(&[1, 2]), IdSeq::from_slice(&[9, 4])]),
+                seqs: SeqRows::from_rows(2, &[&[1, 2], &[9, 4]]),
             },
         ];
         for msg in &msgs {
@@ -494,15 +471,13 @@ mod tests {
         let p = params();
         let codec = CkCodec::new(2);
         // A sequence whose length disagrees with the round context.
-        let mixed = CkMsg::Seqs {
-            tag: EdgeTag::new(1, 1, 2),
-            seqs: SeqBundle(vec![IdSeq::from_slice(&[1, 2, 3])]),
-        };
+        let mixed =
+            CkMsg::Seqs { tag: EdgeTag::new(1, 1, 2), seqs: SeqRows::from_rows(3, &[&[1, 2, 3]]) };
         assert!(matches!(codec.encode_to_buf(&mixed, &p), Err(CodecError::Invalid(_))));
         // An ID wider than id_bits cannot be framed.
         let fat = CkMsg::Seqs {
             tag: EdgeTag::new(1, 1, 1 << 12),
-            seqs: SeqBundle(vec![IdSeq::from_slice(&[1, 2])]),
+            seqs: SeqRows::from_rows(2, &[&[1, 2]]),
         };
         assert!(matches!(codec.encode_to_buf(&fat, &p), Err(CodecError::Overflow { .. })));
         // A failed encode leaves the writer untouched (multi-message
@@ -513,10 +488,8 @@ mod tests {
         assert!(codec.encode(&fat, &p, &mut frame).is_err());
         assert_eq!(frame, before, "rejected appends must not write partial bits");
         // Truncated frame.
-        let ok = CkMsg::Seqs {
-            tag: EdgeTag::new(1, 1, 2),
-            seqs: SeqBundle(vec![IdSeq::from_slice(&[1, 2])]),
-        };
+        let ok =
+            CkMsg::Seqs { tag: EdgeTag::new(1, 1, 2), seqs: SeqRows::from_rows(2, &[&[1, 2]]) };
         let buf = codec.encode_to_buf(&ok, &p).unwrap();
         let mut short = BitReader::new(buf.as_bytes(), buf.len_bits() - 3);
         assert!(codec.decode(&p, &mut short).is_err());
@@ -555,10 +528,10 @@ mod tests {
         let msgs = [
             CkMsg::Rank(7),
             CkMsg::Abort,
-            CkMsg::Seqs { tag: EdgeTag::new(7, 1, 2), seqs: SeqBundle(vec![]) },
+            CkMsg::Seqs { tag: EdgeTag::new(7, 1, 2), seqs: SeqRows::new(0) },
             CkMsg::Seqs {
                 tag: EdgeTag::new(200, 3, 40),
-                seqs: SeqBundle(vec![IdSeq::from_slice(&[1, 2]), IdSeq::from_slice(&[9, 4])]),
+                seqs: SeqRows::from_rows(2, &[&[1, 2], &[9, 4]]),
             },
         ];
         let mut delivered = 0u32;
@@ -577,13 +550,7 @@ mod tests {
                         }
                         // Whatever decoded is a structurally valid CkMsg:
                         // re-encoding it under its own context succeeds.
-                        let seq_len = match &garbled {
-                            CkMsg::Seqs { seqs, .. } => {
-                                seqs.as_slice().first().map(|s| s.len()).unwrap_or(0)
-                            }
-                            _ => 0,
-                        };
-                        assert!(CkCodec::new(seq_len).encode_to_buf(&garbled, &p).is_ok());
+                        assert!(CkCodec::for_msg(&garbled).encode_to_buf(&garbled, &p).is_ok());
                     }
                     None => rejected += 1,
                 }
@@ -597,21 +564,22 @@ mod tests {
     #[test]
     fn pool_recycles_capacity_and_counts_leaks() {
         let mut pool = SeqPool::new();
-        let b = pool.bundle_from(&[IdSeq::single(1), IdSeq::single(2)]);
-        assert_eq!(b.len(), 2);
-        assert!(!b.is_empty());
+        let b = pool.copy_of(&SeqRows::from_rows(1, &[&[1], &[2]]));
+        assert_eq!((b.width(), b.len()), (1, 2));
         assert_eq!(pool.outstanding(), 1);
-        let cap = b.0.capacity();
+        let backing = b.ids().as_ptr();
         pool.put(b);
         assert_eq!(pool.outstanding(), 0);
         assert_eq!(pool.pooled(), 1);
-        // The recycled buffer comes back cleared with its capacity.
-        let reused = pool.take();
+        // The recycled backing comes back cleared, under the new width.
+        let mut reused = pool.take(3);
         assert!(reused.is_empty());
-        assert!(reused.capacity() >= cap);
+        assert_eq!(reused.width(), 3);
+        reused.push(&[4, 5, 6]);
+        assert_eq!(reused.ids().as_ptr(), backing, "the backing must be reused");
         assert_eq!(pool.taken(), 2);
         assert_eq!(pool.outstanding(), 1);
-        pool.put_vec(reused);
+        pool.put(reused);
         assert_eq!(pool.outstanding(), 0);
     }
 }

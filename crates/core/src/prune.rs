@@ -26,8 +26,12 @@
 //!   nor be blocked). Depth ≤ `k−t`, fan-out ≤ `t−1`: polynomial for
 //!   constant `k`, and *provably identical output* to the literal rule for
 //!   the same iteration order (property-tested below).
+//!
+//! Both take the received set as a [`SeqRows`] of width `t−1` and
+//! return indices of accepted rows; [`build_send_set_into`] writes the
+//! send set as width-`t` rows.
 
-use crate::seq::IdSeq;
+use crate::seq::{SeqRows, SortScratch};
 use ck_congest::graph::NodeId;
 
 /// Which pruning implementation a protocol uses.
@@ -66,19 +70,19 @@ fn binomial(n: u128, k: u128) -> u128 {
 /// Literal Instructions 13–24: returns the indices of accepted sequences,
 /// scanning `seqs` in the given order.
 ///
-/// `t` is the Phase-2 round (`2 ≤ t ≤ ⌊k/2⌋`); each sequence must have
-/// exactly `t−1` IDs and must not contain the executing node's ID (the
+/// `t` is the Phase-2 round (`2 ≤ t ≤ ⌊k/2⌋`); a nonempty set must have
+/// width `t−1`, and no row may contain the executing node's ID (the
 /// caller applies Instruction 12 first).
 ///
 /// # Panics
 /// Panics when the subset enumeration would exceed an internal cap — use
 /// [`prune_representative`] for such inputs.
-pub fn prune_literal(seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize> {
+pub fn prune_literal(seqs: &SeqRows, k: usize, t: usize) -> Vec<usize> {
     validate(seqs, k, t);
     let budget = k - t; // |X| for X ∈ 𝒳, and the number of fake IDs.
 
     // Ground set: distinct real IDs (sorted for determinism), then fakes.
-    let mut real: Vec<NodeId> = seqs.iter().flat_map(|s| s.iter()).collect();
+    let mut real: Vec<NodeId> = seqs.ids().to_vec();
     real.sort_unstable();
     real.dedup();
     let ground = real.len() + budget; // fakes occupy indices real.len()..
@@ -124,9 +128,9 @@ pub fn prune_literal(seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize> {
 
     // Per-sequence membership over ground indices (fakes never belong).
     let seq_index_sets: Vec<Vec<usize>> = seqs
-        .iter()
+        .rows()
         // ck-lint: allow(no-panic, reason = "real was built from exactly these sequences' ids and sorted just above")
-        .map(|s| s.iter().map(|id| real.binary_search(&id).expect("id collected above")).collect())
+        .map(|s| s.iter().map(|id| real.binary_search(id).expect("id collected above")).collect())
         .collect();
 
     let mut alive = vec![true; all_x.len()];
@@ -148,7 +152,7 @@ pub fn prune_literal(seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize> {
 
 /// Representative-family implementation: identical accept/reject decisions
 /// to [`prune_literal`] for the same scan order, without enumerating `X`.
-pub fn prune_representative(seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize> {
+pub fn prune_representative(seqs: &SeqRows, k: usize, t: usize) -> Vec<usize> {
     let mut accepted = Vec::new();
     let mut transversal = Vec::new();
     prune_representative_into(seqs, k, t, &mut accepted, &mut transversal);
@@ -160,7 +164,7 @@ pub fn prune_representative(seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize> {
 /// tester's per-round loop uses so steady state allocates nothing.
 /// `transversal` is branching scratch, also caller-recycled.
 fn prune_representative_into(
-    seqs: &[IdSeq],
+    seqs: &SeqRows,
     k: usize,
     t: usize,
     accepted: &mut Vec<usize>,
@@ -169,7 +173,7 @@ fn prune_representative_into(
     validate(seqs, k, t);
     let budget = k - t;
     accepted.clear();
-    for (i, l) in seqs.iter().enumerate() {
+    for (i, l) in seqs.rows().enumerate() {
         transversal.clear();
         if admits_transversal(seqs, accepted, l, budget, transversal) {
             accepted.push(i);
@@ -186,22 +190,22 @@ fn prune_representative_into(
 /// Branches on the first accepted sequence not yet hit: every valid `T`
 /// must contain one of its eligible elements, so trying each is complete.
 fn admits_transversal(
-    seqs: &[IdSeq],
+    seqs: &SeqRows,
     accepted: &[usize],
-    l: &IdSeq,
+    l: &[NodeId],
     budget: usize,
     transversal: &mut Vec<NodeId>,
 ) -> bool {
     let unhit =
-        accepted.iter().map(|&i| &seqs[i]).find(|a| !transversal.iter().any(|&x| a.contains(x)));
+        accepted.iter().map(|&i| seqs.row(i)).find(|a| !transversal.iter().any(|x| a.contains(x)));
     let Some(a) = unhit else {
         return true; // everything hit; pad with fakes
     };
     if budget == 0 {
         return false;
     }
-    for id in a.iter() {
-        if l.contains(id) {
+    for &id in a {
+        if l.contains(&id) {
             continue; // T must avoid L
         }
         transversal.push(id);
@@ -213,16 +217,20 @@ fn admits_transversal(
     false
 }
 
-fn validate(seqs: &[IdSeq], k: usize, t: usize) {
+/// Checks the round and, once for the whole set, its width.
+fn validate(seqs: &SeqRows, k: usize, t: usize) {
     assert!(k >= 3, "k must be at least 3");
     assert!(t >= 2 && t <= k / 2, "round t={t} outside 2..=⌊k/2⌋ for k={k}");
-    for s in seqs {
-        assert_eq!(s.len(), t - 1, "round-{t} sequences must have {} IDs", t - 1);
-    }
+    assert!(
+        seqs.is_empty() || seqs.width() == t - 1,
+        "round-{t} sequences must have {} IDs, not {}",
+        t - 1,
+        seqs.width()
+    );
 }
 
 /// Dispatch by [`PrunerKind`].
-pub fn prune(kind: PrunerKind, seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize> {
+pub fn prune(kind: PrunerKind, seqs: &SeqRows, k: usize, t: usize) -> Vec<usize> {
     match kind {
         PrunerKind::Literal => prune_literal(seqs, k, t),
         PrunerKind::Representative => prune_representative(seqs, k, t),
@@ -230,41 +238,54 @@ pub fn prune(kind: PrunerKind, seqs: &[IdSeq], k: usize, t: usize) -> Vec<usize>
 }
 
 /// Reusable buffers for allocation-free repeated send-set construction
-/// (one per node program; every field keeps its capacity across rounds).
+/// (every field keeps its capacity across rounds). Each call clears what
+/// it uses, so nodes that step one after another on one thread can share
+/// one.
 #[derive(Debug, Default)]
 pub struct SendSetScratch {
     /// Canonicalized received collection (filtered, sorted, deduped).
-    filtered: Vec<IdSeq>,
+    filtered: SeqRows,
     /// Accepted indices into `filtered`.
     accepted: Vec<usize>,
     /// Branching scratch of the representative pruner.
     transversal: Vec<NodeId>,
+    /// Scratch of [`SeqRows::sort_dedup`].
+    sort: SortScratch,
+}
+
+impl SendSetScratch {
+    /// The sort scratch, for callers canonicalizing their own received
+    /// set before [`build_send_set_into`].
+    pub fn sort_scratch(&mut self) -> &mut SortScratch {
+        &mut self.sort
+    }
 }
 
 /// Full per-round send-set construction (Instructions 11–24) into a
-/// caller-provided buffer: canonicalize the received collection (set
+/// caller-provided set: canonicalize the received collection (set
 /// semantics: sort + dedup), drop sequences containing `myid`
 /// (Instruction 12), prune, and append `myid` (Instruction 24). `out`
-/// (cleared first) receives the sequences to broadcast at round `t`;
-/// with the representative pruner the whole call is allocation-free
-/// once the scratch buffers have warmed up.
+/// (reset to width `t` first) receives the sequences to broadcast at
+/// round `t`; with the representative pruner the whole call is
+/// allocation-free once the scratch buffers have warmed up.
 pub fn build_send_set_into(
     kind: PrunerKind,
-    received: &[IdSeq],
+    received: &SeqRows,
     myid: NodeId,
     k: usize,
     t: usize,
     scratch: &mut SendSetScratch,
-    out: &mut Vec<IdSeq>,
+    out: &mut SeqRows,
 ) {
-    out.clear();
-    scratch.filtered.clear();
-    scratch.filtered.extend(received.iter().filter(|s| !s.contains(myid)).copied());
-    scratch.filtered.sort_unstable();
-    scratch.filtered.dedup();
+    out.reset(t);
+    scratch.filtered.reset(received.width());
+    for row in received.rows().filter(|s| !s.contains(&myid)) {
+        scratch.filtered.push(row);
+    }
     if scratch.filtered.is_empty() {
         return;
     }
+    scratch.filtered.sort_dedup(&mut scratch.sort);
     match kind {
         PrunerKind::Literal => {
             scratch.accepted.clear();
@@ -278,20 +299,22 @@ pub fn build_send_set_into(
             &mut scratch.transversal,
         ),
     }
-    out.extend(scratch.accepted.iter().map(|&i| scratch.filtered[i].appended(myid)));
+    for &i in &scratch.accepted {
+        out.push_appended(scratch.filtered.row(i), myid);
+    }
 }
 
 /// As [`build_send_set_into`], allocating fresh buffers — the
 /// convenience form for one-shot callers and tests.
 pub fn build_send_set(
     kind: PrunerKind,
-    received: &[IdSeq],
+    received: &SeqRows,
     myid: NodeId,
     k: usize,
     t: usize,
-) -> Vec<IdSeq> {
+) -> SeqRows {
     let mut scratch = SendSetScratch::default();
-    let mut out = Vec::new();
+    let mut out = SeqRows::default();
     build_send_set_into(kind, received, myid, k, t, &mut scratch, &mut out);
     out
 }
@@ -300,8 +323,8 @@ pub fn build_send_set(
 mod tests {
     use super::*;
 
-    fn seqs(raw: &[&[u64]]) -> Vec<IdSeq> {
-        raw.iter().map(|s| IdSeq::from_slice(s)).collect()
+    fn seqs(raw: &[&[u64]]) -> SeqRows {
+        SeqRows::from_rows(raw.first().map_or(0, |r| r.len()), raw)
     }
 
     #[test]
@@ -335,7 +358,7 @@ mod tests {
         assert_eq!(prune_representative(&input, 9, 3), vec![0]);
         let sent = build_send_set(PrunerKind::Representative, &input, 3, 9, 3);
         assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].as_slice(), &[1, 2, 3]);
+        assert_eq!(sent.row(0), &[1, 2, 3]);
     }
 
     #[test]
@@ -372,8 +395,10 @@ mod tests {
         // bound is (6-3+1)^2 = 16 but with 10 disjoint pairs the
         // acceptance pattern must stop once every surviving X intersects
         // all accepted sequences.
-        let input: Vec<IdSeq> =
-            (0..10u64).map(|i| IdSeq::from_slice(&[2 * i, 2 * i + 1])).collect();
+        let mut input = SeqRows::new(2);
+        for i in 0..10u64 {
+            input.push(&[2 * i, 2 * i + 1]);
+        }
         let lit = prune_literal(&input, 6, 3);
         let rep = prune_representative(&input, 6, 3);
         assert_eq!(lit, rep);
@@ -386,10 +411,11 @@ mod tests {
         let input = seqs(&[&[1, 2], &[1, 2], &[3, 7], &[4, 5]]);
         // myid = 7: the sequence containing 7 is removed (Instruction 12).
         let sent = build_send_set(PrunerKind::Representative, &input, 7, 9, 3);
-        assert!(sent.iter().all(|s| s.last() == Some(7)));
-        assert!(sent.iter().all(|s| s.as_slice() != [3, 7, 7]));
+        assert_eq!(sent.width(), 3);
+        assert!(sent.rows().all(|s| s.last() == Some(&7)));
+        assert!(sent.rows().all(|s| s != [3, 7, 7]));
         // (1,2) survives once (dedup), (4,5) survives.
-        let bodies: Vec<&[u64]> = sent.iter().map(|s| s.as_slice()).collect();
+        let bodies: Vec<&[u64]> = sent.rows().collect();
         assert!(bodies.contains(&[1, 2, 7].as_slice()));
         assert!(bodies.contains(&[4, 5, 7].as_slice()));
         assert_eq!(sent.len(), 2);
@@ -397,7 +423,7 @@ mod tests {
 
     #[test]
     fn empty_input_sends_nothing() {
-        assert!(build_send_set(PrunerKind::Literal, &[], 1, 8, 3).is_empty());
+        assert!(build_send_set(PrunerKind::Literal, &SeqRows::default(), 1, 8, 3).is_empty());
     }
 
     #[test]
@@ -414,8 +440,8 @@ mod tests {
     /// disjointness easier, so testing over seen IDs suffices), if some
     /// input sequence is disjoint from C then some *accepted* sequence is
     /// disjoint from C.
-    fn preserves_witnesses(input: &[IdSeq], accepted: &[usize], k: usize, t: usize) -> bool {
-        let mut ids: Vec<u64> = input.iter().flat_map(|s| s.iter()).collect();
+    fn preserves_witnesses(input: &SeqRows, accepted: &[usize], k: usize, t: usize) -> bool {
+        let mut ids: Vec<u64> = input.ids().to_vec();
         ids.sort_unstable();
         ids.dedup();
         let budget = k - t;
@@ -426,12 +452,12 @@ mod tests {
             start: usize,
             c: &mut Vec<u64>,
             budget: usize,
-            input: &[IdSeq],
+            input: &SeqRows,
             accepted: &[usize],
         ) -> bool {
             let c_ok = {
-                let disj = |s: &IdSeq| c.iter().all(|&x| !s.contains(x));
-                !input.iter().any(disj) || accepted.iter().any(|&i| disj(&input[i]))
+                let disj = |s: &[u64]| c.iter().all(|x| !s.contains(x));
+                !input.rows().any(disj) || accepted.iter().any(|&i| disj(input.row(i)))
             };
             if !c_ok {
                 return false;
@@ -453,7 +479,7 @@ mod tests {
 
     #[test]
     fn witness_preservation_small_cases() {
-        let cases: Vec<(Vec<IdSeq>, usize, usize)> = vec![
+        let cases: Vec<(SeqRows, usize, usize)> = vec![
             (seqs(&[&[1], &[2], &[3], &[4]]), 5, 2),
             (seqs(&[&[1, 2], &[2, 3], &[3, 4], &[4, 5], &[5, 6]]), 7, 3),
             (seqs(&[&[1, 2], &[3, 4], &[5, 6], &[7, 8]]), 6, 3),

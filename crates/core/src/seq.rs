@@ -1,9 +1,17 @@
 //! Ordered ID sequences — the unit of Phase-2 communication.
 //!
-//! Algorithm 1 exchanges ordered sequences of at most `⌊k/2⌋` node IDs.
-//! `IdSeq` stores them inline (no heap) with capacity [`MAX_SEQ_LEN`],
-//! which supports every `k ≤ 2·MAX_SEQ_LEN + 1 = 33` — far beyond the
-//! constant-`k` regime of the paper.
+//! Algorithm 1 exchanges ordered sequences of node IDs. In paper round
+//! `t` every sequence has exactly `t−1` IDs (`t ≤ ⌊k/2⌋`), so every set
+//! of sequences a node receives, prunes or sends in one round has one
+//! common length. [`SeqRows`] stores such a set as rows of one flat
+//! `Vec<NodeId>` with the row width fixed to that length: a k = 5 run
+//! spends 8 or 16 bytes per sequence, whatever the largest supported
+//! `k`. Widths go up to [`MAX_SEQ_LEN`], which supports every
+//! `k ≤ 2·MAX_SEQ_LEN + 1 = 33` — far beyond the constant-`k` regime of
+//! the paper.
+//!
+//! [`IdSeq`] is the fixed inline form of one sequence, kept only for the
+//! two halves of a reject witness (`crate::decide::RejectWitness`).
 
 use ck_congest::graph::NodeId;
 
@@ -13,34 +21,232 @@ pub const MAX_SEQ_LEN: usize = 16;
 /// Largest cycle length the implementation accepts.
 pub const MAX_K: usize = 2 * MAX_SEQ_LEN + 1;
 
-/// An ordered sequence of distinct node IDs, stored inline.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// A set of ID sequences of one common length, stored as rows of one
+/// flat buffer: row `i` is `ids[i·width .. (i+1)·width]`.
+///
+/// Every Phase-2 sequence set is one of these: a node's received set,
+/// its send set, its own last send, the payload of a `Seqs` message and
+/// the codec's decode output. Two sets are equal when they hold the same
+/// rows in the same order; two empty sets are equal whatever their
+/// width, because a decoded empty bundle takes the codec's width.
+#[derive(Default)]
+pub struct SeqRows {
+    /// IDs per row (`≤ MAX_SEQ_LEN`; `0` only while the set is empty).
+    width: usize,
+    /// The rows, back to back.
+    ids: Vec<NodeId>,
+}
+
+/// Reusable buffers of [`SeqRows::sort_dedup`]: the row permutation and
+/// the gather buffer. Warm reruns reuse their capacity.
+#[derive(Debug, Default)]
+pub struct SortScratch {
+    perm: Vec<u32>,
+    gather: Vec<NodeId>,
+}
+
+impl SeqRows {
+    /// An empty set of `width`-ID rows.
+    ///
+    /// # Panics
+    /// Panics when `width` exceeds [`MAX_SEQ_LEN`].
+    pub const fn new(width: usize) -> Self {
+        assert!(width <= MAX_SEQ_LEN, "row width exceeds MAX_SEQ_LEN");
+        SeqRows { width, ids: Vec::new() }
+    }
+
+    /// The set holding `rows`, in order (panics on a row of another
+    /// length than `width`).
+    pub fn from_rows(width: usize, rows: &[&[NodeId]]) -> Self {
+        let mut set = SeqRows::new(width);
+        set.ids.reserve(rows.len() * width);
+        for row in rows {
+            set.push(row);
+        }
+        set
+    }
+
+    /// A set of `width`-ID rows over a recycled backing (cleared first).
+    pub(crate) fn from_backing(width: usize, mut ids: Vec<NodeId>) -> Self {
+        ids.clear();
+        let mut set = SeqRows::new(width);
+        set.ids = ids;
+        set
+    }
+
+    /// The backing buffer, for recycling.
+    pub(crate) fn into_backing(self) -> Vec<NodeId> {
+        self.ids
+    }
+
+    /// Empties the set and sets its row width, keeping the capacity.
+    ///
+    /// # Panics
+    /// Panics when `width` exceeds [`MAX_SEQ_LEN`].
+    pub fn reset(&mut self, width: usize) {
+        assert!(width <= MAX_SEQ_LEN, "row width {width} exceeds MAX_SEQ_LEN");
+        self.width = width;
+        self.ids.clear();
+    }
+
+    /// IDs per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    /// True when the set holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Every row's IDs, back to back.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
+    /// Row `i` (panics when `i ≥ len()`).
+    pub fn row(&self, i: usize) -> &[NodeId] {
+        &self.ids[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The rows, in order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, NodeId> {
+        // A width-0 set is empty, so the clamp only avoids the
+        // zero-chunk-size panic.
+        self.ids.chunks_exact(self.width.max(1))
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    /// Panics when `row` is not exactly `width` IDs long, or the width is 0.
+    pub fn push(&mut self, row: &[NodeId]) {
+        assert!(self.width > 0, "a width-0 set holds no rows");
+        assert_eq!(row.len(), self.width, "row length differs from the set's width");
+        self.ids.extend_from_slice(row);
+    }
+
+    /// Appends `row` extended by `id` at the tail (Instruction 24:
+    /// "append myid at the tail of each L ∈ S").
+    ///
+    /// # Panics
+    /// Panics unless `row` is exactly `width − 1` IDs long.
+    pub fn push_appended(&mut self, row: &[NodeId], id: NodeId) {
+        assert_eq!(row.len() + 1, self.width, "appended row length differs from the set's width");
+        self.ids.extend_from_slice(row);
+        self.ids.push(id);
+    }
+
+    /// Appends every row of `other` (which must be empty or share this
+    /// set's width).
+    pub fn extend_rows(&mut self, other: &SeqRows) {
+        assert!(
+            other.is_empty() || other.width == self.width,
+            "extending width-{} rows with width-{} rows",
+            self.width,
+            other.width
+        );
+        self.ids.extend_from_slice(&other.ids);
+    }
+
+    /// Sorts the rows lexicographically and drops duplicates — set
+    /// semantics in the canonical order the pruner scans.
+    ///
+    /// Sorts a permutation of the row indices and gathers the distinct
+    /// rows through `scratch`; at width 1 the IDs are sorted in place.
+    pub fn sort_dedup(&mut self, scratch: &mut SortScratch) {
+        if self.width == 1 {
+            self.ids.sort_unstable();
+            self.ids.dedup();
+            return;
+        }
+        let rows = self.len();
+        if rows < 2 {
+            return;
+        }
+        assert!(rows <= u32::MAX as usize, "row count beyond the u32 permutation");
+        let (w, ids) = (self.width, &self.ids);
+        let row = |i: u32| &ids[i as usize * w..(i as usize + 1) * w];
+        scratch.perm.clear();
+        scratch.perm.extend(0..rows as u32);
+        scratch.perm.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+        scratch.gather.clear();
+        let mut last: Option<&[NodeId]> = None;
+        for &i in &scratch.perm {
+            let r = row(i);
+            if last != Some(r) {
+                scratch.gather.extend_from_slice(r);
+                last = Some(r);
+            }
+        }
+        self.ids.clear();
+        self.ids.extend_from_slice(&scratch.gather);
+    }
+}
+
+impl Clone for SeqRows {
+    fn clone(&self) -> Self {
+        SeqRows { width: self.width, ids: self.ids.clone() }
+    }
+
+    /// Copies into the existing buffer, so a warm copy allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.ids.clone_from(&source.ids);
+    }
+}
+
+impl PartialEq for SeqRows {
+    fn eq(&self, other: &Self) -> bool {
+        self.ids == other.ids && (self.ids.is_empty() || self.width == other.width)
+    }
+}
+
+impl Eq for SeqRows {}
+
+impl std::fmt::Debug for SeqRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Rows{}", self.width)?;
+        f.debug_list().entries(self.rows()).finish()
+    }
+}
+
+/// `|a ∪ b ∪ {extra}|` — the quantity of Instruction 37.
+///
+/// # Panics
+/// Panics when `a` or `b` is longer than [`MAX_SEQ_LEN`].
+pub fn union_size(a: &[NodeId], b: &[NodeId], extra: NodeId) -> usize {
+    assert!(a.len() <= MAX_SEQ_LEN && b.len() <= MAX_SEQ_LEN, "sequence too long");
+    let mut buf = [0 as NodeId; MAX_K];
+    let n = a.len() + b.len() + 1;
+    buf[..a.len()].copy_from_slice(a);
+    buf[a.len()..n - 1].copy_from_slice(b);
+    buf[n - 1] = extra;
+    let buf = &mut buf[..n];
+    buf.sort_unstable();
+    // ck-lint: allow(index-literal, reason = "windows(2) yields exactly-two-element slices")
+    1 + buf.windows(2).filter(|w| w[0] != w[1]).count()
+}
+
+/// One ordered sequence of distinct node IDs, stored inline — the fixed
+/// form of a reject witness's two halves.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct IdSeq {
     len: u8,
     ids: [NodeId; MAX_SEQ_LEN],
 }
 
 impl IdSeq {
-    /// The empty sequence.
-    pub fn empty() -> Self {
-        IdSeq { len: 0, ids: [0; MAX_SEQ_LEN] }
-    }
-
-    /// A one-element sequence (the Phase-2 seed `(myid)`).
-    pub fn single(id: NodeId) -> Self {
-        let mut s = Self::empty();
-        // ck-lint: allow(index-literal, reason = "ids is a fixed [NodeId; MAX_SEQ_LEN] array and MAX_SEQ_LEN >= 1")
-        s.ids[0] = id;
-        s.len = 1;
-        s
-    }
-
     /// Builds from a slice (panics if it exceeds capacity).
     pub fn from_slice(ids: &[NodeId]) -> Self {
         assert!(ids.len() <= MAX_SEQ_LEN, "sequence too long: {}", ids.len());
-        let mut s = Self::empty();
+        let mut s = IdSeq { len: ids.len() as u8, ids: [0; MAX_SEQ_LEN] };
         s.ids[..ids.len()].copy_from_slice(ids);
-        s.len = ids.len() as u8;
         s
     }
 
@@ -59,59 +265,8 @@ impl IdSeq {
         &self.ids[..self.len as usize]
     }
 
-    /// First ID (the extremity at `u` or `v` per Lemma 1), if nonempty.
-    pub fn first(&self) -> Option<NodeId> {
-        // ck-lint: allow(index-literal, reason = "guarded by len > 0 and ids is a fixed-size array")
-        (self.len > 0).then(|| self.ids[0])
-    }
-
-    /// Last ID (the sender extremity per Lemma 1), if nonempty.
-    pub fn last(&self) -> Option<NodeId> {
-        (self.len > 0).then(|| self.ids[self.len as usize - 1])
-    }
-
-    /// Membership test (linear scan; sequences are tiny).
-    pub fn contains(&self, id: NodeId) -> bool {
-        self.as_slice().contains(&id)
-    }
-
-    /// Returns the sequence extended by `id` at the tail (Instruction 24:
-    /// "append myid at the tail of each L ∈ S").
-    pub fn appended(&self, id: NodeId) -> Self {
-        assert!((self.len as usize) < MAX_SEQ_LEN, "append past capacity");
-        let mut s = *self;
-        s.ids[s.len as usize] = id;
-        s.len += 1;
-        s
-    }
-
-    /// True if `self` and `other` share no ID.
-    pub fn disjoint_with(&self, other: &IdSeq) -> bool {
-        self.as_slice().iter().all(|id| !other.contains(*id))
-    }
-
-    /// `|self ∪ other ∪ {extra}|` — the quantity of Instruction 37.
-    pub fn union_size_with(&self, other: &IdSeq, extra: NodeId) -> usize {
-        let mut buf = [0 as NodeId; 2 * MAX_SEQ_LEN + 1];
-        let mut n = 0;
-        for &id in self.as_slice() {
-            buf[n] = id;
-            n += 1;
-        }
-        for &id in other.as_slice() {
-            buf[n] = id;
-            n += 1;
-        }
-        buf[n] = extra;
-        n += 1;
-        let buf = &mut buf[..n];
-        buf.sort_unstable();
-        // ck-lint: allow(index-literal, reason = "windows(2) yields exactly-two-element slices")
-        1 + buf.windows(2).filter(|w| w[0] != w[1]).count()
-    }
-
     /// Iterator over IDs.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
         self.as_slice().iter().copied()
     }
 }
@@ -122,136 +277,165 @@ impl std::fmt::Debug for IdSeq {
     }
 }
 
-impl PartialOrd for IdSeq {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IdSeq {
-    /// Lexicographic over contents (shorter prefixes first) — the
-    /// canonical deterministic iteration order used by the pruner.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl<'a> IntoIterator for &'a IdSeq {
-    type Item = NodeId;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, NodeId>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::union_size as size_of_union;
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_and_access() {
-        let s = IdSeq::single(7);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.first(), Some(7));
-        assert_eq!(s.last(), Some(7));
-        let t = s.appended(9).appended(11);
-        assert_eq!(t.as_slice(), &[7, 9, 11]);
-        assert_eq!(t.first(), Some(7));
-        assert_eq!(t.last(), Some(11));
-        assert!(t.contains(9));
-        assert!(!t.contains(8));
-        assert!(IdSeq::empty().is_empty());
-        assert_eq!(IdSeq::empty().first(), None);
+        let mut s = SeqRows::new(2);
+        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
+        s.push(&[7, 9]);
+        s.push_appended(&[3], 11);
+        assert_eq!((s.width(), s.len()), (2, 2));
+        assert_eq!(s.row(1), &[3, 11]);
+        assert_eq!(s.ids(), &[7, 9, 3, 11]);
+        let rows: Vec<&[u64]> = s.rows().collect();
+        assert_eq!(rows, vec![&[7, 9][..], &[3, 11][..]]);
+        let mut t = SeqRows::from_rows(2, &[&[1, 2]]);
+        t.extend_rows(&s);
+        t.extend_rows(&SeqRows::new(5));
+        assert_eq!(t, SeqRows::from_rows(2, &[&[1, 2], &[7, 9], &[3, 11]]));
+        t.reset(3);
+        assert!(t.is_empty() && t.width() == 3);
+        // A warm copy reuses the target's buffer.
+        let mut u = SeqRows::from_rows(1, &[&[1], &[2], &[3], &[4]]);
+        let cap = u.ids.capacity();
+        u.clone_from(&s);
+        assert_eq!(u, s);
+        assert_eq!(u.ids.capacity(), cap);
     }
 
     #[test]
-    fn from_slice_round_trip() {
-        let s = IdSeq::from_slice(&[1, 2, 3]);
-        assert_eq!(s.as_slice(), &[1, 2, 3]);
-        let collected: Vec<_> = s.iter().collect();
-        assert_eq!(collected, vec![1, 2, 3]);
+    fn empty_sequence_edge_cases() {
+        // Two empty sets are equal whatever their width.
+        assert_eq!(SeqRows::new(0), SeqRows::new(3));
+        assert_eq!(SeqRows::new(2), SeqRows::default());
+        assert_eq!(SeqRows::new(0).rows().count(), 0);
+        // Nonempty sets compare their width too.
+        let a = SeqRows::from_rows(2, &[&[1, 2]]);
+        let b = SeqRows::from_rows(1, &[&[1], &[2]]);
+        assert_eq!(a.ids(), b.ids());
+        assert_ne!(a, b);
+        // Empty sequences in a union.
+        assert_eq!(size_of_union(&[], &[], 5), 1);
+        assert_eq!(size_of_union(&[], &[1, 2], 1), 2);
+        assert_eq!(size_of_union(&[1, 2], &[], 9), 3);
     }
 
     #[test]
-    #[should_panic(expected = "append past capacity")]
+    #[should_panic(expected = "row length differs")]
+    fn push_rejects_a_row_of_the_wrong_length() {
+        SeqRows::new(2).push(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "appended row length differs")]
+    fn push_appended_rejects_a_row_of_the_wrong_length() {
+        SeqRows::new(3).push_appended(&[1], 2);
+    }
+
+    /// A send set one ID past [`MAX_SEQ_LEN`] cannot be formed.
+    #[test]
+    #[should_panic(expected = "exceeds MAX_SEQ_LEN")]
     fn append_past_capacity_panics() {
-        let mut s = IdSeq::empty();
-        for i in 0..=MAX_SEQ_LEN as u64 {
-            s = s.appended(i);
-        }
+        SeqRows::new(MAX_SEQ_LEN).reset(MAX_SEQ_LEN + 1);
     }
 
     #[test]
     fn disjointness() {
-        let a = IdSeq::from_slice(&[1, 2, 3]);
-        let b = IdSeq::from_slice(&[4, 5]);
-        let c = IdSeq::from_slice(&[3, 4]);
-        assert!(a.disjoint_with(&b));
-        assert!(b.disjoint_with(&a));
-        assert!(!a.disjoint_with(&c));
-        assert!(a.disjoint_with(&IdSeq::empty()));
+        // Two rows are disjoint exactly when their union (plus a fresh
+        // extra) has every ID: the test decide's size rule relies on.
+        assert_eq!(size_of_union(&[1, 2, 3], &[4, 5], 9), 6);
+        assert_eq!(size_of_union(&[4, 5], &[1, 2, 3], 9), 6);
+        assert_eq!(size_of_union(&[1, 2, 3], &[3, 4], 9), 5);
     }
 
     #[test]
     fn union_size() {
-        let a = IdSeq::from_slice(&[1, 2]);
-        let b = IdSeq::from_slice(&[3, 4]);
-        assert_eq!(a.union_size_with(&b, 5), 5);
-        assert_eq!(a.union_size_with(&b, 4), 4);
-        let c = IdSeq::from_slice(&[2, 3]);
-        assert_eq!(a.union_size_with(&c, 1), 3);
-        assert_eq!(a.union_size_with(&a, 9), 3);
+        assert_eq!(size_of_union(&[1, 2], &[3, 4], 5), 5);
+        assert_eq!(size_of_union(&[1, 2], &[3, 4], 4), 4);
+        assert_eq!(size_of_union(&[1, 2], &[2, 3], 1), 3);
+        assert_eq!(size_of_union(&[1, 2], &[1, 2], 9), 3);
     }
 
     /// Boundary coverage at full capacity: `MAX_SEQ_LEN`-long sequences
     /// (every slot populated) and unions reaching exactly `MAX_K`.
     #[test]
     fn full_capacity_sequences_scalar() {
-        let a = IdSeq::from_slice(&(0..MAX_SEQ_LEN as u64).collect::<Vec<_>>());
-        let b =
-            IdSeq::from_slice(&(MAX_SEQ_LEN as u64..2 * MAX_SEQ_LEN as u64).collect::<Vec<_>>());
-        assert_eq!(a.len(), MAX_SEQ_LEN);
-        assert!(a.disjoint_with(&b) && b.disjoint_with(&a));
+        let a: Vec<u64> = (0..MAX_SEQ_LEN as u64).collect();
+        let b: Vec<u64> = (MAX_SEQ_LEN as u64..2 * MAX_SEQ_LEN as u64).collect();
         // Two full disjoint sequences plus a fresh extra: exactly MAX_K.
-        assert_eq!(a.union_size_with(&b, 2 * MAX_SEQ_LEN as u64), MAX_K);
+        assert_eq!(size_of_union(&a, &b, 2 * MAX_SEQ_LEN as u64), MAX_K);
         // Extra already present on either side: MAX_K − 1.
-        assert_eq!(a.union_size_with(&b, 0), MAX_K - 1);
-        assert_eq!(a.union_size_with(&b, MAX_SEQ_LEN as u64), MAX_K - 1);
+        assert_eq!(size_of_union(&a, &b, 0), MAX_K - 1);
+        assert_eq!(size_of_union(&a, &b, MAX_SEQ_LEN as u64), MAX_K - 1);
         // Self-union stays at capacity regardless of the extra.
-        assert_eq!(a.union_size_with(&a, 3), MAX_SEQ_LEN);
-        assert_eq!(a.union_size_with(&a, 99), MAX_SEQ_LEN + 1);
-        for id in a.iter() {
-            assert!(a.contains(id) && !b.contains(id));
-        }
-        // One shared ID at the last lane breaks disjointness.
-        let mut c_ids: Vec<u64> = (100..100 + MAX_SEQ_LEN as u64 - 1).collect();
-        c_ids.push(MAX_SEQ_LEN as u64 - 1);
-        let c = IdSeq::from_slice(&c_ids);
-        assert!(!a.disjoint_with(&c));
-        assert_eq!(a.union_size_with(&c, 200), 2 * MAX_SEQ_LEN);
-    }
-
-    #[test]
-    fn empty_sequence_edge_cases() {
-        let e = IdSeq::empty();
-        assert!(e.disjoint_with(&e));
-        assert!(!e.contains(0));
-        assert_eq!(e.union_size_with(&e, 5), 1);
-        let a = IdSeq::from_slice(&[1, 2]);
-        assert_eq!(e.union_size_with(&a, 1), 2);
-        assert_eq!(a.union_size_with(&e, 9), 3);
+        assert_eq!(size_of_union(&a, &a, 3), MAX_SEQ_LEN);
+        assert_eq!(size_of_union(&a, &a, 99), MAX_SEQ_LEN + 1);
+        // One shared ID at the last lane.
+        let mut c: Vec<u64> = (100..100 + MAX_SEQ_LEN as u64 - 1).collect();
+        c.push(MAX_SEQ_LEN as u64 - 1);
+        assert_eq!(size_of_union(&a, &c, 200), 2 * MAX_SEQ_LEN);
+        // Full-width rows survive a set round trip.
+        let mut rows = SeqRows::new(MAX_SEQ_LEN);
+        rows.push(&b);
+        rows.push(&a);
+        rows.sort_dedup(&mut SortScratch::default());
+        assert_eq!(rows, SeqRows::from_rows(MAX_SEQ_LEN, &[&a, &b]));
     }
 
     #[test]
     fn ordering_is_lexicographic() {
-        let mut v = [
-            IdSeq::from_slice(&[2, 1]),
-            IdSeq::from_slice(&[1, 2]),
-            IdSeq::from_slice(&[1]),
-            IdSeq::from_slice(&[1, 2, 3]),
-        ];
-        v.sort();
-        let rendered: Vec<Vec<u64>> = v.iter().map(|s| s.as_slice().to_vec()).collect();
-        assert_eq!(rendered, vec![vec![1], vec![1, 2], vec![1, 2, 3], vec![2, 1]]);
+        let mut s = SeqRows::from_rows(2, &[&[2, 1], &[1, 3], &[1, 2], &[2, 1], &[1, 2]]);
+        s.sort_dedup(&mut SortScratch::default());
+        assert_eq!(s, SeqRows::from_rows(2, &[&[1, 2], &[1, 3], &[2, 1]]));
+        let mut one = SeqRows::from_rows(1, &[&[5], &[2], &[5]]);
+        one.sort_dedup(&mut SortScratch::default());
+        assert_eq!(one, SeqRows::from_rows(1, &[&[2], &[5]]));
+    }
+
+    #[test]
+    fn from_slice_round_trip() {
+        let s = IdSeq::from_slice(&[1, 2, 3]);
+        assert_eq!(s.as_slice(), &[1, 2, 3]);
+        assert_eq!((s.len(), s.is_empty()), (3, false));
+        assert_eq!(s.iter().rev().collect::<Vec<_>>(), vec![3, 2, 1]);
+        assert!(IdSeq::from_slice(&[]).is_empty());
+    }
+
+    /// Random sets: `width`, then rows drawn from a small ID universe so
+    /// duplicates and shared prefixes are common.
+    fn arb_rows() -> impl Strategy<Value = (usize, Vec<Vec<u64>>)> {
+        (1usize..=MAX_SEQ_LEN).prop_flat_map(|w| (Just(w), vec(vec(0u64..4, w), 0..24)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// `sort_dedup` agrees with sort-and-dedup over `Vec<Vec<u64>>`,
+        /// with one scratch reused across cases as the tester does.
+        #[test]
+        fn sort_dedup_matches_nested_vectors((width, raw) in arb_rows()) {
+            let mut set = SeqRows::new(width);
+            for row in &raw {
+                set.push(row);
+            }
+            let mut scratch = SortScratch::default();
+            set.sort_dedup(&mut scratch);
+            let mut want = raw.clone();
+            want.sort_unstable();
+            want.dedup();
+            let got: Vec<Vec<u64>> = set.rows().map(<[u64]>::to_vec).collect();
+            prop_assert_eq!(got, want);
+            // Idempotent.
+            let once = set.clone();
+            set.sort_dedup(&mut scratch);
+            prop_assert_eq!(set, once);
+        }
     }
 }

@@ -13,9 +13,9 @@
 //! `⌊k/2⌋ − 1`.
 
 use crate::decide::{decide_all_rejects, RejectWitness};
-use crate::msg::{SeqBundle, SeqPool};
+use crate::msg::SeqPool;
 use crate::prune::{build_send_set_into, PrunerKind, SendSetScratch};
-use crate::seq::{IdSeq, MAX_K};
+use crate::seq::{SeqRows, MAX_K};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
 use ck_congest::graph::{Edge, Graph, NodeId};
 use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
@@ -46,15 +46,15 @@ pub struct DetectSingle {
     v_id: NodeId,
     pruner: PrunerKind,
     /// Sequences broadcast at the last send round (consulted for even k).
-    own_sent: Vec<IdSeq>,
+    own_sent: SeqRows,
     verdict: SingleVerdict,
     /// Recycled receive buffer (collect output).
-    recv: Vec<IdSeq>,
+    recv: SeqRows,
     /// Recycled send-set buffer.
-    send_buf: Vec<IdSeq>,
+    send_buf: SeqRows,
     /// Pruner workspace.
     scratch: SendSetScratch,
-    /// Recycling pool for outgoing bundle backings, refilled by the
+    /// Recycling pool for outgoing payload backings, refilled by the
     /// payloads the engine's broadcast slot evicts.
     pool: SeqPool,
 }
@@ -71,64 +71,63 @@ impl DetectSingle {
             u_id: edge_ids.0,
             v_id: edge_ids.1,
             pruner,
-            own_sent: Vec::new(),
+            own_sent: SeqRows::default(),
             verdict: SingleVerdict::default(),
-            recv: Vec::new(),
-            send_buf: Vec::new(),
+            recv: SeqRows::default(),
+            send_buf: SeqRows::default(),
             scratch: SendSetScratch::default(),
             pool: SeqPool::new(),
         }
     }
 
-    /// Dedups the received sequences into the recycled `recv` buffer,
-    /// reading the shared broadcast payloads in place.
-    fn collect(&mut self, inbox: Inbox<'_, SeqBundle>) {
-        self.recv.clear();
-        for inc in inbox.iter() {
-            self.recv.extend_from_slice(inc.msg.as_slice());
+    /// Dedups the received `width`-ID sequences into the recycled `recv`
+    /// buffer, reading the shared broadcast payloads in place. A payload
+    /// of any other width contributes nothing.
+    fn collect(&mut self, inbox: Inbox<'_, SeqRows>, width: usize) {
+        self.recv.reset(width);
+        for inc in inbox.iter().filter(|inc| inc.msg.width() == width) {
+            self.recv.extend_rows(inc.msg);
         }
-        self.recv.sort_unstable();
-        self.recv.dedup();
+        self.recv.sort_dedup(self.scratch.sort_scratch());
     }
 
-    /// Returns an evicted broadcast payload's buffer to the pool.
-    fn recycle(&mut self, evicted: Option<SeqBundle>) {
-        if let Some(bundle) = evicted {
-            self.pool.put(bundle);
+    /// Returns an evicted broadcast payload's backing to the pool.
+    fn recycle(&mut self, evicted: Option<SeqRows>) {
+        if let Some(seqs) = evicted {
+            self.pool.put(seqs);
         }
     }
 }
 
 impl Program for DetectSingle {
-    type Msg = SeqBundle;
+    type Msg = SeqRows;
     type Verdict = SingleVerdict;
 
-    fn step(
-        &mut self,
-        round: u32,
-        inbox: Inbox<'_, SeqBundle>,
-        out: &mut Outbox<SeqBundle>,
-    ) -> Status {
+    fn step(&mut self, round: u32, inbox: Inbox<'_, SeqRows>, out: &mut Outbox<SeqRows>) -> Status {
         if round == 0 {
             // Paper round 1: the endpoints seed their own ID.
             if self.myid == self.u_id || self.myid == self.v_id {
-                let seed = IdSeq::single(self.myid);
+                let seed = [self.myid];
                 if self.half_k == 1 {
                     // k ∈ {3}: the seed round is also the last send round.
-                    self.own_sent.clear();
-                    self.own_sent.push(seed);
+                    self.own_sent.reset(1);
+                    self.own_sent.push(&seed);
                 }
                 self.verdict.max_sent_seqs = 1;
-                let bundle = self.pool.bundle_from(&[seed]);
-                let evicted = out.broadcast(bundle);
+                let mut seqs = self.pool.take(1);
+                seqs.push(&seed);
+                let evicted = out.broadcast(seqs);
                 self.recycle(evicted);
             }
             return Status::Running;
         }
+        // Engine round r carries the sequences sent at engine round
+        // r − 1: r IDs each.
+        let width = round as usize;
         if round < self.half_k {
             // Paper round t = round + 1: prune and forward, entirely
             // within recycled buffers.
-            self.collect(inbox);
+            self.collect(inbox, width);
             build_send_set_into(
                 self.pruner,
                 &self.recv,
@@ -140,20 +139,19 @@ impl Program for DetectSingle {
             );
             if !self.send_buf.is_empty() {
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(self.send_buf.len());
-                self.own_sent.clear();
-                self.own_sent.extend_from_slice(&self.send_buf);
-                let bundle = self.pool.bundle_from(&self.send_buf);
-                let evicted = out.broadcast(bundle);
+                self.own_sent.clone_from(&self.send_buf);
+                let seqs = self.pool.copy_of(&self.send_buf);
+                let evicted = out.broadcast(seqs);
                 self.recycle(evicted);
             } else if round + 1 == self.half_k {
                 // Nothing to contribute at the final send round: stale
                 // own_sent from earlier rounds must not enter the decision.
-                self.own_sent.clear();
+                self.own_sent.reset(0);
             }
             return Status::Running;
         }
         // round == half_k: decision round.
-        self.collect(inbox);
+        self.collect(inbox, width);
         let all = decide_all_rejects(self.k, self.myid, &self.own_sent, &self.recv);
         if !all.is_empty() {
             self.verdict.reject = true;
@@ -350,6 +348,37 @@ mod tests {
                 "k={k}: sent {} > Lemma 3 bound {worst}",
                 out.max_sent_seqs()
             );
+        }
+    }
+
+    /// A payload whose width disagrees with the round is dropped: the
+    /// step forwards only the round-width rows, each with the node's ID
+    /// appended, instead of tripping the pruner's width check.
+    #[test]
+    fn foreign_width_payloads_are_dropped() {
+        use ck_congest::node::InboxBuf;
+        let g = cycle(7);
+        let init = NodeInit {
+            index: 3,
+            id: g.id(3),
+            neighbor_ids: g.neighbor_ids(3),
+            ports_by_id: &[],
+            n: g.n(),
+            m: g.m(),
+        };
+        let myid = init.id;
+        let mut node = DetectSingle::new(7, &init, (g.id(0), g.id(6)), PrunerKind::Representative);
+        // Engine round 2 (paper round 3) carries width-2 rows.
+        let mut inbox = InboxBuf::new();
+        inbox.push(0, SeqRows::from_rows(2, &[&[20, 21], &[10, 11]]));
+        inbox.push(1, SeqRows::from_rows(3, &[&[30, 31, 32]]));
+        let mut out = Outbox::for_harness(2);
+        assert_eq!(node.step(2, inbox.view(), &mut out), Status::Running);
+        let want = SeqRows::from_rows(3, &[&[10, 11, myid], &[20, 21, myid]]);
+        let sends = out.take_sends();
+        assert_eq!(sends.len(), 2, "one broadcast over both ports");
+        for (_, seqs) in sends {
+            assert_eq!(seqs, want);
         }
     }
 

@@ -1,13 +1,16 @@
 //! The tester's node state, in one arena.
 //!
 //! Every node of the full tester (Algorithm 1) carries O(degree) state:
-//! port ranks, absorb lanes, its received, sent and outgoing sequence
-//! sets, a payload pool and a prune workspace. Instead of ~8 small heap
-//! buffers per node, one cache miss each per step, a [`SoaArena`] packs
-//! that state into a few large buffers, and each node's program holds a
-//! 24-byte `SoaView` of index-based raw-pointer slices into it. This is
-//! the only node-state layout: the sequential, parallel and distributed
-//! executors (and so `ckserve`) all run the tester over arena views.
+//! port ranks, absorb lanes, its last sent sequence set and a payload
+//! pool. A step also needs temporaries: the received set, the send set
+//! and a prune workspace, all dead once the step returns. Instead of
+//! small heap buffers per node, one cache miss each per step, a
+//! [`SoaArena`] packs the per-node state into a few large buffers and
+//! shares the temporaries per executor chunk, and each node's program
+//! holds a 24-byte `SoaView` of index-based raw-pointer slices into it.
+//! This is the only node-state layout: the sequential, parallel and
+//! distributed executors (and so `ckserve`) all run the tester over
+//! arena views.
 //!
 //! Layout, by access pattern:
 //!
@@ -18,32 +21,34 @@
 //!   lanes (at most one Phase-2 message per port per round under
 //!   CONGEST). Neighbors in the CSR order are adjacent in memory, so the
 //!   parallel executor's contiguous node chunks stream these lanes.
-//! * **node-major (header array)** — buffers whose per-node size is
-//!   dynamic (Lemma 3 bounds send sets by `(k-t+1)^{t-1}`, astronomically
-//!   large near `MAX_K`, so static slabs are ruled out): the
-//!   `recv`/`own_sent`/`send_buf` sequence sets keep their demand-grown
-//!   `Vec` backings, but the *headers* live contiguously in one arena
-//!   array, as do the per-node payload pools (whose `outstanding`
-//!   accounting is per-node state in the verdict).
-//! * **chunk-shared** — the prune workspace is a per-round temporary
-//!   cleared at the start of every use, so nodes that provably step on
-//!   the same executor thread share one: the arena allocates one per
-//!   contiguous chunk of the [`ck_congest::engine::node_step_plan`]
-//!   snapshot the tester pins on the run, instead of one per node.
+//! * **node-major (header array)** — state that outlives a step and
+//!   whose per-node size is dynamic (Lemma 3 bounds send sets by
+//!   `(k-t+1)^{t-1}`, astronomically large near `MAX_K`, so static slabs
+//!   are ruled out): `own_sent`, the last send set, read by the next
+//!   round's decision, keeps its demand-grown [`SeqRows`] backing with
+//!   the header in one arena array, as do the per-node payload pools
+//!   (whose `outstanding` accounting is per-node state in the verdict).
+//! * **chunk-shared** — the per-step temporaries: the received set
+//!   `recv`, the send set `send` and the prune workspace. Each is reset
+//!   at the start of every use and dead once the step returns, so nodes
+//!   that provably step on the same executor thread share one: the
+//!   arena allocates one `StepScratch` per contiguous chunk of the
+//!   [`ck_congest::engine::node_step_plan`] snapshot the tester pins on
+//!   the run, instead of one per node.
 //!
 //! A warm `SoaArena::prepare` performs zero heap operations for a
 //! same-shape rerun — the contract `tests/alloc_gate.rs` pins down.
 
-use crate::msg::{EdgeTag, SeqBundle, SeqPool};
+use crate::msg::{EdgeTag, SeqPool};
 use crate::prune::SendSetScratch;
-use crate::seq::IdSeq;
+use crate::seq::SeqRows;
 use ck_congest::graph::Graph;
 
 /// A Phase-2 payload location captured during one absorb pass. Dead
 /// outside that pass — the tag lanes are length-reset before every use,
 /// so a stale pointer is never dereferenced.
 #[derive(Clone, Copy)]
-pub(crate) struct BundleLoc(pub(crate) *const SeqBundle);
+pub(crate) struct BundleLoc(pub(crate) *const SeqRows);
 
 impl BundleLoc {
     /// Lane fill value; never dereferenced (reads are bounded by the
@@ -60,6 +65,22 @@ unsafe impl Send for BundleLoc {}
 /// pass's live length).
 const TAG_FILL: EdgeTag = EdgeTag { rank: 0, lo: 0, hi: 0 };
 
+/// The per-step temporaries of one executor chunk: reset at every use
+/// and dead once a node's step returns, so the nodes of one chunk share
+/// them (see `SoaView`'s invariants). Every step writes these headers,
+/// so each chunk's copy sits on cache lines of its own: neighbouring
+/// chunks step on different threads.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct StepScratch {
+    /// The served edge's received set (absorb output).
+    recv: SeqRows,
+    /// The send set under construction.
+    send: SeqRows,
+    /// Pruner workspace.
+    prune: SendSetScratch,
+}
+
 /// The arena owning every tester node's state. A `TesterSession` and
 /// each batch shard own one and recycle it across runs; a distributed
 /// worker prepares one per job. See the module docs for the layout.
@@ -73,16 +94,12 @@ pub struct SoaArena {
     tag_tags: Vec<EdgeTag>,
     /// Absorb-pass payload-location lane (lane-major).
     tag_locs: Vec<BundleLoc>,
-    /// Deduplicated received sequences (node-major headers).
-    recv: Vec<Vec<IdSeq>>,
     /// Last sent sequences, kept for the decision round (node-major).
-    own_sent: Vec<Vec<IdSeq>>,
-    /// Send set under construction (node-major headers).
-    send_buf: Vec<Vec<IdSeq>>,
+    own_sent: Vec<SeqRows>,
     /// Per-node payload pools (outstanding accounting is per-node).
     pools: Vec<SeqPool>,
-    /// Chunk-shared pruner workspaces (one per executor chunk).
-    chunk_prune: Vec<SendSetScratch>,
+    /// Chunk-shared step temporaries (one per executor chunk).
+    chunk_scratch: Vec<StepScratch>,
     /// The executor partition's chunk length this arena was prepared for.
     chunk_len: usize,
     /// The base-pointer table, refreshed by [`SoaArena::bases`]; views
@@ -93,7 +110,7 @@ pub struct SoaArena {
 
 impl SoaArena {
     /// Sizes and clears the arena for a run on `g`: CSR offsets rebuilt,
-    /// lanes zeroed, node-major headers cleared (backings kept), pools'
+    /// lanes zeroed, own sets cleared (backings kept), pools'
     /// accounting reset, and chunk-shared scratch sized for `chunk_len`
     /// elements per executor chunk. The caller passes the chunk length
     /// of the *same* plan snapshot it pins on the run (parallel:
@@ -119,19 +136,15 @@ impl SoaArena {
         self.tag_tags.resize(lanes, TAG_FILL);
         self.tag_locs.clear();
         self.tag_locs.resize(lanes, BundleLoc::NULL);
-        self.recv.resize_with(n, Vec::new);
-        self.own_sent.resize_with(n, Vec::new);
-        self.send_buf.resize_with(n, Vec::new);
+        self.own_sent.resize_with(n, SeqRows::default);
         self.pools.resize_with(n, SeqPool::default);
-        for v in 0..n {
-            self.recv[v].clear();
-            self.own_sent[v].clear();
-            self.send_buf[v].clear();
-            self.pools[v].reset_accounting();
+        for (own, pool) in self.own_sent.iter_mut().zip(&mut self.pools) {
+            own.reset(0);
+            pool.reset_accounting();
         }
         self.chunk_len = chunk_len.max(1);
         let chunks = n.div_ceil(self.chunk_len).max(1);
-        self.chunk_prune.resize_with(chunks, SendSetScratch::default);
+        self.chunk_scratch.resize_with(chunks, StepScratch::default);
     }
 
     /// Refreshes and returns the arena's base-pointer table, for
@@ -146,11 +159,9 @@ impl SoaArena {
             port_rank: self.port_rank.as_mut_ptr(),
             tag_tags: self.tag_tags.as_mut_ptr(),
             tag_locs: self.tag_locs.as_mut_ptr(),
-            recv: self.recv.as_mut_ptr(),
             own_sent: self.own_sent.as_mut_ptr(),
-            send_buf: self.send_buf.as_mut_ptr(),
             pools: self.pools.as_mut_ptr(),
-            chunk_prune: self.chunk_prune.as_mut_ptr(),
+            chunk_scratch: self.chunk_scratch.as_mut_ptr(),
             chunk_len: self.chunk_len,
         };
         &self.bases
@@ -168,11 +179,9 @@ pub(crate) struct SoaBases {
     port_rank: *mut u64,
     tag_tags: *mut EdgeTag,
     tag_locs: *mut BundleLoc,
-    recv: *mut Vec<IdSeq>,
-    own_sent: *mut Vec<IdSeq>,
-    send_buf: *mut Vec<IdSeq>,
+    own_sent: *mut SeqRows,
     pools: *mut SeqPool,
-    chunk_prune: *mut SendSetScratch,
+    chunk_scratch: *mut StepScratch,
     chunk_len: usize,
 }
 
@@ -190,11 +199,9 @@ impl Default for SoaBases {
             port_rank: std::ptr::null_mut(),
             tag_tags: std::ptr::null_mut(),
             tag_locs: std::ptr::null_mut(),
-            recv: std::ptr::null_mut(),
             own_sent: std::ptr::null_mut(),
-            send_buf: std::ptr::null_mut(),
             pools: std::ptr::null_mut(),
-            chunk_prune: std::ptr::null_mut(),
+            chunk_scratch: std::ptr::null_mut(),
             chunk_len: 1,
         }
     }
@@ -202,9 +209,9 @@ impl Default for SoaBases {
 
 /// Exclusive borrows of every buffer one tester step touches, handed
 /// out by [`SoaView::bufs`]. Lane buffers (`ports`, `tags`, `locs`) are
-/// degree-sized slices; the sequence sets stay growable `Vec`s because
-/// Lemma 3's send-set bound is astronomically large near `MAX_K`, which
-/// rules out statically sized slabs.
+/// degree-sized slices; the sequence sets stay growable [`SeqRows`]
+/// because Lemma 3's send-set bound is astronomically large near
+/// `MAX_K`, which rules out statically sized slabs.
 pub(crate) struct BufsRef<'a> {
     /// Phase-1 rank per port (`0` = unknown).
     pub(crate) ports: &'a mut [u64],
@@ -212,15 +219,16 @@ pub(crate) struct BufsRef<'a> {
     pub(crate) tags: &'a mut [EdgeTag],
     /// Absorb-pass payload-location lane.
     pub(crate) locs: &'a mut [BundleLoc],
-    /// Deduplicated sequences of the served edge (absorb output).
-    pub(crate) recv: &'a mut Vec<IdSeq>,
     /// Last sent sequences, kept for the decision round.
-    pub(crate) own_sent: &'a mut Vec<IdSeq>,
-    /// The send set under construction.
-    pub(crate) send_buf: &'a mut Vec<IdSeq>,
-    /// Recycling pool for outgoing bundle backings.
+    pub(crate) own_sent: &'a mut SeqRows,
+    /// Recycling pool for outgoing payload backings.
     pub(crate) pool: &'a mut SeqPool,
-    /// Pruner workspace (shared by the nodes of one executor chunk).
+    /// Deduplicated sequences of the served edge (absorb output; shared
+    /// by the nodes of one executor chunk).
+    pub(crate) recv: &'a mut SeqRows,
+    /// The send set under construction (chunk-shared).
+    pub(crate) send: &'a mut SeqRows,
+    /// Pruner workspace (chunk-shared).
     pub(crate) prune: &'a mut SendSetScratch,
 }
 
@@ -237,9 +245,11 @@ pub(crate) struct BufsRef<'a> {
 ///   `chunk = node / chunk_len` — all fixed at construction from the
 ///   prepared arena's own tables.
 /// * Per-node regions are disjoint across views: lane slices by CSR
-///   construction, node-major headers and pools by index.
-/// * The chunk-shared prune scratch is aliased only by views whose
-///   nodes step on the same executor thread: the tester captures one
+///   construction, `own_sent` headers and pools by index.
+/// * The chunk-shared [`StepScratch`] (`recv`, `send` and the prune
+///   workspace, each reset at every use and dead once a step returns)
+///   is aliased only by views whose nodes step on the same executor
+///   thread: the tester captures one
 ///   [`ck_congest::engine::node_step_plan`] snapshot, sizes this
 ///   arena's scratch from its `chunk_len` (`prepare`), and pins the
 ///   very same snapshot on the run
@@ -311,15 +321,16 @@ impl SoaView {
         // invariants; the borrows' lifetime is tied to `&mut self`, so a
         // second `bufs()` on the same view cannot overlap the first.
         unsafe {
+            let StepScratch { recv, send, prune } = &mut *b.chunk_scratch.add(chunk);
             BufsRef {
                 ports: std::slice::from_raw_parts_mut(b.port_rank.add(off), deg),
                 tags: std::slice::from_raw_parts_mut(b.tag_tags.add(off), deg),
                 locs: std::slice::from_raw_parts_mut(b.tag_locs.add(off), deg),
-                recv: &mut *b.recv.add(node),
                 own_sent: &mut *b.own_sent.add(node),
-                send_buf: &mut *b.send_buf.add(node),
                 pool: &mut *b.pools.add(node),
-                prune: &mut *b.chunk_prune.add(chunk),
+                recv,
+                send,
+                prune,
             }
         }
     }
@@ -362,29 +373,30 @@ mod tests {
             let locs = lane(bufs.locs.as_ptr().cast(), b.tag_locs.cast(), size_of::<BundleLoc>());
             assert_eq!((ports, tags, locs), (start, start, start), "node {v}: lane offsets");
             next_lane += deg;
-            // The node-major headers and the pool are this node's own
-            // entries; the prune scratch is its chunk's.
-            let recv: *const Vec<IdSeq> = &*bufs.recv;
-            let own_sent: *const Vec<IdSeq> = &*bufs.own_sent;
-            let send_buf: *const Vec<IdSeq> = &*bufs.send_buf;
+            // The own set and the pool are this node's own entries; the
+            // step temporaries are its chunk's.
+            let own_sent: *const SeqRows = &*bufs.own_sent;
             let pool: *const SeqPool = &*bufs.pool;
+            let recv: *const SeqRows = &*bufs.recv;
+            let send: *const SeqRows = &*bufs.send;
             let prune: *const SendSetScratch = &*bufs.prune;
             // SAFETY: offsets within the prepared arrays (`v < n`,
             // `v / chunk_len` < chunk count); only addresses are formed.
             unsafe {
-                assert_eq!(recv, b.recv.add(v).cast_const());
                 assert_eq!(own_sent, b.own_sent.add(v).cast_const());
-                assert_eq!(send_buf, b.send_buf.add(v).cast_const());
                 assert_eq!(pool, b.pools.add(v).cast_const());
-                assert_eq!(prune, b.chunk_prune.add(v / chunk_len).cast_const());
+                let scratch = b.chunk_scratch.add(v / chunk_len);
+                assert_eq!(recv, &raw const (*scratch).recv);
+                assert_eq!(send, &raw const (*scratch).send);
+                assert_eq!(prune, &raw const (*scratch).prune);
             }
-            headers.extend([recv as usize, own_sent as usize, send_buf as usize, pool as usize]);
+            headers.extend([own_sent as usize, pool as usize]);
         }
         assert_eq!(next_lane, g.num_directed_edges(), "views must tile every directed-edge lane");
         let count = headers.len();
         headers.sort_unstable();
         headers.dedup();
-        assert_eq!(headers.len(), count, "recv/own_sent/send_buf/pool addresses must be distinct");
+        assert_eq!(headers.len(), count, "own_sent/pool addresses must be distinct");
     }
 
     #[test]

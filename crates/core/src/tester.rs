@@ -24,7 +24,7 @@ use crate::decide::{decide_reject, RejectWitness};
 use crate::msg::{CkMsg, EdgeTag, SeqPool};
 use crate::prune::{build_send_set_into, PrunerKind};
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
-use crate::seq::{IdSeq, MAX_K};
+use crate::seq::{SeqRows, SortScratch, MAX_K};
 use crate::soa::{BufsRef, BundleLoc, SoaArena, SoaView};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
 use ck_congest::graph::{Graph, NodeId};
@@ -181,8 +181,8 @@ pub struct NodeVerdict {
     /// Largest number of sequences this node put into one message (the
     /// measured side of Lemma 3).
     pub max_sent_seqs: usize,
-    /// Payload-pool buffers taken and never returned when the verdict
-    /// was collected — the leak indicator of the pooled `SeqBundle`
+    /// Payload-pool backings taken and never returned when the verdict
+    /// was collected — the leak indicator of the pooled payload
     /// cycle. At most 2 for any run length (one per engine arena
     /// generation still parking this node's last broadcasts).
     pub pool_outstanding: u64,
@@ -252,20 +252,27 @@ impl<'g> CkTester<'g> {
 
 /// Lowers `cur` to the smallest tag among the incoming Phase-2 messages
 /// (the paper's switch rule), then fills `recv` with the deduplicated
-/// sequences of the edge now being served. One pass records each
-/// message's tag and payload location in the degree-sized lanes (at
-/// most one Phase-2 message arrives per port under CONGEST), so the
+/// `width`-ID sequences of the edge now being served. One pass records
+/// each message's tag and payload location in the degree-sized lanes
+/// (at most one Phase-2 message arrives per port under CONGEST), so the
 /// shared broadcast slots (a random read per sender) are dereferenced
 /// exactly once; payloads are read straight out of the slots — no
 /// clone, no allocation.
+///
+/// `width` is the round's sequence length. A payload of any other width
+/// (a distributed frame whose context word disagrees with the round)
+/// contributes no sequence; its tag still takes part in arbitration, as
+/// every `Seqs` tag does.
 fn absorb(
     cur: &mut Option<EdgeTag>,
     tags: &mut [EdgeTag],
     locs: &mut [BundleLoc],
-    recv: &mut Vec<IdSeq>,
+    recv: &mut SeqRows,
+    sort: &mut SortScratch,
     inbox: &Inbox<'_, CkMsg>,
+    width: usize,
 ) {
-    recv.clear();
+    recv.reset(width);
     let mut len = 0usize;
     for inc in inbox.iter() {
         if let CkMsg::Seqs { tag, seqs } = inc.msg {
@@ -282,17 +289,22 @@ fn absorb(
         if tags[i] == cur {
             // SAFETY: collected from this call's inbox a few lines up;
             // the payloads live until the step returns.
-            recv.extend_from_slice(unsafe { (*locs[i].0).as_slice() });
+            let seqs = unsafe { &*locs[i].0 };
+            if seqs.width() == width {
+                recv.extend_rows(seqs);
+            }
         }
     }
     if recv.len() > 1 {
-        recv.sort_unstable();
-        recv.dedup();
+        recv.sort_dedup(sort);
     }
 }
 
+/// The own set of a decision whose last send served another edge.
+static NO_ROWS: SeqRows = SeqRows::new(0);
+
 /// Recycles the payload a broadcast evicted from this node's slot (the
-/// bundle shipped two rounds earlier, which no receiver can still be
+/// payload shipped two rounds earlier, which no receiver can still be
 /// reading).
 fn recycle(pool: &mut SeqPool, evicted: Option<CkMsg>) {
     if let Some(CkMsg::Seqs { seqs, .. }) = evicted {
@@ -305,7 +317,7 @@ impl Program for CkTester<'_> {
     type Verdict = NodeVerdict;
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, CkMsg>, out: &mut Outbox<CkMsg>) -> Status {
-        let BufsRef { ports, tags, locs, recv, own_sent, send_buf, pool, prune } = self.view.bufs();
+        let BufsRef { ports, tags, locs, own_sent, pool, recv, send, prune } = self.view.bufs();
 
         // Early-abort extension: adopt an incoming flag, forward it once,
         // halt the round after (the normal protocol below never runs
@@ -334,7 +346,7 @@ impl Program for CkTester<'_> {
             // never drawn from, so the skip is unobservable.
             ports.fill(0);
             self.cur = None;
-            own_sent.clear();
+            own_sent.reset(0);
             self.own_sent_tag = None;
             if self.owns_edges {
                 let mut rng = self.ranks.rng(rep);
@@ -374,16 +386,17 @@ impl Program for CkTester<'_> {
             }
             if let Some(tag) = best {
                 self.cur = Some(tag);
-                let seed = IdSeq::single(self.myid);
+                let seed = [self.myid];
                 if self.half_k == 1 {
                     // k = 3: the seed round is the last send round.
-                    own_sent.clear();
-                    own_sent.push(seed);
+                    own_sent.reset(1);
+                    own_sent.push(&seed);
                     self.own_sent_tag = Some(tag);
                 }
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(1);
-                let bundle = pool.bundle_from(&[seed]);
-                let evicted = out.broadcast(CkMsg::Seqs { tag, seqs: bundle });
+                let mut seqs = pool.take(1);
+                seqs.push(&seed);
+                let evicted = out.broadcast(CkMsg::Seqs { tag, seqs });
                 recycle(pool, evicted);
             }
             return Status::Running;
@@ -392,39 +405,33 @@ impl Program for CkTester<'_> {
         if local <= self.half_k {
             // Paper round t = local: prioritized prune-and-forward,
             // entirely within recycled buffers.
-            absorb(&mut self.cur, tags, locs, recv, &inbox);
-            build_send_set_into(
-                self.pruner,
-                recv,
-                self.myid,
-                self.k,
-                local as usize,
-                prune,
-                send_buf,
-            );
-            if !send_buf.is_empty() {
-                self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(send_buf.len());
-                own_sent.clear();
-                own_sent.extend_from_slice(send_buf);
+            let t = local as usize;
+            absorb(&mut self.cur, tags, locs, recv, prune.sort_scratch(), &inbox, t - 1);
+            build_send_set_into(self.pruner, recv, self.myid, self.k, t, prune, send);
+            if !send.is_empty() {
+                self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(send.len());
+                own_sent.clone_from(send);
                 self.own_sent_tag = self.cur;
-                // ck-lint: allow(no-panic, reason = "send_buf is only filled while a served repetition is in flight, which sets cur")
+                // ck-lint: allow(no-panic, reason = "the send set is only filled while a served repetition is in flight, which sets cur")
                 let tag = self.cur.expect("cur set when R nonempty");
-                let bundle = pool.bundle_from(send_buf);
-                let evicted = out.broadcast(CkMsg::Seqs { tag, seqs: bundle });
+                let seqs = pool.copy_of(send);
+                let evicted = out.broadcast(CkMsg::Seqs { tag, seqs });
                 recycle(pool, evicted);
             } else if local == self.half_k {
                 // Nothing contributed at the final send round: stale own
                 // sequences must not feed the even-k decision.
-                own_sent.clear();
+                own_sent.reset(0);
                 self.own_sent_tag = None;
             }
             return Status::Running;
         }
 
-        // local == half_k + 1: decision round (Instructions 31–42).
-        absorb(&mut self.cur, tags, locs, recv, &inbox);
-        let own: &[IdSeq] =
-            if self.own_sent_tag == self.cur && self.cur.is_some() { own_sent } else { &[] };
+        // local == half_k + 1: decision round (Instructions 31–42) on
+        // the sequences sent at round half_k.
+        let half = self.half_k as usize;
+        absorb(&mut self.cur, tags, locs, recv, prune.sort_scratch(), &inbox, half);
+        let own: &SeqRows =
+            if self.own_sent_tag == self.cur && self.cur.is_some() { own_sent } else { &NO_ROWS };
         if !self.verdict.rejected {
             if let Some(w) = decide_reject(self.k, self.myid, own, recv) {
                 self.verdict.rejected = true;
@@ -966,6 +973,46 @@ mod tests {
         let run = run_tester(&g, &cfg, &EngineConfig::default()).unwrap();
         assert_eq!(run.repetitions, 36);
         assert!(run.reject);
+    }
+
+    /// A payload whose width disagrees with the round (a distributed
+    /// frame whose context word is off) is dropped by absorb: the step
+    /// forwards only the round-width rows, each with the node's ID
+    /// appended, instead of tripping the pruner's width check.
+    #[test]
+    fn foreign_width_payloads_are_dropped() {
+        use ck_congest::node::InboxBuf;
+        let g = cycle(7);
+        let cfg = TesterConfig::new(7, 0.1, 1);
+        let mut arena = SoaArena::default();
+        arena.prepare(&g, g.n());
+        let bases = arena.bases();
+        let init = NodeInit {
+            index: 0,
+            id: g.id(0),
+            neighbor_ids: g.neighbor_ids(0),
+            ports_by_id: &[],
+            n: g.n(),
+            m: g.m(),
+        };
+        let mut node = CkTester::new(&cfg, &init, SoaView::new(bases, 0));
+        let myid = init.id;
+        // Paper round t = 3 of repetition 0 carries width-2 rows.
+        let round = 3;
+        assert!((2..=node.half_k).contains(&(round % node.rpr)));
+        let tag = EdgeTag::new(5, 40, 41);
+        let mut inbox = InboxBuf::new();
+        let fit = SeqRows::from_rows(2, &[&[20, 21], &[10, 11]]);
+        inbox.push(0, CkMsg::Seqs { tag, seqs: fit });
+        inbox.push(1, CkMsg::Seqs { tag, seqs: SeqRows::from_rows(3, &[&[30, 31, 32]]) });
+        let mut out = Outbox::for_harness(2);
+        assert_eq!(node.step(round, inbox.view(), &mut out), Status::Running);
+        let want = SeqRows::from_rows(3, &[&[10, 11, myid], &[20, 21, myid]]);
+        let sends = out.take_sends();
+        assert_eq!(sends.len(), 2, "one broadcast over both ports");
+        for (_, msg) in sends {
+            assert_eq!(msg, CkMsg::Seqs { tag, seqs: want.clone() });
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! backed by real bytes.
 
 use ck_congest::message::{BitReader, CodecError, WireCodec, WireMessage, WireParams};
-use ck_core::msg::{CkCodec, CkMsg, EdgeTag, SeqBundle, SeqPool};
-use ck_core::seq::{IdSeq, MAX_SEQ_LEN};
+use ck_core::msg::{CkCodec, CkMsg, EdgeTag, SeqPool};
+use ck_core::seq::{SeqRows, MAX_SEQ_LEN};
 use proptest::prelude::*;
 
 /// Wire parameters of the kind `WireParams::for_graph` derives: id and
@@ -21,7 +21,7 @@ fn arb_params() -> impl Strategy<Value = WireParams> {
 }
 
 /// A duplicate-free sequence of `len` IDs that fit `id_bits`.
-fn arb_seq(len: usize, id_bits: u32, salt: u64) -> IdSeq {
+fn arb_seq(len: usize, id_bits: u32, salt: u64) -> Vec<u64> {
     let mask = if id_bits >= 64 { u64::MAX } else { (1u64 << id_bits) - 1 };
     let mut ids = Vec::with_capacity(len);
     let mut x = salt;
@@ -32,7 +32,16 @@ fn arb_seq(len: usize, id_bits: u32, salt: u64) -> IdSeq {
             ids.push(id);
         }
     }
-    IdSeq::from_slice(&ids)
+    ids
+}
+
+/// `count` sequences of `len` IDs each, as one set.
+fn arb_rows(len: usize, count: usize, id_bits: u32, salt: u64) -> SeqRows {
+    let mut rows = SeqRows::new(len);
+    for i in 0..count {
+        rows.push(&arb_seq(len, id_bits, salt ^ (i as u64) << 17));
+    }
+    rows
 }
 
 fn max_of(bits: u32) -> u64 {
@@ -85,11 +94,8 @@ proptest! {
         // Two pool generations: the second bundle reuses the first's
         // returned backing, proving recycled buffers encode identically.
         for generation in 0..2 {
-            let seqs: Vec<IdSeq> = (0..count)
-                .map(|i| arb_seq(seq_len, params.id_bits, salt ^ (i as u64) << 17))
-                .collect();
-            let bundle = pool.bundle_from(&seqs);
-            let msg = CkMsg::Seqs { tag, seqs: bundle };
+            let seqs = pool.copy_of(&arb_rows(seq_len, count, params.id_bits, salt));
+            let msg = CkMsg::Seqs { tag, seqs };
             let buf = codec.encode_to_buf(&msg, &params).unwrap();
             prop_assert_eq!(
                 buf.len_bits(),
@@ -121,9 +127,11 @@ proptest! {
     ) {
         prop_assume!(max_of(params.id_bits) >= seq_len as u64 + 2);
         let codec = CkCodec::new(seq_len);
-        let seqs: Vec<IdSeq> =
-            (0..count).map(|i| arb_seq(seq_len, params.id_bits, 99 + i as u64)).collect();
-        let msg = CkMsg::Seqs { tag: EdgeTag::new(1, 0, 1), seqs: SeqBundle(seqs) };
+        let mut seqs = SeqRows::new(seq_len);
+        for i in 0..count {
+            seqs.push(&arb_seq(seq_len, params.id_bits, 99 + i as u64));
+        }
+        let msg = CkMsg::Seqs { tag: EdgeTag::new(1, 0, 1), seqs };
         let buf = codec.encode_to_buf(&msg, &params).unwrap();
         prop_assume!(cut < buf.len_bits());
         let mut short = BitReader::new(buf.as_bytes(), buf.len_bits() - cut);
@@ -152,7 +160,7 @@ fn protocol_shaped_frames_roundtrip() {
         let id = inst.graph.ids()[v];
         let other = inst.graph.ids()[(v + 1) % inst.graph.n()];
         let tag = EdgeTag::new(42 + v as u64, id, other);
-        let msg = CkMsg::Seqs { tag, seqs: SeqBundle(vec![IdSeq::single(id)]) };
+        let msg = CkMsg::Seqs { tag, seqs: SeqRows::from_rows(1, &[&[id]]) };
         let buf = seed_codec.encode_to_buf(&msg, &params).unwrap();
         assert_eq!(buf.len_bits(), msg.wire_bits(&params));
         assert_eq!(seed_codec.decode(&params, &mut buf.reader()).unwrap(), msg);
@@ -160,14 +168,7 @@ fn protocol_shaped_frames_roundtrip() {
     // A paper-round-2 bundle at k = 5 (length-2 sequences).
     let codec = CkCodec::new(2);
     let tag = EdgeTag::new(7, 0, 3);
-    let msg = CkMsg::Seqs {
-        tag,
-        seqs: SeqBundle(vec![
-            IdSeq::from_slice(&[0, 9]),
-            IdSeq::from_slice(&[3, 11]),
-            IdSeq::from_slice(&[5, 2]),
-        ]),
-    };
+    let msg = CkMsg::Seqs { tag, seqs: SeqRows::from_rows(2, &[&[0, 9], &[3, 11], &[5, 2]]) };
     let buf = codec.encode_to_buf(&msg, &params).unwrap();
     assert_eq!(buf.len_bits(), msg.wire_bits(&params));
     assert_eq!(codec.decode(&params, &mut buf.reader()).unwrap(), msg);

@@ -10,8 +10,8 @@ use ck_congest::net::frame::{
 };
 use ck_congest::net::OutFrame;
 use ck_core::dist::{decode_in_frame, encode_out_frame};
-use ck_core::msg::{CkCodec, CkMsg, EdgeTag, SeqBundle};
-use ck_core::seq::{IdSeq, MAX_SEQ_LEN};
+use ck_core::msg::{CkCodec, CkMsg, EdgeTag};
+use ck_core::seq::{SeqRows, MAX_SEQ_LEN};
 
 use proptest::prelude::*;
 
@@ -37,15 +37,14 @@ fn arb_msg() -> impl Strategy<Value = CkMsg> {
             _ => {
                 let hi = if lo + 1 < (1 << p.id_bits) { lo + 1 } else { lo - 1 };
                 let tag = EdgeTag::new(rank, lo, hi);
-                let bundle: Vec<IdSeq> = (0..count)
-                    .map(|i| {
-                        let ids: Vec<u64> = (0..seq_len)
-                            .map(|j| (salt + i as u64 * 31 + j as u64 * 7) % (1 << p.id_bits))
-                            .collect();
-                        IdSeq::from_slice(&ids)
-                    })
-                    .collect();
-                CkMsg::Seqs { tag, seqs: SeqBundle(bundle) }
+                let mut seqs = SeqRows::new(seq_len);
+                for i in 0..count {
+                    let ids: Vec<u64> = (0..seq_len)
+                        .map(|j| (salt + i as u64 * 31 + j as u64 * 7) % (1 << p.id_bits))
+                        .collect();
+                    seqs.push(&ids);
+                }
+                CkMsg::Seqs { tag, seqs }
             }
         })
 }
@@ -133,11 +132,7 @@ proptest! {
     #[test]
     fn bit_truncation_never_over_reads(msg in arb_msg()) {
         let p = params();
-        let seq_len = match &msg {
-            CkMsg::Seqs { seqs, .. } => seqs.as_slice().first().map(|s| s.len()).unwrap_or(0),
-            _ => 0,
-        };
-        let codec = CkCodec::new(seq_len);
+        let codec = CkCodec::for_msg(&msg);
         let buf = codec.encode_to_buf(&msg, &p).unwrap();
         let total_bits = buf.len_bits();
         for keep in 0..total_bits {
@@ -173,7 +168,7 @@ proptest! {
 #[test]
 fn empty_bundle_context_zero_roundtrips() {
     let p = params();
-    let msg = CkMsg::Seqs { tag: EdgeTag::new(3, 1, 2), seqs: SeqBundle(Vec::new()) };
+    let msg = CkMsg::Seqs { tag: EdgeTag::new(3, 1, 2), seqs: SeqRows::new(4) };
     let body = encode_out_frame(&OutFrame { receiver: 5, port: 1, msg: msg.clone() }, &p).unwrap();
     let (header, decoded) = decode_in_frame(&body, &p).unwrap();
     assert_eq!(header.ctx, 0);

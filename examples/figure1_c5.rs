@@ -14,7 +14,7 @@ use ck_baselines::naive::{naive_detect_through_edge, DropPolicy};
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::Edge;
 use ck_core::prune::{build_send_set, PrunerKind};
-use ck_core::seq::IdSeq;
+use ck_core::seq::SeqRows;
 use ck_core::single::detect_ck_through_edge;
 use ck_graphgen::basic::figure1;
 
@@ -27,7 +27,7 @@ fn main() {
     println!("round 1: u, v broadcast their IDs; x and y receive both (u) and (v)");
 
     // Round 2 at x (= node id 2): the pruning decision.
-    let received = vec![IdSeq::single(0), IdSeq::single(1)];
+    let received = SeqRows::from_rows(1, &[&[0], &[1]]);
     let sent = build_send_set(PrunerKind::Representative, &received, 2, 5, 2);
     println!("round 2 at x: received {{(u), (v)}} → forwards {:?}", seqs(&sent));
     assert_eq!(sent.len(), 2, "the pruner must keep BOTH hub sequences");
@@ -60,6 +60,6 @@ fn main() {
     assert!(!capped.reject);
 }
 
-fn seqs(s: &[IdSeq]) -> Vec<Vec<u64>> {
-    s.iter().map(|x| x.as_slice().to_vec()).collect()
+fn seqs(s: &SeqRows) -> Vec<Vec<u64>> {
+    s.rows().map(<[u64]>::to_vec).collect()
 }

@@ -104,7 +104,7 @@ fn boundary_parameters() {
     .unwrap();
     assert!(run.reject);
 
-    // Large k (k = 15 needs sequences of length 7 — well within IdSeq).
+    // Large k (k = 15 needs sequences of length 7 — well within MAX_SEQ_LEN).
     let long = cycle(15);
     let run = detect_ck_through_edge(
         &long,

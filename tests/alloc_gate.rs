@@ -12,6 +12,12 @@
 //! rounds (the per-round thread spawns), not by the node count —
 //! turning the prose claims into regressions-fail-CI facts.
 //!
+//! Cold sessions have a budget too: a first `TesterSession` run, engine
+//! workspace, node-state arena and verdicts included, may request at
+//! most [`COLD_BYTES_PER_NODE`] heap bytes per node beyond the graph.
+//! The count is of bytes requested, so it does not depend on how the
+//! allocator returns memory, unlike peak RSS.
+//!
 //! Everything lives in ONE `#[test]`: the counters are process-global,
 //! so concurrently running tests in the same binary would pollute each
 //! other's measured regions.
@@ -22,14 +28,19 @@ use ck_congest::graph::{Graph, GraphBuilder};
 use ck_congest::node::{Inbox, Outbox, Program, Status};
 use ck_congest::session::Session;
 use ck_core::msg::SeqPool;
-use ck_core::seq::IdSeq;
+use ck_core::seq::SeqRows;
 use ck_core::session::TesterSession;
 use ck_core::tester::TesterRun;
-use ck_graphgen::planted::matched_free_instance;
+use ck_graphgen::planted::{matched_free_instance, plant_on_host};
+use ck_graphgen::random::random_tree;
 use ck_lint::alloc_gate::{AllocGate, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Heap bytes a cold one-repetition sequential session may request per
+/// node beyond the graph (leg (f)).
+const COLD_BYTES_PER_NODE: u64 = 2_048;
 
 /// Allocation-free flood program: each node learns the maximum
 /// identity within `rounds` hops, broadcasting plain `u64`s.
@@ -199,20 +210,48 @@ fn warm_reruns_perform_zero_heap_operations() {
     }
 
     // (c) `SeqPool` take/return cycle: once the free list holds a
-    // buffer of sufficient capacity, every bundle_from/put cycle is
+    // backing of sufficient capacity, every copy_of/put cycle is
     // served warm.
     let mut pool = SeqPool::new();
-    let seqs: Vec<IdSeq> = (1..=8).map(|i| IdSeq::from_slice(&[i])).collect();
+    let mut seqs = SeqRows::new(1);
+    for i in 1..=8 {
+        seqs.push(&[i]);
+    }
     for _ in 0..4 {
-        let b = pool.bundle_from(&seqs);
+        let b = pool.copy_of(&seqs);
         pool.put(b);
     }
     let gate = AllocGate::snapshot();
     for _ in 0..100 {
-        let b = pool.bundle_from(&seqs);
+        let b = pool.copy_of(&seqs);
         pool.put(b);
     }
     let d = gate.delta();
     assert_eq!(d.heap_ops(), 0, "warm SeqPool take/return cycle must not allocate: {d:?}");
     assert_eq!(pool.outstanding(), 0);
+
+    // (f) Cold-session memory: a fresh sequential session's first
+    // one-repetition run on a planted random tree requests at most
+    // `COLD_BYTES_PER_NODE` heap bytes per node, counted from after the
+    // graph is built. Phase-2 sequence sets sized to the round keep it
+    // there; sets sized for the largest supported k took about twice
+    // the budget.
+    let n = 8_000;
+    for k in [4usize, 5, 6, 7] {
+        let inst = plant_on_host(&random_tree(n, 7), k, n / 40, 7);
+        let gate = AllocGate::snapshot();
+        let mut tester = TesterSession::builder(k, 0.1)
+            .seed(42)
+            .repetitions(1)
+            .executor(Executor::Sequential)
+            .build()
+            .unwrap();
+        let run = tester.test(&inst.graph).unwrap();
+        let per_node = gate.delta().bytes / n as u64;
+        drop((run, tester));
+        assert!(
+            per_node <= COLD_BYTES_PER_NODE,
+            "cold ck{k} session requested {per_node} B per node (budget {COLD_BYTES_PER_NODE})"
+        );
+    }
 }

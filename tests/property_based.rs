@@ -4,7 +4,7 @@
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::graph::{Edge, Graph, GraphBuilder};
 use ck_core::prune::{lemma3_bound, prune_literal, prune_representative, PrunerKind};
-use ck_core::seq::IdSeq;
+use ck_core::seq::{SeqRows, SortScratch};
 use ck_core::session::TesterSession;
 use ck_core::single::detect_ck_through_edge;
 use ck_core::tester::TesterConfig;
@@ -198,6 +198,20 @@ fn arb_prune_input() -> impl Strategy<Value = (Vec<Vec<u64>>, usize, usize)> {
     })
 }
 
+/// The simple paths among `raw` (IDs deduplicated within a sequence)
+/// that have exactly `t − 1` IDs, as one round-`t` set.
+fn round_rows(raw: &[Vec<u64>], t: usize) -> SeqRows {
+    let mut seqs = SeqRows::new(t - 1);
+    for ids in raw {
+        let mut seen = std::collections::HashSet::new();
+        let distinct: Vec<u64> = ids.iter().copied().filter(|&x| seen.insert(x)).collect();
+        if distinct.len() == t - 1 {
+            seqs.push(&distinct);
+        }
+    }
+    seqs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
 
@@ -205,12 +219,7 @@ proptest! {
     #[test]
     fn pruners_are_equivalent((raw, k, t) in arb_prune_input()) {
         if t < 2 || t > k / 2 { return Ok(()); }
-        // Deduplicate IDs within a sequence (sequences are simple paths).
-        let seqs: Vec<IdSeq> = raw.iter().filter_map(|ids| {
-            let mut seen = std::collections::HashSet::new();
-            let distinct: Vec<u64> = ids.iter().copied().filter(|&x| seen.insert(x)).collect();
-            (distinct.len() == t - 1).then(|| IdSeq::from_slice(&distinct))
-        }).collect();
+        let seqs = round_rows(&raw, t);
         let lit = prune_literal(&seqs, k, t);
         let rep = prune_representative(&seqs, k, t);
         prop_assert_eq!(lit, rep, "k={} t={} seqs={:?}", k, t, seqs);
@@ -221,26 +230,21 @@ proptest! {
     #[test]
     fn pruner_bound_and_witness_preservation((raw, k, t) in arb_prune_input()) {
         if t < 2 || t > k / 2 { return Ok(()); }
-        let mut seqs: Vec<IdSeq> = raw.iter().filter_map(|ids| {
-            let mut seen = std::collections::HashSet::new();
-            let distinct: Vec<u64> = ids.iter().copied().filter(|&x| seen.insert(x)).collect();
-            (distinct.len() == t - 1).then(|| IdSeq::from_slice(&distinct))
-        }).collect();
-        seqs.sort_unstable();
-        seqs.dedup();
+        let mut seqs = round_rows(&raw, t);
+        seqs.sort_dedup(&mut SortScratch::default());
         let acc = prune_representative(&seqs, k, t);
         prop_assert!((acc.len() as u128) <= lemma3_bound(k, t));
 
         // Witness preservation over all (k−t)-subsets of seen IDs.
-        let mut ids: Vec<u64> = seqs.iter().flat_map(|s| s.iter()).collect();
+        let mut ids: Vec<u64> = seqs.ids().to_vec();
         ids.sort_unstable();
         ids.dedup();
         let budget = k - t;
         let mut c: Vec<u64> = Vec::new();
         fn rec(ids: &[u64], start: usize, c: &mut Vec<u64>, budget: usize,
-               seqs: &[IdSeq], acc: &[usize]) -> bool {
-            let disj = |s: &IdSeq| c.iter().all(|&x| !s.contains(x));
-            let ok = !seqs.iter().any(disj) || acc.iter().any(|&i| disj(&seqs[i]));
+               seqs: &SeqRows, acc: &[usize]) -> bool {
+            let disj = |s: &[u64]| c.iter().all(|x| !s.contains(x));
+            let ok = !seqs.rows().any(disj) || acc.iter().any(|&i| disj(seqs.row(i)));
             if !ok { return false; }
             if c.len() == budget { return true; }
             for i in start..ids.len() {
