@@ -1,5 +1,6 @@
 //! Arena engine vs the preserved pre-arena engine on min-ID flooding,
-//! plus the full tester through `TesterSession`, small and mid scale.
+//! plus the full tester through `TesterSession`, small and mid scale,
+//! and one distributed worker's round at n ≈ 10⁵.
 //!
 //! The committed scaling record (including n = 10⁵) lives in
 //! `BENCH_engine.json`, produced by the `bench_engine` binary; this
@@ -9,11 +10,13 @@
 use ck_bench::legacy_engine::run_legacy;
 use ck_bench::workloads::MinFlood;
 use ck_congest::engine::{EngineConfig, Executor};
+use ck_congest::message::WireParams;
+use ck_congest::net::PartitionEngine;
 use ck_congest::node::Program;
 use ck_congest::session::Session;
 use ck_core::session::TesterSession;
 use ck_core::tester::TesterConfig;
-use ck_graphgen::basic::cycle;
+use ck_graphgen::basic::{cycle, torus};
 use ck_graphgen::planted::plant_on_host;
 use ck_graphgen::random::{gnp, random_tree};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -125,5 +128,32 @@ fn bench_ck5_tester(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ring, bench_gnp, bench_ck5_tester);
+/// One round of distributed worker 0 of `W` on a 316 × 316 torus
+/// (n = 99,856): the step over its range, the drain of its cut and the
+/// commit, in process, with no deliveries routed in. Once min-ID
+/// flooding has settled inside the range a round sends nothing, so this
+/// times the worker's own round cost, which should fall with its range
+/// (`n/W`) rather than stay at `n`.
+fn bench_partition_round(c: &mut Criterion) {
+    let g = torus(316, 316);
+    let params = WireParams::for_graph(&g);
+    let mut group = c.benchmark_group("engine/partition-round-torus316");
+    for workers in [1u32, 2, 4, 8] {
+        let mut part =
+            PartitionEngine::new(&g, &cfg(), params, workers, 0, |i| MinFlood::new(&i, u32::MAX));
+        let (mut round, mut out) = (0u32, Vec::new());
+        group.bench_with_input(BenchmarkId::new("worker0-of", workers), &workers, |b, _| {
+            b.iter(|| {
+                let digest = part.step_round(round, &mut out);
+                out.clear();
+                part.commit_round();
+                round += 1;
+                black_box(digest.messages)
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_ring, bench_gnp, bench_ck5_tester, bench_partition_round);
 criterion_main!(benches);

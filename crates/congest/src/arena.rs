@@ -1,12 +1,17 @@
 //! Shared internals of the arena engine: the double-buffered,
 //! sender-segmented inbox arena, the flat per-directed-edge load table,
-//! and the per-round accumulator the fused accounting feeds. Split out
-//! of `engine` so the node-side [`crate::node::Outbox`] can write
-//! straight into inboxes without a module cycle.
+//! and the per-round digest the fused accounting feeds and every
+//! executor closes its rounds with. Split out of `engine` so the
+//! node-side [`crate::node::Outbox`] can write straight into inboxes
+//! without a module cycle.
 
 use std::cell::UnsafeCell;
 
+use crate::engine::{EngineConfig, EngineError, WireFlags};
+use crate::fault::DropKind;
 use crate::graph::{DirectedEdgeId, NodeIndex};
+use crate::metrics::{RoundStats, RunReport};
+use crate::net::frame::{ByteReader, ByteWriter, FrameError};
 use crate::node::Packet;
 
 /// Per-directed-edge wire load for one round, kept in a flat
@@ -107,15 +112,17 @@ impl LoadTable {
 }
 
 /// Double-buffered, segmented per-receiver inboxes: the message arena
-/// of both in-process executors.
+/// of every executor.
 ///
-/// A run over `n` receivers whose senders step in `W` chunks (the
-/// chunks of the run's pinned [`rayon::ChunkPlan`]; `W = 1` for the
-/// sequential executor and the partition executor) holds `W·n` boxes in
+/// A run over `n` receivers whose senders step in `W` chunks (in
+/// process, the chunks of the run's pinned [`rayon::ChunkPlan`], with
+/// `W = 1` for the sequential executor) holds `W·n` boxes in
 /// segment-major order: box `w·n + v` holds the messages for receiver
 /// `v` from the senders of chunk `w`, stored already labeled with their
-/// receiver-side port. Broadcast payloads park once in the sender's
-/// slot and the boxes carry shared refs.
+/// receiver-side port. A distributed worker uses two segments: senders
+/// below its range, then its own and those above (see
+/// [`crate::net::partition`]). Broadcast payloads park once in the
+/// sender's slot and the boxes carry shared refs.
 ///
 /// Interior mutability with hand-verified disjointness, upheld by the
 /// round loop: while this arena is in the write role, segment `w` is
@@ -141,8 +148,8 @@ pub(crate) struct InboxArena<M> {
     segments: usize,
 }
 
-// SAFETY: boxes are only reached through `segment_ptr`, `gather` and
-// `inbox`, whose callers uphold the segment/receiver disjointness
+// SAFETY: shared access reaches boxes only through `segment_ptr` and
+// `gather`, whose callers uphold the segment/receiver disjointness
 // documented on the type, and slots through `slots_ptr`, whose callers
 // uphold the sender-only write rule documented on the field; `nodes`
 // and `segments` change only under `&mut self`. `M: Send` makes moving
@@ -224,15 +231,12 @@ impl<M> InboxArena<M> {
         &mut *head
     }
 
-    /// Exclusive access to box `(w, v)`.
-    ///
-    /// # Safety
-    /// No other reference to that box may be live. The single-chunk
-    /// callers (the partition executor's loop, tests) satisfy this by
-    /// never holding two references at once.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn inbox(&self, w: usize, v: NodeIndex) -> &mut Vec<Packet<M>> {
-        &mut *self.boxes[w * self.nodes + v as usize].get()
+    /// Box `(w, v)`: receiver `v`'s messages from the senders of
+    /// segment `w`. `&mut self` proves no round is stepping, so no
+    /// unsafe cell access is needed.
+    pub(crate) fn inbox_mut(&mut self, w: usize, v: NodeIndex) -> &mut Vec<Packet<M>> {
+        debug_assert!(w < self.segments && (v as usize) < self.nodes);
+        self.boxes[w * self.nodes + v as usize].get_mut()
     }
 
     /// Type-erased base pointer of the broadcast-slot array
@@ -254,12 +258,16 @@ impl<M> InboxArena<M> {
     }
 }
 
-/// Round statistics accumulated in the fused write path, per node, and
-/// merged across nodes. Merging is associative, and `violation` keeps
-/// the leftmost (= lowest node index) entry, so sequential folds and
-/// chunked parallel reductions produce identical results.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct RoundAcc {
+/// One round's sender-side accounting: fed by the fused write path as
+/// each send lands, folded per executor chunk, and — on the distributed
+/// executor — shipped in each worker's `Done` frame
+/// ([`RoundDigest::to_bytes`]) and merged by the coordinator. Merging
+/// is associative, and `violation` keeps the leftmost (= lowest node
+/// index) entry, so a sequential fold, chunked parallel reductions and
+/// partition digests merged in ascending range order all produce
+/// identical results.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RoundDigest {
     pub messages: u64,
     pub bits: u64,
     pub max_message_bits: u64,
@@ -279,13 +287,14 @@ pub(crate) struct RoundAcc {
     pub corrupted_rejected: u64,
 }
 
-impl RoundAcc {
-    pub(crate) fn merge(a: RoundAcc, b: RoundAcc) -> RoundAcc {
+impl RoundDigest {
+    /// Associative merge; keeps the leftmost violation.
+    pub fn merge(a: RoundDigest, b: RoundDigest) -> RoundDigest {
         let mut drops_by_kind = a.drops_by_kind;
         for (d, s) in drops_by_kind.iter_mut().zip(b.drops_by_kind) {
             *d += s;
         }
-        RoundAcc {
+        RoundDigest {
             messages: a.messages + b.messages,
             bits: a.bits + b.bits,
             max_message_bits: a.max_message_bits.max(b.max_message_bits),
@@ -299,9 +308,26 @@ impl RoundAcc {
         }
     }
 
-    /// Folds this accumulator's fault counters into a run-level report.
-    pub(crate) fn add_faults_to(&self, fr: &mut crate::metrics::FaultReport) {
-        use crate::fault::DropKind;
+    /// Closes round `round` with this (fully merged) digest — the one
+    /// post-round step of every executor. A bandwidth violation fails
+    /// the run before anything of the round is recorded; otherwise the
+    /// round's halts leave `active`, its fault counters fold into
+    /// `report.faults`, and, when `config` records rounds, its
+    /// statistics row is appended to `report.per_round`.
+    pub fn close_round(
+        &self,
+        round: u32,
+        config: &EngineConfig,
+        active: &mut usize,
+        report: &mut RunReport,
+    ) -> Result<(), EngineError> {
+        if let Some((node, port, bits)) = self.violation {
+            let limit = WireFlags::for_config(config).limit;
+            return Err(EngineError::BandwidthExceeded { round, node, port, bits, limit });
+        }
+        let active_nodes = *active;
+        *active -= self.halted as usize;
+        let fr = &mut report.faults;
         fr.dropped_explicit += self.drops_by_kind[DropKind::Explicit.index()];
         fr.dropped_random += self.drops_by_kind[DropKind::Random.index()];
         fr.dropped_crash += self.drops_by_kind[DropKind::Crash.index()];
@@ -309,6 +335,66 @@ impl RoundAcc {
         fr.dropped_burst += self.drops_by_kind[DropKind::Burst.index()];
         fr.corrupted_delivered += self.corrupted_delivered;
         fr.corrupted_rejected += self.corrupted_rejected;
+        if config.record_rounds {
+            report.per_round.push(RoundStats {
+                round,
+                active_nodes,
+                messages: self.messages,
+                bits: self.bits,
+                max_message_bits: self.max_message_bits,
+                max_link_bits: self.max_link_bits,
+                max_link_messages: self.max_link_messages,
+            });
+        }
+        Ok(())
+    }
+
+    /// Wire encoding for the `Done` frame body.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(self.messages);
+        w.u64(self.bits);
+        w.u64(self.max_message_bits);
+        w.u64(self.max_link_bits);
+        w.u64(self.max_link_messages);
+        w.u32(self.halted);
+        match self.violation {
+            Some((node, port, bits)) => {
+                w.u8(1);
+                w.u32(node);
+                w.u32(port);
+                w.u64(bits);
+            }
+            None => w.u8(0),
+        }
+        for d in self.drops_by_kind {
+            w.u64(d);
+        }
+        w.u64(self.corrupted_delivered);
+        w.u64(self.corrupted_rejected);
+        w.0
+    }
+
+    /// Decodes a `Done` frame body.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
+        let mut r = ByteReader::new(bytes);
+        let mut d = RoundDigest {
+            messages: r.u64()?,
+            bits: r.u64()?,
+            max_message_bits: r.u64()?,
+            max_link_bits: r.u64()?,
+            max_link_messages: r.u64()?,
+            halted: r.u32()?,
+            ..RoundDigest::default()
+        };
+        d.violation = if r.u8()? != 0 { Some((r.u32()?, r.u32()?, r.u64()?)) } else { None };
+        for slot in d.drops_by_kind.iter_mut() {
+            *slot = r.u64()?;
+        }
+        d.corrupted_delivered = r.u64()?;
+        d.corrupted_rejected = r.u64()?;
+        r.finish()?;
+        Ok(d)
     }
 }
 
@@ -318,18 +404,25 @@ mod tests {
 
     #[test]
     fn merge_is_associative_and_keeps_leftmost_violation() {
-        let a =
-            RoundAcc { messages: 1, bits: 10, violation: Some((3, 0, 9)), ..RoundAcc::default() };
-        let b =
-            RoundAcc { messages: 2, bits: 5, violation: Some((7, 1, 4)), ..RoundAcc::default() };
-        let c = RoundAcc { messages: 4, max_link_bits: 99, ..RoundAcc::default() };
-        let left = RoundAcc::merge(RoundAcc::merge(a, b), c);
-        let right = RoundAcc::merge(a, RoundAcc::merge(b, c));
+        let a = RoundDigest {
+            messages: 1,
+            bits: 10,
+            violation: Some((3, 0, 9)),
+            ..RoundDigest::default()
+        };
+        let b = RoundDigest {
+            messages: 2,
+            bits: 5,
+            violation: Some((7, 1, 4)),
+            ..RoundDigest::default()
+        };
+        let c = RoundDigest { messages: 4, max_link_bits: 99, ..RoundDigest::default() };
+        let left = RoundDigest::merge(RoundDigest::merge(a, b), c);
+        let right = RoundDigest::merge(a, RoundDigest::merge(b, c));
+        assert_eq!(left, right);
         assert_eq!(left.messages, 7);
-        assert_eq!(left.messages, right.messages);
         assert_eq!(left.max_link_bits, 99);
         assert_eq!(left.violation, Some((3, 0, 9)));
-        assert_eq!(right.violation, Some((3, 0, 9)));
     }
 
     /// Box `(w, v)` sits at `w·n + v`: the addresses are distinct and
@@ -346,8 +439,7 @@ mod tests {
         for w in 0..segs {
             assert_eq!(arena.segment_ptr(w) as usize, base + w * n * stride);
             for v in 0..n as NodeIndex {
-                // SAFETY: single-threaded test, no overlapping access.
-                let b = unsafe { arena.inbox(w, v) };
+                let b = arena.inbox_mut(w, v);
                 assert!(b.is_empty(), "box ({w}, {v}) starts empty");
                 let addr = b as *mut Vec<Packet<u64>> as usize;
                 assert_eq!(addr, base + (w * n + v as usize) * stride, "box ({w}, {v})");
@@ -365,12 +457,10 @@ mod tests {
     /// ascending segment order into the first nonempty one.
     #[test]
     fn reshaping_reset_empties_every_box() {
-        let fill = |arena: &InboxArena<u64>, n: usize, segs: usize| {
+        let fill = |arena: &mut InboxArena<u64>, n: usize, segs: usize| {
             for w in 0..segs {
                 for v in 0..n as NodeIndex {
-                    // SAFETY: single-threaded test, no overlapping access.
-                    let b = unsafe { arena.inbox(w, v) };
-                    b.push(Packet::Own { port: w as u32, msg: u64::from(v) });
+                    arena.inbox_mut(w, v).push(Packet::Own { port: w as u32, msg: u64::from(v) });
                 }
             }
         };
@@ -378,7 +468,7 @@ mod tests {
             |arena: &mut InboxArena<u64>| arena.boxes.iter_mut().all(|b| b.get_mut().is_empty());
         let mut arena: InboxArena<u64> = InboxArena::new();
         arena.reset(5, 3);
-        fill(&arena, 5, 3);
+        fill(&mut arena, 5, 3);
         // SAFETY: single-threaded test, no overlapping access.
         let got: Vec<u32> = unsafe { arena.gather(2) }
             .iter()
@@ -388,13 +478,12 @@ mod tests {
             .collect();
         assert_eq!(got, vec![0, 1, 2], "gather keeps ascending segment order");
         for w in 1..3 {
-            // SAFETY: as above.
-            assert!(unsafe { arena.inbox(w, 2) }.is_empty(), "gathered boxes are emptied");
+            assert!(arena.inbox_mut(w, 2).is_empty(), "gathered boxes are emptied");
         }
         arena.reset(4, 1);
         assert_eq!(arena.boxes.len(), 15, "shrinking keeps the backing boxes");
         assert!(all_empty(&mut arena));
-        fill(&arena, 4, 1);
+        fill(&mut arena, 4, 1);
         arena.reset(5, 3);
         assert!(all_empty(&mut arena));
     }

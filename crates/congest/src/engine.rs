@@ -2,13 +2,17 @@
 //! inbox arenas.
 //!
 //! Executes a [`Program`] on every node of a [`Graph`] in lock-step
-//! rounds. Both in-process executors run one round loop. A run's nodes
-//! step in `W` contiguous chunks — the chunks of its pinned
-//! [`rayon::ChunkPlan`]: one for the sequential executor, one per
-//! scoped thread for the parallel executor on wide graphs — and
-//! messages travel through per-receiver inboxes split into `W`
-//! *segments*, one per sender chunk: box `w·n + v` holds the messages
-//! for receiver `v` from the senders of chunk `w`. Two such arenas swap
+//! rounds. Every executor runs one round loop. A run's nodes step in
+//! `W` contiguous chunks — the chunks of its pinned
+//! [`rayon::ChunkPlan`] in process (one for the sequential executor,
+//! one per scoped thread for the parallel executor on wide graphs), or
+//! the `W` workers' node ranges of a distributed run, where each worker
+//! ([`crate::net::PartitionEngine`]) steps its range through the same
+//! per-node step — and messages travel through per-receiver inboxes
+//! split into `W` *segments*, one per sender chunk: box `w·n + v` holds
+//! the messages for receiver `v` from the senders of chunk `w` (a
+//! distributed worker's arenas have two segments: the senders below
+//! its range, then its own and those above). Two such arenas swap
 //! roles each round — nodes read round `r`'s traffic out of the
 //! *current* arena while writing round `r+1`'s into the *next* one.
 //! After warm-up every box has reached its peak capacity and the
@@ -34,8 +38,12 @@
 //!    rows, round-stamped so stale entries are semantically zero and
 //!    nothing is ever scanned to reset), bandwidth enforcement checks
 //!    the counter as each message lands, and round statistics
-//!    accumulate into per-chunk accumulators merged associatively
+//!    accumulate into per-chunk [`RoundDigest`]s merged associatively
 //!    after the round. One move per message, no queue in between.
+//!
+//! The merged digest's [`RoundDigest::close_round`] is the one
+//! post-round step of every executor: violation check, halts, faults,
+//! stats row.
 //!
 //! When nothing can observe the wire counters (no round recording, no
 //! bandwidth cap, no fault plan) the send path drops the accounting
@@ -53,10 +61,11 @@
 
 use rayon::prelude::*;
 
-use crate::arena::{InboxArena, LoadTable, RoundAcc};
+use crate::arena::{InboxArena, LoadTable, RoundDigest};
+use crate::fault::FaultPlan;
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
-use crate::metrics::{RoundStats, RunReport};
+use crate::metrics::RunReport;
 use crate::node::{DirectSink, Inbox, NodeInit, Outbox, Program, SinkCtx, SinkMode, Status};
 
 /// How strictly the engine applies the `O(log n)`-bit CONGEST bound.
@@ -409,17 +418,39 @@ impl SlotStore {
     }
 }
 
-struct Slot<P: Program> {
-    prog: P,
-    status: Status,
+/// One node's program and whether it still runs.
+pub(crate) struct Slot<P: Program> {
+    pub(crate) prog: P,
+    pub(crate) status: Status,
 }
 
-/// Observability of the wire, derived once per run so the in-process
-/// round loop and the partitioned ([`crate::net::PartitionEngine`])
-/// one can never disagree on sink selection.
+impl<P: Program> Slot<P> {
+    /// Node `v`'s running slot, its program built by `factory` from the
+    /// [`NodeInit`] every executor hands out.
+    pub(crate) fn new<'g, F>(graph: &'g Graph, v: NodeIndex, factory: &mut F) -> Self
+    where
+        F: FnMut(NodeInit<'g>) -> P,
+    {
+        let init = NodeInit {
+            index: v,
+            id: graph.id(v),
+            neighbor_ids: graph.neighbor_ids(v),
+            ports_by_id: graph.ports_sorted_by_id(v),
+            n: graph.n(),
+            m: graph.m(),
+        };
+        Slot { prog: factory(init), status: Status::Running }
+    }
+}
+
+/// Observability of the wire, derived once per run. Both the
+/// in-process round loop and a distributed worker
+/// ([`crate::net::PartitionEngine`]) build each round's sink context
+/// and sink mode through [`WireFlags::sink_ctx`] and
+/// [`WireFlags::mode`], so they can never disagree on sink selection.
 #[derive(Clone, Copy)]
 pub(crate) struct WireFlags {
-    pub(crate) check_faults: bool,
+    check_faults: bool,
     /// Enforced per-link bit budget; `u64::MAX` under `Measure`.
     pub(crate) limit: u64,
     /// Wire counters observable (recorded rounds or an enforced
@@ -427,7 +458,7 @@ pub(crate) struct WireFlags {
     /// paths feed it.
     pub(crate) account: bool,
     /// `account || check_faults`: an accounting/fault sink is needed.
-    pub(crate) heavy: bool,
+    heavy: bool,
 }
 
 impl WireFlags {
@@ -440,32 +471,45 @@ impl WireFlags {
         let account = config.record_rounds || limit != u64::MAX;
         WireFlags { check_faults, limit, account, heavy: account || check_faults }
     }
-}
 
-/// Round statistics from the accumulator a round's sends fed.
-fn round_stats(acc: &RoundAcc, round: u32, active_nodes: usize) -> RoundStats {
-    RoundStats {
-        round,
-        active_nodes,
-        messages: acc.messages,
-        bits: acc.bits,
-        max_message_bits: acc.max_message_bits,
-        max_link_bits: acc.max_link_bits,
-        max_link_messages: acc.max_link_messages,
+    /// Round `round`'s sink context, shared by every node's step.
+    pub(crate) fn sink_ctx(
+        &self,
+        params: &WireParams,
+        faults: &FaultPlan,
+        loads: &LoadTable,
+        round: u32,
+    ) -> SinkCtx {
+        SinkCtx {
+            params,
+            faults,
+            check_faults: self.check_faults,
+            account: self.account,
+            limit: self.limit,
+            round,
+            stamp: loads.stamp_for(round),
+        }
+    }
+
+    /// The send path the run's sinks take.
+    pub(crate) fn mode(&self) -> SinkMode {
+        if self.heavy {
+            SinkMode::HeavyInbox
+        } else {
+            SinkMode::FastInbox
+        }
     }
 }
 
 /// After node `v`'s step: if `v` newly tripped the bandwidth budget,
 /// replace the running total captured mid-step with the link's full
 /// end-of-round load — the row is sender-exclusive, so it is final.
-/// Shared by the in-process and partitioned round loops to keep the
-/// reported violation bit-for-bit identical.
 ///
 /// # Safety
 /// `loads_row` must be `v`'s valid load row (a violation implies the
 /// run accounts, so the table is allocated).
-pub(crate) unsafe fn finalize_violation(
-    acc: &mut RoundAcc,
+unsafe fn finalize_violation(
+    acc: &mut RoundDigest,
     had_violation: bool,
     v: NodeIndex,
     loads_row: *mut crate::arena::LinkLoad,
@@ -480,15 +524,15 @@ pub(crate) unsafe fn finalize_violation(
 }
 
 /// What every node's step reads during one round.
-struct RoundIo<'a, M> {
-    graph: &'a Graph,
+pub(crate) struct RoundIo<'a, M> {
+    pub(crate) graph: &'a Graph,
     /// Read arena: round `r`'s traffic, gathered by receivers.
-    cur: &'a InboxArena<M>,
+    pub(crate) cur: &'a InboxArena<M>,
     /// Write arena: round `r+1`'s traffic, filled by senders.
-    next: &'a InboxArena<M>,
-    loads: &'a LoadTable,
-    ctx: &'a SinkCtx,
-    mode: SinkMode,
+    pub(crate) next: &'a InboxArena<M>,
+    pub(crate) loads: &'a LoadTable,
+    pub(crate) ctx: &'a SinkCtx,
+    pub(crate) mode: SinkMode,
 }
 
 /// One node's round: gather in place → step (sends push straight into
@@ -498,19 +542,21 @@ struct RoundIo<'a, M> {
 /// Called for every node exactly once per round, on the thread stepping
 /// the node's chunk; everything it touches outside `slot` and `acc` is
 /// disjoint from every other thread's calls (see the module doc).
-/// Statistics accumulate into `acc` (one per chunk; chunk accumulators
+/// Statistics accumulate into `acc` (one per chunk; chunk digests
 /// merge associatively in node order, so every chunk count produces
 /// identical round statistics).
 ///
-/// Inlined into both arms of the round loop: a call per node costs the
-/// single-chunk loop measurably.
+/// The one per-node step of every executor: both arms of the
+/// in-process round loop and a distributed worker's
+/// ([`crate::net::PartitionEngine::step_round`]) call it. Inlined: a
+/// call per node costs the single-chunk loop measurably.
 #[inline(always)]
-fn step_node<P: Program>(
+pub(crate) fn step_node<P: Program>(
     v: NodeIndex,
     segment: *mut (),
     slot: &mut Slot<P>,
     io: &RoundIo<'_, P::Msg>,
-    acc: &mut RoundAcc,
+    acc: &mut RoundDigest,
 ) {
     let RoundIo { graph, cur, next, loads, ctx, mode } = *io;
     // SAFETY: `v`'s boxes of the read arena are touched only by `v`'s
@@ -602,7 +648,9 @@ pub fn node_chunk_len(n: usize) -> usize {
     node_step_plan(n).chunk_len
 }
 
-/// The round loop of both in-process executors. `plan` is the run's
+/// The round loop of both in-process executors (a distributed worker
+/// steps one chunk of it in
+/// [`crate::net::PartitionEngine::step_round`]). `plan` is the run's
 /// node→thread partition, and its `W = plan.chunks()` chunks are the
 /// segments of both arenas. With one chunk the nodes step in order on
 /// the caller's thread, without going through the shim, so a warm
@@ -625,52 +673,35 @@ fn run_rounds<P: Program>(
     loads: &LoadTable,
     plan: rayon::ChunkPlan,
 ) -> Result<(u32, usize), EngineError> {
-    let WireFlags { check_faults, limit, account, heavy } = wf;
-    let mode = if heavy { SinkMode::HeavyInbox } else { SinkMode::FastInbox };
+    let mode = wf.mode();
     let mut round = 0u32;
     while round < config.max_rounds && active > 0 {
-        let ctx = SinkCtx {
-            params,
-            faults: &config.faults,
-            check_faults,
-            account,
-            limit,
-            round,
-            stamp: loads.stamp_for(round),
-        };
+        let ctx = wf.sink_ctx(params, &config.faults, loads, round);
         let io = RoundIo { graph, cur: &*cur, next: &*next, loads, ctx: &ctx, mode };
         let acc = if plan.chunks() == 1 {
             let segment = next.segment_ptr(0);
-            let mut acc = RoundAcc::default();
+            let mut acc = RoundDigest::default();
             for (v, slot) in slots.iter_mut().enumerate() {
                 step_node(v as NodeIndex, segment, slot, &io, &mut acc);
             }
             acc
         } else {
-            // Each chunk folds its nodes into its own accumulator;
-            // accumulators merge associatively (leftmost-violation rule
-            // included), so the result equals the single-chunk fold.
+            // Each chunk folds its nodes into its own digest; digests
+            // merge associatively (leftmost-violation rule included),
+            // so the result equals the single-chunk fold.
             let io = &io;
             slots
                 .par_iter_mut()
                 .with_chunk_plan(plan)
                 .enumerate()
-                .fold(RoundAcc::default, |mut acc, (v, slot)| {
+                .fold(RoundDigest::default, |mut acc, (v, slot)| {
                     let segment = io.next.segment_ptr(plan.chunk_of(v));
                     step_node(v as NodeIndex, segment, slot, io, &mut acc);
                     acc
                 })
-                .reduce(RoundAcc::default, RoundAcc::merge)
+                .reduce(RoundDigest::default, RoundDigest::merge)
         };
-
-        if let Some((node, port, bits)) = acc.violation {
-            return Err(EngineError::BandwidthExceeded { round, node, port, bits, limit });
-        }
-        active -= acc.halted as usize;
-        acc.add_faults_to(&mut report.faults);
-        if config.record_rounds {
-            report.per_round.push(round_stats(&acc, round, active + acc.halted as usize));
-        }
+        acc.close_round(round, config, &mut active, report)?;
 
         // Swap buffers: this round's writes become next round's reads;
         // the fully-drained read arena becomes the write arena.
@@ -739,20 +770,8 @@ where
 {
     out.reset();
     let n = graph.n();
-    let m = graph.m();
     let mut slots: Vec<Slot<P>> = ws.slots.take();
-    slots.extend((0..n).map(|v| {
-        let v = v as NodeIndex;
-        let init = NodeInit {
-            index: v,
-            id: graph.id(v),
-            neighbor_ids: graph.neighbor_ids(v),
-            ports_by_id: graph.ports_sorted_by_id(v),
-            n,
-            m,
-        };
-        Slot { prog: factory(init), status: Status::Running }
-    }));
+    slots.extend((0..n).map(|v| Slot::new(graph, v as NodeIndex, factory)));
 
     let report = &mut out.report;
     let wf = WireFlags::for_config(config);

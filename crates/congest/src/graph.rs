@@ -191,10 +191,7 @@ impl GraphBuilder {
         }
 
         // Reverse ports: rev_port[slot of (v -> w)] = port of v in w's row.
-        // rev_slot is the same map in directed-edge-id space: the slot of
-        // (w -> v), precomputed so a reverse lookup is one load.
         let mut rev_port = vec![0u32; neighbors.len()];
-        let mut rev_slot = vec![0 as DirectedEdgeId; neighbors.len()];
         for v in 0..n {
             let (s, t) = (offsets[v] as usize, offsets[v + 1] as usize);
             for (p, &w) in neighbors[s..t].iter().enumerate() {
@@ -204,7 +201,6 @@ impl GraphBuilder {
                     // ck-lint: allow(no-panic, reason = "GraphBuilder validated edge symmetry before this adjacency was frozen")
                     .expect("reverse edge must exist");
                 rev_port[s + p] = q as u32;
-                rev_slot[s + p] = offsets[w as usize] + q as u32;
             }
         }
 
@@ -236,7 +232,6 @@ impl GraphBuilder {
             neighbors,
             edge_of_slot,
             rev_port,
-            rev_slot,
             edges,
             ids,
             index_of_id,
@@ -280,9 +275,6 @@ pub struct Graph {
     edge_of_slot: Vec<u32>,
     /// Port of `v` within `w`'s adjacency row, per slot of `v -> w`.
     rev_port: Vec<u32>,
-    /// Directed-edge id of `(w -> v)`, per slot of `v -> w` (the same map
-    /// as `rev_port`, pre-offset into directed-edge-id space).
-    rev_slot: Vec<DirectedEdgeId>,
     edges: Vec<Edge>,
     ids: Vec<NodeId>,
     index_of_id: HashMap<NodeId, NodeIndex>,
@@ -387,12 +379,6 @@ impl Graph {
         self.offsets[v as usize]..self.offsets[v as usize + 1]
     }
 
-    /// Directed-edge id of the reverse link: for `de = (v -> w)`, the id
-    /// of `(w -> v)`.
-    pub fn reverse_directed_edge(&self, de: DirectedEdgeId) -> DirectedEdgeId {
-        self.rev_slot[de as usize]
-    }
-
     /// Identities of `v`'s neighbors, indexed by local port — a borrow
     /// of the graph's CSR-aligned table, so handing it to every node
     /// costs nothing.
@@ -443,7 +429,6 @@ impl Graph {
             neighbors: self.neighbors.clone(),
             edge_of_slot: self.edge_of_slot.clone(),
             rev_port: self.rev_port.clone(),
-            rev_slot: self.rev_slot.clone(),
             edges: self.edges.clone(),
             ids,
             index_of_id,
@@ -770,10 +755,6 @@ mod tests {
                 assert!(range.contains(&de));
                 assert!(!seen[de as usize], "directed ids must tile 0..2m");
                 seen[de as usize] = true;
-                let rev = g.reverse_directed_edge(de);
-                assert_eq!(g.reverse_directed_edge(rev), de, "involution");
-                let w = g.neighbor_at(v, p);
-                assert_eq!(rev, g.directed_edge(w, g.reverse_port(v, p)));
             }
         }
         assert!(seen.iter().all(|&s| s));

@@ -57,7 +57,6 @@
 //! assert_eq!(out.verdicts, vec![1, 2, 2]);
 //! ```
 
-pub mod aggregate;
 pub(crate) mod arena;
 pub mod batch;
 pub mod engine;

@@ -9,8 +9,13 @@
 //! cross-partition delivery as a [`frame::FrameKind::Msg`] frame whose
 //! payload is the message's canonical
 //! [`crate::message::WireCodec`] bit string, `Done` carries the
-//! partition's accounting digest, and `Barrier` seals the round after
-//! the coordinator has routed all deliveries to their owners.
+//! partition's [`RoundDigest`], and `Barrier` seals the round after
+//! the coordinator has routed all deliveries to their owners and
+//! closed the round on the merged digest
+//! ([`RoundDigest::close_round`], the engine loop's own post-round
+//! step). Each worker steps its range as one chunk of the engine's
+//! round loop ([`PartitionEngine`]), so the distributed executor
+//! shares the in-process executors' per-node step and delivery order.
 //!
 //! Every failure mode is a **typed, bounded-time outcome** — the
 //! design rule of this layer is that no fault, however rude, may turn

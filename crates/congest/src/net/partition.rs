@@ -1,37 +1,50 @@
 //! Worker-side round execution over a contiguous node range.
 //!
 //! A [`PartitionEngine`] is the distributed executor's unit of work:
-//! it owns the programs of nodes `[lo, hi)` and steps them through the
-//! *same* fused send path as the in-process sequential executor — the
-//! `DirectInbox` sinks, the flat per-directed-edge load table, the
-//! broadcast slot generations, the fault plan evaluated at the send —
-//! so verdicts, wire counters, bandwidth violations, and fault
-//! accounting are bit-identical to the sequential oracle by
+//! worker `w` of `W` owns the programs of nodes `[lo, hi)` and steps
+//! them as one chunk of the engine's round loop. Each node goes through
+//! the in-process executors' own per-node step — the in-place gather,
+//! the fused `DirectInbox` sinks, the flat per-directed-edge load
+//! table, the broadcast slot generations, the fault plan evaluated at
+//! the send — so verdicts, wire counters, bandwidth violations, and
+//! fault accounting are bit-identical to the sequential oracle by
 //! construction, not by re-implementation.
 //!
-//! Messages addressed inside the range land in the local double-
-//! buffered inboxes exactly as in-process; messages addressed outside
-//! it are drained after the round as [`OutFrame`]s for the transport
-//! layer to ship. Deliveries arriving from other partitions are
-//! [`PartitionEngine::inject`]ed, and [`PartitionEngine::commit_round`]
-//! restores the canonical delivery order (ascending sender, then the
-//! sender's queueing order) before the buffers swap: receiver-side
-//! ports are sorted by neighbor index, so a stable sort by port *is*
-//! the ascending-sender order, and within one port every packet came
-//! from the same sender in emission order.
+//! The worker's inbox arenas have two segments. Segment 0 holds the
+//! deliveries from senders below `lo`; segment 1 holds the owned
+//! senders' own writes, followed by the deliveries from senders at or
+//! above `hi`. Sends to owned receivers stay in the local arenas. Sends
+//! across the partition's cut are drained after the step as
+//! [`OutFrame`]s for the transport layer to ship; only the boxes of the
+//! receivers adjacent to the range, listed once at construction, are
+//! visited. Deliveries arriving from other partitions are
+//! [`PartitionEngine::inject`]ed after the step, in the order the
+//! coordinator routes them: ascending source worker, each worker's
+//! frames first in first out, each receiver's in ascending sender
+//! order. Appending to the segment on the sender's side of the range
+//! therefore keeps every box in ascending sender order, the gather
+//! yields the canonical delivery order with no sort, and
+//! [`PartitionEngine::commit_round`] only swaps the arenas.
+//!
+//! A round visits two boxes per owned receiver and one per cut
+//! receiver, so its cost follows the range and the cut, not `n`.
+//! Building the engine still sizes `2·n` boxes per arena and the load
+//! table for the whole graph, once.
 
 use std::ops::Range;
 
-use crate::arena::{InboxArena, LoadTable, RoundAcc};
-use crate::engine::{finalize_violation, EngineConfig, WireFlags};
+pub use crate::arena::RoundDigest;
+use crate::arena::{InboxArena, LoadTable};
+use crate::engine::{step_node, EngineConfig, RoundIo, Slot, WireFlags};
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
-use crate::metrics::{FaultReport, RoundStats};
-use crate::node::{
-    DirectSink, Inbox, NodeInit, Outbox, Packet, Program, SinkCtx, SinkMode, Status,
-};
+use crate::node::{NodeInit, Packet, Program};
 
-use super::frame::{ByteReader, ByteWriter, FrameError};
+use super::frame::FrameError;
+
+/// The arena segment the owned senders write (segment 0 is for the
+/// deliveries from senders below the range).
+const OWN: usize = 1;
 
 /// The contiguous node range worker `worker` of `workers` owns:
 /// `[⌊w·n/W⌋, ⌊(w+1)·n/W⌋)`. Covers every node exactly once for any
@@ -58,146 +71,6 @@ pub struct OutFrame<M> {
     pub msg: M,
 }
 
-/// A round's sender-side accounting, mirroring the engine's internal
-/// accumulator field-for-field so coordinator-side merges reproduce
-/// the in-process statistics bit-for-bit. Merging is associative and
-/// `violation` keeps the leftmost entry; merging partition digests in
-/// ascending range order therefore equals the sequential fold.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundDigest {
-    pub messages: u64,
-    pub bits: u64,
-    pub max_message_bits: u64,
-    pub max_link_bits: u64,
-    pub max_link_messages: u64,
-    /// Nodes that transitioned `Running → Halted` this round.
-    pub halted: u32,
-    /// First (by node index) link that exceeded an enforced budget:
-    /// `(sender, port, end-of-round link bits)`.
-    pub violation: Option<(NodeIndex, u32, u64)>,
-    /// Per-kind drop counters, indexed by
-    /// [`crate::fault::DropKind::index`].
-    pub drops_by_kind: [u64; crate::fault::DropKind::COUNT],
-    pub corrupted_delivered: u64,
-    pub corrupted_rejected: u64,
-}
-
-impl RoundDigest {
-    pub(crate) fn from_acc(acc: &RoundAcc) -> Self {
-        RoundDigest {
-            messages: acc.messages,
-            bits: acc.bits,
-            max_message_bits: acc.max_message_bits,
-            max_link_bits: acc.max_link_bits,
-            max_link_messages: acc.max_link_messages,
-            halted: acc.halted,
-            violation: acc.violation,
-            drops_by_kind: acc.drops_by_kind,
-            corrupted_delivered: acc.corrupted_delivered,
-            corrupted_rejected: acc.corrupted_rejected,
-        }
-    }
-
-    /// Associative merge; keeps the leftmost violation.
-    pub fn merge(a: RoundDigest, b: RoundDigest) -> RoundDigest {
-        let mut drops_by_kind = a.drops_by_kind;
-        for (d, s) in drops_by_kind.iter_mut().zip(b.drops_by_kind) {
-            *d += s;
-        }
-        RoundDigest {
-            messages: a.messages + b.messages,
-            bits: a.bits + b.bits,
-            max_message_bits: a.max_message_bits.max(b.max_message_bits),
-            max_link_bits: a.max_link_bits.max(b.max_link_bits),
-            max_link_messages: a.max_link_messages.max(b.max_link_messages),
-            halted: a.halted + b.halted,
-            violation: a.violation.or(b.violation),
-            drops_by_kind,
-            corrupted_delivered: a.corrupted_delivered + b.corrupted_delivered,
-            corrupted_rejected: a.corrupted_rejected + b.corrupted_rejected,
-        }
-    }
-
-    /// The per-round report row, as the engine records it.
-    pub fn to_stats(&self, round: u32, active_nodes: usize) -> RoundStats {
-        RoundStats {
-            round,
-            active_nodes,
-            messages: self.messages,
-            bits: self.bits,
-            max_message_bits: self.max_message_bits,
-            max_link_bits: self.max_link_bits,
-            max_link_messages: self.max_link_messages,
-        }
-    }
-
-    /// Folds the fault counters into a run-level report, as the engine
-    /// does after each completed round.
-    pub fn add_faults_to(&self, fr: &mut FaultReport) {
-        use crate::fault::DropKind;
-        fr.dropped_explicit += self.drops_by_kind[DropKind::Explicit.index()];
-        fr.dropped_random += self.drops_by_kind[DropKind::Random.index()];
-        fr.dropped_crash += self.drops_by_kind[DropKind::Crash.index()];
-        fr.dropped_cut += self.drops_by_kind[DropKind::Cut.index()];
-        fr.dropped_burst += self.drops_by_kind[DropKind::Burst.index()];
-        fr.corrupted_delivered += self.corrupted_delivered;
-        fr.corrupted_rejected += self.corrupted_rejected;
-    }
-
-    /// Wire encoding for the `Done` frame body.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u64(self.messages);
-        w.u64(self.bits);
-        w.u64(self.max_message_bits);
-        w.u64(self.max_link_bits);
-        w.u64(self.max_link_messages);
-        w.u32(self.halted);
-        match self.violation {
-            Some((node, port, bits)) => {
-                w.u8(1);
-                w.u32(node);
-                w.u32(port);
-                w.u64(bits);
-            }
-            None => w.u8(0),
-        }
-        for d in self.drops_by_kind {
-            w.u64(d);
-        }
-        w.u64(self.corrupted_delivered);
-        w.u64(self.corrupted_rejected);
-        w.0
-    }
-
-    /// Decodes a `Done` frame body.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FrameError> {
-        let mut r = ByteReader::new(bytes);
-        let mut d = RoundDigest {
-            messages: r.u64()?,
-            bits: r.u64()?,
-            max_message_bits: r.u64()?,
-            max_link_bits: r.u64()?,
-            max_link_messages: r.u64()?,
-            halted: r.u32()?,
-            ..RoundDigest::default()
-        };
-        d.violation = if r.u8()? != 0 { Some((r.u32()?, r.u32()?, r.u64()?)) } else { None };
-        for slot in d.drops_by_kind.iter_mut() {
-            *slot = r.u64()?;
-        }
-        d.corrupted_delivered = r.u64()?;
-        d.corrupted_rejected = r.u64()?;
-        r.finish()?;
-        Ok(d)
-    }
-}
-
-struct LocalSlot<P: Program> {
-    prog: P,
-    status: Status,
-}
-
 /// The partition executor proper (see the module doc).
 pub struct PartitionEngine<'g, P: Program> {
     graph: &'g Graph,
@@ -206,7 +79,12 @@ pub struct PartitionEngine<'g, P: Program> {
     wf: WireFlags,
     lo: NodeIndex,
     hi: NodeIndex,
-    slots: Vec<LocalSlot<P>>,
+    /// The receivers outside `[lo, hi)` adjacent to it, ascending and
+    /// deduplicated: the only boxes of segment 1 a round's sends
+    /// can leave staged for other partitions.
+    cut: Vec<NodeIndex>,
+    /// The programs of `[lo, hi)`, in node order.
+    slots: Vec<Slot<P>>,
     cur: InboxArena<P::Msg>,
     next: InboxArena<P::Msg>,
     loads: LoadTable,
@@ -228,29 +106,22 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         F: FnMut(NodeInit<'g>) -> P,
     {
         let n = graph.n();
-        let m = graph.m();
         let range = partition_range(n, workers, worker);
-        let slots = range
+        let slots = range.clone().map(|v| Slot::new(graph, v, &mut factory)).collect();
+        let mut cut: Vec<NodeIndex> = range
             .clone()
-            .map(|v| {
-                let init = NodeInit {
-                    index: v,
-                    id: graph.id(v),
-                    neighbor_ids: graph.neighbor_ids(v),
-                    ports_by_id: graph.ports_sorted_by_id(v),
-                    n,
-                    m,
-                };
-                LocalSlot { prog: factory(init), status: Status::Running }
-            })
+            .flat_map(|v| graph.neighbors(v).iter().copied())
+            .filter(|w| !range.contains(w))
             .collect();
+        cut.sort_unstable();
+        cut.dedup();
         let wf = WireFlags::for_config(config);
         let mut loads = LoadTable::new(0);
         loads.reset(if wf.account { graph.num_directed_edges() } else { 0 });
         let mut cur = InboxArena::new();
         let mut next = InboxArena::new();
-        cur.reset(n, 1);
-        next.reset(n, 1);
+        cur.reset(n, 2);
+        next.reset(n, 2);
         PartitionEngine {
             graph,
             config: config.clone(),
@@ -258,6 +129,7 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             wf,
             lo: range.start,
             hi: range.end,
+            cut,
             slots,
             cur,
             next,
@@ -265,104 +137,33 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         }
     }
 
-    /// The owned node range.
-    pub fn range(&self) -> Range<NodeIndex> {
-        self.lo..self.hi
-    }
-
-    /// Locally running nodes (for termination bookkeeping and tests;
-    /// the coordinator tracks the global count from digests).
-    pub fn local_active(&self) -> usize {
-        self.slots.iter().filter(|s| s.status == Status::Running).count()
-    }
-
-    /// Executes one round over the owned range: gathers each node's
-    /// inbox, steps it through the fused accounted send path, and
-    /// appends every delivery addressed outside the range to `out`
-    /// (ascending receiver, then canonical within-receiver order).
-    /// Returns the partition's share of the round accounting.
+    /// Executes one round over the owned range as one chunk of the
+    /// engine's round loop, then appends every delivery addressed
+    /// across the cut to `out` (ascending receiver, then canonical
+    /// within-receiver order). Returns the partition's share of the
+    /// round accounting.
     pub fn step_round(&mut self, round: u32, out: &mut Vec<OutFrame<P::Msg>>) -> RoundDigest {
-        let WireFlags { check_faults, limit, account, heavy } = self.wf;
-        let mode = if heavy { SinkMode::HeavyInbox } else { SinkMode::FastInbox };
-        let ctx = SinkCtx {
-            params: &self.params,
-            faults: &self.config.faults,
-            check_faults,
-            account,
-            limit,
-            round,
-            stamp: self.loads.stamp_for(round),
+        let ctx = self.wf.sink_ctx(&self.params, &self.config.faults, &self.loads, round);
+        let io = RoundIo {
+            graph: self.graph,
+            cur: &self.cur,
+            next: &self.next,
+            loads: &self.loads,
+            ctx: &ctx,
+            mode: self.wf.mode(),
         };
-        let mut acc = RoundAcc::default();
-        for v in self.lo..self.hi {
-            let slot = &mut self.slots[(v - self.lo) as usize];
-            // SAFETY: single-threaded partition loop — only `v`'s
-            // current buffer is referenced here, and sends only touch
-            // `next` buffers.
-            let inbox = unsafe { self.cur.inbox(0, v) };
-            if slot.status != Status::Running {
-                // Drop traffic addressed to a halted node.
-                inbox.clear();
-                continue;
-            }
-            let lanes = self.graph.directed_edge_range(v);
-            let had_violation = acc.violation.is_some();
-            let loads_row = if account {
-                // SAFETY: `row_ptr(lanes.start)` is this sender's
-                // exclusive load row; only materialized when the run
-                // accounts.
-                unsafe { self.loads.row_ptr(lanes.start) }
-            } else {
-                std::ptr::NonNull::dangling().as_ptr()
-            };
-            // SAFETY: `next.segment_ptr(0)` is the arena's only
-            // segment, written by this single-threaded loop alone
-            // (remote receivers' buffers are staging space drained
-            // below, written by no one else).
-            let mut outbox: Outbox<P::Msg> = unsafe {
-                Outbox::direct(
-                    lanes.len() as u32,
-                    DirectSink {
-                        inboxes: self.next.segment_ptr(0),
-                        slots: self.next.slots_ptr(),
-                        receivers: self.graph.neighbors(v).as_ptr(),
-                        rev_ports: self.graph.rev_ports_row(v).as_ptr(),
-                        acc: &mut acc,
-                        loads: loads_row,
-                        ctx: &ctx,
-                        sender: v,
-                    },
-                    mode,
-                )
-            };
-            // SAFETY: buffered packets' shared pointers target
-            // broadcast slots of `cur`, untouched while `cur` is in
-            // the read role.
-            let view = unsafe { Inbox::from_packets(inbox) };
-            let status = slot.prog.step(round, view, &mut outbox);
-            drop(outbox);
-            inbox.clear();
-            slot.status = status;
-            if status == Status::Halted {
-                acc.halted += 1;
-            }
-            // SAFETY: sender-unique row access, as above.
-            unsafe { finalize_violation(&mut acc, had_violation, v, loads_row) };
+        let segment = self.next.segment_ptr(OWN);
+        let mut acc = RoundDigest::default();
+        for (v, slot) in (self.lo..).zip(&mut self.slots) {
+            step_node(v, segment, slot, &io, &mut acc);
         }
 
-        // Ship everything the fused path parked for foreign receivers.
-        // Shared packets point into this round's write-generation
-        // broadcast slots — still live until the arenas swap — so
-        // cloning here is sound.
-        let n = self.graph.n() as NodeIndex;
-        for w in 0..n {
-            if w >= self.lo && w < self.hi {
-                continue;
-            }
-            // SAFETY: staging buffers of foreign receivers, written
-            // only by this partition's sends this round.
-            let staged = unsafe { self.next.inbox(0, w) };
-            for pkt in staged.drain(..) {
+        // Ship what the sends staged for the cut's receivers. Shared
+        // packets point into this round's write-generation broadcast
+        // slots — still live until the arenas swap — so cloning here is
+        // sound.
+        for &w in &self.cut {
+            for pkt in self.next.inbox_mut(OWN, w).drain(..) {
                 let (port, msg) = match pkt {
                     Packet::Own { port, msg } => (port, msg),
                     // SAFETY: see above — the slot outlives this drain.
@@ -371,46 +172,48 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
                 out.push(OutFrame { receiver: w, port, msg });
             }
         }
-        RoundDigest::from_acc(&acc)
+        acc
     }
 
     /// Buffers one delivery arriving from another partition for the
-    /// next round. Fails typed on addressing errors (a malformed or
-    /// hostile frame can never panic the worker).
+    /// next round, appended to segment 0 when its sender (the
+    /// receiver's neighbor on `port`) lies below the range and to
+    /// segment 1, after the owned senders' writes, when it lies
+    /// above. Deliveries must follow this round's
+    /// [`step_round`](Self::step_round) in the coordinator's routing
+    /// order (see the module doc) for the gather to stay canonical.
+    /// Fails typed on addressing errors — a receiver outside the
+    /// partition, a port past its degree, a sender inside the
+    /// partition — so a malformed or hostile frame can never panic the
+    /// worker.
     pub fn inject(
         &mut self,
         receiver: NodeIndex,
         port: u32,
         msg: P::Msg,
     ) -> Result<(), FrameError> {
-        if receiver < self.lo || receiver >= self.hi {
+        let owned = self.lo..self.hi;
+        if !owned.contains(&receiver) {
             return Err(FrameError::BadBody("delivery addressed outside the partition"));
         }
-        if (port as usize) >= self.graph.neighbors(receiver).len() {
-            return Err(FrameError::BadBody("delivery port exceeds receiver degree"));
+        let sender = *self
+            .graph
+            .neighbors(receiver)
+            .get(port as usize)
+            .ok_or(FrameError::BadBody("delivery port exceeds receiver degree"))?;
+        if owned.contains(&sender) {
+            return Err(FrameError::BadBody("delivery from a sender inside the partition"));
         }
-        // SAFETY: single-threaded injection into this receiver's
-        // next-round buffer.
-        unsafe { self.next.inbox(0, receiver) }.push(Packet::Own { port, msg });
+        let segment = usize::from(sender >= self.hi);
+        self.next.inbox_mut(segment, receiver).push(Packet::Own { port, msg });
         Ok(())
     }
 
-    /// Seals the round after all remote deliveries are injected:
-    /// restores the canonical per-receiver delivery order and swaps
-    /// the double buffers. Receiver ports are sorted by neighbor
-    /// index, so the stable sort by port *is* ascending-sender order;
-    /// packets sharing a port share a sender and keep emission order.
+    /// Seals the round after all remote deliveries are injected: swaps
+    /// the double buffers. Nothing is reordered — segment 0 holds the
+    /// senders below the range and segment 1 the rest, each in
+    /// ascending order.
     pub fn commit_round(&mut self) {
-        for v in self.lo..self.hi {
-            // SAFETY: single-threaded commit, receiver-unique access.
-            let inbox = unsafe { self.next.inbox(0, v) };
-            if inbox.len() > 1 {
-                inbox.sort_by_key(|p| match p {
-                    Packet::Own { port, .. } => *port,
-                    Packet::Shared { port, .. } => *port,
-                });
-            }
-        }
         std::mem::swap(&mut self.cur, &mut self.next);
     }
 
@@ -418,17 +221,13 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
     pub fn verdicts(&self) -> Vec<P::Verdict> {
         self.slots.iter().map(|s| s.prog.verdict()).collect()
     }
-
-    /// Drains the programs in node order (verdicts must be collected
-    /// first) — the worker's reclaim hook.
-    pub fn into_programs(self) -> Vec<P> {
-        self.slots.into_iter().map(|s| s.prog).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
+    use crate::node::{Inbox, Outbox, Status};
 
     #[test]
     fn partition_ranges_tile_the_nodes() {
@@ -455,6 +254,54 @@ mod tests {
         assert!(ranges.iter().filter(|r| r.is_empty()).count() >= 3);
     }
 
+    /// A program that never sends: the tests below only address boxes.
+    struct Quiet;
+
+    impl Program for Quiet {
+        type Msg = u64;
+        type Verdict = ();
+        fn step(&mut self, _round: u32, _inbox: Inbox<'_, u64>, _out: &mut Outbox<u64>) -> Status {
+            Status::Running
+        }
+        fn verdict(&self) {}
+    }
+
+    fn path(n: usize) -> Graph {
+        GraphBuilder::new(n).edges((0..n as u32 - 1).map(|i| (i, i + 1))).build().unwrap()
+    }
+
+    fn partition(g: &Graph, workers: u32, worker: u32) -> PartitionEngine<'_, Quiet> {
+        let params = WireParams::for_graph(g);
+        PartitionEngine::new(g, &EngineConfig::default(), params, workers, worker, |_| Quiet)
+    }
+
+    /// Worker 0 of 2 on the path 0–…–5 owns 0..3: a delivery must name
+    /// an owned receiver, a port within its degree, and a sender across
+    /// the cut.
+    #[test]
+    fn inject_rejects_misaddressed_deliveries_typed() {
+        let g = path(6);
+        let mut p = partition(&g, 2, 0);
+        let bad = |r: Result<(), FrameError>| matches!(r, Err(FrameError::BadBody(_)));
+        assert!(bad(p.inject(4, 0, 7)), "receiver outside the range");
+        assert!(bad(p.inject(2, 2, 7)), "port past the receiver's degree");
+        assert!(bad(p.inject(2, 0, 7)), "sender 1 inside the partition");
+        assert_eq!(p.inject(2, 1, 7), Ok(()), "node 3 into node 2");
+        assert_eq!(p.next.inbox_mut(OWN, 2).len(), 1, "filed after the owned senders");
+    }
+
+    /// Only receivers adjacent to the range are drained after a step.
+    #[test]
+    fn cut_lists_only_the_adjacent_foreign_receivers() {
+        let g = path(10_000);
+        assert_eq!(partition(&g, 2, 0).cut, vec![5000]);
+        assert_eq!(partition(&g, 2, 1).cut, vec![4999]);
+        assert_eq!(partition(&g, 3, 1).cut, vec![3332, 6666]);
+    }
+
+    /// The digest a partition ships in its `Done` frame survives the
+    /// encoding bit for bit, merges keeping the leftmost violation, and
+    /// every truncated body decodes to a typed error.
     #[test]
     fn digest_roundtrip_and_merge() {
         let a = RoundDigest {
@@ -475,7 +322,6 @@ mod tests {
         let m = RoundDigest::merge(a, b);
         assert_eq!(m.messages, 5);
         assert_eq!(m.violation, Some((2, 0, 99)));
-        // Truncated digest bodies decode to typed errors.
         let bytes = a.to_bytes();
         for cut in 0..bytes.len() {
             assert!(RoundDigest::from_bytes(&bytes[..cut]).is_err(), "prefix {cut}");

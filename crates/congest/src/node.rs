@@ -12,7 +12,7 @@
 //! shared refs instead of clones. Programs that keep a message beyond
 //! the step clone the payload explicitly.
 
-use crate::arena::{LinkLoad, RoundAcc};
+use crate::arena::{LinkLoad, RoundDigest};
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::graph::{NodeId, NodeIndex};
 use crate::message::{WireMessage, WireParams};
@@ -336,8 +336,8 @@ pub(crate) struct DirectSink {
     /// Receiver-side port per local port (the graph's rev-port row);
     /// messages land in the boxes pre-labeled for delivery.
     pub(crate) rev_ports: *const u32,
-    /// The executor-chunk round accumulator.
-    pub(crate) acc: *mut RoundAcc,
+    /// The executor chunk's round digest.
+    pub(crate) acc: *mut RoundDigest,
     /// Base of this sender's row in the flat per-directed-edge load
     /// table (indexed by local port). Valid iff the context's `account`
     /// is set — the engine allocates the table whenever the wire

@@ -5,6 +5,8 @@ use ck_congest::engine::{BandwidthPolicy, EngineConfig, EngineError, Executor, R
 use ck_congest::fault::FaultPlan;
 use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
 use ck_congest::message::{WireMessage, WireParams};
+use ck_congest::metrics::RunReport;
+use ck_congest::net::{partition_range, PartitionEngine, RoundDigest};
 use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
 use ck_congest::session::Session;
 use proptest::prelude::*;
@@ -101,6 +103,53 @@ impl Program for HeavyGossip {
     fn verdict(&self) -> (u64, u64) {
         (self.digest, self.evictions)
     }
+}
+
+/// The distributed executor's round protocol, run in process: `workers`
+/// partition engines each step their range, their cross-cut deliveries
+/// are routed in ascending worker order (as the coordinator routes
+/// `Msg` frames), and the merged digest closes the round.
+fn run_partitioned(
+    g: &Graph,
+    config: &EngineConfig,
+    workers: u32,
+    rounds: u32,
+) -> Result<(RunReport, Vec<(u64, u64)>), EngineError> {
+    let params = WireParams::for_graph(g);
+    let mut parts: Vec<PartitionEngine<'_, HeavyGossip>> = (0..workers)
+        .map(|w| {
+            PartitionEngine::new(g, config, params, workers, w, |init| HeavyGossip {
+                id: init.id,
+                rounds,
+                digest: 0,
+                evictions: 0,
+            })
+        })
+        .collect();
+    let owner = |v: NodeIndex| {
+        (0..workers).position(|w| partition_range(g.n(), workers, w).contains(&v)).unwrap()
+    };
+    let mut report = RunReport::default();
+    let (mut active, mut round) = (g.n(), 0);
+    let (mut out, mut routed) = (Vec::new(), Vec::new());
+    while round < config.max_rounds && active > 0 {
+        let mut digest = RoundDigest::default();
+        for part in &mut parts {
+            digest = RoundDigest::merge(digest, part.step_round(round, &mut out));
+            routed.append(&mut out);
+        }
+        digest.close_round(round, config, &mut active, &mut report)?;
+        for f in routed.drain(..) {
+            parts[owner(f.receiver)].inject(f.receiver, f.port, f.msg).unwrap();
+        }
+        for part in &mut parts {
+            part.commit_round();
+        }
+        round += 1;
+    }
+    report.rounds = round;
+    report.all_halted = active == 0;
+    Ok((report, parts.iter().flat_map(|p| p.verdicts()).collect()))
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -348,6 +397,27 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Partitioned execution delivers in the sequential order: with the
+    /// graph split across 1–4 workers, every node's order-sensitive
+    /// digest of what it received, and every round's statistics, match
+    /// a sequential session's, with and without message loss.
+    #[test]
+    fn partitions_reproduce_the_sequential_order(
+        g in arb_graph(),
+        workers in 1u32..5,
+        rounds in 1u32..5,
+        lossy in any::<bool>(),
+    ) {
+        let faults = if lossy { FaultPlan::none().random_loss(0.2, 11) } else { FaultPlan::none() };
+        let cfg = EngineConfig { executor: Executor::Sequential, faults, ..EngineConfig::default() };
+        let seq = run(&g, &cfg, |init| HeavyGossip { id: init.id, rounds, digest: 0, evictions: 0 }).unwrap();
+        let (report, verdicts) = run_partitioned(&g, &cfg, workers, rounds).unwrap();
+        prop_assert_eq!(&verdicts, &seq.verdicts, "W={}", workers);
+        prop_assert_eq!(&report.per_round, &seq.report.per_round, "W={}", workers);
+        prop_assert_eq!(report.rounds, seq.report.rounds);
+        prop_assert_eq!(&report.faults, &seq.report.faults);
     }
 
     /// Fault semantics: with full loss nothing is received but everything

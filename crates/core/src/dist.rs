@@ -8,10 +8,11 @@
 //! the tester's node program is fully described by a [`TesterConfig`]
 //! plus the graph, so a [`JobSpec`] frame reconstructs byte-identical
 //! node programs inside every worker. Each worker steps its contiguous
-//! node range through a [`PartitionEngine`] (the *same* fused send
-//! path as the in-process sequential oracle), its programs running
-//! over views into one worker-owned [`SoaArena`] exactly as the
-//! in-process executors' do; cross-partition
+//! node range through a [`PartitionEngine`] as one chunk of the
+//! engine's round loop (the *same* per-node step and fused send path
+//! as the in-process executors), its programs running over views into
+//! one worker-owned [`SoaArena`] exactly as the in-process executors'
+//! do; cross-partition
 //! deliveries travel as `Msg` frames whose payload is the canonical
 //! [`CkCodec`] bit string and whose header carries the
 //! [`ContextCodec`] handshake word, so the receiving worker rebuilds
@@ -186,8 +187,8 @@ impl JobSpec {
         let engine = EngineConfig {
             max_rounds,
             bandwidth,
-            // The worker's partition loop is the sequential fused
-            // path; the executor field is irrelevant inside it.
+            // The worker steps its range as one chunk of the engine's
+            // round loop; the executor field is irrelevant inside it.
             executor: Executor::Sequential,
             record_rounds,
             faults,
@@ -898,27 +899,10 @@ pub fn run_distributed(
             }
         }
 
-        // Exactly the engine loop's post-round order: violation first
-        // (the round's stats and faults are never recorded), then
-        // fault totals, then the per-round report row.
-        if let Some((node, port, bits)) = digest.violation {
-            let limit = match engine.bandwidth {
-                BandwidthPolicy::Enforce { bits } => bits,
-                BandwidthPolicy::Measure => 0,
-            };
+        // The engine loop's own post-round step, on the merged digest.
+        if let Err(e) = digest.close_round(round, engine, &mut active, &mut report) {
             coord.abort_all();
-            return Err(DistError::Engine(EngineError::BandwidthExceeded {
-                round,
-                node,
-                port,
-                bits,
-                limit,
-            }));
-        }
-        active -= digest.halted as usize;
-        digest.add_faults_to(&mut report.faults);
-        if engine.record_rounds {
-            report.per_round.push(digest.to_stats(round, active + digest.halted as usize));
+            return Err(DistError::Engine(e));
         }
 
         // Route, then barrier: a worker that saw `Barrier(r)` has, by

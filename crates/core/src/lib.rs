@@ -53,7 +53,6 @@ pub mod decide;
 pub mod dist;
 pub mod framework;
 pub mod girth;
-pub mod listing;
 pub mod msg;
 pub mod prune;
 pub mod rank;

@@ -559,6 +559,7 @@ pub(crate) fn tester_exec_into(
                 if !ecfg.net.fallback {
                     return Err(EngineError::Net(ne));
                 }
+                // ck-lint: allow(determinism, reason = "times only the fallback's recovery_ms for the NetReport; no verdict or round counter reads it")
                 let recovery_start = std::time::Instant::now();
                 let mut seq = ecfg.clone();
                 seq.executor = ck_congest::engine::Executor::Sequential;

@@ -25,8 +25,15 @@ const LIBRARY_CRATES: &[&str] = &["congest", "core", "graphgen", "lint", "serve"
 /// function of the submitted job — wall-clock reads there are confined
 /// to reasoned allows for latency histograms and idle-reclaim timers)
 /// and `rpc` its verdict-carrying wire grammar, whose encode/decode
-/// must be a pure function of the message bytes.
-const DETERMINISM_STEMS: &[&str] = &["engine", "fault", "dist", "msg", "soa", "serve", "rpc"];
+/// must be a pure function of the message bytes. `arena` and `node`
+/// hold the round loop's inbox arena, its per-round digest (which also
+/// feeds the distributed coordinator) and its send paths; `tester`,
+/// `session`, `batch`, `prune` and `decide` are the tester's node
+/// program and the layers that drive it.
+const DETERMINISM_STEMS: &[&str] = &[
+    "engine", "arena", "node", "fault", "dist", "msg", "soa", "tester", "session", "batch",
+    "prune", "decide", "serve", "rpc",
+];
 
 /// Classifies a workspace-relative path (with `/` separators) into the
 /// rule context the engine needs. Pure so the mapping itself is
@@ -136,12 +143,14 @@ mod tests {
         assert!(classify("crates/core/src/soa.rs").determinism_critical);
         assert!(classify("crates/serve/src/serve.rs").determinism_critical);
         assert!(classify("crates/serve/src/rpc.rs").determinism_critical);
+        assert!(classify("crates/congest/src/arena.rs").determinism_critical);
+        assert!(classify("crates/congest/src/node.rs").determinism_critical);
+        assert!(classify("crates/congest/src/session.rs").determinism_critical);
+        assert!(classify("crates/core/src/tester.rs").determinism_critical);
         // The service's client helper and lib root are not verdict-
         // producing; only the job loop and the wire grammar are.
         assert!(!classify("crates/serve/src/client.rs").determinism_critical);
         assert!(!classify("crates/serve/src/lib.rs").determinism_critical);
-        assert!(!classify("crates/congest/src/session.rs").determinism_critical);
-        assert!(!classify("crates/core/src/tester.rs").determinism_critical);
         // Test files named like critical modules are out of scope: the
         // rule is about library behavior, not test harness clocks.
         assert!(!classify("crates/congest/tests/engine.rs").determinism_critical);
