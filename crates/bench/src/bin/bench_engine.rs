@@ -773,7 +773,7 @@ fn serve_sweep(smoke: bool) -> ServeBlock {
     // `TesterSession` under the service's own engine template; verdict
     // bit + per-node verdicts must agree exactly.
     let max_clients = 4u32;
-    let opts = || ServeOptions { workers: workers as usize, poll_ms: 5, ..ServeOptions::default() };
+    let opts = || ServeOptions { workers: workers as usize, ..ServeOptions::default() };
     {
         let server = BoundServer::bind(opts()).expect("bind serve sweep").spawn();
         let addr = server.addr().to_string();

@@ -56,7 +56,6 @@ fn run_serve(req: &ServeRequest) {
         inflight_budget: req.inflight_budget,
         idle_reclaim_ms: req.idle_reclaim_ms,
         max_conns: req.max_conns,
-        ..ck_serve::ServeOptions::default()
     };
     let server = match ck_serve::BoundServer::bind(opts) {
         Ok(s) => s,

@@ -70,7 +70,6 @@ pub mod protocols;
 pub mod rngs;
 pub mod session;
 pub mod topology;
-pub mod trace;
 
 pub use batch::{effective_shards, run_sharded, run_sharded_with_min_items};
 pub use engine::{

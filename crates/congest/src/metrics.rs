@@ -261,11 +261,6 @@ impl RunReport {
             .sum()
     }
 
-    /// Per-round maximum link loads, convenient for plotting.
-    pub fn link_load_series(&self) -> Vec<u64> {
-        self.per_round.iter().map(|r| r.max_link_bits).collect()
-    }
-
     /// Serializes the report as JSON (hand-rolled: the offline build has
     /// no serde, and the schema is small and flat).
     pub fn to_json(&self) -> String {

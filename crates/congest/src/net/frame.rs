@@ -74,9 +74,9 @@ pub enum FrameKind {
     /// Worker → coordinator: typed failure description.
     Error = 12,
     /// Either direction of a probe-service link: one `ServeMsg` RPC
-    /// (submit / result / stats / shutdown), encoded by the service's
-    /// `WireCodec`. The frame layer stays the one transport in the
-    /// repo; the service's RPC grammar lives entirely in the body.
+    /// (submit / result / stats / shutdown) as a plain byte body. The
+    /// frame layer stays the one transport in the repo; the service's
+    /// RPC grammar lives entirely in the body.
     Serve = 13,
 }
 
@@ -158,8 +158,9 @@ impl From<std::io::Error> for FrameError {
 /// a hang.
 #[derive(Clone, Copy, Debug)]
 pub struct Deadline {
+    /// `None` never expires.
     // ck-lint: allow(determinism, reason = "wall-clock budget for socket reads; see module-level rationale on the use-declaration allow")
-    at: Instant,
+    at: Option<Instant>,
 }
 
 impl Deadline {
@@ -171,28 +172,41 @@ impl Deadline {
     /// A deadline `d` from now.
     pub fn after(d: Duration) -> Self {
         // ck-lint: allow(determinism, reason = "deadline arming is transport-side only; expiry surfaces as a typed fault")
-        Deadline { at: Instant::now() + d }
+        Deadline { at: Some(Instant::now() + d) }
+    }
+
+    /// A deadline that never expires: the read blocks until the frame
+    /// arrives or the stream ends.
+    pub fn never() -> Self {
+        Deadline { at: None }
     }
 
     /// True once the budget is spent.
     pub fn expired(&self) -> bool {
         // ck-lint: allow(determinism, reason = "expiry check feeds FrameError::TimedOut, a typed fault the harness treats like any link failure")
-        Instant::now() >= self.at
+        self.at.is_some_and(|at| Instant::now() >= at)
     }
 
-    /// Time left, zero when expired.
+    /// Time left: zero when expired, `Duration::MAX` for
+    /// [`Deadline::never`].
     pub fn remaining(&self) -> Duration {
         // ck-lint: allow(determinism, reason = "remaining budget only tunes socket read timeouts, never message content")
-        self.at.saturating_duration_since(Instant::now())
+        self.at.map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()))
     }
 }
 
 /// Writes one frame. The caller flushes, so frames written into a
 /// buffered writer leave together: a worker's round `Msg`s with its
 /// `Done`, the coordinator's routed `Msg`s with `Barrier` and the next
-/// `Go`.
+/// `Go`. A body over [`MAX_BODY`] is
+/// [`std::io::ErrorKind::InvalidInput`] and writes nothing.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> std::io::Result<()> {
-    assert!(body.len() as u64 <= u64::from(MAX_BODY), "frame body exceeds MAX_BODY");
+    if body.len() as u64 > u64::from(MAX_BODY) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame body of {} bytes exceeds MAX_BODY", body.len()),
+        ));
+    }
     let [l0, l1, l2, l3] = (body.len() as u32).to_le_bytes();
     let header = [kind as u8, l0, l1, l2, l3];
     w.write_all(&header)?;
@@ -202,35 +216,9 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, body: &[u8]) -> std::io:
 /// Frame header size on the wire: `[kind: u8][len: u32 LE]`.
 const HEADER_LEN: usize = 5;
 
-/// Reads at least one byte into `buf`, retrying short socket timeouts
-/// until `deadline`. A clean EOF before the first byte is
-/// [`FrameError::Truncated`] — the caller decides whether a frame
-/// boundary was legitimate.
-fn read_some_deadline(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    deadline: &Deadline,
-) -> Result<usize, FrameError> {
-    loop {
-        match r.read(buf) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(k) => return Ok(k),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if deadline.expired() {
-                    return Err(FrameError::TimedOut);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// Reads exactly `buf.len()` bytes, retrying short socket timeouts
-/// until `deadline`.
+/// Fills `buf`, retrying short socket timeouts until `deadline`. EOF
+/// before `buf` is full is [`FrameError::Truncated`] — the caller
+/// decides whether a frame boundary was legitimate.
 fn read_exact_deadline(
     r: &mut impl Read,
     buf: &mut [u8],
@@ -238,7 +226,18 @@ fn read_exact_deadline(
 ) -> Result<(), FrameError> {
     let mut filled = 0usize;
     while filled < buf.len() {
-        filled += read_some_deadline(r, &mut buf[filled..], deadline)?;
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => return Err(FrameError::Truncated),
+            Ok(k) => filled += k,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock
+                        | std::io::ErrorKind::TimedOut
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e.into()),
+        }
         if filled < buf.len() && deadline.expired() {
             return Err(FrameError::TimedOut);
         }
@@ -250,11 +249,11 @@ fn read_exact_deadline(
 /// announced body length, never allocates more than [`MAX_BODY`].
 ///
 /// **One-shot**: a [`FrameError::TimedOut`] may leave part of the
-/// frame consumed, so the stream position is untrusted afterwards —
-/// correct where an overdue frame is already fatal (the distributed
-/// executor's lost-worker paths). A loop that treats `TimedOut` as a
-/// benign poll tick and reads again must use [`FrameReader`] instead,
-/// or a deadline expiring mid-frame desyncs the stream.
+/// frame consumed, so the stream position is untrusted afterwards.
+/// Treat it as fatal for the link (the distributed executor's
+/// lost-worker paths, a serve client's spent receive budget); never
+/// read again as if a timeout were a benign tick, or a deadline
+/// expiring mid-frame desyncs the stream.
 pub fn read_frame(r: &mut impl Read, deadline: &Deadline) -> Result<Frame, FrameError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_deadline(r, &mut header, deadline)?;
@@ -267,86 +266,6 @@ pub fn read_frame(r: &mut impl Read, deadline: &Deadline) -> Result<Frame, Frame
     let mut body = vec![0u8; len as usize];
     read_exact_deadline(r, &mut body, deadline)?;
     Ok(Frame { kind, body })
-}
-
-/// Incremental frame reader for poll-style loops: partial-frame state
-/// survives a [`FrameError::TimedOut`], so a deadline expiring with a
-/// frame half-arrived (a large body, a slow or stalling writer) picks
-/// up exactly where it left off on the next call instead of
-/// discarding the consumed bytes and misparsing mid-frame bytes as a
-/// new header.
-///
-/// `TimedOut` is the *only* resumable error. Everything else —
-/// `Truncated` (EOF), `BadKind`, `Oversized`, `Io` — leaves the
-/// stream position untrusted, same as [`read_frame`]; drop the
-/// connection.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    header: [u8; HEADER_LEN],
-    header_filled: usize,
-    /// Parsed from a complete, validated header; `None` while the
-    /// header is still arriving.
-    kind: Option<FrameKind>,
-    body: Vec<u8>,
-    body_filled: usize,
-}
-
-impl FrameReader {
-    /// A reader with no buffered frame state.
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// True when part of a frame is buffered — a connection dropped
-    /// now loses those bytes (which is fine: the frame never
-    /// completed).
-    pub fn mid_frame(&self) -> bool {
-        self.header_filled > 0 || self.kind.is_some()
-    }
-
-    /// Reads one frame, resuming any partial frame from a previous
-    /// `TimedOut`. Same validation and bounds as [`read_frame`]: the
-    /// header is checked (kind, [`MAX_BODY`]) before the body buffer
-    /// is allocated, and the read never passes the announced length.
-    pub fn read_frame(
-        &mut self,
-        r: &mut impl Read,
-        deadline: &Deadline,
-    ) -> Result<Frame, FrameError> {
-        let kind = match self.kind {
-            Some(k) => k,
-            None => {
-                while self.header_filled < HEADER_LEN {
-                    self.header_filled +=
-                        read_some_deadline(r, &mut self.header[self.header_filled..], deadline)?;
-                    if self.header_filled < HEADER_LEN && deadline.expired() {
-                        return Err(FrameError::TimedOut);
-                    }
-                }
-                let [kind_byte, l0, l1, l2, l3] = self.header;
-                let kind = FrameKind::from_u8(kind_byte).ok_or(FrameError::BadKind(kind_byte))?;
-                let len = u32::from_le_bytes([l0, l1, l2, l3]);
-                if len > MAX_BODY {
-                    return Err(FrameError::Oversized { len });
-                }
-                self.body = vec![0u8; len as usize];
-                self.body_filled = 0;
-                self.kind = Some(kind);
-                kind
-            }
-        };
-        while self.body_filled < self.body.len() {
-            self.body_filled +=
-                read_some_deadline(r, &mut self.body[self.body_filled..], deadline)?;
-            if self.body_filled < self.body.len() && deadline.expired() {
-                return Err(FrameError::TimedOut);
-            }
-        }
-        self.kind = None;
-        self.header_filled = 0;
-        self.body_filled = 0;
-        Ok(Frame { kind, body: std::mem::take(&mut self.body) })
-    }
 }
 
 /// Header of a [`FrameKind::Msg`] body (see the module doc for the
@@ -529,80 +448,22 @@ mod tests {
         }
     }
 
-    /// Serves scripted chunks one per `read` call, `WouldBlock`
-    /// forever after — a socket whose peer dribbles bytes across poll
-    /// windows.
-    struct Dribble {
-        chunks: Vec<Vec<u8>>,
-        next: usize,
-    }
-
-    impl Read for Dribble {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            match self.chunks.get_mut(self.next) {
-                Some(c) => {
-                    let n = buf.len().min(c.len());
-                    buf[..n].copy_from_slice(&c[..n]);
-                    c.drain(..n);
-                    if c.is_empty() {
-                        self.next += 1;
-                    }
-                    Ok(n)
-                }
-                None => Err(std::io::ErrorKind::WouldBlock.into()),
-            }
-        }
+    #[test]
+    fn oversized_body_is_refused_typed_and_writes_nothing() {
+        let body = vec![0u8; MAX_BODY as usize + 1];
+        let mut sink = Vec::new();
+        let err = write_frame(&mut sink, FrameKind::Spec, &body).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(sink.is_empty(), "nothing of an oversized frame is written");
     }
 
     #[test]
-    fn frame_reader_resumes_mid_frame_across_expired_deadlines() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Msg, &[9, 8, 7, 6, 5, 4, 3]).unwrap();
-        // Split so both the header and the body straddle deadline
-        // expiries (an already-expired deadline stops after every
-        // chunk, exactly one poll tick per chunk).
-        let mut dribble = Dribble { chunks: wire.chunks(2).map(|c| c.to_vec()).collect(), next: 0 };
-        let ticks = dribble.chunks.len();
-        let mut fr = FrameReader::new();
-        for tick in 1..ticks {
-            let got = fr.read_frame(&mut dribble, &Deadline::after_ms(0));
-            assert_eq!(got.unwrap_err(), FrameError::TimedOut, "tick {tick}");
-            assert!(fr.mid_frame(), "tick {tick} buffered partial state");
-        }
-        let frame = fr.read_frame(&mut dribble, &Deadline::after_ms(0)).unwrap();
-        assert_eq!(frame.kind, FrameKind::Msg);
-        assert_eq!(frame.body, [9, 8, 7, 6, 5, 4, 3]);
-        assert!(!fr.mid_frame());
-        // The stream stays in sync: a second frame written later parses.
-        let mut wire2 = Vec::new();
-        write_frame(&mut wire2, FrameKind::Barrier, &[]).unwrap();
-        dribble.chunks.push(wire2);
-        assert_eq!(
-            fr.read_frame(&mut dribble, &Deadline::after_ms(0)).unwrap().kind,
-            FrameKind::Barrier
-        );
-    }
-
-    #[test]
-    fn frame_reader_matches_one_shot_semantics_on_whole_streams() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Go, &3u32.to_le_bytes()).unwrap();
-        write_frame(&mut wire, FrameKind::Heartbeat, &[]).unwrap();
-        let d = Deadline::after_ms(100);
-        let mut r = &wire[..];
-        let mut fr = FrameReader::new();
-        assert_eq!(fr.read_frame(&mut r, &d).unwrap().kind, FrameKind::Go);
-        assert_eq!(fr.read_frame(&mut r, &d).unwrap().kind, FrameKind::Heartbeat);
-        assert_eq!(fr.read_frame(&mut r, &d), Err(FrameError::Truncated));
-        // Bad headers fail identically, before any body allocation.
-        let mut unk: &[u8] = &[0xEE, 0, 0, 0, 0];
-        assert_eq!(FrameReader::new().read_frame(&mut unk, &d), Err(FrameError::BadKind(0xEE)));
-        let mut big = vec![FrameKind::Msg as u8];
-        big.extend_from_slice(&(MAX_BODY + 1).to_le_bytes());
-        assert_eq!(
-            FrameReader::new().read_frame(&mut &big[..], &d),
-            Err(FrameError::Oversized { len: MAX_BODY + 1 })
-        );
+    fn never_deadline_does_not_expire() {
+        let d = Deadline::never();
+        assert!(!d.expired());
+        assert_eq!(d.remaining(), Duration::MAX);
+        // A stream that ends still ends the read.
+        assert_eq!(read_frame(&mut &[FrameKind::Go as u8][..], &d), Err(FrameError::Truncated));
     }
 
     #[test]

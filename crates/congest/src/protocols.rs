@@ -1,10 +1,9 @@
 //! Classic CONGEST protocols.
 //!
 //! Reusable building blocks (and engine stress-tests): min-ID leader
-//! election by flooding, BFS tree construction from a root, and 1-hop
-//! neighborhood collection. They double as reference workloads for the
-//! engine benchmarks and as executable documentation of the programming
-//! model.
+//! election by flooding and BFS tree construction from a root. They
+//! double as reference workloads for the engine benchmarks and as
+//! executable documentation of the programming model.
 
 use crate::engine::{EngineConfig, EngineError, RunOutcome};
 use crate::graph::{Graph, NodeId, NodeIndex};
@@ -160,39 +159,6 @@ pub fn build_bfs_tree(
     Ok(resolved)
 }
 
-/// One-round neighborhood collection: every node learns its neighbors'
-/// IDs (demonstrates why the engine may hand `neighbor_ids` to programs
-/// upfront — it costs exactly one round).
-pub struct CollectNeighbors {
-    myid: NodeId,
-    seen: Vec<NodeId>,
-}
-
-impl CollectNeighbors {
-    pub fn new(own_id: NodeId) -> Self {
-        CollectNeighbors { myid: own_id, seen: Vec::new() }
-    }
-}
-
-impl Program for CollectNeighbors {
-    type Msg = NodeId;
-    type Verdict = Vec<NodeId>;
-
-    fn step(&mut self, round: u32, inbox: Inbox<'_, NodeId>, out: &mut Outbox<NodeId>) -> Status {
-        if round == 0 {
-            out.broadcast(self.myid);
-            return Status::Running;
-        }
-        self.seen = inbox.iter().map(|i| *i.msg).collect();
-        self.seen.sort_unstable();
-        Status::Halted
-    }
-
-    fn verdict(&self) -> Vec<NodeId> {
-        self.seen.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,17 +207,5 @@ mod tests {
         assert_eq!(verdicts[1].dist, 1);
         assert_eq!(verdicts[2].dist, u32::MAX);
         assert_eq!(verdicts[3].dist, u32::MAX);
-    }
-
-    #[test]
-    fn neighborhood_collection_is_exact() {
-        let g = ring(6).with_ids(vec![60, 10, 20, 30, 40, 50]).unwrap();
-        let out = Session::new(&g).run(|init| CollectNeighbors::new(init.id)).unwrap();
-        for v in 0..6u32 {
-            let mut expect: Vec<u64> = g.neighbors(v).iter().map(|&w| g.id(w)).collect();
-            expect.sort_unstable();
-            assert_eq!(out.verdicts[v as usize], expect);
-        }
-        assert_eq!(out.report.rounds, 2);
     }
 }

@@ -1,10 +1,9 @@
 //! Structural graph analysis beyond the basics in [`crate::graph`].
 //!
 //! Workload characterization for the experiment harness: bipartiteness
-//! (decides odd-cycle-freeness wholesale), bridges and articulation
-//! points (edges/nodes on no cycle at all), k-core decomposition, triangle
-//! counts and clustering coefficients. Everything is exact and intended
-//! for harness-scale graphs.
+//! (decides odd-cycle-freeness wholesale), bridges (edges on no cycle
+//! at all), k-core decomposition and triangle counts. Everything is
+//! exact and intended for harness-scale graphs.
 
 use crate::graph::{Edge, Graph, NodeIndex};
 
@@ -94,59 +93,6 @@ pub fn bridges(g: &Graph) -> Vec<Edge> {
     out
 }
 
-/// Articulation points (cut vertices), iterative low-link.
-pub fn articulation_points(g: &Graph) -> Vec<NodeIndex> {
-    let n = g.n();
-    let mut disc = vec![u32::MAX; n];
-    let mut low = vec![u32::MAX; n];
-    let mut timer = 0u32;
-    let mut is_cut = vec![false; n];
-    for s in 0..n as NodeIndex {
-        if disc[s as usize] != u32::MAX {
-            continue;
-        }
-        let mut root_children = 0u32;
-        let mut stack: Vec<(NodeIndex, Option<u32>, u32)> = vec![(s, None, 0)];
-        disc[s as usize] = timer;
-        low[s as usize] = timer;
-        timer += 1;
-        while let Some(&mut (v, pe, ref mut port)) = stack.last_mut() {
-            if (*port as usize) < g.degree(v) {
-                let p = *port;
-                *port += 1;
-                let eidx = g.edge_index_at(v, p);
-                if Some(eidx) == pe {
-                    continue;
-                }
-                let w = g.neighbor_at(v, p);
-                if disc[w as usize] == u32::MAX {
-                    if v == s {
-                        root_children += 1;
-                    }
-                    disc[w as usize] = timer;
-                    low[w as usize] = timer;
-                    timer += 1;
-                    stack.push((w, Some(eidx), 0));
-                } else {
-                    low[v as usize] = low[v as usize].min(disc[w as usize]);
-                }
-            } else {
-                stack.pop();
-                if let Some(&mut (parent, _, _)) = stack.last_mut() {
-                    low[parent as usize] = low[parent as usize].min(low[v as usize]);
-                    if parent != s && low[v as usize] >= disc[parent as usize] {
-                        is_cut[parent as usize] = true;
-                    }
-                }
-            }
-        }
-        if root_children >= 2 {
-            is_cut[s as usize] = true;
-        }
-    }
-    (0..n as NodeIndex).filter(|&v| is_cut[v as usize]).collect()
-}
-
 /// Exact triangle count (each counted once) via ordered neighbor
 /// intersection.
 pub fn triangle_count(g: &Graph) -> u64 {
@@ -176,22 +122,6 @@ pub fn triangle_count(g: &Graph) -> u64 {
         }
     }
     total
-}
-
-/// Global clustering coefficient: `3·triangles / wedges` (0 for graphs
-/// without wedges).
-pub fn clustering_coefficient(g: &Graph) -> f64 {
-    let wedges: u64 = (0..g.n())
-        .map(|v| {
-            let d = g.degree(v as NodeIndex) as u64;
-            d * d.saturating_sub(1) / 2
-        })
-        .sum();
-    if wedges == 0 {
-        0.0
-    } else {
-        3.0 * triangle_count(g) as f64 / wedges as f64
-    }
 }
 
 /// k-core numbers: the largest `k` such that the node survives in the
@@ -250,22 +180,18 @@ mod tests {
         // Two triangles joined by a bridge 2-3.
         let gr = g(&[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)], 6);
         assert_eq!(bridges(&gr), vec![Edge::new(2, 3)]);
-        assert_eq!(articulation_points(&gr), vec![2, 3]);
     }
 
     #[test]
     fn tree_is_all_bridges() {
         let t = g(&[(0, 1), (1, 2), (1, 3), (3, 4)], 5);
         assert_eq!(bridges(&t).len(), 4);
-        let cuts = articulation_points(&t);
-        assert_eq!(cuts, vec![1, 3]);
     }
 
     #[test]
     fn cycle_has_no_bridges() {
         let c = g(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 5);
         assert!(bridges(&c).is_empty());
-        assert!(articulation_points(&c).is_empty());
     }
 
     #[test]
@@ -275,9 +201,6 @@ mod tests {
         assert_eq!(triangle_count(&k4), 4);
         let c5 = g(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 5);
         assert_eq!(triangle_count(&c5), 0);
-        // Clustering of K4 is 1.
-        assert!((clustering_coefficient(&k4) - 1.0).abs() < 1e-12);
-        assert_eq!(clustering_coefficient(&c5), 0.0);
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! A small blocking client for the probe service: `ckprobe submit`,
 //! the soak tests, and the bench harness all talk through it.
 //!
-//! The client is deliberately thin — one connection, one frame
-//! reader, one [`SharedWriter`] — and deliberately honest about
-//! failure: every path out is a typed [`ClientError`], including the
-//! service's own `Error` frames, which surface as
-//! [`ClientError::Remote`] with the service's message intact.
+//! The client is deliberately thin — one connection, blocking
+//! one-shot [`read_frame`] calls, one [`SharedWriter`] — and
+//! deliberately honest about failure: every path out is a typed
+//! [`ClientError`], including the service's own `Error` frames, which
+//! surface as [`ClientError::Remote`] with the service's message
+//! intact.
+//!
+//! A receive that runs out of budget fails with
+//! [`FrameError::TimedOut`] and may leave part of a frame read, so the
+//! stream position is untrusted afterwards: drop the client and
+//! connect a new one.
 
 use std::fmt;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ck_congest::net::frame::{Deadline, FrameError, FrameKind, FrameReader};
+use ck_congest::net::frame::{read_frame, Deadline, FrameError, FrameKind};
 use ck_congest::net::link::{connect_with_retry, SharedWriter};
 
 use crate::rpc::{
@@ -55,10 +61,6 @@ impl From<FrameError> for ClientError {
 /// A blocking connection to one probe service.
 pub struct ServeClient {
     reader: TcpStream,
-    /// Keeps partial-frame state across receive deadlines, so a
-    /// `TimedOut` recv leaves the stream in sync and a retry resumes
-    /// the half-arrived reply instead of misparsing its tail.
-    frames: FrameReader,
     writer: SharedWriter<TcpStream>,
     /// Per-receive budget in milliseconds.
     timeout_ms: u64,
@@ -66,18 +68,15 @@ pub struct ServeClient {
 
 impl ServeClient {
     /// Connects with bounded retry (covers the race between spawning
-    /// `ckprobe serve` and its listener coming up).
+    /// `ckprobe serve` and its listener coming up). `timeout_ms` is
+    /// the budget of each receive.
     pub fn connect(addr: &str, timeout_ms: u64) -> Result<ServeClient, ClientError> {
-        let stream =
-            connect_with_retry(addr, 10, 20).map_err(|e| ClientError::Io(e.to_string()))?;
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let reader = stream.try_clone().map_err(|e| ClientError::Io(e.to_string()))?;
-        Ok(ServeClient {
-            reader,
-            frames: FrameReader::new(),
-            writer: SharedWriter::new(stream),
-            timeout_ms,
-        })
+        let io = |e: std::io::Error| ClientError::Io(e.to_string());
+        let stream = connect_with_retry(addr, 10, 20).map_err(io)?;
+        let timeout_ms = timeout_ms.max(1);
+        stream.set_read_timeout(Some(Duration::from_millis(timeout_ms))).map_err(io)?;
+        let reader = stream.try_clone().map_err(io)?;
+        Ok(ServeClient { reader, writer: SharedWriter::new(stream), timeout_ms })
     }
 
     /// Sends one RPC.
@@ -93,11 +92,12 @@ impl ServeClient {
     }
 
     /// Receives the next RPC, skipping heartbeats; the service's
-    /// `Error` frames come back as [`ClientError::Remote`].
+    /// `Error` frames come back as [`ClientError::Remote`]. Past the
+    /// receive budget this is [`FrameError::TimedOut`]: drop the client.
     pub fn recv(&mut self) -> Result<ServeMsg, ClientError> {
         let deadline = Deadline::after_ms(self.timeout_ms);
         loop {
-            let frame = self.frames.read_frame(&mut self.reader, &deadline)?;
+            let frame = read_frame(&mut self.reader, &deadline)?;
             match frame.kind {
                 FrameKind::Serve => return Ok(decode_serve_body(&frame.body)?),
                 FrameKind::Heartbeat => {}

@@ -10,10 +10,9 @@
 //!
 //! - [`rpc`] — the `ServeMsg` RPC grammar (Submit / Result / Stats /
 //!   Shutdown) riding [`ck_congest::net::frame::FrameKind::Serve`]
-//!   frames, encoded through a [`ck_congest::message::WireCodec`]
-//!   implementation so the codec seam stays the one wire format in
-//!   the repo. Every decode is total: any byte prefix is a typed
-//!   error, never a panic, never an over-read.
+//!   frames. Bodies are plain bytes, like the distributed executor's
+//!   `Spec` / `Done` / `Verdicts` bodies. Every decode is total: any
+//!   byte prefix is a typed error, never a panic, never an over-read.
 //! - [`serve`] — the service itself: a `std::net` accept loop plus a
 //!   worker-thread pool holding one warm
 //!   [`ck_core::session::TesterSession`] each, recycling arenas across

@@ -1,14 +1,13 @@
 //! The `ServeMsg` RPC grammar: everything that crosses a probe-service
 //! link, as one self-describing byte body inside a
-//! [`FrameKind::Serve`] frame.
+//! [`FrameKind::Serve`](ck_congest::net::frame::FrameKind::Serve) frame.
 //!
 //! The transport stays the repo's one wire format — the
 //! length-prefixed `[kind u8][len u32 LE][body]` frame of
-//! [`ck_congest::net::frame`] — and the body is produced and consumed
-//! by [`ServeCodec`], a [`WireCodec`] implementation, so the exact-bit
-//! contract (`encode` writes precisely [`WireMessage::wire_bits`]
-//! bits; `decode` of exactly those bits returns an equal message) holds
-//! on this seam too.
+//! [`ck_congest::net::frame`] — and the body is plain
+//! [`ByteWriter`] bytes, like the distributed executor's `Spec`, `Done`
+//! and `Verdicts` bodies: [`encode_serve_body`] writes it and
+//! [`decode_serve_body`] reads it.
 //!
 //! Every RPC body starts with a tag byte:
 //!
@@ -67,13 +66,8 @@
 //! that, so a hostile `k = u32::MAX` decodes fine and is refused with
 //! a typed error frame instead of being dropped at the frame layer.
 
-use std::io::Read;
-
 use ck_congest::graph::Graph;
-use ck_congest::message::{BitReader, BitWriter, CodecError, WireCodec, WireMessage, WireParams};
-use ck_congest::net::frame::{
-    ByteReader, ByteWriter, Deadline, FrameError, FrameKind, FrameReader,
-};
+use ck_congest::net::frame::{ByteReader, ByteWriter, FrameError, MAX_BODY};
 use ck_core::dist::{decode_verdicts, encode_verdicts};
 use ck_core::tester::{ConfigError, NodeVerdict, TesterConfig};
 
@@ -312,237 +306,137 @@ fn decode_error(r: &mut ByteReader<'_>) -> Result<ServeError, FrameError> {
     })
 }
 
-impl ServeMsg {
-    /// Encodes the RPC as a `Serve` frame body (see the module doc for
-    /// the layout).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        match self {
-            ServeMsg::Submit(req) => {
-                w.u8(TAG_SUBMIT);
-                w.u64(req.job_id);
-                w.bytes(req.graph.to_edge_list().as_bytes());
-                w.u32(req.k);
-                w.f64(req.eps);
-                w.u64(req.seed);
-                match req.repetitions {
-                    Some(reps) => {
-                        w.u8(1);
-                        w.u32(reps);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            ServeMsg::Result(res) => {
-                w.u8(TAG_RESULT);
-                w.u64(res.job_id);
-                match &res.outcome {
-                    Ok(v) => {
-                        w.u8(1);
-                        w.u8(v.reject as u8);
-                        w.u64(v.wall_us);
-                        w.bytes(&encode_verdicts(&v.verdicts));
-                    }
-                    Err(e) => {
-                        w.u8(0);
-                        encode_error(&mut w, e);
-                    }
-                }
-            }
-            ServeMsg::StatsRequest => w.u8(TAG_STATS_REQUEST),
-            ServeMsg::Stats(s) => {
-                w.u8(TAG_STATS);
-                w.u32(s.workers);
-                w.u32(s.queue_depth);
-                w.u32(s.in_flight);
-                w.u64(s.pool_outstanding);
-                w.u64(s.jobs_submitted);
-                w.u64(s.jobs_completed);
-                w.u64(s.jobs_refused);
-                w.u64(s.sessions_reclaimed);
-                w.u64(s.slot_takes);
-                w.u64(s.slot_misses);
-                w.u64(s.latency.count);
-                w.u64(s.latency.p50_us);
-                w.u64(s.latency.p99_us);
-                w.u64(s.latency.max_us);
-            }
-            ServeMsg::Shutdown => w.u8(TAG_SHUTDOWN),
-            ServeMsg::ShutdownAck { jobs_completed } => {
-                w.u8(TAG_SHUTDOWN_ACK);
-                w.u64(*jobs_completed);
-            }
-        }
-        w.0
-    }
-
-    /// Decodes a `Serve` frame body; all failures are typed, trailing
-    /// bytes are rejected, and nothing is validated beyond structure
-    /// (domain checks belong to admission control).
-    pub fn from_bytes(body: &[u8]) -> Result<ServeMsg, FrameError> {
-        let mut r = ByteReader::new(body);
-        let msg = match r.u8()? {
-            TAG_SUBMIT => {
-                let job_id = r.u64()?;
-                let edge_text = std::str::from_utf8(r.bytes()?)
-                    .map_err(|_| FrameError::BadBody("graph text is not UTF-8"))?;
-                let graph = Graph::from_edge_list(edge_text)
-                    .map_err(|_| FrameError::BadBody("unparsable graph edge list"))?;
-                let k = r.u32()?;
-                let eps = r.f64()?;
-                let seed = r.u64()?;
-                let repetitions = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-                ServeMsg::Submit(JobRequest { job_id, graph, k, eps, seed, repetitions })
-            }
-            TAG_RESULT => {
-                let job_id = r.u64()?;
-                let outcome = if r.u8()? != 0 {
-                    let reject = r.u8()? != 0;
-                    let wall_us = r.u64()?;
-                    let verdicts = decode_verdicts(r.bytes()?)?;
-                    Ok(JobVerdict { reject, wall_us, verdicts })
-                } else {
-                    Err(decode_error(&mut r)?)
-                };
-                ServeMsg::Result(JobResult { job_id, outcome })
-            }
-            TAG_STATS_REQUEST => ServeMsg::StatsRequest,
-            TAG_STATS => ServeMsg::Stats(StatsSnapshot {
-                workers: r.u32()?,
-                queue_depth: r.u32()?,
-                in_flight: r.u32()?,
-                pool_outstanding: r.u64()?,
-                jobs_submitted: r.u64()?,
-                jobs_completed: r.u64()?,
-                jobs_refused: r.u64()?,
-                sessions_reclaimed: r.u64()?,
-                slot_takes: r.u64()?,
-                slot_misses: r.u64()?,
-                latency: LatencySummary {
-                    count: r.u64()?,
-                    p50_us: r.u64()?,
-                    p99_us: r.u64()?,
-                    max_us: r.u64()?,
-                },
-            }),
-            TAG_SHUTDOWN => ServeMsg::Shutdown,
-            TAG_SHUTDOWN_ACK => ServeMsg::ShutdownAck { jobs_completed: r.u64()? },
-            _ => return Err(FrameError::BadBody("unknown serve RPC tag")),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
-
-/// Frame-independent [`WireParams`] for the serve link: RPCs are
-/// byte-oriented and self-describing, so no graph-derived field widths
-/// apply. The codec ignores these values; they exist because the
-/// [`WireCodec`] seam threads params through every encode/decode.
-pub fn serve_params() -> WireParams {
-    WireParams { n: 0, m: 0, id_bits: 64, rank_bits: 64 }
-}
-
-impl WireMessage for ServeMsg {
-    /// The canonical encoding is the byte body of
-    /// [`ServeMsg::to_bytes`], so the wire cost is exactly its length
-    /// in bits.
-    fn wire_bits(&self, _params: &WireParams) -> u64 {
-        self.to_bytes().len() as u64 * 8
-    }
-}
-
-/// The [`WireCodec`] carrying [`ServeMsg`] on `Serve` frames: the
-/// canonical bit string is the [`ServeMsg::to_bytes`] body pushed
-/// byte-aligned through the [`BitWriter`], so
-/// `encode_to_buf(..).as_bytes()` *is* the frame body and the
-/// exact-bit contract (`wire_bits` bits written, equal message
-/// decoded) holds by construction.
-pub struct ServeCodec;
-
-impl WireCodec for ServeCodec {
-    type Msg = ServeMsg;
-
-    fn encode(
-        &self,
-        msg: &ServeMsg,
-        _params: &WireParams,
-        out: &mut BitWriter,
-    ) -> Result<u64, CodecError> {
-        let bytes = msg.to_bytes();
-        for &b in &bytes {
-            // Cannot overflow: a u8 always fits an 8-bit field, so the
-            // writer is never left partially advanced.
-            out.push_bits(u64::from(b), 8)?;
-        }
-        Ok(bytes.len() as u64 * 8)
-    }
-
-    fn decode(
-        &self,
-        _params: &WireParams,
-        reader: &mut BitReader<'_>,
-    ) -> Result<ServeMsg, CodecError> {
-        let rem = reader.remaining_bits();
-        if !rem.is_multiple_of(8) {
-            return Err(CodecError::Invalid("serve frame is not byte-aligned"));
-        }
-        let mut bytes = Vec::with_capacity((rem / 8) as usize);
-        for _ in 0..rem / 8 {
-            bytes.push(reader.read_bits(8)? as u8);
-        }
-        ServeMsg::from_bytes(&bytes).map_err(|e| match e {
-            FrameError::Codec(c) => c,
-            FrameError::BadBody(what) => CodecError::Invalid(what),
-            FrameError::Truncated => CodecError::Truncated { needed: 8, remaining: 0 },
-            _ => CodecError::Invalid("malformed serve RPC body"),
-        })
-    }
-}
-
-/// Encodes one RPC as a ready-to-send `Serve` frame body, through the
-/// codec seam.
+/// Encodes one RPC as a ready-to-send `Serve` frame body (see the
+/// module doc for the layout). A body over [`MAX_BODY`] is
+/// [`FrameError::Oversized`]: no frame could carry it.
 pub fn encode_serve_body(msg: &ServeMsg) -> Result<Vec<u8>, FrameError> {
-    let buf = ServeCodec.encode_to_buf(msg, &serve_params()).map_err(FrameError::Codec)?;
-    Ok(buf.as_bytes().to_vec())
-}
-
-/// Decodes a `Serve` frame body through the codec seam. Total: every
-/// prefix, every unknown tag, and every trailing byte is a typed
-/// error.
-pub fn decode_serve_body(body: &[u8]) -> Result<ServeMsg, FrameError> {
-    let mut reader = BitReader::new(body, body.len() as u64 * 8);
-    ServeCodec.decode(&serve_params(), &mut reader).map_err(FrameError::Codec)
-}
-
-/// Reads one frame off a serve link and sorts it for the caller's
-/// loop: `Ok(Some(msg))` for an RPC, `Ok(None)` for a tolerated
-/// non-RPC frame (heartbeats), and `Err` for everything else. Body
-/// decode failures come back as [`FrameError::Codec`] /
-/// [`FrameError::BadBody`], which callers may treat as *recoverable*
-/// (the frame boundary was intact, so the stream can continue), and
-/// [`FrameError::TimedOut`] is a benign poll tick — `frames` keeps
-/// any half-arrived frame buffered, so the next call resumes it
-/// instead of desyncing the stream (the reason this takes a
-/// persistent [`FrameReader`] rather than a bare `Read`). Framing
-/// failures (`Truncated`, `BadKind`, `Oversized`, `Io`) still leave
-/// the stream position untrusted: drop the connection.
-pub fn read_serve_frame(
-    frames: &mut FrameReader,
-    r: &mut impl Read,
-    deadline: &Deadline,
-) -> Result<Option<ServeMsg>, FrameError> {
-    let frame = frames.read_frame(r, deadline)?;
-    match frame.kind {
-        FrameKind::Serve => decode_serve_body(&frame.body).map(Some),
-        FrameKind::Heartbeat => Ok(None),
-        _ => Err(FrameError::BadBody("unexpected frame kind on a serve link")),
+    let mut w = ByteWriter::new();
+    match msg {
+        ServeMsg::Submit(req) => {
+            w.u8(TAG_SUBMIT);
+            w.u64(req.job_id);
+            w.bytes(req.graph.to_edge_list().as_bytes());
+            w.u32(req.k);
+            w.f64(req.eps);
+            w.u64(req.seed);
+            match req.repetitions {
+                Some(reps) => {
+                    w.u8(1);
+                    w.u32(reps);
+                }
+                None => w.u8(0),
+            }
+        }
+        ServeMsg::Result(res) => {
+            w.u8(TAG_RESULT);
+            w.u64(res.job_id);
+            match &res.outcome {
+                Ok(v) => {
+                    w.u8(1);
+                    w.u8(v.reject as u8);
+                    w.u64(v.wall_us);
+                    w.bytes(&encode_verdicts(&v.verdicts));
+                }
+                Err(e) => {
+                    w.u8(0);
+                    encode_error(&mut w, e);
+                }
+            }
+        }
+        ServeMsg::StatsRequest => w.u8(TAG_STATS_REQUEST),
+        ServeMsg::Stats(s) => {
+            w.u8(TAG_STATS);
+            w.u32(s.workers);
+            w.u32(s.queue_depth);
+            w.u32(s.in_flight);
+            w.u64(s.pool_outstanding);
+            w.u64(s.jobs_submitted);
+            w.u64(s.jobs_completed);
+            w.u64(s.jobs_refused);
+            w.u64(s.sessions_reclaimed);
+            w.u64(s.slot_takes);
+            w.u64(s.slot_misses);
+            w.u64(s.latency.count);
+            w.u64(s.latency.p50_us);
+            w.u64(s.latency.p99_us);
+            w.u64(s.latency.max_us);
+        }
+        ServeMsg::Shutdown => w.u8(TAG_SHUTDOWN),
+        ServeMsg::ShutdownAck { jobs_completed } => {
+            w.u8(TAG_SHUTDOWN_ACK);
+            w.u64(*jobs_completed);
+        }
     }
+    let len = w.0.len();
+    if len as u64 > u64::from(MAX_BODY) {
+        return Err(FrameError::Oversized { len: u32::try_from(len).unwrap_or(u32::MAX) });
+    }
+    Ok(w.0)
+}
+
+/// Decodes a `Serve` frame body. Total: every prefix, every unknown
+/// tag, and every trailing byte is a typed error, and nothing is
+/// validated beyond structure (domain checks belong to admission
+/// control).
+pub fn decode_serve_body(body: &[u8]) -> Result<ServeMsg, FrameError> {
+    let mut r = ByteReader::new(body);
+    let msg = match r.u8()? {
+        TAG_SUBMIT => {
+            let job_id = r.u64()?;
+            let edge_text = std::str::from_utf8(r.bytes()?)
+                .map_err(|_| FrameError::BadBody("graph text is not UTF-8"))?;
+            let graph = Graph::from_edge_list(edge_text)
+                .map_err(|_| FrameError::BadBody("unparsable graph edge list"))?;
+            let k = r.u32()?;
+            let eps = r.f64()?;
+            let seed = r.u64()?;
+            let repetitions = if r.u8()? != 0 { Some(r.u32()?) } else { None };
+            ServeMsg::Submit(JobRequest { job_id, graph, k, eps, seed, repetitions })
+        }
+        TAG_RESULT => {
+            let job_id = r.u64()?;
+            let outcome = if r.u8()? != 0 {
+                let reject = r.u8()? != 0;
+                let wall_us = r.u64()?;
+                let verdicts = decode_verdicts(r.bytes()?)?;
+                Ok(JobVerdict { reject, wall_us, verdicts })
+            } else {
+                Err(decode_error(&mut r)?)
+            };
+            ServeMsg::Result(JobResult { job_id, outcome })
+        }
+        TAG_STATS_REQUEST => ServeMsg::StatsRequest,
+        TAG_STATS => ServeMsg::Stats(StatsSnapshot {
+            workers: r.u32()?,
+            queue_depth: r.u32()?,
+            in_flight: r.u32()?,
+            pool_outstanding: r.u64()?,
+            jobs_submitted: r.u64()?,
+            jobs_completed: r.u64()?,
+            jobs_refused: r.u64()?,
+            sessions_reclaimed: r.u64()?,
+            slot_takes: r.u64()?,
+            slot_misses: r.u64()?,
+            latency: LatencySummary {
+                count: r.u64()?,
+                p50_us: r.u64()?,
+                p99_us: r.u64()?,
+                max_us: r.u64()?,
+            },
+        }),
+        TAG_SHUTDOWN => ServeMsg::Shutdown,
+        TAG_SHUTDOWN_ACK => ServeMsg::ShutdownAck { jobs_completed: r.u64()? },
+        _ => return Err(FrameError::BadBody("unknown serve RPC tag")),
+    };
+    r.finish()?;
+    Ok(msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ck_congest::graph::GraphBuilder;
+    use ck_congest::net::frame::{read_frame, write_frame, Deadline, FrameKind};
     use ck_core::decide::RejectWitness;
     use ck_core::msg::EdgeTag;
     use ck_core::seq::IdSeq;
@@ -666,41 +560,35 @@ mod tests {
     #[test]
     fn every_sample_roundtrips_both_paths() {
         for msg in sample_msgs() {
-            let direct = msg.to_bytes();
-            assert_roundtrip_eq(&msg, &ServeMsg::from_bytes(&direct).unwrap());
-            // The codec path frames identical bytes (the codec *is*
-            // the byte encoding) and satisfies the exact-bit contract.
-            let buf = ServeCodec.encode_to_buf(&msg, &serve_params()).unwrap();
-            assert_eq!(buf.as_bytes(), &direct[..]);
-            assert_eq!(buf.len_bits(), msg.wire_bits(&serve_params()));
-            assert_roundtrip_eq(&msg, &decode_serve_body(buf.as_bytes()).unwrap());
+            let body = encode_serve_body(&msg).unwrap();
+            assert_roundtrip_eq(&msg, &decode_serve_body(&body).unwrap());
+            // Framed, the body crosses the frame layer byte for byte.
+            let mut wire = Vec::new();
+            write_frame(&mut wire, FrameKind::Serve, &body).unwrap();
+            let frame = read_frame(&mut &wire[..], &Deadline::never()).unwrap();
+            assert_eq!((frame.kind, &frame.body), (FrameKind::Serve, &body));
         }
     }
 
     #[test]
     fn every_prefix_fails_typed() {
         for msg in sample_msgs() {
-            let body = msg.to_bytes();
+            let body = encode_serve_body(&msg).unwrap();
             for cut in 0..body.len() {
-                let err = ServeMsg::from_bytes(&body[..cut]);
+                let err = decode_serve_body(&body[..cut]);
                 assert!(err.is_err(), "prefix {cut} of {msg:?} decoded");
-                let codec = decode_serve_body(&body[..cut]);
-                assert!(codec.is_err(), "codec prefix {cut} of {msg:?} decoded");
             }
             // One trailing byte is equally typed (no silent over-read).
             let mut long = body.clone();
             long.push(0);
-            assert!(ServeMsg::from_bytes(&long).is_err(), "trailing byte accepted: {msg:?}");
+            assert!(decode_serve_body(&long).is_err(), "trailing byte accepted: {msg:?}");
         }
     }
 
     #[test]
     fn unknown_tags_are_typed() {
         for tag in [0u8, 7, 8, 200, 255] {
-            assert!(
-                matches!(ServeMsg::from_bytes(&[tag]), Err(FrameError::BadBody(_))),
-                "tag {tag}"
-            );
+            assert!(matches!(decode_serve_body(&[tag]), Err(FrameError::BadBody(_))), "tag {tag}");
         }
         // Unknown refusal tag inside an otherwise well-formed Result.
         let mut w = ByteWriter::new();
@@ -708,6 +596,15 @@ mod tests {
         w.u64(1);
         w.u8(0);
         w.u8(99);
-        assert!(matches!(ServeMsg::from_bytes(&w.0), Err(FrameError::BadBody(_))));
+        assert!(matches!(decode_serve_body(&w.0), Err(FrameError::BadBody(_))));
+    }
+
+    #[test]
+    fn a_body_no_frame_can_carry_is_oversized() {
+        let msg = ServeMsg::Result(JobResult {
+            job_id: 1,
+            outcome: Err(ServeError::Engine("x".repeat(MAX_BODY as usize))),
+        });
+        assert!(matches!(encode_serve_body(&msg), Err(FrameError::Oversized { .. })));
     }
 }

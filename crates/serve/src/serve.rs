@@ -3,9 +3,10 @@
 //!
 //! Concurrency shape (the PR 7 executor idiom, turned long-running):
 //!
-//! - The acceptor thread polls a nonblocking listener and spawns one
-//!   handler thread per client connection.
-//! - Handlers parse RPC frames, run **admission control** inline
+//! - The acceptor thread blocks in `accept` and spawns one handler
+//!   thread per client connection, sharing the socket with it.
+//! - Handlers read RPC frames with blocking, one-shot
+//!   [`read_frame`] calls, run **admission control** inline
 //!   (config validation, graph-size cap, in-flight budget, drain
 //!   state — every refusal a typed [`ServeError`] frame with the job
 //!   id echoed), and push admitted jobs onto one shared queue.
@@ -19,19 +20,22 @@
 //!   and all) and rebuilds on the next job; the reclaim is counted in
 //!   the Stats RPC.
 //! - `Shutdown` flips the service into draining (new submits refused
-//!   with [`ServeError::Draining`]), waits for the in-flight count to
-//!   reach zero, acknowledges with the lifetime completion count, and
-//!   stops the pool.
+//!   with [`ServeError::Draining`]), waits on a condvar for the
+//!   in-flight count to reach zero, and acknowledges with the lifetime
+//!   completion count. Only then does that handler stop the pool and
+//!   wake the acceptor with one connection to the listener; the
+//!   acceptor shuts every tracked connection down, so handlers
+//!   blocked in a read see EOF, and joins everything.
 //!
 //! This file is determinism-lint-critical (`serve` stem): verdict
 //! bits come exclusively from the session/engine layers below. The
-//! wall-clock reads here — latency histograms, idle-reclaim timers,
-//! read deadlines — are measurement and liveness plumbing, each
-//! carrying a reasoned `ck-lint` allow.
+//! wall-clock reads here — latency histograms and idle-reclaim timers
+//! — are measurement and liveness plumbing, each carrying a reasoned
+//! `ck-lint` allow.
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -41,13 +45,13 @@ use std::time::Instant;
 
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::graph::Graph;
-use ck_congest::net::frame::{Deadline, FrameError, FrameKind, FrameReader};
+use ck_congest::net::frame::{read_frame, Deadline, FrameError, FrameKind};
 use ck_congest::net::link::SharedWriter;
 use ck_core::session::TesterSession;
 use ck_core::tester::{TesterConfig, TesterRun};
 
 use crate::rpc::{
-    encode_serve_body, read_serve_frame, JobResult, JobVerdict, LatencySummary, ServeError,
+    decode_serve_body, encode_serve_body, JobResult, JobVerdict, LatencySummary, ServeError,
     ServeMsg, StatsSnapshot,
 };
 
@@ -70,9 +74,6 @@ pub struct ServeOptions {
     /// A worker idle this long tears down its warm session, returning
     /// arena memory; the next job rebuilds it.
     pub idle_reclaim_ms: u64,
-    /// Socket poll granularity (read deadlines, accept backoff) — a
-    /// liveness knob, not a correctness one.
-    pub poll_ms: u64,
     /// Cap on concurrently connected clients (one handler thread
     /// each). At the cap a new connection is answered with an `Error`
     /// frame and closed, so the service's thread count and handler
@@ -88,7 +89,6 @@ impl Default for ServeOptions {
             max_nodes: 1 << 20,
             inflight_budget: 256,
             idle_reclaim_ms: 30_000,
-            poll_ms: 25,
             max_conns: 1024,
         }
     }
@@ -247,6 +247,8 @@ struct StatsInner {
 struct Shared {
     queue: Mutex<VecDeque<Job>>,
     work_cv: Condvar,
+    /// Signalled, under `queue`'s lock, when `in_flight` reaches 0.
+    drained_cv: Condvar,
     stats: Mutex<StatsInner>,
     /// Admitted and unanswered (queued + executing).
     in_flight: AtomicU32,
@@ -256,28 +258,58 @@ struct Shared {
     draining: AtomicBool,
     /// Everything winds down.
     stop: AtomicBool,
+    /// Where one connection wakes the acceptor blocked in `accept`.
+    wake: SocketAddr,
 }
 
 impl Shared {
-    fn new() -> Self {
+    fn new(wake: SocketAddr) -> Self {
         Shared {
             queue: Mutex::new(VecDeque::new()),
             work_cv: Condvar::new(),
+            drained_cv: Condvar::new(),
             stats: Mutex::new(StatsInner::default()),
             in_flight: AtomicU32::new(0),
             executing: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
+            wake,
         }
+    }
+
+    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
+        // Poisoning (a peer thread panicking mid-push) leaves the queue
+        // structurally sound; refusing to serve would turn one dead
+        // thread into a dead service.
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Answers for one admitted job; the last one out wakes `drain`.
+    fn release(&self) {
+        if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Taking the lock orders this wake after a drainer's
+            // check-then-wait, so the wake cannot be missed.
+            let _q = self.lock_queue();
+            self.drained_cv.notify_all();
+        }
+    }
+
+    /// Stops the workers and wakes the acceptor, which then shuts every
+    /// connection down.
+    fn stop_service(&self) {
+        // Set under the queue lock, so no worker sits between its
+        // `stop` check and its wait when the notify lands.
+        let q = self.lock_queue();
+        self.stop.store(true, Ordering::SeqCst);
+        drop(q);
+        self.work_cv.notify_all();
+        let _ = TcpStream::connect(self.wake);
     }
 
     /// Pops the next job, waiting at most `idle_ms`. `None` means
     /// either an idle tick or shutdown — the caller checks `stop`.
     fn next_job(&self, idle_ms: u64) -> Option<Job> {
-        // Poisoning (a peer thread panicking mid-push) leaves the queue
-        // structurally sound; refusing to serve would turn one dead
-        // thread into a dead service.
-        let mut q = self.queue.lock().unwrap_or_else(|p| p.into_inner());
+        let mut q = self.lock_queue();
         loop {
             if let Some(job) = q.pop_front() {
                 return Some(job);
@@ -302,7 +334,7 @@ impl Shared {
     }
 
     fn queue_depth(&self) -> u32 {
-        self.queue.lock().unwrap_or_else(|p| p.into_inner()).len() as u32
+        self.lock_queue().len() as u32
     }
 
     fn snapshot(&self, workers: u32) -> StatsSnapshot {
@@ -326,11 +358,16 @@ impl Shared {
 }
 
 /// Best-effort RPC send: a vanished client is that client's problem,
-/// never the service's.
+/// never the service's. A message no frame can carry (in practice a
+/// Result whose verdicts outgrow [`MAX_BODY`]) is answered with an
+/// `Error` frame naming its size.
+///
+/// [`MAX_BODY`]: ck_congest::net::frame::MAX_BODY
 fn send_msg(writer: &SharedWriter<TcpStream>, msg: &ServeMsg) {
-    if let Ok(body) = encode_serve_body(msg) {
-        let _ = writer.send(FrameKind::Serve, &body);
-    }
+    let _ = match encode_serve_body(msg) {
+        Ok(body) => writer.send(FrameKind::Serve, &body),
+        Err(e) => writer.send(FrameKind::Error, e.to_string().as_bytes()),
+    };
 }
 
 /// The worker loop: one warm session, one recycled run buffer.
@@ -386,7 +423,7 @@ fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
                     s.latency.record_us(latency_us);
                 });
                 shared.executing.fetch_sub(1, Ordering::SeqCst);
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                shared.release();
             }
             None => {
                 if shared.stop.load(Ordering::SeqCst) {
@@ -431,7 +468,7 @@ fn handle_submit(
                 // refund so no job is ever queued with no workers
                 // left to answer it.
                 if shared.draining.load(Ordering::SeqCst) {
-                    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    shared.release();
                     Some(ServeError::Draining)
                 } else {
                     None
@@ -460,21 +497,21 @@ fn handle_submit(
                 // ck-lint: allow(determinism, reason = "submit timestamp feeds the latency histogram only")
                 submitted: Instant::now(),
             };
-            shared.queue.lock().unwrap_or_else(|p| p.into_inner()).push_back(job);
+            shared.lock_queue().push_back(job);
             shared.work_cv.notify_one();
         }
     }
 }
 
-/// Graceful drain: refuse new work, wait out the in-flight jobs, stop
-/// the pool.
+/// Graceful drain: refuse new work and wait out the in-flight jobs.
 fn drain(shared: &Shared) -> u64 {
     shared.draining.store(true, Ordering::SeqCst);
-    while shared.in_flight.load(Ordering::SeqCst) != 0 {
-        thread::sleep(Duration::from_millis(2));
-    }
-    shared.stop.store(true, Ordering::SeqCst);
-    shared.work_cv.notify_all();
+    let q = shared.lock_queue();
+    let q = shared
+        .drained_cv
+        .wait_while(q, |_| shared.in_flight.load(Ordering::SeqCst) != 0)
+        .unwrap_or_else(|p| p.into_inner());
+    drop(q);
     shared.stats(|s| s.jobs_completed)
 }
 
@@ -496,7 +533,9 @@ fn handle_msg(
         }
         ServeMsg::Shutdown => {
             let jobs_completed = drain(shared);
+            // The ack goes out before any connection is shut down.
             send_msg(writer, &ServeMsg::ShutdownAck { jobs_completed });
+            shared.stop_service();
             false
         }
         // Service-bound links never carry service-to-client RPCs; the
@@ -508,44 +547,56 @@ fn handle_msg(
     }
 }
 
-/// Per-connection handler: the service's read loop. Body-level decode
-/// failures (intact frame boundary) answer with a typed `Error` frame
-/// and keep reading — the garbage-then-valid recovery path; framing
-/// failures drop the connection, and the service stays up either way.
-fn client_loop(shared: &Shared, opts: &ServeOptions, stream: TcpStream) {
+/// Per-connection handler: the service's read loop, one blocking
+/// [`read_frame`] per RPC. Body-level decode failures (intact frame
+/// boundary) answer with a typed `Error` frame and keep reading — the
+/// garbage-then-valid recovery path; framing failures and EOF drop
+/// the connection, and the service stays up either way.
+fn client_loop(shared: &Shared, opts: &ServeOptions, stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(opts.poll_ms.max(1))));
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let writer = SharedWriter::new(stream);
-    // Persistent across poll ticks: a frame whose bytes straddle a
-    // poll_ms window (large graph, slow client) survives the deadline
-    // as buffered partial state instead of desyncing the stream.
-    let mut frames = FrameReader::new();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_serve_frame(&mut frames, &mut reader, &Deadline::after_ms(opts.poll_ms.max(1))) {
-            Ok(Some(msg)) => {
-                if !handle_msg(shared, opts, &writer, msg) {
-                    return;
+    if let Ok(w) = stream.try_clone() {
+        let writer = SharedWriter::new(w);
+        let mut reader = stream;
+        loop {
+            let msg = match read_frame(&mut reader, &Deadline::never()) {
+                Ok(frame) => match frame.kind {
+                    FrameKind::Serve => decode_serve_body(&frame.body),
+                    FrameKind::Heartbeat => continue,
+                    _ => Err(FrameError::BadBody("unexpected frame kind on a serve link")),
+                },
+                Err(e) => {
+                    let _ = writer.send(FrameKind::Error, e.to_string().as_bytes());
+                    break;
                 }
-            }
-            Ok(None) => {}
-            Err(FrameError::TimedOut) => {}
-            Err(e @ (FrameError::Codec(_) | FrameError::BadBody(_))) => {
-                let _ = writer.send(FrameKind::Error, e.to_string().as_bytes());
-            }
-            Err(e) => {
-                let _ = writer.send(FrameKind::Error, e.to_string().as_bytes());
-                return;
+            };
+            match msg {
+                Ok(msg) => {
+                    if !handle_msg(shared, opts, &writer, msg) {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    let _ = writer.send(FrameKind::Error, e.to_string().as_bytes());
+                }
             }
         }
     }
+    // The acceptor shares this socket, so dropping our handle would
+    // not close it: shut it down so the peer sees EOF now.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// The address a handler connects to in order to wake the acceptor:
+/// the listener itself, through loopback when it is bound to every
+/// interface.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// A bound-but-not-yet-serving service: the split lets callers learn
@@ -572,7 +623,7 @@ impl BoundServer {
     /// Runs the service to completion (a client's `Shutdown` drains
     /// and stops it); returns the final counter snapshot.
     pub fn run(self) -> StatsSnapshot {
-        let shared = Arc::new(Shared::new());
+        let shared = Arc::new(Shared::new(wake_addr(self.addr)));
         let opts = Arc::new(self.opts);
         let workers: Vec<_> = (0..opts.workers.max(1))
             .map(|_| {
@@ -581,36 +632,38 @@ impl BoundServer {
                 thread::spawn(move || worker_loop(sh, o))
             })
             .collect();
-        let _ = self.listener.set_nonblocking(true);
-        let mut handlers = Vec::new();
-        while !shared.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Reap finished handler threads on every accept so
-                    // the vec (and peak thread count) tracks *live*
-                    // connections, not lifetime connections.
-                    handlers.retain(|h: &thread::JoinHandle<()>| !h.is_finished());
-                    if handlers.len() >= opts.max_conns.max(1) {
-                        // At the connection cap: refuse loudly, then
-                        // close (dropping the stream closes it).
-                        let w = SharedWriter::new(stream);
-                        let _ = w.send(FrameKind::Error, b"connection limit reached");
-                        continue;
-                    }
-                    let sh = Arc::clone(&shared);
-                    let o = Arc::clone(&opts);
-                    handlers.push(thread::spawn(move || client_loop(&sh, &o, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(2));
-                }
-                Err(_) => thread::sleep(Duration::from_millis(2)),
+        // Each live handler with its socket, so shutdown can end a
+        // handler blocked in a read.
+        let mut conns: Vec<(Arc<TcpStream>, thread::JoinHandle<()>)> = Vec::new();
+        for stream in self.listener.incoming() {
+            // The wake connection of `Shared::stop_service` lands here.
+            if shared.stop.load(Ordering::SeqCst) {
+                break;
             }
+            // Reap finished handlers on every accept, so the vec and
+            // the peak thread count track *live* connections, not
+            // lifetime ones. A failed accept reaps too: that frees the
+            // descriptors a retry may be short of.
+            conns.retain(|(_, h)| !h.is_finished());
+            let Ok(stream) = stream else { continue };
+            if conns.len() >= opts.max_conns.max(1) {
+                // At the connection cap: refuse loudly, then close
+                // (dropping the stream closes it).
+                let w = SharedWriter::new(stream);
+                let _ = w.send(FrameKind::Error, b"connection limit reached");
+                continue;
+            }
+            let stream = Arc::new(stream);
+            let (sh, o, st) = (Arc::clone(&shared), Arc::clone(&opts), Arc::clone(&stream));
+            conns.push((stream, thread::spawn(move || client_loop(&sh, &o, &st))));
+        }
+        for (conn, _) in &conns {
+            let _ = conn.shutdown(Shutdown::Both);
         }
         for w in workers {
             let _ = w.join();
         }
-        for h in handlers {
+        for (_, h) in conns {
             let _ = h.join();
         }
         shared.snapshot(opts.workers.max(1) as u32)
@@ -647,6 +700,14 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wake_addr_reaches_an_unspecified_listener_through_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7070"), "127.0.0.1:7070");
+        assert_eq!(wake("[::]:7070"), "[::1]:7070");
+        assert_eq!(wake("10.1.2.3:7070"), "10.1.2.3:7070");
+    }
 
     #[test]
     fn histogram_quantiles_cover_the_mass() {

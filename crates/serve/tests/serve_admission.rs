@@ -15,9 +15,7 @@ fn job(job_id: u64, n: usize, k: u32, eps: f64) -> JobRequest {
 #[test]
 fn bad_parameters_refuse_typed_with_job_id_echo() {
     let server =
-        BoundServer::bind(ServeOptions { workers: 1, poll_ms: 5, ..ServeOptions::default() })
-            .unwrap()
-            .spawn();
+        BoundServer::bind(ServeOptions { workers: 1, ..ServeOptions::default() }).unwrap().spawn();
     let mut client = ServeClient::connect(&server.addr().to_string(), 10_000).unwrap();
 
     let res = client.run_job(&job(41, 9, 99, 0.1)).unwrap();
@@ -49,14 +47,10 @@ fn bad_parameters_refuse_typed_with_job_id_echo() {
 /// `GraphTooLarge` carrying both the size and the cap.
 #[test]
 fn oversized_graphs_refuse_with_graph_too_large() {
-    let server = BoundServer::bind(ServeOptions {
-        workers: 1,
-        poll_ms: 5,
-        max_nodes: 16,
-        ..ServeOptions::default()
-    })
-    .unwrap()
-    .spawn();
+    let server =
+        BoundServer::bind(ServeOptions { workers: 1, max_nodes: 16, ..ServeOptions::default() })
+            .unwrap()
+            .spawn();
     let mut client = ServeClient::connect(&server.addr().to_string(), 10_000).unwrap();
 
     let res = client.run_job(&job(7, 64, 5, 0.1)).unwrap();
@@ -77,7 +71,6 @@ fn oversized_graphs_refuse_with_graph_too_large() {
 fn exhausted_inflight_budget_refuses_with_overloaded() {
     let server = BoundServer::bind(ServeOptions {
         workers: 1,
-        poll_ms: 5,
         inflight_budget: 0,
         ..ServeOptions::default()
     })
@@ -101,14 +94,10 @@ fn exhausted_inflight_budget_refuses_with_overloaded() {
 fn connection_cap_refuses_excess_clients_loudly() {
     use ck_congest::net::frame::{read_frame, Deadline, FrameKind};
 
-    let server = BoundServer::bind(ServeOptions {
-        workers: 1,
-        poll_ms: 5,
-        max_conns: 1,
-        ..ServeOptions::default()
-    })
-    .unwrap()
-    .spawn();
+    let server =
+        BoundServer::bind(ServeOptions { workers: 1, max_conns: 1, ..ServeOptions::default() })
+            .unwrap()
+            .spawn();
     let addr = server.addr().to_string();
     let mut first = ServeClient::connect(&addr, 10_000).unwrap();
 

@@ -43,7 +43,6 @@ fn oracle(job: &JobRequest) -> ck_core::tester::TesterRun {
 fn four_clients_sixteen_jobs_each_bit_identical_and_fully_drained() {
     let server = BoundServer::bind(ServeOptions {
         workers: 2,
-        poll_ms: 5,
         inflight_budget: (CLIENTS * JOBS_PER_CLIENT) as u32,
         ..ServeOptions::default()
     })
@@ -108,9 +107,7 @@ fn four_clients_sixteen_jobs_each_bit_identical_and_fully_drained() {
 #[test]
 fn client_disconnect_mid_job_leaves_the_service_healthy() {
     let server =
-        BoundServer::bind(ServeOptions { workers: 1, poll_ms: 5, ..ServeOptions::default() })
-            .unwrap()
-            .spawn();
+        BoundServer::bind(ServeOptions { workers: 1, ..ServeOptions::default() }).unwrap().spawn();
     let addr = server.addr().to_string();
 
     // A job big enough to still be running when the client dies.

@@ -18,7 +18,7 @@ use ck_serve::{
 use proptest::prelude::*;
 
 fn opts() -> ServeOptions {
-    ServeOptions { workers: 1, poll_ms: 5, ..ServeOptions::default() }
+    ServeOptions { workers: 1, ..ServeOptions::default() }
 }
 
 fn job(job_id: u64, n: usize) -> JobRequest {
@@ -82,19 +82,19 @@ fn every_rpc_body_prefix_fails_typed_and_link_recovers() {
     assert_eq!((snap.in_flight, snap.queue_depth, snap.pool_outstanding), (0, 0, 0));
 }
 
-/// A submit whose bytes straddle many `poll_ms` windows — the slow-
-/// writer case loopback tests never hit by accident. The service's
-/// per-connection `FrameReader` must keep the half-arrived frame
-/// buffered across its read deadlines; discarding the consumed bytes
-/// would desync the stream and misparse mid-frame bytes as a new
-/// header.
+/// A submit written a few bytes at a time with pauses between the
+/// writes — the slow-writer case loopback tests never hit by accident.
+/// The service reads each frame with one blocking `read_frame`, which
+/// must wait out every pause and reassemble the frame whole, however
+/// its header and body are split; returning early would desync the
+/// stream and misparse mid-frame bytes as a new header.
 #[test]
 fn submit_dribbled_across_poll_windows_still_completes() {
     use ck_congest::net::frame::{read_frame, Deadline, FrameKind};
     use ck_serve::rpc::decode_serve_body;
     use std::io::Write;
 
-    let server = BoundServer::bind(opts()).unwrap().spawn(); // poll_ms = 5
+    let server = BoundServer::bind(opts()).unwrap().spawn();
     let addr = server.addr().to_string();
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -104,8 +104,8 @@ fn submit_dribbled_across_poll_windows_still_completes() {
     wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
     wire.extend_from_slice(&body);
 
-    // A few bytes per write, sleeping several poll windows between
-    // them, so both the header and the body cross read deadlines.
+    // A few bytes per write with a pause after each, so both the
+    // header and the body arrive in pieces.
     for chunk in wire.chunks(5) {
         stream.write_all(chunk).unwrap();
         stream.flush().unwrap();
@@ -158,6 +158,47 @@ fn raw_garbage_drops_only_the_offending_connection() {
     assert!(!res.outcome.unwrap().reject, "C9 is C5-free");
     client.shutdown().unwrap();
     server.join();
+}
+
+/// `Shutdown` with other connections still open: an idle client and a
+/// raw socket stalled three bytes into a frame header. Their handlers
+/// sit in blocking reads; the drain must still acknowledge, the
+/// service must still stop, and both peers must see EOF.
+#[test]
+fn shutdown_ends_idle_and_stalled_connections() {
+    use ck_congest::net::frame::FrameError;
+    use std::io::{Read, Write};
+    use std::time::Duration;
+
+    let server = BoundServer::bind(opts()).unwrap().spawn();
+    let addr = server.addr().to_string();
+
+    let mut idle = ServeClient::connect(&addr, 10_000).unwrap();
+    let mut stalled = std::net::TcpStream::connect(&addr).unwrap();
+    stalled.write_all(&[ck_congest::net::frame::FrameKind::Serve as u8, 0, 0]).unwrap();
+    stalled.flush().unwrap();
+
+    let mut closer = ServeClient::connect(&addr, 10_000).unwrap();
+    let res = closer.run_job(&job(5, 5)).unwrap();
+    assert!(res.outcome.unwrap().reject, "C5 under k=5 rejects");
+    assert_eq!(closer.shutdown().unwrap(), 1, "the ack arrives");
+
+    // Join on a helper thread, so a missed wake fails the test instead
+    // of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.join());
+    });
+    let snap = rx.recv_timeout(Duration::from_secs(10)).expect("the service did not stop");
+    assert_eq!(snap.jobs_completed, 1);
+
+    assert!(
+        matches!(idle.recv(), Err(ClientError::Frame(FrameError::Truncated))),
+        "the idle client reads EOF"
+    );
+    stalled.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut rest = Vec::new();
+    assert!(stalled.read_to_end(&mut rest).is_ok(), "the stalled socket reads EOF");
 }
 
 proptest! {
