@@ -6,9 +6,15 @@
 //! sparse row layout, a canonical edge list, per-port reverse-port tables
 //! (needed to label incoming messages with the receiver-side port), and the
 //! usual structural queries (connectivity, BFS, girth, degree statistics).
+//!
+//! A graph has two serial forms: the edge-list text of
+//! [`Graph::to_edge_list`] for files, and the varint graph section of
+//! [`Graph::write_bytes`] for the wire.
 
 use std::collections::HashMap;
 use std::fmt;
+
+use crate::net::frame::{ByteReader, ByteWriter, FrameError};
 
 /// A node identity. The paper assumes IDs are distinct and polynomial in
 /// `n`, hence representable in `O(log n)` bits; we use `u64`.
@@ -137,7 +143,6 @@ impl GraphBuilder {
     /// Validates and freezes the topology.
     pub fn build(&self) -> Result<Graph, GraphError> {
         let n = self.n;
-        let mut edges = Vec::with_capacity(self.edges.len());
         for e in &self.edges {
             if e.a == e.b {
                 return Err(GraphError::SelfLoop(e.a));
@@ -145,100 +150,24 @@ impl GraphBuilder {
             if (e.b as usize) >= n {
                 return Err(GraphError::NodeOutOfRange { node: e.b, n });
             }
-            edges.push(*e);
         }
+        let mut edges = self.edges.clone();
         edges.sort_unstable();
         edges.dedup();
-
-        let mut degree = vec![0u32; n];
-        for e in &edges {
-            degree[e.a as usize] += 1;
-            degree[e.b as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut neighbors = vec![0 as NodeIndex; 2 * edges.len()];
-        let mut edge_of_slot = vec![0u32; 2 * edges.len()];
-        for (ei, e) in edges.iter().enumerate() {
-            let ca = cursor[e.a as usize];
-            neighbors[ca as usize] = e.b;
-            edge_of_slot[ca as usize] = ei as u32;
-            cursor[e.a as usize] += 1;
-            let cb = cursor[e.b as usize];
-            neighbors[cb as usize] = e.a;
-            edge_of_slot[cb as usize] = ei as u32;
-            cursor[e.b as usize] += 1;
-        }
-        // Adjacency of each node is sorted because edges were sorted
-        // lexicographically, which emits neighbors in increasing order for
-        // the `a` side but not necessarily the `b` side; sort each row (and
-        // carry the edge-of-slot payload along).
-        for v in 0..n {
-            let (s, t) = (offsets[v] as usize, offsets[v + 1] as usize);
-            let mut row: Vec<(NodeIndex, u32)> =
-                neighbors[s..t].iter().copied().zip(edge_of_slot[s..t].iter().copied()).collect();
-            row.sort_unstable();
-            for (i, (nb, ei)) in row.into_iter().enumerate() {
-                neighbors[s + i] = nb;
-                edge_of_slot[s + i] = ei;
-            }
-        }
-
-        // Reverse ports: rev_port[slot of (v -> w)] = port of v in w's row.
-        let mut rev_port = vec![0u32; neighbors.len()];
-        for v in 0..n {
-            let (s, t) = (offsets[v] as usize, offsets[v + 1] as usize);
-            for (p, &w) in neighbors[s..t].iter().enumerate() {
-                let (ws, wt) = (offsets[w as usize] as usize, offsets[w as usize + 1] as usize);
-                let q = neighbors[ws..wt]
-                    .binary_search(&(v as NodeIndex))
-                    // ck-lint: allow(no-panic, reason = "GraphBuilder validated edge symmetry before this adjacency was frozen")
-                    .expect("reverse edge must exist");
-                rev_port[s + p] = q as u32;
-            }
-        }
-
-        let ids = match &self.ids {
-            Some(ids) => {
-                if ids.len() != n {
-                    return Err(GraphError::IdTableLength { expected: n, got: ids.len() });
-                }
-                let mut seen = HashMap::with_capacity(n);
-                for (i, &id) in ids.iter().enumerate() {
-                    if let Some(_prev) = seen.insert(id, i) {
-                        return Err(GraphError::DuplicateId(id));
-                    }
-                }
-                ids.clone()
-            }
-            None => (0..n as NodeId).collect(),
-        };
-        let mut index_of_id = HashMap::with_capacity(n);
-        for (i, &id) in ids.iter().enumerate() {
-            index_of_id.insert(id, i as NodeIndex);
-        }
-
-        let (neighbor_ids_flat, ports_by_id) = build_id_views(n, &offsets, &neighbors, &ids);
-
-        Ok(Graph {
-            n,
-            offsets,
-            neighbors,
-            edge_of_slot,
-            rev_port,
-            edges,
-            ids,
-            index_of_id,
-            neighbor_ids_flat,
-            ports_by_id,
-        })
+        Graph::from_sorted_edges(n, edges, self.ids.clone())
     }
+}
+
+/// Maps each identity to its node index, failing on the first
+/// identity seen twice.
+fn index_ids(ids: &[NodeId]) -> Result<HashMap<NodeId, NodeIndex>, GraphError> {
+    let mut index_of_id = HashMap::with_capacity(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        if index_of_id.insert(id, i as NodeIndex).is_some() {
+            return Err(GraphError::DuplicateId(id));
+        }
+    }
+    Ok(index_of_id)
 }
 
 /// Builds the identity-keyed adjacency views: the CSR-aligned table of
@@ -286,6 +215,73 @@ pub struct Graph {
 }
 
 impl Graph {
+    /// Freezes `edges`, which must be sorted, free of duplicates and
+    /// self-loops, and inside `0..n`, into CSR form. Rows fill in
+    /// ascending order without a sort: row `v` receives its lower
+    /// neighbours from the edges `(a, v)`, then its higher ones from the
+    /// edges `(v, b)`, each run ascending. The allocations are a fixed
+    /// set of arrays, none per node.
+    fn from_sorted_edges(
+        n: usize,
+        edges: Vec<Edge>,
+        ids: Option<Vec<NodeId>>,
+    ) -> Result<Graph, GraphError> {
+        debug_assert!(edges.is_sorted_by(|x, y| x < y));
+        let mut offsets = vec![0u32; n + 1];
+        for e in &edges {
+            offsets[e.a as usize + 1] += 1;
+            offsets[e.b as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut neighbors = vec![0 as NodeIndex; 2 * edges.len()];
+        let mut edge_of_slot = vec![0u32; 2 * edges.len()];
+        // rev_port[slot of (v -> w)] = port of v in w's row: each edge
+        // fills one slot in either row, so the two cursors are the
+        // reverse ports of each other.
+        let mut rev_port = vec![0u32; 2 * edges.len()];
+        for (ei, e) in edges.iter().enumerate() {
+            let (a, b) = (e.a as usize, e.b as usize);
+            let (ca, cb) = (cursor[a], cursor[b]);
+            neighbors[ca as usize] = e.b;
+            neighbors[cb as usize] = e.a;
+            edge_of_slot[ca as usize] = ei as u32;
+            edge_of_slot[cb as usize] = ei as u32;
+            rev_port[ca as usize] = cb - offsets[b];
+            rev_port[cb as usize] = ca - offsets[a];
+            cursor[a] += 1;
+            cursor[b] += 1;
+        }
+        debug_assert!((0..n).all(|v| {
+            neighbors[offsets[v] as usize..offsets[v + 1] as usize].is_sorted_by(|x, y| x < y)
+        }));
+
+        let ids = match ids {
+            Some(ids) if ids.len() != n => {
+                return Err(GraphError::IdTableLength { expected: n, got: ids.len() });
+            }
+            Some(ids) => ids,
+            None => (0..n as NodeId).collect(),
+        };
+        let index_of_id = index_ids(&ids)?;
+        let (neighbor_ids_flat, ports_by_id) = build_id_views(n, &offsets, &neighbors, &ids);
+
+        Ok(Graph {
+            n,
+            offsets,
+            neighbors,
+            edge_of_slot,
+            rev_port,
+            edges,
+            ids,
+            index_of_id,
+            neighbor_ids_flat,
+            ports_by_id,
+        })
+    }
+
     /// Number of nodes (`n` in the paper).
     pub fn n(&self) -> usize {
         self.n
@@ -415,12 +411,7 @@ impl Graph {
         if ids.len() != self.n {
             return Err(GraphError::IdTableLength { expected: self.n, got: ids.len() });
         }
-        let mut index_of_id = HashMap::with_capacity(self.n);
-        for (i, &id) in ids.iter().enumerate() {
-            if index_of_id.insert(id, i as NodeIndex).is_some() {
-                return Err(GraphError::DuplicateId(id));
-            }
-        }
+        let index_of_id = index_ids(&ids)?;
         let (neighbor_ids_flat, ports_by_id) =
             build_id_views(self.n, &self.offsets, &self.neighbors, &ids);
         Ok(Graph {
@@ -599,6 +590,101 @@ impl Graph {
         }
         b.build().map_err(|e| e.to_string())
     }
+
+    /// Appends the graph section: the compact form in which a serve
+    /// `Submit` and a distributed `Spec` carry their graph. Every
+    /// integer is a [`ByteWriter::varint`]:
+    ///
+    /// ```text
+    /// section = [n][m] row×n ids
+    /// row     = [count][gap]×count    node v's neighbours w > v, ascending:
+    ///                                 gap w₁ − v − 1, then wᵢ − wᵢ₋₁ − 1
+    /// ids     = [0]                   identity IDs (node v has ID v)
+    ///         | [1][id]×n             an explicit table
+    /// ```
+    ///
+    /// The form is canonical: it cannot express a self-loop or a
+    /// duplicate edge, and edges come back sorted by `(a, b)`. On a
+    /// sparse graph with small gaps it costs about one byte per node
+    /// and one per edge.
+    pub fn write_bytes(&self, w: &mut ByteWriter) {
+        w.0.reserve(self.n + self.m() + 8);
+        w.varint(self.n as u64);
+        w.varint(self.m() as u64);
+        let mut rest = self.edges.as_slice();
+        for v in 0..self.n as NodeIndex {
+            let (row, tail) = rest.split_at(rest.partition_point(|e| e.a == v));
+            w.varint(row.len() as u64);
+            let mut prev = v;
+            for e in row {
+                w.varint(u64::from(e.b - prev - 1));
+                prev = e.b;
+            }
+            rest = tail;
+        }
+        if self.ids.iter().enumerate().all(|(i, &id)| id == i as NodeId) {
+            w.varint(0);
+        } else {
+            w.varint(1);
+            for &id in &self.ids {
+                w.varint(id);
+            }
+        }
+    }
+
+    /// Reads a [`write_bytes`](Graph::write_bytes) section straight
+    /// into CSR form. Every failure is a typed [`FrameError`]. `n` and
+    /// `m` are checked against the bytes that remain before anything
+    /// is sized from them (each node and each edge costs at least one
+    /// byte), so a hostile header costs nothing. A neighbour outside
+    /// the graph, a gap that overflows, an edge count other than `m`,
+    /// an unknown ID flag and a duplicate explicit ID are all
+    /// [`FrameError::BadBody`].
+    pub fn read_bytes(r: &mut ByteReader<'_>) -> Result<Graph, FrameError> {
+        let n = r.varint()?;
+        let m = r.varint()?;
+        if n > u64::from(u32::MAX) || m > u64::from(u32::MAX / 2) {
+            return Err(FrameError::BadBody("graph section size past the index range"));
+        }
+        // The ID flag takes one byte more.
+        if n + m >= r.remaining() as u64 {
+            return Err(FrameError::BadBody("graph section announces more than its bytes hold"));
+        }
+        let (n, m) = (n as usize, m as usize);
+        let mut edges = Vec::with_capacity(m);
+        for v in 0..n as NodeIndex {
+            let count = r.varint()?;
+            if count > (m - edges.len()) as u64 {
+                return Err(FrameError::BadBody("graph section holds more edges than announced"));
+            }
+            let mut prev = u64::from(v);
+            for _ in 0..count {
+                let w = r
+                    .varint()?
+                    .checked_add(prev + 1)
+                    .filter(|&w| w < n as u64)
+                    .ok_or(FrameError::BadBody("graph section neighbour outside the graph"))?;
+                edges.push(Edge { a: v, b: w as NodeIndex });
+                prev = w;
+            }
+        }
+        if edges.len() != m {
+            return Err(FrameError::BadBody("graph section holds fewer edges than announced"));
+        }
+        let ids = match r.varint()? {
+            0 => None,
+            1 => {
+                let mut ids = Vec::with_capacity(n);
+                for _ in 0..n {
+                    ids.push(r.varint()?);
+                }
+                Some(ids)
+            }
+            _ => return Err(FrameError::BadBody("unknown graph ID flag")),
+        };
+        Graph::from_sorted_edges(n, edges, ids)
+            .map_err(|_| FrameError::BadBody("graph section repeats a node identity"))
+    }
 }
 
 #[cfg(test)]
@@ -728,6 +814,33 @@ mod tests {
         assert_eq!(g.n(), h.n());
         assert_eq!(g.edges(), h.edges());
         assert_eq!(g.ids(), h.ids());
+    }
+
+    #[test]
+    fn graph_section_roundtrip() {
+        let g =
+            GraphBuilder::new(6).edges([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]).build().unwrap();
+        for g in [g.clone(), g.with_ids(vec![60, 50, 40, 30, 20, 1 << 40]).unwrap()] {
+            let mut w = ByteWriter::new();
+            g.write_bytes(&mut w);
+            let mut r = ByteReader::new(&w.0);
+            let h = Graph::read_bytes(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!((h.n(), h.edges(), h.ids()), (g.n(), g.edges(), g.ids()));
+        }
+        // n, m, then per row its count and gaps, then the identity flag.
+        let mut w = ByteWriter::new();
+        g.write_bytes(&mut w);
+        assert_eq!(w.0, [6, 5, 3, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn hostile_node_count_is_a_bad_body_before_any_allocation() {
+        // n = 2^32 − 1 in five bytes and m = 0: six bytes that would
+        // size tens of gigabytes if trusted.
+        let section = [0xff, 0xff, 0xff, 0xff, 0x0f, 0x00];
+        let err = Graph::read_bytes(&mut ByteReader::new(&section)).unwrap_err();
+        assert!(matches!(err, FrameError::BadBody(_)), "{err:?}");
     }
 
     #[test]

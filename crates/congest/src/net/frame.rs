@@ -309,8 +309,9 @@ pub fn decode_msg_body(body: &[u8]) -> Result<(MsgHeader, &[u8]), FrameError> {
     Ok((h, payload))
 }
 
-/// Little-endian byte-stream writer for frame bodies (specs, digests,
-/// verdicts). A plain `Vec<u8>` wrapper so callers compose encoders.
+/// Byte-stream writer for frame bodies (specs, digests, verdicts):
+/// little-endian fixed-width integers and LEB128 varints. A plain
+/// `Vec<u8>` wrapper so callers compose encoders.
 #[derive(Default)]
 pub struct ByteWriter(pub Vec<u8>);
 
@@ -340,7 +341,20 @@ impl ByteWriter {
         self.u32(v.len() as u32);
         self.0.extend_from_slice(v);
     }
+    /// LEB128: seven bits per byte, low group first, the top bit set
+    /// on every byte but the last. Values below 128 take one byte, and
+    /// `u64::MAX` takes ten.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.0.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.0.push(v as u8);
+    }
 }
+
+/// Bytes in the longest [`ByteWriter::varint`] (`u64::MAX`).
+const VARINT_MAX_LEN: usize = 10;
 
 /// Little-endian reader over a frame body; every under-read is a typed
 /// [`FrameError::Truncated`].
@@ -394,6 +408,34 @@ impl<'a> ByteReader<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], FrameError> {
         let n = self.u32()? as usize;
         self.take(n)
+    }
+
+    /// Reads a [`ByteWriter::varint`]. Only the shortest encoding of a
+    /// value is accepted: a zero last byte after the first, a value
+    /// past `u64::MAX` and more than ten bytes are all
+    /// [`FrameError::BadBody`], so every value has exactly one encoding.
+    pub fn varint(&mut self) -> Result<u64, FrameError> {
+        let rest = &self.buf[self.pos..];
+        let mut v = 0u64;
+        for (i, &b) in rest.iter().take(VARINT_MAX_LEN).enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(FrameError::BadBody("over-long varint"));
+                }
+                // The tenth byte holds bit 63 alone.
+                if i == VARINT_MAX_LEN - 1 && b > 1 {
+                    return Err(FrameError::BadBody("varint overflows u64"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        if rest.len() < VARINT_MAX_LEN {
+            Err(FrameError::Truncated)
+        } else {
+            Err(FrameError::BadBody("varint longer than ten bytes"))
+        }
     }
 
     /// Bytes not yet consumed.
@@ -489,6 +531,41 @@ mod tests {
         let mut long = body.clone();
         long.push(0);
         assert!(decode_msg_body(&long).is_err());
+    }
+
+    #[test]
+    fn varints_roundtrip_at_their_shortest_length() {
+        let cases =
+            [0u64, 1, 127, 128, 300, 16_383, 16_384, u32::MAX as u64, u64::MAX - 1, u64::MAX];
+        for v in cases {
+            let mut w = ByteWriter::new();
+            w.varint(v);
+            let len = (64 - v.leading_zeros()).div_ceil(7).max(1) as usize;
+            assert_eq!(w.0.len(), len, "{v}");
+            let mut r = ByteReader::new(&w.0);
+            assert_eq!(r.varint(), Ok(v));
+            r.finish().unwrap();
+            for cut in 0..w.0.len() {
+                assert_eq!(ByteReader::new(&w.0[..cut]).varint(), Err(FrameError::Truncated));
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_varints_are_bad_bodies() {
+        let bad: [&[u8]; 5] = [
+            // Zero and one, each padded to two bytes.
+            &[0x80, 0x00],
+            &[0x81, 0x00],
+            // 2^64: the tenth byte carries a bit past bit 63.
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02],
+            // Eleven bytes.
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00],
+            &[0x80; 12],
+        ];
+        for b in bad {
+            assert!(matches!(ByteReader::new(b).varint(), Err(FrameError::BadBody(_))), "{b:?}");
+        }
     }
 
     #[test]

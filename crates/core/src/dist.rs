@@ -32,6 +32,13 @@
 //! any failure: coord → Abort ⇥ / worker → Error ⇥
 //! ```
 //!
+//! `Hello` carries the magic `ckd2` and the worker's index, so a worker
+//! from a build with another `Spec` layout fails the handshake typed.
+//! A `Spec` body opens with the graph's varint section
+//! ([`Graph::write_bytes`]), followed by fixed-width tester, engine and
+//! worker fields; a `Verdicts` body is the [`write_verdicts`] section
+//! of the worker's range.
+//!
 //! `⇥` marks a flush. Both sides write through buffers and flush only
 //! before they wait for an answer, so every frame queued on a link
 //! since its last flush leaves in one write: a worker's round is one
@@ -72,7 +79,7 @@ use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
-const MAGIC: &[u8; 4] = b"ckd1";
+const MAGIC: &[u8; 4] = b"ckd2";
 
 /// A distributed run fails in one of two distinct worlds.
 #[derive(Debug)]
@@ -104,7 +111,8 @@ impl std::error::Error for DistError {}
 /// ([`ck_congest::fault::FaultPlan::to_bytes`]), so worker-side fault
 /// coins replay bit-identically to the oracle's.
 pub struct JobSpec {
-    /// The input graph (edge-list interchange form).
+    /// The input graph, on the wire as its
+    /// [`Graph::write_bytes`] section.
     pub graph: Graph,
     /// Tester parameters.
     pub cfg: TesterConfig,
@@ -149,11 +157,7 @@ impl JobSpec {
     /// Decodes a `Spec` frame body; all failures are typed.
     pub fn from_bytes(body: &[u8]) -> Result<JobSpec, FrameError> {
         let mut r = ByteReader::new(body);
-        let edge_text = std::str::from_utf8(r.bytes()?)
-            .map_err(|_| FrameError::BadBody("graph text is not UTF-8"))?
-            .to_string();
-        let graph = Graph::from_edge_list(&edge_text)
-            .map_err(|_| FrameError::BadBody("unparsable graph edge list"))?;
+        let graph = Graph::read_bytes(&mut r)?;
         let k = r.u32()? as usize;
         let eps = r.f64()?;
         let seed = r.u64()?;
@@ -225,7 +229,7 @@ fn encode_spec_prefix(
     workers: u32,
 ) -> ByteWriter {
     let mut w = ByteWriter::new();
-    w.bytes(graph.to_edge_list().as_bytes());
+    graph.write_bytes(&mut w);
     w.u32(cfg.k as u32);
     w.f64(cfg.eps);
     w.u64(cfg.seed);
@@ -285,68 +289,93 @@ fn encode_spec_tail(
 // Verdict serialization (worker → coordinator).
 // ---------------------------------------------------------------------------
 
-fn encode_seq(w: &mut ByteWriter, s: &IdSeq) {
+/// Flag bits of a node's verdict: `rejected`, and a rejection record
+/// follows.
+const VERDICT_REJECTED: u8 = 1;
+const VERDICT_HAS_REJECTION: u8 = 2;
+
+fn write_seq(w: &mut ByteWriter, s: &IdSeq) {
     w.u8(s.len() as u8);
     for id in s.iter() {
-        w.u64(id);
+        w.varint(id);
     }
 }
 
-fn decode_seq(r: &mut ByteReader<'_>) -> Result<IdSeq, FrameError> {
+fn read_seq(r: &mut ByteReader<'_>) -> Result<IdSeq, FrameError> {
     let len = r.u8()? as usize;
-    if len > crate::seq::MAX_SEQ_LEN {
-        return Err(FrameError::BadBody("sequence length exceeds MAX_SEQ_LEN"));
+    let mut ids = [0; crate::seq::MAX_SEQ_LEN];
+    let ids =
+        ids.get_mut(..len).ok_or(FrameError::BadBody("sequence length exceeds MAX_SEQ_LEN"))?;
+    for id in ids.iter_mut() {
+        *id = r.varint()?;
     }
-    let mut ids = Vec::with_capacity(len);
-    for _ in 0..len {
-        ids.push(r.u64()?);
-    }
-    Ok(IdSeq::from_slice(&ids))
+    Ok(IdSeq::from_slice(ids))
 }
 
-/// Encodes a worker's verdict slice as a `Verdicts` frame body.
-pub fn encode_verdicts(verdicts: &[NodeVerdict]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(verdicts.len() as u32);
+/// Appends the verdict section of a `Verdicts` frame or a serve
+/// `Result`: a varint node count, then per node
+///
+/// ```text
+/// [flags u8][max_sent_seqs][pool_outstanding] [rejection if flags & 2]
+/// rejection = [repetition][rank][lo][hi][myid][k] seq seq
+/// seq       = [len u8][id]×len
+/// ```
+///
+/// Flag bit 0 is `rejected` and bit 1 says a rejection follows; every
+/// other integer is a [`ByteWriter::varint`].
+pub fn write_verdicts(w: &mut ByteWriter, verdicts: &[NodeVerdict]) {
+    w.varint(verdicts.len() as u64);
     for v in verdicts {
-        w.u8(v.rejected as u8);
-        match v.first_rejection.as_deref() {
-            Some(rej) => {
-                w.u8(1);
-                w.u32(rej.repetition);
-                w.u64(rej.tag.rank);
-                w.u64(rej.tag.lo);
-                w.u64(rej.tag.hi);
-                encode_seq(&mut w, &rej.witness.l1);
-                encode_seq(&mut w, &rej.witness.l2);
-                w.u64(rej.witness.myid);
-                w.u32(rej.witness.k as u32);
-            }
-            None => w.u8(0),
+        let mut flags = if v.rejected { VERDICT_REJECTED } else { 0 };
+        if v.first_rejection.is_some() {
+            flags |= VERDICT_HAS_REJECTION;
         }
-        w.u64(v.max_sent_seqs as u64);
-        w.u64(v.pool_outstanding);
+        w.u8(flags);
+        w.varint(v.max_sent_seqs as u64);
+        w.varint(v.pool_outstanding);
+        if let Some(rej) = v.first_rejection.as_deref() {
+            w.varint(u64::from(rej.repetition));
+            w.varint(rej.tag.rank);
+            w.varint(rej.tag.lo);
+            w.varint(rej.tag.hi);
+            w.varint(rej.witness.myid);
+            w.varint(rej.witness.k as u64);
+            write_seq(w, &rej.witness.l1);
+            write_seq(w, &rej.witness.l2);
+        }
     }
-    w.0
 }
 
-/// Decodes a `Verdicts` frame body.
-pub fn decode_verdicts(body: &[u8]) -> Result<Vec<NodeVerdict>, FrameError> {
-    let mut r = ByteReader::new(body);
-    let count = r.u32()? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+/// Reads a [`write_verdicts`] section. The node count is checked
+/// against the bytes that remain (a node costs at least three) before
+/// anything is sized from it; unknown flag bits, a repetition past
+/// `u32`, `lo >= hi` and a sequence longer than
+/// [`MAX_SEQ_LEN`](crate::seq::MAX_SEQ_LEN) are
+/// [`FrameError::BadBody`].
+pub fn read_verdicts(r: &mut ByteReader<'_>) -> Result<Vec<NodeVerdict>, FrameError> {
+    let count = r.varint()?;
+    if count > (r.remaining() / 3) as u64 {
+        return Err(FrameError::BadBody("verdict count exceeds the bytes that remain"));
+    }
+    let mut out = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let rejected = r.u8()? != 0;
-        let first_rejection = if r.u8()? != 0 {
-            let repetition = r.u32()?;
-            let (rank, lo, hi) = (r.u64()?, r.u64()?, r.u64()?);
+        let flags = r.u8()?;
+        if flags & !(VERDICT_REJECTED | VERDICT_HAS_REJECTION) != 0 {
+            return Err(FrameError::BadBody("unknown verdict flag bits"));
+        }
+        let max_sent_seqs = r.varint()? as usize;
+        let pool_outstanding = r.varint()?;
+        let first_rejection = if flags & VERDICT_HAS_REJECTION != 0 {
+            let repetition = u32::try_from(r.varint()?)
+                .map_err(|_| FrameError::BadBody("repetition past u32"))?;
+            let (rank, lo, hi) = (r.varint()?, r.varint()?, r.varint()?);
             if lo >= hi {
                 return Err(FrameError::BadBody("edge tag endpoints must satisfy lo < hi"));
             }
-            let l1 = decode_seq(&mut r)?;
-            let l2 = decode_seq(&mut r)?;
-            let myid = r.u64()?;
-            let k = r.u32()? as usize;
+            let myid = r.varint()?;
+            let k = r.varint()? as usize;
+            let l1 = read_seq(r)?;
+            let l2 = read_seq(r)?;
             Some(Box::new(Rejection {
                 repetition,
                 tag: EdgeTag { rank, lo, hi },
@@ -355,11 +384,13 @@ pub fn decode_verdicts(body: &[u8]) -> Result<Vec<NodeVerdict>, FrameError> {
         } else {
             None
         };
-        let max_sent_seqs = r.u64()? as usize;
-        let pool_outstanding = r.u64()?;
-        out.push(NodeVerdict { rejected, first_rejection, max_sent_seqs, pool_outstanding });
+        out.push(NodeVerdict {
+            rejected: flags & VERDICT_REJECTED != 0,
+            first_rejection,
+            max_sent_seqs,
+            pool_outstanding,
+        });
     }
-    r.finish()?;
     Ok(out)
 }
 
@@ -497,7 +528,9 @@ fn worker_serve_inner(
             }
             FrameKind::Barrier => engine.commit_round(),
             FrameKind::Finish => {
-                writer.send(FrameKind::Verdicts, &encode_verdicts(&engine.verdicts()))?;
+                let mut body = ByteWriter::new();
+                write_verdicts(&mut body, &engine.verdicts());
+                writer.send(FrameKind::Verdicts, &body.0)?;
                 hb.stop();
                 return Ok(());
             }
@@ -938,7 +971,9 @@ pub fn run_distributed(
                 cause: LostCause::Protocol,
             }));
         }
-        let part = decode_verdicts(&frame.body)
+        let mut r = ByteReader::new(&frame.body);
+        let part = read_verdicts(&mut r)
+            .and_then(|part| r.finish().map(|()| part))
             .map_err(|err| DistError::Net(NetError::Frame { worker: i as u32, round, err }))?;
         if part.len() != range.len() {
             return Err(DistError::Net(NetError::WorkerLost {
@@ -1071,7 +1106,8 @@ mod tests {
         let spec = sample_spec();
         let bytes = spec.to_bytes();
         let back = JobSpec::from_bytes(&bytes).unwrap();
-        assert_eq!(back.graph.to_edge_list(), spec.graph.to_edge_list());
+        assert_eq!(back.graph.edges(), spec.graph.edges());
+        assert_eq!(back.graph.ids(), spec.graph.ids());
         assert_eq!(back.cfg.k, spec.cfg.k);
         assert_eq!(back.cfg.seed, spec.cfg.seed);
         assert_eq!(back.engine.max_rounds, spec.engine.max_rounds);
@@ -1090,6 +1126,13 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(JobSpec::from_bytes(&long).is_err(), "trailing byte");
+    }
+
+    #[test]
+    fn job_spec_with_a_hostile_node_count_is_a_bad_body() {
+        // A graph section announcing n = 2^32 − 1 and m = 0, then nothing.
+        let body = [0xff, 0xff, 0xff, 0xff, 0x0f, 0x00];
+        assert!(matches!(JobSpec::from_bytes(&body), Err(FrameError::BadBody(_))));
     }
 
     #[test]
@@ -1112,11 +1155,50 @@ mod tests {
                 pool_outstanding: 2,
             },
         ];
-        let body = encode_verdicts(&verdicts);
-        assert_eq!(decode_verdicts(&body).unwrap(), verdicts);
+        let mut w = ByteWriter::new();
+        write_verdicts(&mut w, &verdicts);
+        let body = w.0;
+        // Count, a three-byte accepting node, then the rejecting node:
+        // flags, two varints, six one-byte varints and two sequences.
+        assert_eq!(body.len(), 1 + 3 + (3 + 6 + 3 + 3));
+        let mut r = ByteReader::new(&body);
+        assert_eq!(read_verdicts(&mut r).unwrap(), verdicts);
+        r.finish().unwrap();
         for cut in 0..body.len() {
-            assert!(decode_verdicts(&body[..cut]).is_err(), "prefix {cut}");
+            assert!(read_verdicts(&mut ByteReader::new(&body[..cut])).is_err(), "prefix {cut}");
         }
+        // Flag bits past the two defined ones, and a count the bytes
+        // cannot hold, are bad bodies.
+        let mut bad = body.clone();
+        bad[1] |= 4;
+        let err = read_verdicts(&mut ByteReader::new(&bad)).unwrap_err();
+        assert!(matches!(err, FrameError::BadBody(_)), "{err:?}");
+        let mut hostile = ByteWriter::new();
+        hostile.varint(1 << 40);
+        let err = read_verdicts(&mut ByteReader::new(&hostile.0)).unwrap_err();
+        assert!(matches!(err, FrameError::BadBody(_)), "{err:?}");
+    }
+
+    #[test]
+    fn admit_refuses_the_previous_hello_magic() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let mut hello = b"ckd1".to_vec();
+        hello.extend_from_slice(&0u32.to_le_bytes());
+        write_frame(&mut client, FrameKind::Hello, &hello).unwrap();
+        let mut slots: Vec<Option<WorkerLink>> = vec![None];
+        let err = admit(
+            server,
+            &Deadline::after_ms(5_000),
+            &NetOptions::default(),
+            &mut slots,
+            &mut [None],
+            &mut [None],
+        )
+        .unwrap_err();
+        assert!(matches!(err, NetError::Connect { .. }), "{err:?}");
+        assert!(slots[0].is_none());
     }
 
     #[test]

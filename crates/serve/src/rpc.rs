@@ -14,7 +14,7 @@
 //! ```text
 //! body = [tag u8][payload]
 //!
-//! tag 1  Submit       [job_id u64][graph bytes][k u32][eps f64][seed u64]
+//! tag 1  Submit       [job_id u64][graph section][k u32][eps f64][seed u64]
 //!                     [reps u8 ∈ {0,1}] [reps = 1 → repetitions u32]
 //! tag 2  Result       [job_id u64][ok u8 ∈ {0,1}]
 //!                     [ok = 1 → verdict]   [ok = 0 → refusal]
@@ -23,17 +23,25 @@
 //! tag 5  Shutdown     (empty)
 //! tag 6  ShutdownAck  [jobs_completed u64]
 //!
-//! verdict = [reject u8][wall_us u64][verdicts bytes]
+//! verdict = [reject u8][wall_us u64][verdict section]
 //! ```
 //!
-//! All integers are little-endian; `bytes` fields are a `u32 LE`
-//! length prefix followed by that many raw bytes
-//! ([`ByteWriter::bytes`]). `graph` is the edge-list interchange text
-//! (the same form the distributed executor ships in its `Spec`
-//! frames), and `verdicts` is the [`ck_core::dist::encode_verdicts`]
-//! body — per-node verdicts including rejection witnesses, so a served
-//! result can be compared bit for bit against a direct
-//! `TesterSession` run.
+//! Fixed-width integers are little-endian, and `bytes` fields are a
+//! `u32 LE` length prefix followed by that many raw bytes
+//! ([`ByteWriter::bytes`]). The two variable-length parts are written
+//! inline in varints ([`ByteWriter::varint`]), with no length prefix:
+//!
+//! - the graph section is [`Graph::write_bytes`]'s, the same one the
+//!   distributed executor ships in its `Spec` frames: `n`, `m`, per
+//!   node the count of its higher neighbours and their gaps, and an ID
+//!   flag with, when the IDs are not the identity, the ID table. It
+//!   decodes straight into the CSR graph, and `n` and `m` are checked
+//!   against the bytes that remain before anything is sized from them;
+//! - the verdict section is [`ck_core::dist::write_verdicts`]'s, the
+//!   same one a distributed worker's `Verdicts` frame carries: a node
+//!   count, then per node a flag byte, `max_sent_seqs`,
+//!   `pool_outstanding` and any rejection witness, so a served result
+//!   can be compared bit for bit against a direct `TesterSession` run.
 //!
 //! A `refusal` is a [`ServeError`]:
 //!
@@ -68,7 +76,7 @@
 
 use ck_congest::graph::Graph;
 use ck_congest::net::frame::{ByteReader, ByteWriter, FrameError, MAX_BODY};
-use ck_core::dist::{decode_verdicts, encode_verdicts};
+use ck_core::dist::{read_verdicts, write_verdicts};
 use ck_core::tester::{ConfigError, NodeVerdict, TesterConfig};
 
 /// One client job: a graph plus the tester parameters to run it under.
@@ -315,7 +323,7 @@ pub fn encode_serve_body(msg: &ServeMsg) -> Result<Vec<u8>, FrameError> {
         ServeMsg::Submit(req) => {
             w.u8(TAG_SUBMIT);
             w.u64(req.job_id);
-            w.bytes(req.graph.to_edge_list().as_bytes());
+            req.graph.write_bytes(&mut w);
             w.u32(req.k);
             w.f64(req.eps);
             w.u64(req.seed);
@@ -328,20 +336,8 @@ pub fn encode_serve_body(msg: &ServeMsg) -> Result<Vec<u8>, FrameError> {
             }
         }
         ServeMsg::Result(res) => {
-            w.u8(TAG_RESULT);
-            w.u64(res.job_id);
-            match &res.outcome {
-                Ok(v) => {
-                    w.u8(1);
-                    w.u8(v.reject as u8);
-                    w.u64(v.wall_us);
-                    w.bytes(&encode_verdicts(&v.verdicts));
-                }
-                Err(e) => {
-                    w.u8(0);
-                    encode_error(&mut w, e);
-                }
-            }
+            let outcome = res.outcome.as_ref().map(|v| (v.reject, v.wall_us, &v.verdicts[..]));
+            encode_result_into(&mut w, res.job_id, outcome)?;
         }
         ServeMsg::StatsRequest => w.u8(TAG_STATS_REQUEST),
         ServeMsg::Stats(s) => {
@@ -367,11 +363,46 @@ pub fn encode_serve_body(msg: &ServeMsg) -> Result<Vec<u8>, FrameError> {
             w.u64(*jobs_completed);
         }
     }
+    check_body_len(&w)?;
+    Ok(w.0)
+}
+
+/// [`FrameError::Oversized`] for a body no frame can carry.
+fn check_body_len(w: &ByteWriter) -> Result<(), FrameError> {
     let len = w.0.len();
     if len as u64 > u64::from(MAX_BODY) {
         return Err(FrameError::Oversized { len: u32::try_from(len).unwrap_or(u32::MAX) });
     }
-    Ok(w.0)
+    Ok(())
+}
+
+/// Writes a `Result` body into `w`, replacing what it held: the
+/// verdict `(reject, wall_us, verdicts)` or the refusal. A service
+/// worker encodes straight from its run buffer into one reused writer
+/// with this, and [`encode_serve_body`] encodes [`ServeMsg::Result`]
+/// with it. A body over [`MAX_BODY`] is [`FrameError::Oversized`],
+/// naming its size.
+pub fn encode_result_into(
+    w: &mut ByteWriter,
+    job_id: u64,
+    outcome: Result<(bool, u64, &[NodeVerdict]), &ServeError>,
+) -> Result<(), FrameError> {
+    w.0.clear();
+    w.u8(TAG_RESULT);
+    w.u64(job_id);
+    match outcome {
+        Ok((reject, wall_us, verdicts)) => {
+            w.u8(1);
+            w.u8(reject as u8);
+            w.u64(wall_us);
+            write_verdicts(w, verdicts);
+        }
+        Err(e) => {
+            w.u8(0);
+            encode_error(w, e);
+        }
+    }
+    check_body_len(w)
 }
 
 /// Decodes a `Serve` frame body. Total: every prefix, every unknown
@@ -383,10 +414,7 @@ pub fn decode_serve_body(body: &[u8]) -> Result<ServeMsg, FrameError> {
     let msg = match r.u8()? {
         TAG_SUBMIT => {
             let job_id = r.u64()?;
-            let edge_text = std::str::from_utf8(r.bytes()?)
-                .map_err(|_| FrameError::BadBody("graph text is not UTF-8"))?;
-            let graph = Graph::from_edge_list(edge_text)
-                .map_err(|_| FrameError::BadBody("unparsable graph edge list"))?;
+            let graph = Graph::read_bytes(&mut r)?;
             let k = r.u32()?;
             let eps = r.f64()?;
             let seed = r.u64()?;
@@ -398,7 +426,7 @@ pub fn decode_serve_body(body: &[u8]) -> Result<ServeMsg, FrameError> {
             let outcome = if r.u8()? != 0 {
                 let reject = r.u8()? != 0;
                 let wall_us = r.u64()?;
-                let verdicts = decode_verdicts(r.bytes()?)?;
+                let verdicts = read_verdicts(&mut r)?;
                 Ok(JobVerdict { reject, wall_us, verdicts })
             } else {
                 Err(decode_error(&mut r)?)
@@ -468,7 +496,7 @@ mod tests {
             }),
             ServeMsg::Submit(JobRequest {
                 job_id: u64::MAX,
-                graph: small_graph(),
+                graph: small_graph().with_ids(vec![10, 20, 30, 40, 1 << 50]).unwrap(),
                 k: u32::MAX,
                 eps: f64::NAN,
                 seed: 0,
@@ -531,13 +559,15 @@ mod tests {
     }
 
     /// Structural equality good enough for roundtrips: `Graph` has no
-    /// `PartialEq`, so submits compare via the edge-list interchange
-    /// form the wire actually carries.
+    /// `PartialEq`, so submits compare the size, edges and IDs the
+    /// graph section carries.
     fn assert_roundtrip_eq(a: &ServeMsg, b: &ServeMsg) {
         match (a, b) {
             (ServeMsg::Submit(x), ServeMsg::Submit(y)) => {
                 assert_eq!(x.job_id, y.job_id);
-                assert_eq!(x.graph.to_edge_list(), y.graph.to_edge_list());
+                assert_eq!(x.graph.n(), y.graph.n());
+                assert_eq!(x.graph.edges(), y.graph.edges());
+                assert_eq!(x.graph.ids(), y.graph.ids());
                 assert_eq!(x.k, y.k);
                 assert_eq!(x.eps.to_bits(), y.eps.to_bits(), "NaN-exact eps roundtrip");
                 assert_eq!(x.seed, y.seed);
@@ -582,6 +612,19 @@ mod tests {
             let mut long = body.clone();
             long.push(0);
             assert!(decode_serve_body(&long).is_err(), "trailing byte accepted: {msg:?}");
+        }
+    }
+
+    #[test]
+    fn a_reused_result_buffer_writes_what_encode_serve_body_writes() {
+        let mut out = ByteWriter::new();
+        // Stale bytes from an earlier, longer body must not survive.
+        out.0.extend_from_slice(&[0xAA; 512]);
+        for msg in sample_msgs() {
+            let ServeMsg::Result(res) = &msg else { continue };
+            let outcome = res.outcome.as_ref().map(|v| (v.reject, v.wall_us, &v.verdicts[..]));
+            encode_result_into(&mut out, res.job_id, outcome).unwrap();
+            assert_eq!(out.0, encode_serve_body(&msg).unwrap());
         }
     }
 

@@ -15,7 +15,8 @@
 //!   [`TesterSession::test_into`] on a per-worker recycled
 //!   [`TesterRun`], the zero-steady-state-allocation path the
 //!   alloc-gate suite pins — and stream results back on the
-//!   submitting client's writer in completion order.
+//!   submitting client's writer in completion order, each encoded
+//!   from the run's verdicts into one reused buffer.
 //! - A worker idle for `idle_reclaim_ms` drops its session (arenas
 //!   and all) and rebuilds on the next job; the reclaim is counted in
 //!   the Stats RPC.
@@ -45,14 +46,14 @@ use std::time::Instant;
 
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::graph::Graph;
-use ck_congest::net::frame::{read_frame, Deadline, FrameError, FrameKind};
+use ck_congest::net::frame::{read_frame, ByteWriter, Deadline, FrameError, FrameKind};
 use ck_congest::net::link::SharedWriter;
 use ck_core::session::TesterSession;
 use ck_core::tester::{TesterConfig, TesterRun};
 
 use crate::rpc::{
-    decode_serve_body, encode_serve_body, JobResult, JobVerdict, LatencySummary, ServeError,
-    ServeMsg, StatsSnapshot,
+    decode_serve_body, encode_result_into, encode_serve_body, JobResult, LatencySummary,
+    ServeError, ServeMsg, StatsSnapshot,
 };
 
 /// Service configuration.
@@ -357,23 +358,30 @@ impl Shared {
     }
 }
 
-/// Best-effort RPC send: a vanished client is that client's problem,
-/// never the service's. A message no frame can carry (in practice a
-/// Result whose verdicts outgrow [`MAX_BODY`]) is answered with an
-/// `Error` frame naming its size.
+/// Best-effort send of an encoded RPC body: a vanished client is that
+/// client's problem, never the service's. A body no frame can carry
+/// (in practice a Result whose verdicts outgrow [`MAX_BODY`]) is
+/// answered with an `Error` frame naming its size.
 ///
 /// [`MAX_BODY`]: ck_congest::net::frame::MAX_BODY
-fn send_msg(writer: &SharedWriter<TcpStream>, msg: &ServeMsg) {
-    let _ = match encode_serve_body(msg) {
-        Ok(body) => writer.send(FrameKind::Serve, &body),
+fn send_body(writer: &SharedWriter<TcpStream>, body: Result<&[u8], &FrameError>) {
+    let _ = match body {
+        Ok(body) => writer.send(FrameKind::Serve, body),
         Err(e) => writer.send(FrameKind::Error, e.to_string().as_bytes()),
     };
 }
 
-/// The worker loop: one warm session, one recycled run buffer.
+fn send_msg(writer: &SharedWriter<TcpStream>, msg: &ServeMsg) {
+    send_body(writer, encode_serve_body(msg).as_deref());
+}
+
+/// The worker loop: one warm session, one recycled run buffer, and one
+/// reused output buffer that each Result is encoded into straight from
+/// the run's verdicts.
 fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
     let mut session: Option<TesterSession> = None;
     let mut run = TesterRun::default();
+    let mut out = ByteWriter::new();
     // Slot-stats folding base for the current session incarnation.
     let mut folded = (0u64, 0u64);
     loop {
@@ -395,12 +403,10 @@ fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
                 // ck-lint: allow(determinism, reason = "elapsed time lands in the verdict's wall_us metric field only")
                 let wall_us = t0.elapsed().as_micros() as u64;
                 let ok = outcome.is_ok();
-                let outcome = outcome.map(|()| JobVerdict {
-                    reject: run.reject,
-                    wall_us,
-                    verdicts: run.outcome.verdicts.clone(),
-                });
-                send_msg(&job.reply, &ServeMsg::Result(JobResult { job_id: job.job_id, outcome }));
+                let verdict =
+                    outcome.as_ref().map(|()| (run.reject, wall_us, &run.outcome.verdicts[..]));
+                let encoded = encode_result_into(&mut out, job.job_id, verdict);
+                send_body(&job.reply, encoded.as_ref().map(|()| &out.0[..]));
                 let delta = session
                     .as_ref()
                     .map(|s| {

@@ -65,6 +65,37 @@ fn oversized_graphs_refuse_with_graph_too_large() {
     server.join();
 }
 
+/// A Submit whose graph section announces n = 10⁷ nodes and carries
+/// nothing more fails at the section's byte bound, before anything is
+/// sized from n: the client gets a typed `Error` frame inside its
+/// 1,000 ms receive budget, and the same connection then runs a job.
+#[test]
+fn hostile_node_count_fails_typed_within_the_receive_budget() {
+    use ck_congest::net::frame::ByteWriter;
+    use ck_serve::ClientError;
+
+    let server =
+        BoundServer::bind(ServeOptions { workers: 1, ..ServeOptions::default() }).unwrap().spawn();
+    let mut client = ServeClient::connect(&server.addr().to_string(), 1_000).unwrap();
+    let mut body = ByteWriter::new();
+    body.u8(1); // the Submit tag
+    body.u64(5); // job id
+    body.varint(10_000_000); // n
+    body.varint(0); // m
+    client.send_raw_body(&body.0).unwrap();
+    match client.recv() {
+        Err(ClientError::Remote(msg)) => assert!(msg.contains("graph section"), "{msg}"),
+        other => panic!("expected a typed Error frame, got {other:?}"),
+    }
+
+    let res = client.run_job(&job(6, 5, 5, 0.1)).unwrap();
+    assert_eq!(res.job_id, 6);
+    assert!(res.outcome.unwrap().reject);
+    client.shutdown().unwrap();
+    let snap = server.join();
+    assert_eq!((snap.jobs_submitted, snap.jobs_completed), (1, 1));
+}
+
 /// An exhausted in-flight budget sheds load with a typed
 /// `Overloaded` backpressure frame instead of queueing unboundedly.
 #[test]

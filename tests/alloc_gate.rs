@@ -42,6 +42,10 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 /// node beyond the graph (leg (f)).
 const COLD_BYTES_PER_NODE: u64 = 2_048;
 
+/// Heap operations one warm service request may make, at any graph
+/// size (leg (g)).
+const REQUEST_HEAP_OPS: u64 = 16;
+
 /// Allocation-free flood program: each node learns the maximum
 /// identity within `rounds` hops, broadcasting plain `u64`s.
 struct FloodMax {
@@ -164,6 +168,52 @@ fn warm_reruns_perform_zero_heap_operations() {
         }
         let d = gate.delta();
         assert_eq!(d.heap_ops(), 0, "warm serve-pool job must not allocate: {d:?}");
+    }
+
+    // (g) One warm request on the service side, end to end: the
+    // `decode_serve_body` of a Submit, `warm_job` on the decoded graph,
+    // and the Result written from the run's verdicts into a reused
+    // buffer through `encode_result_into`, as a `ckserve` worker does.
+    // Only the decode allocates: the job's graph, a fixed set of CSR
+    // arrays. So one request costs the same few heap operations at
+    // n = 2,000 and n = 8,000, never one per node.
+    {
+        use ck_congest::net::frame::ByteWriter;
+        use ck_serve::rpc::{decode_serve_body, encode_result_into, encode_serve_body};
+        use ck_serve::serve::{engine_template, warm_job};
+        use ck_serve::{JobRequest, ServeMsg};
+        let request_ops = |n: usize| {
+            let graph = matched_free_instance(n, 5);
+            let req =
+                JobRequest { job_id: 3, graph, k: 5, eps: 0.1, seed: 7, repetitions: Some(2) };
+            let body = encode_serve_body(&ServeMsg::Submit(req.clone())).unwrap();
+            let mut session =
+                TesterSession::from_config(req.tester_config(), engine_template()).unwrap();
+            let mut run = TesterRun::default();
+            let mut out = ByteWriter::new();
+            let mut serve_one = || {
+                let Ok(ServeMsg::Submit(job)) = decode_serve_body(&body) else {
+                    panic!("the Submit body must decode as a Submit");
+                };
+                warm_job(&mut session, &job.graph, job.tester_config(), &mut run).unwrap();
+                let verdict = (run.reject, 0, &run.outcome.verdicts[..]);
+                encode_result_into(&mut out, job.job_id, Ok(verdict)).unwrap();
+            };
+            for _ in 0..2 {
+                serve_one();
+            }
+            let gate = AllocGate::snapshot();
+            serve_one();
+            let ops = gate.delta().heap_ops();
+            assert!(!run.reject, "matched free instance must be accepted");
+            ops
+        };
+        let (small, big) = (request_ops(2_000), request_ops(8_000));
+        assert_eq!(
+            small, big,
+            "request heap operations grow with n: {small} at 2000, {big} at 8000"
+        );
+        assert!(small <= REQUEST_HEAP_OPS, "one warm request made {small} heap operations");
     }
 
     // (e) Warm parallel rerun: with two forced workers every round of a
