@@ -179,10 +179,11 @@ fn run_submit(req: &SubmitRequest) {
     std::process::exit(exit_code);
 }
 
-/// The `--workers`/`--verbose` path: full tester sessions instead of
-/// the probe framework, so run reports (fault + network accounting)
-/// survive to be printed — and the distributed executor can spawn this
-/// very binary as `net-worker` processes.
+/// The `--workers`/`--verbose` path: one full tester session for every
+/// trial instead of the probe framework, so run reports (fault +
+/// network accounting) survive to be printed — and the distributed
+/// executor can spawn this very binary as `net-worker` processes, once
+/// per invocation.
 fn run_single_sessions(req: &Request) {
     let g = &req.graph;
     println!(
@@ -217,20 +218,28 @@ fn run_single_sessions(req: &Request) {
         },
     );
     let trials = req.trials.max(1);
+    let cfg = TesterConfig {
+        repetitions: req.repetitions,
+        ..TesterConfig::new(req.k, req.eps, req.seed)
+    };
+    // One session for every trial: a distributed session spawns its
+    // `net-worker` processes once and reuses them for each later trial.
+    let mut session = match TesterSession::from_config(cfg, engine) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    };
     let mut rejected = 0u32;
     for t in 0..trials {
-        let seed = req.seed.wrapping_add(u64::from(t).wrapping_mul(0x9E37_79B9));
-        let cfg = TesterConfig {
-            repetitions: req.repetitions,
-            ..TesterConfig::new(req.k, req.eps, seed)
-        };
-        let run = match TesterSession::from_config(cfg, engine.clone())
-            .map_err(|e| e.to_string())
-            .and_then(|mut s| s.test(g).map_err(|e| e.to_string()))
-        {
+        session.set_seed(req.seed.wrapping_add(u64::from(t).wrapping_mul(0x9E37_79B9)));
+        let run = match session.test(g) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: trial {t}: {e}");
+                // `exit` runs no destructors: end the workers first.
+                drop(session);
                 std::process::exit(2);
             }
         };
@@ -252,6 +261,9 @@ fn run_single_sessions(req: &Request) {
         "verdict: {}  ({rejected}/{trials} trials rejected)",
         if rejected > 0 { "REJECT" } else { "accept" },
     );
+    // `exit` runs no destructors: end (and reap) the worker processes
+    // before it.
+    drop(session);
     std::process::exit(if rejected > 0 { 1 } else { 0 });
 }
 
@@ -288,8 +300,13 @@ fn print_fault_summary(f: &FaultReport) {
 
 fn print_net_summary(net: &NetReport) {
     println!(
-        "    net: {} workers, {} frames routed ({} bytes), {} barriers, {} heartbeats",
-        net.workers, net.frames_routed, net.frame_bytes, net.barriers, net.heartbeats,
+        "    net: {} workers (fleet {}), {} frames routed ({} bytes), {} barriers, {} heartbeats",
+        net.workers,
+        if net.fleet_spawned { "spawned" } else { "reused" },
+        net.frames_routed,
+        net.frame_bytes,
+        net.barriers,
+        net.heartbeats,
     );
     match (&net.fallback, net.recovery_ms) {
         (Some(reason), Some(ms)) => {
@@ -412,8 +429,9 @@ fn print_help() {
          fans each spec out with derived seeds.\n\n\
          --workers W runs the ck tester on the distributed executor: the\n\
          graph is partitioned over W spawned `ckprobe net-worker` processes\n\
-         exchanging rounds over loopback TCP; on any worker failure the run\n\
-         degrades to the in-process sequential executor and says so.\n\
+         exchanging rounds over loopback TCP, spawned once and reused by\n\
+         every trial; on any worker failure the run degrades to the\n\
+         in-process sequential executor and says so.\n\
          --verbose adds per-trial fault and network report summaries.\n\n\
          serve runs the long-lived probe service: a pool of warm tester\n\
          sessions behind a loopback RPC endpoint (prints `ckserve listening\n\

@@ -179,6 +179,169 @@ fn cli_distributed_verbose_smoke() {
     assert!(stdout.contains("verdict: REJECT"), "{stdout}");
 }
 
+/// Runs `ckprobe args`; returns its exit status, its trial lines and
+/// its net lines.
+#[cfg(target_os = "linux")]
+fn trial_and_net_lines(args: &[&str]) -> (Option<i32>, Vec<String>, Vec<String>) {
+    let out = Command::new(ckprobe()).args(args).output().expect("running ckprobe");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let lines = |prefix: &str| -> Vec<String> {
+        stdout.lines().filter(|l| l.trim_start().starts_with(prefix)).map(str::to_owned).collect()
+    };
+    (out.status.code(), lines("trial "), lines("net: "))
+}
+
+/// Makes this process the subreaper of its descendants: a process
+/// orphaned by its parent's exit becomes this process's child (and
+/// stays here as a zombie if nobody reaped it).
+#[cfg(target_os = "linux")]
+fn adopt_orphans() {
+    use std::os::raw::{c_int, c_ulong};
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    const PR_SET_CHILD_SUBREAPER: c_int = 36;
+    // SAFETY: `prctl(PR_SET_CHILD_SUBREAPER, 1)` sets one attribute of
+    // this process; it takes no pointer and touches no memory of ours.
+    let rc = unsafe { prctl(PR_SET_CHILD_SUBREAPER, 1 as c_ulong) };
+    assert_eq!(rc, 0, "PR_SET_CHILD_SUBREAPER failed");
+}
+
+/// SIGKILLs process `pid`.
+#[cfg(target_os = "linux")]
+fn kill_nine(pid: &str) {
+    use std::os::raw::c_int;
+    extern "C" {
+        fn kill(pid: c_int, sig: c_int) -> c_int;
+    }
+    let pid: c_int = pid.parse().expect("a numeric pid");
+    // SAFETY: `kill(2)` sends a signal; it takes no pointer and touches
+    // no memory of ours.
+    let rc = unsafe { kill(pid, 9) };
+    assert_eq!(rc, 0, "kill -9 {pid} failed");
+}
+
+/// PIDs of this process's children, running or zombie.
+#[cfg(target_os = "linux")]
+fn children() -> Vec<String> {
+    let me = std::process::id().to_string();
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir("/proc").unwrap().flatten() {
+        let stat = std::fs::read_to_string(entry.path().join("stat")).unwrap_or_default();
+        // `pid (comm) state ppid …`: the ppid follows the last `)`.
+        let ppid = stat.rsplit_once(") ").and_then(|(_, rest)| rest.split(' ').nth(1));
+        if ppid == Some(me.as_str()) {
+            found.push(entry.file_name().to_string_lossy().into_owned());
+        }
+    }
+    found
+}
+
+/// Set in the child process a test re-runs itself in.
+#[cfg(target_os = "linux")]
+const ALONE: &str = "CK_CLI_TEST_ALONE";
+
+/// True inside the child process that runs test `name` alone, where
+/// every child process is the test's own. Outside it, re-runs `name`
+/// in such a child, asserts that it passed, and returns false.
+#[cfg(target_os = "linux")]
+fn alone(name: &str) -> bool {
+    if std::env::var_os(ALONE).is_some() {
+        return true;
+    }
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args([name, "--exact"])
+        .env(ALONE, "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("1 passed"), "the child ran {name}: {stdout}");
+    false
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn process_mode_dead_fleet_is_respawned_within_the_run() {
+    if !alone("process_mode_dead_fleet_is_respawned_within_the_run") {
+        return;
+    }
+    let inst = eps_far_instance(24, 4, 0.15, 7);
+    let oracle = TesterSession::from_config(cfg(), EngineConfig::default())
+        .unwrap()
+        .test(&inst.graph)
+        .unwrap();
+    let mut session = TesterSession::from_config(
+        cfg(),
+        EngineConfig {
+            executor: Executor::Distributed { workers: 2 },
+            net: process_net(),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    let mut job = |spawned: bool, what: &str| {
+        let run = session.test(&inst.graph).unwrap();
+        let net = run.outcome.report.net.clone().unwrap();
+        assert!(net.completed_distributed(), "{what}: degraded: {:?}", net.fallback);
+        assert_eq!(net.fleet_spawned, spawned, "{what}: fleet spawned");
+        assert_eq!(run.outcome.verdicts, oracle.outcome.verdicts, "{what}");
+        assert_eq!(run.outcome.report.per_round, oracle.outcome.report.per_round, "{what}");
+    };
+    job(true, "first job");
+    // Both idle workers die between jobs. The next job finds the fleet
+    // dead before `Ready` and respawns it inside its own connect
+    // budget, instead of falling back to the oracle.
+    let workers = children();
+    assert_eq!(workers.len(), 2, "the fleet's two worker processes: {workers:?}");
+    for pid in &workers {
+        kill_nine(pid);
+    }
+    job(true, "job after the fleet died");
+    job(false, "job on the respawned fleet");
+    drop(session);
+    assert_eq!(children(), Vec::<String>::new(), "the session reaps its workers");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn cli_trials_reuse_one_worker_fleet_and_reap_it() {
+    // Adopting orphans changes the whole process, so the test runs
+    // alone in a child process.
+    if !alone("cli_trials_reuse_one_worker_fleet_and_reap_it") {
+        return;
+    }
+    adopt_orphans();
+    let common = [
+        "--graph",
+        "eps-far:40:4:0.15:9",
+        "--k",
+        "4",
+        "--eps",
+        "0.15",
+        "--repetitions",
+        "2",
+        "--trials",
+        "3",
+        "--verbose",
+    ];
+    let (code, dist_trials, nets) =
+        trial_and_net_lines(&[&common[..], &["--workers", "2"]].concat());
+    // A worker ckprobe left running, or left for its parent to reap,
+    // was re-parented to this process when ckprobe exited.
+    assert_eq!(children(), Vec::<String>::new(), "processes outlived ckprobe unreaped");
+    let (seq_code, seq_trials, _) = trial_and_net_lines(&common);
+    assert_eq!(code, seq_code, "the distributed exit status is the oracle's");
+    assert_eq!(dist_trials.len(), 3, "{dist_trials:?}");
+    assert_eq!(dist_trials, seq_trials, "every trial matches the sequential oracle");
+    // Trial 0 spawns the `net-worker` processes; trials 1 and 2 reuse them.
+    assert_eq!(nets.len(), 3, "{nets:?}");
+    assert!(nets[0].contains("net: 2 workers (fleet spawned)"), "{nets:?}");
+    for net in &nets[1..] {
+        assert!(net.contains("net: 2 workers (fleet reused)"), "{nets:?}");
+    }
+}
+
 #[test]
 fn cli_verbose_sequential_smoke() {
     let out = Command::new(ckprobe())

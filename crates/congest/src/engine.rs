@@ -88,10 +88,13 @@ pub enum Executor {
     /// `par_iter_mut` under the run's pinned [`node_step_plan`]), each
     /// chunk writing its own inbox segment; results are bit-identical
     /// to `Sequential`. Below [`NODE_STEP_MIN_PAR_LEN`] nodes it steps
-    /// one chunk on the caller's thread. On the tester-mix benchmark
-    /// graphs (n ≈ 20,000, k = 5, two repetitions) on a 2-vCPU host it
-    /// finishes a job in a median 63 ms (14.8 jobs/s) for 110 ms of
-    /// CPU, where the sequential executor takes about 85 ms of both.
+    /// one chunk on the caller's thread. The trade: it spends more CPU
+    /// than `Sequential` (thread hand-offs each round) to finish a job
+    /// sooner when the host has idle cores, and it can finish later
+    /// when it has none. Whether it wins on a given host is measured,
+    /// not assumed: perfbench's traced tester-mix run reports the
+    /// sequential-over-parallel job time for each graph family `<f>` as
+    /// `engine.par_speedup.<f>` (see `perfbench/README.md`).
     #[default]
     Parallel,
     /// Cross-process execution: the graph is partitioned into

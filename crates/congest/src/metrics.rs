@@ -70,6 +70,10 @@ pub struct NetReport {
     pub barriers: u64,
     /// Heartbeat frames consumed while waiting on workers.
     pub heartbeats: u64,
+    /// True when the run spawned its worker fleet (a first run, or a
+    /// respawn after a failure or an options change); false when it
+    /// reused the fleet a previous run left connected.
+    pub fleet_spawned: bool,
     /// Why the run fell back to the in-process sequential executor
     /// (`None` when the distributed run completed on its own).
     pub fallback: Option<String>,
@@ -98,8 +102,13 @@ impl NetReport {
         let _ = write!(
             s,
             "{{\"workers\":{},\"frames_routed\":{},\"frame_bytes\":{},\"barriers\":{},\
-             \"heartbeats\":{},\"fallback\":",
-            self.workers, self.frames_routed, self.frame_bytes, self.barriers, self.heartbeats
+             \"heartbeats\":{},\"fleet_spawned\":{},\"fallback\":",
+            self.workers,
+            self.frames_routed,
+            self.frame_bytes,
+            self.barriers,
+            self.heartbeats,
+            self.fleet_spawned
         );
         match &self.fallback {
             Some(reason) => {
@@ -393,6 +402,18 @@ mod tests {
         assert!(json.contains("\"dropped_random\":2"));
         assert!(json.contains("\"corrupted_rejected\":1"));
         assert!(json.contains("\"crashed_nodes\":[1,3]"));
+    }
+
+    #[test]
+    fn net_json_records_whether_the_fleet_was_spawned() {
+        let reused = NetReport { workers: 2, barriers: 16, ..NetReport::default() };
+        assert_eq!(
+            reused.to_json(),
+            "{\"workers\":2,\"frames_routed\":0,\"frame_bytes\":0,\"barriers\":16,\
+             \"heartbeats\":0,\"fleet_spawned\":false,\"fallback\":null,\"recovery_ms\":null}"
+        );
+        let spawned = NetReport { fleet_spawned: true, ..reused };
+        assert!(spawned.to_json().contains("\"fleet_spawned\":true,"));
     }
 
     #[test]

@@ -21,6 +21,8 @@ pub struct ChaosPlan {
     /// After this many bytes have been written, the next write is cut
     /// short (a frame dies mid-body) and every later write fails with
     /// `BrokenPipe` — a mid-frame disconnect as the peer observes it.
+    /// The count runs over the link's life, which spans every job of a
+    /// worker fleet.
     pub truncate_after_bytes: Option<u64>,
     /// Sleep this long before every write — an overloaded or
     /// rate-limited link. Large values push the round past its

@@ -2,12 +2,11 @@
 //! connect with exponential backoff, the buffered frame writer a
 //! protocol thread shares with its heartbeat, and the worker-side
 //! heartbeat that keeps a long round from being mistaken for a dead
-//! process.
+//! process — beating while a job is in flight, parked between jobs.
 
 use std::io::{BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use super::frame::{write_frame, Deadline, FrameKind};
@@ -84,34 +83,90 @@ impl<W: Write + Send + 'static> SharedWriter<W> {
     }
 }
 
-/// Emits [`FrameKind::Heartbeat`] frames every `interval` until
-/// stopped; write failures end the beat silently (the protocol side
-/// observes the dead link itself). The thread parks between beats, and
-/// [`stop`](Self::stop) (or drop) unparks it, so stopping returns at
-/// once instead of waiting out the interval.
+/// Emits [`FrameKind::Heartbeat`] frames while a job is in flight.
+/// The beat starts parked; [`resume`](Self::resume) starts beating
+/// every `interval` and [`park`](Self::park) stops it again, so one
+/// thread serves every job of a worker's life without a spawn or a
+/// join per job. A parked beat blocks on a condition variable: it
+/// wakes for nothing until it is resumed or stopped. Write failures
+/// end the beat silently (the protocol side observes the dead link
+/// itself), and [`stop`](Self::stop) (or drop) wakes the thread at once
+/// instead of waiting out the interval.
 pub struct HeartbeatHandle {
-    stop: Arc<AtomicBool>,
+    beat: Arc<Beat>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
+struct Beat {
+    state: Mutex<BeatState>,
+    wake: Condvar,
+}
+
+#[derive(Clone, Copy)]
+enum BeatState {
+    Parked,
+    Running { interval: Duration, due: Deadline },
+    Stopped,
+}
+
+impl Beat {
+    fn lock(&self) -> MutexGuard<'_, BeatState> {
+        // The state is a plain enum that every writer leaves whole, so
+        // a poisoned lock still holds a valid state.
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn set(&self, next: BeatState) {
+        *self.lock() = next;
+        self.wake.notify_one();
+    }
+}
+
 impl HeartbeatHandle {
-    /// Spawns the beat on `writer`.
-    pub fn spawn<W: Write + Send + 'static>(writer: SharedWriter<W>, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let join = std::thread::spawn(move || loop {
-            // Acquire pairs with the Release store in `halt`; `park`
-            // may wake spuriously, so the loop re-checks both the flag
-            // and the deadline.
-            let due = Deadline::after(interval);
-            while !flag.load(Ordering::Acquire) && !due.expired() {
-                std::thread::park_timeout(due.remaining());
-            }
-            if flag.load(Ordering::Acquire) || writer.send(FrameKind::Heartbeat, &[]).is_err() {
-                break;
+    /// Spawns a parked beat on `writer`; nothing is sent before the
+    /// first [`resume`](Self::resume).
+    pub fn parked<W: Write + Send + 'static>(writer: SharedWriter<W>) -> Self {
+        let beat = Arc::new(Beat { state: Mutex::new(BeatState::Parked), wake: Condvar::new() });
+        let shared = Arc::clone(&beat);
+        let join = std::thread::spawn(move || {
+            let mut state = shared.lock();
+            loop {
+                state = match *state {
+                    BeatState::Stopped => return,
+                    BeatState::Parked => shared.wake.wait(state).unwrap_or_else(|p| p.into_inner()),
+                    BeatState::Running { due, .. } if !due.expired() => {
+                        let (s, _) = shared
+                            .wake
+                            .wait_timeout(state, due.remaining())
+                            .unwrap_or_else(|p| p.into_inner());
+                        s
+                    }
+                    BeatState::Running { interval, .. } => {
+                        // The beat is written with the state lock held,
+                        // so once `park` returns no beat is in flight.
+                        if writer.send(FrameKind::Heartbeat, &[]).is_err() {
+                            return;
+                        }
+                        *state = BeatState::Running { interval, due: Deadline::after(interval) };
+                        state
+                    }
+                };
             }
         });
-        HeartbeatHandle { stop, join: Some(join) }
+        HeartbeatHandle { beat, join: Some(join) }
+    }
+
+    /// Starts beating every `interval`; the first beat is due one
+    /// interval from now.
+    pub fn resume(&self, interval: Duration) {
+        self.beat.set(BeatState::Running { interval, due: Deadline::after(interval) });
+    }
+
+    /// Stops beating until the next [`resume`](Self::resume). Returns
+    /// once no beat is in flight, so a frame the caller sends next is
+    /// never followed by a beat of this job.
+    pub fn park(&self) {
+        self.beat.set(BeatState::Parked);
     }
 
     /// Stops the beat and joins the thread; returns without waiting
@@ -121,9 +176,8 @@ impl HeartbeatHandle {
     }
 
     fn halt(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.beat.set(BeatState::Stopped);
         if let Some(j) = self.join.take() {
-            j.thread().unpark();
             let _ = j.join();
         }
     }
@@ -153,7 +207,8 @@ mod tests {
     fn heartbeats_never_split_protocol_frames() {
         let buf: Vec<u8> = Vec::new();
         let shared = SharedWriter::new(buf);
-        let hb = HeartbeatHandle::spawn(shared.clone(), Duration::from_micros(200));
+        let hb = HeartbeatHandle::parked(shared.clone());
+        hb.resume(Duration::from_micros(200));
         // Even frames are queued, odd ones sent: a heartbeat may flush
         // a half-built batch, but never lands inside a frame.
         for i in 0..50u32 {
@@ -226,11 +281,40 @@ mod tests {
     #[test]
     fn stop_does_not_wait_out_the_interval() {
         let shared = SharedWriter::new(Vec::<u8>::new());
-        let hb = HeartbeatHandle::spawn(shared.clone(), Duration::from_secs(5));
+        let hb = HeartbeatHandle::parked(shared.clone());
+        hb.resume(Duration::from_secs(5));
         let started = Instant::now();
         hb.stop();
         let took = started.elapsed();
         assert!(took < Duration::from_secs(1), "stop waited {took:?} for a 5 s beat");
         assert!(shared.lock().get_ref().is_empty(), "no beat was due yet");
+    }
+
+    fn beats(shared: &SharedWriter<Vec<u8>>) -> usize {
+        // Every frame on this wire is an empty-bodied heartbeat.
+        shared.lock().get_ref().len() / 5
+    }
+
+    #[test]
+    fn a_parked_beat_sends_nothing_until_resumed() {
+        let shared = SharedWriter::new(Vec::<u8>::new());
+        let hb = HeartbeatHandle::parked(shared.clone());
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(beats(&shared), 0, "a beat that was never resumed stays silent");
+        for job in 0..3 {
+            hb.resume(Duration::from_millis(1));
+            let deadline = Deadline::after_ms(5_000);
+            while beats(&shared) < 2 && !deadline.expired() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            hb.park();
+            let parked_at = beats(&shared);
+            assert!(parked_at >= 2, "job {job}: a resumed beat beats");
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(beats(&shared), parked_at, "job {job}: no beat follows park");
+        }
+        let started = Instant::now();
+        hb.stop();
+        assert!(started.elapsed() < Duration::from_secs(1), "stopping a parked beat is prompt");
     }
 }

@@ -16,6 +16,9 @@
 //! step). Each worker steps its range as one chunk of the engine's
 //! round loop ([`PartitionEngine`]), so the distributed executor
 //! shares the in-process executors' per-node step and delivery order.
+//! The workers and their links (a *fleet*) outlive a run: a protocol
+//! layer spawns them once and runs job after job over them, with the
+//! workers' [`HeartbeatHandle`]s parked between jobs.
 //!
 //! Every failure mode is a **typed, bounded-time outcome** — the
 //! design rule of this layer is that no fault, however rude, may turn
@@ -115,7 +118,10 @@ impl std::error::Error for NetError {}
 /// bound on how long a failure can stay undetected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NetOptions {
-    /// Total budget for spawning and handshaking all workers.
+    /// Total budget for spawning and handshaking all workers, per
+    /// fleet spawn; a run's `Spec → Ready` handshake (and the one
+    /// respawn of a fleet found dead before `Ready`) fits in the same
+    /// budget.
     pub connect_timeout_ms: u64,
     /// Connect attempts for a thread worker's socket, which the
     /// coordinator opens itself (exponential backoff between).
@@ -131,10 +137,11 @@ pub struct NetOptions {
     /// finishing worker stops its beat without waiting out the
     /// interval.
     pub heartbeat_ms: u64,
-    /// Process-mode worker command: argv executed per worker with the
-    /// coordinator's `host:port` appended. `None` runs workers as
-    /// in-process threads over real sockets — the same protocol, no
-    /// fork cost.
+    /// Process-mode worker command: argv executed per worker, per fleet
+    /// spawn, with the coordinator's `host:port` and the worker's index
+    /// appended; the processes then serve every run of the fleet.
+    /// `None` runs workers as in-process threads over real sockets —
+    /// the same protocol, no fork cost.
     pub worker_cmd: Option<Vec<String>>,
     /// Physical-layer fault injection on one worker's link.
     pub chaos: Option<ChaosPlan>,

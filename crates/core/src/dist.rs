@@ -21,19 +21,39 @@
 //! ## Protocol
 //!
 //! ```text
-//! worker  → Hello(magic, index) ⇥
-//! coord   → Spec(job) ⇥                worker → Ready ⇥
-//! per round r:
-//!   coord → Go(r) ⇥
-//!   worker: step; → Msg* ; → Done(r, digest) ⇥   [Heartbeat ⇥ freely]
-//!   coord: merge digests, route every Msg to its owner
-//!   coord → Msg* ; → Barrier(r)        worker: inject, commit
-//! coord   → Finish ⇥                   worker → Verdicts ⇥
-//! any failure: coord → Abort ⇥ / worker → Error ⇥
+//! once per fleet (spawn, or respawn):
+//!   worker → Hello(magic, index) ⇥
+//! per job, over the same links:
+//!   coord  → Spec(job) ⇥               worker → Ready ⇥
+//!   per round r:
+//!     coord → Go(r) ⇥
+//!     worker: step; → Msg* ; → Done(r, digest) ⇥   [Heartbeat ⇥ freely]
+//!     coord: merge digests, route every Msg to its owner
+//!     coord → Msg* ; → Barrier(r)      worker: inject, commit
+//!   coord  → Finish ⇥                  worker → Verdicts ⇥
+//! between jobs: the worker blocks reading its next Spec
+//! end of the fleet: coord → Abort ⇥, or the coordinator closes its end
+//! any failure: coord → Abort ⇥ / worker → Error ⇥; the fleet is reaped
 //! ```
 //!
-//! `Hello` carries the magic `ckd2` and the worker's index, so a worker
-//! from a build with another `Spec` layout fails the handshake typed.
+//! The coordinator's links outlive a run: a *fleet*, owned by the
+//! [`crate::session::TesterSession`], spawns and handshakes its workers
+//! on the session's first distributed run, and each later run is only
+//! `Spec` to `Verdicts`. Between jobs a worker waits in one blocking
+//! read with no deadline and no tick, its heartbeat thread parked on a
+//! condition variable; the wait ends with the next `Spec`, with
+//! `Abort`, or at EOF when the coordinator closes its end. Inside a job
+//! the worker gives up on a coordinator that stays silent for ten round
+//! deadlines (at least 10 s). The fleet is reaped after any failed run
+//! (the fallback to the sequential oracle then runs as before) and
+//! respawned when a run asks for another worker count or other
+//! [`NetOptions`]; a reused fleet found dead before `Ready` is respawned
+//! once, inside the same run's connect budget. Dropping the fleet ends
+//! every worker and joins every worker thread.
+//!
+//! `Hello` carries the magic `ckd3` and the worker's index, so a worker
+//! from a build with another `Spec` layout or job loop fails the
+//! handshake typed.
 //! A `Spec` body opens with the graph's varint section
 //! ([`Graph::write_bytes`]), followed by fixed-width tester, engine and
 //! worker fields; a `Verdicts` body is the [`write_verdicts`] section
@@ -79,7 +99,7 @@ use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
-const MAGIC: &[u8; 4] = b"ckd2";
+const MAGIC: &[u8; 4] = b"ckd3";
 
 /// A distributed run fails in one of two distinct worlds.
 #[derive(Debug)]
@@ -435,16 +455,16 @@ pub fn decode_in_frame(body: &[u8], params: &WireParams) -> Result<(MsgHeader, C
     Ok((header, msg))
 }
 
-/// Serves one worker connection until `Finish`/`Abort` (or a typed
-/// failure, reported to the coordinator as an `Error` frame on a
-/// best-effort basis). `hard_abort` selects how a scheduled
-/// [`ChaosPlan::abort_at_round`] dies: `std::process::abort()` in a
-/// spawned worker process, a silent link close for in-process worker
-/// threads.
+/// Serves one worker connection for the life of its fleet: `Hello`,
+/// then one job per `Spec` until the coordinator ends the link (EOF or
+/// `Abort`), or a typed failure, reported to the coordinator as an
+/// `Error` frame on a best-effort basis. `hard_abort` selects how a
+/// scheduled [`ChaosPlan::abort_at_round`] dies: `std::process::abort()`
+/// in a spawned worker process, a silent link close for in-process
+/// worker threads.
 pub fn worker_serve(stream: TcpStream, index: u32, hard_abort: bool) -> Result<(), FrameError> {
     let _ = stream.set_nodelay(true);
     let reader = stream.try_clone().map_err(FrameError::from)?;
-    reader.set_read_timeout(Some(Duration::from_millis(20))).map_err(FrameError::from)?;
     let mut reader = BufReader::new(reader);
     let writer = SharedWriter::new(stream);
     let result = worker_serve_inner(&mut reader, &writer, index, hard_abort);
@@ -452,6 +472,14 @@ pub fn worker_serve(stream: TcpStream, index: u32, hard_abort: bool) -> Result<(
         let _ = writer.send(FrameKind::Error, e.to_string().as_bytes());
     }
     result
+}
+
+/// How a job ended on the worker's side.
+enum JobEnd {
+    /// `Verdicts` went out; the worker waits for its next `Spec`.
+    Verdicts,
+    /// The coordinator aborted, or scheduled chaos killed the link.
+    Exit,
 }
 
 fn worker_serve_inner(
@@ -464,19 +492,50 @@ fn worker_serve_inner(
     hello.extend_from_slice(MAGIC);
     hello.extend_from_slice(&index.to_le_bytes());
     writer.send(FrameKind::Hello, &hello)?;
-
-    let spec_frame = read_frame(reader, &Deadline::after_ms(30_000))?;
-    if spec_frame.kind != FrameKind::Spec {
-        return Err(FrameError::BadBody("expected a Spec frame"));
+    let hb = HeartbeatHandle::parked(writer.clone());
+    // Node state for every job of this link, re-prepared per job with
+    // its buffers kept.
+    let mut arena = SoaArena::default();
+    loop {
+        // Idle between jobs: one blocking read with no deadline and no
+        // tick. The coordinator ends it with the next `Spec`, with
+        // `Abort`, or by closing its end when it retires the fleet.
+        reader.get_ref().set_read_timeout(None).map_err(FrameError::from)?;
+        let frame = match read_frame(reader, &Deadline::never()) {
+            Ok(frame) => frame,
+            Err(FrameError::Truncated) => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        match frame.kind {
+            FrameKind::Spec => {}
+            FrameKind::Abort => return Ok(()),
+            _ => return Err(FrameError::BadBody("expected a Spec frame")),
+        }
+        let spec = JobSpec::from_bytes(&frame.body)?;
+        if let JobEnd::Exit = serve_job(reader, writer, &hb, &spec, &mut arena, hard_abort)? {
+            return Ok(());
+        }
     }
-    let spec = JobSpec::from_bytes(&spec_frame.body)?;
+}
+
+/// Runs one job whose `Spec` was just read: builds the partition,
+/// answers `Ready`, then steps rounds until `Finish` (answered with
+/// `Verdicts`) or `Abort`. The heartbeat beats from `Ready` to
+/// `Verdicts` and is parked again before `Verdicts` leaves.
+fn serve_job(
+    reader: &mut BufReader<TcpStream>,
+    writer: &SharedWriter<TcpStream>,
+    hb: &HeartbeatHandle,
+    spec: &JobSpec,
+    arena: &mut SoaArena,
+    hard_abort: bool,
+) -> Result<JobEnd, FrameError> {
     let params = WireParams::for_graph(&spec.graph);
     let cfg = spec.cfg;
-    // Node state lives in one arena, prepared for the whole graph as a
-    // single chunk: the partition engine steps the owned range on this
-    // one thread. Declared before the engine so it outlives every view
-    // the engine's programs hold; views are built for owned nodes only.
-    let mut arena = SoaArena::default();
+    // Node state lives in the worker's arena, prepared for the whole
+    // graph as a single chunk: the partition engine steps the owned
+    // range on this one thread. The arena outlives every view the
+    // engine's programs hold; views are built for owned nodes only.
     arena.prepare(&spec.graph, spec.graph.n().max(1));
     let bases = arena.bases();
     let mut engine = PartitionEngine::new(
@@ -488,16 +547,17 @@ fn worker_serve_inner(
         |init| CkTester::new(&cfg, &init, SoaView::new(bases, init.index as usize)),
     );
 
-    let hb =
-        HeartbeatHandle::spawn(writer.clone(), Duration::from_millis(spec.heartbeat_ms.max(1)));
+    // The worker's own liveness bound inside a job: a coordinator
+    // silent for ten round deadlines is gone; exit instead of
+    // lingering forever.
+    let idle = Duration::from_millis(spec.round_deadline_ms.saturating_mul(10).max(10_000));
+    reader.get_ref().set_read_timeout(Some(idle)).map_err(FrameError::from)?;
+    hb.resume(Duration::from_millis(spec.heartbeat_ms.max(1)));
     writer.send(FrameKind::Ready, &[])?;
 
-    // The worker's own liveness bound: a coordinator silent for ten
-    // round deadlines is gone; exit instead of lingering forever.
-    let idle_ms = spec.round_deadline_ms.saturating_mul(10).max(10_000);
     let mut out: Vec<OutFrame<CkMsg>> = Vec::new();
     loop {
-        let frame = read_frame(reader, &Deadline::after_ms(idle_ms))?;
+        let frame = read_frame(reader, &Deadline::after(idle))?;
         match frame.kind {
             FrameKind::Go => {
                 let round = round_of(&frame)?;
@@ -507,9 +567,8 @@ fn worker_serve_inner(
                         // `kill -9`: no unwinding, no goodbye frame.
                         std::process::abort();
                     }
-                    hb.stop();
                     let _ = reader.get_ref().shutdown(Shutdown::Both);
-                    return Ok(());
+                    return Ok(JobEnd::Exit);
                 }
                 out.clear();
                 let digest = engine.step_round(round, &mut out);
@@ -530,14 +589,13 @@ fn worker_serve_inner(
             FrameKind::Finish => {
                 let mut body = ByteWriter::new();
                 write_verdicts(&mut body, &engine.verdicts());
+                // Parked first: no beat of this job trails its Verdicts
+                // into the coordinator's next job.
+                hb.park();
                 writer.send(FrameKind::Verdicts, &body.0)?;
-                hb.stop();
-                return Ok(());
+                return Ok(JobEnd::Verdicts);
             }
-            FrameKind::Abort => {
-                hb.stop();
-                return Ok(());
-            }
+            FrameKind::Abort => return Ok(JobEnd::Exit),
             FrameKind::Heartbeat => {}
             _ => return Err(FrameError::BadBody("unexpected frame kind at worker")),
         }
@@ -578,6 +636,8 @@ impl WorkerLink {
         let _ = self.reader.get_ref().shutdown(Shutdown::Both);
     }
 
+    /// Ends the worker whatever state its link is in: the link is cut
+    /// first, so a worker blocked on it wakes to EOF.
     fn reap(&mut self) {
         self.shutdown();
         if let Some(mut child) = self.child.take() {
@@ -588,25 +648,74 @@ impl WorkerLink {
             let _ = join.join();
         }
     }
-}
 
-struct Coordinator {
-    links: Vec<WorkerLink>,
-    net: NetOptions,
-    report_net: NetReport,
-}
-
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        for link in &mut self.links {
-            link.reap();
+    /// Ends an idle worker: it reads `Abort` and closes its end first,
+    /// and a thread worker is joined before the coordinator closes
+    /// its own, so the connection's TIME_WAIT sits on the worker's
+    /// ephemeral port, which later connects may reuse, and never pins
+    /// the listener's port. A link the `Abort` cannot cross is reaped.
+    fn retire(&mut self) {
+        let said = write_frame(&mut self.writer, FrameKind::Abort, &[]);
+        if said.and_then(|()| self.writer.flush()).is_err() {
+            self.shutdown();
         }
+        if let Some(join) = self.thread.take() {
+            let _ = join.join();
+        }
+        self.reap();
     }
 }
 
-impl Coordinator {
-    /// Best-effort broadcast of `Abort`, then teardown (also performed
-    /// by `Drop` on every early exit).
+/// The coordinator's worker links (the *fleet*), kept across runs. A
+/// [`crate::session::TesterSession`] owns one: its first distributed
+/// run spawns the workers, connects them and reads their `Hello`; each
+/// later run is only `Spec → Ready → rounds → Finish → Verdicts` over
+/// the same links, with the workers waiting in a blocking read between
+/// jobs. The fleet is reaped after any failed run and respawned when a
+/// run asks for another worker count or other [`NetOptions`]; dropping
+/// it ends every worker and joins every worker thread.
+#[derive(Default)]
+pub(crate) struct Fleet {
+    links: Vec<WorkerLink>,
+    /// The options the links were spawned under.
+    net: NetOptions,
+    /// True between runs of a live fleet: every worker has answered
+    /// its last job and waits for the next `Spec`.
+    idle: bool,
+    /// The current (or last) run's transport record.
+    report: NetReport,
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+impl Fleet {
+    /// Whether the latest run spawned (or respawned) the workers
+    /// rather than reusing the previous run's.
+    pub fn spawned(&self) -> bool {
+        self.report.fleet_spawned
+    }
+
+    /// Ends every worker and forgets the links: an idle fleet's workers
+    /// are retired ([`WorkerLink::retire`]), any other's links are cut
+    /// first ([`WorkerLink::reap`]).
+    fn release(&mut self) {
+        for link in &mut self.links {
+            if self.idle {
+                link.retire();
+            } else {
+                link.reap();
+            }
+        }
+        self.links.clear();
+        self.idle = false;
+    }
+
+    /// Best-effort broadcast of `Abort` (the failed run's reap then
+    /// tears the links down).
     fn abort_all(&mut self) {
         for link in &mut self.links {
             let _ = write_frame(&mut link.writer, FrameKind::Abort, &[]);
@@ -655,7 +764,7 @@ impl Coordinator {
                 Ok(f) if f.kind == FrameKind::Heartbeat => {
                     // ck-lint: allow(determinism, reason = "heartbeat timestamping; liveness only")
                     self.links[w].last_beat = Instant::now();
-                    self.report_net.heartbeats += 1;
+                    self.report.heartbeats += 1;
                 }
                 Ok(f) if f.kind == FrameKind::Error => {
                     return Err(NetError::Worker {
@@ -686,322 +795,377 @@ impl Coordinator {
             }
         }
     }
-}
 
-/// Runs the full tester distributed over `workers` partitions;
-/// `engine.max_rounds` must already hold the schedule's total round
-/// count (as [`crate::tester`] resolves it). On success the outcome is
-/// bit-identical to the in-process sequential oracle — verdicts, round
-/// statistics, and fault accounting included — plus the transport's
-/// own [`NetReport`].
-pub fn run_distributed(
-    g: &Graph,
-    cfg: &TesterConfig,
-    engine: &EngineConfig,
-    workers: u32,
-) -> Result<RunOutcome<NodeVerdict>, DistError> {
-    let w_count = workers.max(1);
-    let net = engine.net.clone();
-    let n = g.n();
+    /// Spawns `w_count` workers and handshakes them, all inside
+    /// `deadline`: worker processes when a command is configured,
+    /// protocol-identical worker threads over real sockets otherwise.
+    fn spawn(
+        &mut self,
+        w_count: u32,
+        net: &NetOptions,
+        deadline: &Deadline,
+    ) -> Result<(), NetError> {
+        let spawn_err = |e: std::io::Error| NetError::Spawn(e.to_string());
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(spawn_err)?;
+        let addr = listener.local_addr().map_err(spawn_err)?.to_string();
+        // Only worker processes connect on their own schedule, so only
+        // their accepts poll; a thread worker's connection is already
+        // queued when the coordinator accepts it.
+        listener.set_nonblocking(net.worker_cmd.is_some()).map_err(spawn_err)?;
 
-    let spawn_err = |e: std::io::Error| DistError::Net(NetError::Spawn(e.to_string()));
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(spawn_err)?;
-    let addr = listener.local_addr().map_err(spawn_err)?.to_string();
-    // Only worker processes connect on their own schedule, so only
-    // their accepts poll; a thread worker's connection is already
-    // queued when the coordinator accepts it.
-    listener.set_nonblocking(net.worker_cmd.is_some()).map_err(spawn_err)?;
-
-    // Spawn: worker processes when a command is configured, protocol-
-    // identical worker threads over real sockets otherwise. Handles sit
-    // at their worker's index until `admit` files them with its link.
-    let mut children: Vec<Option<std::process::Child>> = (0..w_count).map(|_| None).collect();
-    let mut threads: Vec<Option<std::thread::JoinHandle<()>>> =
-        (0..w_count).map(|_| None).collect();
-    let mut slots: Vec<Option<WorkerLink>> = (0..w_count).map(|_| None).collect();
-    let accept_deadline = Deadline::after_ms(net.connect_timeout_ms);
-    let mut accepted = 0u32;
-    for i in 0..w_count {
-        let started = match &net.worker_cmd {
-            Some(argv) => argv
-                .split_first()
-                .ok_or(NetError::Spawn("empty worker command".to_string()))
-                .and_then(|(head, rest)| {
-                    std::process::Command::new(head)
-                        .args(rest)
-                        .arg(&addr)
-                        .arg(i.to_string())
-                        .stdout(std::process::Stdio::null())
-                        .stderr(std::process::Stdio::null())
-                        .spawn()
-                        .map_err(|e| NetError::Spawn(e.to_string()))
-                })
-                .map(|child| children[i as usize] = Some(child)),
-            // The coordinator connects the thread worker's socket
-            // itself, accepts it at once and hands the client end to
-            // the thread, so this accept never waits or polls.
-            None => connect_with_retry(&addr, net.connect_retries, net.connect_backoff_ms)
-                .and_then(|client| {
-                    let (server, _) = listener.accept()?;
-                    threads[i as usize] = Some(std::thread::spawn(move || {
-                        let _ = worker_serve(client, i, false);
-                    }));
-                    Ok(server)
-                })
-                .map_err(|e| NetError::Connect { worker: i, detail: e.to_string() })
-                .and_then(|server| {
-                    admit(server, &accept_deadline, &net, &mut slots, &mut children, &mut threads)
-                })
-                .map(|()| accepted += 1),
-        };
-        if let Err(e) = started {
-            teardown_partial(&mut slots, &mut children, &mut threads);
-            return Err(DistError::Net(e));
-        }
-    }
-
-    // Accept + Hello for worker processes: they self-identify, so
-    // process handles and links stay index-aligned regardless of
-    // connect order.
-    while accepted < w_count {
-        if accept_deadline.expired() {
-            let missing = slots.iter().position(|s| s.is_none()).unwrap_or(0) as u32;
-            teardown_partial(&mut slots, &mut children, &mut threads);
-            return Err(DistError::Net(NetError::Connect {
-                worker: missing,
-                detail: "accept deadline passed before the handshake".to_string(),
-            }));
-        }
-        let admitted = match listener.accept() {
-            Ok((stream, _)) => {
-                admit(stream, &accept_deadline, &net, &mut slots, &mut children, &mut threads)
+        // Handles sit at their worker's index until `admit` files them
+        // with its link.
+        let mut children: Vec<Option<std::process::Child>> = (0..w_count).map(|_| None).collect();
+        let mut threads: Vec<Option<std::thread::JoinHandle<()>>> =
+            (0..w_count).map(|_| None).collect();
+        let mut slots: Vec<Option<WorkerLink>> = (0..w_count).map(|_| None).collect();
+        let mut accepted = 0u32;
+        for i in 0..w_count {
+            let started = match &net.worker_cmd {
+                Some(argv) => argv
+                    .split_first()
+                    .ok_or(NetError::Spawn("empty worker command".to_string()))
+                    .and_then(|(head, rest)| {
+                        std::process::Command::new(head)
+                            .args(rest)
+                            .arg(&addr)
+                            .arg(i.to_string())
+                            .stdout(std::process::Stdio::null())
+                            .stderr(std::process::Stdio::null())
+                            .spawn()
+                            .map_err(|e| NetError::Spawn(e.to_string()))
+                    })
+                    .map(|child| children[i as usize] = Some(child)),
+                // The coordinator connects the thread worker's socket
+                // itself, accepts it at once and hands the client end to
+                // the thread, so this accept never waits or polls.
+                None => connect_with_retry(&addr, net.connect_retries, net.connect_backoff_ms)
+                    .and_then(|client| {
+                        let (server, _) = listener.accept()?;
+                        threads[i as usize] = Some(std::thread::spawn(move || {
+                            let _ = worker_serve(client, i, false);
+                        }));
+                        Ok(server)
+                    })
+                    .map_err(|e| NetError::Connect { worker: i, detail: e.to_string() })
+                    .and_then(|server| {
+                        admit(server, deadline, net, &mut slots, &mut children, &mut threads)
+                    })
+                    .map(|()| accepted += 1),
+            };
+            if let Err(e) = started {
+                teardown_partial(&mut slots, &mut children, &mut threads);
+                return Err(e);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
+        }
+
+        // Accept + Hello for worker processes: they self-identify, so
+        // process handles and links stay index-aligned regardless of
+        // connect order. This accept polls, once per fleet spawn.
+        while accepted < w_count {
+            if deadline.expired() {
+                let missing = slots.iter().position(|s| s.is_none()).unwrap_or(0) as u32;
+                teardown_partial(&mut slots, &mut children, &mut threads);
+                return Err(NetError::Connect {
+                    worker: missing,
+                    detail: "accept deadline passed before the handshake".to_string(),
+                });
             }
-            Err(e) => Err(NetError::Spawn(e.to_string())),
-        };
-        if let Err(e) = admitted {
-            teardown_partial(&mut slots, &mut children, &mut threads);
-            return Err(DistError::Net(e));
+            let admitted = match listener.accept() {
+                Ok((stream, _)) => {
+                    admit(stream, deadline, net, &mut slots, &mut children, &mut threads)
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(2));
+                    continue;
+                }
+                Err(e) => Err(NetError::Spawn(e.to_string())),
+            };
+            if let Err(e) = admitted {
+                teardown_partial(&mut slots, &mut children, &mut threads);
+                return Err(e);
+            }
+            accepted += 1;
         }
-        accepted += 1;
-    }
-    let links: Vec<WorkerLink> = slots.into_iter().flatten().collect();
-    if links.len() != w_count as usize {
-        // Unreachable while the accept loop above insists on
-        // `accepted == workers`, but a typed error keeps the invariant
-        // local instead of trusting it across the function.
-        return Err(DistError::Net(NetError::Connect {
-            worker: 0,
-            detail: "accept loop finished with unfilled worker slots".to_string(),
-        }));
-    }
-    let mut coord = Coordinator {
-        links,
-        net: net.clone(),
-        report_net: NetReport { workers: w_count, ..NetReport::default() },
-    };
-
-    // Spec out, Ready back. The shared prefix (graph and parameters) is
-    // encoded once; each worker's body appends its own fields to it.
-    let mut spec = encode_spec_prefix(g, cfg, engine, w_count);
-    let prefix_len = spec.0.len();
-    for i in 0..w_count as usize {
-        let abort_at_round = match net.chaos {
-            Some(c) if c.worker == i as u32 => c.abort_at_round,
-            _ => None,
-        };
-        spec.0.truncate(prefix_len);
-        encode_spec_tail(
-            &mut spec,
-            i as u32,
-            abort_at_round,
-            net.heartbeat_ms,
-            net.round_deadline_ms,
-        );
-        coord.send_to(i, FrameKind::Spec, &spec.0, 0).map_err(DistError::Net)?;
-    }
-    coord.flush_all(0).map_err(DistError::Net)?;
-    let ready_deadline = Deadline::after_ms(net.connect_timeout_ms);
-    for i in 0..w_count as usize {
-        let f = coord.read_protocol(i, &ready_deadline, 0).map_err(DistError::Net)?;
-        if f.kind != FrameKind::Ready {
-            return Err(DistError::Net(NetError::WorkerLost {
-                worker: i as u32,
-                round: 0,
-                cause: LostCause::Protocol,
-            }));
+        self.links = slots.into_iter().flatten().collect();
+        self.net = net.clone();
+        if self.links.len() != w_count as usize {
+            // Unreachable while the accept loop above insists on
+            // `accepted == workers`, but a typed error keeps the invariant
+            // local instead of trusting it across the function.
+            return Err(NetError::Connect {
+                worker: 0,
+                detail: "accept loop finished with unfilled worker slots".to_string(),
+            });
         }
+        Ok(())
     }
 
-    let ranges: Vec<std::ops::Range<u32>> =
-        (0..w_count).map(|i| partition_range(n, w_count, i)).collect();
-    let mut report =
-        RunReport { executor: "distributed", threads: w_count as usize, ..RunReport::default() };
-    let mut active = n;
-    let mut round = 0u32;
-    // Buffered per round: `(owner, body)` of every routed delivery.
-    let mut routed: Vec<(usize, Vec<u8>)> = Vec::new();
-    while round < engine.max_rounds {
-        if active == 0 {
-            break;
+    /// Sends every worker its `Spec` and reads every `Ready`, inside
+    /// `deadline`. `spec` holds the shared prefix in its first
+    /// `prefix_len` bytes; each worker's body appends its own fields.
+    fn start_job(
+        &mut self,
+        spec: &mut ByteWriter,
+        prefix_len: usize,
+        net: &NetOptions,
+        deadline: &Deadline,
+    ) -> Result<(), NetError> {
+        for i in 0..self.links.len() {
+            let abort_at_round = match net.chaos {
+                Some(c) if c.worker == i as u32 => c.abort_at_round,
+                _ => None,
+            };
+            spec.0.truncate(prefix_len);
+            encode_spec_tail(
+                spec,
+                i as u32,
+                abort_at_round,
+                net.heartbeat_ms,
+                net.round_deadline_ms,
+            );
+            self.send_to(i, FrameKind::Spec, &spec.0, 0)?;
         }
-        // Scheduled coordinator-side chaos fires at the round boundary,
-        // after the previous round's queued frames have left: the cut
-        // lands at the same protocol point as on an unbuffered link.
-        if let Some((kw, kr)) = net.kill_worker {
-            if kr == round && (kw as usize) < coord.links.len() {
-                let link = &mut coord.links[kw as usize];
-                let _ = link.writer.flush();
-                match link.child.take() {
-                    Some(mut child) => {
-                        // The real thing: SIGKILL, no cleanup handlers.
-                        let _ = child.kill();
-                        let _ = child.wait();
+        self.flush_all(0)?;
+        // Heartbeats flow only while a job is in flight, so freshness
+        // counts from this job's start.
+        for link in &mut self.links {
+            // ck-lint: allow(determinism, reason = "liveness baseline for the heartbeat monitor")
+            link.last_beat = Instant::now();
+        }
+        for i in 0..self.links.len() {
+            if self.read_protocol(i, deadline, 0)?.kind != FrameKind::Ready {
+                return Err(NetError::WorkerLost {
+                    worker: i as u32,
+                    round: 0,
+                    cause: LostCause::Protocol,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs the full tester distributed over `workers` partitions on
+    /// this fleet, spawning it first unless the previous run left it
+    /// connected under the same worker count and [`NetOptions`];
+    /// `engine.max_rounds` must already hold the schedule's total
+    /// round count (as [`crate::tester`] resolves it). On success the
+    /// outcome is bit-identical to the in-process sequential oracle —
+    /// verdicts, round statistics, and fault accounting included —
+    /// plus the transport's own [`NetReport`]. On any failure the fleet
+    /// is reaped, and the next run spawns a new one.
+    pub fn run(
+        &mut self,
+        g: &Graph,
+        cfg: &TesterConfig,
+        engine: &EngineConfig,
+        workers: u32,
+    ) -> Result<RunOutcome<NodeVerdict>, DistError> {
+        let result = self.run_job(g, cfg, engine, workers.max(1));
+        if result.is_err() {
+            self.release();
+        }
+        result
+    }
+
+    fn run_job(
+        &mut self,
+        g: &Graph,
+        cfg: &TesterConfig,
+        engine: &EngineConfig,
+        w_count: u32,
+    ) -> Result<RunOutcome<NodeVerdict>, DistError> {
+        let net = &engine.net;
+        let n = g.n();
+        let connect = Deadline::after_ms(net.connect_timeout_ms);
+        if self.links.len() != w_count as usize || self.net != *net {
+            self.release();
+        }
+        self.idle = false;
+        self.report = NetReport { workers: w_count, ..NetReport::default() };
+
+        // Spec out, Ready back. The shared prefix (graph and parameters)
+        // is encoded once; each worker's body appends its own fields.
+        let mut spec = encode_spec_prefix(g, cfg, engine, w_count);
+        let prefix_len = spec.0.len();
+        loop {
+            let fresh = self.links.is_empty();
+            if fresh {
+                self.report.fleet_spawned = true;
+                self.spawn(w_count, net, &connect).map_err(DistError::Net)?;
+            }
+            match self.start_job(&mut spec, prefix_len, net, &connect) {
+                Ok(()) => break,
+                // A reused fleet found dead before `Ready` is respawned
+                // once, inside the same connect budget: a run never
+                // fails where a fresh spawn would have succeeded.
+                Err(_) if !fresh => self.release(),
+                Err(e) => return Err(DistError::Net(e)),
+            }
+        }
+
+        let ranges: Vec<std::ops::Range<u32>> =
+            (0..w_count).map(|i| partition_range(n, w_count, i)).collect();
+        let mut report = RunReport {
+            executor: "distributed",
+            threads: w_count as usize,
+            ..RunReport::default()
+        };
+        let mut active = n;
+        let mut round = 0u32;
+        // Buffered per round: `(owner, body)` of every routed delivery.
+        let mut routed: Vec<(usize, Vec<u8>)> = Vec::new();
+        while round < engine.max_rounds {
+            if active == 0 {
+                break;
+            }
+            // Scheduled coordinator-side chaos fires at the round
+            // boundary, after the previous round's queued frames have
+            // left: the cut lands at the same protocol point as on an
+            // unbuffered link.
+            if let Some((kw, kr)) = net.kill_worker {
+                if kr == round && (kw as usize) < self.links.len() {
+                    let link = &mut self.links[kw as usize];
+                    let _ = link.writer.flush();
+                    match link.child.take() {
+                        Some(mut child) => {
+                            // The real thing: SIGKILL, no cleanup handlers.
+                            let _ = child.kill();
+                            let _ = child.wait();
+                        }
+                        // Thread mode has no process to kill; severing the
+                        // link is the same observable (EOF ⇒ Death).
+                        None => link.shutdown(),
                     }
-                    // Thread mode has no process to kill; severing the
-                    // link is the same observable (EOF ⇒ Death).
-                    None => link.shutdown(),
                 }
             }
-        }
-        if let Some(c) = net.chaos {
-            if c.disconnect_at_round == Some(round) && (c.worker as usize) < coord.links.len() {
-                let link = &mut coord.links[c.worker as usize];
-                let _ = link.writer.flush();
-                link.shutdown();
+            if let Some(c) = net.chaos {
+                if c.disconnect_at_round == Some(round) && (c.worker as usize) < self.links.len() {
+                    let link = &mut self.links[c.worker as usize];
+                    let _ = link.writer.flush();
+                    link.shutdown();
+                }
             }
-        }
 
-        // Go(r) joins the routed Msgs and Barrier(r−1) still queued on
-        // each link: one write per worker per round.
-        for i in 0..w_count as usize {
-            coord.send_to(i, FrameKind::Go, &round.to_le_bytes(), round).map_err(DistError::Net)?;
-        }
-        coord.flush_all(round).map_err(DistError::Net)?;
+            // Go(r) joins the routed Msgs and Barrier(r−1) still queued on
+            // each link: one write per worker per round.
+            for i in 0..w_count as usize {
+                self.send_to(i, FrameKind::Go, &round.to_le_bytes(), round)
+                    .map_err(DistError::Net)?;
+            }
+            self.flush_all(round).map_err(DistError::Net)?;
 
-        // Collect this round: Msg frames buffer for routing, Done
-        // frames carry the partition digests; merged in ascending
-        // worker (= node-range) order so the leftmost-violation rule
-        // matches the sequential fold.
-        let deadline = Deadline::after_ms(net.round_deadline_ms);
-        routed.clear();
-        let mut digest = RoundDigest::default();
-        for i in 0..w_count as usize {
-            loop {
-                let frame = coord.read_protocol(i, &deadline, round).map_err(DistError::Net)?;
-                match frame.kind {
-                    FrameKind::Msg => {
-                        let (header, _) = decode_msg_body(&frame.body).map_err(|err| {
-                            DistError::Net(NetError::Frame { worker: i as u32, round, err })
-                        })?;
-                        let owner = ranges
-                            .iter()
-                            .position(|r| r.contains(&header.receiver))
-                            .ok_or(DistError::Net(NetError::Frame {
-                                worker: i as u32,
-                                round,
-                                err: FrameError::BadBody("receiver outside the graph"),
-                            }))?;
-                        routed.push((owner, frame.body));
-                    }
-                    FrameKind::Done => {
-                        if frame.body.len() < 4 || frame.body[0..4] != round.to_le_bytes() {
+            // Collect this round: Msg frames buffer for routing, Done
+            // frames carry the partition digests; merged in ascending
+            // worker (= node-range) order so the leftmost-violation rule
+            // matches the sequential fold.
+            let deadline = Deadline::after_ms(net.round_deadline_ms);
+            routed.clear();
+            let mut digest = RoundDigest::default();
+            for i in 0..w_count as usize {
+                loop {
+                    let frame = self.read_protocol(i, &deadline, round).map_err(DistError::Net)?;
+                    match frame.kind {
+                        FrameKind::Msg => {
+                            let (header, _) = decode_msg_body(&frame.body).map_err(|err| {
+                                DistError::Net(NetError::Frame { worker: i as u32, round, err })
+                            })?;
+                            let owner = ranges
+                                .iter()
+                                .position(|r| r.contains(&header.receiver))
+                                .ok_or(DistError::Net(NetError::Frame {
+                                    worker: i as u32,
+                                    round,
+                                    err: FrameError::BadBody("receiver outside the graph"),
+                                }))?;
+                            routed.push((owner, frame.body));
+                        }
+                        FrameKind::Done => {
+                            if frame.body.len() < 4 || frame.body[0..4] != round.to_le_bytes() {
+                                return Err(DistError::Net(NetError::WorkerLost {
+                                    worker: i as u32,
+                                    round,
+                                    cause: LostCause::Protocol,
+                                }));
+                            }
+                            let part =
+                                RoundDigest::from_bytes(&frame.body[4..]).map_err(|err| {
+                                    DistError::Net(NetError::Frame { worker: i as u32, round, err })
+                                })?;
+                            digest = RoundDigest::merge(digest, part);
+                            break;
+                        }
+                        _ => {
                             return Err(DistError::Net(NetError::WorkerLost {
                                 worker: i as u32,
                                 round,
                                 cause: LostCause::Protocol,
                             }));
                         }
-                        let part = RoundDigest::from_bytes(&frame.body[4..]).map_err(|err| {
-                            DistError::Net(NetError::Frame { worker: i as u32, round, err })
-                        })?;
-                        digest = RoundDigest::merge(digest, part);
-                        break;
-                    }
-                    _ => {
-                        return Err(DistError::Net(NetError::WorkerLost {
-                            worker: i as u32,
-                            round,
-                            cause: LostCause::Protocol,
-                        }));
                     }
                 }
             }
+
+            // The engine loop's own post-round step, on the merged digest.
+            if let Err(e) = digest.close_round(round, engine, &mut active, &mut report) {
+                self.abort_all();
+                return Err(DistError::Engine(e));
+            }
+
+            // Route, then barrier: a worker that saw `Barrier(r)` has, by
+            // FIFO, already received every delivery of round `r`. Both are
+            // queued; the next Go or Finish flushes them.
+            for (owner, body) in routed.drain(..) {
+                self.report.frames_routed += 1;
+                self.report.frame_bytes += body.len() as u64;
+                self.send_to(owner, FrameKind::Msg, &body, round).map_err(DistError::Net)?;
+            }
+            for i in 0..w_count as usize {
+                self.send_to(i, FrameKind::Barrier, &round.to_le_bytes(), round)
+                    .map_err(DistError::Net)?;
+                self.report.barriers += 1;
+            }
+            round += 1;
         }
 
-        // The engine loop's own post-round step, on the merged digest.
-        if let Err(e) = digest.close_round(round, engine, &mut active, &mut report) {
-            coord.abort_all();
-            return Err(DistError::Engine(e));
-        }
-
-        // Route, then barrier: a worker that saw `Barrier(r)` has, by
-        // FIFO, already received every delivery of round `r`. Both are
-        // queued; the next Go or Finish flushes them.
-        for (owner, body) in routed.drain(..) {
-            coord.report_net.frames_routed += 1;
-            coord.report_net.frame_bytes += body.len() as u64;
-            coord.send_to(owner, FrameKind::Msg, &body, round).map_err(DistError::Net)?;
-        }
+        // Verdict collection, in worker order = node order.
+        let mut verdicts: Vec<NodeVerdict> = Vec::with_capacity(n);
         for i in 0..w_count as usize {
-            coord
-                .send_to(i, FrameKind::Barrier, &round.to_le_bytes(), round)
-                .map_err(DistError::Net)?;
-            coord.report_net.barriers += 1;
+            self.send_to(i, FrameKind::Finish, &[], round).map_err(DistError::Net)?;
         }
-        round += 1;
-    }
+        self.flush_all(round).map_err(DistError::Net)?;
+        let final_deadline = Deadline::after_ms(net.round_deadline_ms);
+        for (i, range) in ranges.iter().enumerate() {
+            let frame = self.read_protocol(i, &final_deadline, round).map_err(DistError::Net)?;
+            if frame.kind != FrameKind::Verdicts {
+                return Err(DistError::Net(NetError::WorkerLost {
+                    worker: i as u32,
+                    round,
+                    cause: LostCause::Protocol,
+                }));
+            }
+            let mut r = ByteReader::new(&frame.body);
+            let part = read_verdicts(&mut r)
+                .and_then(|part| r.finish().map(|()| part))
+                .map_err(|err| DistError::Net(NetError::Frame { worker: i as u32, round, err }))?;
+            if part.len() != range.len() {
+                return Err(DistError::Net(NetError::WorkerLost {
+                    worker: i as u32,
+                    round,
+                    cause: LostCause::Protocol,
+                }));
+            }
+            verdicts.extend(part);
+        }
 
-    // Verdict collection, in worker order = node order.
-    let mut verdicts: Vec<NodeVerdict> = Vec::with_capacity(n);
-    for i in 0..w_count as usize {
-        coord.send_to(i, FrameKind::Finish, &[], round).map_err(DistError::Net)?;
+        // Every worker has answered and waits for its next `Spec`.
+        self.idle = true;
+        report.rounds = round;
+        report.all_halted = active == 0;
+        report.faults.crashed_nodes = engine.faults.crashed_by(round, n);
+        report.net = Some(self.report.clone());
+        Ok(RunOutcome { report, verdicts })
     }
-    coord.flush_all(round).map_err(DistError::Net)?;
-    let final_deadline = Deadline::after_ms(net.round_deadline_ms);
-    for (i, range) in ranges.iter().enumerate() {
-        let frame = coord.read_protocol(i, &final_deadline, round).map_err(DistError::Net)?;
-        if frame.kind != FrameKind::Verdicts {
-            return Err(DistError::Net(NetError::WorkerLost {
-                worker: i as u32,
-                round,
-                cause: LostCause::Protocol,
-            }));
-        }
-        let mut r = ByteReader::new(&frame.body);
-        let part = read_verdicts(&mut r)
-            .and_then(|part| r.finish().map(|()| part))
-            .map_err(|err| DistError::Net(NetError::Frame { worker: i as u32, round, err }))?;
-        if part.len() != range.len() {
-            return Err(DistError::Net(NetError::WorkerLost {
-                worker: i as u32,
-                round,
-                cause: LostCause::Protocol,
-            }));
-        }
-        verdicts.extend(part);
-    }
-
-    report.rounds = round;
-    report.all_halted = active == 0;
-    report.faults.crashed_nodes = engine.faults.crashed_by(round, n);
-    report.net = Some(coord.report_net.clone());
-    // Every worker has sent its verdicts and is exiting. Join the
-    // thread workers before closing the coordinator's ends, so each
-    // link's TIME_WAIT sits on a worker's ephemeral port, which later
-    // connects may reuse, instead of pinning the listener's port for a
-    // minute: at hundreds of runs per second the pinned ports made
-    // every later run slower.
-    for link in &mut coord.links {
-        if let Some(join) = link.thread.take() {
-            let _ = join.join();
-        }
-    }
-    drop(coord); // Clean teardown before returning.
-    Ok(RunOutcome { report, verdicts })
 }
 
 /// Reads and validates the Hello on a fresh connection, then files its
@@ -1184,7 +1348,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let mut hello = b"ckd1".to_vec();
+        let mut hello = b"ckd2".to_vec();
         hello.extend_from_slice(&0u32.to_le_bytes());
         write_frame(&mut client, FrameKind::Hello, &hello).unwrap();
         let mut slots: Vec<Option<WorkerLink>> = vec![None];

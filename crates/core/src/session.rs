@@ -8,17 +8,20 @@
 //! [`ck_congest::engine::EngineWorkspace`] and the node-state
 //! [`SoaArena`], so the fast path — engine-arena, slot-array, and
 //! node-state reuse across runs — is the default rather than an expert
-//! opt-in.
+//! opt-in. Under the distributed executor it also owns the worker
+//! fleet: the first run spawns and handshakes the workers, later
+//! runs reuse them, and dropping the session ends them.
 //!
 //! Outputs of a reused session are bit-identical to a fresh session's
 //! by the engine's reuse contracts — property-tested in
 //! `tests/session_parity.rs`.
 
 use crate::batch::{batch_exec, BatchError, BatchJob};
+use crate::dist::Fleet;
 use crate::msg::CkMsg;
 use crate::prune::PrunerKind;
 use crate::soa::SoaArena;
-use crate::tester::{tester_exec, tester_exec_into, ConfigError, TesterConfig, TesterRun};
+use crate::tester::{tester_exec_into, ConfigError, TesterConfig, TesterRun};
 use ck_congest::engine::{EngineConfig, EngineError, EngineWorkspace, Executor, SlotStats};
 use ck_congest::graph::Graph;
 
@@ -92,10 +95,12 @@ impl TesterSessionBuilder {
 
     /// Runs every test distributed across `workers` cross-process
     /// partitions (see [`crate::dist`]); transport tuning comes from
-    /// the engine template's [`ck_congest::net::NetOptions`]. On any
-    /// transport failure the run degrades to the in-process sequential
-    /// oracle within the configured deadlines, recording the fallback
-    /// in the report's `net` block.
+    /// the engine template's [`ck_congest::net::NetOptions`]. The
+    /// session's first test spawns the worker fleet and later tests
+    /// reuse it. On any transport failure the run degrades to the
+    /// in-process sequential oracle within the configured deadlines,
+    /// recording the fallback in the report's `net` block, and the next
+    /// test respawns the fleet.
     pub fn distributed(mut self, workers: u16) -> Self {
         self.engine.executor = Executor::Distributed { workers };
         self
@@ -111,7 +116,8 @@ impl TesterSessionBuilder {
 /// A reusable execution context for the full `Ck`-freeness tester:
 /// validated [`TesterConfig`], engine template, and internally owned
 /// engine workspace + node-state [`SoaArena`], both recycled on every
-/// [`test`](TesterSession::test).
+/// [`test`](TesterSession::test), plus the distributed executor's
+/// worker fleet, kept connected from one test to the next.
 ///
 /// # Examples
 ///
@@ -144,6 +150,7 @@ pub struct TesterSession {
     engine: EngineConfig,
     ws: EngineWorkspace<CkMsg>,
     arena: SoaArena,
+    fleet: Fleet,
 }
 
 impl std::fmt::Debug for TesterSession {
@@ -169,7 +176,13 @@ impl TesterSession {
     /// validating it.
     pub fn from_config(cfg: TesterConfig, engine: EngineConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        Ok(TesterSession { cfg, engine, ws: EngineWorkspace::new(), arena: SoaArena::default() })
+        Ok(TesterSession {
+            cfg,
+            engine,
+            ws: EngineWorkspace::new(),
+            arena: SoaArena::default(),
+            fleet: Fleet::default(),
+        })
     }
 
     /// The validated tester configuration.
@@ -206,7 +219,9 @@ impl TesterSession {
     /// Mutable access to the engine template (faults, bandwidth policy,
     /// executor — none of it validated state); takes effect on the next
     /// test. Lets loss/robustness sweeps vary the fault plan per trial
-    /// without giving up session reuse.
+    /// without giving up session reuse. A distributed test under
+    /// another worker count or other [`ck_congest::net::NetOptions`]
+    /// than the live fleet's respawns the fleet.
     pub fn engine_mut(&mut self) -> &mut EngineConfig {
         &mut self.engine
     }
@@ -217,10 +232,13 @@ impl TesterSession {
         self.ws.slot_stats()
     }
 
-    /// Runs the full tester on `g`, recycling the session's workspace
-    /// and arena. Output is bit-identical to a fresh-state run.
+    /// Runs the full tester on `g`, recycling the session's workspace,
+    /// arena and worker fleet. Output is bit-identical to a fresh-state
+    /// run.
     pub fn test(&mut self, g: &Graph) -> Result<TesterRun, EngineError> {
-        tester_exec(g, &self.cfg, &self.engine, &mut self.ws, &mut self.arena)
+        let mut run = TesterRun::default();
+        self.test_into(g, &mut run)?;
+        Ok(run)
     }
 
     /// As [`test`](TesterSession::test), writing the result into a
@@ -231,7 +249,15 @@ impl TesterSession {
     /// `ck_lint::alloc_gate` regression tests turn into a CI gate. On
     /// error the run's contents are unspecified.
     pub fn test_into(&mut self, g: &Graph, run: &mut TesterRun) -> Result<(), EngineError> {
-        tester_exec_into(g, &self.cfg, &self.engine, &mut self.ws, &mut self.arena, run)
+        tester_exec_into(
+            g,
+            &self.cfg,
+            &self.engine,
+            &mut self.ws,
+            &mut self.arena,
+            &mut self.fleet,
+            run,
+        )
     }
 
     /// Runs a family of jobs through the sharded batch runner (one

@@ -21,6 +21,7 @@
 //! each node program holds a view into it, on every executor.
 
 use crate::decide::{decide_reject, RejectWitness};
+use crate::dist::Fleet;
 use crate::msg::{CkMsg, EdgeTag, SeqPool};
 use crate::prune::{build_send_set_into, PrunerKind};
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
@@ -503,10 +504,11 @@ impl TesterRun {
     }
 }
 
-/// The tester engine proper: one full run through a caller-owned
-/// engine workspace and node-state arena. This is the single
-/// implementation behind [`crate::session::TesterSession`] and the batch
-/// runner's per-shard hot path.
+/// The tester engine proper, for callers that keep no worker fleet:
+/// one full run through a caller-owned engine workspace and node-state
+/// arena. This is the batch runner's per-shard hot path (its shards run
+/// the sequential executor); a distributed engine would spawn a fleet
+/// for the run and end it on return.
 /// Engine arenas, wire-load rows, slot arrays, and the node-state arena
 /// are recycled from the previous run instead of reallocated; the output
 /// is bit-identical to a fresh-state run (a reset workspace and a
@@ -519,22 +521,26 @@ pub(crate) fn tester_exec(
     arena: &mut SoaArena,
 ) -> Result<TesterRun, EngineError> {
     let mut run = TesterRun::default();
-    tester_exec_into(g, cfg, engine, ws, arena, &mut run)?;
+    tester_exec_into(g, cfg, engine, ws, arena, &mut Fleet::default(), &mut run)?;
     Ok(run)
 }
 
 /// As [`tester_exec`], writing the result into a caller-owned
-/// [`TesterRun`] instead of allocating a fresh one. The run's engine
-/// outcome is reset (capacities kept) rather than rebuilt, so a warm
-/// accept-path rerun under the sequential executor performs zero heap
-/// operations — the dynamic contract `ck_lint::alloc_gate` pins down.
-/// On error the run's contents are unspecified.
+/// [`TesterRun`] instead of allocating a fresh one, and running a
+/// distributed engine on the caller's worker `fleet` (see
+/// [`Fleet::run`]). This is the single implementation behind
+/// [`crate::session::TesterSession`]. The run's engine outcome is reset
+/// (capacities kept) rather than rebuilt, so a warm accept-path rerun
+/// under the sequential executor performs zero heap operations — the
+/// dynamic contract `ck_lint::alloc_gate` pins down. On error the run's
+/// contents are unspecified.
 pub(crate) fn tester_exec_into(
     g: &Graph,
     cfg: &TesterConfig,
     engine: &EngineConfig,
     ws: &mut ck_congest::engine::EngineWorkspace<CkMsg>,
     arena: &mut SoaArena,
+    fleet: &mut Fleet,
     run: &mut TesterRun,
 ) -> Result<(), EngineError> {
     let reps = cfg.effective_repetitions();
@@ -548,7 +554,7 @@ pub(crate) fn tester_exec_into(
     // in the report — unless fallback is disabled.
     if let ck_congest::engine::Executor::Distributed { workers } = ecfg.executor {
         let w = u32::from(workers.max(1));
-        match crate::dist::run_distributed(g, cfg, &ecfg, w) {
+        match fleet.run(g, cfg, &ecfg, w) {
             Ok(outcome) => {
                 run.outcome = outcome;
                 finish_tester_run(g, cfg, reps, run);
@@ -569,6 +575,7 @@ pub(crate) fn tester_exec_into(
                 report.threads = w as usize;
                 report.net = Some(ck_congest::metrics::NetReport {
                     workers: w,
+                    fleet_spawned: fleet.spawned(),
                     fallback: Some(ne.to_string()),
                     recovery_ms: Some(recovery_start.elapsed().as_millis() as u64),
                     ..ck_congest::metrics::NetReport::default()

@@ -243,36 +243,6 @@ fn more_workers_than_nodes_leaves_empty_partitions_in_lockstep() {
 }
 
 #[test]
-fn warm_session_restarts_cleanly() {
-    // A coordinator restart on a warm `TesterSession`: the same
-    // session object spins up a fresh worker fleet per test, and a
-    // degraded run must not poison the next one.
-    let inst = eps_far_instance(24, 4, 0.15, 8);
-    let free = matched_free_instance(24, 4);
-    let mut cfg = TesterConfig::new(4, 0.25, 12);
-    cfg.repetitions = Some(2);
-    let mut session = TesterSession::from_config(
-        cfg,
-        EngineConfig {
-            executor: Executor::Distributed { workers: 2 },
-            net: fast_net(),
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let first = session.test(&inst.graph).unwrap();
-    assert!(first.reject);
-    assert!(first.outcome.report.net.as_ref().unwrap().completed_distributed());
-    let second = session.test(&free).unwrap();
-    assert!(!second.reject);
-    assert!(second.outcome.report.net.as_ref().unwrap().completed_distributed());
-    // Third run reproduces the first bit-for-bit on the warm session.
-    let third = session.test(&inst.graph).unwrap();
-    assert_eq!(third.outcome.verdicts, first.outcome.verdicts);
-    assert_eq!(third.outcome.report.per_round, first.outcome.report.per_round);
-}
-
-#[test]
 fn run_time_does_not_follow_the_heartbeat_interval() {
     // Heartbeats are liveness only: with a 5 s interval no healthy run
     // may wait for a beat, or for the beat thread to notice a stop.
@@ -305,6 +275,198 @@ fn run_time_does_not_follow_the_heartbeat_interval() {
         assert_eq!(run.outcome.report.per_round, oracle.outcome.report.per_round);
         assert!(took < Duration::from_secs(1), "job {job} took {took:?} with 5 s heartbeats");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fleet lifecycle: a session spawns its workers once and reuses them.
+// ---------------------------------------------------------------------------
+
+fn dist_session(cfg: TesterConfig, workers: u16) -> TesterSession {
+    TesterSession::from_config(
+        cfg,
+        EngineConfig {
+            executor: Executor::Distributed { workers },
+            net: fast_net(),
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+fn oracle(g: &Graph, cfg: TesterConfig) -> TesterRun {
+    run_with(g, cfg, EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() })
+}
+
+/// Asserts that `run` completed distributed, spawned its fleet iff
+/// `spawned`, and matches the sequential oracle bit for bit.
+fn assert_fleet_run(run: &TesterRun, spawned: bool, g: &Graph, cfg: TesterConfig, what: &str) {
+    let net = run.outcome.report.net.as_ref().expect("distributed run records a net block");
+    assert!(net.completed_distributed(), "{what}: degraded: {:?}", net.fallback);
+    assert_eq!(net.fleet_spawned, spawned, "{what}: fleet spawned");
+    let seq = oracle(g, cfg);
+    assert_eq!(run.reject, seq.reject, "{what}: network verdict");
+    assert_eq!(run.repetitions, seq.repetitions, "{what}");
+    assert_eq!(run.outcome.verdicts, seq.outcome.verdicts, "{what}: per-node verdicts");
+    assert_eq!(run.outcome.report.rounds, seq.outcome.report.rounds, "{what}");
+    assert_eq!(run.outcome.report.per_round, seq.outcome.report.per_round, "{what}: round stats");
+    assert_eq!(run.outcome.report.faults, seq.outcome.report.faults, "{what}: fault accounting");
+}
+
+#[test]
+fn fleet_warm_session_reuses_its_workers() {
+    // The first test spawns the session's worker fleet; every later
+    // test runs over the same links, accept and reject paths alike.
+    let inst = eps_far_instance(24, 4, 0.15, 8);
+    let free = matched_free_instance(24, 4);
+    let mut cfg = TesterConfig::new(4, 0.25, 12);
+    cfg.repetitions = Some(2);
+    let mut session = dist_session(cfg, 2);
+    let first = session.test(&inst.graph).unwrap();
+    assert!(first.reject);
+    assert_fleet_run(&first, true, &inst.graph, cfg, "first job");
+    let second = session.test(&free).unwrap();
+    assert!(!second.reject);
+    assert_fleet_run(&second, false, &free, cfg, "second job");
+    // The third job reproduces the first bit for bit on the reused fleet.
+    let third = session.test(&inst.graph).unwrap();
+    assert_fleet_run(&third, false, &inst.graph, cfg, "third job");
+    assert_eq!(third.outcome.verdicts, first.outcome.verdicts);
+    assert_eq!(third.outcome.report.per_round, first.outcome.report.per_round);
+    // The same traffic; only the spawn flag and liveness beats differ.
+    let traffic = |run: &TesterRun| {
+        let net = run.outcome.report.net.clone().unwrap();
+        ck_congest::metrics::NetReport { fleet_spawned: false, heartbeats: 0, ..net }
+    };
+    assert_eq!(traffic(&third), traffic(&first));
+}
+
+#[test]
+fn fleet_jobs_over_new_graphs_seeds_and_k_match_the_oracle() {
+    // One fleet, four jobs that share nothing but the worker count:
+    // each job's Spec rebuilds the partitions anew.
+    let far4 = eps_far_instance(30, 4, 0.15, 41);
+    let far5 = eps_far_instance(36, 5, 0.12, 42);
+    let g = gnp(20, 0.3, 43);
+    let mut cfg = TesterConfig::new(4, 0.25, 1);
+    cfg.repetitions = Some(2);
+    let mut session = dist_session(cfg, 3);
+    let run = session.test(&far4.graph).unwrap();
+    assert_fleet_run(&run, true, &far4.graph, cfg, "k = 4, seed 1");
+    session.set_seed(99);
+    cfg.seed = 99;
+    let run = session.test(&g).unwrap();
+    assert_fleet_run(&run, false, &g, cfg, "k = 4, seed 99, G(n, p)");
+    let mut five = TesterConfig::new(5, 0.2, 7);
+    five.repetitions = Some(2);
+    five.early_abort = true;
+    session.reconfigure(five).unwrap();
+    let run = session.test(&far5.graph).unwrap();
+    assert_fleet_run(&run, false, &far5.graph, five, "reconfigured to k = 5");
+    let run = session.test(&far4.graph).unwrap();
+    assert_fleet_run(&run, false, &far4.graph, five, "k = 5 on the k = 4 instance");
+    // The fault plan travels in each job's Spec as well: the reused
+    // fleet replays every fault coin of the oracle.
+    let plan = FaultPlan::none().random_loss(0.05, 99).crash(3, 4);
+    session.engine_mut().faults = plan.clone();
+    let run = session.test(&far5.graph).unwrap();
+    let net = run.outcome.report.net.as_ref().unwrap();
+    assert!(net.completed_distributed() && !net.fleet_spawned, "faults reuse the fleet: {net:?}");
+    let seq = run_with(
+        &far5.graph,
+        five,
+        EngineConfig { executor: Executor::Sequential, faults: plan, ..EngineConfig::default() },
+    );
+    assert_eq!(run.outcome.verdicts, seq.outcome.verdicts, "faulty job: per-node verdicts");
+    assert_eq!(run.outcome.report.per_round, seq.outcome.report.per_round, "faulty job");
+    assert_eq!(
+        run.outcome.report.faults, seq.outcome.report.faults,
+        "faulty job: fault accounting"
+    );
+}
+
+#[test]
+fn fleet_respawns_after_a_chaos_degraded_run_then_reuses() {
+    let inst = eps_far_instance(24, 4, 0.15, 19);
+    let mut cfg = TesterConfig::new(4, 0.25, 26);
+    cfg.repetitions = Some(2);
+    let mut session = dist_session(cfg, 2);
+    assert_fleet_run(&session.test(&inst.graph).unwrap(), true, &inst.graph, cfg, "healthy");
+    // Worker 1 dies when told to run round 1: the run degrades to the
+    // oracle within the chaos budget and the fleet is reaped.
+    let healthy = session.engine().net.clone();
+    let plan = ChaosPlan { abort_at_round: Some(1), ..ChaosPlan::for_worker(1) };
+    session.engine_mut().net = chaos_net(plan);
+    let started = Instant::now();
+    let degraded = session.test(&inst.graph).unwrap();
+    assert!(started.elapsed() < CHAOS_BUDGET, "chaos run exceeded the time budget");
+    let net = degraded.outcome.report.net.as_ref().unwrap();
+    assert!(net.fallback.is_some(), "the injected fault must be detected and recorded");
+    assert!(net.fleet_spawned, "new options spawn a new fleet");
+    assert_eq!(degraded.outcome.verdicts, oracle(&inst.graph, cfg).outcome.verdicts);
+    // Back to the healthy options: the next job respawns, the one after
+    // reuses.
+    session.engine_mut().net = healthy;
+    assert_fleet_run(&session.test(&inst.graph).unwrap(), true, &inst.graph, cfg, "respawn");
+    assert_fleet_run(&session.test(&inst.graph).unwrap(), false, &inst.graph, cfg, "reuse");
+}
+
+#[test]
+fn fleet_respawns_when_the_worker_count_changes() {
+    let inst = eps_far_instance(30, 4, 0.15, 27);
+    let mut cfg = TesterConfig::new(4, 0.25, 28);
+    cfg.repetitions = Some(2);
+    let mut session = dist_session(cfg, 2);
+    assert_fleet_run(&session.test(&inst.graph).unwrap(), true, &inst.graph, cfg, "2 workers");
+    assert_fleet_run(&session.test(&inst.graph).unwrap(), false, &inst.graph, cfg, "2 again");
+    session.engine_mut().executor = Executor::Distributed { workers: 3 };
+    let run = session.test(&inst.graph).unwrap();
+    assert_eq!(run.outcome.report.net.as_ref().unwrap().workers, 3);
+    assert_fleet_run(&run, true, &inst.graph, cfg, "3 workers");
+    assert_fleet_run(&session.test(&inst.graph).unwrap(), false, &inst.graph, cfg, "3 again");
+}
+
+/// Set in the child process that
+/// [`fleet_drop_of_an_idle_session_joins_every_worker_thread`] runs
+/// itself in.
+#[cfg(target_os = "linux")]
+const FLEET_DROP_CHILD: &str = "CK_FLEET_DROP_CHILD";
+
+#[cfg(target_os = "linux")]
+#[test]
+fn fleet_drop_of_an_idle_session_joins_every_worker_thread() {
+    // Counting this process's threads needs a process that runs
+    // nothing else, so the test re-runs itself alone in a child.
+    if std::env::var_os(FLEET_DROP_CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["fleet_drop_of_an_idle_session_joins_every_worker_thread", "--exact"])
+            .env(FLEET_DROP_CHILD, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains("1 passed"), "the child ran the test: {stdout}");
+        return;
+    }
+    let threads = || std::fs::read_dir("/proc/self/task").unwrap().count();
+    let inst = eps_far_instance(24, 4, 0.15, 29);
+    let mut cfg = TesterConfig::new(4, 0.25, 30);
+    cfg.repetitions = Some(2);
+    let before = threads();
+    let mut session = dist_session(cfg, 2);
+    for job in 0..2 {
+        assert_fleet_run(&session.test(&inst.graph).unwrap(), job == 0, &inst.graph, cfg, "job");
+    }
+    assert_eq!(threads(), before + 4, "an idle fleet: two workers and their two heartbeats");
+    let started = Instant::now();
+    drop(session);
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "dropping an idle fleet took {took:?}");
+    // A joined thread's task entry goes a moment after the join returns.
+    let settled = Instant::now();
+    while threads() > before && settled.elapsed() < Duration::from_secs(1) {
+        std::thread::yield_now();
+    }
+    assert_eq!(threads(), before, "every worker and heartbeat thread is joined");
 }
 
 // ---------------------------------------------------------------------------
