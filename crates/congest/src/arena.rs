@@ -1,9 +1,9 @@
 //! Shared internals of the arena engine: the double-buffered,
-//! sender-segmented inbox arena, the flat per-directed-edge load table,
-//! and the per-round digest the fused accounting feeds and every
-//! executor closes its rounds with. Split out of `engine` so the
-//! node-side [`crate::node::Outbox`] can write straight into inboxes
-//! without a module cycle.
+//! sender-segmented inbox arena with its per-segment payload arenas,
+//! the flat per-directed-edge load table, and the per-round digest the
+//! fused accounting feeds and every executor closes its rounds with.
+//! Split out of `engine` so the node-side [`crate::node::Outbox`] can
+//! write straight into inboxes without a module cycle.
 
 use std::cell::UnsafeCell;
 
@@ -111,6 +111,70 @@ impl LoadTable {
     }
 }
 
+/// Owned payloads of one inbox segment, in address-stable blocks.
+///
+/// A targeted send moves its payload in here and the receiver's box
+/// gets a [`Packet`] pointing at it. Blocks are never resized: a full
+/// block is followed by a new one twice its size, so a pushed payload
+/// never moves until [`PayloadArena::clear`] drops it. `clear` keeps
+/// the blocks, so a refill of the same size allocates nothing.
+pub(crate) struct PayloadArena<M> {
+    blocks: Vec<Vec<M>>,
+    /// The block being filled; every block before it is full, every
+    /// block after it empty.
+    cur: usize,
+}
+
+/// Capacity of a payload arena's first block, in payloads.
+const FIRST_BLOCK: usize = 64;
+
+impl<M> Default for PayloadArena<M> {
+    fn default() -> Self {
+        PayloadArena { blocks: Vec::new(), cur: 0 }
+    }
+}
+
+impl<M> PayloadArena<M> {
+    /// Moves `msg` into the arena and returns its address, valid until
+    /// the next [`PayloadArena::clear`].
+    pub(crate) fn push(&mut self, msg: M) -> *const M {
+        loop {
+            if let Some(block) = self.blocks.get_mut(self.cur) {
+                let i = block.len();
+                if i < block.capacity() {
+                    // Within capacity: the push never reallocates, so
+                    // the payloads already in the block stay put.
+                    block.push(msg);
+                    return block.as_ptr().wrapping_add(i);
+                }
+                self.cur += 1;
+            } else {
+                let cap =
+                    self.blocks.last().map_or(FIRST_BLOCK, |b| b.capacity().saturating_mul(2));
+                self.blocks.push(Vec::with_capacity(cap));
+            }
+        }
+    }
+
+    /// Drops every payload and keeps the blocks. No packet may still
+    /// point into the arena.
+    pub(crate) fn clear(&mut self) {
+        for block in self.blocks.iter_mut().take(self.cur + 1) {
+            block.clear();
+        }
+        self.cur = 0;
+    }
+}
+
+/// Type-erased write handle of one segment of an [`InboxArena`]: the
+/// base of its `nodes` receiver boxes (`*mut Vec<Packet<M>>`) and its
+/// payload arena (`*mut PayloadArena<M>`), for the outbox's inbox sink.
+#[derive(Clone, Copy)]
+pub(crate) struct Segment {
+    pub(crate) boxes: *mut (),
+    pub(crate) payloads: *mut (),
+}
+
 /// Double-buffered, segmented per-receiver inboxes: the message arena
 /// of every executor.
 ///
@@ -118,28 +182,38 @@ impl LoadTable {
 /// process, the chunks of the run's pinned [`rayon::ChunkPlan`], with
 /// `W = 1` for the sequential executor) holds `W·n` boxes in
 /// segment-major order: box `w·n + v` holds the messages for receiver
-/// `v` from the senders of chunk `w`, stored already labeled with their
-/// receiver-side port. A distributed worker uses two segments: senders
-/// below its range, then its own and those above (see
-/// [`crate::net::partition`]). Broadcast payloads park once in the
-/// sender's slot and the boxes carry shared refs.
+/// `v` from the senders of chunk `w`, as 16-byte [`Packet`]s already
+/// labeled with their receiver-side port. A distributed worker uses two
+/// segments: senders below its range, then its own and those above
+/// (see [`crate::net::partition`]). A packet points at its payload:
+/// broadcast payloads park once in the sender's slot, and every other
+/// payload lives in its segment's [`PayloadArena`].
 ///
 /// Interior mutability with hand-verified disjointness, upheld by the
-/// round loop: while this arena is in the write role, segment `w` is
-/// written only by the thread stepping chunk `w` (so two writer threads
-/// never touch the same box, and segment-major order gives each one a
-/// contiguous range, off the others' cache lines except at the range
-/// edges); while it is in the read role, the `W` boxes
-/// of receiver `v` are read and cleared only by `v`'s own step.
+/// round loop: while this arena is in the write role, segment `w` (its
+/// boxes and its payload arena) is written only by the thread stepping
+/// chunk `w` (so two writer threads never touch the same box, and
+/// segment-major order gives each one a contiguous range, off the
+/// others' cache lines except at the range edges); while it is in the
+/// read role, the `W` boxes of receiver `v` are read and cleared only
+/// by `v`'s own step, and no payload arena is written.
 pub(crate) struct InboxArena<M> {
+    /// The `W·n` receiver boxes, segment-major. A box only ever holds
+    /// packets whose payloads live in this arena generation.
     boxes: Vec<UnsafeCell<Vec<Packet<M>>>>,
+    /// One payload arena per segment, written by that segment's writer
+    /// alone. Cleared whenever this generation re-enters the write role
+    /// (in `swap_roles` and in `reset`), when every box of the
+    /// generation is already empty.
+    payloads: Vec<UnsafeCell<PayloadArena<M>>>,
     /// Per-sender broadcast slots: slot `v` holds the payload of `v`'s
-    /// broadcast of this generation *once*; the boxes carry shared refs
-    /// into it. Written only by `v` during the write phase, read only
-    /// by `v`'s neighbors during the following read phase (when no slot
-    /// of this arena is written at all), overwritten by `v`'s next
-    /// same-parity broadcast — which is when the stale payload is
-    /// evicted back to `v` for recycling. Never scanned or cleared.
+    /// first broadcast of this generation *once*; the boxes carry
+    /// pointers into it. Written only by `v` during the write phase,
+    /// read only by `v`'s neighbors during the following read phase
+    /// (when no slot of this arena is written at all), overwritten by
+    /// `v`'s next same-parity broadcast — which is when the stale
+    /// payload is evicted back to `v` for recycling. Never scanned or
+    /// cleared.
     slots: Vec<UnsafeCell<Option<M>>>,
     /// Receivers per segment in the current (or last) run.
     nodes: usize,
@@ -148,37 +222,48 @@ pub(crate) struct InboxArena<M> {
     segments: usize,
 }
 
-// SAFETY: shared access reaches boxes only through `segment_ptr` and
-// `gather`, whose callers uphold the segment/receiver disjointness
-// documented on the type, and slots through `slots_ptr`, whose callers
-// uphold the sender-only write rule documented on the field; `nodes`
-// and `segments` change only under `&mut self`. `M: Send` makes moving
-// messages across the worker threads sound, and `M: Sync` covers the
-// concurrent shared reads of broadcast slots by several receivers.
+// SAFETY: shared access reaches boxes and payload arenas only through
+// `segment_ptr` and `gather`, whose callers uphold the
+// segment/receiver disjointness documented on the type, and slots
+// through `slots_ptr`, whose callers uphold the sender-only write rule
+// documented on the field; `nodes` and `segments` change only under
+// `&mut self`. `M: Send` makes moving messages across the worker
+// threads sound, and `M: Sync` covers the concurrent shared reads of
+// one payload by several receivers.
 unsafe impl<M: Send + Sync> Sync for InboxArena<M> {}
 
 impl<M> InboxArena<M> {
     /// An empty arena (allocates nothing until its first `reset`).
     pub(crate) fn new() -> Self {
-        InboxArena { boxes: Vec::new(), slots: Vec::new(), nodes: 0, segments: 0 }
+        InboxArena {
+            boxes: Vec::new(),
+            payloads: Vec::new(),
+            slots: Vec::new(),
+            nodes: 0,
+            segments: 0,
+        }
     }
 
     /// Prepares the arena for a run over `nodes` receivers in
     /// `segments` sender chunks, reusing the previous run's buffer
     /// capacities: boxes in the previously used extent are cleared
     /// (capacity kept — the whole point of batch reuse), stale
-    /// broadcast payloads are dropped, and the backing arrays grow only
-    /// when the new shape does not fit. `&mut self` proves exclusivity,
-    /// so no unsafe cell access is needed.
+    /// payloads are dropped (payload blocks kept), and the backing
+    /// arrays grow only when the new shape does not fit. `&mut self`
+    /// proves exclusivity, so no unsafe cell access is needed.
     pub(crate) fn reset(&mut self, nodes: usize, segments: usize) {
         for b in self.boxes.iter_mut().take(self.nodes * self.segments) {
             b.get_mut().clear();
         }
+        self.clear_payloads();
         for slot in self.slots.iter_mut().take(self.nodes) {
             *slot.get_mut() = None;
         }
         if self.boxes.len() < nodes * segments {
             self.boxes.resize_with(nodes * segments, || UnsafeCell::new(Vec::new()));
+        }
+        if self.payloads.len() < segments {
+            self.payloads.resize_with(segments, || UnsafeCell::new(PayloadArena::default()));
         }
         if self.slots.len() < nodes {
             self.slots.resize_with(nodes, || UnsafeCell::new(None));
@@ -187,17 +272,52 @@ impl<M> InboxArena<M> {
         self.segments = segments;
     }
 
-    /// Type-erased base pointer of segment `w` — `nodes` boxes indexed
-    /// by receiver (`*mut Vec<Packet<M>>`) — for the outbox's inbox
-    /// sink. Access contract as documented on the type: only the
+    /// Ends a round: `next`, this round's write arena, becomes the read
+    /// arena, and `cur`, whose boxes every receiver's step emptied,
+    /// re-enters the write role with its payloads dropped. The
+    /// in-process round loop and a distributed worker's
+    /// `commit_round` both end a round here.
+    pub(crate) fn swap_roles(cur: &mut Self, next: &mut Self) {
+        std::mem::swap(cur, next);
+        next.clear_payloads();
+    }
+
+    /// Drops every payload of the segments' payload arenas, keeping
+    /// their blocks: how a generation whose boxes were all emptied
+    /// re-enters the write role. `&mut self` proves no round is
+    /// stepping.
+    fn clear_payloads(&mut self) {
+        debug_assert!(
+            self.boxes.iter_mut().all(|b| b.get_mut().is_empty()),
+            "payloads dropped while a box still points at them"
+        );
+        for p in self.payloads.iter_mut() {
+            p.get_mut().clear();
+        }
+    }
+
+    /// Type-erased write handle of segment `w` — `nodes` boxes indexed
+    /// by receiver and the segment's payload arena — for the outbox's
+    /// inbox sink. Access contract as documented on the type: only the
     /// thread stepping chunk `w` writes through it, and only while this
     /// arena is in the write role.
-    pub(crate) fn segment_ptr(&self, w: usize) -> *mut () {
+    pub(crate) fn segment_ptr(&self, w: usize) -> Segment {
         debug_assert!(w < self.segments);
         // The full-range index keeps all `nodes` boxes the sink may
         // write inside the array. UnsafeCell<T> is repr(transparent)
         // over T.
-        self.boxes[w * self.nodes..(w + 1) * self.nodes].as_ptr() as *mut ()
+        Segment {
+            boxes: self.boxes[w * self.nodes..(w + 1) * self.nodes].as_ptr() as *mut (),
+            payloads: self.payloads[w].get() as *mut (),
+        }
+    }
+
+    /// Files one delivery in box `(w, v)`, its payload moved into
+    /// segment `w`'s payload arena. `&mut self` proves no round is
+    /// stepping, so no unsafe cell access is needed.
+    pub(crate) fn push_owned(&mut self, w: usize, v: NodeIndex, port: u32, msg: M) {
+        let msg = self.payloads[w].get_mut().push(msg);
+        self.inbox_mut(w, v).push(Packet { port, msg });
     }
 
     /// Gathers receiver `v`'s traffic in place: appends each later
@@ -434,10 +554,11 @@ mod tests {
         let mut arena: InboxArena<u64> = InboxArena::new();
         arena.reset(n, segs);
         let stride = std::mem::size_of::<Vec<Packet<u64>>>();
-        let base = arena.segment_ptr(0) as usize;
+        let base = arena.segment_ptr(0).boxes as usize;
         let mut addrs = Vec::new();
         for w in 0..segs {
-            assert_eq!(arena.segment_ptr(w) as usize, base + w * n * stride);
+            assert_eq!(arena.segment_ptr(w).boxes as usize, base + w * n * stride);
+            assert_eq!(arena.segment_ptr(w).payloads, arena.payloads[w].get() as *mut ());
             for v in 0..n as NodeIndex {
                 let b = arena.inbox_mut(w, v);
                 assert!(b.is_empty(), "box ({w}, {v}) starts empty");
@@ -452,40 +573,82 @@ mod tests {
     }
 
     /// Reshaping a used arena — (n = 5, W = 3) to (n = 4, W = 1) and
-    /// back — leaves every box empty, including the ones the smaller
-    /// shape does not address; and `gather` merges a receiver's boxes in
-    /// ascending segment order into the first nonempty one.
+    /// back — leaves every box and every payload arena empty, including
+    /// the ones the smaller shape does not address; and `gather` merges
+    /// a receiver's boxes in ascending segment order into the first
+    /// nonempty one.
     #[test]
     fn reshaping_reset_empties_every_box() {
         let fill = |arena: &mut InboxArena<u64>, n: usize, segs: usize| {
             for w in 0..segs {
                 for v in 0..n as NodeIndex {
-                    arena.inbox_mut(w, v).push(Packet::Own { port: w as u32, msg: u64::from(v) });
+                    arena.push_owned(w, v, w as u32, u64::from(v));
                 }
             }
         };
-        let all_empty =
-            |arena: &mut InboxArena<u64>| arena.boxes.iter_mut().all(|b| b.get_mut().is_empty());
+        let all_empty = |arena: &mut InboxArena<u64>| {
+            arena.boxes.iter_mut().all(|b| b.get_mut().is_empty())
+                && arena.payloads.iter_mut().all(|p| p.get_mut().blocks.iter().all(Vec::is_empty))
+        };
         let mut arena: InboxArena<u64> = InboxArena::new();
         arena.reset(5, 3);
         fill(&mut arena, 5, 3);
         // SAFETY: single-threaded test, no overlapping access.
-        let got: Vec<u32> = unsafe { arena.gather(2) }
-            .iter()
-            .map(|p| match p {
-                Packet::Own { port, .. } | Packet::Shared { port, .. } => *port,
-            })
-            .collect();
+        let got: Vec<u32> = unsafe { arena.gather(2) }.iter().map(|p| p.port).collect();
         assert_eq!(got, vec![0, 1, 2], "gather keeps ascending segment order");
         for w in 1..3 {
             assert!(arena.inbox_mut(w, 2).is_empty(), "gathered boxes are emptied");
         }
         arena.reset(4, 1);
         assert_eq!(arena.boxes.len(), 15, "shrinking keeps the backing boxes");
+        assert_eq!(arena.payloads.len(), 3, "shrinking keeps the payload arenas");
         assert!(all_empty(&mut arena));
         fill(&mut arena, 4, 1);
         arena.reset(5, 3);
         assert!(all_empty(&mut arena));
+    }
+
+    /// The address `push` returns is the payload's address for as long
+    /// as it lives: later pushes that open new blocks move nothing.
+    #[test]
+    fn payload_addresses_survive_block_growth() {
+        let mut arena: PayloadArena<u64> = PayloadArena::default();
+        let count = 5 * FIRST_BLOCK + 3;
+        let ptrs: Vec<*const u64> = (0..count as u64).map(|i| arena.push(i * 7)).collect();
+        assert!(arena.blocks.len() >= 3, "the pushes spanned several blocks");
+        let live: Vec<*const u64> =
+            arena.blocks.iter().flat_map(|b| b.iter().map(|m| m as *const u64)).collect();
+        assert_eq!(live, ptrs, "every payload sits where its push said");
+        let values: Vec<u64> = arena.blocks.iter().flatten().copied().collect();
+        assert_eq!(values, (0..count as u64).map(|i| i * 7).collect::<Vec<_>>());
+    }
+
+    /// `clear` drops each payload exactly once and keeps the blocks: a
+    /// refill of the same size reuses them without allocating a block.
+    #[test]
+    fn clear_drops_each_payload_once_and_keeps_blocks() {
+        use std::rc::Rc;
+        let live = Rc::new(());
+        let mut arena: PayloadArena<Rc<()>> = PayloadArena::default();
+        let count = 3 * FIRST_BLOCK + 1;
+        for _ in 0..count {
+            arena.push(Rc::clone(&live));
+        }
+        assert_eq!(Rc::strong_count(&live), count + 1);
+        let shape: Vec<(*const Rc<()>, usize)> =
+            arena.blocks.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+        arena.clear();
+        assert_eq!(Rc::strong_count(&live), 1, "each payload dropped exactly once");
+        arena.clear();
+        assert_eq!(Rc::strong_count(&live), 1, "a second clear drops nothing");
+        for _ in 0..count {
+            arena.push(Rc::clone(&live));
+        }
+        let refilled: Vec<(*const Rc<()>, usize)> =
+            arena.blocks.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+        assert_eq!(refilled, shape, "a same-size refill allocates no block");
+        drop(arena);
+        assert_eq!(Rc::strong_count(&live), 1, "dropping the arena drops the refill");
     }
 
     #[test]

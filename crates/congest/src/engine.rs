@@ -15,8 +15,17 @@
 //! its range, then its own and those above). Two such arenas swap
 //! roles each round — nodes read round `r`'s traffic out of the
 //! *current* arena while writing round `r+1`'s into the *next* one.
-//! After warm-up every box has reached its peak capacity and the
-//! steady-state round loop allocates nothing.
+//!
+//! A box holds 16-byte packets: the receiver-side port and a pointer to
+//! the payload. A broadcast's payload is parked once in its sender's
+//! broadcast slot; every other payload (targeted sends, corrupted
+//! copies, a second broadcast's per-port clones) moves into the payload
+//! arena of the sender's segment, built from address-stable blocks and
+//! written only by the thread that writes the segment. A generation's
+//! payloads are dropped in one pass when it re-enters the write role,
+//! so clearing a box after a step is O(1). After warm-up every box and
+//! payload arena has reached its peak capacity and the steady-state
+//! round loop allocates nothing.
 //!
 //! Within one round each node, independently of all others (this is the
 //! data-parallelism the model prescribes, exploited by the parallel
@@ -51,9 +60,11 @@
 //!
 //! Safety of the shared arenas rests on two disjointness invariants,
 //! both enforced by construction: during a round, segment `w` of the
-//! *next* arena is written only by the thread stepping chunk `w`, and
-//! the `W` boxes of receiver `v` in the *current* arena are read and
-//! cleared only by `v`'s own step.
+//! *next* arena (its boxes and its payload arena) is written only by
+//! the thread stepping chunk `w`, and the `W` boxes of receiver `v` in
+//! the *current* arena are read and cleared only by `v`'s own step.
+//! Every packet points into its own arena generation, which nobody
+//! writes during its read phase.
 //!
 //! The engine also maintains the count of running nodes incrementally
 //! (nodes only ever transition `Running → Halted`), so termination
@@ -61,7 +72,7 @@
 
 use rayon::prelude::*;
 
-use crate::arena::{InboxArena, LoadTable, RoundDigest};
+use crate::arena::{InboxArena, LoadTable, RoundDigest, Segment};
 use crate::fault::FaultPlan;
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
@@ -210,9 +221,10 @@ impl<V> RunOutcome<V> {
 ///
 /// A fresh workspace owns nothing but empty vectors, so the first run
 /// through it allocates the arenas. Later runs *reset* the workspace
-/// instead of reallocating: inbox boxes and load rows in the previously
-/// used extent are cleared with their capacities kept, and the backing
-/// arrays grow only when the next graph (or chunk count) does not fit.
+/// instead of reallocating: inbox boxes, payload arenas and load rows in
+/// the previously used extent are cleared with their capacities kept,
+/// and the backing arrays grow only when the next graph (or chunk
+/// count) does not fit.
 /// A shard of a batch run drives dozens of graphs through one workspace
 /// and reaches steady-state allocation-free setup after the largest job
 /// has warmed it up.
@@ -556,7 +568,7 @@ pub(crate) struct RoundIo<'a, M> {
 #[inline(always)]
 pub(crate) fn step_node<P: Program>(
     v: NodeIndex,
-    segment: *mut (),
+    segment: Segment,
     slot: &mut Slot<P>,
     io: &RoundIo<'_, P::Msg>,
     acc: &mut RoundDigest,
@@ -591,7 +603,7 @@ pub(crate) fn step_node<P: Program>(
         Outbox::direct(
             edges.len() as u32,
             DirectSink {
-                inboxes: segment,
+                segment,
                 slots: next.slots_ptr(),
                 receivers: graph.neighbors(v).as_ptr(),
                 rev_ports: graph.rev_ports_row(v).as_ptr(),
@@ -603,8 +615,8 @@ pub(crate) fn step_node<P: Program>(
             mode,
         )
     };
-    // SAFETY: the gathered packets' shared pointers target broadcast
-    // slots of `cur`, which no one writes while `cur` is in the read
+    // SAFETY: the gathered packets point at broadcast slots and payload
+    // arenas of `cur`, which no one writes while `cur` is in the read
     // role — valid for the whole step call.
     let view = unsafe { Inbox::from_packets(inbox) };
     let status = slot.prog.step(ctx.round, view, &mut out);
@@ -659,9 +671,9 @@ pub fn node_chunk_len(n: usize) -> usize {
 /// the caller's thread, without going through the shim, so a warm
 /// rerun touches the heap zero times; otherwise every round steps each
 /// chunk on its own scoped thread under the pinned plan. Invariant at
-/// the top of every round: `next` is entirely empty, `cur` holds
-/// exactly the undelivered traffic of the previous round. Returns
-/// `(rounds_executed, active)`.
+/// the top of every round: `next` is entirely empty — its boxes and its
+/// payload arenas — and `cur` holds exactly the undelivered traffic of
+/// the previous round. Returns `(rounds_executed, active)`.
 #[allow(clippy::too_many_arguments)]
 fn run_rounds<P: Program>(
     graph: &Graph,
@@ -708,7 +720,7 @@ fn run_rounds<P: Program>(
 
         // Swap buffers: this round's writes become next round's reads;
         // the fully-drained read arena becomes the write arena.
-        std::mem::swap(cur, next);
+        InboxArena::swap_roles(cur, next);
         round += 1;
     }
     Ok((round, active))

@@ -24,12 +24,21 @@
 //! order. Appending to the segment on the sender's side of the range
 //! therefore keeps every box in ascending sender order, the gather
 //! yields the canonical delivery order with no sort, and
-//! [`PartitionEngine::commit_round`] only swaps the arenas.
+//! [`PartitionEngine::commit_round`] only swaps the arenas and drops
+//! the payloads of the generation that re-enters the write role.
+//!
+//! Boxes hold 16-byte packets, as in process. A first broadcast's
+//! payload stays in its sender's slot; every other payload — the owned
+//! senders' targeted sends, corrupted copies and second-broadcast
+//! clones, and the injected remote deliveries — moves into the payload
+//! arena of the segment whose box points at it. The cut drain clones
+//! each payload into its [`OutFrame`].
 //!
 //! A round visits two boxes per owned receiver and one per cut
 //! receiver, so its cost follows the range and the cut, not `n`.
 //! Building the engine still sizes `2·n` boxes per arena and the load
-//! table for the whole graph, once.
+//! table for the whole graph, and a worker builds one engine per job:
+//! the worker's links outlive its jobs, its engine does not.
 
 use std::ops::Range;
 
@@ -38,7 +47,7 @@ use crate::arena::{InboxArena, LoadTable};
 use crate::engine::{step_node, EngineConfig, RoundIo, Slot, WireFlags};
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
-use crate::node::{NodeInit, Packet, Program};
+use crate::node::{NodeInit, Program};
 
 use super::frame::FrameError;
 
@@ -158,18 +167,16 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             step_node(v, segment, slot, &io, &mut acc);
         }
 
-        // Ship what the sends staged for the cut's receivers. Shared
-        // packets point into this round's write-generation broadcast
-        // slots — still live until the arenas swap — so cloning here is
-        // sound.
+        // Ship what the sends staged for the cut's receivers. The
+        // packets point into this round's write generation — its
+        // broadcast slots and the segment's payload arena, both live
+        // until the arena is cleared after a later swap — so cloning
+        // here is sound.
         for &w in &self.cut {
             for pkt in self.next.inbox_mut(OWN, w).drain(..) {
-                let (port, msg) = match pkt {
-                    Packet::Own { port, msg } => (port, msg),
-                    // SAFETY: see above — the slot outlives this drain.
-                    Packet::Shared { port, msg } => (port, unsafe { (*msg).clone() }),
-                };
-                out.push(OutFrame { receiver: w, port, msg });
+                // SAFETY: see above — the payload outlives this drain.
+                let msg = unsafe { (*pkt.msg).clone() };
+                out.push(OutFrame { receiver: w, port: pkt.port, msg });
             }
         }
         acc
@@ -205,16 +212,18 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             return Err(FrameError::BadBody("delivery from a sender inside the partition"));
         }
         let segment = usize::from(sender >= self.hi);
-        self.next.inbox_mut(segment, receiver).push(Packet::Own { port, msg });
+        self.next.push_owned(segment, receiver, port, msg);
         Ok(())
     }
 
     /// Seals the round after all remote deliveries are injected: swaps
     /// the double buffers. Nothing is reordered — segment 0 holds the
     /// senders below the range and segment 1 the rest, each in
-    /// ascending order.
+    /// ascending order. The generation that re-enters the write role
+    /// had every box emptied (owned receivers by their steps, cut
+    /// receivers by the drain), so its payloads are dropped here.
     pub fn commit_round(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.next);
+        InboxArena::swap_roles(&mut self.cur, &mut self.next);
     }
 
     /// Per-node verdicts of the owned range, in node order.

@@ -9,10 +9,10 @@
 //! Delivery is *by reference*: a step reads its [`Inbox`] without taking
 //! ownership of any payload, which is what lets a broadcast store its
 //! payload once per sender (in the arena's broadcast slot) and fan out
-//! shared refs instead of clones. Programs that keep a message beyond
-//! the step clone the payload explicitly.
+//! pointers instead of clones. Programs that keep a message beyond the
+//! step clone the payload explicitly.
 
-use crate::arena::{LinkLoad, RoundDigest};
+use crate::arena::{LinkLoad, PayloadArena, RoundDigest, Segment};
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::graph::{NodeId, NodeIndex};
 use crate::message::{WireMessage, WireParams};
@@ -79,25 +79,35 @@ impl NodeInit<'_> {
 }
 
 /// Transport form of one delivered message, as stored in the inbox
-/// arena's per-receiver boxes. Not program-facing — programs read the
-/// resolved [`Incoming`] view through an [`Inbox`].
-pub(crate) enum Packet<M> {
-    /// A targeted send: payload inline, labeled with the receiver-side
-    /// port.
-    Own { port: u32, msg: M },
-    /// A broadcast delivery: the payload lives *once* in its sender's
-    /// broadcast slot of the same arena generation; `msg` points at it.
-    /// Valid exactly as long as that generation's slots are (one full
-    /// read phase) — [`Inbox::from_packets`] is the checkpoint where the
-    /// engine vouches for that.
-    Shared { port: u32, msg: *const M },
+/// arena's per-receiver boxes: the receiver-side port and a pointer to
+/// the payload, 16 bytes for every `M`. Not program-facing — programs
+/// read the resolved [`Incoming`] view through an [`Inbox`].
+///
+/// A broadcast delivery points into its sender's broadcast slot; every
+/// other payload (targeted sends, corrupted copies, a second
+/// broadcast's per-port clones, a distributed worker's remote
+/// deliveries) lives in the payload arena of the segment that holds the
+/// packet. Both belong to the same arena generation as the box and are
+/// valid exactly as long as that generation's read phase —
+/// [`Inbox::from_packets`] is the checkpoint where the engine vouches
+/// for that. Copying a packet copies the pointer, never the payload.
+pub(crate) struct Packet<M> {
+    pub(crate) port: u32,
+    pub(crate) msg: *const M,
 }
 
-// SAFETY: `Own` payloads move between threads (`M: Send`); `Shared`
-// payloads are read concurrently by every receiver of a broadcast
+impl<M> Clone for Packet<M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<M> Copy for Packet<M> {}
+
+// SAFETY: a packet hands its payload to a receiver on another thread
+// (`M: Send`), and one payload can be read by several receivers at once
 // (`M: Sync`). `WireMessage` requires both.
 unsafe impl<M: Send + Sync> Send for Packet<M> {}
-// SAFETY: same argument as Send — both variants are covered by the
+// SAFETY: same argument as Send — both are covered by the
 // `M: Send + Sync` bound.
 unsafe impl<M: Send + Sync> Sync for Packet<M> {}
 
@@ -139,10 +149,10 @@ impl<'r, M> Inbox<'r, M> {
     /// Wraps raw delivery packets (engine-internal).
     ///
     /// # Safety
-    /// Every [`Packet::Shared`] pointer in `packets` must be valid for
-    /// `'r` and not written to while the view lives. The engine
-    /// guarantees this by only building views over the *current* arena
-    /// generation, whose broadcast slots are write-free for the whole
+    /// Every payload pointer in `packets` must be valid for `'r` and not
+    /// written to while the view lives. The engine guarantees this by
+    /// only building views over the *current* arena generation, whose
+    /// broadcast slots and payload arenas are write-free for the whole
     /// read phase.
     pub(crate) unsafe fn from_packets(packets: &'r [Packet<M>]) -> Self {
         Inbox { packets }
@@ -176,12 +186,9 @@ impl<'r, M> Inbox<'r, M> {
 
 /// Resolves a packet to its program-facing view.
 fn resolve<'r, M>(p: &'r Packet<M>) -> Incoming<'r, M> {
-    match p {
-        Packet::Own { port, msg } => Incoming { port: *port, msg },
-        // SAFETY: upheld by `Inbox::from_packets` — the slot the pointer
-        // targets outlives the view and is not written meanwhile.
-        Packet::Shared { port, msg } => Incoming { port: *port, msg: unsafe { &**msg } },
-    }
+    // SAFETY: upheld by `Inbox::from_packets` — the payload the pointer
+    // targets outlives the view and is not written meanwhile.
+    Incoming { port: p.port, msg: unsafe { &*p.msg } }
 }
 
 /// Iterator over an [`Inbox`]'s deliveries.
@@ -221,27 +228,33 @@ impl<'r, M> IntoIterator for &Inbox<'r, M> {
 
 /// Owned delivery buffer for out-of-crate harnesses and reference
 /// engines: fill it with `(port, message)` deliveries, hand the program
-/// a view of it. Its public API only ever stores inline payloads, so
+/// a view of it. It stores deliveries as the engine's boxes do — a
+/// packet per delivery, pointing at its payload in the buffer's own
+/// payload arena — and every packet points into that arena, so
 /// [`InboxBuf::view`] is safe.
 #[derive(Default)]
 pub struct InboxBuf<M> {
     packets: Vec<Packet<M>>,
+    /// The payloads `packets` point at; cleared with them.
+    payloads: PayloadArena<M>,
 }
 
 impl<M> InboxBuf<M> {
     /// An empty buffer.
     pub fn new() -> Self {
-        InboxBuf { packets: Vec::new() }
+        InboxBuf { packets: Vec::new(), payloads: PayloadArena::default() }
     }
 
     /// Appends a delivery (arrival on receiver-side `port`).
     pub fn push(&mut self, port: u32, msg: M) {
-        self.packets.push(Packet::Own { port, msg });
+        let msg = self.payloads.push(msg);
+        self.packets.push(Packet { port, msg });
     }
 
-    /// Clears the buffer, keeping its capacity.
+    /// Clears the buffer (dropping its payloads), keeping its capacity.
     pub fn clear(&mut self) {
         self.packets.clear();
+        self.payloads.clear();
     }
 
     /// Number of buffered deliveries.
@@ -256,8 +269,10 @@ impl<M> InboxBuf<M> {
 
     /// The program-facing view of the buffered deliveries.
     pub fn view(&self) -> Inbox<'_, M> {
-        // SAFETY: `push` is the only public writer and stores
-        // `Packet::Own` exclusively — no Shared pointer can exist here.
+        // SAFETY: `push` is the only writer, and every packet it stores
+        // points into `self.payloads`, whose blocks never move and which
+        // only `clear` (under `&mut self`) empties — so the payloads
+        // outlive this borrow and nothing writes them meanwhile.
         unsafe { Inbox::from_packets(&self.packets) }
     }
 }
@@ -321,11 +336,13 @@ unsafe impl Sync for SinkCtx {}
 /// guarantees the sender's segment is written by no other thread
 /// meanwhile.
 pub(crate) struct DirectSink {
-    /// Base of the sender's chunk segment in the write arena: one box
-    /// per receiver, indexed by receiver node (`*mut Vec<Packet<M>>`,
+    /// The sender's chunk segment in the write arena: one box per
+    /// receiver, indexed by receiver node (`*mut Vec<Packet<M>>`), and
+    /// the segment's payload arena (`*mut PayloadArena<M>`), where every
+    /// payload that is not a first broadcast moves. Both are
     /// type-erased here and re-typed in the send path where `M` is
-    /// known). Only the thread stepping this chunk writes the segment.
-    pub(crate) inboxes: *mut (),
+    /// known. Only the thread stepping this chunk writes the segment.
+    pub(crate) segment: Segment,
     /// Base of the write arena's per-node broadcast slot array
     /// (`*mut Option<M>` type-erased). Slot `sender` is written by this
     /// outbox alone; last generation's occupant is evicted back to the
@@ -370,9 +387,10 @@ impl<M: WireMessage> Outbox<M> {
     ///
     /// # Safety
     /// `sink`'s pointers must be valid and exclusive for the outbox's
-    /// lifetime: `inboxes` must point at the sender's segment of the
-    /// write arena (`*mut Vec<Packet<M>>`, one box per receiver, written
-    /// by no other thread meanwhile), `slots` at the write generation's
+    /// lifetime: `segment` must be the sender's segment of the write
+    /// arena (`*mut Vec<Packet<M>>`, one box per receiver, and
+    /// `*mut PayloadArena<M>`, both written by no other thread
+    /// meanwhile), `slots` at the write generation's
     /// `Option<M>` slot array (slot `sender` unaliased), `loads` at the
     /// sender's load row whenever the mode accounts, and `acc`/`ctx` at
     /// live objects nobody else mutates during the call.
@@ -433,8 +451,9 @@ impl<M: WireMessage> Outbox<M> {
         match &mut self.sink {
             Sink::Buffered(v) => v.push((port, msg)),
             // SAFETY: pointer validity/exclusivity guaranteed by the
-            // `Outbox::direct` contract; `inboxes` was erased from
-            // `*mut Vec<Packet<M>>` for this same `M`.
+            // `Outbox::direct` contract; `segment` was erased from
+            // `*mut Vec<Packet<M>>` and `*mut PayloadArena<M>` for this
+            // same `M`.
             Sink::DirectInbox(d) => unsafe { direct_send_inbox(d, port, msg) },
             // SAFETY: as above.
             Sink::DirectInboxHeavy(d) => unsafe { direct_send_inbox_heavy(d, port, msg) },
@@ -445,10 +464,11 @@ impl<M: WireMessage> Outbox<M> {
     ///
     /// Under the engine's direct sinks the payload is stored **once** in
     /// this sender's broadcast slot of the write arena and every
-    /// receiver's box gets a lightweight shared ref — no clone on either
-    /// side of the wire. Wire accounting still charges every link the
-    /// full message size, and delivery order is identical to `degree`
-    /// targeted sends.
+    /// receiver's box gets a 16-byte packet pointing at it — no clone on
+    /// either side of the wire, whatever the payload's size (small
+    /// payloads travel by pointer too, not as inline copies). Wire
+    /// accounting still charges every link the full message size, and
+    /// delivery order is identical to `degree` targeted sends.
     ///
     /// Returns the payload evicted from the slot — the broadcast this
     /// sender parked **two rounds earlier** (same arena generation),
@@ -456,7 +476,8 @@ impl<M: WireMessage> Outbox<M> {
     /// payloads recycle it; everyone else ignores it. Buffered
     /// (harness) outboxes clone per port instead (moving the last) and
     /// return `None`, as does a second broadcast within one step, which
-    /// falls back to per-port clones because the slot is taken.
+    /// falls back to per-port clones (into the segment's payload arena,
+    /// like targeted sends) because the slot is taken.
     pub fn broadcast(&mut self, msg: M) -> Option<M> {
         self.queued += self.degree;
         if self.degree == 0 {
@@ -490,7 +511,7 @@ impl<M: WireMessage> Outbox<M> {
                     d,
                     msg,
                     |d, p, m| direct_send_inbox(d, p, m),
-                    |d, p, ptr| inbox_push_bcast(d, p, ptr),
+                    |d, p, ptr| inbox_push(d, p, ptr),
                 )
             },
             // SAFETY: same DirectSink contract as the arm above.
@@ -503,12 +524,12 @@ impl<M: WireMessage> Outbox<M> {
                     msg,
                     |d, p, m| direct_send_inbox_heavy(d, p, m),
                     |d, p, ptr| match charge_send_bits(d, p, bits) {
-                        SendFate::Deliver => inbox_push_bcast(d, p, ptr),
+                        SendFate::Deliver => inbox_push(d, p, ptr),
                         SendFate::Dropped => {}
                         SendFate::Corrupt { entropy } => {
                             // A corrupted copy diverges from the parked
-                            // payload, so it travels inline instead of
-                            // as a shared slot ref.
+                            // payload, so it moves into the payload
+                            // arena instead of pointing at the slot.
                             if let Some(garbled) = corrupt_payload(d, &*ptr, entropy) {
                                 direct_send_inbox(d, p, garbled);
                             }
@@ -528,18 +549,6 @@ impl<M: WireMessage> Outbox<M> {
     pub fn degree(&self) -> u32 {
         self.degree
     }
-}
-
-/// Whether broadcasts of `M` deliver inline copies instead of shared
-/// refs: when the payload is no bigger than the pointer-sized `Shared`
-/// packet body, an owned copy costs the same box space as a ref and
-/// spares every receiver the slot indirection (a cache miss on a
-/// random sender's slot). Heavy payloads — anything owning heap memory
-/// is bigger than this — always share. Monomorphizes to a constant, so
-/// each instantiation compiles to a single path.
-#[inline(always)]
-fn broadcast_inline<M>() -> bool {
-    std::mem::size_of::<M>() <= 2 * std::mem::size_of::<*const ()>()
 }
 
 /// The payload's wire size if this sink's context will account it,
@@ -607,24 +616,20 @@ unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
     (evicted, ptr)
 }
 
-/// Pushes one broadcast delivery straight into the receiver's box in
-/// the sender's segment: an inline copy for pointer-sized payloads
-/// (see [`broadcast_inline`]), a shared ref into the sender's parked
-/// slot otherwise.
+/// Pushes one delivery of the payload at `ptr` straight into the
+/// receiver's box in the sender's segment, as a packet labeled with the
+/// receiver-side port.
 ///
 /// # Safety
-/// As [`direct_send_inbox`], with `ptr` pointing at the parked payload
-/// of the same inbox-arena generation as `d.inboxes`.
+/// As [`direct_send_inbox`], with `ptr` pointing at a payload of the
+/// same inbox-arena generation as `d.segment`: the sender's parked
+/// broadcast slot or an entry of the segment's payload arena.
 #[inline(always)]
-unsafe fn inbox_push_bcast<M: Clone>(d: &mut DirectSink, port: u32, ptr: *const M) {
+unsafe fn inbox_push<M>(d: &mut DirectSink, port: u32, ptr: *const M) {
     let w = *d.receivers.add(port as usize);
     let rev = *d.rev_ports.add(port as usize);
-    let inbox = &mut *(d.inboxes as *mut Vec<Packet<M>>).add(w as usize);
-    if broadcast_inline::<M>() {
-        inbox.push(Packet::Own { port: rev, msg: (*ptr).clone() });
-    } else {
-        inbox.push(Packet::Shared { port: rev, msg: ptr });
-    }
+    let inbox = &mut *(d.segment.boxes as *mut Vec<Packet<M>>).add(w as usize);
+    inbox.push(Packet { port: rev, msg: ptr });
 }
 
 /// What the fault plan decided for one charged send, as seen by the
@@ -733,24 +738,24 @@ unsafe fn corrupt_payload<M: WireMessage>(d: &mut DirectSink, msg: &M, entropy: 
     }
 }
 
-/// The counter-free write path (see `Sink::DirectInbox`): one push
-/// straight into the receiver's box in the sender's segment.
+/// The counter-free write path (see `Sink::DirectInbox`): the payload
+/// moves into the segment's payload arena and the receiver's box in the
+/// sender's segment gets a packet pointing at it.
 ///
 /// # Safety
-/// See [`Outbox::direct`] — `d.inboxes` is the sender's segment, written
+/// See [`Outbox::direct`] — `d.segment` is the sender's segment, written
 /// by no other thread during the round — and `port < degree` was
 /// checked by the caller.
 #[inline(always)]
 unsafe fn direct_send_inbox<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
-    let w = *d.receivers.add(port as usize);
-    let rev = *d.rev_ports.add(port as usize);
-    let inbox = &mut *(d.inboxes as *mut Vec<Packet<M>>).add(w as usize);
-    inbox.push(Packet::Own { port: rev, msg });
+    let ptr = (*(d.segment.payloads as *mut PayloadArena<M>)).push(msg);
+    inbox_push(d, port, ptr);
 }
 
 /// The accounted write path (see `Sink::DirectInboxHeavy`): accounting,
-/// bandwidth check, fault decision, then one push into the receiver's
-/// box — one message move, no allocation once the box is warm.
+/// bandwidth check, fault decision, then the counter-free write — one
+/// message move, no allocation once the box and the payload arena are
+/// warm.
 ///
 /// # Safety
 /// As [`direct_send_inbox`], plus `d.loads` must be the sender's valid
@@ -898,5 +903,25 @@ mod tests {
         buf.clear();
         assert!(buf.is_empty());
         assert!(Inbox::<u64>::empty().is_empty());
+        // Refills past several payload blocks still view every delivery.
+        for round in 0..3u64 {
+            buf.clear();
+            for i in 0..300u64 {
+                buf.push((i % 7) as u32, round * 1000 + i);
+            }
+            let got: Vec<(u32, u64)> = buf.view().iter().map(|inc| (inc.port, *inc.msg)).collect();
+            let want: Vec<(u32, u64)> =
+                (0..300u64).map(|i| ((i % 7) as u32, round * 1000 + i)).collect();
+            assert_eq!(got, want, "refill {round}");
+        }
+    }
+
+    /// A packet is a port and a pointer whatever the payload's size: a
+    /// 56-byte payload (the tester's message) and a `u64` both travel in
+    /// 16 bytes.
+    #[test]
+    fn packets_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Packet<[u8; 56]>>(), 16);
+        assert_eq!(std::mem::size_of::<Packet<u64>>(), 16);
     }
 }

@@ -1,0 +1,294 @@
+//! Payload ownership across the engine's delivery paths.
+//!
+//! An inbox packet is a port and a pointer. A first broadcast's payload
+//! lives in its sender's broadcast slot; every other payload (targeted
+//! sends, corrupted copies, a second broadcast's per-port clones, a
+//! distributed worker's remote deliveries) lives in the payload arena of
+//! the inbox segment that holds the packet. These tests send a payload
+//! that counts its live copies down every one of those paths, through
+//! the sequential executor, the parallel executor at forced worker
+//! counts, and two partition engines routed as the distributed
+//! coordinator routes them. Every warm rerun must reproduce the
+//! sequential verdicts, no rerun may leave more payloads alive than the
+//! first, and once the session or the engines are dropped no payload may
+//! be left alive.
+//!
+//! The graphs and round counts are small enough for Miri:
+//! `cargo +nightly miri test -p ck-congest --test payload_lifetime`.
+
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use ck_congest::engine::{EngineConfig, Executor};
+use ck_congest::fault::FaultPlan;
+use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
+use ck_congest::message::{WireMessage, WireParams};
+use ck_congest::metrics::{RoundStats, RunReport};
+use ck_congest::net::{partition_range, PartitionEngine, RoundDigest};
+use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
+use ck_congest::session::Session;
+
+/// Warm reruns per executor.
+const RERUNS: usize = 3;
+
+/// A payload that counts the live payloads of one test case: one more
+/// when it is created or cloned, one less when it is dropped.
+struct Counted {
+    value: u64,
+    live: Arc<AtomicI64>,
+}
+
+impl Counted {
+    fn new(value: u64, live: &Arc<AtomicI64>) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        Counted { value, live: Arc::clone(live) }
+    }
+}
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        Counted::new(self.value, &self.live)
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl WireMessage for Counted {
+    fn wire_bits(&self, _params: &WireParams) -> u64 {
+        64
+    }
+
+    /// Half the tampered frames no longer decode; the rest arrive as a
+    /// fresh, different payload.
+    fn corrupt_frame(&self, _params: &WireParams, entropy: u64) -> Option<Self> {
+        (entropy & 1 == 1).then(|| Counted::new(self.value ^ entropy, &self.live))
+    }
+}
+
+/// Each round every node broadcasts twice (the second broadcast finds
+/// the slot taken and clones per port) and sends one payload on every
+/// port. Node 0 halts early, so its neighbours keep sending into boxes
+/// nobody reads. The verdict digests every delivery in order.
+struct Gossip {
+    id: u64,
+    halt_at: u32,
+    digest: u64,
+    live: Arc<AtomicI64>,
+}
+
+impl Program for Gossip {
+    type Msg = Counted;
+    type Verdict = u64;
+
+    fn step(&mut self, round: u32, inbox: Inbox<'_, Counted>, out: &mut Outbox<Counted>) -> Status {
+        for inc in inbox.iter() {
+            self.digest = self
+                .digest
+                .wrapping_mul(1_099_511_628_211)
+                .wrapping_add(u64::from(inc.port) << 48 ^ inc.msg.value);
+        }
+        if round >= self.halt_at {
+            return Status::Halted;
+        }
+        let base = self.id * 1000 + u64::from(round) * 10;
+        drop(out.broadcast(Counted::new(base + 1, &self.live)));
+        drop(out.broadcast(Counted::new(base + 2, &self.live)));
+        for p in 0..out.degree() {
+            out.send(p, Counted::new(base + 3 + u64::from(p), &self.live));
+        }
+        Status::Running
+    }
+
+    fn verdict(&self) -> u64 {
+        self.digest
+    }
+}
+
+/// Twelve nodes: a ring with six chords, degrees 2 to 4.
+fn graph() -> Graph {
+    let ring = (0..12u32).map(|i| (i, (i + 1) % 12));
+    let chords = [(0, 6), (1, 4), (2, 9), (3, 11), (5, 8), (7, 10)];
+    GraphBuilder::new(12).edges(ring.chain(chords)).build().unwrap()
+}
+
+fn factory(live: &Arc<AtomicI64>) -> impl FnMut(NodeInit<'_>) -> Gossip + '_ {
+    move |init| Gossip {
+        id: init.id,
+        halt_at: if init.index == 0 { 2 } else { 5 },
+        digest: 0,
+        live: Arc::clone(live),
+    }
+}
+
+/// The configurations every executor runs: a fault plan that drops and
+/// corrupts (the accounted send path), a clean counter-free run (the
+/// fast path), and a faulted run capped before every node halts, which
+/// ends with undelivered traffic still in the arenas.
+fn configs() -> Vec<(&'static str, EngineConfig)> {
+    let faults = FaultPlan::none().random_loss(0.2, 11).corrupt_frames(0.3, 5);
+    vec![
+        ("faults", EngineConfig { faults: faults.clone(), ..EngineConfig::default() }),
+        ("fast", EngineConfig { record_rounds: false, ..EngineConfig::default() }),
+        ("capped", EngineConfig { faults, max_rounds: 4, ..EngineConfig::default() }),
+    ]
+}
+
+/// What must agree across executors: the verdicts, the per-round
+/// statistics and the fault report.
+type Observed = (Vec<u64>, Vec<RoundStats>, String, u32);
+
+fn observe(report: &RunReport, verdicts: Vec<u64>) -> Observed {
+    (verdicts, report.per_round.clone(), format!("{:?}", report.faults), report.rounds)
+}
+
+/// `RERUNS` runs through one warm session; returns each run's
+/// observation and the live payload count after each run.
+fn session_runs(g: &Graph, config: &EngineConfig, live: &Arc<AtomicI64>) -> Vec<(Observed, i64)> {
+    let mut session = Session::builder(g).config(config.clone()).build();
+    (0..RERUNS)
+        .map(|_| {
+            let out = session.run(factory(live)).unwrap();
+            (observe(&out.report, out.verdicts), live.load(Ordering::SeqCst))
+        })
+        .collect()
+}
+
+/// One run through two partition engines, routed as the distributed
+/// coordinator routes them: every engine steps, the cut deliveries are
+/// injected in ascending source order, then every engine commits.
+/// Returns the run's observation and the live payload count before the
+/// engines are dropped.
+fn partitioned_run(g: &Graph, config: &EngineConfig, live: &Arc<AtomicI64>) -> (Observed, i64) {
+    let workers = 2;
+    let params = WireParams::for_graph(g);
+    let mut parts: Vec<PartitionEngine<'_, Gossip>> = (0..workers)
+        .map(|w| PartitionEngine::new(g, config, params, workers, w, factory(live)))
+        .collect();
+    let owner = |v: NodeIndex| {
+        (0..workers).position(|w| partition_range(g.n(), workers, w).contains(&v)).unwrap()
+    };
+    let mut report = RunReport::default();
+    let (mut active, mut round) = (g.n(), 0);
+    let (mut out, mut routed) = (Vec::new(), Vec::new());
+    while round < config.max_rounds && active > 0 {
+        let mut digest = RoundDigest::default();
+        for part in &mut parts {
+            digest = RoundDigest::merge(digest, part.step_round(round, &mut out));
+            routed.append(&mut out);
+        }
+        digest.close_round(round, config, &mut active, &mut report).unwrap();
+        for f in routed.drain(..) {
+            parts[owner(f.receiver)].inject(f.receiver, f.port, f.msg).unwrap();
+        }
+        for part in &mut parts {
+            part.commit_round();
+        }
+        round += 1;
+    }
+    report.rounds = round;
+    report.all_halted = active == 0;
+    let observed = observe(&report, parts.iter().flat_map(|p| p.verdicts()).collect());
+    (observed, live.load(Ordering::SeqCst))
+}
+
+/// The forced worker count is process-wide and the parallel executor
+/// reads it, so the tests of this binary run one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Restores the default worker count even when a test panics.
+struct ResetWorkers;
+
+impl Drop for ResetWorkers {
+    fn drop(&mut self) {
+        rayon::force_workers_for_tests(0);
+    }
+}
+
+/// Sequential, parallel at the default and at 2 forced workers, and two
+/// partition engines: every warm rerun matches the first sequential
+/// run, reruns leak nothing, and dropping the session or the engines
+/// drops every payload.
+#[test]
+fn every_payload_path_matches_the_oracle_and_leaks_nothing() {
+    let _serial = serial();
+    let _reset = ResetWorkers;
+    let g = graph();
+    for (name, base) in configs() {
+        let live = Arc::new(AtomicI64::new(0));
+        let seq = EngineConfig { executor: Executor::Sequential, ..base.clone() };
+        let oracle = session_runs(&g, &seq, &live);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "{name}: sequential session dropped");
+        let want = oracle[0].0.clone();
+        assert!(want.0.iter().any(|&d| d != 0), "{name}: nothing was delivered");
+        let first_live = oracle[0].1;
+        for (i, (got, left)) in oracle.iter().enumerate() {
+            assert_eq!(got, &want, "{name}: sequential rerun {i}");
+            assert_eq!(*left, first_live, "{name}: sequential rerun {i} leaked payloads");
+        }
+
+        for forced in [0, 2] {
+            rayon::force_workers_for_tests(forced);
+            let par = EngineConfig { executor: Executor::Parallel, ..base.clone() };
+            let runs = session_runs(&g, &par, &live);
+            assert_eq!(live.load(Ordering::SeqCst), 0, "{name}: parallel session dropped");
+            for (i, (got, left)) in runs.iter().enumerate() {
+                assert_eq!(got, &want, "{name}: parallel (forced {forced}) rerun {i}");
+                assert_eq!(*left, runs[0].1, "{name}: parallel rerun {i} leaked payloads");
+            }
+        }
+
+        for i in 0..RERUNS {
+            let (got, _) = partitioned_run(&g, &base, &live);
+            assert_eq!(got, want, "{name}: partitioned run {i}");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "{name}: partition engines dropped");
+        }
+    }
+}
+
+/// A run capped at round 3 of a clean plan ends with exactly round 2's
+/// undelivered traffic alive, so every payload arena written earlier
+/// was cleared when its generation re-entered the write role. In
+/// process, that traffic is each running sender's per-port clones and
+/// targeted sends (the parked broadcasts go back to the programs); a
+/// partition engine also holds its parked broadcasts of both
+/// generations and the cut deliveries it received as clones. The same
+/// count holds after every rerun, and dropping the session or the
+/// engines releases it.
+#[test]
+fn capped_runs_keep_exactly_the_last_round_alive() {
+    let _serial = serial();
+    let g = graph();
+    let live = Arc::new(AtomicI64::new(0));
+    let base = EngineConfig { max_rounds: 3, ..EngineConfig::default() };
+    // Node 0 halted at round 2; everyone else sent on every port.
+    let running = || 1..g.n() as NodeIndex;
+    let in_process: i64 = running().map(|v| 2 * g.degree(v) as i64).sum();
+    for executor in [Executor::Sequential, Executor::Parallel] {
+        let config = EngineConfig { executor, ..base.clone() };
+        let runs = session_runs(&g, &config, &live);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "{executor:?}: session dropped");
+        for (i, (observed, left)) in runs.iter().enumerate() {
+            assert_eq!(observed.3, 3, "{executor:?}: the cap stopped the run");
+            assert_eq!(*left, in_process, "{executor:?}: payloads alive after run {i}");
+        }
+    }
+
+    let side = |v: NodeIndex| usize::from(v >= partition_range(g.n(), 2, 1).start);
+    let cut = |v: NodeIndex| g.neighbors(v).iter().filter(|&&w| side(w) != side(v)).count();
+    // Every node broadcast at rounds 0 and 1, so both slot generations
+    // hold a parked payload of every node.
+    let slots = 2 * g.n() as i64;
+    let partitioned: i64 = slots + running().map(|v| 3 * cut(v) as i64).sum::<i64>() + in_process;
+    for i in 0..RERUNS {
+        let (_, left) = partitioned_run(&g, &base, &live);
+        assert_eq!(left, partitioned, "partition engines: payloads alive after run {i}");
+        assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
+    }
+}

@@ -40,7 +40,7 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Heap bytes a cold one-repetition sequential session may request per
 /// node beyond the graph (leg (f)).
-const COLD_BYTES_PER_NODE: u64 = 2_048;
+const COLD_BYTES_PER_NODE: u64 = 1_280;
 
 /// Heap operations one warm service request may make, at any graph
 /// size (leg (g)).
@@ -283,11 +283,12 @@ fn warm_reruns_perform_zero_heap_operations() {
     // (f) Cold-session memory: a fresh sequential session's first
     // one-repetition run on a planted random tree requests at most
     // `COLD_BYTES_PER_NODE` heap bytes per node, counted from after the
-    // graph is built. Phase-2 sequence sets sized to the round keep it
-    // there; sets sized for the largest supported k took about twice
-    // the budget.
-    let n = 8_000;
-    for k in [4usize, 5, 6, 7] {
+    // graph is built: k = 4–7 at n = 8,000, and k = 5 at n = 10⁵.
+    // Phase-2 sequence sets sized to the round and 16-byte inbox
+    // packets keep it there; 64-byte packets needed about 1.4 KB, and
+    // sets sized for the largest supported k about 4 KB.
+    let inputs = [(8_000usize, 4usize), (8_000, 5), (8_000, 6), (8_000, 7), (100_000, 5)];
+    for (n, k) in inputs {
         let inst = plant_on_host(&random_tree(n, 7), k, n / 40, 7);
         let gate = AllocGate::snapshot();
         let mut tester = TesterSession::builder(k, 0.1)
@@ -301,7 +302,8 @@ fn warm_reruns_perform_zero_heap_operations() {
         drop((run, tester));
         assert!(
             per_node <= COLD_BYTES_PER_NODE,
-            "cold ck{k} session requested {per_node} B per node (budget {COLD_BYTES_PER_NODE})"
+            "cold ck{k} session at n = {n} requested {per_node} B per node \
+             (budget {COLD_BYTES_PER_NODE})"
         );
     }
 }
