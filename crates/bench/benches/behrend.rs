@@ -3,7 +3,6 @@
 
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::Edge;
-use ck_core::prune::PrunerKind;
 use ck_core::session::TesterSession;
 use ck_core::single::detect_ck_through_edge;
 use ck_core::tester::TesterConfig;
@@ -33,15 +32,9 @@ fn bench_single_edge(c: &mut Criterion) {
             |b, &k| {
                 b.iter(|| {
                     black_box(
-                        detect_ck_through_edge(
-                            &inst.graph,
-                            k,
-                            e,
-                            PrunerKind::Representative,
-                            &EngineConfig::default(),
-                        )
-                        .unwrap()
-                        .reject,
+                        detect_ck_through_edge(&inst.graph, k, e, &EngineConfig::default())
+                            .unwrap()
+                            .reject,
                     )
                 });
             },

@@ -5,7 +5,6 @@
 use ck_baselines::naive::{naive_detect_through_edge, DropPolicy};
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::Edge;
-use ck_core::prune::PrunerKind;
 use ck_core::single::detect_ck_through_edge;
 use ck_graphgen::basic::spindle;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -34,15 +33,7 @@ fn bench_naive_vs_pruned(c: &mut Criterion) {
         group.bench_function("pruned", |b| {
             b.iter(|| {
                 black_box(
-                    detect_ck_through_edge(
-                        &g,
-                        6,
-                        e,
-                        PrunerKind::Representative,
-                        &EngineConfig::default(),
-                    )
-                    .unwrap()
-                    .reject,
+                    detect_ck_through_edge(&g, 6, e, &EngineConfig::default()).unwrap().reject,
                 )
             });
         });

@@ -4,7 +4,6 @@
 
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::Edge;
-use ck_core::prune::PrunerKind;
 use ck_core::single::detect_ck_through_edge;
 use ck_graphgen::basic::spindle;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -18,15 +17,7 @@ fn bench_k_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(format!("k{k}")), &k, |b, &k| {
             b.iter(|| {
                 black_box(
-                    detect_ck_through_edge(
-                        &g,
-                        k,
-                        e,
-                        PrunerKind::Representative,
-                        &EngineConfig::default(),
-                    )
-                    .unwrap()
-                    .reject,
+                    detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap().reject,
                 )
             });
         });
@@ -43,15 +34,7 @@ fn bench_width_invariance(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(format!("p{p}")), &p, |b, _| {
             b.iter(|| {
                 black_box(
-                    detect_ck_through_edge(
-                        &g,
-                        6,
-                        e,
-                        PrunerKind::Representative,
-                        &EngineConfig::default(),
-                    )
-                    .unwrap()
-                    .reject,
+                    detect_ck_through_edge(&g, 6, e, &EngineConfig::default()).unwrap().reject,
                 )
             });
         });

@@ -12,7 +12,7 @@ use ck_congest::engine::{EngineConfig, EngineError};
 use ck_congest::graph::{Edge, Graph};
 use ck_congest::message::WireParams;
 use ck_core::batch::{BatchError, BatchFailure, BatchJob};
-use ck_core::prune::{build_send_set, lemma3_bound, PrunerKind};
+use ck_core::prune::{build_send_set, lemma3_bound};
 use ck_core::rank::{draw_rank, minimum_is_unique, rank_rng, E_SQUARED};
 use ck_core::seq::SeqRows;
 use ck_core::session::TesterSession;
@@ -139,7 +139,7 @@ impl ExperimentResult {
 }
 
 fn detect_single(g: &Graph, k: usize, e: Edge) -> Result<ck_core::single::SingleRun, EngineError> {
-    detect_ck_through_edge(g, k, e, PrunerKind::Representative, &EngineConfig::default())
+    detect_ck_through_edge(g, k, e, &EngineConfig::default())
 }
 
 /// E1 — Theorem 1, soundness: `Ck`-free graphs are accepted with
@@ -527,7 +527,7 @@ pub fn e9_c9_example() -> Result<ExperimentResult, ExperimentError> {
     let mut table = Table::new(["check", "result", "expected"]);
     // Node 3 receives (1,2) at paper round t=3 and must forward (1,2,3).
     let received = SeqRows::from_rows(2, &[&[1, 2]]);
-    let sent = build_send_set(PrunerKind::Representative, &received, 3, 9, 3);
+    let sent = build_send_set(&received, 3, 9, 3);
     let fwd = sent.rows().next().map(|s| format!("{s:?}")).unwrap_or("∅".into());
     table.row(["node 3 forwards at t=3", &fwd, "[1, 2, 3]"]);
     let ok1 = sent.len() == 1 && sent.row(0) == [1, 2, 3];

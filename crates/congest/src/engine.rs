@@ -279,56 +279,32 @@ impl<M> EngineWorkspace<M> {
     }
 
     /// Runs `factory`-instantiated programs on `graph` through this
-    /// workspace — the advanced entry the session layers are built
-    /// from, for callers whose workspace must outlive any single graph
-    /// borrow (cross-graph batch reuse). Most callers want
-    /// [`crate::session::Session`], which owns its workspace and pins
-    /// one graph.
+    /// workspace, writing the result into a caller-owned [`RunOutcome`]
+    /// (reset first, capacities kept) — the advanced entry the session
+    /// layers are built from, for callers whose workspace must outlive
+    /// any single graph borrow (cross-graph batch reuse). Most callers
+    /// want [`crate::session::Session`], which owns its workspace and
+    /// pins one graph.
     ///
-    /// `reclaim` receives every node program after its verdict has been
-    /// collected, in node-index order; pass `|_| {}` when there is
-    /// nothing to recover.
-    pub fn run_on<'g, P, F, R>(
+    /// With a warm workspace, a warm outcome buffer, and the sequential
+    /// executor, a rerun of the same program type performs zero heap
+    /// operations; under the parallel executor its heap operations are
+    /// bounded by the rounds (the per-round thread spawns), not by the
+    /// node count — the contracts the `ck_lint::alloc_gate` regression
+    /// tests enforce. On error the outcome's contents are unspecified.
+    pub fn run_on_into<'g, P, F>(
         &mut self,
         graph: &'g Graph,
         config: &EngineConfig,
         params: &WireParams,
         mut factory: F,
-        reclaim: R,
-    ) -> Result<RunOutcome<P::Verdict>, EngineError>
-    where
-        P: Program<Msg = M>,
-        F: FnMut(NodeInit<'g>) -> P,
-        R: FnMut(P),
-    {
-        exec_with_workspace(graph, config, params, self, &mut factory, reclaim)
-    }
-
-    /// As [`EngineWorkspace::run_on`], writing the result into a
-    /// caller-owned [`RunOutcome`] (reset first, capacities kept)
-    /// instead of allocating a fresh one. With a warm workspace, a warm
-    /// outcome buffer, and the sequential executor, a rerun of the same
-    /// program type performs zero heap operations; under the parallel
-    /// executor its heap operations are bounded by the rounds (the
-    /// per-round thread spawns), not by the node count — the contracts
-    /// the `ck_lint::alloc_gate` regression tests enforce. On error the
-    /// outcome's contents are unspecified.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_on_into<'g, P, F, R>(
-        &mut self,
-        graph: &'g Graph,
-        config: &EngineConfig,
-        params: &WireParams,
-        mut factory: F,
-        reclaim: R,
         out: &mut RunOutcome<P::Verdict>,
     ) -> Result<(), EngineError>
     where
         P: Program<Msg = M>,
         F: FnMut(NodeInit<'g>) -> P,
-        R: FnMut(P),
     {
-        exec_into_with_workspace(graph, config, params, self, &mut factory, reclaim, out)
+        exec_into_with_workspace(graph, config, params, self, &mut factory, out)
     }
 }
 
@@ -351,10 +327,10 @@ pub struct SlotStats {
 /// program type (and hence its layout) is fixed, so the raw allocation
 /// can be parked between runs and re-typed on the way out. The store
 /// keeps at most one buffer: the previous run's, parked *empty* (every
-/// program was drained for the reclaim hook or dropped), so the memory
-/// holds no live values and reuse is purely a question of layout
-/// equality — `Vec<T>` with capacity `cap` owns a `Layout::array::<T>(cap)`
-/// allocation, identical for any `T` of equal size and alignment.
+/// program was dropped), so the memory holds no live values and reuse
+/// is purely a question of layout equality — `Vec<T>` with capacity
+/// `cap` owns a `Layout::array::<T>(cap)` allocation, identical for any
+/// `T` of equal size and alignment.
 #[derive(Default)]
 pub(crate) struct SlotStore {
     buf: Option<RawSlotBuf>,
@@ -656,13 +632,6 @@ pub fn node_step_plan(n: usize) -> rayon::ChunkPlan {
     rayon::chunk_plan_with_min_len(n, NODE_STEP_MIN_PAR_LEN)
 }
 
-/// Elements per contiguous chunk of [`node_step_plan`]`(n)` — the
-/// node→thread partition under the *current* forced-worker state.
-/// Node `v` steps on the thread owning chunk `v / chunk_len`.
-pub fn node_chunk_len(n: usize) -> usize {
-    node_step_plan(n).chunk_len
-}
-
 /// The round loop of both in-process executors (a distributed worker
 /// steps one chunk of it in
 /// [`crate::net::PartitionEngine::step_round`]). `plan` is the run's
@@ -728,8 +697,10 @@ fn run_rounds<P: Program>(
 
 /// The engine proper: executes `factory`-instantiated programs on
 /// `graph` through a caller-owned workspace until every node halts or
-/// `config.max_rounds` is reached. This is the single implementation
-/// behind [`crate::session::Session`] and [`EngineWorkspace::run_on`].
+/// `config.max_rounds` is reached, writing the result into a
+/// caller-owned [`RunOutcome`]. This is the single implementation
+/// behind [`crate::session::Session`] and
+/// [`EngineWorkspace::run_on_into`].
 ///
 /// The workspace is reset (never reallocated when the graph fits)
 /// before the run; outputs are bit-identical to a fresh-workspace run
@@ -737,51 +708,22 @@ fn run_rounds<P: Program>(
 /// indistinguishable from a new one. The per-run slot (program) array
 /// is recycled through the workspace's [`SlotStore`] — a
 /// workspace-reused run of the same program type performs no per-run
-/// slot allocation.
-///
-/// `reclaim` receives every node program after its verdict has been
-/// collected, in node-index order — protocols with recyclable per-node
-/// scratch (pools, buffers) harvest it here so the next job in a batch
-/// starts warm. On error the programs are dropped without the hook,
-/// but the slot array's storage is still parked for the next run.
-pub(crate) fn exec_with_workspace<'g, P, F, R>(
-    graph: &'g Graph,
-    config: &EngineConfig,
-    params: &WireParams,
-    ws: &mut EngineWorkspace<P::Msg>,
-    factory: &mut F,
-    reclaim: R,
-) -> Result<RunOutcome<P::Verdict>, EngineError>
-where
-    P: Program,
-    F: FnMut(NodeInit<'g>) -> P,
-    R: FnMut(P),
-{
-    let mut out = RunOutcome::default();
-    exec_into_with_workspace(graph, config, params, ws, factory, reclaim, &mut out)?;
-    Ok(out)
-}
-
-/// As [`exec_with_workspace`], writing the result into a caller-owned
-/// [`RunOutcome`] instead of allocating a fresh one. The outcome is
+/// slot allocation, on success and on error alike. The outcome is
 /// reset first (capacities kept), so rotating the same buffer through
 /// repeated runs makes the warm rerun fully allocation-free under the
 /// sequential executor — the dynamic contract `ck_lint::alloc_gate`
 /// tests pin down. On error the outcome's contents are unspecified.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_into_with_workspace<'g, P, F, R>(
+pub(crate) fn exec_into_with_workspace<'g, P, F>(
     graph: &'g Graph,
     config: &EngineConfig,
     params: &WireParams,
     ws: &mut EngineWorkspace<P::Msg>,
     factory: &mut F,
-    mut reclaim: R,
     out: &mut RunOutcome<P::Verdict>,
 ) -> Result<(), EngineError>
 where
     P: Program,
     F: FnMut(NodeInit<'g>) -> P,
-    R: FnMut(P),
 {
     out.reset();
     let n = graph.n();
@@ -839,8 +781,7 @@ where
     let (round, active) = match rounds_result {
         Ok(ra) => ra,
         Err(e) => {
-            // Programs die without the reclaim hook on a failed run;
-            // the slot array itself still parks for the next job.
+            // The programs die; the slot array parks for the next job.
             slots.clear();
             ws.slots.put(slots);
             return Err(e);
@@ -884,9 +825,7 @@ where
         }
     }
 
-    for Slot { prog, .. } in slots.drain(..) {
-        reclaim(prog);
-    }
+    slots.clear();
     ws.slots.put(slots);
     Ok(())
 }
@@ -1275,13 +1214,14 @@ mod tests {
                         run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false })
                             .unwrap();
                     let params = WireParams::for_graph(g);
-                    let reused = exec_with_workspace(
+                    let mut reused = RunOutcome::default();
+                    exec_into_with_workspace(
                         g,
                         &cfg,
                         &params,
                         &mut ws,
                         &mut |init| MinFlood { best: init.id, ttl, changed: false },
-                        |_| {},
+                        &mut reused,
                     )
                     .unwrap();
                     assert_eq!(fresh.verdicts, reused.verdicts, "{exec:?}");
@@ -1331,13 +1271,14 @@ mod tests {
             // Job A: heavy broadcasts, measured only — stamps rounds
             // 0..5 with large per-link bit counts.
             let cfg_a = EngineConfig { executor: exec, ..EngineConfig::default() };
-            exec_with_workspace(
+            let mut reused = RunOutcome::default();
+            exec_into_with_workspace(
                 &g,
                 &cfg_a,
                 &params,
                 &mut ws,
                 &mut |_| Talk { payload: vec![7; 100], ttl: 5 },
-                |_| {},
+                &mut reused,
             )
             .unwrap();
             // Job B: one small message per link per round, enforced at
@@ -1347,13 +1288,13 @@ mod tests {
                 bandwidth: BandwidthPolicy::Enforce { bits: small_bits },
                 ..EngineConfig::default()
             };
-            let reused = exec_with_workspace(
+            exec_into_with_workspace(
                 &g,
                 &cfg_b,
                 &params,
                 &mut ws,
                 &mut |_| Talk { payload: vec![7], ttl: 5 },
-                |_| {},
+                &mut reused,
             )
             .unwrap_or_else(|e| panic!("stale load counters leaked into job B ({exec:?}): {e}"));
             let fresh = run(&g, &cfg_b, |_| Talk { payload: vec![7], ttl: 5 }).unwrap();

@@ -123,11 +123,6 @@ pub struct NetOptions {
     /// respawn of a fleet found dead before `Ready`) fits in the same
     /// budget.
     pub connect_timeout_ms: u64,
-    /// Connect attempts for a thread worker's socket, which the
-    /// coordinator opens itself (exponential backoff between).
-    pub connect_retries: u32,
-    /// Backoff base for the first retry.
-    pub connect_backoff_ms: u64,
     /// Per-round deadline: a round that has not produced every
     /// worker's `Done` by then loses the overdue worker.
     pub round_deadline_ms: u64,
@@ -158,8 +153,6 @@ impl Default for NetOptions {
     fn default() -> Self {
         NetOptions {
             connect_timeout_ms: 5_000,
-            connect_retries: 6,
-            connect_backoff_ms: 20,
             round_deadline_ms: 5_000,
             heartbeat_ms: 100,
             worker_cmd: None,

@@ -14,8 +14,7 @@
 //! `tests/session_parity.rs`.
 
 use crate::engine::{
-    exec_with_workspace, BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor,
-    RunOutcome, SlotStats,
+    BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor, RunOutcome, SlotStats,
 };
 use crate::fault::FaultPlan;
 use crate::graph::Graph;
@@ -184,19 +183,14 @@ impl<'g, M: WireMessage> Session<'g, M> {
     /// Runs `factory`-instantiated programs until every node halts or
     /// the configured round cap is reached, recycling the session's
     /// workspace.
-    pub fn run<P, F>(&mut self, mut factory: F) -> Result<RunOutcome<P::Verdict>, EngineError>
+    pub fn run<P, F>(&mut self, factory: F) -> Result<RunOutcome<P::Verdict>, EngineError>
     where
         P: Program<Msg = M>,
         F: FnMut(NodeInit<'g>) -> P,
     {
-        exec_with_workspace(
-            self.graph,
-            &self.config,
-            &self.params,
-            &mut self.ws,
-            &mut factory,
-            |_| {},
-        )
+        let mut out = RunOutcome::default();
+        self.run_into(factory, &mut out)?;
+        Ok(out)
     }
 
     /// As [`Session::run`], writing the result into a caller-owned
@@ -215,31 +209,7 @@ impl<'g, M: WireMessage> Session<'g, M> {
         P: Program<Msg = M>,
         F: FnMut(NodeInit<'g>) -> P,
     {
-        self.ws.run_on_into(self.graph, &self.config, &self.params, &mut factory, |_| {}, out)
-    }
-
-    /// As [`Session::run`], handing every node program to `reclaim`
-    /// after its verdict has been collected (in node-index order) —
-    /// protocols with recyclable per-node scratch harvest it here so
-    /// the next run starts warm.
-    pub fn run_reclaiming<P, F, R>(
-        &mut self,
-        mut factory: F,
-        reclaim: R,
-    ) -> Result<RunOutcome<P::Verdict>, EngineError>
-    where
-        P: Program<Msg = M>,
-        F: FnMut(NodeInit<'g>) -> P,
-        R: FnMut(P),
-    {
-        exec_with_workspace(
-            self.graph,
-            &self.config,
-            &self.params,
-            &mut self.ws,
-            &mut factory,
-            reclaim,
-        )
+        self.ws.run_on_into(self.graph, &self.config, &self.params, &mut factory, out)
     }
 }
 
@@ -304,17 +274,6 @@ mod tests {
         assert_eq!(ra.verdicts, rb.verdicts);
         assert_eq!(ra.report.total_messages(), rb.report.total_messages());
         assert!(rb.report.total_bits() > ra.report.total_bits(), "fatter ids cost more bits");
-    }
-
-    #[test]
-    fn run_reclaiming_hands_back_every_program() {
-        let g = path(7);
-        let mut session: Session<'_, u64> = Session::new(&g);
-        let mut reclaimed = 0usize;
-        session
-            .run_reclaiming(|_| Echo { rounds: 1, received: 0 }, |_prog| reclaimed += 1)
-            .unwrap();
-        assert_eq!(reclaimed, 7);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! middle node drops exactly the fan-in sequence lying on the chorded
 //! copy.
 
-use crate::prune::PrunerKind;
 use crate::single::detect_ck_through_edge;
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::{Edge, Graph, NodeIndex};
@@ -47,7 +46,7 @@ impl ChordProbe {
 /// Runs the single-edge detector and grades every assembled witness
 /// against the chord oracle.
 pub fn probe_chorded_coverage(g: &Graph, k: usize, e: Edge) -> ChordProbe {
-    let run = detect_ck_through_edge(g, k, e, PrunerKind::Representative, &EngineConfig::default())
+    let run = detect_ck_through_edge(g, k, e, &EngineConfig::default())
         // ck-lint: allow(no-panic, reason = "default engine config has no faults, net, or bandwidth cap — the only EngineError sources")
         .expect("engine run");
     let mut witnesses = Vec::new();

@@ -51,13 +51,16 @@
 //! once, inside the same run's connect budget. Dropping the fleet ends
 //! every worker and joins every worker thread.
 //!
-//! `Hello` carries the magic `ckd3` and the worker's index, so a worker
+//! `Hello` carries the magic `ckd4` and the worker's index, so a worker
 //! from a build with another `Spec` layout or job loop fails the
 //! handshake typed.
 //! A `Spec` body opens with the graph's varint section
 //! ([`Graph::write_bytes`]), followed by fixed-width tester, engine and
-//! worker fields; a `Verdicts` body is the [`write_verdicts`] section
-//! of the worker's range.
+//! worker fields. The tester fields are `k`, `ε`, the seed, the
+//! optional repetition override, `early_abort`, the optional assumed
+//! loss rate and `verify_witnesses`: every [`TesterConfig`] field. A
+//! `Verdicts` body is the [`write_verdicts`] section of the worker's
+//! range.
 //!
 //! `⇥` marks a flush. Both sides write through buffers and flush only
 //! before they wait for an answer, so every frame queued on a link
@@ -93,13 +96,12 @@ use ck_congest::net::{LostCause, NetError, NetOptions};
 
 use crate::decide::RejectWitness;
 use crate::msg::{CkCodec, CkMsg, EdgeTag};
-use crate::prune::PrunerKind;
 use crate::seq::IdSeq;
 use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
-const MAGIC: &[u8; 4] = b"ckd3";
+const MAGIC: &[u8; 4] = b"ckd4";
 
 /// A distributed run fails in one of two distinct worlds.
 #[derive(Debug)]
@@ -153,13 +155,6 @@ pub struct JobSpec {
     pub round_deadline_ms: u64,
 }
 
-fn pruner_tag(p: PrunerKind) -> u8 {
-    match p {
-        PrunerKind::Literal => 0,
-        PrunerKind::Representative => 1,
-    }
-}
-
 impl JobSpec {
     /// Encodes the spec as a `Spec` frame body.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -182,11 +177,6 @@ impl JobSpec {
         let eps = r.f64()?;
         let seed = r.u64()?;
         let repetitions = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-        let pruner = match r.u8()? {
-            0 => PrunerKind::Literal,
-            1 => PrunerKind::Representative,
-            _ => return Err(FrameError::BadBody("unknown pruner tag")),
-        };
         let early_abort = r.u8()? != 0;
         let assumed_loss = if r.u8()? != 0 { Some(r.f64()?) } else { None };
         let verify_witnesses = r.u8()? != 0;
@@ -195,7 +185,6 @@ impl JobSpec {
         cfg.eps = eps;
         cfg.seed = seed;
         cfg.repetitions = repetitions;
-        cfg.pruner = pruner;
         cfg.early_abort = early_abort;
         cfg.assumed_loss = assumed_loss;
         cfg.verify_witnesses = verify_witnesses;
@@ -260,7 +249,6 @@ fn encode_spec_prefix(
         }
         None => w.u8(0),
     }
-    w.u8(pruner_tag(cfg.pruner));
     w.u8(cfg.early_abort as u8);
     match cfg.assumed_loss {
         Some(l) => {
@@ -820,6 +808,10 @@ impl Fleet {
             (0..w_count).map(|_| None).collect();
         let mut slots: Vec<Option<WorkerLink>> = (0..w_count).map(|_| None).collect();
         let mut accepted = 0u32;
+        // Connect attempts for a thread worker's socket, with the
+        // backoff base of `connect_with_retry` between them.
+        const CONNECT_ATTEMPTS: u32 = 6;
+        const CONNECT_BACKOFF_MS: u64 = 20;
         for i in 0..w_count {
             let started = match &net.worker_cmd {
                 Some(argv) => argv
@@ -839,7 +831,7 @@ impl Fleet {
                 // The coordinator connects the thread worker's socket
                 // itself, accepts it at once and hands the client end to
                 // the thread, so this accept never waits or polls.
-                None => connect_with_retry(&addr, net.connect_retries, net.connect_backoff_ms)
+                None => connect_with_retry(&addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF_MS)
                     .and_then(|client| {
                         let (server, _) = listener.accept()?;
                         threads[i as usize] = Some(std::thread::spawn(move || {
@@ -1348,7 +1340,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let mut hello = b"ckd2".to_vec();
+        let mut hello = b"ckd3".to_vec();
         hello.extend_from_slice(&0u32.to_le_bytes());
         write_frame(&mut client, FrameKind::Hello, &hello).unwrap();
         let mut slots: Vec<Option<WorkerLink>> = vec![None];

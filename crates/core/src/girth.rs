@@ -10,7 +10,6 @@
 //! of the classical BFS girth algorithm, and a natural "extension"
 //! experiment for the paper's machinery.
 
-use crate::prune::PrunerKind;
 use crate::session::TesterSession;
 use crate::single::detect_ck_through_edge;
 use crate::tester::TesterConfig;
@@ -44,7 +43,7 @@ pub fn exact_freeness_profile(g: &Graph, k_max: usize) -> FreenessProfile {
     let detected = (3..=k_max)
         .map(|k| {
             g.edges().iter().any(|&e| {
-                detect_ck_through_edge(g, k, e, PrunerKind::Representative, &cfg)
+                detect_ck_through_edge(g, k, e, &cfg)
                     // ck-lint: allow(no-panic, reason = "default engine config has no faults, net, or bandwidth cap — the only EngineError sources")
                     .expect("engine run")
                     .reject

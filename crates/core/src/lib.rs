@@ -10,8 +10,9 @@
 //! * [`seq`] — the ordered ID-sequences exchanged by Phase 2, stored as
 //!   round-width rows;
 //! * [`mod@prune`] — the representative-family pruning rule (Instructions
-//!   13–24 of Algorithm 1), in a literal and an efficient implementation
-//!   with identical semantics;
+//!   13–24 of Algorithm 1), which every protocol runs through its
+//!   efficient implementation; the literal transcription, with identical
+//!   semantics, is only the tests' oracle;
 //! * [`decide`] — the final reject predicate (Instructions 31–42);
 //! * [`single`] — `DetectCk(u, v)`: Phase 2 for one designated edge,
 //!   deterministic, rejects **iff** a `Ck` passes through the edge
@@ -66,9 +67,7 @@ pub mod tester;
 pub use batch::{BatchError, BatchFailure, BatchJob};
 pub use decide::{decide_reject, RejectWitness};
 pub use msg::{CkCodec, CkMsg, EdgeTag, SeqPool};
-pub use prune::{
-    build_send_set, build_send_set_into, lemma3_bound, prune, PrunerKind, SendSetScratch,
-};
+pub use prune::{build_send_set, build_send_set_into, lemma3_bound, SendSetScratch};
 pub use rank::{repetitions_for, rounds_per_repetition, total_rounds, try_repetitions_for};
 pub use seq::{IdSeq, SeqRows, MAX_K, MAX_SEQ_LEN};
 pub use session::{TesterSession, TesterSessionBuilder};

@@ -14,18 +14,21 @@
 //! ```
 //!
 //! This is a distributed implementation of the Erdős–Hajnal–Moon
-//! representative-family lemma. Two interchangeable implementations:
+//! representative-family lemma. Two implementations with identical
+//! output:
 //!
 //! * [`prune_literal`] — enumerates `X` exactly as written. Exponential in
-//!   `|I|`; used for fidelity cross-checks on small inputs.
-//! * [`prune_representative`] — decides each acceptance by bounded-depth
-//!   branching, using the invariant *"X survives ⟺ X intersects every
-//!   accepted sequence"*: `L` is accepted iff some `T ⊆ I∖L` with
-//!   `|T| ≤ k−t` hits every previously accepted sequence (fake IDs pad the
-//!   remaining slots — they occur in no sequence, so they can neither hit
-//!   nor be blocked). Depth ≤ `k−t`, fan-out ≤ `t−1`: polynomial for
-//!   constant `k`, and *provably identical output* to the literal rule for
-//!   the same iteration order (property-tested below).
+//!   `|I|`, so no protocol runs it: it is the oracle the tests and the
+//!   `pruning` bench check the other against.
+//! * [`prune_representative`] — the one every protocol runs. It decides
+//!   each acceptance by bounded-depth branching, using the invariant
+//!   *"X survives ⟺ X intersects every accepted sequence"*: `L` is
+//!   accepted iff some `T ⊆ I∖L` with `|T| ≤ k−t` hits every previously
+//!   accepted sequence (fake IDs pad the remaining slots — they occur in
+//!   no sequence, so they can neither hit nor be blocked). Depth ≤ `k−t`,
+//!   fan-out ≤ `t−1`: polynomial for constant `k`, and *provably
+//!   identical output* to the literal rule for the same iteration order
+//!   (property-tested below).
 //!
 //! Both take the received set as a [`SeqRows`] of width `t−1` and
 //! return indices of accepted rows; [`build_send_set_into`] writes the
@@ -34,16 +37,6 @@
 use crate::seq::{SeqRows, SortScratch};
 use ck_congest::graph::NodeId;
 
-/// Which pruning implementation a protocol uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PrunerKind {
-    /// Exact transcription of Instructions 13–24 (small inputs only).
-    Literal,
-    /// Bounded-branching representative-family implementation.
-    #[default]
-    Representative,
-}
-
 /// Upper bound of Lemma 3 on the number of sequences accepted at round
 /// `t`: `(k−t+1)^(t−1)`.
 pub fn lemma3_bound(k: usize, t: usize) -> u128 {
@@ -51,7 +44,7 @@ pub fn lemma3_bound(k: usize, t: usize) -> u128 {
     (k as u128 - t as u128 + 1).pow(t as u32 - 1)
 }
 
-/// Cap on `|X|` for the literal pruner; beyond this the caller should use
+/// Cap on `|X|` for the literal oracle; beyond this the caller should use
 /// the representative pruner (identical results).
 const LITERAL_ENUM_CAP: u128 = 1 << 22;
 
@@ -68,7 +61,8 @@ fn binomial(n: u128, k: u128) -> u128 {
 }
 
 /// Literal Instructions 13–24: returns the indices of accepted sequences,
-/// scanning `seqs` in the given order.
+/// scanning `seqs` in the given order. The test oracle for
+/// [`prune_representative`]; no protocol runs it.
 ///
 /// `t` is the Phase-2 round (`2 ≤ t ≤ ⌊k/2⌋`); a nonempty set must have
 /// width `t−1`, and no row may contain the executing node's ID (the
@@ -229,14 +223,6 @@ fn validate(seqs: &SeqRows, k: usize, t: usize) {
     );
 }
 
-/// Dispatch by [`PrunerKind`].
-pub fn prune(kind: PrunerKind, seqs: &SeqRows, k: usize, t: usize) -> Vec<usize> {
-    match kind {
-        PrunerKind::Literal => prune_literal(seqs, k, t),
-        PrunerKind::Representative => prune_representative(seqs, k, t),
-    }
-}
-
 /// Reusable buffers for allocation-free repeated send-set construction
 /// (every field keeps its capacity across rounds). Each call clears what
 /// it uses, so nodes that step one after another on one thread can share
@@ -266,10 +252,9 @@ impl SendSetScratch {
 /// semantics: sort + dedup), drop sequences containing `myid`
 /// (Instruction 12), prune, and append `myid` (Instruction 24). `out`
 /// (reset to width `t` first) receives the sequences to broadcast at
-/// round `t`; with the representative pruner the whole call is
-/// allocation-free once the scratch buffers have warmed up.
+/// round `t`; the whole call is allocation-free once the scratch buffers
+/// have warmed up.
 pub fn build_send_set_into(
-    kind: PrunerKind,
     received: &SeqRows,
     myid: NodeId,
     k: usize,
@@ -286,19 +271,13 @@ pub fn build_send_set_into(
         return;
     }
     scratch.filtered.sort_dedup(&mut scratch.sort);
-    match kind {
-        PrunerKind::Literal => {
-            scratch.accepted.clear();
-            scratch.accepted.extend(prune_literal(&scratch.filtered, k, t));
-        }
-        PrunerKind::Representative => prune_representative_into(
-            &scratch.filtered,
-            k,
-            t,
-            &mut scratch.accepted,
-            &mut scratch.transversal,
-        ),
-    }
+    prune_representative_into(
+        &scratch.filtered,
+        k,
+        t,
+        &mut scratch.accepted,
+        &mut scratch.transversal,
+    );
     for &i in &scratch.accepted {
         out.push_appended(scratch.filtered.row(i), myid);
     }
@@ -306,16 +285,10 @@ pub fn build_send_set_into(
 
 /// As [`build_send_set_into`], allocating fresh buffers — the
 /// convenience form for one-shot callers and tests.
-pub fn build_send_set(
-    kind: PrunerKind,
-    received: &SeqRows,
-    myid: NodeId,
-    k: usize,
-    t: usize,
-) -> SeqRows {
+pub fn build_send_set(received: &SeqRows, myid: NodeId, k: usize, t: usize) -> SeqRows {
     let mut scratch = SendSetScratch::default();
     let mut out = SeqRows::default();
-    build_send_set_into(kind, received, myid, k, t, &mut scratch, &mut out);
+    build_send_set_into(received, myid, k, t, &mut scratch, &mut out);
     out
 }
 
@@ -356,7 +329,7 @@ mod tests {
         let input = seqs(&[&[1, 2]]);
         assert_eq!(prune_literal(&input, 9, 3), vec![0]);
         assert_eq!(prune_representative(&input, 9, 3), vec![0]);
-        let sent = build_send_set(PrunerKind::Representative, &input, 3, 9, 3);
+        let sent = build_send_set(&input, 3, 9, 3);
         assert_eq!(sent.len(), 1);
         assert_eq!(sent.row(0), &[1, 2, 3]);
     }
@@ -410,7 +383,7 @@ mod tests {
     fn build_send_set_drops_own_id_and_dedupes() {
         let input = seqs(&[&[1, 2], &[1, 2], &[3, 7], &[4, 5]]);
         // myid = 7: the sequence containing 7 is removed (Instruction 12).
-        let sent = build_send_set(PrunerKind::Representative, &input, 7, 9, 3);
+        let sent = build_send_set(&input, 7, 9, 3);
         assert_eq!(sent.width(), 3);
         assert!(sent.rows().all(|s| s.last() == Some(&7)));
         assert!(sent.rows().all(|s| s != [3, 7, 7]));
@@ -423,7 +396,7 @@ mod tests {
 
     #[test]
     fn empty_input_sends_nothing() {
-        assert!(build_send_set(PrunerKind::Literal, &SeqRows::default(), 1, 8, 3).is_empty());
+        assert!(build_send_set(&SeqRows::default(), 1, 8, 3).is_empty());
     }
 
     #[test]
@@ -486,11 +459,12 @@ mod tests {
             (seqs(&[&[1, 2, 3], &[2, 3, 4], &[5, 6, 7]]), 8, 4),
         ];
         for (input, k, t) in cases {
-            for kind in [PrunerKind::Literal, PrunerKind::Representative] {
-                let acc = prune(kind, &input, k, t);
+            let literal = prune_literal(&input, k, t);
+            let representative = prune_representative(&input, k, t);
+            for (name, acc) in [("literal", literal), ("representative", representative)] {
                 assert!(
                     preserves_witnesses(&input, &acc, k, t),
-                    "witness lost: kind={kind:?} k={k} t={t} input={input:?} acc={acc:?}"
+                    "witness lost: {name} k={k} t={t} input={input:?} acc={acc:?}"
                 );
             }
         }

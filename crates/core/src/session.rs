@@ -19,7 +19,6 @@
 use crate::batch::{batch_exec, BatchError, BatchJob};
 use crate::dist::Fleet;
 use crate::msg::CkMsg;
-use crate::prune::PrunerKind;
 use crate::soa::SoaArena;
 use crate::tester::{tester_exec_into, ConfigError, TesterConfig, TesterRun};
 use ck_congest::engine::{EngineConfig, EngineError, EngineWorkspace, Executor, SlotStats};
@@ -48,12 +47,6 @@ impl TesterSessionBuilder {
     /// Overrides the paper's `⌈(e²/ε)·ln 3⌉` repetition schedule.
     pub fn repetitions(mut self, repetitions: u32) -> Self {
         self.cfg.repetitions = Some(repetitions);
-        self
-    }
-
-    /// Pruning implementation (identical semantics across kinds).
-    pub fn pruner(mut self, pruner: PrunerKind) -> Self {
-        self.cfg.pruner = pruner;
         self
     }
 
@@ -324,7 +317,6 @@ mod tests {
         let mut session = TesterSession::builder(7, 0.2)
             .seed(9)
             .repetitions(4)
-            .pruner(PrunerKind::Literal)
             .early_abort(true)
             .assume_loss(0.1)
             .verify_witnesses(true)
@@ -333,7 +325,6 @@ mod tests {
             .unwrap();
         let cfg = session.config();
         assert_eq!((cfg.k, cfg.seed, cfg.repetitions), (7, 9, Some(4)));
-        assert_eq!(cfg.pruner, PrunerKind::Literal);
         assert!(cfg.early_abort);
         assert_eq!(cfg.assumed_loss, Some(0.1));
         assert!(cfg.verify_witnesses);

@@ -14,7 +14,7 @@
 
 use crate::decide::{decide_all_rejects, RejectWitness};
 use crate::msg::SeqPool;
-use crate::prune::{build_send_set_into, PrunerKind, SendSetScratch};
+use crate::prune::{build_send_set_into, SendSetScratch};
 use crate::seq::{SeqRows, MAX_K};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
 use ck_congest::graph::{Edge, Graph, NodeId};
@@ -44,7 +44,6 @@ pub struct DetectSingle {
     myid: NodeId,
     u_id: NodeId,
     v_id: NodeId,
-    pruner: PrunerKind,
     /// Sequences broadcast at the last send round (consulted for even k).
     own_sent: SeqRows,
     verdict: SingleVerdict,
@@ -62,7 +61,7 @@ pub struct DetectSingle {
 impl DetectSingle {
     /// Creates the program for one node; `edge_ids` are the identities of
     /// the designated edge's endpoints.
-    pub fn new(k: usize, init: &NodeInit, edge_ids: (NodeId, NodeId), pruner: PrunerKind) -> Self {
+    pub fn new(k: usize, init: &NodeInit, edge_ids: (NodeId, NodeId)) -> Self {
         assert!((3..=MAX_K).contains(&k), "k = {k} outside supported range");
         DetectSingle {
             k,
@@ -70,7 +69,6 @@ impl DetectSingle {
             myid: init.id,
             u_id: edge_ids.0,
             v_id: edge_ids.1,
-            pruner,
             own_sent: SeqRows::default(),
             verdict: SingleVerdict::default(),
             recv: SeqRows::default(),
@@ -129,7 +127,6 @@ impl Program for DetectSingle {
             // within recycled buffers.
             self.collect(inbox, width);
             build_send_set_into(
-                self.pruner,
                 &self.recv,
                 self.myid,
                 self.k,
@@ -188,17 +185,14 @@ pub fn detect_ck_through_edge(
     g: &Graph,
     k: usize,
     e: Edge,
-    pruner: PrunerKind,
     config: &EngineConfig,
 ) -> Result<SingleRun, EngineError> {
     assert!(g.has_edge(e.a, e.b), "designated edge must exist");
     let ids = (g.id(e.a), g.id(e.b));
     let mut cfg = config.clone();
     cfg.max_rounds = (k / 2) as u32 + 1;
-    let outcome = Session::builder(g)
-        .config(cfg)
-        .build()
-        .run(|init| DetectSingle::new(k, &init, ids, pruner))?;
+    let outcome =
+        Session::builder(g).config(cfg).build().run(|init| DetectSingle::new(k, &init, ids))?;
     let reject = outcome.verdicts.iter().any(|v| v.reject);
     Ok(SingleRun { reject, outcome })
 }
@@ -211,8 +205,7 @@ mod tests {
     use ck_graphgen::farness::{has_ck_through_edge, is_valid_ck};
 
     fn run_edge(g: &Graph, k: usize, e: Edge) -> SingleRun {
-        detect_ck_through_edge(g, k, e, PrunerKind::Representative, &EngineConfig::default())
-            .unwrap()
+        detect_ck_through_edge(g, k, e, &EngineConfig::default()).unwrap()
     }
 
     #[test]
@@ -298,37 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn literal_and_representative_pruners_agree() {
-        let g = theta(3, 2);
-        for k in 3..=8 {
-            for &e in g.edges() {
-                let a =
-                    detect_ck_through_edge(&g, k, e, PrunerKind::Literal, &EngineConfig::default())
-                        .unwrap();
-                let b = detect_ck_through_edge(
-                    &g,
-                    k,
-                    e,
-                    PrunerKind::Representative,
-                    &EngineConfig::default(),
-                )
-                .unwrap();
-                assert_eq!(a.reject, b.reject, "k={k} e={e:?}");
-                assert_eq!(a.outcome.report.total_messages(), b.outcome.report.total_messages());
-            }
-        }
-    }
-
-    #[test]
     fn executors_agree() {
         let g = petersen();
         for k in [5usize, 6] {
             for &e in g.edges() {
                 let mut cfg =
                     EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() };
-                let a = detect_ck_through_edge(&g, k, e, PrunerKind::Representative, &cfg).unwrap();
+                let a = detect_ck_through_edge(&g, k, e, &cfg).unwrap();
                 cfg.executor = Executor::Parallel;
-                let b = detect_ck_through_edge(&g, k, e, PrunerKind::Representative, &cfg).unwrap();
+                let b = detect_ck_through_edge(&g, k, e, &cfg).unwrap();
                 assert_eq!(a.reject, b.reject);
                 assert_eq!(a.outcome.report.per_round, b.outcome.report.per_round);
             }
@@ -367,7 +338,7 @@ mod tests {
             m: g.m(),
         };
         let myid = init.id;
-        let mut node = DetectSingle::new(7, &init, (g.id(0), g.id(6)), PrunerKind::Representative);
+        let mut node = DetectSingle::new(7, &init, (g.id(0), g.id(6)));
         // Engine round 2 (paper round 3) carries width-2 rows.
         let mut inbox = InboxBuf::new();
         inbox.push(0, SeqRows::from_rows(2, &[&[20, 21], &[10, 11]]));

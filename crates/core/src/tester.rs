@@ -23,7 +23,7 @@
 use crate::decide::{decide_reject, RejectWitness};
 use crate::dist::Fleet;
 use crate::msg::{CkMsg, EdgeTag, SeqPool};
-use crate::prune::{build_send_set_into, PrunerKind};
+use crate::prune::build_send_set_into;
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
 use crate::seq::{SeqRows, SortScratch, MAX_K};
 use crate::soa::{BufsRef, BundleLoc, SoaArena, SoaView};
@@ -83,8 +83,6 @@ pub struct TesterConfig {
     pub seed: u64,
     /// Overrides the paper's `⌈(e²/ε)·ln 3⌉` repetition schedule.
     pub repetitions: Option<u32>,
-    /// Pruning implementation (identical semantics; see `prune`).
-    pub pruner: PrunerKind,
     /// Early-abort extension (off by default, matching the paper): a
     /// rejecting node floods a 1-bit abort flag; every node halts within
     /// diameter+1 rounds of the first rejection instead of finishing the
@@ -117,7 +115,6 @@ impl TesterConfig {
             eps,
             seed,
             repetitions: None,
-            pruner: PrunerKind::Representative,
             early_abort: false,
             assumed_loss: None,
             verify_witnesses: false,
@@ -211,7 +208,6 @@ pub(crate) struct CkTester<'g> {
     /// RNG construction entirely, which is unobservable since an
     /// ownerless stream would never be drawn from.
     owns_edges: bool,
-    pruner: PrunerKind,
     early_abort: bool,
     /// Early-abort: an abort flag was seen or originated.
     aborting: bool,
@@ -239,7 +235,6 @@ impl<'g> CkTester<'g> {
             m: init.m,
             ranks: RankStream::new(cfg.seed, init.id),
             owns_edges: init.neighbor_ids.iter().any(|&nb| init.id < nb),
-            pruner: cfg.pruner,
             early_abort: cfg.early_abort,
             aborting: false,
             abort_forwarded: false,
@@ -408,7 +403,7 @@ impl Program for CkTester<'_> {
             // entirely within recycled buffers.
             let t = local as usize;
             absorb(&mut self.cur, tags, locs, recv, prune.sort_scratch(), &inbox, t - 1);
-            build_send_set_into(self.pruner, recv, self.myid, self.k, t, prune, send);
+            build_send_set_into(recv, self.myid, self.k, t, prune, send);
             if !send.is_empty() {
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(send.len());
                 own_sent.clone_from(send);
@@ -614,17 +609,15 @@ fn tester_exec_inproc(
         arena.prepare(g, g.n().max(1));
     }
     // The arena stays dormant behind these Copy base pointers for the
-    // whole run (`SoaView`'s invariants); nothing needs reclaiming —
-    // every buffer a view touched is already owned by the arena,
-    // including the pools `reclaim_msg` drains the parked broadcast
-    // payloads into.
+    // whole run (`SoaView`'s invariants); every buffer a view touches
+    // is owned by the arena, including the pools `reclaim_msg` drains
+    // the parked broadcast payloads into.
     let bases = arena.bases();
     ws.run_on_into(
         g,
         ecfg,
         &params,
         |init| CkTester::new(cfg, &init, SoaView::new(bases, init.index as usize)),
-        |_prog: CkTester<'_>| {},
         &mut run.outcome,
     )?;
     finish_tester_run(g, cfg, reps, run);

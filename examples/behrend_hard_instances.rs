@@ -15,7 +15,6 @@
 use ck_baselines::naive::{naive_detect_through_edge, DropPolicy};
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::Edge;
-use ck_core::prune::PrunerKind;
 use ck_core::single::detect_ck_through_edge;
 use ck_core::tester::test_ck_freeness;
 use ck_graphgen::behrend::{behrend_ap_free_set, behrend_ck_instance};
@@ -40,14 +39,7 @@ fn main() {
         let probes = inst.planted.len().min(10);
         for copy in inst.planted.iter().take(probes) {
             let e = Edge::new(copy[k - 1], copy[0]);
-            let run = detect_ck_through_edge(
-                g,
-                k,
-                e,
-                PrunerKind::Representative,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let run = detect_ck_through_edge(g, k, e, &EngineConfig::default()).unwrap();
             if run.reject {
                 exact += 1;
             }

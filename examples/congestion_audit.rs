@@ -14,7 +14,7 @@ use ck_baselines::naive::{naive_detect_through_edge, DropPolicy};
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::Edge;
 use ck_congest::message::WireParams;
-use ck_core::prune::{lemma3_bound, PrunerKind};
+use ck_core::prune::lemma3_bound;
 use ck_core::single::detect_ck_through_edge;
 use ck_graphgen::basic::spindle;
 
@@ -33,9 +33,7 @@ fn main() {
         let naive =
             naive_detect_through_edge(&g, k, e, DropPolicy::KeepAll, &EngineConfig::default())
                 .unwrap();
-        let pruned =
-            detect_ck_through_edge(&g, k, e, PrunerKind::Representative, &EngineConfig::default())
-                .unwrap();
+        let pruned = detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap();
         assert!(naive.reject && pruned.reject);
         assert!((pruned.max_sent_seqs() as u128) <= bound);
 

@@ -13,7 +13,7 @@
 use ck_baselines::naive::{naive_detect_through_edge, DropPolicy};
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::Edge;
-use ck_core::prune::{build_send_set, PrunerKind};
+use ck_core::prune::build_send_set;
 use ck_core::seq::SeqRows;
 use ck_core::single::detect_ck_through_edge;
 use ck_graphgen::basic::figure1;
@@ -28,14 +28,12 @@ fn main() {
 
     // Round 2 at x (= node id 2): the pruning decision.
     let received = SeqRows::from_rows(1, &[&[0], &[1]]);
-    let sent = build_send_set(PrunerKind::Representative, &received, 2, 5, 2);
+    let sent = build_send_set(&received, 2, 5, 2);
     println!("round 2 at x: received {{(u), (v)}} → forwards {:?}", seqs(&sent));
     assert_eq!(sent.len(), 2, "the pruner must keep BOTH hub sequences");
 
     // Full protocol: z decides.
-    let run =
-        detect_ck_through_edge(&g, 5, e, PrunerKind::Representative, &EngineConfig::default())
-            .unwrap();
+    let run = detect_ck_through_edge(&g, 5, e, &EngineConfig::default()).unwrap();
     let z = &run.outcome.verdicts[4];
     println!(
         "round 2→3: z receives the forwarded pairs and outputs {}",

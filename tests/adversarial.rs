@@ -4,7 +4,6 @@
 
 use ck_congest::engine::EngineConfig;
 use ck_congest::graph::{Edge, Graph};
-use ck_core::prune::PrunerKind;
 use ck_core::session::TesterSession;
 use ck_core::single::detect_ck_through_edge;
 use ck_core::tester::TesterConfig;
@@ -40,15 +39,8 @@ fn single_edge_exactness_under_hostile_ids() {
         for k in 3..=8usize {
             for &e in g.edges() {
                 let expected = has_ck_through_edge(&g, k, e);
-                let got = detect_ck_through_edge(
-                    &g,
-                    k,
-                    e,
-                    PrunerKind::Representative,
-                    &EngineConfig::default(),
-                )
-                .unwrap()
-                .reject;
+                let got =
+                    detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap().reject;
                 assert_eq!(got, expected, "k={k} e={e:?} ids={:?}", g.ids());
             }
         }
@@ -94,26 +86,13 @@ fn no_false_rejects_under_hostile_ids() {
 fn boundary_parameters() {
     // k = 3 on a triangle with extreme IDs.
     let tri = cycle(3).with_ids(vec![0, u64::MAX / 2, u64::MAX - 1]).unwrap();
-    let run = detect_ck_through_edge(
-        &tri,
-        3,
-        Edge::new(0, 1),
-        PrunerKind::Representative,
-        &EngineConfig::default(),
-    )
-    .unwrap();
+    let run = detect_ck_through_edge(&tri, 3, Edge::new(0, 1), &EngineConfig::default()).unwrap();
     assert!(run.reject);
 
     // Large k (k = 15 needs sequences of length 7 — well within MAX_SEQ_LEN).
     let long = cycle(15);
-    let run = detect_ck_through_edge(
-        &long,
-        15,
-        Edge::new(0, 14),
-        PrunerKind::Representative,
-        &EngineConfig::default(),
-    )
-    .unwrap();
+    let run =
+        detect_ck_through_edge(&long, 15, Edge::new(0, 14), &EngineConfig::default()).unwrap();
     assert!(run.reject);
     assert!(!contains_ck(&long, 14));
 
@@ -134,14 +113,7 @@ fn witnesses_sound_under_hostile_ids() {
     let g = base.with_ids((0..n as u64).map(|i| (n as u64 - i) * 17).collect()).unwrap();
     for k in [3usize, 5] {
         for &e in g.edges() {
-            let run = detect_ck_through_edge(
-                &g,
-                k,
-                e,
-                PrunerKind::Representative,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let run = detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap();
             for v in &run.outcome.verdicts {
                 for w in &v.all_witnesses {
                     let idx: Vec<_> = w
@@ -164,18 +136,11 @@ fn k_range_contract() {
     let g = cycle(5);
     let e = Edge::new(0, 1);
     let bad_low = std::panic::catch_unwind(|| {
-        let _ =
-            detect_ck_through_edge(&g, 2, e, PrunerKind::Representative, &EngineConfig::default());
+        let _ = detect_ck_through_edge(&g, 2, e, &EngineConfig::default());
     });
     assert!(bad_low.is_err(), "k = 2 must be rejected");
     let bad_high = std::panic::catch_unwind(|| {
-        let _ = detect_ck_through_edge(
-            &g,
-            MAX_K + 1,
-            e,
-            PrunerKind::Representative,
-            &EngineConfig::default(),
-        );
+        let _ = detect_ck_through_edge(&g, MAX_K + 1, e, &EngineConfig::default());
     });
     assert!(bad_high.is_err(), "k beyond MAX_K must be rejected");
 }

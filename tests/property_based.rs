@@ -3,7 +3,7 @@
 
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::graph::{Edge, Graph, GraphBuilder};
-use ck_core::prune::{lemma3_bound, prune_literal, prune_representative, PrunerKind};
+use ck_core::prune::{build_send_set, lemma3_bound, prune_literal, prune_representative};
 use ck_core::seq::{SeqRows, SortScratch};
 use ck_core::session::TesterSession;
 use ck_core::single::detect_ck_through_edge;
@@ -57,8 +57,7 @@ proptest! {
     fn single_edge_matches_oracle(g in arb_graph(), k in 3usize..8) {
         for &e in g.edges() {
             let expected = has_ck_through_edge(&g, k, e);
-            let run = detect_ck_through_edge(
-                &g, k, e, PrunerKind::Representative, &EngineConfig::default()).unwrap();
+            let run = detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap();
             prop_assert_eq!(run.reject, expected, "k={} e={:?}", k, e);
         }
     }
@@ -93,8 +92,7 @@ proptest! {
     fn message_bound_always_holds(g in arb_graph(), k in 4usize..9) {
         let bound = (2..=k / 2).map(|t| lemma3_bound(k, t)).max().unwrap_or(1);
         let e = g.edges()[0];
-        let run = detect_ck_through_edge(
-            &g, k, e, PrunerKind::Representative, &EngineConfig::default()).unwrap();
+        let run = detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap();
         prop_assert!((run.max_sent_seqs() as u128) <= bound);
     }
 
@@ -223,6 +221,26 @@ proptest! {
         let lit = prune_literal(&seqs, k, t);
         let rep = prune_representative(&seqs, k, t);
         prop_assert_eq!(lit, rep, "k={} t={} seqs={:?}", k, t, seqs);
+    }
+
+    /// The send set is the literal rule applied along the whole path:
+    /// drop the rows holding `myid` (Instruction 12), sort and dedup,
+    /// prune with the literal oracle, append `myid` (Instruction 24).
+    #[test]
+    fn send_set_matches_the_literal_oracle(((raw, k, t), myid) in (arb_prune_input(), 1u64..12)) {
+        if t < 2 || t > k / 2 { return Ok(()); }
+        let received = round_rows(&raw, t);
+        let mut filtered = SeqRows::new(t - 1);
+        for row in received.rows().filter(|row| !row.contains(&myid)) {
+            filtered.push(row);
+        }
+        filtered.sort_dedup(&mut SortScratch::default());
+        let mut want = SeqRows::new(t);
+        for i in prune_literal(&filtered, k, t) {
+            want.push_appended(filtered.row(i), myid);
+        }
+        let got = build_send_set(&received, myid, k, t);
+        prop_assert_eq!(got, want, "k={} t={} myid={} received={:?}", k, t, myid, received);
     }
 
     /// Lemma 3 bound holds for arbitrary inputs, and the accepted family

@@ -7,7 +7,6 @@ use ck_congest::graph::{Edge, Graph};
 use ck_congest::protocols::{build_bfs_tree, elect_min_id};
 use ck_congest::topology::{bipartition, bridges, core_numbers, is_bipartite, triangle_count};
 use ck_core::girth::girth_via_detectors;
-use ck_core::prune::PrunerKind;
 use ck_core::single::detect_ck_through_edge;
 use ck_graphgen::basic::{cycle_cactus, grid, lollipop, petersen, theta};
 use ck_graphgen::families::{circulant, mobius_kantor, pappus, random_bipartite};
@@ -28,14 +27,7 @@ fn bridges_are_invisible_to_cycle_detectors() {
                 continue;
             }
             for k in 3..=8usize {
-                let run = detect_ck_through_edge(
-                    g,
-                    k,
-                    e,
-                    PrunerKind::Representative,
-                    &EngineConfig::default(),
-                )
-                .unwrap();
+                let run = detect_ck_through_edge(g, k, e, &EngineConfig::default()).unwrap();
                 assert!(!run.reject, "bridge {e:?} cannot lie on a C{k}");
             }
         }
@@ -56,14 +48,7 @@ fn bipartite_families_reject_no_odd_k() {
         }
         for k in [3usize, 5, 7] {
             for &e in g.edges().iter().take(6) {
-                let run = detect_ck_through_edge(
-                    g,
-                    k,
-                    e,
-                    PrunerKind::Representative,
-                    &EngineConfig::default(),
-                )
-                .unwrap();
+                let run = detect_ck_through_edge(g, k, e, &EngineConfig::default()).unwrap();
                 assert!(!run.reject, "odd C{k} in a bipartite graph?");
             }
         }
@@ -124,14 +109,7 @@ fn low_core_nodes_never_appear_in_witnesses() {
     let core = core_numbers(&g);
     for k in 3..=6usize {
         for &e in g.edges() {
-            let run = detect_ck_through_edge(
-                &g,
-                k,
-                e,
-                PrunerKind::Representative,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let run = detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap();
             for v in &run.outcome.verdicts {
                 for w in &v.all_witnesses {
                     for id in w.cycle_ids() {
@@ -151,23 +129,9 @@ fn dimacs_round_trip_preserves_verdicts() {
     let h = parse_dimacs(&to_dimacs(&g)).unwrap();
     for k in [5usize, 6] {
         for (i, &e) in g.edges().iter().enumerate() {
-            let a = detect_ck_through_edge(
-                &g,
-                k,
-                e,
-                PrunerKind::Representative,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let a = detect_ck_through_edge(&g, k, e, &EngineConfig::default()).unwrap();
             let eh = h.edges()[i];
-            let b = detect_ck_through_edge(
-                &h,
-                k,
-                eh,
-                PrunerKind::Representative,
-                &EngineConfig::default(),
-            )
-            .unwrap();
+            let b = detect_ck_through_edge(&h, k, eh, &EngineConfig::default()).unwrap();
             assert_eq!(a.reject, b.reject);
         }
     }
