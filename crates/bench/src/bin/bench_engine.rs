@@ -1038,8 +1038,9 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"description\": \"Round-engine throughput of the arena engine (zero-allocation \
-         double-buffered inboxes with one segment per sender chunk, one round loop for both \
-         in-process executors + clone-free broadcast slots + pooled tester payloads). Mode \
+         double-buffered CSR mailboxes with one payload segment per sender chunk, one round \
+         loop for both in-process executors + clone-free broadcast slots + pooled tester \
+         payloads). Mode \
          'fast' = record_rounds off; mode 'accounted' = record_rounds on (fused wire \
          accounting). Every entry records its executor and thread count; arena \
          sequential/parallel outputs are asserted bit-identical before timing. The MinFlood \

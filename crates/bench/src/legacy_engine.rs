@@ -254,8 +254,8 @@ mod tests {
     }
 
     /// Whether some receiver of `g` hears from senders in every chunk of
-    /// the current node→thread partition — i.e. gathers from every
-    /// inbox segment.
+    /// the current node→thread partition — i.e. its mailbox row is
+    /// written by every chunk's thread.
     fn some_receiver_spans_all_chunks(g: &Graph) -> bool {
         let plan = ck_congest::engine::node_step_plan(g.n());
         (0..g.n() as NodeIndex).any(|v| {

@@ -1,11 +1,12 @@
-//! Shared internals of the arena engine: the double-buffered,
-//! sender-segmented inbox arena with its per-segment payload arenas,
+//! Shared internals of the arena engine: the double-buffered CSR
+//! mailbox arena with its per-segment payload arenas and spill lists,
 //! the flat per-directed-edge load table, and the per-round digest the
 //! fused accounting feeds and every executor closes its rounds with.
 //! Split out of `engine` so the node-side [`crate::node::Outbox`] can
-//! write straight into inboxes without a module cycle.
+//! write straight into mailboxes without a module cycle.
 
 use std::cell::UnsafeCell;
+use std::ops::Range;
 
 use crate::engine::{EngineConfig, EngineError, WireFlags};
 use crate::fault::DropKind;
@@ -113,8 +114,9 @@ impl LoadTable {
 
 /// Owned payloads of one inbox segment, in address-stable blocks.
 ///
-/// A targeted send moves its payload in here and the receiver's box
-/// gets a [`Packet`] pointing at it. Blocks are never resized: a full
+/// A targeted send moves its payload in here and the receiver's mailbox
+/// slot (or, for a link's later messages, a spilled [`Packet`]) points
+/// at it. Blocks are never resized: a full
 /// block is followed by a new one twice its size, so a pushed payload
 /// never moves until [`PayloadArena::clear`] drops it. `clear` keeps
 /// the blocks, so a refill of the same size allocates nothing.
@@ -166,48 +168,85 @@ impl<M> PayloadArena<M> {
     }
 }
 
-/// Type-erased write handle of one segment of an [`InboxArena`]: the
-/// base of its `nodes` receiver boxes (`*mut Vec<Packet<M>>`) and its
-/// payload arena (`*mut PayloadArena<M>`), for the outbox's inbox sink.
+/// Type-erased write handle of one segment of an [`InboxArena`], for
+/// the outbox's inbox sink: the base of the generation's mailbox
+/// (`*mut *const M`, shared by every segment) and the segment's own
+/// payload arena (`*mut PayloadArena<M>`) and spill list
+/// (`*mut Vec<Packet<M>>`).
 #[derive(Clone, Copy)]
 pub(crate) struct Segment {
-    pub(crate) boxes: *mut (),
+    pub(crate) mail: *mut (),
     pub(crate) payloads: *mut (),
+    pub(crate) spills: *mut (),
 }
 
-/// Double-buffered, segmented per-receiver inboxes: the message arena
-/// of every executor.
+/// Appends a link's second or later message of the round to a
+/// segment's spill list, in queueing order: `slot` is the link's
+/// mailbox slot, and the entry's position in the list breaks ties when
+/// the generation's spills are sorted by slot. Out of line and cold: a
+/// send reaches it only when the slot it stores to is already taken.
+#[cold]
+#[inline(never)]
+pub(crate) fn spill<M>(spills: &mut Vec<Packet<M>>, slot: DirectedEdgeId, msg: *const M) {
+    let seq = spills.len() as u32;
+    spills.push(Packet { slot, seq, msg });
+}
+
+/// Double-buffered CSR mailboxes: the message arena of every executor.
 ///
-/// A run over `n` receivers whose senders step in `W` chunks (in
-/// process, the chunks of the run's pinned [`rayon::ChunkPlan`], with
-/// `W = 1` for the sequential executor) holds `W·n` boxes in
-/// segment-major order: box `w·n + v` holds the messages for receiver
-/// `v` from the senders of chunk `w`, as 16-byte [`Packet`]s already
-/// labeled with their receiver-side port. A distributed worker uses two
-/// segments: senders below its range, then its own and those above
-/// (see [`crate::net::partition`]). A packet points at its payload:
-/// broadcast payloads park once in the sender's slot, and every other
-/// payload lives in its segment's [`PayloadArena`].
+/// A generation's *mailbox* holds one payload pointer per directed
+/// edge, indexed on the receiver's side: a message sent on `(v, p)` is
+/// stored at [`Graph::reverse_edge`](crate::graph::Graph::reverse_edge)
+/// `(v, p)`, which lies in the row of `v`'s neighbour `w`, at `v`'s
+/// position. Receiver `w`'s deliveries therefore sit in its own
+/// contiguous CSR row, one slot per port and null where nothing
+/// arrived, and port order is ascending sender order — the canonical
+/// delivery order, with no gather and no sort. A send is one 8-byte
+/// store.
+///
+/// The model carries one message per link per round, but the API
+/// allows more. A link's second and later messages of a round *spill*:
+/// the writer appends them to its segment's spill list (see [`spill`]).
+/// When the generation enters the read role, [`InboxArena::swap_roles`]
+/// merges the lists into one, sorted by slot and then queueing order,
+/// and a receiver reads its spills as a sub-slice of it
+/// ([`InboxArena::spills_of`], empty without a search when nothing
+/// spilled).
+///
+/// A run whose senders step in `W` chunks (in process, the chunks of
+/// the run's pinned [`rayon::ChunkPlan`], with `W = 1` for the
+/// sequential executor; one for a distributed worker, see
+/// [`crate::net::partition`]) has `W` *segments*: segment `w` is the
+/// payload arena and the spill list of chunk `w`. A payload a mailbox
+/// slot or a spill points at is a first broadcast parked in its
+/// sender's slot, or lives in a segment's [`PayloadArena`].
 ///
 /// Interior mutability with hand-verified disjointness, upheld by the
-/// round loop: while this arena is in the write role, segment `w` (its
-/// boxes and its payload arena) is written only by the thread stepping
-/// chunk `w` (so two writer threads never touch the same box, and
-/// segment-major order gives each one a contiguous range, off the
-/// others' cache lines except at the range edges); while it is in the
-/// read role, the `W` boxes of receiver `v` are read and cleared only
-/// by `v`'s own step, and no payload arena is written.
+/// round loop: while this arena is in the write role, the mailbox slot
+/// of directed edge `(v, p)` is written only by sender `v`'s step, and
+/// segment `w` only by the thread stepping chunk `w`; while it is in
+/// the read role, receiver `w`'s mailbox row is read and nulled only by
+/// `w`'s own step, and nothing else is written.
 pub(crate) struct InboxArena<M> {
-    /// The `W·n` receiver boxes, segment-major. A box only ever holds
-    /// packets whose payloads live in this arena generation.
-    boxes: Vec<UnsafeCell<Vec<Packet<M>>>>,
+    /// One payload pointer per directed edge, receiver-indexed; null
+    /// where nothing arrived. Every slot of the used extent is null
+    /// whenever the generation enters the write role.
+    mail: Vec<UnsafeCell<*const M>>,
     /// One payload arena per segment, written by that segment's writer
     /// alone. Cleared whenever this generation re-enters the write role
-    /// (in `swap_roles` and in `reset`), when every box of the
-    /// generation is already empty.
+    /// (in `swap_roles` and in `reset`), when every mailbox slot of the
+    /// generation is already null.
     payloads: Vec<UnsafeCell<PayloadArena<M>>>,
+    /// One spill list per segment, in queueing order, written by that
+    /// segment's writer alone and emptied into `spilled` when the
+    /// generation enters the read role.
+    spills: Vec<UnsafeCell<Vec<Packet<M>>>>,
+    /// Every spill of the generation, sorted by slot and then queueing
+    /// order: built when the generation enters the read role, read by
+    /// the receivers, emptied when it re-enters the write role.
+    spilled: Vec<Packet<M>>,
     /// Per-sender broadcast slots: slot `v` holds the payload of `v`'s
-    /// first broadcast of this generation *once*; the boxes carry
+    /// first broadcast of this generation *once*; the mailbox carries
     /// pointers into it. Written only by `v` during the write phase,
     /// read only by `v`'s neighbors during the following read phase
     /// (when no slot of this arena is written at all), overwritten by
@@ -215,19 +254,21 @@ pub(crate) struct InboxArena<M> {
     /// payload is evicted back to `v` for recycling. Never scanned or
     /// cleared.
     slots: Vec<UnsafeCell<Option<M>>>,
-    /// Receivers per segment in the current (or last) run.
+    /// Senders in the current (or last) run.
     nodes: usize,
-    /// Segments in the current (or last) run; `reset` only cleans the
-    /// `nodes · segments` prefix.
+    /// Directed edges in the current (or last) run; `reset` only nulls
+    /// this prefix of the mailbox.
+    edges: usize,
+    /// Segments in the current (or last) run.
     segments: usize,
 }
 
-// SAFETY: shared access reaches boxes and payload arenas only through
-// `segment_ptr` and `gather`, whose callers uphold the
-// segment/receiver disjointness documented on the type, and slots
-// through `slots_ptr`, whose callers uphold the sender-only write rule
-// documented on the field; `nodes` and `segments` change only under
-// `&mut self`. `M: Send` makes moving messages across the worker
+// SAFETY: shared access reaches the mailbox, the payload arenas and the
+// spill lists only through `segment_ptr` and `row_mut`, whose callers
+// uphold the slot/segment/row disjointness documented on the type, and
+// slots through `slots_ptr`, whose callers uphold the sender-only write
+// rule documented on the field; `spilled` and the sizes change only
+// under `&mut self`. `M: Send` makes moving messages across the worker
 // threads sound, and `M: Sync` covers the concurrent shared reads of
 // one payload by several receivers.
 unsafe impl<M: Send + Sync> Sync for InboxArena<M> {}
@@ -236,127 +277,173 @@ impl<M> InboxArena<M> {
     /// An empty arena (allocates nothing until its first `reset`).
     pub(crate) fn new() -> Self {
         InboxArena {
-            boxes: Vec::new(),
+            mail: Vec::new(),
             payloads: Vec::new(),
+            spills: Vec::new(),
+            spilled: Vec::new(),
             slots: Vec::new(),
             nodes: 0,
+            edges: 0,
             segments: 0,
         }
     }
 
-    /// Prepares the arena for a run over `nodes` receivers in
-    /// `segments` sender chunks, reusing the previous run's buffer
-    /// capacities: boxes in the previously used extent are cleared
-    /// (capacity kept — the whole point of batch reuse), stale
-    /// payloads are dropped (payload blocks kept), and the backing
-    /// arrays grow only when the new shape does not fit. `&mut self`
-    /// proves exclusivity, so no unsafe cell access is needed.
-    pub(crate) fn reset(&mut self, nodes: usize, segments: usize) {
-        for b in self.boxes.iter_mut().take(self.nodes * self.segments) {
-            b.get_mut().clear();
+    /// Prepares the arena for a run over `nodes` senders, `edges`
+    /// directed edges and `segments` sender chunks, reusing the
+    /// previous run's buffers: the previously used mailbox extent is
+    /// nulled, stale payloads and spills are dropped (payload blocks
+    /// and list capacities kept), and the backing arrays grow only when
+    /// the new shape does not fit. `&mut self` proves exclusivity, so
+    /// no unsafe cell access is needed.
+    pub(crate) fn reset(&mut self, nodes: usize, edges: usize, segments: usize) {
+        for m in self.mail.iter_mut().take(self.edges) {
+            *m.get_mut() = std::ptr::null();
         }
         self.clear_payloads();
         for slot in self.slots.iter_mut().take(self.nodes) {
             *slot.get_mut() = None;
         }
-        if self.boxes.len() < nodes * segments {
-            self.boxes.resize_with(nodes * segments, || UnsafeCell::new(Vec::new()));
+        if self.mail.len() < edges {
+            self.mail.resize_with(edges, || UnsafeCell::new(std::ptr::null()));
         }
         if self.payloads.len() < segments {
             self.payloads.resize_with(segments, || UnsafeCell::new(PayloadArena::default()));
+            self.spills.resize_with(segments, || UnsafeCell::new(Vec::new()));
         }
         if self.slots.len() < nodes {
             self.slots.resize_with(nodes, || UnsafeCell::new(None));
         }
         self.nodes = nodes;
+        self.edges = edges;
         self.segments = segments;
     }
 
     /// Ends a round: `next`, this round's write arena, becomes the read
-    /// arena, and `cur`, whose boxes every receiver's step emptied,
-    /// re-enters the write role with its payloads dropped. The
-    /// in-process round loop and a distributed worker's
-    /// `commit_round` both end a round here.
+    /// arena with its spills merged, and `cur`, whose mailbox every
+    /// receiver's step nulled, re-enters the write role with its
+    /// payloads dropped. The in-process round loop and a distributed
+    /// worker's `commit_round` both end a round here.
     pub(crate) fn swap_roles(cur: &mut Self, next: &mut Self) {
         std::mem::swap(cur, next);
+        cur.seal();
         next.clear_payloads();
     }
 
-    /// Drops every payload of the segments' payload arenas, keeping
-    /// their blocks: how a generation whose boxes were all emptied
-    /// re-enters the write role. `&mut self` proves no round is
-    /// stepping.
+    /// Merges the segments' spill lists into `spilled`, sorted by slot
+    /// and then queueing order (a link's spills all come from one
+    /// writer, so their list positions order them). In place and
+    /// allocation-free once warm; a round without spills only checks
+    /// `W` empty lists.
+    fn seal(&mut self) {
+        debug_assert!(self.spilled.is_empty());
+        for s in self.spills.iter_mut() {
+            self.spilled.append(s.get_mut());
+        }
+        if !self.spilled.is_empty() {
+            self.spilled.sort_unstable_by_key(|p| (p.slot, p.seq));
+        }
+    }
+
+    /// Drops every payload of the segments' payload arenas and every
+    /// spill, keeping their blocks and capacities: how a generation
+    /// whose mailbox was nulled re-enters the write role. `&mut self`
+    /// proves no round is stepping.
     fn clear_payloads(&mut self) {
         debug_assert!(
-            self.boxes.iter_mut().all(|b| b.get_mut().is_empty()),
-            "payloads dropped while a box still points at them"
+            self.mail.iter_mut().all(|m| m.get_mut().is_null()),
+            "payloads dropped while a mailbox slot still points at them"
         );
         for p in self.payloads.iter_mut() {
             p.get_mut().clear();
         }
+        for s in self.spills.iter_mut() {
+            s.get_mut().clear();
+        }
+        self.spilled.clear();
     }
 
-    /// Type-erased write handle of segment `w` — `nodes` boxes indexed
-    /// by receiver and the segment's payload arena — for the outbox's
-    /// inbox sink. Access contract as documented on the type: only the
-    /// thread stepping chunk `w` writes through it, and only while this
-    /// arena is in the write role.
+    /// Type-erased write handle of segment `w` for the outbox's inbox
+    /// sink: the mailbox base and segment `w`'s payload arena and spill
+    /// list. Access contract as documented on the type: a slot is
+    /// written only by its sender, the segment only by the thread
+    /// stepping chunk `w`, and only while this arena is in the write
+    /// role.
     pub(crate) fn segment_ptr(&self, w: usize) -> Segment {
         debug_assert!(w < self.segments);
-        // The full-range index keeps all `nodes` boxes the sink may
-        // write inside the array. UnsafeCell<T> is repr(transparent)
-        // over T.
+        // UnsafeCell<T> is repr(transparent) over T.
         Segment {
-            boxes: self.boxes[w * self.nodes..(w + 1) * self.nodes].as_ptr() as *mut (),
+            mail: self.mail.as_ptr() as *mut (),
             payloads: self.payloads[w].get() as *mut (),
+            spills: self.spills[w].get() as *mut (),
         }
     }
 
-    /// Files one delivery in box `(w, v)`, its payload moved into
-    /// segment `w`'s payload arena. `&mut self` proves no round is
-    /// stepping, so no unsafe cell access is needed.
-    pub(crate) fn push_owned(&mut self, w: usize, v: NodeIndex, port: u32, msg: M) {
+    /// Files one delivery at mailbox slot `slot`, its payload moved
+    /// into segment `w`'s payload arena; a second or later delivery on
+    /// the slot's link spills, as a send's does. `&mut self` proves no
+    /// round is stepping, so no unsafe cell access is needed.
+    pub(crate) fn push_owned(&mut self, w: usize, slot: DirectedEdgeId, msg: M) {
+        debug_assert!((slot as usize) < self.edges, "slot outside the run's mailbox");
         let msg = self.payloads[w].get_mut().push(msg);
-        self.inbox_mut(w, v).push(Packet { port, msg });
+        let cell = self.mail[slot as usize].get_mut();
+        if cell.is_null() {
+            *cell = msg;
+        } else {
+            spill(self.spills[w].get_mut(), slot, msg);
+        }
     }
 
-    /// Gathers receiver `v`'s traffic in place: appends each later
-    /// nonempty box into the first nonempty one and returns it (box
-    /// `(0, v)` when nothing arrived). Ascending segment means
-    /// ascending sender, so the result is in canonical delivery order.
-    /// Every other box of `v` is left empty, so clearing the returned
-    /// box empties all of them; no buffer changes hands.
+    /// Receiver `v`'s mailbox row — the slots `row`, `v`'s
+    /// [`Graph::directed_edge_range`](crate::graph::Graph::directed_edge_range)
+    /// — to read and then null. Port order is ascending sender order.
     ///
     /// # Safety
-    /// `v` must be below the node count of the last `reset`, and the
-    /// caller must be `v`'s step while this arena is in the read role:
-    /// no other reference to any of `v`'s boxes may be live.
+    /// `row` must lie within the edge count of the last `reset`, and
+    /// the caller must be `v`'s step while this arena is in the read
+    /// role: no other reference to the row's slots may be live.
     #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn gather(&self, v: NodeIndex) -> &mut Vec<Packet<M>> {
-        debug_assert!((v as usize) < self.nodes);
+    pub(crate) unsafe fn row_mut(&self, row: Range<DirectedEdgeId>) -> &mut [*const M] {
+        debug_assert!(row.start <= row.end && row.end as usize <= self.edges);
         // UnsafeCell<T> is repr(transparent) over T.
-        let base = self.boxes.as_ptr() as *mut Vec<Packet<M>>;
-        let mut head = base.add(v as usize);
-        for w in 1..self.segments {
-            let b = base.add(w * self.nodes + v as usize);
-            if (*b).is_empty() {
-                continue;
-            }
-            if (*head).is_empty() {
-                head = b;
-            } else {
-                (*head).append(&mut *b);
-            }
-        }
-        &mut *head
+        let base = self.mail.as_ptr().add(row.start as usize) as *mut *const M;
+        std::slice::from_raw_parts_mut(base, row.len())
     }
 
-    /// Box `(w, v)`: receiver `v`'s messages from the senders of
-    /// segment `w`. `&mut self` proves no round is stepping, so no
-    /// unsafe cell access is needed.
-    pub(crate) fn inbox_mut(&mut self, w: usize, v: NodeIndex) -> &mut Vec<Packet<M>> {
-        debug_assert!(w < self.segments && (v as usize) < self.nodes);
-        self.boxes[w * self.nodes + v as usize].get_mut()
+    /// The spills of the mailbox row `row`, sorted by slot (= port) and
+    /// then queueing order: the sub-slice of the sealed spill list
+    /// whose slots lie in the row. Empty, without a search, when the
+    /// generation has no spills.
+    #[inline(always)]
+    pub(crate) fn spills_of(&self, row: Range<DirectedEdgeId>) -> &[Packet<M>] {
+        if self.spilled.is_empty() {
+            return &[];
+        }
+        let lo = self.spilled.partition_point(|p| p.slot < row.start);
+        let hi = lo + self.spilled[lo..].partition_point(|p| p.slot < row.end);
+        &self.spilled[lo..hi]
+    }
+
+    /// Takes the deliveries of mailbox row `row` — `(port, payload)`
+    /// for each non-null slot, in port order — and nulls the row.
+    /// `&mut self` proves no round is stepping, so no unsafe cell
+    /// access is needed. A distributed worker drains its cut
+    /// receivers' rows of the write arena with it.
+    pub(crate) fn drain_row(
+        &mut self,
+        row: Range<DirectedEdgeId>,
+    ) -> impl Iterator<Item = (u32, *const M)> + '_ {
+        self.mail[row.start as usize..row.end as usize].iter_mut().enumerate().filter_map(
+            |(q, m)| {
+                let msg = std::mem::replace(m.get_mut(), std::ptr::null());
+                (!msg.is_null()).then_some((q as u32, msg))
+            },
+        )
+    }
+
+    /// Segment `w`'s spill list, not yet sealed: this round's spills in
+    /// queueing order. `&mut self` proves no round is stepping.
+    pub(crate) fn unsealed_spills(&mut self, w: usize) -> &[Packet<M>] {
+        self.spills[w].get_mut()
     }
 
     /// Type-erased base pointer of the broadcast-slot array
@@ -369,10 +456,11 @@ impl<M> InboxArena<M> {
     }
 
     /// Takes the payload parked in sender `v`'s broadcast slot, if any.
-    /// `&mut self` proves the round loop is over, so no box can still
-    /// be read and no unsafe cell access is needed. Used by the engine's
-    /// end-of-run drain that hands parked payloads back to programs for
-    /// recycling (instead of letting the next run's reset drop them).
+    /// `&mut self` proves the round loop is over, so no mailbox can
+    /// still be read and no unsafe cell access is needed. Used by the
+    /// engine's end-of-run drain that hands parked payloads back to
+    /// programs for recycling (instead of letting the next run's reset
+    /// drop them).
     pub(crate) fn take_slot(&mut self, v: NodeIndex) -> Option<M> {
         self.slots.get_mut(v as usize).and_then(|s| s.get_mut().take())
     }
@@ -545,66 +633,90 @@ mod tests {
         assert_eq!(left.violation, Some((3, 0, 9)));
     }
 
-    /// Box `(w, v)` sits at `w·n + v`: the addresses are distinct and
-    /// tile the `W·n` prefix contiguously, each segment pointer is its
-    /// segment's first box, and fresh boxes start empty.
+    /// Every segment writes the one mailbox, through its own payload
+    /// arena and spill list: the handles share the mailbox base and
+    /// differ in the rest, a row sits at its first slot's offset from
+    /// that base, one pointer per slot, and a fresh mailbox is null.
     #[test]
     fn segments_tile_the_boxes() {
-        let (n, segs) = (5usize, 3usize);
+        let (n, edges, segs) = (5usize, 8usize, 3usize);
         let mut arena: InboxArena<u64> = InboxArena::new();
-        arena.reset(n, segs);
-        let stride = std::mem::size_of::<Vec<Packet<u64>>>();
-        let base = arena.segment_ptr(0).boxes as usize;
-        let mut addrs = Vec::new();
+        arena.reset(n, edges, segs);
+        let base = arena.segment_ptr(0).mail as usize;
+        let stride = std::mem::size_of::<*const u64>();
+        let mut owned = Vec::new();
         for w in 0..segs {
-            assert_eq!(arena.segment_ptr(w).boxes as usize, base + w * n * stride);
-            assert_eq!(arena.segment_ptr(w).payloads, arena.payloads[w].get() as *mut ());
-            for v in 0..n as NodeIndex {
-                let b = arena.inbox_mut(w, v);
-                assert!(b.is_empty(), "box ({w}, {v}) starts empty");
-                let addr = b as *mut Vec<Packet<u64>> as usize;
-                assert_eq!(addr, base + (w * n + v as usize) * stride, "box ({w}, {v})");
-                addrs.push(addr);
-            }
+            let seg = arena.segment_ptr(w);
+            assert_eq!(seg.mail as usize, base, "one mailbox for every segment");
+            assert_eq!(seg.payloads, arena.payloads[w].get() as *mut ());
+            assert_eq!(seg.spills, arena.spills[w].get() as *mut ());
+            owned.extend([seg.payloads as usize, seg.spills as usize]);
         }
-        addrs.sort_unstable();
-        addrs.dedup();
-        assert_eq!(addrs.len(), segs * n, "box addresses must be distinct");
+        owned.sort_unstable();
+        owned.dedup();
+        assert_eq!(owned.len(), 2 * segs, "segments own distinct payload arenas and spill lists");
+        for row in [0..2u32, 2..2, 2..7, 7..8] {
+            // SAFETY: single-threaded test, no overlapping access.
+            let slots = unsafe { arena.row_mut(row.clone()) };
+            assert_eq!(slots.as_ptr() as usize, base + row.start as usize * stride, "{row:?}");
+            assert_eq!(slots.len(), row.len());
+            assert!(slots.iter().all(|m| m.is_null()), "{row:?} starts null");
+        }
     }
 
-    /// Reshaping a used arena — (n = 5, W = 3) to (n = 4, W = 1) and
-    /// back — leaves every box and every payload arena empty, including
-    /// the ones the smaller shape does not address; and `gather` merges
-    /// a receiver's boxes in ascending segment order into the first
-    /// nonempty one.
+    /// Reshaping a used arena — (8 edges, W = 3) to (5 edges, W = 1)
+    /// and back — leaves every mailbox slot null and every payload
+    /// arena and spill list empty, including the ones the smaller shape
+    /// does not address. Before that, a link's first delivery sits in
+    /// its slot and a sealed generation lists its later ones by slot,
+    /// then in queueing order.
     #[test]
     fn reshaping_reset_empties_every_box() {
-        let fill = |arena: &mut InboxArena<u64>, n: usize, segs: usize| {
-            for w in 0..segs {
-                for v in 0..n as NodeIndex {
-                    arena.push_owned(w, v, w as u32, u64::from(v));
+        // Slot `s` gets three deliveries, `10·s + k`, all from segment
+        // `s mod W`: a link's deliveries have one writer.
+        let fill = |arena: &mut InboxArena<u64>, edges: u32, segs: usize| {
+            for k in 0..3 {
+                for slot in 0..edges {
+                    arena.push_owned(slot as usize % segs, slot, u64::from(10 * slot + k));
                 }
             }
         };
+        let value = |arena: &mut InboxArena<u64>, msg: *const u64| {
+            let mut live =
+                arena.payloads.iter_mut().flat_map(|p| p.get_mut().blocks.iter().flatten());
+            live.find(|m| std::ptr::eq(*m, msg)).copied()
+        };
         let all_empty = |arena: &mut InboxArena<u64>| {
-            arena.boxes.iter_mut().all(|b| b.get_mut().is_empty())
+            arena.mail.iter_mut().all(|m| m.get_mut().is_null())
                 && arena.payloads.iter_mut().all(|p| p.get_mut().blocks.iter().all(Vec::is_empty))
+                && arena.spills.iter_mut().all(|s| s.get_mut().is_empty())
+                && arena.spilled.is_empty()
         };
         let mut arena: InboxArena<u64> = InboxArena::new();
-        arena.reset(5, 3);
-        fill(&mut arena, 5, 3);
-        // SAFETY: single-threaded test, no overlapping access.
-        let got: Vec<u32> = unsafe { arena.gather(2) }.iter().map(|p| p.port).collect();
-        assert_eq!(got, vec![0, 1, 2], "gather keeps ascending segment order");
-        for w in 1..3 {
-            assert!(arena.inbox_mut(w, 2).is_empty(), "gathered boxes are emptied");
-        }
-        arena.reset(4, 1);
-        assert_eq!(arena.boxes.len(), 15, "shrinking keeps the backing boxes");
+        arena.reset(5, 8, 3);
+        fill(&mut arena, 8, 3);
+        let firsts: Vec<(u32, *const u64)> = arena.drain_row(2..5).collect();
+        let firsts: Vec<(u32, Option<u64>)> =
+            firsts.into_iter().map(|(q, m)| (q, value(&mut arena, m))).collect();
+        assert_eq!(firsts, vec![(0, Some(20)), (1, Some(30)), (2, Some(40))]);
+        arena.seal();
+        assert_eq!(arena.spilled.len(), 16, "two spills per slot");
+        assert!(arena.spills_of(3..3).is_empty());
+        let spills: Vec<(u32, *const u64)> =
+            arena.spills_of(2..5).iter().map(|p| (p.slot, p.msg)).collect();
+        let spills: Vec<(u32, Option<u64>)> =
+            spills.into_iter().map(|(s, m)| (s, value(&mut arena, m))).collect();
+        let want: Vec<(u32, Option<u64>)> = (2..5u32)
+            .flat_map(|s| [(s, Some(10 * s as u64 + 1)), (s, Some(10 * s as u64 + 2))])
+            .collect();
+        assert_eq!(spills, want, "sorted by slot, then queueing order");
+        // Slots 0, 1 and 5..8 still hold their first deliveries.
+        arena.reset(4, 5, 1);
+        assert_eq!(arena.mail.len(), 8, "shrinking keeps the mailbox");
         assert_eq!(arena.payloads.len(), 3, "shrinking keeps the payload arenas");
         assert!(all_empty(&mut arena));
-        fill(&mut arena, 4, 1);
-        arena.reset(5, 3);
+        fill(&mut arena, 5, 1);
+        arena.reset(5, 8, 3);
         assert!(all_empty(&mut arena));
     }
 

@@ -1,5 +1,5 @@
 //! The synchronous round engine, built on preallocated double-buffered
-//! inbox arenas.
+//! CSR mailboxes.
 //!
 //! Executes a [`Program`] on every node of a [`Graph`] in lock-step
 //! rounds. Every executor runs one round loop. A run's nodes step in
@@ -8,47 +8,49 @@
 //! one per scoped thread for the parallel executor on wide graphs), or
 //! the `W` workers' node ranges of a distributed run, where each worker
 //! ([`crate::net::PartitionEngine`]) steps its range through the same
-//! per-node step — and messages travel through per-receiver inboxes
-//! split into `W` *segments*, one per sender chunk: box `w·n + v` holds
-//! the messages for receiver `v` from the senders of chunk `w` (a
-//! distributed worker's arenas have two segments: the senders below
-//! its range, then its own and those above). Two such arenas swap
-//! roles each round — nodes read round `r`'s traffic out of the
+//! per-node step. Messages travel through a *mailbox*: one payload
+//! pointer per directed edge, indexed on the receiver's side, so a
+//! message sent on `(v, p)` lands at [`Graph::reverse_edge`]`(v, p)`,
+//! in the row of `v`'s neighbour at `v`'s position. Two such arenas
+//! swap roles each round — nodes read round `r`'s traffic out of the
 //! *current* arena while writing round `r+1`'s into the *next* one.
 //!
-//! A box holds 16-byte packets: the receiver-side port and a pointer to
-//! the payload. A broadcast's payload is parked once in its sender's
-//! broadcast slot; every other payload (targeted sends, corrupted
-//! copies, a second broadcast's per-port clones) moves into the payload
-//! arena of the sender's segment, built from address-stable blocks and
-//! written only by the thread that writes the segment. A generation's
-//! payloads are dropped in one pass when it re-enters the write role,
-//! so clearing a box after a step is O(1). After warm-up every box and
-//! payload arena has reached its peak capacity and the steady-state
-//! round loop allocates nothing.
+//! A mailbox slot points at its payload. A broadcast's payload is
+//! parked once in its sender's broadcast slot; every other payload
+//! (targeted sends, corrupted copies, a second broadcast's per-port
+//! clones) moves into the payload arena of the sender's *segment* —
+//! one per chunk, built from address-stable blocks and written only by
+//! the thread stepping the chunk. A link's second and later messages
+//! of a round (the model carries one, the API allows more) go to the
+//! segment's spill list, merged and sorted when the arena enters the
+//! read role (see `InboxArena` in the `arena` module); a round in which
+//! nothing spills pays for that path only a null check in each send
+//! and an emptiness check in each node's step. A
+//! generation's payloads are dropped in one pass when it re-enters the
+//! write role. After warm-up every payload arena and spill list has
+//! reached its peak capacity and the steady-state round loop allocates
+//! nothing.
 //!
 //! Within one round each node, independently of all others (this is the
 //! data-parallelism the model prescribes, exploited by the parallel
 //! executor):
 //!
-//! 1. **gathers** its inbox in place, appending its later nonempty
-//!    boxes into the first nonempty one. Ascending segment means
-//!    ascending sender, and each chunk steps its senders in ascending
-//!    order, so delivery order is canonical (ascending sender, then the
-//!    sender's queueing order) and runs are bit-for-bit reproducible
-//!    across the [`Executor`]s and chunk counts. Messages are stored
-//!    already labeled with their receiver-side port, and no buffer
-//!    changes hands;
-//! 2. **steps** its program on that box and clears it; the outbox
-//!    pushes every send *straight into the receiver's box in the
-//!    sender's own segment of the next arena*, fusing the wire
-//!    accounting into the write path: per-link bit/message counters
-//!    live in a flat table indexed by directed-edge id (sender-owned
-//!    rows, round-stamped so stale entries are semantically zero and
-//!    nothing is ever scanned to reset), bandwidth enforcement checks
-//!    the counter as each message lands, and round statistics
-//!    accumulate into per-chunk [`RoundDigest`]s merged associatively
-//!    after the round. One move per message, no queue in between.
+//! 1. **reads** its own contiguous mailbox row in the current arena,
+//!    plus the sub-slice of the round's sorted spills that lands in it.
+//!    The row's port order is ascending sender order, so delivery order
+//!    is canonical (ascending sender, then the sender's queueing order)
+//!    and runs are bit-for-bit reproducible across the [`Executor`]s
+//!    and chunk counts, with no gather and no sort;
+//! 2. **steps** its program on that view and nulls the row; the outbox
+//!    stores every send *straight into the link's slot of the next
+//!    arena's mailbox* — one 8-byte store — fusing the wire accounting
+//!    into the write path: per-link bit/message counters live in a flat
+//!    table indexed by directed-edge id (sender-owned rows,
+//!    round-stamped so stale entries are semantically zero and nothing
+//!    is ever scanned to reset), bandwidth enforcement checks the
+//!    counter as each message lands, and round statistics accumulate
+//!    into per-chunk [`RoundDigest`]s merged associatively after the
+//!    round. One move per message, no queue in between.
 //!
 //! The merged digest's [`RoundDigest::close_round`] is the one
 //! post-round step of every executor: violation check, halts, faults,
@@ -59,11 +61,12 @@
 //! entirely (see `SinkMode` in the `node` module).
 //!
 //! Safety of the shared arenas rests on two disjointness invariants,
-//! both enforced by construction: during a round, segment `w` of the
-//! *next* arena (its boxes and its payload arena) is written only by
-//! the thread stepping chunk `w`, and the `W` boxes of receiver `v` in
-//! the *current* arena are read and cleared only by `v`'s own step.
-//! Every packet points into its own arena generation, which nobody
+//! both enforced by construction: during a round, the *next* arena's
+//! mailbox slot of directed edge `(v, p)` is written only by sender
+//! `v`'s step, and segment `w` (its payload arena and its spill list)
+//! only by the thread stepping chunk `w`; and receiver `v`'s row of the
+//! *current* arena's mailbox is read and nulled only by `v`'s own step.
+//! Every pointer points into its own arena generation, which nobody
 //! writes during its read phase.
 //!
 //! The engine also maintains the count of running nodes incrementally
@@ -214,17 +217,18 @@ impl<V> RunOutcome<V> {
     }
 }
 
-/// Reusable engine state for batch runs: the double-buffered,
-/// sender-segmented inbox arenas (one segment for the sequential
-/// executor, one per chunk of the node→thread partition for the
-/// parallel one) plus the flat wire-load table.
+/// Reusable engine state for batch runs: the double-buffered mailbox
+/// arenas (one segment for the sequential executor, one per chunk of
+/// the node→thread partition for the parallel one) plus the flat
+/// wire-load table.
 ///
 /// A fresh workspace owns nothing but empty vectors, so the first run
 /// through it allocates the arenas. Later runs *reset* the workspace
-/// instead of reallocating: inbox boxes, payload arenas and load rows in
-/// the previously used extent are cleared with their capacities kept,
-/// and the backing arrays grow only when the next graph (or chunk
-/// count) does not fit.
+/// instead of reallocating: the previously used mailbox extent is
+/// nulled, payload arenas and spill lists are emptied with their
+/// capacities kept, load rows are re-stamped without a pass, and the
+/// backing arrays grow only when the next graph (or chunk count) does
+/// not fit.
 /// A shard of a batch run drives dozens of graphs through one workspace
 /// and reaches steady-state allocation-free setup after the largest job
 /// has warmed it up.
@@ -517,7 +521,7 @@ unsafe fn finalize_violation(
 /// What every node's step reads during one round.
 pub(crate) struct RoundIo<'a, M> {
     pub(crate) graph: &'a Graph,
-    /// Read arena: round `r`'s traffic, gathered by receivers.
+    /// Read arena: round `r`'s traffic, read row by row by receivers.
     pub(crate) cur: &'a InboxArena<M>,
     /// Write arena: round `r+1`'s traffic, filled by senders.
     pub(crate) next: &'a InboxArena<M>,
@@ -526,13 +530,14 @@ pub(crate) struct RoundIo<'a, M> {
     pub(crate) mode: SinkMode,
 }
 
-/// One node's round: gather in place → step (sends push straight into
-/// `segment`, the stepping chunk's segment of the next arena, through
-/// the outbox's direct sink — one move per message, with wire
-/// accounting and bandwidth checks fused into the write) → clear.
-/// Called for every node exactly once per round, on the thread stepping
-/// the node's chunk; everything it touches outside `slot` and `acc` is
-/// disjoint from every other thread's calls (see the module doc).
+/// One node's round: read its mailbox row → step (sends store straight
+/// into the next arena's mailbox, owned payloads and spills going to
+/// `segment`, the stepping chunk's segment, through the outbox's direct
+/// sink — one move per message, with wire accounting and bandwidth
+/// checks fused into the write) → null the row. Called for every node
+/// exactly once per round, on the thread stepping the node's chunk;
+/// everything it touches outside `slot` and `acc` is disjoint from
+/// every other thread's calls (see the module doc).
 /// Statistics accumulate into `acc` (one per chunk; chunk digests
 /// merge associatively in node order, so every chunk count produces
 /// identical round statistics).
@@ -550,17 +555,17 @@ pub(crate) fn step_node<P: Program>(
     acc: &mut RoundDigest,
 ) {
     let RoundIo { graph, cur, next, loads, ctx, mode } = *io;
-    // SAFETY: `v`'s boxes of the read arena are touched only by `v`'s
-    // own step — this call (see the module doc).
-    let inbox = unsafe { cur.gather(v) };
+    let edges = graph.directed_edge_range(v);
+    // SAFETY: `v`'s mailbox row of the read arena is touched only by
+    // `v`'s own step — this call (see the module doc).
+    let mail = unsafe { cur.row_mut(edges.clone()) };
     if slot.status != Status::Running {
         // A halted node sends and receives nothing: drop its traffic so
-        // the boxes are clean when the arena swaps back into the write
-        // role. (Wire loads are round-stamped, never cleaned.)
-        inbox.clear();
+        // the row is null when the arena swaps back into the write role.
+        // (Wire loads are round-stamped, never cleaned.)
+        mail.fill(std::ptr::null());
         return;
     }
-    let edges = graph.directed_edge_range(v);
     let had_violation = acc.violation.is_some();
     let loads_row = if ctx.account {
         // SAFETY: `row_ptr(edges.start)` is this sender's exclusive
@@ -571,8 +576,9 @@ pub(crate) fn step_node<P: Program>(
     } else {
         std::ptr::NonNull::dangling().as_ptr()
     };
-    // SAFETY: `segment` is the segment of the write arena that only
-    // this chunk's thread writes, `slots` slot `v` is written only by
+    // SAFETY: `segment` is the write arena's mailbox, whose slots at
+    // `v`'s reverse edges only `v` writes, and the segment that only
+    // this chunk's thread writes; `slots` slot `v` is written only by
     // `v`, and `acc`/`ctx` outlive the outbox, which is dropped before
     // this frame returns.
     let mut out: Outbox<P::Msg> = unsafe {
@@ -582,7 +588,7 @@ pub(crate) fn step_node<P: Program>(
                 segment,
                 slots: next.slots_ptr(),
                 receivers: graph.neighbors(v).as_ptr(),
-                rev_ports: graph.rev_ports_row(v).as_ptr(),
+                rev_edges: graph.rev_edges_row(v).as_ptr(),
                 acc,
                 loads: loads_row,
                 ctx,
@@ -591,13 +597,13 @@ pub(crate) fn step_node<P: Program>(
             mode,
         )
     };
-    // SAFETY: the gathered packets point at broadcast slots and payload
-    // arenas of `cur`, which no one writes while `cur` is in the read
-    // role — valid for the whole step call.
-    let view = unsafe { Inbox::from_packets(inbox) };
+    // SAFETY: the row's non-null slots and the spills point at broadcast
+    // slots and payload arenas of `cur`, which no one writes while `cur`
+    // is in the read role — valid for the whole step call.
+    let view = unsafe { Inbox::from_mail(mail, cur.spills_of(edges.clone()), edges.start) };
     let status = slot.prog.step(ctx.round, view, &mut out);
     drop(out);
-    inbox.clear();
+    mail.fill(std::ptr::null());
     slot.status = status;
     if status == Status::Halted {
         acc.halted += 1;
@@ -607,7 +613,7 @@ pub(crate) fn step_node<P: Program>(
 }
 
 /// Inline-vs-spawn threshold for the parallel executor's per-node step
-/// fold. A node step (gather + program logic + wire accounting) is
+/// fold. A node step (row read + program logic + wire accounting) is
 /// orders of magnitude heavier than the trivial loop bodies the rayon
 /// shim's default `MIN_PAR_LEN` is tuned for, so spawning pays off far
 /// earlier than 4096 nodes.
@@ -640,9 +646,10 @@ pub fn node_step_plan(n: usize) -> rayon::ChunkPlan {
 /// the caller's thread, without going through the shim, so a warm
 /// rerun touches the heap zero times; otherwise every round steps each
 /// chunk on its own scoped thread under the pinned plan. Invariant at
-/// the top of every round: `next` is entirely empty — its boxes and its
-/// payload arenas — and `cur` holds exactly the undelivered traffic of
-/// the previous round. Returns `(rounds_executed, active)`.
+/// the top of every round: `next` is entirely empty — its mailbox
+/// null, its payload arenas and spill lists empty — and `cur` holds
+/// exactly the undelivered traffic of the previous round, its spills
+/// sealed. Returns `(rounds_executed, active)`.
 #[allow(clippy::too_many_arguments)]
 fn run_rounds<P: Program>(
     graph: &Graph,
@@ -688,7 +695,7 @@ fn run_rounds<P: Program>(
         acc.close_round(round, config, &mut active, report)?;
 
         // Swap buffers: this round's writes become next round's reads;
-        // the fully-drained read arena becomes the write arena.
+        // the nulled read arena becomes the write arena.
         InboxArena::swap_roles(cur, next);
         round += 1;
     }
@@ -763,8 +770,8 @@ where
     } else {
         rayon::ChunkPlan { len: n, workers: 1, chunk_len: n.max(1) }
     };
-    ws.cur.reset(n, plan.chunks());
-    ws.next.reset(n, plan.chunks());
+    ws.cur.reset(n, directed, plan.chunks());
+    ws.next.reset(n, directed, plan.chunks());
     let rounds_result = run_rounds(
         graph,
         config,

@@ -3,9 +3,10 @@
 //! The CONGEST model operates on a connected simple graph whose nodes carry
 //! arbitrary distinct identities polynomial in `n`. This module provides the
 //! immutable topology the round engine runs on: adjacency in compressed
-//! sparse row layout, a canonical edge list, per-port reverse-port tables
-//! (needed to label incoming messages with the receiver-side port), and the
-//! usual structural queries (connectivity, BFS, girth, degree statistics).
+//! sparse row layout, a canonical edge list, the reverse directed edge of
+//! every adjacency slot (where a message sent on that slot lands in the
+//! receiver's row, and hence its receiver-side port), and the usual
+//! structural queries (connectivity, BFS, girth, degree statistics).
 //!
 //! A graph has two serial forms: the edge-list text of
 //! [`Graph::to_edge_list`] for files, and the varint graph section of
@@ -26,9 +27,11 @@ pub type NodeIndex = u32;
 
 /// Identifier of a *directed* edge `(v, p)`: node `v`'s adjacency slot
 /// for local port `p`, i.e. `offsets[v] + p` in the CSR layout. Directed
-/// edges number exactly `2m` and tile `0..2m` contiguously per sender,
+/// edges number exactly `2m` and tile `0..2m` contiguously per node,
 /// which is what lets the round engine key its flat per-link accounting
-/// counters by this id with no hashing and no search.
+/// counters (by the sender's id) and its mailbox (by the receiver's,
+/// the [reverse edge](Graph::reverse_edge)) with no hashing and no
+/// search.
 pub type DirectedEdgeId = u32;
 
 /// An undirected edge in canonical (smaller index, larger index) order.
@@ -202,8 +205,11 @@ pub struct Graph {
     neighbors: Vec<NodeIndex>,
     /// Edge index (into `edges`) for each adjacency slot.
     edge_of_slot: Vec<u32>,
-    /// Port of `v` within `w`'s adjacency row, per slot of `v -> w`.
-    rev_port: Vec<u32>,
+    /// Reverse directed edge per slot: for the slot of `v -> w`, the
+    /// slot of `w -> v` (in `w`'s row, at `v`'s position). An
+    /// involution; the receiver-side port is this id minus `w`'s row
+    /// offset.
+    rev_edge: Vec<DirectedEdgeId>,
     edges: Vec<Edge>,
     ids: Vec<NodeId>,
     index_of_id: HashMap<NodeId, NodeIndex>,
@@ -238,10 +244,10 @@ impl Graph {
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut neighbors = vec![0 as NodeIndex; 2 * edges.len()];
         let mut edge_of_slot = vec![0u32; 2 * edges.len()];
-        // rev_port[slot of (v -> w)] = port of v in w's row: each edge
-        // fills one slot in either row, so the two cursors are the
-        // reverse ports of each other.
-        let mut rev_port = vec![0u32; 2 * edges.len()];
+        // rev_edge[slot of (v -> w)] = slot of (w -> v): each edge fills
+        // one slot in either row, so the two cursors are the reverse
+        // directed edges of each other.
+        let mut rev_edge = vec![0 as DirectedEdgeId; 2 * edges.len()];
         for (ei, e) in edges.iter().enumerate() {
             let (a, b) = (e.a as usize, e.b as usize);
             let (ca, cb) = (cursor[a], cursor[b]);
@@ -249,8 +255,8 @@ impl Graph {
             neighbors[cb as usize] = e.a;
             edge_of_slot[ca as usize] = ei as u32;
             edge_of_slot[cb as usize] = ei as u32;
-            rev_port[ca as usize] = cb - offsets[b];
-            rev_port[cb as usize] = ca - offsets[a];
+            rev_edge[ca as usize] = cb;
+            rev_edge[cb as usize] = ca;
             cursor[a] += 1;
             cursor[b] += 1;
         }
@@ -273,7 +279,7 @@ impl Graph {
             offsets,
             neighbors,
             edge_of_slot,
-            rev_port,
+            rev_edge,
             edges,
             ids,
             index_of_id,
@@ -348,9 +354,28 @@ impl Graph {
     }
 
     /// Port of `v` within `w`'s adjacency row, given `v`'s local port `p`
-    /// towards `w` (the receiver-side label of a message sent on `p`).
+    /// towards `w` (the receiver-side label of a message sent on `p`):
+    /// the [reverse edge](Graph::reverse_edge) minus `w`'s row offset.
     pub fn reverse_port(&self, v: NodeIndex, p: u32) -> u32 {
-        self.rev_port[self.offsets[v as usize] as usize + p as usize]
+        let de = self.offsets[v as usize] as usize + p as usize;
+        self.rev_edge[de] - self.offsets[self.neighbors[de] as usize]
+    }
+
+    /// The reverse of directed edge `(v, p)`: the directed edge `(w, q)`
+    /// with `w` the neighbour on `v`'s port `p` and `q` `v`'s position
+    /// in `w`'s row. The round engine's mailbox files a message sent on
+    /// `(v, p)` under this id, so each receiver's deliveries sit in its
+    /// own CSR row, in port order.
+    pub fn reverse_edge(&self, v: NodeIndex, p: u32) -> DirectedEdgeId {
+        self.rev_edge[self.offsets[v as usize] as usize + p as usize]
+    }
+
+    /// The receiving end of the message slot `de`: the node whose row
+    /// holds `de`, and the port `de` is in that row (the inverse of
+    /// [`Graph::directed_edge`]).
+    pub(crate) fn slot_owner(&self, de: DirectedEdgeId) -> (NodeIndex, u32) {
+        let w = self.neighbors[self.rev_edge[de as usize] as usize];
+        (w, de - self.offsets[w as usize])
     }
 
     /// Edge index (into [`Graph::edges`]) of the adjacency slot `(v, p)`.
@@ -390,11 +415,11 @@ impl Graph {
         &self.ports_by_id[s..t]
     }
 
-    /// Receiver-side port per local port of `v` (the `rev_port` row) —
-    /// the engine labels outgoing messages with these at send time.
-    pub(crate) fn rev_ports_row(&self, v: NodeIndex) -> &[u32] {
+    /// Reverse directed edge per local port of `v` (the `rev_edge`
+    /// row): the mailbox slot each of `v`'s sends is stored in.
+    pub(crate) fn rev_edges_row(&self, v: NodeIndex) -> &[DirectedEdgeId] {
         let (s, t) = (self.offsets[v as usize] as usize, self.offsets[v as usize + 1] as usize);
-        &self.rev_port[s..t]
+        &self.rev_edge[s..t]
     }
 
     /// True if `{v, w}` is an edge.
@@ -419,7 +444,7 @@ impl Graph {
             offsets: self.offsets.clone(),
             neighbors: self.neighbors.clone(),
             edge_of_slot: self.edge_of_slot.clone(),
-            rev_port: self.rev_port.clone(),
+            rev_edge: self.rev_edge.clone(),
             edges: self.edges.clone(),
             ids,
             index_of_id,
@@ -741,6 +766,53 @@ mod tests {
                 let w = g.neighbor_at(v, p);
                 let q = g.reverse_port(v, p);
                 assert_eq!(g.neighbor_at(w, q), v, "rev port must lead back");
+            }
+        }
+    }
+
+    /// On random graphs — isolated nodes, n ≤ 1 and explicit ID tables
+    /// included — `rev_edge` is an involution, the reverse of `(v, p)`
+    /// lies in the row of `neighbors(v)[p]` at `v`'s position, and
+    /// `reverse_port` is that id minus the row offset.
+    #[test]
+    fn reverse_edges_invert_and_land_in_the_receivers_row() {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % bound.max(1)
+        };
+        for case in 0..300u64 {
+            let n = next(24) as usize;
+            let mut b = GraphBuilder::new(n);
+            // Every other case leaves the last node isolated.
+            let span = if case % 2 == 0 { n.saturating_sub(1) } else { n } as u64;
+            if span >= 2 {
+                for _ in 0..next(3 * span) {
+                    let (x, y) = (next(span) as NodeIndex, next(span) as NodeIndex);
+                    if x != y {
+                        b.edge(x, y);
+                    }
+                }
+            }
+            if case % 3 == 0 {
+                b.ids((0..n as NodeId).map(|i| (i * 7919 + 13) ^ 0x5a5a).collect());
+            }
+            let g = b.build().unwrap();
+            assert_eq!(g.rev_edge.len(), g.num_directed_edges());
+            for (de, &back) in g.rev_edge.iter().enumerate() {
+                assert_eq!(g.rev_edge[back as usize] as usize, de, "case {case}: involution");
+            }
+            for v in 0..g.n() as NodeIndex {
+                for p in 0..g.degree(v) as u32 {
+                    let (w, back) = (g.neighbor_at(v, p), g.reverse_edge(v, p));
+                    let row = g.directed_edge_range(w);
+                    assert!(row.contains(&back), "case {case}: ({v}, {p}) lands in {w}'s row");
+                    let q = back - row.start;
+                    assert_eq!(g.neighbor_at(w, q), v, "case {case}: at {v}'s position");
+                    assert_eq!(g.reverse_edge(w, q), g.directed_edge(v, p));
+                    assert_eq!(g.reverse_port(v, p), q, "case {case}: reverse_port");
+                    assert_eq!(g.slot_owner(back), (w, q));
+                }
             }
         }
     }

@@ -3,42 +3,42 @@
 //! A [`PartitionEngine`] is the distributed executor's unit of work:
 //! worker `w` of `W` owns the programs of nodes `[lo, hi)` and steps
 //! them as one chunk of the engine's round loop. Each node goes through
-//! the in-process executors' own per-node step — the in-place gather,
+//! the in-process executors' own per-node step — the mailbox row read,
 //! the fused `DirectInbox` sinks, the flat per-directed-edge load
 //! table, the broadcast slot generations, the fault plan evaluated at
 //! the send — so verdicts, wire counters, bandwidth violations, and
 //! fault accounting are bit-identical to the sequential oracle by
 //! construction, not by re-implementation.
 //!
-//! The worker's inbox arenas have two segments. Segment 0 holds the
-//! deliveries from senders below `lo`; segment 1 holds the owned
-//! senders' own writes, followed by the deliveries from senders at or
-//! above `hi`. Sends to owned receivers stay in the local arenas. Sends
-//! across the partition's cut are drained after the step as
-//! [`OutFrame`]s for the transport layer to ship; only the boxes of the
-//! receivers adjacent to the range, listed once at construction, are
-//! visited. Deliveries arriving from other partitions are
-//! [`PartitionEngine::inject`]ed after the step, in the order the
-//! coordinator routes them: ascending source worker, each worker's
-//! frames first in first out, each receiver's in ascending sender
-//! order. Appending to the segment on the sender's side of the range
-//! therefore keeps every box in ascending sender order, the gather
-//! yields the canonical delivery order with no sort, and
-//! [`PartitionEngine::commit_round`] only swaps the arenas and drops
-//! the payloads of the generation that re-enters the write role.
+//! The worker's inbox arenas are mailboxes over every directed edge,
+//! with one segment: its own thread writes them all. Sends to owned
+//! receivers stay in the local arenas. Sends across the partition's cut
+//! are drained after the step as [`OutFrame`]s for the transport layer
+//! to ship; only the mailbox rows of the receivers adjacent to the
+//! range, listed once at construction, are visited. Deliveries arriving
+//! from other partitions are [`PartitionEngine::inject`]ed after the
+//! step into the receiver's mailbox slot for the sending link: a
+//! delivery's position is its link, so the order in which the
+//! coordinator routes frames of different links does not matter. A
+//! link's second and later messages of a round spill, as local sends
+//! do, and keep their order as long as the link's own frames arrive in
+//! the order they were sent. [`PartitionEngine::commit_round`] only
+//! swaps the arenas, merging the spills of the generation that becomes
+//! readable and dropping the payloads of the one that re-enters the
+//! write role.
 //!
-//! Boxes hold 16-byte packets, as in process. A first broadcast's
-//! payload stays in its sender's slot; every other payload — the owned
-//! senders' targeted sends, corrupted copies and second-broadcast
-//! clones, and the injected remote deliveries — moves into the payload
-//! arena of the segment whose box points at it. The cut drain clones
-//! each payload into its [`OutFrame`].
+//! A first broadcast's payload stays in its sender's slot; every other
+//! payload — the owned senders' targeted sends, corrupted copies and
+//! second-broadcast clones, and the injected remote deliveries — moves
+//! into the arena's payload arena. The cut drain clones each payload
+//! into its [`OutFrame`].
 //!
-//! A round visits two boxes per owned receiver and one per cut
-//! receiver, so its cost follows the range and the cut, not `n`.
-//! Building the engine still sizes `2·n` boxes per arena and the load
-//! table for the whole graph, and a worker builds one engine per job:
-//! the worker's links outlive its jobs, its engine does not.
+//! A round visits the mailbox row of every owned receiver and of every
+//! cut receiver, so its cost follows the range and the cut, not `n`.
+//! Building the engine still sizes a mailbox slot (8 B) per directed
+//! edge of the whole graph in each of its two arenas, and the load
+//! table likewise, and a worker builds one engine per job: the worker's
+//! links outlive its jobs, its engine does not.
 
 use std::ops::Range;
 
@@ -51,9 +51,9 @@ use crate::node::{NodeInit, Program};
 
 use super::frame::FrameError;
 
-/// The arena segment the owned senders write (segment 0 is for the
-/// deliveries from senders below the range).
-const OWN: usize = 1;
+/// The arenas' one segment: the worker's thread writes every payload
+/// and spill, stepping and injecting alike.
+const OWN: usize = 0;
 
 /// The contiguous node range worker `worker` of `workers` owns:
 /// `[⌊w·n/W⌋, ⌊(w+1)·n/W⌋)`. Covers every node exactly once for any
@@ -68,8 +68,8 @@ pub fn partition_range(n: usize, workers: u32, worker: u32) -> Range<NodeIndex> 
 
 /// One cross-partition delivery: the engine message bound for `port`
 /// of `receiver`, already past the fault plan (drops are absent,
-/// corruption is resolved) — exactly what an in-process inbox box
-/// would hold.
+/// corruption is resolved) — exactly what an in-process mailbox slot
+/// would point at.
 #[derive(Clone, Debug)]
 pub struct OutFrame<M> {
     /// Receiving node (global index, outside this partition).
@@ -89,8 +89,8 @@ pub struct PartitionEngine<'g, P: Program> {
     lo: NodeIndex,
     hi: NodeIndex,
     /// The receivers outside `[lo, hi)` adjacent to it, ascending and
-    /// deduplicated: the only boxes of segment 1 a round's sends
-    /// can leave staged for other partitions.
+    /// deduplicated: the only mailbox rows a round's sends can leave
+    /// staged for other partitions.
     cut: Vec<NodeIndex>,
     /// The programs of `[lo, hi)`, in node order.
     slots: Vec<Slot<P>>,
@@ -129,8 +129,8 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         loads.reset(if wf.account { graph.num_directed_edges() } else { 0 });
         let mut cur = InboxArena::new();
         let mut next = InboxArena::new();
-        cur.reset(n, 2);
-        next.reset(n, 2);
+        cur.reset(n, graph.num_directed_edges(), 1);
+        next.reset(n, graph.num_directed_edges(), 1);
         PartitionEngine {
             graph,
             config: config.clone(),
@@ -148,9 +148,10 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
 
     /// Executes one round over the owned range as one chunk of the
     /// engine's round loop, then appends every delivery addressed
-    /// across the cut to `out` (ascending receiver, then canonical
-    /// within-receiver order). Returns the partition's share of the
-    /// round accounting.
+    /// across the cut to `out`: each link's first message, by ascending
+    /// receiver and port, then the links' later messages in queueing
+    /// order, so every link's frames stay in the order they were sent.
+    /// Returns the partition's share of the round accounting.
     pub fn step_round(&mut self, round: u32, out: &mut Vec<OutFrame<P::Msg>>) -> RoundDigest {
         let ctx = self.wf.sink_ctx(&self.params, &self.config.faults, &self.loads, round);
         let io = RoundIo {
@@ -167,32 +168,40 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             step_node(v, segment, slot, &io, &mut acc);
         }
 
-        // Ship what the sends staged for the cut's receivers. The
-        // packets point into this round's write generation — its
-        // broadcast slots and the segment's payload arena, both live
-        // until the arena is cleared after a later swap — so cloning
-        // here is sound.
+        // Ship what the sends staged for the cut's receivers: their
+        // mailbox rows, nulled on the way, then the spills that land
+        // outside the range (a spill's slot names its receiver and
+        // port). Every pointer targets this round's write generation —
+        // its broadcast slots and its payload arena, both live until
+        // the arena is cleared after a later swap.
+        let mut ship = |receiver, port, msg: *const P::Msg| {
+            // SAFETY: see above — the payload outlives this drain.
+            out.push(OutFrame { receiver, port, msg: unsafe { (*msg).clone() } });
+        };
         for &w in &self.cut {
-            for pkt in self.next.inbox_mut(OWN, w).drain(..) {
-                // SAFETY: see above — the payload outlives this drain.
-                let msg = unsafe { (*pkt.msg).clone() };
-                out.push(OutFrame { receiver: w, port: pkt.port, msg });
+            for (port, msg) in self.next.drain_row(self.graph.directed_edge_range(w)) {
+                ship(w, port, msg);
+            }
+        }
+        let owned = self.lo..self.hi;
+        for p in self.next.unsealed_spills(OWN) {
+            let (receiver, port) = self.graph.slot_owner(p.slot);
+            if !owned.contains(&receiver) {
+                ship(receiver, port, p.msg);
             }
         }
         acc
     }
 
     /// Buffers one delivery arriving from another partition for the
-    /// next round, appended to segment 0 when its sender (the
-    /// receiver's neighbor on `port`) lies below the range and to
-    /// segment 1, after the owned senders' writes, when it lies
-    /// above. Deliveries must follow this round's
-    /// [`step_round`](Self::step_round) in the coordinator's routing
-    /// order (see the module doc) for the gather to stay canonical.
-    /// Fails typed on addressing errors — a receiver outside the
-    /// partition, a port past its degree, a sender inside the
-    /// partition — so a malformed or hostile frame can never panic the
-    /// worker.
+    /// next round, in `receiver`'s mailbox slot for `port`; a second or
+    /// later delivery on the same link spills behind the first. Only
+    /// the order of one link's deliveries matters, which routing keeps
+    /// (see the module doc). Deliveries must follow this round's
+    /// [`step_round`](Self::step_round). Fails typed on addressing
+    /// errors — a receiver outside the partition, a port past its
+    /// degree, a sender inside the partition — so a malformed or
+    /// hostile frame can never panic the worker.
     pub fn inject(
         &mut self,
         receiver: NodeIndex,
@@ -211,17 +220,15 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         if owned.contains(&sender) {
             return Err(FrameError::BadBody("delivery from a sender inside the partition"));
         }
-        let segment = usize::from(sender >= self.hi);
-        self.next.push_owned(segment, receiver, port, msg);
+        self.next.push_owned(OWN, self.graph.directed_edge(receiver, port), msg);
         Ok(())
     }
 
     /// Seals the round after all remote deliveries are injected: swaps
-    /// the double buffers. Nothing is reordered — segment 0 holds the
-    /// senders below the range and segment 1 the rest, each in
-    /// ascending order. The generation that re-enters the write role
-    /// had every box emptied (owned receivers by their steps, cut
-    /// receivers by the drain), so its payloads are dropped here.
+    /// the double buffers, merging the new read generation's spills.
+    /// The generation that re-enters the write role had its mailbox
+    /// nulled (owned receivers' rows by their steps, cut receivers'
+    /// rows by the drain), so its payloads are dropped here.
     pub fn commit_round(&mut self) {
         InboxArena::swap_roles(&mut self.cur, &mut self.next);
     }
@@ -263,7 +270,8 @@ mod tests {
         assert!(ranges.iter().filter(|r| r.is_empty()).count() >= 3);
     }
 
-    /// A program that never sends: the tests below only address boxes.
+    /// A program that never sends: the tests below only address
+    /// mailbox slots.
     struct Quiet;
 
     impl Program for Quiet {
@@ -296,7 +304,8 @@ mod tests {
         assert!(bad(p.inject(2, 2, 7)), "port past the receiver's degree");
         assert!(bad(p.inject(2, 0, 7)), "sender 1 inside the partition");
         assert_eq!(p.inject(2, 1, 7), Ok(()), "node 3 into node 2");
-        assert_eq!(p.next.inbox_mut(OWN, 2).len(), 1, "filed after the owned senders");
+        let filed: Vec<u32> = p.next.drain_row(g.directed_edge_range(2)).map(|(q, _)| q).collect();
+        assert_eq!(filed, vec![1], "filed in node 2's slot for port 1");
     }
 
     /// Only receivers adjacent to the range are drained after a step.

@@ -12,9 +12,9 @@
 //! pointers instead of clones. Programs that keep a message beyond the
 //! step clone the payload explicitly.
 
-use crate::arena::{LinkLoad, PayloadArena, RoundDigest, Segment};
+use crate::arena::{spill, LinkLoad, PayloadArena, RoundDigest, Segment};
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::graph::{NodeId, NodeIndex};
+use crate::graph::{DirectedEdgeId, NodeId, NodeIndex};
 use crate::message::{WireMessage, WireParams};
 
 /// Immutable per-node view of the network, as permitted by the CONGEST
@@ -78,21 +78,25 @@ impl NodeInit<'_> {
     }
 }
 
-/// Transport form of one delivered message, as stored in the inbox
-/// arena's per-receiver boxes: the receiver-side port and a pointer to
-/// the payload, 16 bytes for every `M`. Not program-facing — programs
-/// read the resolved [`Incoming`] view through an [`Inbox`].
+/// Transport form of a delivery that does not sit in a mailbox slot:
+/// a link's second or later message of a round (a *spill*, see
+/// [`crate::arena::InboxArena`]), or any delivery of an [`InboxBuf`].
+/// 16 bytes for every `M`. Not program-facing — programs read the
+/// resolved [`Incoming`] view through an [`Inbox`].
 ///
-/// A broadcast delivery points into its sender's broadcast slot; every
-/// other payload (targeted sends, corrupted copies, a second
-/// broadcast's per-port clones, a distributed worker's remote
-/// deliveries) lives in the payload arena of the segment that holds the
-/// packet. Both belong to the same arena generation as the box and are
+/// The payload a packet points at is a broadcast parked in its sender's
+/// slot or an entry of a payload arena of the same arena generation,
 /// valid exactly as long as that generation's read phase —
-/// [`Inbox::from_packets`] is the checkpoint where the engine vouches
-/// for that. Copying a packet copies the pointer, never the payload.
+/// [`Inbox::from_mail`] is the checkpoint where the engine vouches for
+/// that. Copying a packet copies the pointer, never the payload.
 pub(crate) struct Packet<M> {
-    pub(crate) port: u32,
+    /// The mailbox slot (receiver-side directed edge) of the link; the
+    /// reading [`Inbox`] subtracts the receiver's row offset to get the
+    /// port. An [`InboxBuf`] stores the port itself (offset 0).
+    pub(crate) slot: DirectedEdgeId,
+    /// Position in the writer's spill list when the packet was filed:
+    /// a link's spills sort by it, so they keep their queueing order.
+    pub(crate) seq: u32,
     pub(crate) msg: *const M,
 }
 
@@ -134,8 +138,24 @@ impl<M> Copy for Incoming<'_, M> {}
 /// ascending sender identity-order port, then the sender's queueing
 /// order. A cheap borrowed view — copy it freely, iterate it as often
 /// as needed.
+///
+/// Under the engine it reads the receiver's own mailbox row, one entry
+/// per port, plus the sorted sub-slice of the round's spills that lands
+/// in the row; an [`InboxBuf`]'s view has no row and lists every
+/// delivery as a packet.
 pub struct Inbox<'r, M> {
-    packets: &'r [Packet<M>],
+    /// The receiver's mailbox row: one entry per port, `None` where
+    /// nothing arrived.
+    row: &'r [Option<&'r M>],
+    /// Deliveries beyond a link's first, sorted by slot and then
+    /// queueing order; for a harness buffer, every delivery in push
+    /// order.
+    extra: &'r [Packet<M>],
+    /// The receiver's row offset: an extra packet's slot minus `base`
+    /// is its port.
+    base: DirectedEdgeId,
+    /// Deliveries in all.
+    len: u32,
 }
 
 impl<M> Clone for Inbox<'_, M> {
@@ -146,65 +166,111 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'r, M> Inbox<'r, M> {
-    /// Wraps raw delivery packets (engine-internal).
+    /// Wraps a mailbox row and its spills (engine-internal): `row` holds
+    /// one payload pointer per port, null where nothing arrived, and
+    /// `extra` the deliveries beyond a link's first, sorted by slot and
+    /// then queueing order, with `base` subtracted from a slot to give
+    /// its port.
     ///
     /// # Safety
-    /// Every payload pointer in `packets` must be valid for `'r` and not
-    /// written to while the view lives. The engine guarantees this by
-    /// only building views over the *current* arena generation, whose
-    /// broadcast slots and payload arenas are write-free for the whole
-    /// read phase.
-    pub(crate) unsafe fn from_packets(packets: &'r [Packet<M>]) -> Self {
-        Inbox { packets }
+    /// Every non-null pointer in `row` and every payload pointer in
+    /// `extra` must be valid for `'r` and not written to while the view
+    /// lives. The engine guarantees this by only building views over
+    /// the *current* arena generation, whose broadcast slots and
+    /// payload arenas are write-free for the whole read phase.
+    pub(crate) unsafe fn from_mail(
+        row: &'r [*const M],
+        extra: &'r [Packet<M>],
+        base: DirectedEdgeId,
+    ) -> Self {
+        // `*const M` and `Option<&M>` share one layout, null being
+        // `None`; the caller vouches for every non-null pointer.
+        let row = std::slice::from_raw_parts(row.as_ptr().cast::<Option<&'r M>>(), row.len());
+        let len = row.iter().filter(|m| m.is_some()).count() + extra.len();
+        Inbox { row, extra, base, len: len as u32 }
     }
 
     /// The empty inbox (what every node sees at round 0).
     pub fn empty() -> Self {
-        Inbox { packets: &[] }
+        Inbox { row: &[], extra: &[], base: 0, len: 0 }
     }
 
     /// Number of messages delivered.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.len as usize
     }
 
     /// True when nothing was delivered.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.len == 0
     }
 
-    /// The `i`-th delivery in canonical order.
+    /// The `i`-th delivery in canonical order (O(degree): the view
+    /// walks its row).
     pub fn get(&self, i: usize) -> Option<Incoming<'r, M>> {
-        self.packets.get(i).map(resolve)
+        self.iter().nth(i)
     }
 
     /// Iterates the deliveries in canonical order.
     pub fn iter(&self) -> InboxIter<'r, M> {
-        InboxIter { inner: self.packets.iter() }
+        InboxIter {
+            row: self.row,
+            port: 0,
+            extra: self.extra,
+            base: self.base,
+            remaining: self.len,
+        }
     }
 }
 
 /// Resolves a packet to its program-facing view.
-fn resolve<'r, M>(p: &'r Packet<M>) -> Incoming<'r, M> {
-    // SAFETY: upheld by `Inbox::from_packets` — the payload the pointer
+fn resolve<'r, M>(port: u32, p: &'r Packet<M>) -> Incoming<'r, M> {
+    // SAFETY: upheld by `Inbox::from_mail` — the payload the pointer
     // targets outlives the view and is not written meanwhile.
-    Incoming { port: p.port, msg: unsafe { &*p.msg } }
+    Incoming { port, msg: unsafe { &*p.msg } }
 }
 
 /// Iterator over an [`Inbox`]'s deliveries.
 pub struct InboxIter<'r, M> {
-    inner: std::slice::Iter<'r, Packet<M>>,
+    row: &'r [Option<&'r M>],
+    /// The next row entry to look at.
+    port: u32,
+    extra: &'r [Packet<M>],
+    base: DirectedEdgeId,
+    remaining: u32,
 }
 
 impl<'r, M> Iterator for InboxIter<'r, M> {
     type Item = Incoming<'r, M>;
 
     fn next(&mut self) -> Option<Incoming<'r, M>> {
-        self.inner.next().map(resolve)
+        if self.remaining == 0 {
+            return None;
+        }
+        // A link's later messages follow its first: the extras of a
+        // port already passed (every extra, once the row is done) come
+        // before the next row entry.
+        if let Some((first, rest)) = self.extra.split_first() {
+            let port = first.slot - self.base;
+            if port < self.port || self.port as usize == self.row.len() {
+                self.extra = rest;
+                self.remaining -= 1;
+                return Some(resolve(port, first));
+            }
+        }
+        while let Some(&entry) = self.row.get(self.port as usize) {
+            let port = self.port;
+            self.port += 1;
+            if let Some(msg) = entry {
+                self.remaining -= 1;
+                return Some(Incoming { port, msg });
+            }
+        }
+        None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        (self.remaining as usize, Some(self.remaining as usize))
     }
 }
 
@@ -228,9 +294,9 @@ impl<'r, M> IntoIterator for &Inbox<'r, M> {
 
 /// Owned delivery buffer for out-of-crate harnesses and reference
 /// engines: fill it with `(port, message)` deliveries, hand the program
-/// a view of it. It stores deliveries as the engine's boxes do — a
-/// packet per delivery, pointing at its payload in the buffer's own
-/// payload arena — and every packet points into that arena, so
+/// a view of it, which lists them in push order. It stores a packet
+/// per delivery, pointing at its payload in the buffer's own payload
+/// arena — and every packet points into that arena, so
 /// [`InboxBuf::view`] is safe.
 #[derive(Default)]
 pub struct InboxBuf<M> {
@@ -248,7 +314,7 @@ impl<M> InboxBuf<M> {
     /// Appends a delivery (arrival on receiver-side `port`).
     pub fn push(&mut self, port: u32, msg: M) {
         let msg = self.payloads.push(msg);
-        self.packets.push(Packet { port, msg });
+        self.packets.push(Packet { slot: port, seq: 0, msg });
     }
 
     /// Clears the buffer (dropping its payloads), keeping its capacity.
@@ -272,8 +338,10 @@ impl<M> InboxBuf<M> {
         // SAFETY: `push` is the only writer, and every packet it stores
         // points into `self.payloads`, whose blocks never move and which
         // only `clear` (under `&mut self`) empties — so the payloads
-        // outlive this borrow and nothing writes them meanwhile.
-        unsafe { Inbox::from_packets(&self.packets) }
+        // outlive this borrow and nothing writes them meanwhile. With no
+        // row, the view lists the packets in push order, each slot
+        // being its port.
+        unsafe { Inbox::from_mail(&[], &self.packets, 0) }
     }
 }
 
@@ -282,21 +350,22 @@ enum Sink<M> {
     /// Queue into an owned buffer — harnesses, tests, and reference
     /// engines consume it via [`Outbox::drain_sends`]/[`Outbox::take_sends`].
     Buffered(Vec<(u32, M)>),
-    /// Push straight into the receiver's box in the sender's segment of
-    /// the next-round inbox arena: no wire counters and no fault checks
-    /// — chosen by the engine when neither can be observed (no round
-    /// recording, no bandwidth cap, no fault plan). Built only by the
-    /// engines, one per node per round, on the stepping thread's stack.
+    /// Store straight into the link's mailbox slot of the next-round
+    /// inbox arena: no wire counters and no fault checks — chosen by
+    /// the engine when neither can be observed (no round recording, no
+    /// bandwidth cap, no fault plan). Built only by the engines, one
+    /// per node per round, on the stepping thread's stack.
     DirectInbox(DirectSink),
     /// As `DirectInbox`, with the wire accounting, bandwidth check and
-    /// fault decision fused into each send: one push per delivered
+    /// fault decision fused into each send: one store per delivered
     /// message, wire loads in the flat table.
     DirectInboxHeavy(DirectSink),
 }
 
-/// How the engine wants sends routed this round. Both modes push into
-/// the sender's segment of the next-round inbox arena; they differ only
-/// in whether the wire is observed.
+/// How the engine wants sends routed this round. Both modes store into
+/// the next-round inbox arena's mailbox (and the sender's segment for
+/// owned payloads and spills); they differ only in whether the wire is
+/// observed.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SinkMode {
     /// Counter-free path: nothing can observe the wire.
@@ -333,26 +402,31 @@ unsafe impl Sync for SinkCtx {}
 
 /// Raw plumbing of the direct sink. Pointers are valid for the duration
 /// of the one `Program::step` call the outbox is built for; the engine
-/// guarantees the sender's segment is written by no other thread
-/// meanwhile.
+/// guarantees that the sender's mailbox slots and segment are written
+/// by no other thread meanwhile.
 pub(crate) struct DirectSink {
-    /// The sender's chunk segment in the write arena: one box per
-    /// receiver, indexed by receiver node (`*mut Vec<Packet<M>>`), and
-    /// the segment's payload arena (`*mut PayloadArena<M>`), where every
-    /// payload that is not a first broadcast moves. Both are
-    /// type-erased here and re-typed in the send path where `M` is
-    /// known. Only the thread stepping this chunk writes the segment.
+    /// The write arena's mailbox (`*mut *const M`, one slot per
+    /// directed edge, receiver-indexed; this sender writes only the
+    /// slots of its own links) and the sender's chunk segment: its
+    /// payload arena (`*mut PayloadArena<M>`), where every payload that
+    /// is not a first broadcast moves, and its spill list
+    /// (`*mut Vec<Packet<M>>`), which takes a link's second and later
+    /// messages of the round. All are type-erased here and re-typed in
+    /// the send path where `M` is known. Only the thread stepping this
+    /// chunk writes the segment.
     pub(crate) segment: Segment,
     /// Base of the write arena's per-node broadcast slot array
     /// (`*mut Option<M>` type-erased). Slot `sender` is written by this
     /// outbox alone; last generation's occupant is evicted back to the
     /// program for recycling.
     pub(crate) slots: *mut (),
-    /// Receiver node index per local port (the graph's neighbor row).
+    /// Receiver node index per local port (the graph's neighbor row),
+    /// for the fault plan's decisions.
     pub(crate) receivers: *const NodeIndex,
-    /// Receiver-side port per local port (the graph's rev-port row);
-    /// messages land in the boxes pre-labeled for delivery.
-    pub(crate) rev_ports: *const u32,
+    /// Mailbox slot per local port (the graph's reverse-edge row): a
+    /// send on port `p` is stored at `rev_edges[p]`, in the receiver's
+    /// row at the sender's position.
+    pub(crate) rev_edges: *const DirectedEdgeId,
     /// The executor chunk's round digest.
     pub(crate) acc: *mut RoundDigest,
     /// Base of this sender's row in the flat per-directed-edge load
@@ -387,10 +461,11 @@ impl<M: WireMessage> Outbox<M> {
     ///
     /// # Safety
     /// `sink`'s pointers must be valid and exclusive for the outbox's
-    /// lifetime: `segment` must be the sender's segment of the write
-    /// arena (`*mut Vec<Packet<M>>`, one box per receiver, and
-    /// `*mut PayloadArena<M>`, both written by no other thread
-    /// meanwhile), `slots` at the write generation's
+    /// lifetime: `segment` must hold the write arena's mailbox
+    /// (`*mut *const M`, whose slots at `rev_edges` no other thread
+    /// touches meanwhile) and the sender's segment of it
+    /// (`*mut PayloadArena<M>` and `*mut Vec<Packet<M>>`, written by no
+    /// other thread meanwhile), `slots` at the write generation's
     /// `Option<M>` slot array (slot `sender` unaliased), `loads` at the
     /// sender's load row whenever the mode accounts, and `acc`/`ctx` at
     /// live objects nobody else mutates during the call.
@@ -452,8 +527,8 @@ impl<M: WireMessage> Outbox<M> {
             Sink::Buffered(v) => v.push((port, msg)),
             // SAFETY: pointer validity/exclusivity guaranteed by the
             // `Outbox::direct` contract; `segment` was erased from
-            // `*mut Vec<Packet<M>>` and `*mut PayloadArena<M>` for this
-            // same `M`.
+            // `*mut *const M`, `*mut PayloadArena<M>` and
+            // `*mut Vec<Packet<M>>` for this same `M`.
             Sink::DirectInbox(d) => unsafe { direct_send_inbox(d, port, msg) },
             // SAFETY: as above.
             Sink::DirectInboxHeavy(d) => unsafe { direct_send_inbox_heavy(d, port, msg) },
@@ -464,7 +539,7 @@ impl<M: WireMessage> Outbox<M> {
     ///
     /// Under the engine's direct sinks the payload is stored **once** in
     /// this sender's broadcast slot of the write arena and every
-    /// receiver's box gets a 16-byte packet pointing at it — no clone on
+    /// receiver's mailbox slot gets a pointer to it — no clone on
     /// either side of the wire, whatever the payload's size (small
     /// payloads travel by pointer too, not as inline copies). Wire
     /// accounting still charges every link the full message size, and
@@ -616,9 +691,12 @@ unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
     (evicted, ptr)
 }
 
-/// Pushes one delivery of the payload at `ptr` straight into the
-/// receiver's box in the sender's segment, as a packet labeled with the
-/// receiver-side port.
+/// Files one delivery of the payload at `ptr` in the link's mailbox
+/// slot — the receiver's row, at the sender's position — with one
+/// 8-byte store. A slot that already holds this round's message from
+/// this sender (the API allows several per link) sends the payload to
+/// the segment's spill list instead, so it is delivered after the
+/// link's earlier ones.
 ///
 /// # Safety
 /// As [`direct_send_inbox`], with `ptr` pointing at a payload of the
@@ -626,10 +704,13 @@ unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
 /// broadcast slot or an entry of the segment's payload arena.
 #[inline(always)]
 unsafe fn inbox_push<M>(d: &mut DirectSink, port: u32, ptr: *const M) {
-    let w = *d.receivers.add(port as usize);
-    let rev = *d.rev_ports.add(port as usize);
-    let inbox = &mut *(d.segment.boxes as *mut Vec<Packet<M>>).add(w as usize);
-    inbox.push(Packet { port: rev, msg: ptr });
+    let slot = *d.rev_edges.add(port as usize);
+    let cell = &mut *(d.segment.mail as *mut *const M).add(slot as usize);
+    if cell.is_null() {
+        *cell = ptr;
+    } else {
+        spill(&mut *(d.segment.spills as *mut Vec<Packet<M>>), slot, ptr);
+    }
 }
 
 /// What the fault plan decided for one charged send, as seen by the
@@ -739,8 +820,8 @@ unsafe fn corrupt_payload<M: WireMessage>(d: &mut DirectSink, msg: &M, entropy: 
 }
 
 /// The counter-free write path (see `Sink::DirectInbox`): the payload
-/// moves into the segment's payload arena and the receiver's box in the
-/// sender's segment gets a packet pointing at it.
+/// moves into the segment's payload arena and the link's mailbox slot
+/// gets a pointer to it.
 ///
 /// # Safety
 /// See [`Outbox::direct`] — `d.segment` is the sender's segment, written
@@ -754,8 +835,8 @@ unsafe fn direct_send_inbox<M: WireMessage>(d: &mut DirectSink, port: u32, msg: 
 
 /// The accounted write path (see `Sink::DirectInboxHeavy`): accounting,
 /// bandwidth check, fault decision, then the counter-free write — one
-/// message move, no allocation once the box and the payload arena are
-/// warm.
+/// message move, no allocation once the payload arena (and, for a link
+/// carrying several messages, the spill list) is warm.
 ///
 /// # Safety
 /// As [`direct_send_inbox`], plus `d.loads` must be the sender's valid

@@ -1,17 +1,19 @@
 //! Payload ownership across the engine's delivery paths.
 //!
-//! An inbox packet is a port and a pointer. A first broadcast's payload
-//! lives in its sender's broadcast slot; every other payload (targeted
-//! sends, corrupted copies, a second broadcast's per-port clones, a
-//! distributed worker's remote deliveries) lives in the payload arena of
-//! the inbox segment that holds the packet. These tests send a payload
-//! that counts its live copies down every one of those paths, through
-//! the sequential executor, the parallel executor at forced worker
-//! counts, and two partition engines routed as the distributed
-//! coordinator routes them. Every warm rerun must reproduce the
-//! sequential verdicts, no rerun may leave more payloads alive than the
-//! first, and once the session or the engines are dropped no payload may
-//! be left alive.
+//! A delivery is a pointer in the receiver's mailbox slot for the link,
+//! or — for a link's second and later messages of a round — a spilled
+//! packet, merged into a sorted list when the generation becomes
+//! readable. A first broadcast's payload lives in its sender's
+//! broadcast slot; every other payload (targeted sends, corrupted
+//! copies, a second broadcast's per-port clones, a distributed worker's
+//! remote deliveries) lives in the payload arena of the segment that
+//! wrote it. These tests send a payload that counts its live copies
+//! down every one of those paths, through the sequential executor, the
+//! parallel executor at forced worker counts, and two partition engines
+//! routed as the distributed coordinator routes them. Every warm rerun
+//! must reproduce the sequential verdicts, no rerun may leave more
+//! payloads alive than the first, and once the session or the engines
+//! are dropped no payload may be left alive.
 //!
 //! The graphs and round counts are small enough for Miri:
 //! `cargo +nightly miri test -p ck-congest --test payload_lifetime`.
@@ -19,7 +21,7 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use ck_congest::engine::{EngineConfig, Executor};
+use ck_congest::engine::{EngineConfig, EngineWorkspace, Executor, RunOutcome};
 use ck_congest::fault::FaultPlan;
 use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
 use ck_congest::message::{WireMessage, WireParams};
@@ -163,10 +165,26 @@ fn session_runs(g: &Graph, config: &EngineConfig, live: &Arc<AtomicI64>) -> Vec<
 /// Returns the run's observation and the live payload count before the
 /// engines are dropped.
 fn partitioned_run(g: &Graph, config: &EngineConfig, live: &Arc<AtomicI64>) -> (Observed, i64) {
+    let (report, parts) = run_partitions(g, config, factory(live));
+    let observed = observe(&report, parts.iter().flat_map(|p| p.verdicts()).collect());
+    (observed, live.load(Ordering::SeqCst))
+}
+
+/// [`partitioned_run`] for any program: the run's report and the two
+/// engines, still holding what the run left in flight.
+fn run_partitions<'g, P, F>(
+    g: &'g Graph,
+    config: &EngineConfig,
+    mut make: F,
+) -> (RunReport, Vec<PartitionEngine<'g, P>>)
+where
+    P: Program,
+    F: FnMut(NodeInit<'g>) -> P,
+{
     let workers = 2;
     let params = WireParams::for_graph(g);
-    let mut parts: Vec<PartitionEngine<'_, Gossip>> = (0..workers)
-        .map(|w| PartitionEngine::new(g, config, params, workers, w, factory(live)))
+    let mut parts: Vec<PartitionEngine<'g, P>> = (0..workers)
+        .map(|w| PartitionEngine::new(g, config, params, workers, w, &mut make))
         .collect();
     let owner = |v: NodeIndex| {
         (0..workers).position(|w| partition_range(g.n(), workers, w).contains(&v)).unwrap()
@@ -191,8 +209,12 @@ fn partitioned_run(g: &Graph, config: &EngineConfig, live: &Arc<AtomicI64>) -> (
     }
     report.rounds = round;
     report.all_halted = active == 0;
-    let observed = observe(&report, parts.iter().flat_map(|p| p.verdicts()).collect());
-    (observed, live.load(Ordering::SeqCst))
+    (report, parts)
+}
+
+/// The verdicts of a [`run_partitions`] run, in node order.
+fn verdicts_of<P: Program>(parts: &[PartitionEngine<'_, P>]) -> Vec<P::Verdict> {
+    parts.iter().flat_map(|p| p.verdicts()).collect()
 }
 
 /// The forced worker count is process-wide and the parallel executor
@@ -290,5 +312,258 @@ fn capped_runs_keep_exactly_the_last_round_alive() {
         let (_, left) = partitioned_run(&g, &base, &live);
         assert_eq!(left, partitioned, "partition engines: payloads alive after run {i}");
         assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
+    }
+}
+
+/// What a node heard: `(round, port, value)` per delivery, in order.
+type Heard = Vec<(u32, u32, u64)>;
+
+/// Each round every node broadcasts, sends three payloads on port 0,
+/// then broadcasts again: the link behind port 0 carries five messages
+/// and every other link two, so every message after a link's first
+/// spills. Halts at `rounds`; the verdict is everything it heard.
+struct Spiller {
+    id: u64,
+    rounds: u32,
+    heard: Heard,
+    live: Arc<AtomicI64>,
+}
+
+impl Program for Spiller {
+    type Msg = Counted;
+    type Verdict = Heard;
+
+    fn step(&mut self, round: u32, inbox: Inbox<'_, Counted>, out: &mut Outbox<Counted>) -> Status {
+        self.heard.extend(inbox.iter().map(|inc| (round, inc.port, inc.msg.value)));
+        if round >= self.rounds {
+            return Status::Halted;
+        }
+        let base = self.id * 1000 + u64::from(round) * 10;
+        drop(out.broadcast(Counted::new(base + 1, &self.live)));
+        for i in 0..3 {
+            out.send(0, Counted::new(base + 2 + i, &self.live));
+        }
+        drop(out.broadcast(Counted::new(base + 5, &self.live)));
+        Status::Running
+    }
+
+    fn verdict(&self) -> Heard {
+        self.heard.clone()
+    }
+}
+
+/// The spill path: three targeted sends on one port plus a second
+/// broadcast in one step. Every executor — sequential, parallel at the
+/// default and at 2 forced workers, accounted and counter-free, and two
+/// partition engines, whose cut drain ships spills and whose `inject`
+/// spills again — delivers each link's messages after its first, in
+/// queueing order, in ascending port order across links; the wire
+/// counters see five messages on a port-0 link; and no payload
+/// outlives its session or engines.
+#[test]
+fn spilled_messages_follow_the_first_in_queueing_order() {
+    let _serial = serial();
+    let _reset = ResetWorkers;
+    let g = graph();
+    let rounds = 3;
+    let expected: Vec<Heard> = (0..g.n() as NodeIndex)
+        .map(|v| {
+            let mut heard = Heard::new();
+            for r in 1..=rounds {
+                for (q, &u) in g.neighbors(v).iter().enumerate() {
+                    let base = u64::from(u) * 1000 + u64::from(r - 1) * 10;
+                    let values: &[u64] =
+                        if g.neighbor_at(u, 0) == v { &[1, 2, 3, 4, 5] } else { &[1, 5] };
+                    heard.extend(values.iter().map(|&x| (r, q as u32, base + x)));
+                }
+            }
+            heard
+        })
+        .collect();
+    let live = Arc::new(AtomicI64::new(0));
+    let make = |init: NodeInit<'_>| Spiller {
+        id: init.id,
+        rounds,
+        heard: Heard::new(),
+        live: Arc::clone(&live),
+    };
+    let sent: usize = (0..g.n() as NodeIndex).map(|v| 2 * g.degree(v) + 3).sum();
+    for record_rounds in [true, false] {
+        let base = EngineConfig { record_rounds, ..EngineConfig::default() };
+        for (executor, forced) in
+            [(Executor::Sequential, 0), (Executor::Parallel, 0), (Executor::Parallel, 2)]
+        {
+            rayon::force_workers_for_tests(forced);
+            let config = EngineConfig { executor, ..base.clone() };
+            let mut session = Session::builder(&g).config(config).build();
+            for i in 0..RERUNS {
+                let out = session.run(make).unwrap();
+                let what = format!("{executor:?} (forced {forced}) rerun {i}");
+                assert_eq!(out.verdicts, expected, "{what}");
+                if record_rounds {
+                    let first = &out.report.per_round[0];
+                    assert_eq!(first.messages as usize, sent, "{what}");
+                    assert_eq!(first.max_link_messages, 5, "{what}");
+                }
+            }
+            drop(session);
+            assert_eq!(live.load(Ordering::SeqCst), 0, "{executor:?}: session dropped");
+        }
+        rayon::force_workers_for_tests(0);
+        let (_, parts) = run_partitions(&g, &base, make);
+        assert_eq!(verdicts_of(&parts), expected, "partitioned, record_rounds={record_rounds}");
+        drop(parts);
+        assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
+    }
+}
+
+/// Records what it hears and never sends.
+struct Listener {
+    heard: Heard,
+}
+
+impl Program for Listener {
+    type Msg = Counted;
+    type Verdict = Heard;
+
+    fn step(
+        &mut self,
+        round: u32,
+        inbox: Inbox<'_, Counted>,
+        _out: &mut Outbox<Counted>,
+    ) -> Status {
+        self.heard.extend(inbox.iter().map(|inc| (round, inc.port, inc.msg.value)));
+        Status::Running
+    }
+
+    fn verdict(&self) -> Heard {
+        self.heard.clone()
+    }
+}
+
+/// Two deliveries injected on one link keep their order, whatever the
+/// routing order across links: node 0 (worker 0 of 2 owns 0..6) hears
+/// node 6 on port 1 and node 11 on port 2, and the four deliveries
+/// arrive interleaved and in reverse port order. The payloads stay
+/// alive through the read and drop when their generation re-enters the
+/// write role.
+#[test]
+fn injected_deliveries_on_one_link_keep_their_order() {
+    let g = graph();
+    assert_eq!(g.neighbors(0), &[1, 6, 11]);
+    let live = Arc::new(AtomicI64::new(0));
+    let params = WireParams::for_graph(&g);
+    let config = EngineConfig::default();
+    let mut part =
+        PartitionEngine::new(&g, &config, params, 2, 0, |_| Listener { heard: Heard::new() });
+    let mut out = Vec::new();
+    part.step_round(0, &mut out);
+    assert!(out.is_empty(), "listeners send nothing");
+    for (port, value) in [(2, 21), (1, 11), (2, 22), (1, 12)] {
+        part.inject(0, port, Counted::new(value, &live)).unwrap();
+    }
+    part.commit_round();
+    part.step_round(1, &mut out);
+    assert_eq!(part.verdicts()[0], vec![(1, 1, 11), (1, 1, 12), (1, 2, 21), (1, 2, 22)]);
+    assert_eq!(live.load(Ordering::SeqCst), 4, "read, not yet dropped");
+    part.commit_round();
+    assert_eq!(live.load(Ordering::SeqCst), 0, "dropped once their generation is writable again");
+}
+
+/// Node 0 halts at round 0 while its neighbours keep sending to it —
+/// first messages and spills — for four rounds. Its row is nulled by
+/// its own step every round (in debug builds the arena asserts every
+/// slot is null before it drops a generation's payloads), the other
+/// nodes hear exactly what the sequential run hears on every executor,
+/// and nothing leaks.
+#[test]
+fn a_halted_receivers_row_is_cleared_and_nothing_leaks() {
+    let _serial = serial();
+    let _reset = ResetWorkers;
+    let g = graph();
+    let live = Arc::new(AtomicI64::new(0));
+    let make = |init: NodeInit<'_>| Spiller {
+        id: init.id,
+        rounds: if init.index == 0 { 0 } else { 4 },
+        heard: Heard::new(),
+        live: Arc::clone(&live),
+    };
+    let base = EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() };
+    let oracle = Session::builder(&g).config(base.clone()).build().run(make).unwrap();
+    assert!(oracle.verdicts[0].is_empty(), "node 0 halted before hearing anything");
+    let heard_by_1 = &oracle.verdicts[1];
+    assert!(!heard_by_1.is_empty() && heard_by_1.iter().all(|&(_, port, _)| port != 0));
+    assert_eq!(live.load(Ordering::SeqCst), 0);
+    for forced in [0, 2] {
+        rayon::force_workers_for_tests(forced);
+        for executor in [Executor::Sequential, Executor::Parallel] {
+            let mut session =
+                Session::builder(&g).config(EngineConfig { executor, ..base.clone() }).build();
+            for i in 0..RERUNS {
+                let out = session.run(make).unwrap();
+                assert_eq!(
+                    out.verdicts, oracle.verdicts,
+                    "{executor:?} (forced {forced}) rerun {i}"
+                );
+                assert_eq!(out.report.per_round, oracle.report.per_round);
+            }
+            drop(session);
+            assert_eq!(live.load(Ordering::SeqCst), 0, "{executor:?}: session dropped");
+        }
+    }
+    rayon::force_workers_for_tests(0);
+    let (report, parts) = run_partitions(&g, &base, make);
+    assert_eq!(verdicts_of(&parts), oracle.verdicts, "partitioned");
+    assert_eq!(report.per_round, oracle.report.per_round, "partitioned");
+    drop(parts);
+    assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
+}
+
+/// A run capped mid-flight leaves traffic — first messages and spills —
+/// in the workspace's arenas; a run on a smaller graph through the same
+/// workspace then reads none of it: its verdicts and statistics equal
+/// a fresh session's, the capped run's payloads are dropped exactly
+/// once (the live count returns to what the small run alone leaves),
+/// and dropping the workspace drops the rest.
+#[test]
+fn a_capped_run_then_a_smaller_graph_reads_no_stale_entry() {
+    let _serial = serial();
+    let _reset = ResetWorkers;
+    let big = graph();
+    let small = GraphBuilder::new(7)
+        .edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (2, 5)])
+        .build()
+        .unwrap();
+    let live = Arc::new(AtomicI64::new(0));
+    let faults = FaultPlan::none().random_loss(0.2, 11).corrupt_frames(0.3, 5);
+    for forced in [0, 2] {
+        rayon::force_workers_for_tests(forced);
+        for executor in [Executor::Sequential, Executor::Parallel] {
+            let capped = EngineConfig { executor, max_rounds: 3, ..EngineConfig::default() };
+            let full = EngineConfig { executor, faults: faults.clone(), ..EngineConfig::default() };
+            let fresh =
+                Session::builder(&small).config(full.clone()).build().run(factory(&live)).unwrap();
+            let alone = live.load(Ordering::SeqCst);
+            let what = format!("{executor:?} (forced {forced})");
+
+            let mut ws: EngineWorkspace<Counted> = EngineWorkspace::new();
+            let mut out = RunOutcome::default();
+            let params = WireParams::for_graph(&big);
+            ws.run_on_into(&big, &capped, &params, factory(&live), &mut out).unwrap();
+            assert_eq!(out.report.rounds, 3, "{what}: the cap stopped the run");
+            // Node 0 halted at round 2; everyone else's round-2 clones
+            // and targeted sends are still in flight.
+            let in_flight: i64 = (1..big.n() as NodeIndex).map(|v| 2 * big.degree(v) as i64).sum();
+            assert_eq!(live.load(Ordering::SeqCst), alone + in_flight, "{what}: in flight");
+
+            let params = WireParams::for_graph(&small);
+            ws.run_on_into(&small, &full, &params, factory(&live), &mut out).unwrap();
+            assert_eq!(out.verdicts, fresh.verdicts, "{what}: no stale entry read");
+            assert_eq!(out.report.per_round, fresh.report.per_round, "{what}");
+            assert_eq!(format!("{:?}", out.report.faults), format!("{:?}", fresh.report.faults));
+            assert_eq!(live.load(Ordering::SeqCst), 2 * alone, "{what}: dropped exactly once");
+            drop(ws);
+            assert_eq!(live.load(Ordering::SeqCst), alone, "{what}: workspace dropped");
+        }
     }
 }

@@ -213,6 +213,7 @@ fn same_views(g: &Graph, h: &Graph) -> Result<(), TestCaseError> {
         prop_assert_eq!(g.ports_sorted_by_id(v), h.ports_sorted_by_id(v), "node {}", v);
         for p in 0..g.degree(v) as u32 {
             prop_assert_eq!(g.reverse_port(v, p), h.reverse_port(v, p));
+            prop_assert_eq!(g.reverse_edge(v, p), h.reverse_edge(v, p));
             prop_assert_eq!(g.edge_index_at(v, p), h.edge_index_at(v, p));
         }
     }

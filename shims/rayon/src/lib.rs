@@ -44,11 +44,14 @@ static FORCED_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// unsafe code (e.g. the round engine's shared arenas) must survive.
 ///
 /// Call this only **between** runs, never while a parallel computation
-/// is in flight: callers that key external chunk-local state off a
-/// captured [`ChunkPlan`] (the round engine pins one plan per run via
-/// [`ParIterMut::with_chunk_plan`]) prepare that state from the same
-/// forced-worker snapshot, and the engine debug-asserts the snapshot
-/// is still current at every round.
+/// is in flight. A call that does land mid-run cannot split a pinned
+/// run differently: callers that key external chunk-local state off a
+/// captured [`ChunkPlan`] prepare that state from one forced-worker
+/// snapshot and hand the same plan to [`ParIterMut::with_chunk_plan`],
+/// which the round engine does for every round of a run, so that run
+/// keeps the partition its state was sized for. Unpinned parallel calls
+/// read the new count at their next call, and the next run captures a
+/// new plan.
 pub fn force_workers_for_tests(n: usize) {
     FORCED_WORKERS.store(n, Ordering::Relaxed);
 }

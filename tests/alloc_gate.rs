@@ -40,7 +40,7 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Heap bytes a cold one-repetition sequential session may request per
 /// node beyond the graph (leg (f)).
-const COLD_BYTES_PER_NODE: u64 = 1_280;
+const COLD_BYTES_PER_NODE: u64 = 1_024;
 
 /// Heap operations one warm service request may make, at any graph
 /// size (leg (g)).
@@ -284,9 +284,10 @@ fn warm_reruns_perform_zero_heap_operations() {
     // one-repetition run on a planted random tree requests at most
     // `COLD_BYTES_PER_NODE` heap bytes per node, counted from after the
     // graph is built: k = 4–7 at n = 8,000, and k = 5 at n = 10⁵.
-    // Phase-2 sequence sets sized to the round and 16-byte inbox
-    // packets keep it there; 64-byte packets needed about 1.4 KB, and
-    // sets sized for the largest supported k about 4 KB.
+    // Phase-2 sequence sets sized to the round and one 8-byte mailbox
+    // slot per directed edge keep it there (about 0.9 KB); per-receiver
+    // inbox boxes needed about 1.05–1.09 KB, 64-byte packets about
+    // 1.4 KB, and sets sized for the largest supported k about 4 KB.
     let inputs = [(8_000usize, 4usize), (8_000, 5), (8_000, 6), (8_000, 7), (100_000, 5)];
     for (n, k) in inputs {
         let inst = plant_on_host(&random_tree(n, 7), k, n / 40, 7);
@@ -300,6 +301,7 @@ fn warm_reruns_perform_zero_heap_operations() {
         let run = tester.test(&inst.graph).unwrap();
         let per_node = gate.delta().bytes / n as u64;
         drop((run, tester));
+        println!("(f) cold ck{k} session at n = {n}: {per_node} B per node");
         assert!(
             per_node <= COLD_BYTES_PER_NODE,
             "cold ck{k} session at n = {n} requested {per_node} B per node \
