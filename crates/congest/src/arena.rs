@@ -1,9 +1,9 @@
 //! Shared internals of the arena engine: the double-buffered CSR
-//! mailbox arena with its per-segment payload arenas and spill lists,
-//! the flat per-directed-edge load table, and the per-round digest the
-//! fused accounting feeds and every executor closes its rounds with.
-//! Split out of `engine` so the node-side [`crate::node::Outbox`] can
-//! write straight into mailboxes without a module cycle.
+//! mailbox arena with its per-segment payload arenas, and the per-round
+//! digest the fused accounting feeds and every executor closes its
+//! rounds with. Split out of `engine` so the node-side
+//! [`crate::node::Outbox`] can write straight into mailboxes without a
+//! module cycle.
 
 use std::cell::UnsafeCell;
 use std::ops::Range;
@@ -13,110 +13,11 @@ use crate::fault::DropKind;
 use crate::graph::{DirectedEdgeId, NodeIndex};
 use crate::metrics::{RoundStats, RunReport};
 use crate::net::frame::{ByteReader, ByteWriter, FrameError};
-use crate::node::Packet;
-
-/// Per-directed-edge wire load for one round, kept in a flat
-/// [`LoadTable`] indexed by [`DirectedEdgeId`] (not inside the inbox
-/// arena: the loads are round-scoped accounting state, the inboxes are
-/// round-crossing transport).
-///
-/// Loads are *round-stamped* instead of reset: a load whose `stamp`
-/// differs from the current round's stamp is semantically zero, and
-/// the first write of a round re-stamps it. No pass over the table —
-/// at drain time, at swap time, or anywhere else — ever has to zero
-/// anything.
-///
-/// Stamps live in a 64-bit *offset* space, `table.base + round`: each
-/// run gets a fresh epoch (the base advances past every stamp the
-/// previous run could have written), so round numbers restarting at 0
-/// between batch jobs can never collide with a stale entry and even
-/// the between-jobs re-stale scan of the table is gone — workspace
-/// reset is O(1) for the loads.
-///
-/// `bits`/`count` include faulted sends: the sender spent the
-/// bandwidth even though the message is never delivered.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LinkLoad {
-    pub(crate) bits: u64,
-    pub(crate) count: u64,
-    /// Offset-space stamp (`base + round`) these counters belong to;
-    /// `u64::MAX` = never written (unreachable as a real stamp for any
-    /// feasible number of runs — bases advance in `2^32` strides).
-    pub(crate) stamp: u64,
-}
-
-impl Default for LinkLoad {
-    fn default() -> Self {
-        LinkLoad { bits: 0, count: 0, stamp: u64::MAX }
-    }
-}
-
-/// The flat per-directed-edge load table the fused accounting writes.
-///
-/// Directed edge `(v → w)` is loaded only by its unique sender `v`, so
-/// rows partition across nodes and the parallel executor's per-node
-/// step calls never touch the same entry.
-pub(crate) struct LoadTable {
-    cells: Vec<UnsafeCell<LinkLoad>>,
-    /// Stamp-space base of the current run; every stamp this run
-    /// writes is `base + round`. Advanced by a full `2^32` (one more
-    /// than any `u32` round number) at each reset, so a stale entry's
-    /// stamp can never equal a fresh run's.
-    base: u64,
-}
-
-// SAFETY: entries are only reached through `LoadTable::row_ptr`, whose
-// callers guarantee sender-unique row access; `LinkLoad` is plain data.
-unsafe impl Sync for LoadTable {}
-
-impl LoadTable {
-    /// An all-stale table of `len` loads (`len` = 0 for runs that never
-    /// account — `row_ptr` must not be called on an empty table).
-    pub(crate) fn new(len: usize) -> Self {
-        LoadTable {
-            cells: (0..len).map(|_| UnsafeCell::new(LinkLoad::default())).collect(),
-            base: 0,
-        }
-    }
-
-    /// Prepares the table for a run over `len` loads: advances the
-    /// stamp epoch — after which every retained entry is semantically
-    /// zero without touching it — and grows the backing array only when
-    /// the new graph does not fit. O(1) when the graph fits; the
-    /// between-jobs re-stale scan this replaces was the last per-job
-    /// O(m) cost of workspace reuse.
-    pub(crate) fn reset(&mut self, len: usize) {
-        self.base = self.base.wrapping_add(1 << 32);
-        if self.cells.len() < len {
-            self.cells.resize_with(len, || UnsafeCell::new(LinkLoad::default()));
-        }
-    }
-
-    /// The offset-space stamp of `round` in the current run's epoch.
-    pub(crate) fn stamp_for(&self, round: u32) -> u64 {
-        self.base.wrapping_add(u64::from(round))
-    }
-
-    /// Raw pointer to the load row starting at directed edge `de`: the
-    /// sender's per-port load counters.
-    ///
-    /// # Safety
-    /// The caller must be the unique accessor of the row's entries while
-    /// the pointer lives (sender-owned rows satisfy this), and `de` must
-    /// be at most the table length (`de == len` is the empty row of a
-    /// degree-0 sender — one past the end, fine to form, never read).
-    pub(crate) unsafe fn row_ptr(&self, de: DirectedEdgeId) -> *mut LinkLoad {
-        debug_assert!(de as usize <= self.cells.len());
-        // UnsafeCell<T> is repr(transparent) over T.
-        self.cells.as_ptr().add(de as usize) as *mut LinkLoad
-    }
-}
 
 /// Owned payloads of one inbox segment, in address-stable blocks.
 ///
 /// A targeted send moves its payload in here and the receiver's mailbox
-/// slot (or, for a link's later messages, a spilled [`Packet`]) points
-/// at it. Blocks are never resized: a full
+/// slot points at it. Blocks are never resized: a full
 /// block is followed by a new one twice its size, so a pushed payload
 /// never moves until [`PayloadArena::clear`] drops it. `clear` keeps
 /// the blocks, so a refill of the same size allocates nothing.
@@ -158,7 +59,7 @@ impl<M> PayloadArena<M> {
         }
     }
 
-    /// Drops every payload and keeps the blocks. No packet may still
+    /// Drops every payload and keeps the blocks. Nothing may still
     /// point into the arena.
     pub(crate) fn clear(&mut self) {
         for block in self.blocks.iter_mut().take(self.cur + 1) {
@@ -171,25 +72,11 @@ impl<M> PayloadArena<M> {
 /// Type-erased write handle of one segment of an [`InboxArena`], for
 /// the outbox's inbox sink: the base of the generation's mailbox
 /// (`*mut *const M`, shared by every segment) and the segment's own
-/// payload arena (`*mut PayloadArena<M>`) and spill list
-/// (`*mut Vec<Packet<M>>`).
+/// payload arena (`*mut PayloadArena<M>`).
 #[derive(Clone, Copy)]
 pub(crate) struct Segment {
     pub(crate) mail: *mut (),
     pub(crate) payloads: *mut (),
-    pub(crate) spills: *mut (),
-}
-
-/// Appends a link's second or later message of the round to a
-/// segment's spill list, in queueing order: `slot` is the link's
-/// mailbox slot, and the entry's position in the list breaks ties when
-/// the generation's spills are sorted by slot. Out of line and cold: a
-/// send reaches it only when the slot it stores to is already taken.
-#[cold]
-#[inline(never)]
-pub(crate) fn spill<M>(spills: &mut Vec<Packet<M>>, slot: DirectedEdgeId, msg: *const M) {
-    let seq = spills.len() as u32;
-    spills.push(Packet { slot, seq, msg });
 }
 
 /// Double-buffered CSR mailboxes: the message arena of every executor.
@@ -202,24 +89,17 @@ pub(crate) fn spill<M>(spills: &mut Vec<Packet<M>>, slot: DirectedEdgeId, msg: *
 /// contiguous CSR row, one slot per port and null where nothing
 /// arrived, and port order is ascending sender order — the canonical
 /// delivery order, with no gather and no sort. A send is one 8-byte
-/// store.
-///
-/// The model carries one message per link per round, but the API
-/// allows more. A link's second and later messages of a round *spill*:
-/// the writer appends them to its segment's spill list (see [`spill`]).
-/// When the generation enters the read role, [`InboxArena::swap_roles`]
-/// merges the lists into one, sorted by slot and then queueing order,
-/// and a receiver reads its spills as a sub-slice of it
-/// ([`InboxArena::spills_of`], empty without a search when nothing
-/// spilled).
+/// store. A link carries at most one message per round (the CONGEST
+/// rule, which the outbox enforces), so one slot per link holds all of
+/// its traffic.
 ///
 /// A run whose senders step in `W` chunks (in process, the chunks of
 /// the run's pinned [`rayon::ChunkPlan`], with `W = 1` for the
 /// sequential executor; one for a distributed worker, see
 /// [`crate::net::partition`]) has `W` *segments*: segment `w` is the
-/// payload arena and the spill list of chunk `w`. A payload a mailbox
-/// slot or a spill points at is a first broadcast parked in its
-/// sender's slot, or lives in a segment's [`PayloadArena`].
+/// payload arena of chunk `w`. A payload a mailbox slot points at is a
+/// broadcast parked in its sender's slot, or lives in a segment's
+/// [`PayloadArena`].
 ///
 /// Interior mutability with hand-verified disjointness, upheld by the
 /// round loop: while this arena is in the write role, the mailbox slot
@@ -237,16 +117,8 @@ pub(crate) struct InboxArena<M> {
     /// (in `swap_roles` and in `reset`), when every mailbox slot of the
     /// generation is already null.
     payloads: Vec<UnsafeCell<PayloadArena<M>>>,
-    /// One spill list per segment, in queueing order, written by that
-    /// segment's writer alone and emptied into `spilled` when the
-    /// generation enters the read role.
-    spills: Vec<UnsafeCell<Vec<Packet<M>>>>,
-    /// Every spill of the generation, sorted by slot and then queueing
-    /// order: built when the generation enters the read role, read by
-    /// the receivers, emptied when it re-enters the write role.
-    spilled: Vec<Packet<M>>,
     /// Per-sender broadcast slots: slot `v` holds the payload of `v`'s
-    /// first broadcast of this generation *once*; the mailbox carries
+    /// broadcast of this generation *once*; the mailbox carries
     /// pointers into it. Written only by `v` during the write phase,
     /// read only by `v`'s neighbors during the following read phase
     /// (when no slot of this arena is written at all), overwritten by
@@ -263,14 +135,14 @@ pub(crate) struct InboxArena<M> {
     segments: usize,
 }
 
-// SAFETY: shared access reaches the mailbox, the payload arenas and the
-// spill lists only through `segment_ptr` and `row_mut`, whose callers
-// uphold the slot/segment/row disjointness documented on the type, and
-// slots through `slots_ptr`, whose callers uphold the sender-only write
-// rule documented on the field; `spilled` and the sizes change only
-// under `&mut self`. `M: Send` makes moving messages across the worker
-// threads sound, and `M: Sync` covers the concurrent shared reads of
-// one payload by several receivers.
+// SAFETY: shared access reaches the mailbox and the payload arenas only
+// through `segment_ptr` and `row_mut`, whose callers uphold the
+// slot/segment/row disjointness documented on the type, and slots
+// through `slots_ptr`, whose callers uphold the sender-only write rule
+// documented on the field; the sizes change only under `&mut self`.
+// `M: Send` makes moving messages across the worker threads sound, and
+// `M: Sync` covers the concurrent shared reads of one payload by
+// several receivers.
 unsafe impl<M: Send + Sync> Sync for InboxArena<M> {}
 
 impl<M> InboxArena<M> {
@@ -279,8 +151,6 @@ impl<M> InboxArena<M> {
         InboxArena {
             mail: Vec::new(),
             payloads: Vec::new(),
-            spills: Vec::new(),
-            spilled: Vec::new(),
             slots: Vec::new(),
             nodes: 0,
             edges: 0,
@@ -291,10 +161,10 @@ impl<M> InboxArena<M> {
     /// Prepares the arena for a run over `nodes` senders, `edges`
     /// directed edges and `segments` sender chunks, reusing the
     /// previous run's buffers: the previously used mailbox extent is
-    /// nulled, stale payloads and spills are dropped (payload blocks
-    /// and list capacities kept), and the backing arrays grow only when
-    /// the new shape does not fit. `&mut self` proves exclusivity, so
-    /// no unsafe cell access is needed.
+    /// nulled, stale payloads are dropped (payload blocks kept), and
+    /// the backing arrays grow only when the new shape does not fit.
+    /// `&mut self` proves exclusivity, so no unsafe cell access is
+    /// needed.
     pub(crate) fn reset(&mut self, nodes: usize, edges: usize, segments: usize) {
         for m in self.mail.iter_mut().take(self.edges) {
             *m.get_mut() = std::ptr::null();
@@ -308,7 +178,6 @@ impl<M> InboxArena<M> {
         }
         if self.payloads.len() < segments {
             self.payloads.resize_with(segments, || UnsafeCell::new(PayloadArena::default()));
-            self.spills.resize_with(segments, || UnsafeCell::new(Vec::new()));
         }
         if self.slots.len() < nodes {
             self.slots.resize_with(nodes, || UnsafeCell::new(None));
@@ -319,35 +188,19 @@ impl<M> InboxArena<M> {
     }
 
     /// Ends a round: `next`, this round's write arena, becomes the read
-    /// arena with its spills merged, and `cur`, whose mailbox every
-    /// receiver's step nulled, re-enters the write role with its
-    /// payloads dropped. The in-process round loop and a distributed
-    /// worker's `commit_round` both end a round here.
+    /// arena, and `cur`, whose mailbox every receiver's step nulled,
+    /// re-enters the write role with its payloads dropped. The
+    /// in-process round loop and a distributed worker's `commit_round`
+    /// both end a round here.
     pub(crate) fn swap_roles(cur: &mut Self, next: &mut Self) {
         std::mem::swap(cur, next);
-        cur.seal();
         next.clear_payloads();
     }
 
-    /// Merges the segments' spill lists into `spilled`, sorted by slot
-    /// and then queueing order (a link's spills all come from one
-    /// writer, so their list positions order them). In place and
-    /// allocation-free once warm; a round without spills only checks
-    /// `W` empty lists.
-    fn seal(&mut self) {
-        debug_assert!(self.spilled.is_empty());
-        for s in self.spills.iter_mut() {
-            self.spilled.append(s.get_mut());
-        }
-        if !self.spilled.is_empty() {
-            self.spilled.sort_unstable_by_key(|p| (p.slot, p.seq));
-        }
-    }
-
-    /// Drops every payload of the segments' payload arenas and every
-    /// spill, keeping their blocks and capacities: how a generation
-    /// whose mailbox was nulled re-enters the write role. `&mut self`
-    /// proves no round is stepping.
+    /// Drops every payload of the segments' payload arenas, keeping
+    /// their blocks: how a generation whose mailbox was nulled
+    /// re-enters the write role. `&mut self` proves no round is
+    /// stepping.
     fn clear_payloads(&mut self) {
         debug_assert!(
             self.mail.iter_mut().all(|m| m.get_mut().is_null()),
@@ -356,41 +209,32 @@ impl<M> InboxArena<M> {
         for p in self.payloads.iter_mut() {
             p.get_mut().clear();
         }
-        for s in self.spills.iter_mut() {
-            s.get_mut().clear();
-        }
-        self.spilled.clear();
     }
 
     /// Type-erased write handle of segment `w` for the outbox's inbox
-    /// sink: the mailbox base and segment `w`'s payload arena and spill
-    /// list. Access contract as documented on the type: a slot is
-    /// written only by its sender, the segment only by the thread
-    /// stepping chunk `w`, and only while this arena is in the write
-    /// role.
+    /// sink: the mailbox base and segment `w`'s payload arena. Access
+    /// contract as documented on the type: a slot is written only by
+    /// its sender, the segment only by the thread stepping chunk `w`,
+    /// and only while this arena is in the write role.
     pub(crate) fn segment_ptr(&self, w: usize) -> Segment {
         debug_assert!(w < self.segments);
         // UnsafeCell<T> is repr(transparent) over T.
-        Segment {
-            mail: self.mail.as_ptr() as *mut (),
-            payloads: self.payloads[w].get() as *mut (),
-            spills: self.spills[w].get() as *mut (),
-        }
+        Segment { mail: self.mail.as_ptr() as *mut (), payloads: self.payloads[w].get() as *mut () }
     }
 
     /// Files one delivery at mailbox slot `slot`, its payload moved
-    /// into segment `w`'s payload arena; a second or later delivery on
-    /// the slot's link spills, as a send's does. `&mut self` proves no
-    /// round is stepping, so no unsafe cell access is needed.
-    pub(crate) fn push_owned(&mut self, w: usize, slot: DirectedEdgeId, msg: M) {
+    /// into segment `w`'s payload arena — or, when the slot's link
+    /// already carries this round's message, files nothing and hands
+    /// the payload back. `&mut self` proves no round is stepping, so no
+    /// unsafe cell access is needed.
+    pub(crate) fn push_owned(&mut self, w: usize, slot: DirectedEdgeId, msg: M) -> Result<(), M> {
         debug_assert!((slot as usize) < self.edges, "slot outside the run's mailbox");
-        let msg = self.payloads[w].get_mut().push(msg);
         let cell = self.mail[slot as usize].get_mut();
-        if cell.is_null() {
-            *cell = msg;
-        } else {
-            spill(self.spills[w].get_mut(), slot, msg);
+        if !cell.is_null() {
+            return Err(msg);
         }
+        *cell = self.payloads[w].get_mut().push(msg);
+        Ok(())
     }
 
     /// Receiver `v`'s mailbox row — the slots `row`, `v`'s
@@ -409,20 +253,6 @@ impl<M> InboxArena<M> {
         std::slice::from_raw_parts_mut(base, row.len())
     }
 
-    /// The spills of the mailbox row `row`, sorted by slot (= port) and
-    /// then queueing order: the sub-slice of the sealed spill list
-    /// whose slots lie in the row. Empty, without a search, when the
-    /// generation has no spills.
-    #[inline(always)]
-    pub(crate) fn spills_of(&self, row: Range<DirectedEdgeId>) -> &[Packet<M>] {
-        if self.spilled.is_empty() {
-            return &[];
-        }
-        let lo = self.spilled.partition_point(|p| p.slot < row.start);
-        let hi = lo + self.spilled[lo..].partition_point(|p| p.slot < row.end);
-        &self.spilled[lo..hi]
-    }
-
     /// Takes the deliveries of mailbox row `row` — `(port, payload)`
     /// for each non-null slot, in port order — and nulls the row.
     /// `&mut self` proves no round is stepping, so no unsafe cell
@@ -438,12 +268,6 @@ impl<M> InboxArena<M> {
                 (!msg.is_null()).then_some((q as u32, msg))
             },
         )
-    }
-
-    /// Segment `w`'s spill list, not yet sealed: this round's spills in
-    /// queueing order. `&mut self` proves no round is stepping.
-    pub(crate) fn unsealed_spills(&mut self, w: usize) -> &[Packet<M>] {
-        self.spills[w].get_mut()
     }
 
     /// Type-erased base pointer of the broadcast-slot array
@@ -479,12 +303,10 @@ pub struct RoundDigest {
     pub messages: u64,
     pub bits: u64,
     pub max_message_bits: u64,
-    pub max_link_bits: u64,
-    pub max_link_messages: u64,
     /// Nodes that transitioned `Running → Halted` this round.
     pub halted: u32,
     /// First (by node index) link that exceeded an enforced budget:
-    /// `(sender, port, end-of-round link bits)`.
+    /// `(sender, port, message bits)`.
     pub violation: Option<(NodeIndex, u32, u64)>,
     /// Messages lost to each fault kind, indexed by
     /// [`crate::fault::DropKind::index`].
@@ -506,8 +328,6 @@ impl RoundDigest {
             messages: a.messages + b.messages,
             bits: a.bits + b.bits,
             max_message_bits: a.max_message_bits.max(b.max_message_bits),
-            max_link_bits: a.max_link_bits.max(b.max_link_bits),
-            max_link_messages: a.max_link_messages.max(b.max_link_messages),
             halted: a.halted + b.halted,
             violation: a.violation.or(b.violation),
             drops_by_kind,
@@ -521,7 +341,10 @@ impl RoundDigest {
     /// the run before anything of the round is recorded; otherwise the
     /// round's halts leave `active`, its fault counters fold into
     /// `report.faults`, and, when `config` records rounds, its
-    /// statistics row is appended to `report.per_round`.
+    /// statistics row is appended to `report.per_round`. A link carries
+    /// at most one message per round, so its load is that message: the
+    /// row's `max_link_bits` is the largest message and its
+    /// `max_link_messages` is 1 when the round charged any message.
     pub fn close_round(
         &self,
         round: u32,
@@ -550,8 +373,8 @@ impl RoundDigest {
                 messages: self.messages,
                 bits: self.bits,
                 max_message_bits: self.max_message_bits,
-                max_link_bits: self.max_link_bits,
-                max_link_messages: self.max_link_messages,
+                max_link_bits: self.max_message_bits,
+                max_link_messages: u64::from(self.messages > 0),
             });
         }
         Ok(())
@@ -563,8 +386,6 @@ impl RoundDigest {
         w.u64(self.messages);
         w.u64(self.bits);
         w.u64(self.max_message_bits);
-        w.u64(self.max_link_bits);
-        w.u64(self.max_link_messages);
         w.u32(self.halted);
         match self.violation {
             Some((node, port, bits)) => {
@@ -590,8 +411,6 @@ impl RoundDigest {
             messages: r.u64()?,
             bits: r.u64()?,
             max_message_bits: r.u64()?,
-            max_link_bits: r.u64()?,
-            max_link_messages: r.u64()?,
             halted: r.u32()?,
             ..RoundDigest::default()
         };
@@ -624,19 +443,19 @@ mod tests {
             violation: Some((7, 1, 4)),
             ..RoundDigest::default()
         };
-        let c = RoundDigest { messages: 4, max_link_bits: 99, ..RoundDigest::default() };
+        let c = RoundDigest { messages: 4, max_message_bits: 99, ..RoundDigest::default() };
         let left = RoundDigest::merge(RoundDigest::merge(a, b), c);
         let right = RoundDigest::merge(a, RoundDigest::merge(b, c));
         assert_eq!(left, right);
         assert_eq!(left.messages, 7);
-        assert_eq!(left.max_link_bits, 99);
+        assert_eq!(left.max_message_bits, 99);
         assert_eq!(left.violation, Some((3, 0, 9)));
     }
 
     /// Every segment writes the one mailbox, through its own payload
-    /// arena and spill list: the handles share the mailbox base and
-    /// differ in the rest, a row sits at its first slot's offset from
-    /// that base, one pointer per slot, and a fresh mailbox is null.
+    /// arena: the handles share the mailbox base and differ in the
+    /// payload arena, a row sits at its first slot's offset from that
+    /// base, one pointer per slot, and a fresh mailbox is null.
     #[test]
     fn segments_tile_the_boxes() {
         let (n, edges, segs) = (5usize, 8usize, 3usize);
@@ -649,12 +468,11 @@ mod tests {
             let seg = arena.segment_ptr(w);
             assert_eq!(seg.mail as usize, base, "one mailbox for every segment");
             assert_eq!(seg.payloads, arena.payloads[w].get() as *mut ());
-            assert_eq!(seg.spills, arena.spills[w].get() as *mut ());
-            owned.extend([seg.payloads as usize, seg.spills as usize]);
+            owned.push(seg.payloads as usize);
         }
         owned.sort_unstable();
         owned.dedup();
-        assert_eq!(owned.len(), 2 * segs, "segments own distinct payload arenas and spill lists");
+        assert_eq!(owned.len(), segs, "segments own distinct payload arenas");
         for row in [0..2u32, 2..2, 2..7, 7..8] {
             // SAFETY: single-threaded test, no overlapping access.
             let slots = unsafe { arena.row_mut(row.clone()) };
@@ -666,19 +484,18 @@ mod tests {
 
     /// Reshaping a used arena — (8 edges, W = 3) to (5 edges, W = 1)
     /// and back — leaves every mailbox slot null and every payload
-    /// arena and spill list empty, including the ones the smaller shape
-    /// does not address. Before that, a link's first delivery sits in
-    /// its slot and a sealed generation lists its later ones by slot,
-    /// then in queueing order.
+    /// arena empty, including the ones the smaller shape does not
+    /// address. Before that, a link's delivery sits in its slot, and a
+    /// second delivery on the link is handed back unfiled.
     #[test]
     fn reshaping_reset_empties_every_box() {
-        // Slot `s` gets three deliveries, `10·s + k`, all from segment
-        // `s mod W`: a link's deliveries have one writer.
+        // Slot `s` gets the delivery `10·s` from segment `s mod W`.
         let fill = |arena: &mut InboxArena<u64>, edges: u32, segs: usize| {
-            for k in 0..3 {
-                for slot in 0..edges {
-                    arena.push_owned(slot as usize % segs, slot, u64::from(10 * slot + k));
-                }
+            for slot in 0..edges {
+                assert_eq!(
+                    arena.push_owned(slot as usize % segs, slot, u64::from(10 * slot)),
+                    Ok(())
+                );
             }
         };
         let value = |arena: &mut InboxArena<u64>, msg: *const u64| {
@@ -689,28 +506,16 @@ mod tests {
         let all_empty = |arena: &mut InboxArena<u64>| {
             arena.mail.iter_mut().all(|m| m.get_mut().is_null())
                 && arena.payloads.iter_mut().all(|p| p.get_mut().blocks.iter().all(Vec::is_empty))
-                && arena.spills.iter_mut().all(|s| s.get_mut().is_empty())
-                && arena.spilled.is_empty()
         };
         let mut arena: InboxArena<u64> = InboxArena::new();
         arena.reset(5, 8, 3);
         fill(&mut arena, 8, 3);
-        let firsts: Vec<(u32, *const u64)> = arena.drain_row(2..5).collect();
-        let firsts: Vec<(u32, Option<u64>)> =
-            firsts.into_iter().map(|(q, m)| (q, value(&mut arena, m))).collect();
-        assert_eq!(firsts, vec![(0, Some(20)), (1, Some(30)), (2, Some(40))]);
-        arena.seal();
-        assert_eq!(arena.spilled.len(), 16, "two spills per slot");
-        assert!(arena.spills_of(3..3).is_empty());
-        let spills: Vec<(u32, *const u64)> =
-            arena.spills_of(2..5).iter().map(|p| (p.slot, p.msg)).collect();
-        let spills: Vec<(u32, Option<u64>)> =
-            spills.into_iter().map(|(s, m)| (s, value(&mut arena, m))).collect();
-        let want: Vec<(u32, Option<u64>)> = (2..5u32)
-            .flat_map(|s| [(s, Some(10 * s as u64 + 1)), (s, Some(10 * s as u64 + 2))])
-            .collect();
-        assert_eq!(spills, want, "sorted by slot, then queueing order");
-        // Slots 0, 1 and 5..8 still hold their first deliveries.
+        assert_eq!(arena.push_owned(0, 3, 99), Err(99), "slot 3's link already carries 30");
+        let filed: Vec<(u32, *const u64)> = arena.drain_row(2..5).collect();
+        let filed: Vec<(u32, Option<u64>)> =
+            filed.into_iter().map(|(q, m)| (q, value(&mut arena, m))).collect();
+        assert_eq!(filed, vec![(0, Some(20)), (1, Some(30)), (2, Some(40))]);
+        // Slots 0, 1 and 5..8 still hold their deliveries.
         arena.reset(4, 5, 1);
         assert_eq!(arena.mail.len(), 8, "shrinking keeps the mailbox");
         assert_eq!(arena.payloads.len(), 3, "shrinking keeps the payload arenas");
@@ -761,56 +566,5 @@ mod tests {
         assert_eq!(refilled, shape, "a same-size refill allocates no block");
         drop(arena);
         assert_eq!(Rc::strong_count(&live), 1, "dropping the arena drops the refill");
-    }
-
-    #[test]
-    fn loads_start_stale() {
-        let table = LoadTable::new(3);
-        for de in 0..3 {
-            // SAFETY: single-threaded test, no overlapping access.
-            let load = unsafe { &*table.row_ptr(de) };
-            assert_eq!(load.stamp, u64::MAX, "fresh loads must be stale-stamped");
-            assert_eq!((load.bits, load.count), (0, 0));
-            // The sentinel can never equal a real stamp of this epoch.
-            for round in [0u32, 1, u32::MAX] {
-                assert_ne!(load.stamp, table.stamp_for(round));
-            }
-        }
-    }
-
-    /// Round-offset stamping: a reset must be O(1) — no pass over the
-    /// cells — yet leave every retained entry semantically zero, even
-    /// when the next run reuses the exact round numbers of the last.
-    #[test]
-    fn reset_advances_epoch_without_touching_cells() {
-        let mut table = LoadTable::new(2);
-        table.reset(2);
-        let job1_r5 = table.stamp_for(5);
-        // Job 1 writes round-5 traffic on both links.
-        for de in 0..2 {
-            // SAFETY: single-threaded test, no overlapping access.
-            let load = unsafe { &mut *table.row_ptr(de) };
-            *load = LinkLoad { bits: 77, count: 3, stamp: job1_r5 };
-        }
-        table.reset(2);
-        // Same round number, next job: the stamp spaces are disjoint,
-        // so the stale counters are semantically zero...
-        assert_ne!(table.stamp_for(5), job1_r5);
-        for de in 0..2 {
-            // SAFETY: as above.
-            let load = unsafe { &*table.row_ptr(de) };
-            // ...while the cells themselves were provably not scanned:
-            // the stale bytes are still there, just unreadable through
-            // any stamp the new epoch can produce.
-            assert_eq!((load.bits, load.count, load.stamp), (77, 3, job1_r5));
-            for round in [0u32, 5, u32::MAX] {
-                assert_ne!(load.stamp, table.stamp_for(round));
-            }
-        }
-        // Growth still works and new cells are stale.
-        table.reset(4);
-        // SAFETY: as above.
-        let grown = unsafe { &*table.row_ptr(3) };
-        assert_eq!(grown.stamp, u64::MAX);
     }
 }

@@ -370,21 +370,13 @@ impl Graph {
         self.rev_edge[self.offsets[v as usize] as usize + p as usize]
     }
 
-    /// The receiving end of the message slot `de`: the node whose row
-    /// holds `de`, and the port `de` is in that row (the inverse of
-    /// [`Graph::directed_edge`]).
-    pub(crate) fn slot_owner(&self, de: DirectedEdgeId) -> (NodeIndex, u32) {
-        let w = self.neighbors[self.rev_edge[de as usize] as usize];
-        (w, de - self.offsets[w as usize])
-    }
-
     /// Edge index (into [`Graph::edges`]) of the adjacency slot `(v, p)`.
     pub fn edge_index_at(&self, v: NodeIndex, p: u32) -> u32 {
         self.edge_of_slot[self.offsets[v as usize] as usize + p as usize]
     }
 
     /// Number of directed edges (`2m`): the size of the engine's
-    /// per-link load table.
+    /// mailbox, one slot per link.
     pub fn num_directed_edges(&self) -> usize {
         self.neighbors.len()
     }
@@ -811,7 +803,6 @@ mod tests {
                     assert_eq!(g.neighbor_at(w, q), v, "case {case}: at {v}'s position");
                     assert_eq!(g.reverse_edge(w, q), g.directed_edge(v, p));
                     assert_eq!(g.reverse_port(v, p), q, "case {case}: reverse_port");
-                    assert_eq!(g.slot_owner(back), (w, q));
                 }
             }
         }

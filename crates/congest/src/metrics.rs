@@ -18,10 +18,12 @@ pub struct RoundStats {
     pub bits: u64,
     /// Largest single message, in bits.
     pub max_message_bits: u64,
-    /// Largest per-directed-link load this round, in bits (sum over the
-    /// messages a node pushed through one port).
+    /// Largest per-directed-link load this round, in bits. A link
+    /// carries at most one message per round, so this is the largest
+    /// message sent (equal to `max_message_bits`).
     pub max_link_bits: u64,
-    /// Largest number of messages pushed through a single directed link.
+    /// Largest number of messages pushed through a single directed
+    /// link: 1 when the round sent any message, 0 otherwise.
     pub max_link_messages: u64,
 }
 

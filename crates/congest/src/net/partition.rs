@@ -4,11 +4,10 @@
 //! worker `w` of `W` owns the programs of nodes `[lo, hi)` and steps
 //! them as one chunk of the engine's round loop. Each node goes through
 //! the in-process executors' own per-node step — the mailbox row read,
-//! the fused `DirectInbox` sinks, the flat per-directed-edge load
-//! table, the broadcast slot generations, the fault plan evaluated at
-//! the send — so verdicts, wire counters, bandwidth violations, and
-//! fault accounting are bit-identical to the sequential oracle by
-//! construction, not by re-implementation.
+//! the fused `DirectInbox` sinks, the broadcast slot generations, the
+//! fault plan evaluated at the send — so verdicts, wire counters,
+//! bandwidth violations, and fault accounting are bit-identical to the
+//! sequential oracle by construction, not by re-implementation.
 //!
 //! The worker's inbox arenas are mailboxes over every directed edge,
 //! with one segment: its own thread writes them all. Sends to owned
@@ -19,31 +18,27 @@
 //! from other partitions are [`PartitionEngine::inject`]ed after the
 //! step into the receiver's mailbox slot for the sending link: a
 //! delivery's position is its link, so the order in which the
-//! coordinator routes frames of different links does not matter. A
-//! link's second and later messages of a round spill, as local sends
-//! do, and keep their order as long as the link's own frames arrive in
-//! the order they were sent. [`PartitionEngine::commit_round`] only
-//! swaps the arenas, merging the spills of the generation that becomes
-//! readable and dropping the payloads of the one that re-enters the
-//! write role.
+//! coordinator routes frames does not matter. A link carries one
+//! message per round, so a second delivery on a link is refused typed.
+//! [`PartitionEngine::commit_round`] only swaps the arenas, dropping
+//! the payloads of the generation that re-enters the write role.
 //!
-//! A first broadcast's payload stays in its sender's slot; every other
-//! payload — the owned senders' targeted sends, corrupted copies and
-//! second-broadcast clones, and the injected remote deliveries — moves
-//! into the arena's payload arena. The cut drain clones each payload
-//! into its [`OutFrame`].
+//! A broadcast's payload stays in its sender's slot; every other
+//! payload — the owned senders' targeted sends and corrupted copies,
+//! and the injected remote deliveries — moves into the arena's payload
+//! arena. The cut drain clones each payload into its [`OutFrame`].
 //!
 //! A round visits the mailbox row of every owned receiver and of every
 //! cut receiver, so its cost follows the range and the cut, not `n`.
 //! Building the engine still sizes a mailbox slot (8 B) per directed
-//! edge of the whole graph in each of its two arenas, and the load
-//! table likewise, and a worker builds one engine per job: the worker's
-//! links outlive its jobs, its engine does not.
+//! edge of the whole graph in each of its two arenas, and a worker
+//! builds one engine per job: the worker's links outlive its jobs, its
+//! engine does not.
 
 use std::ops::Range;
 
+use crate::arena::InboxArena;
 pub use crate::arena::RoundDigest;
-use crate::arena::{InboxArena, LoadTable};
 use crate::engine::{step_node, EngineConfig, RoundIo, Slot, WireFlags};
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
@@ -51,8 +46,8 @@ use crate::node::{NodeInit, Program};
 
 use super::frame::FrameError;
 
-/// The arenas' one segment: the worker's thread writes every payload
-/// and spill, stepping and injecting alike.
+/// The arenas' one segment: the worker's thread writes every payload,
+/// stepping and injecting alike.
 const OWN: usize = 0;
 
 /// The contiguous node range worker `worker` of `workers` owns:
@@ -96,7 +91,6 @@ pub struct PartitionEngine<'g, P: Program> {
     slots: Vec<Slot<P>>,
     cur: InboxArena<P::Msg>,
     next: InboxArena<P::Msg>,
-    loads: LoadTable,
 }
 
 impl<'g, P: Program> PartitionEngine<'g, P> {
@@ -124,9 +118,6 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             .collect();
         cut.sort_unstable();
         cut.dedup();
-        let wf = WireFlags::for_config(config);
-        let mut loads = LoadTable::new(0);
-        loads.reset(if wf.account { graph.num_directed_edges() } else { 0 });
         let mut cur = InboxArena::new();
         let mut next = InboxArena::new();
         cur.reset(n, graph.num_directed_edges(), 1);
@@ -135,30 +126,26 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             graph,
             config: config.clone(),
             params,
-            wf,
+            wf: WireFlags::for_config(config),
             lo: range.start,
             hi: range.end,
             cut,
             slots,
             cur,
             next,
-            loads,
         }
     }
 
     /// Executes one round over the owned range as one chunk of the
     /// engine's round loop, then appends every delivery addressed
-    /// across the cut to `out`: each link's first message, by ascending
-    /// receiver and port, then the links' later messages in queueing
-    /// order, so every link's frames stay in the order they were sent.
-    /// Returns the partition's share of the round accounting.
+    /// across the cut to `out`, by ascending receiver and port. Returns
+    /// the partition's share of the round accounting.
     pub fn step_round(&mut self, round: u32, out: &mut Vec<OutFrame<P::Msg>>) -> RoundDigest {
-        let ctx = self.wf.sink_ctx(&self.params, &self.config.faults, &self.loads, round);
+        let ctx = self.wf.sink_ctx(&self.params, &self.config.faults, round);
         let io = RoundIo {
             graph: self.graph,
             cur: &self.cur,
             next: &self.next,
-            loads: &self.loads,
             ctx: &ctx,
             mode: self.wf.mode(),
         };
@@ -169,39 +156,27 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         }
 
         // Ship what the sends staged for the cut's receivers: their
-        // mailbox rows, nulled on the way, then the spills that land
-        // outside the range (a spill's slot names its receiver and
-        // port). Every pointer targets this round's write generation —
-        // its broadcast slots and its payload arena, both live until
-        // the arena is cleared after a later swap.
-        let mut ship = |receiver, port, msg: *const P::Msg| {
-            // SAFETY: see above — the payload outlives this drain.
-            out.push(OutFrame { receiver, port, msg: unsafe { (*msg).clone() } });
-        };
+        // mailbox rows, nulled on the way. Every pointer targets this
+        // round's write generation — its broadcast slots and its
+        // payload arena, both live until the arena is cleared after a
+        // later swap.
         for &w in &self.cut {
             for (port, msg) in self.next.drain_row(self.graph.directed_edge_range(w)) {
-                ship(w, port, msg);
-            }
-        }
-        let owned = self.lo..self.hi;
-        for p in self.next.unsealed_spills(OWN) {
-            let (receiver, port) = self.graph.slot_owner(p.slot);
-            if !owned.contains(&receiver) {
-                ship(receiver, port, p.msg);
+                // SAFETY: see above — the payload outlives this drain.
+                out.push(OutFrame { receiver: w, port, msg: unsafe { (*msg).clone() } });
             }
         }
         acc
     }
 
     /// Buffers one delivery arriving from another partition for the
-    /// next round, in `receiver`'s mailbox slot for `port`; a second or
-    /// later delivery on the same link spills behind the first. Only
-    /// the order of one link's deliveries matters, which routing keeps
-    /// (see the module doc). Deliveries must follow this round's
-    /// [`step_round`](Self::step_round). Fails typed on addressing
-    /// errors — a receiver outside the partition, a port past its
-    /// degree, a sender inside the partition — so a malformed or
-    /// hostile frame can never panic the worker.
+    /// next round, in `receiver`'s mailbox slot for `port`. Deliveries
+    /// must follow this round's [`step_round`](Self::step_round). Fails
+    /// typed on addressing errors — a receiver outside the partition, a
+    /// port past its degree, a sender inside the partition — and on a
+    /// second delivery on one link in one round, whose payload is
+    /// dropped at once, so a malformed, repeated or hostile frame can
+    /// never panic the worker.
     pub fn inject(
         &mut self,
         receiver: NodeIndex,
@@ -220,15 +195,15 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
         if owned.contains(&sender) {
             return Err(FrameError::BadBody("delivery from a sender inside the partition"));
         }
-        self.next.push_owned(OWN, self.graph.directed_edge(receiver, port), msg);
-        Ok(())
+        self.next
+            .push_owned(OWN, self.graph.directed_edge(receiver, port), msg)
+            .map_err(|_| FrameError::BadBody("a second delivery on one link in one round"))
     }
 
     /// Seals the round after all remote deliveries are injected: swaps
-    /// the double buffers, merging the new read generation's spills.
-    /// The generation that re-enters the write role had its mailbox
-    /// nulled (owned receivers' rows by their steps, cut receivers'
-    /// rows by the drain), so its payloads are dropped here.
+    /// the double buffers. The generation that re-enters the write role
+    /// had its mailbox nulled (owned receivers' rows by their steps, cut
+    /// receivers' rows by the drain), so its payloads are dropped here.
     pub fn commit_round(&mut self) {
         InboxArena::swap_roles(&mut self.cur, &mut self.next);
     }
@@ -294,7 +269,7 @@ mod tests {
 
     /// Worker 0 of 2 on the path 0–…–5 owns 0..3: a delivery must name
     /// an owned receiver, a port within its degree, and a sender across
-    /// the cut.
+    /// the cut, and a link takes one delivery per round.
     #[test]
     fn inject_rejects_misaddressed_deliveries_typed() {
         let g = path(6);
@@ -304,6 +279,7 @@ mod tests {
         assert!(bad(p.inject(2, 2, 7)), "port past the receiver's degree");
         assert!(bad(p.inject(2, 0, 7)), "sender 1 inside the partition");
         assert_eq!(p.inject(2, 1, 7), Ok(()), "node 3 into node 2");
+        assert!(bad(p.inject(2, 1, 8)), "a second delivery on the link from node 3");
         let filed: Vec<u32> = p.next.drain_row(g.directed_edge_range(2)).map(|(q, _)| q).collect();
         assert_eq!(filed, vec![1], "filed in node 2's slot for port 1");
     }
@@ -326,8 +302,6 @@ mod tests {
             messages: 3,
             bits: 40,
             max_message_bits: 14,
-            max_link_bits: 28,
-            max_link_messages: 2,
             halted: 1,
             violation: Some((2, 0, 99)),
             drops_by_kind: [1, 0, 2, 0, 0],
@@ -341,6 +315,9 @@ mod tests {
         assert_eq!(m.messages, 5);
         assert_eq!(m.violation, Some((2, 0, 99)));
         let bytes = a.to_bytes();
+        // Three counters, `halted`, the violation (flag, node, port,
+        // bits), five drop counters and two corruption counters.
+        assert_eq!(bytes.len(), 3 * 8 + 4 + (1 + 4 + 4 + 8) + 5 * 8 + 2 * 8);
         for cut in 0..bytes.len() {
             assert!(RoundDigest::from_bytes(&bytes[..cut]).is_err(), "prefix {cut}");
         }

@@ -12,7 +12,7 @@
 //! pointers instead of clones. Programs that keep a message beyond the
 //! step clone the payload explicitly.
 
-use crate::arena::{spill, LinkLoad, PayloadArena, RoundDigest, Segment};
+use crate::arena::{PayloadArena, RoundDigest, Segment};
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::graph::{DirectedEdgeId, NodeId, NodeIndex};
 use crate::message::{WireMessage, WireParams};
@@ -78,25 +78,13 @@ impl NodeInit<'_> {
     }
 }
 
-/// Transport form of a delivery that does not sit in a mailbox slot:
-/// a link's second or later message of a round (a *spill*, see
-/// [`crate::arena::InboxArena`]), or any delivery of an [`InboxBuf`].
-/// 16 bytes for every `M`. Not program-facing — programs read the
-/// resolved [`Incoming`] view through an [`Inbox`].
-///
-/// The payload a packet points at is a broadcast parked in its sender's
-/// slot or an entry of a payload arena of the same arena generation,
-/// valid exactly as long as that generation's read phase —
-/// [`Inbox::from_mail`] is the checkpoint where the engine vouches for
-/// that. Copying a packet copies the pointer, never the payload.
+/// One delivery of an [`InboxBuf`]: the receiver-side port and a
+/// pointer to the payload in the buffer's own payload arena. 16 bytes
+/// for every `M`. Not program-facing — programs read the resolved
+/// [`Incoming`] view through an [`Inbox`]. Copying a packet copies the
+/// pointer, never the payload.
 pub(crate) struct Packet<M> {
-    /// The mailbox slot (receiver-side directed edge) of the link; the
-    /// reading [`Inbox`] subtracts the receiver's row offset to get the
-    /// port. An [`InboxBuf`] stores the port itself (offset 0).
-    pub(crate) slot: DirectedEdgeId,
-    /// Position in the writer's spill list when the packet was filed:
-    /// a link's spills sort by it, so they keep their queueing order.
-    pub(crate) seq: u32,
+    pub(crate) port: u32,
     pub(crate) msg: *const M,
 }
 
@@ -135,25 +123,20 @@ impl<M> Clone for Incoming<'_, M> {
 impl<M> Copy for Incoming<'_, M> {}
 
 /// Everything a node received last round, in canonical delivery order:
-/// ascending sender identity-order port, then the sender's queueing
-/// order. A cheap borrowed view — copy it freely, iterate it as often
-/// as needed.
+/// ascending port, which is ascending sender index (a node's adjacency
+/// row is sorted by neighbour index), one message per link. A cheap
+/// borrowed view — copy it freely, iterate it as often as needed.
 ///
 /// Under the engine it reads the receiver's own mailbox row, one entry
-/// per port, plus the sorted sub-slice of the round's spills that lands
-/// in the row; an [`InboxBuf`]'s view has no row and lists every
-/// delivery as a packet.
+/// per port; an [`InboxBuf`]'s view has no row and lists its packets
+/// in push order.
 pub struct Inbox<'r, M> {
     /// The receiver's mailbox row: one entry per port, `None` where
     /// nothing arrived.
     row: &'r [Option<&'r M>],
-    /// Deliveries beyond a link's first, sorted by slot and then
-    /// queueing order; for a harness buffer, every delivery in push
-    /// order.
-    extra: &'r [Packet<M>],
-    /// The receiver's row offset: an extra packet's slot minus `base`
-    /// is its port.
-    base: DirectedEdgeId,
+    /// A harness buffer's deliveries, in push order (empty under the
+    /// engine).
+    packets: &'r [Packet<M>],
     /// Deliveries in all.
     len: u32,
 }
@@ -166,33 +149,26 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'r, M> Inbox<'r, M> {
-    /// Wraps a mailbox row and its spills (engine-internal): `row` holds
-    /// one payload pointer per port, null where nothing arrived, and
-    /// `extra` the deliveries beyond a link's first, sorted by slot and
-    /// then queueing order, with `base` subtracted from a slot to give
-    /// its port.
+    /// Wraps a mailbox row (engine-internal): one payload pointer per
+    /// port, null where nothing arrived.
     ///
     /// # Safety
-    /// Every non-null pointer in `row` and every payload pointer in
-    /// `extra` must be valid for `'r` and not written to while the view
-    /// lives. The engine guarantees this by only building views over
-    /// the *current* arena generation, whose broadcast slots and
-    /// payload arenas are write-free for the whole read phase.
-    pub(crate) unsafe fn from_mail(
-        row: &'r [*const M],
-        extra: &'r [Packet<M>],
-        base: DirectedEdgeId,
-    ) -> Self {
+    /// Every non-null pointer in `row` must be valid for `'r` and not
+    /// written to while the view lives. The engine guarantees this by
+    /// only building views over the *current* arena generation, whose
+    /// broadcast slots and payload arenas are write-free for the whole
+    /// read phase.
+    pub(crate) unsafe fn from_mail(row: &'r [*const M]) -> Self {
         // `*const M` and `Option<&M>` share one layout, null being
         // `None`; the caller vouches for every non-null pointer.
         let row = std::slice::from_raw_parts(row.as_ptr().cast::<Option<&'r M>>(), row.len());
-        let len = row.iter().filter(|m| m.is_some()).count() + extra.len();
-        Inbox { row, extra, base, len: len as u32 }
+        let len = row.iter().filter(|m| m.is_some()).count();
+        Inbox { row, packets: &[], len: len as u32 }
     }
 
     /// The empty inbox (what every node sees at round 0).
     pub fn empty() -> Self {
-        Inbox { row: &[], extra: &[], base: 0, len: 0 }
+        Inbox { row: &[], packets: &[], len: 0 }
     }
 
     /// Number of messages delivered.
@@ -213,21 +189,8 @@ impl<'r, M> Inbox<'r, M> {
 
     /// Iterates the deliveries in canonical order.
     pub fn iter(&self) -> InboxIter<'r, M> {
-        InboxIter {
-            row: self.row,
-            port: 0,
-            extra: self.extra,
-            base: self.base,
-            remaining: self.len,
-        }
+        InboxIter { row: self.row, port: 0, packets: self.packets, remaining: self.len }
     }
-}
-
-/// Resolves a packet to its program-facing view.
-fn resolve<'r, M>(port: u32, p: &'r Packet<M>) -> Incoming<'r, M> {
-    // SAFETY: upheld by `Inbox::from_mail` — the payload the pointer
-    // targets outlives the view and is not written meanwhile.
-    Incoming { port, msg: unsafe { &*p.msg } }
 }
 
 /// Iterator over an [`Inbox`]'s deliveries.
@@ -235,8 +198,7 @@ pub struct InboxIter<'r, M> {
     row: &'r [Option<&'r M>],
     /// The next row entry to look at.
     port: u32,
-    extra: &'r [Packet<M>],
-    base: DirectedEdgeId,
+    packets: &'r [Packet<M>],
     remaining: u32,
 }
 
@@ -247,17 +209,6 @@ impl<'r, M> Iterator for InboxIter<'r, M> {
         if self.remaining == 0 {
             return None;
         }
-        // A link's later messages follow its first: the extras of a
-        // port already passed (every extra, once the row is done) come
-        // before the next row entry.
-        if let Some((first, rest)) = self.extra.split_first() {
-            let port = first.slot - self.base;
-            if port < self.port || self.port as usize == self.row.len() {
-                self.extra = rest;
-                self.remaining -= 1;
-                return Some(resolve(port, first));
-            }
-        }
         while let Some(&entry) = self.row.get(self.port as usize) {
             let port = self.port;
             self.port += 1;
@@ -266,7 +217,13 @@ impl<'r, M> Iterator for InboxIter<'r, M> {
                 return Some(Incoming { port, msg });
             }
         }
-        None
+        let (first, rest) = self.packets.split_first()?;
+        self.packets = rest;
+        self.remaining -= 1;
+        // SAFETY: upheld by `InboxBuf::view`, the only source of
+        // packets — the payload outlives the view and is not written
+        // meanwhile.
+        Some(Incoming { port: first.port, msg: unsafe { &*first.msg } })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -294,8 +251,9 @@ impl<'r, M> IntoIterator for &Inbox<'r, M> {
 
 /// Owned delivery buffer for out-of-crate harnesses and reference
 /// engines: fill it with `(port, message)` deliveries, hand the program
-/// a view of it, which lists them in push order. It stores a packet
-/// per delivery, pointing at its payload in the buffer's own payload
+/// a view of it, which lists them in push order. Being a harness, it
+/// accepts several deliveries on one port. It stores a packet per
+/// delivery, pointing at its payload in the buffer's own payload
 /// arena — and every packet points into that arena, so
 /// [`InboxBuf::view`] is safe.
 #[derive(Default)]
@@ -314,7 +272,7 @@ impl<M> InboxBuf<M> {
     /// Appends a delivery (arrival on receiver-side `port`).
     pub fn push(&mut self, port: u32, msg: M) {
         let msg = self.payloads.push(msg);
-        self.packets.push(Packet { slot: port, seq: 0, msg });
+        self.packets.push(Packet { port, msg });
     }
 
     /// Clears the buffer (dropping its payloads), keeping its capacity.
@@ -335,13 +293,12 @@ impl<M> InboxBuf<M> {
 
     /// The program-facing view of the buffered deliveries.
     pub fn view(&self) -> Inbox<'_, M> {
-        // SAFETY: `push` is the only writer, and every packet it stores
-        // points into `self.payloads`, whose blocks never move and which
-        // only `clear` (under `&mut self`) empties — so the payloads
-        // outlive this borrow and nothing writes them meanwhile. With no
-        // row, the view lists the packets in push order, each slot
-        // being its port.
-        unsafe { Inbox::from_mail(&[], &self.packets, 0) }
+        // `push` is the only writer, and every packet it stores points
+        // into `self.payloads`, whose blocks never move and which only
+        // `clear` (under `&mut self`) empties — so the payloads outlive
+        // this borrow and nothing writes them meanwhile, as the
+        // iterator's dereference requires.
+        Inbox { row: &[], packets: &self.packets, len: self.packets.len() as u32 }
     }
 }
 
@@ -358,14 +315,13 @@ enum Sink<M> {
     DirectInbox(DirectSink),
     /// As `DirectInbox`, with the wire accounting, bandwidth check and
     /// fault decision fused into each send: one store per delivered
-    /// message, wire loads in the flat table.
+    /// message.
     DirectInboxHeavy(DirectSink),
 }
 
 /// How the engine wants sends routed this round. Both modes store into
 /// the next-round inbox arena's mailbox (and the sender's segment for
-/// owned payloads and spills); they differ only in whether the wire is
-/// observed.
+/// owned payloads); they differ only in whether the wire is observed.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SinkMode {
     /// Counter-free path: nothing can observe the wire.
@@ -382,17 +338,11 @@ pub(crate) struct SinkCtx {
     pub(crate) faults: *const FaultPlan,
     pub(crate) check_faults: bool,
     /// False when neither round recording nor bandwidth enforcement can
-    /// observe the wire counters — the send path then skips them. When
-    /// true the engine has allocated the flat load table and every
-    /// `DirectSink::loads` row pointer is valid.
+    /// observe the wire counters — the send path then skips them.
     pub(crate) account: bool,
     /// Enforced per-link bit budget; `u64::MAX` under `Measure`.
     pub(crate) limit: u64,
     pub(crate) round: u32,
-    /// The round's offset-space load stamp (`LoadTable::stamp_for`):
-    /// per-run epochs keep stale entries from colliding with restarted
-    /// round numbers, so workspaces never scan the table to reset it.
-    pub(crate) stamp: u64,
 }
 
 // SAFETY: the context is shared by reference across worker threads; its
@@ -409,11 +359,9 @@ pub(crate) struct DirectSink {
     /// directed edge, receiver-indexed; this sender writes only the
     /// slots of its own links) and the sender's chunk segment: its
     /// payload arena (`*mut PayloadArena<M>`), where every payload that
-    /// is not a first broadcast moves, and its spill list
-    /// (`*mut Vec<Packet<M>>`), which takes a link's second and later
-    /// messages of the round. All are type-erased here and re-typed in
-    /// the send path where `M` is known. Only the thread stepping this
-    /// chunk writes the segment.
+    /// is not a broadcast moves. Both are type-erased here and re-typed
+    /// in the send path where `M` is known. Only the thread stepping
+    /// this chunk writes the segment.
     pub(crate) segment: Segment,
     /// Base of the write arena's per-node broadcast slot array
     /// (`*mut Option<M>` type-erased). Slot `sender` is written by this
@@ -429,12 +377,6 @@ pub(crate) struct DirectSink {
     pub(crate) rev_edges: *const DirectedEdgeId,
     /// The executor chunk's round digest.
     pub(crate) acc: *mut RoundDigest,
-    /// Base of this sender's row in the flat per-directed-edge load
-    /// table (indexed by local port). Valid iff the context's `account`
-    /// is set — the engine allocates the table whenever the wire
-    /// counters are observable, and `charge_send` only reads this field
-    /// under that flag (dangling otherwise).
-    pub(crate) loads: *mut LinkLoad,
     /// Shared round-invariant context.
     pub(crate) ctx: *const SinkCtx,
     pub(crate) sender: NodeIndex,
@@ -445,9 +387,8 @@ pub struct Outbox<M> {
     sink: Sink<M>,
     degree: u32,
     queued: u32,
-    /// Whether this step already parked a payload in the broadcast slot
-    /// (only the first broadcast per step can; later ones clone per
-    /// port like targeted sends).
+    /// Whether this step already broadcast: a second broadcast would
+    /// put a second message on every link.
     slot_used: bool,
 }
 
@@ -463,12 +404,12 @@ impl<M: WireMessage> Outbox<M> {
     /// `sink`'s pointers must be valid and exclusive for the outbox's
     /// lifetime: `segment` must hold the write arena's mailbox
     /// (`*mut *const M`, whose slots at `rev_edges` no other thread
-    /// touches meanwhile) and the sender's segment of it
-    /// (`*mut PayloadArena<M>` and `*mut Vec<Packet<M>>`, written by no
+    /// touches meanwhile, all null when the outbox is built) and the
+    /// sender's payload arena (`*mut PayloadArena<M>`, written by no
     /// other thread meanwhile), `slots` at the write generation's
-    /// `Option<M>` slot array (slot `sender` unaliased), `loads` at the
-    /// sender's load row whenever the mode accounts, and `acc`/`ctx` at
-    /// live objects nobody else mutates during the call.
+    /// `Option<M>` slot array (slot `sender` unaliased), and
+    /// `acc`/`ctx` at live objects nobody else mutates during the
+    /// call.
     pub(crate) unsafe fn direct(degree: u32, sink: DirectSink, mode: SinkMode) -> Self {
         let sink = match mode {
             SinkMode::FastInbox => Sink::DirectInbox(sink),
@@ -517,18 +458,28 @@ impl<M: WireMessage> Outbox<M> {
     /// Sends `msg` on local port `port`.
     ///
     /// # Panics
-    /// Panics if `port` is out of range — that is a protocol bug, not a
-    /// runtime condition.
+    /// Panics if `port` is out of range, or if this step already sent
+    /// on `port` (by `send` or [`Outbox::broadcast`]): a link carries
+    /// one message per round under CONGEST. Both are protocol bugs, not
+    /// runtime conditions. On the engine's sinks the check is the
+    /// mailbox slot itself, so a message the fault plan dropped leaves
+    /// nothing to check a later one against.
     #[inline]
     pub fn send(&mut self, port: u32, msg: M) {
         assert!(port < self.degree, "send on port {port} of node with degree {}", self.degree);
         self.queued += 1;
         match &mut self.sink {
-            Sink::Buffered(v) => v.push((port, msg)),
+            Sink::Buffered(v) => {
+                assert!(
+                    v.iter().all(|&(p, _)| p != port),
+                    "second message on port {port} in one round"
+                );
+                v.push((port, msg));
+            }
             // SAFETY: pointer validity/exclusivity guaranteed by the
             // `Outbox::direct` contract; `segment` was erased from
-            // `*mut *const M`, `*mut PayloadArena<M>` and
-            // `*mut Vec<Packet<M>>` for this same `M`.
+            // `*mut *const M` and `*mut PayloadArena<M>` for this same
+            // `M`.
             Sink::DirectInbox(d) => unsafe { direct_send_inbox(d, port, msg) },
             // SAFETY: as above.
             Sink::DirectInboxHeavy(d) => unsafe { direct_send_inbox_heavy(d, port, msg) },
@@ -550,9 +501,13 @@ impl<M: WireMessage> Outbox<M> {
     /// which no receiver can still be reading. Protocols with pooled
     /// payloads recycle it; everyone else ignores it. Buffered
     /// (harness) outboxes clone per port instead (moving the last) and
-    /// return `None`, as does a second broadcast within one step, which
-    /// falls back to per-port clones (into the segment's payload arena,
-    /// like targeted sends) because the slot is taken.
+    /// return `None`.
+    ///
+    /// # Panics
+    /// Panics if this step already sent on any port (by
+    /// [`Outbox::send`] or a broadcast), as `send` does: a link carries
+    /// one message per round. A node of degree 0 sends nothing, so its
+    /// broadcasts never panic.
     pub fn broadcast(&mut self, msg: M) -> Option<M> {
         self.queued += self.degree;
         if self.degree == 0 {
@@ -567,6 +522,7 @@ impl<M: WireMessage> Outbox<M> {
         // accounting path will read it.
         match &mut self.sink {
             Sink::Buffered(v) => {
+                assert!(v.is_empty(), "broadcast after another message in one round");
                 let last = self.degree - 1;
                 v.reserve(self.degree as usize);
                 for p in 0..last {
@@ -580,25 +536,15 @@ impl<M: WireMessage> Outbox<M> {
             // the `unsafe` `Outbox::direct` constructor and holds for
             // the outbox's lifetime.
             Sink::DirectInbox(d) => unsafe {
-                direct_broadcast(
-                    &mut self.slot_used,
-                    self.degree,
-                    d,
-                    msg,
-                    |d, p, m| direct_send_inbox(d, p, m),
-                    |d, p, ptr| inbox_push(d, p, ptr),
-                )
+                direct_broadcast(&mut self.slot_used, self.degree, d, msg, |d, p, ptr| {
+                    inbox_push(d, p, ptr)
+                })
             },
             // SAFETY: same DirectSink contract as the arm above.
             Sink::DirectInboxHeavy(d) => unsafe {
                 let bits = account_bits(d, &msg);
-                direct_broadcast(
-                    &mut self.slot_used,
-                    self.degree,
-                    d,
-                    msg,
-                    |d, p, m| direct_send_inbox_heavy(d, p, m),
-                    |d, p, ptr| match charge_send_bits(d, p, bits) {
+                direct_broadcast(&mut self.slot_used, self.degree, d, msg, |d, p, ptr| {
+                    match charge_send_bits(d, p, bits) {
                         SendFate::Deliver => inbox_push(d, p, ptr),
                         SendFate::Dropped => {}
                         SendFate::Corrupt { entropy } => {
@@ -609,8 +555,8 @@ impl<M: WireMessage> Outbox<M> {
                                 direct_send_inbox(d, p, garbled);
                             }
                         }
-                    },
-                )
+                    }
+                })
             },
         }
     }
@@ -642,31 +588,25 @@ unsafe fn account_bits<M: WireMessage>(d: &DirectSink, msg: &M) -> u64 {
     }
 }
 
-/// The shared driver of every direct-sink broadcast: the slot path for
-/// the first broadcast of a step (park once, fan out via `fan_one`,
-/// return the evicted previous generation's payload), or the per-port
-/// clone fallback via `send_one` when the slot is already taken.
+/// The shared body of every direct-sink broadcast: parks the payload
+/// once, fans it out via `fan_one`, and returns the evicted previous
+/// generation's payload.
+///
+/// # Panics
+/// On a second broadcast in one step, before anything is parked.
 ///
 /// # Safety
-/// See [`Outbox::direct`]; `degree ≥ 1`, and the callbacks must uphold
-/// the same contract as the send helpers they wrap.
+/// See [`Outbox::direct`]; `degree ≥ 1`, and `fan_one` must uphold the
+/// same contract as the send helpers it wraps.
 #[inline(always)]
-unsafe fn direct_broadcast<M: Clone>(
+unsafe fn direct_broadcast<M>(
     slot_used: &mut bool,
     degree: u32,
     d: &mut DirectSink,
     msg: M,
-    mut send_one: impl FnMut(&mut DirectSink, u32, M),
     mut fan_one: impl FnMut(&mut DirectSink, u32, *const M),
 ) -> Option<M> {
-    if *slot_used {
-        let last = degree - 1;
-        for p in 0..last {
-            send_one(d, p, msg.clone());
-        }
-        send_one(d, last, msg);
-        return None;
-    }
+    assert!(!*slot_used, "second broadcast in one round");
     *slot_used = true;
     let (evicted, ptr) = slot_park(d, msg);
     for p in 0..degree {
@@ -693,10 +633,11 @@ unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
 
 /// Files one delivery of the payload at `ptr` in the link's mailbox
 /// slot — the receiver's row, at the sender's position — with one
-/// 8-byte store. A slot that already holds this round's message from
-/// this sender (the API allows several per link) sends the payload to
-/// the segment's spill list instead, so it is delivered after the
-/// link's earlier ones.
+/// 8-byte store.
+///
+/// # Panics
+/// If the slot already holds this round's message from this sender: a
+/// link carries one message per round.
 ///
 /// # Safety
 /// As [`direct_send_inbox`], with `ptr` pointing at a payload of the
@@ -706,11 +647,8 @@ unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
 unsafe fn inbox_push<M>(d: &mut DirectSink, port: u32, ptr: *const M) {
     let slot = *d.rev_edges.add(port as usize);
     let cell = &mut *(d.segment.mail as *mut *const M).add(slot as usize);
-    if cell.is_null() {
-        *cell = ptr;
-    } else {
-        spill(&mut *(d.segment.spills as *mut Vec<Packet<M>>), slot, ptr);
-    }
+    assert!(cell.is_null(), "second message on port {port} in one round");
+    *cell = ptr;
 }
 
 /// What the fault plan decided for one charged send, as seen by the
@@ -723,48 +661,29 @@ enum SendFate {
     Corrupt { entropy: u64 },
 }
 
-/// The shared half of the heavy send paths: stamp/advance this link's
-/// load, feed the round accumulator, check the bandwidth budget.
-/// Returns the message's fate under the fault plan (the sender has
-/// already been charged either way; per-kind drop counters land in the
-/// accumulator here). `b` is the message's wire size, priced by the
-/// caller (per message for targeted sends, once per broadcast); it is
-/// only read when the context accounts.
+/// The shared half of the heavy send paths: feed the round
+/// accumulator and check the bandwidth budget. A link carries one
+/// message per round, so its load is this message and the budget
+/// applies to `b` itself. Returns the message's fate under the fault
+/// plan (the sender has already been charged either way; per-kind drop
+/// counters land in the accumulator here). `b` is the message's wire
+/// size, priced by the caller (per message for targeted sends, once per
+/// broadcast); it is only read when the context accounts.
 ///
 /// # Safety
-/// See [`Outbox::direct`] — when the context accounts, `d.loads` must
-/// be the sender's valid load row — and `port < degree`.
+/// See [`Outbox::direct`], and `port < degree`.
 #[inline(always)]
 unsafe fn charge_send_bits(d: &mut DirectSink, port: u32, b: u64) -> SendFate {
     let ctx = &*d.ctx;
     if ctx.account {
-        let load = &mut *d.loads.add(port as usize);
-        if load.stamp != ctx.stamp {
-            // First traffic on this link this round (or an entry stale
-            // from an earlier round *or an earlier run* — the epoch
-            // offset makes both unmistakable): the counters are
-            // semantically zero, re-stamp instead of ever scanning to
-            // reset.
-            load.bits = 0;
-            load.count = 0;
-            load.stamp = ctx.stamp;
-        }
-        load.count += 1;
         let acc = &mut *d.acc;
         acc.messages += 1;
         acc.bits += b;
         if b > acc.max_message_bits {
             acc.max_message_bits = b;
         }
-        load.bits += b;
-        if load.bits > acc.max_link_bits {
-            acc.max_link_bits = load.bits;
-        }
-        if load.count > acc.max_link_messages {
-            acc.max_link_messages = load.count;
-        }
-        if load.bits > ctx.limit && acc.violation.is_none() {
-            acc.violation = Some((d.sender, port, load.bits));
+        if b > ctx.limit && acc.violation.is_none() {
+            acc.violation = Some((d.sender, port, b));
         }
     }
     if !ctx.check_faults {
@@ -835,12 +754,10 @@ unsafe fn direct_send_inbox<M: WireMessage>(d: &mut DirectSink, port: u32, msg: 
 
 /// The accounted write path (see `Sink::DirectInboxHeavy`): accounting,
 /// bandwidth check, fault decision, then the counter-free write — one
-/// message move, no allocation once the payload arena (and, for a link
-/// carrying several messages, the spill list) is warm.
+/// message move, no allocation once the payload arena is warm.
 ///
 /// # Safety
-/// As [`direct_send_inbox`], plus `d.loads` must be the sender's valid
-/// load row.
+/// As [`direct_send_inbox`].
 #[inline(always)]
 unsafe fn direct_send_inbox_heavy<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
     match charge_send(d, port, &msg) {
@@ -909,11 +826,15 @@ mod tests {
     #[test]
     fn outbox_send_and_broadcast() {
         let mut ob: Outbox<u64> = Outbox::new(3);
-        ob.send(0, 42);
-        assert_eq!(ob.broadcast(7), None, "buffered outboxes have no slot to evict");
-        assert_eq!(ob.queued(), 4);
+        ob.send(2, 42);
+        ob.send(0, 41);
+        assert_eq!(ob.queued(), 2);
         let sends: Vec<(u32, u64)> = ob.drain_sends().collect();
-        assert_eq!(sends, vec![(0, 42), (0, 7), (1, 7), (2, 7)]);
+        assert_eq!(sends, vec![(2, 42), (0, 41)], "queueing order");
+        assert_eq!(ob.broadcast(7), None, "buffered outboxes have no slot to evict");
+        assert_eq!(ob.queued(), 3);
+        let sends: Vec<(u32, u64)> = ob.drain_sends().collect();
+        assert_eq!(sends, vec![(0, 7), (1, 7), (2, 7)]);
     }
 
     #[test]
@@ -946,17 +867,20 @@ mod tests {
         }
     }
 
+    /// Draining or taking the queue ends a harness step: the next step
+    /// may send on the same ports again.
     #[test]
     fn outbox_drain_and_take() {
         let mut ob: Outbox<u64> = Outbox::for_harness(2);
         ob.send(1, 8);
-        ob.broadcast(3);
         let drained: Vec<(u32, u64)> = ob.drain_sends().collect();
-        assert_eq!(drained, vec![(1, 8), (0, 3), (1, 3)]);
+        assert_eq!(drained, vec![(1, 8)]);
         assert_eq!(ob.queued(), 0);
-        ob.send(0, 1);
-        assert_eq!(ob.take_sends(), vec![(0, 1)]);
+        ob.broadcast(3);
+        assert_eq!(ob.take_sends(), vec![(0, 3), (1, 3)]);
         assert_eq!(ob.queued(), 0);
+        ob.send(1, 1);
+        assert_eq!(ob.take_sends(), vec![(1, 1)]);
     }
 
     #[test]
@@ -997,9 +921,9 @@ mod tests {
         }
     }
 
-    /// A packet is a port and a pointer whatever the payload's size: a
-    /// 56-byte payload (the tester's message) and a `u64` both travel in
-    /// 16 bytes.
+    /// An inbox buffer's packet is a port and a pointer whatever the
+    /// payload's size: a 56-byte payload (the tester's message) and a
+    /// `u64` both travel in 16 bytes.
     #[test]
     fn packets_are_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Packet<[u8; 56]>>(), 16);

@@ -96,7 +96,7 @@ impl<'g, M: WireMessage> SessionBuilder<'g, M> {
 
 /// A reusable execution context for one graph: engine configuration,
 /// wire parameters, and an internally owned [`EngineWorkspace`] that is
-/// recycled (arenas, wire-load table, slot array) on every run.
+/// recycled (mailbox arenas, slot array) on every run.
 ///
 /// # Examples
 ///

@@ -1,14 +1,12 @@
 //! Payload ownership across the engine's delivery paths.
 //!
 //! A delivery is a pointer in the receiver's mailbox slot for the link,
-//! or — for a link's second and later messages of a round — a spilled
-//! packet, merged into a sorted list when the generation becomes
-//! readable. A first broadcast's payload lives in its sender's
-//! broadcast slot; every other payload (targeted sends, corrupted
-//! copies, a second broadcast's per-port clones, a distributed worker's
-//! remote deliveries) lives in the payload arena of the segment that
-//! wrote it. These tests send a payload that counts its live copies
-//! down every one of those paths, through the sequential executor, the
+//! which carries one message per round. A broadcast's payload lives in
+//! its sender's broadcast slot; every other payload (targeted sends,
+//! corrupted copies, a distributed worker's remote deliveries) lives in
+//! the payload arena of the segment that wrote it. These tests send a
+//! payload that counts its live copies down every one of those paths,
+//! through the sequential executor, the
 //! parallel executor at forced worker counts, and two partition engines
 //! routed as the distributed coordinator routes them. Every warm rerun
 //! must reproduce the sequential verdicts, no rerun may leave more
@@ -26,6 +24,7 @@ use ck_congest::fault::FaultPlan;
 use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
 use ck_congest::message::{WireMessage, WireParams};
 use ck_congest::metrics::{RoundStats, RunReport};
+use ck_congest::net::frame::FrameError;
 use ck_congest::net::{partition_range, PartitionEngine, RoundDigest};
 use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
 use ck_congest::session::Session;
@@ -71,42 +70,51 @@ impl WireMessage for Counted {
     }
 }
 
-/// Each round every node broadcasts twice (the second broadcast finds
-/// the slot taken and clones per port) and sends one payload on every
-/// port. Node 0 halts early, so its neighbours keep sending into boxes
-/// nobody reads. The verdict digests every delivery in order.
+/// What a node heard: `(round, port, value)` per delivery, in order.
+type Heard = Vec<(u32, u32, u64)>;
+
+/// By the parity of `id + round`, a node either broadcasts or sends one
+/// payload on every port, so every inbox mixes parked broadcasts and
+/// payload-arena entries while each link carries one message per round.
+/// Halts at `halt_at` (node 0 early, so its neighbours keep sending
+/// into a row nobody reads); the verdict is everything it heard.
 struct Gossip {
     id: u64,
     halt_at: u32,
-    digest: u64,
+    heard: Heard,
     live: Arc<AtomicI64>,
+}
+
+impl Gossip {
+    /// Whether the node broadcasts (rather than sends on every port) in
+    /// `round`.
+    fn broadcasts(id: u64, round: u32) -> bool {
+        (id + u64::from(round)).is_multiple_of(2)
+    }
 }
 
 impl Program for Gossip {
     type Msg = Counted;
-    type Verdict = u64;
+    type Verdict = Heard;
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, Counted>, out: &mut Outbox<Counted>) -> Status {
-        for inc in inbox.iter() {
-            self.digest = self
-                .digest
-                .wrapping_mul(1_099_511_628_211)
-                .wrapping_add(u64::from(inc.port) << 48 ^ inc.msg.value);
-        }
+        self.heard.extend(inbox.iter().map(|inc| (round, inc.port, inc.msg.value)));
         if round >= self.halt_at {
             return Status::Halted;
         }
         let base = self.id * 1000 + u64::from(round) * 10;
-        drop(out.broadcast(Counted::new(base + 1, &self.live)));
-        drop(out.broadcast(Counted::new(base + 2, &self.live)));
-        for p in 0..out.degree() {
-            out.send(p, Counted::new(base + 3 + u64::from(p), &self.live));
+        if Gossip::broadcasts(self.id, round) {
+            drop(out.broadcast(Counted::new(base + 1, &self.live)));
+        } else {
+            for p in 0..out.degree() {
+                out.send(p, Counted::new(base + 2 + u64::from(p), &self.live));
+            }
         }
         Status::Running
     }
 
-    fn verdict(&self) -> u64 {
-        self.digest
+    fn verdict(&self) -> Heard {
+        self.heard.clone()
     }
 }
 
@@ -121,7 +129,7 @@ fn factory(live: &Arc<AtomicI64>) -> impl FnMut(NodeInit<'_>) -> Gossip + '_ {
     move |init| Gossip {
         id: init.id,
         halt_at: if init.index == 0 { 2 } else { 5 },
-        digest: 0,
+        heard: Heard::new(),
         live: Arc::clone(live),
     }
 }
@@ -141,9 +149,9 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
 
 /// What must agree across executors: the verdicts, the per-round
 /// statistics and the fault report.
-type Observed = (Vec<u64>, Vec<RoundStats>, String, u32);
+type Observed = (Vec<Heard>, Vec<RoundStats>, String, u32);
 
-fn observe(report: &RunReport, verdicts: Vec<u64>) -> Observed {
+fn observe(report: &RunReport, verdicts: Vec<Heard>) -> Observed {
     (verdicts, report.per_round.clone(), format!("{:?}", report.faults), report.rounds)
 }
 
@@ -248,7 +256,7 @@ fn every_payload_path_matches_the_oracle_and_leaks_nothing() {
         let oracle = session_runs(&g, &seq, &live);
         assert_eq!(live.load(Ordering::SeqCst), 0, "{name}: sequential session dropped");
         let want = oracle[0].0.clone();
-        assert!(want.0.iter().any(|&d| d != 0), "{name}: nothing was delivered");
+        assert!(want.0.iter().any(|h| !h.is_empty()), "{name}: nothing was delivered");
         let first_live = oracle[0].1;
         for (i, (got, left)) in oracle.iter().enumerate() {
             assert_eq!(got, &want, "{name}: sequential rerun {i}");
@@ -274,24 +282,32 @@ fn every_payload_path_matches_the_oracle_and_leaks_nothing() {
     }
 }
 
+/// Round 2's targeted sends of the nodes still running then: node 0
+/// halted at round 2, and the others that did not broadcast sent one
+/// payload on every port.
+fn round_two_targeted_sends(g: &Graph) -> i64 {
+    (1..g.n() as NodeIndex)
+        .filter(|&v| !Gossip::broadcasts(g.id(v), 2))
+        .map(|v| g.degree(v) as i64)
+        .sum()
+}
+
 /// A run capped at round 3 of a clean plan ends with exactly round 2's
 /// undelivered traffic alive, so every payload arena written earlier
 /// was cleared when its generation re-entered the write role. In
-/// process, that traffic is each running sender's per-port clones and
-/// targeted sends (the parked broadcasts go back to the programs); a
-/// partition engine also holds its parked broadcasts of both
-/// generations and the cut deliveries it received as clones. The same
-/// count holds after every rerun, and dropping the session or the
-/// engines releases it.
+/// process, that traffic is the running senders' targeted sends (the
+/// parked broadcasts go back to the programs); a partition engine also
+/// holds every node's last parked broadcast (each node broadcasts in
+/// rounds of one parity, so into one slot generation) and the cut
+/// deliveries it received as clones. The same count holds after every
+/// rerun, and dropping the session or the engines releases it.
 #[test]
 fn capped_runs_keep_exactly_the_last_round_alive() {
     let _serial = serial();
     let g = graph();
     let live = Arc::new(AtomicI64::new(0));
     let base = EngineConfig { max_rounds: 3, ..EngineConfig::default() };
-    // Node 0 halted at round 2; everyone else sent on every port.
-    let running = || 1..g.n() as NodeIndex;
-    let in_process: i64 = running().map(|v| 2 * g.degree(v) as i64).sum();
+    let in_process = round_two_targeted_sends(&g);
     for executor in [Executor::Sequential, Executor::Parallel] {
         let config = EngineConfig { executor, ..base.clone() };
         let runs = session_runs(&g, &config, &live);
@@ -304,115 +320,14 @@ fn capped_runs_keep_exactly_the_last_round_alive() {
 
     let side = |v: NodeIndex| usize::from(v >= partition_range(g.n(), 2, 1).start);
     let cut = |v: NodeIndex| g.neighbors(v).iter().filter(|&&w| side(w) != side(v)).count();
-    // Every node broadcast at rounds 0 and 1, so both slot generations
-    // hold a parked payload of every node.
-    let slots = 2 * g.n() as i64;
-    let partitioned: i64 = slots + running().map(|v| 3 * cut(v) as i64).sum::<i64>() + in_process;
+    // Every node broadcast at round 0 or 1 and has its last broadcast
+    // parked; every node but node 0 sent across the cut at round 2.
+    let slots = g.n() as i64;
+    let clones: i64 = (1..g.n() as NodeIndex).map(|v| cut(v) as i64).sum();
+    let partitioned = slots + clones + in_process;
     for i in 0..RERUNS {
         let (_, left) = partitioned_run(&g, &base, &live);
         assert_eq!(left, partitioned, "partition engines: payloads alive after run {i}");
-        assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
-    }
-}
-
-/// What a node heard: `(round, port, value)` per delivery, in order.
-type Heard = Vec<(u32, u32, u64)>;
-
-/// Each round every node broadcasts, sends three payloads on port 0,
-/// then broadcasts again: the link behind port 0 carries five messages
-/// and every other link two, so every message after a link's first
-/// spills. Halts at `rounds`; the verdict is everything it heard.
-struct Spiller {
-    id: u64,
-    rounds: u32,
-    heard: Heard,
-    live: Arc<AtomicI64>,
-}
-
-impl Program for Spiller {
-    type Msg = Counted;
-    type Verdict = Heard;
-
-    fn step(&mut self, round: u32, inbox: Inbox<'_, Counted>, out: &mut Outbox<Counted>) -> Status {
-        self.heard.extend(inbox.iter().map(|inc| (round, inc.port, inc.msg.value)));
-        if round >= self.rounds {
-            return Status::Halted;
-        }
-        let base = self.id * 1000 + u64::from(round) * 10;
-        drop(out.broadcast(Counted::new(base + 1, &self.live)));
-        for i in 0..3 {
-            out.send(0, Counted::new(base + 2 + i, &self.live));
-        }
-        drop(out.broadcast(Counted::new(base + 5, &self.live)));
-        Status::Running
-    }
-
-    fn verdict(&self) -> Heard {
-        self.heard.clone()
-    }
-}
-
-/// The spill path: three targeted sends on one port plus a second
-/// broadcast in one step. Every executor — sequential, parallel at the
-/// default and at 2 forced workers, accounted and counter-free, and two
-/// partition engines, whose cut drain ships spills and whose `inject`
-/// spills again — delivers each link's messages after its first, in
-/// queueing order, in ascending port order across links; the wire
-/// counters see five messages on a port-0 link; and no payload
-/// outlives its session or engines.
-#[test]
-fn spilled_messages_follow_the_first_in_queueing_order() {
-    let _serial = serial();
-    let _reset = ResetWorkers;
-    let g = graph();
-    let rounds = 3;
-    let expected: Vec<Heard> = (0..g.n() as NodeIndex)
-        .map(|v| {
-            let mut heard = Heard::new();
-            for r in 1..=rounds {
-                for (q, &u) in g.neighbors(v).iter().enumerate() {
-                    let base = u64::from(u) * 1000 + u64::from(r - 1) * 10;
-                    let values: &[u64] =
-                        if g.neighbor_at(u, 0) == v { &[1, 2, 3, 4, 5] } else { &[1, 5] };
-                    heard.extend(values.iter().map(|&x| (r, q as u32, base + x)));
-                }
-            }
-            heard
-        })
-        .collect();
-    let live = Arc::new(AtomicI64::new(0));
-    let make = |init: NodeInit<'_>| Spiller {
-        id: init.id,
-        rounds,
-        heard: Heard::new(),
-        live: Arc::clone(&live),
-    };
-    let sent: usize = (0..g.n() as NodeIndex).map(|v| 2 * g.degree(v) + 3).sum();
-    for record_rounds in [true, false] {
-        let base = EngineConfig { record_rounds, ..EngineConfig::default() };
-        for (executor, forced) in
-            [(Executor::Sequential, 0), (Executor::Parallel, 0), (Executor::Parallel, 2)]
-        {
-            rayon::force_workers_for_tests(forced);
-            let config = EngineConfig { executor, ..base.clone() };
-            let mut session = Session::builder(&g).config(config).build();
-            for i in 0..RERUNS {
-                let out = session.run(make).unwrap();
-                let what = format!("{executor:?} (forced {forced}) rerun {i}");
-                assert_eq!(out.verdicts, expected, "{what}");
-                if record_rounds {
-                    let first = &out.report.per_round[0];
-                    assert_eq!(first.messages as usize, sent, "{what}");
-                    assert_eq!(first.max_link_messages, 5, "{what}");
-                }
-            }
-            drop(session);
-            assert_eq!(live.load(Ordering::SeqCst), 0, "{executor:?}: session dropped");
-        }
-        rayon::force_workers_for_tests(0);
-        let (_, parts) = run_partitions(&g, &base, make);
-        assert_eq!(verdicts_of(&parts), expected, "partitioned, record_rounds={record_rounds}");
-        drop(parts);
         assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
     }
 }
@@ -441,14 +356,14 @@ impl Program for Listener {
     }
 }
 
-/// Two deliveries injected on one link keep their order, whatever the
-/// routing order across links: node 0 (worker 0 of 2 owns 0..6) hears
-/// node 6 on port 1 and node 11 on port 2, and the four deliveries
-/// arrive interleaved and in reverse port order. The payloads stay
-/// alive through the read and drop when their generation re-enters the
-/// write role.
+/// Deliveries injected in reverse port order land at their links: node
+/// 0 (worker 0 of 2 owns 0..6) hears node 11 on port 2 and node 6 on
+/// port 1 in port order. A second delivery on a link is refused typed
+/// and its payload dropped at once; the accepted ones stay alive
+/// through the read and drop when their generation re-enters the write
+/// role.
 #[test]
-fn injected_deliveries_on_one_link_keep_their_order() {
+fn injected_deliveries_land_by_link_and_a_second_is_refused() {
     let g = graph();
     assert_eq!(g.neighbors(0), &[1, 6, 11]);
     let live = Arc::new(AtomicI64::new(0));
@@ -459,19 +374,21 @@ fn injected_deliveries_on_one_link_keep_their_order() {
     let mut out = Vec::new();
     part.step_round(0, &mut out);
     assert!(out.is_empty(), "listeners send nothing");
-    for (port, value) in [(2, 21), (1, 11), (2, 22), (1, 12)] {
-        part.inject(0, port, Counted::new(value, &live)).unwrap();
-    }
+    part.inject(0, 2, Counted::new(21, &live)).unwrap();
+    part.inject(0, 1, Counted::new(11, &live)).unwrap();
+    let refused = part.inject(0, 2, Counted::new(22, &live));
+    assert!(matches!(refused, Err(FrameError::BadBody(_))), "{refused:?}");
+    assert_eq!(live.load(Ordering::SeqCst), 2, "the refused payload is dropped at once");
     part.commit_round();
     part.step_round(1, &mut out);
-    assert_eq!(part.verdicts()[0], vec![(1, 1, 11), (1, 1, 12), (1, 2, 21), (1, 2, 22)]);
-    assert_eq!(live.load(Ordering::SeqCst), 4, "read, not yet dropped");
+    assert_eq!(part.verdicts()[0], vec![(1, 1, 11), (1, 2, 21)]);
+    assert_eq!(live.load(Ordering::SeqCst), 2, "read, not yet dropped");
     part.commit_round();
     assert_eq!(live.load(Ordering::SeqCst), 0, "dropped once their generation is writable again");
 }
 
 /// Node 0 halts at round 0 while its neighbours keep sending to it —
-/// first messages and spills — for four rounds. Its row is nulled by
+/// broadcasts and targeted sends — for four rounds. Its row is nulled by
 /// its own step every round (in debug builds the arena asserts every
 /// slot is null before it drops a generation's payloads), the other
 /// nodes hear exactly what the sequential run hears on every executor,
@@ -482,9 +399,9 @@ fn a_halted_receivers_row_is_cleared_and_nothing_leaks() {
     let _reset = ResetWorkers;
     let g = graph();
     let live = Arc::new(AtomicI64::new(0));
-    let make = |init: NodeInit<'_>| Spiller {
+    let make = |init: NodeInit<'_>| Gossip {
         id: init.id,
-        rounds: if init.index == 0 { 0 } else { 4 },
+        halt_at: if init.index == 0 { 0 } else { 4 },
         heard: Heard::new(),
         live: Arc::clone(&live),
     };
@@ -519,8 +436,7 @@ fn a_halted_receivers_row_is_cleared_and_nothing_leaks() {
     assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
 }
 
-/// A run capped mid-flight leaves traffic — first messages and spills —
-/// in the workspace's arenas; a run on a smaller graph through the same
+/// A run capped mid-flight leaves traffic in the workspace's arenas; a run on a smaller graph through the same
 /// workspace then reads none of it: its verdicts and statistics equal
 /// a fresh session's, the capped run's payloads are dropped exactly
 /// once (the live count returns to what the small run alone leaves),
@@ -551,9 +467,8 @@ fn a_capped_run_then_a_smaller_graph_reads_no_stale_entry() {
             let params = WireParams::for_graph(&big);
             ws.run_on_into(&big, &capped, &params, factory(&live), &mut out).unwrap();
             assert_eq!(out.report.rounds, 3, "{what}: the cap stopped the run");
-            // Node 0 halted at round 2; everyone else's round-2 clones
-            // and targeted sends are still in flight.
-            let in_flight: i64 = (1..big.n() as NodeIndex).map(|v| 2 * big.degree(v) as i64).sum();
+            // Round 2's targeted sends are still in flight.
+            let in_flight = round_two_targeted_sends(&big);
             assert_eq!(live.load(Ordering::SeqCst), alone + in_flight, "{what}: in flight");
 
             let params = WireParams::for_graph(&small);

@@ -5,7 +5,7 @@
 //! The paper's experimental claims are statements over instance
 //! families — reject rates across dozens of planted ε-far graphs,
 //! trials × seeds per `(k, n)` cell — and a naive loop pays full engine
-//! setup (engine arenas, load table, node-state arena) for every single
+//! setup (engine arenas, node-state arena) for every single
 //! run. [`crate::session::TesterSession::test_batch`] amortizes that
 //! across the batch: jobs are sharded contiguously over the thread
 //! pool, each shard drives its

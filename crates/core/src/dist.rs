@@ -51,9 +51,9 @@
 //! once, inside the same run's connect budget. Dropping the fleet ends
 //! every worker and joins every worker thread.
 //!
-//! `Hello` carries the magic `ckd4` and the worker's index, so a worker
-//! from a build with another `Spec` layout or job loop fails the
-//! handshake typed.
+//! `Hello` carries the magic `ckd5` and the worker's index, so a worker
+//! from a build with another `Spec` or `Done` layout or job loop fails
+//! the handshake typed.
 //! A `Spec` body opens with the graph's varint section
 //! ([`Graph::write_bytes`]), followed by fixed-width tester, engine and
 //! worker fields. The tester fields are `k`, `ε`, the seed, the
@@ -101,7 +101,7 @@ use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
-const MAGIC: &[u8; 4] = b"ckd4";
+const MAGIC: &[u8; 4] = b"ckd5";
 
 /// A distributed run fails in one of two distinct worlds.
 #[derive(Debug)]
@@ -1340,7 +1340,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let mut hello = b"ckd3".to_vec();
+        let mut hello = b"ckd4".to_vec();
         hello.extend_from_slice(&0u32.to_le_bytes());
         write_frame(&mut client, FrameKind::Hello, &hello).unwrap();
         let mut slots: Vec<Option<WorkerLink>> = vec![None];
@@ -1355,6 +1355,45 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, NetError::Connect { .. }), "{err:?}");
         assert!(slots[0].is_none());
+    }
+
+    /// A repeated coordinator `Msg` frame puts a second `Seqs` delivery
+    /// on one link: worker 0 of 2 on the path 0–1–2–3 (k = 5) gets two
+    /// from node 2 on node 1's port towards it after round 1, when node
+    /// 0 also broadcasts its seed to node 1. The second inject is
+    /// refused typed, and round 2 steps — node 1's tag lane holds one
+    /// tag per port, which three deliveries would overrun.
+    #[test]
+    fn a_repeated_delivery_is_refused_and_the_next_round_steps() {
+        let g = ck_congest::graph::GraphBuilder::new(4)
+            .edge(0, 1)
+            .edge(1, 2)
+            .edge(2, 3)
+            .build()
+            .unwrap();
+        let cfg = TesterConfig::new(5, 0.3, 7);
+        let engine = EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() };
+        let mut arena = SoaArena::default();
+        arena.prepare(&g, g.n());
+        let bases = arena.bases();
+        let mut part = PartitionEngine::new(&g, &engine, WireParams::for_graph(&g), 2, 0, |init| {
+            CkTester::new(&cfg, &init, SoaView::new(bases, init.index as usize))
+        });
+        let mut out = Vec::new();
+        part.step_round(0, &mut out);
+        part.commit_round();
+        part.step_round(1, &mut out);
+        let port = g.neighbors(1).iter().position(|&w| w == 2).unwrap() as u32;
+        let seqs = || CkMsg::Seqs {
+            tag: EdgeTag { rank: 1, lo: 2, hi: 3 },
+            seqs: crate::seq::SeqRows::from_rows(1, &[&[2]]),
+        };
+        assert_eq!(part.inject(1, port, seqs()), Ok(()));
+        let second = part.inject(1, port, seqs());
+        assert!(matches!(second, Err(FrameError::BadBody(_))), "{second:?}");
+        part.commit_round();
+        part.step_round(2, &mut out);
+        assert_eq!(part.verdicts().len(), 2);
     }
 
     #[test]

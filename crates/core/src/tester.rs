@@ -504,7 +504,7 @@ impl TesterRun {
 /// arena. This is the batch runner's per-shard hot path (its shards run
 /// the sequential executor); a distributed engine would spawn a fleet
 /// for the run and end it on return.
-/// Engine arenas, wire-load rows, slot arrays, and the node-state arena
+/// Engine arenas, slot arrays, and the node-state arena
 /// are recycled from the previous run instead of reallocated; the output
 /// is bit-identical to a fresh-state run (a reset workspace and a
 /// re-prepared arena are observationally fresh).

@@ -19,7 +19,8 @@
 //!
 //! Chunks are contiguous and results are reassembled in input order, so
 //! `collect` is order-preserving — the property the round engine's
-//! determinism contract relies on.
+//! determinism contract relies on. As in rayon, a worker's panic is
+//! re-raised on the caller's thread with its own payload.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -216,7 +217,10 @@ fn run_mut_chunks<T: Send, R: Send>(
             .enumerate()
             .map(|(ci, ch)| s.spawn(move || f(ci * chunk, ch)))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     })
 }
 
@@ -513,7 +517,7 @@ impl<'a, T: Send> EnumerateChunksMut<'a, T> {
                 .map(|hand| s.spawn(move || hand.into_iter().for_each(|(ci, ch)| f((ci, ch)))))
                 .collect();
             for h in handles {
-                h.join().expect("worker panicked");
+                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
             }
         });
     }
@@ -549,7 +553,7 @@ impl<'a, T: Sync> ParIter<'a, T> {
             let handles: Vec<_> =
                 self.data.chunks(chunk).map(|ch| s.spawn(move || ch.iter().for_each(f))).collect();
             for h in handles {
-                h.join().expect("worker panicked");
+                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
             }
         });
     }
@@ -581,7 +585,10 @@ impl<'a, T: Sync, F> MapRef<'a, T, F> {
                 .chunks(chunk)
                 .map(|ch| s.spawn(move || ch.iter().map(f).collect::<Vec<R>>()))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
         });
         let mut out = Vec::with_capacity(n);
         for p in parts {
