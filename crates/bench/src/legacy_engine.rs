@@ -56,7 +56,6 @@ where
                 index: v,
                 id: graph.id(v),
                 neighbor_ids: graph.neighbor_ids(v),
-                ports_by_id: graph.ports_sorted_by_id(v),
                 n,
                 m: graph.m(),
             };

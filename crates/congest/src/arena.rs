@@ -124,10 +124,10 @@ pub(crate) struct InboxArena<M> {
     /// (when no slot of this arena is written at all), overwritten by
     /// `v`'s next same-parity broadcast — which is when the stale
     /// payload is evicted back to `v` for recycling. Never scanned or
-    /// cleared.
+    /// cleared, not even by `reset`: a parked payload survives into the
+    /// next run and is evicted by node `v`'s first broadcast into this
+    /// generation there, or dropped with the arena.
     slots: Vec<UnsafeCell<Option<M>>>,
-    /// Senders in the current (or last) run.
-    nodes: usize,
     /// Directed edges in the current (or last) run; `reset` only nulls
     /// this prefix of the mailbox.
     edges: usize,
@@ -152,7 +152,6 @@ impl<M> InboxArena<M> {
             mail: Vec::new(),
             payloads: Vec::new(),
             slots: Vec::new(),
-            nodes: 0,
             edges: 0,
             segments: 0,
         }
@@ -161,18 +160,15 @@ impl<M> InboxArena<M> {
     /// Prepares the arena for a run over `nodes` senders, `edges`
     /// directed edges and `segments` sender chunks, reusing the
     /// previous run's buffers: the previously used mailbox extent is
-    /// nulled, stale payloads are dropped (payload blocks kept), and
-    /// the backing arrays grow only when the new shape does not fit.
-    /// `&mut self` proves exclusivity, so no unsafe cell access is
-    /// needed.
+    /// nulled, stale payloads of the payload arenas are dropped (blocks
+    /// kept), the broadcast slots keep theirs, and the backing arrays
+    /// grow only when the new shape does not fit. `&mut self` proves
+    /// exclusivity, so no unsafe cell access is needed.
     pub(crate) fn reset(&mut self, nodes: usize, edges: usize, segments: usize) {
         for m in self.mail.iter_mut().take(self.edges) {
             *m.get_mut() = std::ptr::null();
         }
         self.clear_payloads();
-        for slot in self.slots.iter_mut().take(self.nodes) {
-            *slot.get_mut() = None;
-        }
         if self.mail.len() < edges {
             self.mail.resize_with(edges, || UnsafeCell::new(std::ptr::null()));
         }
@@ -182,7 +178,6 @@ impl<M> InboxArena<M> {
         if self.slots.len() < nodes {
             self.slots.resize_with(nodes, || UnsafeCell::new(None));
         }
-        self.nodes = nodes;
         self.edges = edges;
         self.segments = segments;
     }
@@ -277,16 +272,6 @@ impl<M> InboxArena<M> {
     pub(crate) fn slots_ptr(&self) -> *mut () {
         // UnsafeCell<T> is repr(transparent) over T.
         self.slots.as_ptr() as *mut ()
-    }
-
-    /// Takes the payload parked in sender `v`'s broadcast slot, if any.
-    /// `&mut self` proves the round loop is over, so no mailbox can
-    /// still be read and no unsafe cell access is needed. Used by the
-    /// engine's end-of-run drain that hands parked payloads back to
-    /// programs for recycling (instead of letting the next run's reset
-    /// drop them).
-    pub(crate) fn take_slot(&mut self, v: NodeIndex) -> Option<M> {
-        self.slots.get_mut(v as usize).and_then(|s| s.get_mut().take())
     }
 }
 

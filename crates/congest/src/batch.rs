@@ -12,8 +12,8 @@
 //! come back **in input order**, independent of scheduling.
 //!
 //! Determinism: each job's result depends only on the item and the
-//! shard-state contract (a reset workspace is observationally a fresh
-//! one), never on which shard ran it or in what interleaving — so a
+//! shard-state contract (a reset workspace delivers exactly what a fresh
+//! one does), never on which shard ran it or in what interleaving — so a
 //! sharded run is bit-identical to `shards = 1`, which is bit-identical
 //! to a plain loop.
 

@@ -25,9 +25,12 @@
 //! (targeted sends, corrupted copies) moves into the payload arena of
 //! the sender's *segment* — one per chunk, built from address-stable
 //! blocks and written only by the thread stepping the chunk. A
-//! generation's payloads are dropped in one pass when it re-enters the
-//! write role. After warm-up every payload arena has reached its peak
-//! capacity and the steady-state round loop allocates nothing.
+//! generation's arena payloads are dropped in one pass when it re-enters
+//! the write role. A parked broadcast stays in its slot, across the runs
+//! of one workspace too, until the sender's next broadcast into that
+//! generation evicts it back to the program. After warm-up every payload
+//! arena has reached its peak capacity and the steady-state round loop
+//! allocates nothing.
 //!
 //! Within one round each node, independently of all others (this is the
 //! data-parallelism the model prescribes, exploited by the parallel
@@ -220,7 +223,9 @@ impl<V> RunOutcome<V> {
 /// instead of reallocating: the previously used mailbox extent is
 /// nulled, payload arenas are emptied with their blocks kept, and the
 /// backing arrays grow only when the next graph (or chunk count) does
-/// not fit.
+/// not fit. Broadcast slots keep their payloads, so a run's first
+/// broadcast into each generation may evict one an earlier run parked
+/// (see [`Outbox::broadcast`]).
 /// A shard of a batch run drives dozens of graphs through one workspace
 /// and reaches steady-state allocation-free setup after the largest job
 /// has warmed it up.
@@ -420,7 +425,6 @@ impl<P: Program> Slot<P> {
             index: v,
             id: graph.id(v),
             neighbor_ids: graph.neighbor_ids(v),
-            ports_by_id: graph.ports_sorted_by_id(v),
             n: graph.n(),
             m: graph.m(),
         };
@@ -540,6 +544,7 @@ pub(crate) fn step_node<P: Program>(
                 acc,
                 ctx,
                 sender: v,
+                taken: 0,
             },
             mode,
         )
@@ -654,9 +659,12 @@ fn run_rounds<P: Program>(
 /// [`EngineWorkspace::run_on_into`].
 ///
 /// The workspace is reset (never reallocated when the graph fits)
-/// before the run; outputs are bit-identical to a fresh-workspace run
-/// by construction, since a reset workspace is observationally
-/// indistinguishable from a new one. The per-run slot (program) array
+/// before the run. A reset workspace delivers exactly what a new one
+/// does; the one trace of earlier runs is the payloads they left parked
+/// in the broadcast slots, which reach a program only as the payloads
+/// its broadcasts evict. So the outputs of a program whose verdicts do
+/// not read evicted payloads are bit-identical to a fresh-workspace
+/// run. The per-run slot (program) array
 /// is recycled through the workspace's [`SlotStore`] — a
 /// workspace-reused run of the same program type performs no per-run
 /// slot allocation, on success and on error alike. The outcome is
@@ -749,27 +757,6 @@ where
     };
 
     out.verdicts.extend(slots.iter().map(|s| s.prog.verdict()));
-
-    // Hand each sender's still-parked broadcast payloads (at most one
-    // per arena generation) back to its program, in node-index order.
-    // Whatever parks at run end was shipped in the final two rounds and
-    // can no longer be observed by any receiver; without this drain the
-    // next run's arena reset would drop the payloads, bleeding
-    // program-level pools (e.g. the Ck tester's `SeqPool`) by up to two
-    // buffers per node per run. Runs *after* verdict collection so
-    // pool-accounting verdict fields keep reporting the parked buffers
-    // as outstanding, bit-identical to pre-drain engines and to the
-    // partitioned executor (which parks payloads in its own slots).
-    for (v, slot) in slots.iter_mut().enumerate() {
-        let v = v as NodeIndex;
-        if let Some(m) = ws.cur.take_slot(v) {
-            slot.prog.reclaim_msg(m);
-        }
-        if let Some(m) = ws.next.take_slot(v) {
-            slot.prog.reclaim_msg(m);
-        }
-    }
-
     slots.clear();
     ws.slots.put(slots);
     Ok(())
@@ -780,6 +767,7 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use crate::message::WireMessage;
+    use crate::net::PartitionEngine;
     use crate::session::Session;
 
     /// The tests' single-run entry: a fresh session per call.
@@ -966,9 +954,22 @@ mod tests {
 
     /// One message per link per round: a second send or broadcast on a
     /// link panics, in all four orders, on both executors, accounted
-    /// and counter-free, and on the harness outbox.
+    /// and counter-free, on the harness outbox, and in a partition
+    /// engine's round. A first message the fault plan drops, or whose
+    /// tampered frame no longer decodes, still occupies its link.
     #[test]
     fn a_second_message_on_a_link_panics() {
+        /// A payload whose tampered frames never decode.
+        #[derive(Clone, Debug)]
+        struct Frame;
+        impl WireMessage for Frame {
+            fn wire_bits(&self, _params: &WireParams) -> u64 {
+                8
+            }
+            fn corrupt_frame(&self, _params: &WireParams, _entropy: u64) -> Option<Frame> {
+                None
+            }
+        }
         #[derive(Clone, Copy, Debug)]
         enum Twice {
             SendSend,
@@ -976,34 +977,34 @@ mod tests {
             BroadcastSend,
             BroadcastBroadcast,
         }
-        fn send_twice(order: Twice, out: &mut Outbox<u64>) {
+        fn send_twice(order: Twice, out: &mut Outbox<Frame>) {
             match order {
                 Twice::SendSend => {
-                    out.send(0, 1);
-                    out.send(0, 2);
+                    out.send(0, Frame);
+                    out.send(0, Frame);
                 }
                 Twice::SendBroadcast => {
-                    out.send(0, 1);
-                    out.broadcast(2);
+                    out.send(0, Frame);
+                    out.broadcast(Frame);
                 }
                 Twice::BroadcastSend => {
-                    out.broadcast(1);
-                    out.send(0, 2);
+                    out.broadcast(Frame);
+                    out.send(0, Frame);
                 }
                 Twice::BroadcastBroadcast => {
-                    out.broadcast(1);
-                    out.broadcast(2);
+                    out.broadcast(Frame);
+                    out.broadcast(Frame);
                 }
             }
         }
         impl Program for Twice {
-            type Msg = u64;
+            type Msg = Frame;
             type Verdict = ();
             fn step(
                 &mut self,
                 _round: u32,
-                _inbox: Inbox<'_, u64>,
-                out: &mut Outbox<u64>,
+                _inbox: Inbox<'_, Frame>,
+                out: &mut Outbox<Frame>,
             ) -> Status {
                 send_twice(*self, out);
                 Status::Halted
@@ -1017,20 +1018,40 @@ mod tests {
                 .unwrap_or_default()
         };
         let g = path_graph(3);
+        let plans = [
+            ("delivered", FaultPlan::none()),
+            ("dropped", FaultPlan::none().drop_at(0, 0, 0).drop_at(0, 1, 0).drop_at(0, 2, 0)),
+            ("rejected", FaultPlan::none().corrupt_frames(1.0, 3)),
+        ];
         for order in
             [Twice::SendSend, Twice::SendBroadcast, Twice::BroadcastSend, Twice::BroadcastBroadcast]
         {
-            for exec in [Executor::Sequential, Executor::Parallel] {
-                for record_rounds in [true, false] {
-                    let cfg =
-                        EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
-                    let what = format!("{order:?} {exec:?} record_rounds={record_rounds}");
-                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run(&g, &cfg, |_| order)
-                    }))
-                    .expect_err(&what);
-                    assert!(panic_text(err).contains("in one round"), "{what}");
+            for (fate, faults) in &plans {
+                for exec in [Executor::Sequential, Executor::Parallel] {
+                    for record_rounds in [true, false] {
+                        let cfg = EngineConfig {
+                            executor: exec,
+                            record_rounds,
+                            faults: faults.clone(),
+                            ..EngineConfig::default()
+                        };
+                        let what =
+                            format!("{order:?} {fate} {exec:?} record_rounds={record_rounds}");
+                        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run(&g, &cfg, |_| order)
+                        }))
+                        .expect_err(&what);
+                        assert!(panic_text(err).contains("in one round"), "{what}");
+                    }
                 }
+                let cfg = EngineConfig { faults: faults.clone(), ..EngineConfig::default() };
+                let params = WireParams::for_graph(&g);
+                let err = std::panic::catch_unwind(|| {
+                    let mut part = PartitionEngine::new(&g, &cfg, params, 1, 0, |_| order);
+                    part.step_round(0, &mut Vec::new())
+                })
+                .expect_err("partition engine");
+                assert!(panic_text(err).contains("in one round"), "{order:?} {fate} partition");
             }
             let err = std::panic::catch_unwind(|| send_twice(order, &mut Outbox::for_harness(2)))
                 .expect_err("harness outbox");
@@ -1328,7 +1349,10 @@ mod tests {
 
     /// The broadcast slot is double-buffered: a broadcast evicts the
     /// payload this sender parked two rounds earlier (same arena
-    /// generation), on every sink mode.
+    /// generation), on every sink mode. Slots survive a workspace reset:
+    /// a second run through the session evicts the first run's last two
+    /// payloads. The first run's seven rounds leave the generations
+    /// swapped, so round 0 evicts round 5's payload and round 1 round 4's.
     #[test]
     fn broadcast_evicts_the_two_round_old_payload() {
         struct SlotProbe {
@@ -1358,11 +1382,17 @@ mod tests {
         for exec in [Executor::Sequential, Executor::Parallel] {
             for record_rounds in [true, false] {
                 let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
-                let out = run(&g, &cfg, |_| SlotProbe { ttl: 6, evictions: Vec::new() }).unwrap();
-                for ev in &out.verdicts {
-                    let expect: Vec<Option<u64>> =
-                        (0u64..6).map(|r| if r < 2 { None } else { Some(r - 2 + 1000) }).collect();
-                    assert_eq!(ev, &expect, "{exec:?} record_rounds={record_rounds}");
+                let mut session = Session::builder(&g).config(cfg).build();
+                let mut parked = [None, None];
+                for pass in 0..2 {
+                    let out = session.run(|_| SlotProbe { ttl: 6, evictions: Vec::new() }).unwrap();
+                    assert_eq!(out.report.rounds, 7);
+                    let mut expect = parked.to_vec();
+                    expect.extend((1000u64..1004).map(Some));
+                    for ev in &out.verdicts {
+                        assert_eq!(ev, &expect, "{exec:?} record_rounds={record_rounds} {pass}");
+                    }
+                    parked = [Some(1005), Some(1004)];
                 }
             }
         }

@@ -173,27 +173,10 @@ fn index_ids(ids: &[NodeId]) -> Result<HashMap<NodeId, NodeIndex>, GraphError> {
     Ok(index_of_id)
 }
 
-/// Builds the identity-keyed adjacency views: the CSR-aligned table of
-/// neighbor identities, and per row the port permutation sorted by
-/// neighbor identity (the index behind `NodeInit::port_of_neighbor`'s
-/// binary search). Recomputed whenever the ID table changes.
-fn build_id_views(
-    n: usize,
-    offsets: &[u32],
-    neighbors: &[NodeIndex],
-    ids: &[NodeId],
-) -> (Vec<NodeId>, Vec<u32>) {
-    let mut neighbor_ids_flat = vec![0 as NodeId; neighbors.len()];
-    let mut ports_by_id = vec![0u32; neighbors.len()];
-    for v in 0..n {
-        let (s, t) = (offsets[v] as usize, offsets[v + 1] as usize);
-        for (p, &w) in neighbors[s..t].iter().enumerate() {
-            neighbor_ids_flat[s + p] = ids[w as usize];
-            ports_by_id[s + p] = p as u32;
-        }
-        ports_by_id[s..t].sort_unstable_by_key(|&p| neighbor_ids_flat[s + p as usize]);
-    }
-    (neighbor_ids_flat, ports_by_id)
+/// The CSR-aligned table of neighbor identities. Recomputed whenever
+/// the ID table changes.
+fn neighbor_ids_of(neighbors: &[NodeIndex], ids: &[NodeId]) -> Vec<NodeId> {
+    neighbors.iter().map(|&w| ids[w as usize]).collect()
 }
 
 /// An immutable simple undirected graph with node identities, stored in
@@ -215,9 +198,6 @@ pub struct Graph {
     index_of_id: HashMap<NodeId, NodeIndex>,
     /// Identity of `neighbors[s]`, per adjacency slot `s` (CSR-aligned).
     neighbor_ids_flat: Vec<NodeId>,
-    /// Per row: local ports permuted into ascending-neighbor-identity
-    /// order, enabling O(log degree) identity-to-port lookup.
-    ports_by_id: Vec<u32>,
 }
 
 impl Graph {
@@ -272,7 +252,7 @@ impl Graph {
             None => (0..n as NodeId).collect(),
         };
         let index_of_id = index_ids(&ids)?;
-        let (neighbor_ids_flat, ports_by_id) = build_id_views(n, &offsets, &neighbors, &ids);
+        let neighbor_ids_flat = neighbor_ids_of(&neighbors, &ids);
 
         Ok(Graph {
             n,
@@ -284,7 +264,6 @@ impl Graph {
             ids,
             index_of_id,
             neighbor_ids_flat,
-            ports_by_id,
         })
     }
 
@@ -400,13 +379,6 @@ impl Graph {
         &self.neighbor_ids_flat[s..t]
     }
 
-    /// `v`'s local ports permuted into ascending-neighbor-identity order
-    /// (the index behind O(log degree) identity-to-port lookups).
-    pub fn ports_sorted_by_id(&self, v: NodeIndex) -> &[u32] {
-        let (s, t) = (self.offsets[v as usize] as usize, self.offsets[v as usize + 1] as usize);
-        &self.ports_by_id[s..t]
-    }
-
     /// Reverse directed edge per local port of `v` (the `rev_edge`
     /// row): the mailbox slot each of `v`'s sends is stored in.
     pub(crate) fn rev_edges_row(&self, v: NodeIndex) -> &[DirectedEdgeId] {
@@ -429,8 +401,7 @@ impl Graph {
             return Err(GraphError::IdTableLength { expected: self.n, got: ids.len() });
         }
         let index_of_id = index_ids(&ids)?;
-        let (neighbor_ids_flat, ports_by_id) =
-            build_id_views(self.n, &self.offsets, &self.neighbors, &ids);
+        let neighbor_ids_flat = neighbor_ids_of(&self.neighbors, &ids);
         Ok(Graph {
             n: self.n,
             offsets: self.offsets.clone(),
@@ -441,7 +412,6 @@ impl Graph {
             ids,
             index_of_id,
             neighbor_ids_flat,
-            ports_by_id,
         })
     }
 
@@ -949,18 +919,13 @@ mod tests {
             for (p, &nid) in ids.iter().enumerate() {
                 assert_eq!(nid, g.id(g.neighbor_at(v, p as u32)));
             }
-            let by_id = g.ports_sorted_by_id(v);
-            assert!(by_id.windows(2).all(|w| ids[w[0] as usize] < ids[w[1] as usize]));
         }
-        // Relabeling rebuilds both views.
+        // Relabeling rebuilds the view.
         let h = g.with_ids(vec![1, 2, 3, 4]).unwrap();
         for v in 0..h.n() as NodeIndex {
             for (p, &nid) in h.neighbor_ids(v).iter().enumerate() {
                 assert_eq!(nid, h.id(h.neighbor_at(v, p as u32)));
             }
-            let ids = h.neighbor_ids(v);
-            let by_id = h.ports_sorted_by_id(v);
-            assert!(by_id.windows(2).all(|w| ids[w[0] as usize] < ids[w[1] as usize]));
         }
     }
 

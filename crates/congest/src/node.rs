@@ -39,11 +39,6 @@ pub struct NodeInit<'g> {
     /// Identities of neighbors, indexed by local port (a borrow of the
     /// graph's table).
     pub neighbor_ids: &'g [NodeId],
-    /// Local ports permuted into ascending-neighbor-identity order; the
-    /// index behind [`NodeInit::port_of_neighbor`]'s binary search.
-    /// Hand-built views (tests, harnesses) may leave this empty to fall
-    /// back to a linear scan.
-    pub ports_by_id: &'g [u32],
     /// Total number of nodes.
     pub n: usize,
     /// Total number of edges.
@@ -54,27 +49,6 @@ impl NodeInit<'_> {
     /// Degree of this node.
     pub fn degree(&self) -> usize {
         self.neighbor_ids.len()
-    }
-
-    /// Local port towards the neighbor with identity `id`, if adjacent:
-    /// O(log degree) via the identity-sorted port permutation (linear
-    /// scan when a hand-built view did not supply one).
-    pub fn port_of_neighbor(&self, id: NodeId) -> Option<u32> {
-        if self.ports_by_id.len() == self.neighbor_ids.len() {
-            debug_assert!(
-                self.ports_by_id
-                    .windows(2)
-                    // ck-lint: allow(index-literal, reason = "windows(2) yields exactly-two-element slices, so w[0]/w[1] cannot be out of bounds")
-                    .all(|w| self.neighbor_ids[w[0] as usize] < self.neighbor_ids[w[1] as usize]),
-                "ports_by_id must permute ports into ascending-neighbor-identity order"
-            );
-            self.ports_by_id
-                .binary_search_by_key(&id, |&p| self.neighbor_ids[p as usize])
-                .ok()
-                .map(|i| self.ports_by_id[i])
-        } else {
-            self.neighbor_ids.iter().position(|&x| x == id).map(|p| p as u32)
-        }
     }
 }
 
@@ -380,6 +354,9 @@ pub(crate) struct DirectSink {
     /// Shared round-invariant context.
     pub(crate) ctx: *const SinkCtx,
     pub(crate) sender: NodeIndex,
+    /// Links this step's lost sends occupy (see [`occupy_link`]); the
+    /// outbox frees them when it drops.
+    pub(crate) taken: u32,
 }
 
 /// Messages queued for sending in the current round.
@@ -462,8 +439,9 @@ impl<M: WireMessage> Outbox<M> {
     /// on `port` (by `send` or [`Outbox::broadcast`]): a link carries
     /// one message per round under CONGEST. Both are protocol bugs, not
     /// runtime conditions. On the engine's sinks the check is the
-    /// mailbox slot itself, so a message the fault plan dropped leaves
-    /// nothing to check a later one against.
+    /// mailbox slot itself; a message the fault plan drops, or whose
+    /// tampered frame no longer decodes, still occupies its link until
+    /// the step ends, so the rule holds under fault plans too.
     #[inline]
     pub fn send(&mut self, port: u32, msg: M) {
         assert!(port < self.degree, "send on port {port} of node with degree {}", self.degree);
@@ -498,10 +476,14 @@ impl<M: WireMessage> Outbox<M> {
     ///
     /// Returns the payload evicted from the slot — the broadcast this
     /// sender parked **two rounds earlier** (same arena generation),
-    /// which no receiver can still be reading. Protocols with pooled
-    /// payloads recycle it; everyone else ignores it. Buffered
-    /// (harness) outboxes clone per port instead (moving the last) and
-    /// return `None`.
+    /// which no receiver can still be reading. Slots are never cleared,
+    /// so through a reused workspace (a [`crate::session::Session`] or
+    /// [`crate::engine::EngineWorkspace`] run after another) a run's
+    /// first broadcast of each generation may return a payload an
+    /// earlier run parked. Protocols with heap-backed payloads reuse it
+    /// as a spare backing; everyone else ignores it. Buffered (harness)
+    /// outboxes clone per port instead (moving the last) and return
+    /// `None`.
     ///
     /// # Panics
     /// Panics if this step already sent on any port (by
@@ -546,15 +528,14 @@ impl<M: WireMessage> Outbox<M> {
                 direct_broadcast(&mut self.slot_used, self.degree, d, msg, |d, p, ptr| {
                     match charge_send_bits(d, p, bits) {
                         SendFate::Deliver => inbox_push(d, p, ptr),
-                        SendFate::Dropped => {}
-                        SendFate::Corrupt { entropy } => {
-                            // A corrupted copy diverges from the parked
-                            // payload, so it moves into the payload
-                            // arena instead of pointing at the slot.
-                            if let Some(garbled) = corrupt_payload(d, &*ptr, entropy) {
-                                direct_send_inbox(d, p, garbled);
-                            }
-                        }
+                        SendFate::Dropped => occupy_link::<M>(d, p),
+                        // A corrupted copy diverges from the parked
+                        // payload, so it moves into the payload arena
+                        // instead of pointing at the slot.
+                        SendFate::Corrupt { entropy } => match corrupt_payload(d, &*ptr, entropy) {
+                            Some(garbled) => direct_send_inbox(d, p, garbled),
+                            None => occupy_link::<M>(d, p),
+                        },
                     }
                 })
             },
@@ -569,6 +550,29 @@ impl<M: WireMessage> Outbox<M> {
     /// Number of ports available (the node's degree).
     pub fn degree(&self) -> u32 {
         self.degree
+    }
+}
+
+impl<M> Drop for Outbox<M> {
+    /// Ends the step on the engine's accounted sink: the links its lost
+    /// sends occupied are null again before any receiver reads them.
+    fn drop(&mut self) {
+        if let Sink::DirectInboxHeavy(d) = &self.sink {
+            if d.taken > 0 {
+                for p in 0..self.degree as usize {
+                    // SAFETY: the `Outbox::direct` contract holds until
+                    // the outbox is gone: `rev_edges` has `degree`
+                    // entries, and the sender's mailbox slots are
+                    // written by no other thread meanwhile.
+                    let cell = unsafe {
+                        &mut *(d.segment.mail as *mut *const M).add(*d.rev_edges.add(p) as usize)
+                    };
+                    if std::ptr::eq(*cell, link_taken()) {
+                        *cell = std::ptr::null();
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -651,6 +655,28 @@ unsafe fn inbox_push<M>(d: &mut DirectSink, port: u32, ptr: *const M) {
     *cell = ptr;
 }
 
+/// The mailbox entry of a link a lost send occupies: the address of
+/// this static, which no payload has. No receiver reads it: the outbox
+/// nulls it again when the step ends.
+static LINK_TAKEN: u8 = 0;
+
+fn link_taken<M>() -> *const M {
+    std::ptr::addr_of!(LINK_TAKEN).cast()
+}
+
+/// Occupies the link of `port` for the rest of the step without
+/// delivering anything: the fate of a send the fault plan dropped, or
+/// whose tampered frame no longer decoded. A second message on the link
+/// then panics as it would after a delivered one.
+///
+/// # Safety
+/// As [`inbox_push`].
+#[inline(always)]
+unsafe fn occupy_link<M>(d: &mut DirectSink, port: u32) {
+    inbox_push(d, port, link_taken::<M>());
+    d.taken += 1;
+}
+
 /// What the fault plan decided for one charged send, as seen by the
 /// delivery paths: deliver the payload, forget it, or tamper with its
 /// encoded frame first.
@@ -703,17 +729,6 @@ unsafe fn charge_send_bits(d: &mut DirectSink, port: u32, b: u64) -> SendFate {
     }
 }
 
-/// [`charge_send_bits`] with the wire size priced here — the targeted
-/// send form.
-///
-/// # Safety
-/// As [`charge_send_bits`].
-#[inline(always)]
-unsafe fn charge_send<M: WireMessage>(d: &mut DirectSink, port: u32, msg: &M) -> SendFate {
-    let b = account_bits(d, msg);
-    charge_send_bits(d, port, b)
-}
-
 /// Resolves a [`SendFate::Corrupt`] into the payload that actually
 /// arrives: the tampered frame's decode when it survives the codec
 /// (counted as delivered garbage), or nothing (counted as a rejected
@@ -754,20 +769,20 @@ unsafe fn direct_send_inbox<M: WireMessage>(d: &mut DirectSink, port: u32, msg: 
 
 /// The accounted write path (see `Sink::DirectInboxHeavy`): accounting,
 /// bandwidth check, fault decision, then the counter-free write — one
-/// message move, no allocation once the payload arena is warm.
+/// message move, no allocation once the payload arena is warm. A lost
+/// message occupies its link instead.
 ///
 /// # Safety
 /// As [`direct_send_inbox`].
 #[inline(always)]
 unsafe fn direct_send_inbox_heavy<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
-    match charge_send(d, port, &msg) {
+    match charge_send_bits(d, port, account_bits(d, &msg)) {
         SendFate::Deliver => direct_send_inbox(d, port, msg),
-        SendFate::Dropped => {}
-        SendFate::Corrupt { entropy } => {
-            if let Some(garbled) = corrupt_payload(d, &msg, entropy) {
-                direct_send_inbox(d, port, garbled);
-            }
-        }
+        SendFate::Dropped => occupy_link::<M>(d, port),
+        SendFate::Corrupt { entropy } => match corrupt_payload(d, &msg, entropy) {
+            Some(garbled) => direct_send_inbox(d, port, garbled),
+            None => occupy_link::<M>(d, port),
+        },
     }
 }
 
@@ -804,19 +819,6 @@ pub trait Program: Send {
     /// The node's output; meaningful once the node has halted, but callable
     /// at any time (the engine collects verdicts at run end).
     fn verdict(&self) -> Self::Verdict;
-
-    /// End-of-run recycling hook: receives this sender's broadcast
-    /// payloads still parked in the engine's double-buffered slots when
-    /// the run ends (at most one per arena generation — the ones no
-    /// later broadcast evicted back through
-    /// [`Outbox::broadcast`]'s return value). Programs that pool their
-    /// payload backings reclaim them here; without the hook the
-    /// engine's next workspace reset would drop them, shrinking the
-    /// pool by up to two buffers per node per run and defeating
-    /// steady-state allocation freedom. The default does nothing.
-    fn reclaim_msg(&mut self, msg: Self::Msg) {
-        let _ = msg;
-    }
 }
 
 #[cfg(test)]
@@ -842,29 +844,6 @@ mod tests {
     fn outbox_rejects_bad_port() {
         let mut ob: Outbox<u64> = Outbox::new(3);
         ob.send(3, 1);
-    }
-
-    #[test]
-    fn node_init_port_lookup() {
-        // With the identity-sorted permutation: binary-search path.
-        let init = NodeInit {
-            index: 0,
-            id: 5,
-            neighbor_ids: &[9, 2, 7],
-            ports_by_id: &[1, 2, 0],
-            n: 4,
-            m: 3,
-        };
-        assert_eq!(init.degree(), 3);
-        assert_eq!(init.port_of_neighbor(2), Some(1));
-        assert_eq!(init.port_of_neighbor(9), Some(0));
-        assert_eq!(init.port_of_neighbor(7), Some(2));
-        assert_eq!(init.port_of_neighbor(5), None);
-        // Without it: linear fallback gives identical answers.
-        let plain = NodeInit { ports_by_id: &[], ..init };
-        for id in [2, 9, 7, 5, 0] {
-            assert_eq!(plain.port_of_neighbor(id), init.port_of_neighbor(id));
-        }
     }
 
     /// Draining or taking the queue ends a harness step: the next step

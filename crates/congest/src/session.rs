@@ -9,9 +9,10 @@
 //! the first run has warmed the arenas.
 //!
 //! Outputs of a reused session are bit-identical to a fresh session's
-//! by the engine's workspace-reset contract (a reset workspace is
-//! observationally a fresh one) — property-tested in
-//! `tests/session_parity.rs`.
+//! by the engine's workspace-reset contract (a reset workspace delivers
+//! exactly what a fresh one does; earlier runs' parked broadcasts reach
+//! a program only as the payloads its broadcasts evict) — property-tested
+//! in `tests/session_parity.rs`.
 
 use crate::engine::{
     BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor, RunOutcome, SlotStats,

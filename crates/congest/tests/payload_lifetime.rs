@@ -9,9 +9,11 @@
 //! through the sequential executor, the
 //! parallel executor at forced worker counts, and two partition engines
 //! routed as the distributed coordinator routes them. Every warm rerun
-//! must reproduce the sequential verdicts, no rerun may leave more
-//! payloads alive than the first, and once the session or the engines
-//! are dropped no payload may be left alive.
+//! must reproduce the sequential verdicts, the payloads a run leaves
+//! alive must be exactly its undelivered traffic plus the broadcasts
+//! parked in the slots (which outlive the run, at most one per node and
+//! arena generation), and once the session or the engines are dropped
+//! no payload may be left alive.
 //!
 //! The graphs and round counts are small enough for Miri:
 //! `cargo +nightly miri test -p ck-congest --test payload_lifetime`.
@@ -125,13 +127,43 @@ fn graph() -> Graph {
     GraphBuilder::new(12).edges(ring.chain(chords)).build().unwrap()
 }
 
+/// The round `factory`'s node `v` halts at.
+fn halt_at(v: NodeIndex) -> u32 {
+    if v == 0 {
+        2
+    } else {
+        5
+    }
+}
+
 fn factory(live: &Arc<AtomicI64>) -> impl FnMut(NodeInit<'_>) -> Gossip + '_ {
     move |init| Gossip {
         id: init.id,
-        halt_at: if init.index == 0 { 2 } else { 5 },
+        halt_at: halt_at(init.index),
         heard: Heard::new(),
         live: Arc::clone(live),
     }
+}
+
+/// The broadcasts parked in one workspace's slots after `runs` of
+/// `factory`'s programs, each a graph and the rounds it ran, in order.
+/// Slots are never cleared, so node `v` keeps one payload in each arena
+/// generation it ever broadcast into. The generation a round writes
+/// alternates round by round, across runs too: a run of an odd number
+/// of rounds hands the next run the other generation first.
+fn parked_after(runs: &[(&Graph, u32)]) -> i64 {
+    let n = runs.iter().map(|(g, _)| g.n()).max().unwrap_or(0);
+    let mut parked = vec![[false; 2]; n];
+    let mut first = 0u32;
+    for &(g, rounds) in runs {
+        for v in 0..g.n() as NodeIndex {
+            for r in (0..rounds.min(halt_at(v))).filter(|&r| Gossip::broadcasts(g.id(v), r)) {
+                parked[v as usize][((first + r) % 2) as usize] = true;
+            }
+        }
+        first += rounds;
+    }
+    parked.iter().flatten().filter(|&&p| p).count() as i64
 }
 
 /// The configurations every executor runs: a fault plan that drops and
@@ -293,14 +325,16 @@ fn round_two_targeted_sends(g: &Graph) -> i64 {
 }
 
 /// A run capped at round 3 of a clean plan ends with exactly round 2's
-/// undelivered traffic alive, so every payload arena written earlier
-/// was cleared when its generation re-entered the write role. In
-/// process, that traffic is the running senders' targeted sends (the
-/// parked broadcasts go back to the programs); a partition engine also
-/// holds every node's last parked broadcast (each node broadcasts in
-/// rounds of one parity, so into one slot generation) and the cut
-/// deliveries it received as clones. The same count holds after every
-/// rerun, and dropping the session or the engines releases it.
+/// undelivered traffic and the parked broadcasts alive, so every
+/// payload arena written earlier was cleared when its generation
+/// re-entered the write role. That traffic is the running senders'
+/// targeted sends. In process, the slots keep every broadcast no later
+/// one evicted: each node broadcasts in rounds of one parity, so after
+/// one run into one generation, and from the second run on into both,
+/// as three rounds flip the generation the next run starts with. A
+/// partition engine, built per run, holds every node's last broadcast
+/// and the cut deliveries it received as clones. Dropping the session
+/// or the engines releases it all.
 #[test]
 fn capped_runs_keep_exactly_the_last_round_alive() {
     let _serial = serial();
@@ -314,9 +348,12 @@ fn capped_runs_keep_exactly_the_last_round_alive() {
         assert_eq!(live.load(Ordering::SeqCst), 0, "{executor:?}: session dropped");
         for (i, (observed, left)) in runs.iter().enumerate() {
             assert_eq!(observed.3, 3, "{executor:?}: the cap stopped the run");
-            assert_eq!(*left, in_process, "{executor:?}: payloads alive after run {i}");
+            let parked = parked_after(&vec![(&g, 3); i + 1]);
+            assert_eq!(*left, in_process + parked, "{executor:?}: payloads alive after run {i}");
         }
     }
+    assert_eq!(parked_after(&[(&g, 3)]), g.n() as i64, "one run parks one payload per node");
+    assert_eq!(parked_after(&[(&g, 3); 2]), 2 * g.n() as i64, "two runs park two");
 
     let side = |v: NodeIndex| usize::from(v >= partition_range(g.n(), 2, 1).start);
     let cut = |v: NodeIndex| g.neighbors(v).iter().filter(|&&w| side(w) != side(v)).count();
@@ -436,11 +473,13 @@ fn a_halted_receivers_row_is_cleared_and_nothing_leaks() {
     assert_eq!(live.load(Ordering::SeqCst), 0, "partition engines dropped");
 }
 
-/// A run capped mid-flight leaves traffic in the workspace's arenas; a run on a smaller graph through the same
-/// workspace then reads none of it: its verdicts and statistics equal
-/// a fresh session's, the capped run's payloads are dropped exactly
-/// once (the live count returns to what the small run alone leaves),
-/// and dropping the workspace drops the rest.
+/// A run capped mid-flight leaves traffic in the workspace's arenas; a
+/// run on a smaller graph through the same workspace then reads none of
+/// it: its verdicts and statistics equal a fresh session's, the capped
+/// run's traffic is dropped exactly once, and what stays alive is the
+/// broadcasts parked in the slots, the capped run's among them where
+/// the small run did not overwrite them. Dropping the workspace drops
+/// the rest.
 #[test]
 fn a_capped_run_then_a_smaller_graph_reads_no_stale_entry() {
     let _serial = serial();
@@ -469,14 +508,20 @@ fn a_capped_run_then_a_smaller_graph_reads_no_stale_entry() {
             assert_eq!(out.report.rounds, 3, "{what}: the cap stopped the run");
             // Round 2's targeted sends are still in flight.
             let in_flight = round_two_targeted_sends(&big);
-            assert_eq!(live.load(Ordering::SeqCst), alone + in_flight, "{what}: in flight");
+            let parked = parked_after(&[(&big, 3)]);
+            assert_eq!(
+                live.load(Ordering::SeqCst),
+                alone + in_flight + parked,
+                "{what}: in flight"
+            );
 
             let params = WireParams::for_graph(&small);
             ws.run_on_into(&small, &full, &params, factory(&live), &mut out).unwrap();
             assert_eq!(out.verdicts, fresh.verdicts, "{what}: no stale entry read");
             assert_eq!(out.report.per_round, fresh.report.per_round, "{what}");
             assert_eq!(format!("{:?}", out.report.faults), format!("{:?}", fresh.report.faults));
-            assert_eq!(live.load(Ordering::SeqCst), 2 * alone, "{what}: dropped exactly once");
+            let parked = parked_after(&[(&big, 3), (&small, out.report.rounds)]);
+            assert_eq!(live.load(Ordering::SeqCst), alone + parked, "{what}: dropped exactly once");
             drop(ws);
             assert_eq!(live.load(Ordering::SeqCst), alone, "{what}: workspace dropped");
         }

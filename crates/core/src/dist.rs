@@ -51,9 +51,9 @@
 //! once, inside the same run's connect budget. Dropping the fleet ends
 //! every worker and joins every worker thread.
 //!
-//! `Hello` carries the magic `ckd5` and the worker's index, so a worker
-//! from a build with another `Spec` or `Done` layout or job loop fails
-//! the handshake typed.
+//! `Hello` carries the magic `ckd6` and the worker's index, so a worker
+//! from a build with another `Spec`, `Done` or `Verdicts` layout or job
+//! loop fails the handshake typed.
 //! A `Spec` body opens with the graph's varint section
 //! ([`Graph::write_bytes`]), followed by fixed-width tester, engine and
 //! worker fields. The tester fields are `k`, `ε`, the seed, the
@@ -101,7 +101,7 @@ use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
-const MAGIC: &[u8; 4] = b"ckd5";
+const MAGIC: &[u8; 4] = b"ckd6";
 
 /// A distributed run fails in one of two distinct worlds.
 #[derive(Debug)]
@@ -324,7 +324,7 @@ fn read_seq(r: &mut ByteReader<'_>) -> Result<IdSeq, FrameError> {
 /// `Result`: a varint node count, then per node
 ///
 /// ```text
-/// [flags u8][max_sent_seqs][pool_outstanding] [rejection if flags & 2]
+/// [flags u8][max_sent_seqs] [rejection if flags & 2]
 /// rejection = [repetition][rank][lo][hi][myid][k] seq seq
 /// seq       = [len u8][id]×len
 /// ```
@@ -340,7 +340,6 @@ pub fn write_verdicts(w: &mut ByteWriter, verdicts: &[NodeVerdict]) {
         }
         w.u8(flags);
         w.varint(v.max_sent_seqs as u64);
-        w.varint(v.pool_outstanding);
         if let Some(rej) = v.first_rejection.as_deref() {
             w.varint(u64::from(rej.repetition));
             w.varint(rej.tag.rank);
@@ -355,14 +354,14 @@ pub fn write_verdicts(w: &mut ByteWriter, verdicts: &[NodeVerdict]) {
 }
 
 /// Reads a [`write_verdicts`] section. The node count is checked
-/// against the bytes that remain (a node costs at least three) before
+/// against the bytes that remain (a node costs at least two) before
 /// anything is sized from it; unknown flag bits, a repetition past
 /// `u32`, `lo >= hi` and a sequence longer than
 /// [`MAX_SEQ_LEN`](crate::seq::MAX_SEQ_LEN) are
 /// [`FrameError::BadBody`].
 pub fn read_verdicts(r: &mut ByteReader<'_>) -> Result<Vec<NodeVerdict>, FrameError> {
     let count = r.varint()?;
-    if count > (r.remaining() / 3) as u64 {
+    if count > (r.remaining() / 2) as u64 {
         return Err(FrameError::BadBody("verdict count exceeds the bytes that remain"));
     }
     let mut out = Vec::with_capacity(count as usize);
@@ -372,7 +371,6 @@ pub fn read_verdicts(r: &mut ByteReader<'_>) -> Result<Vec<NodeVerdict>, FrameEr
             return Err(FrameError::BadBody("unknown verdict flag bits"));
         }
         let max_sent_seqs = r.varint()? as usize;
-        let pool_outstanding = r.varint()?;
         let first_rejection = if flags & VERDICT_HAS_REJECTION != 0 {
             let repetition = u32::try_from(r.varint()?)
                 .map_err(|_| FrameError::BadBody("repetition past u32"))?;
@@ -396,7 +394,6 @@ pub fn read_verdicts(r: &mut ByteReader<'_>) -> Result<Vec<NodeVerdict>, FrameEr
             rejected: flags & VERDICT_REJECTED != 0,
             first_rejection,
             max_sent_seqs,
-            pool_outstanding,
         });
     }
     Ok(out)
@@ -1308,15 +1305,14 @@ mod tests {
                     },
                 })),
                 max_sent_seqs: 11,
-                pool_outstanding: 2,
             },
         ];
         let mut w = ByteWriter::new();
         write_verdicts(&mut w, &verdicts);
         let body = w.0;
-        // Count, a three-byte accepting node, then the rejecting node:
-        // flags, two varints, six one-byte varints and two sequences.
-        assert_eq!(body.len(), 1 + 3 + (3 + 6 + 3 + 3));
+        // Count, a two-byte accepting node, then the rejecting node:
+        // flags, one varint, six one-byte varints and two sequences.
+        assert_eq!(body.len(), 1 + 2 + (2 + 6 + 3 + 3));
         let mut r = ByteReader::new(&body);
         assert_eq!(read_verdicts(&mut r).unwrap(), verdicts);
         r.finish().unwrap();
@@ -1340,7 +1336,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let mut hello = b"ckd4".to_vec();
+        let mut hello = b"ckd5".to_vec();
         hello.extend_from_slice(&0u32.to_le_bytes());
         write_frame(&mut client, FrameKind::Hello, &hello).unwrap();
         let mut slots: Vec<Option<WorkerLink>> = vec![None];

@@ -66,7 +66,7 @@ pub mod tester;
 
 pub use batch::{BatchError, BatchFailure, BatchJob};
 pub use decide::{decide_reject, RejectWitness};
-pub use msg::{CkCodec, CkMsg, EdgeTag, SeqPool};
+pub use msg::{CkCodec, CkMsg, EdgeTag};
 pub use prune::{build_send_set, build_send_set_into, lemma3_bound, SendSetScratch};
 pub use rank::{repetitions_for, rounds_per_repetition, total_rounds, try_repetitions_for};
 pub use seq::{IdSeq, SeqRows, MAX_K, MAX_SEQ_LEN};

@@ -1,12 +1,15 @@
-//! Message types of the tester protocols, with CONGEST wire accounting,
-//! plus the recycling pool that makes heavy Phase-2 payloads
-//! allocation-free in steady state.
+//! Message types of the tester protocols, with CONGEST wire accounting.
 //!
 //! A Phase-2 payload is a [`SeqRows`] set: every sequence of one round
 //! has the same length, so a payload is one flat `Vec<NodeId>` of rows
 //! of that width, and a seed payload holds 8 bytes of IDs in a 32-byte
 //! backing. The row width is also the codec's round context
 //! ([`CkCodec::seq_len`]), which the wire leaves implicit.
+//!
+//! Payload backings are recycled by the engine's broadcast slots: a
+//! broadcast evicts the payload its sender parked two rounds earlier,
+//! and the tester keeps that payload as its spare backing for the next
+//! send, so steady-state Phase-2 traffic allocates nothing.
 
 use crate::seq::{SeqRows, MAX_SEQ_LEN};
 use ck_congest::graph::NodeId;
@@ -42,79 +45,6 @@ impl EdgeTag {
     }
 }
 
-/// Take/return recycling pool for the `Vec<NodeId>` backings of
-/// Phase-2 payloads ([`SeqRows`]), one per node program.
-///
-/// The cycle: `take` a set (reusing a returned backing's capacity),
-/// fill it, ship it inside a broadcast; when the engine's broadcast
-/// slot evicts the payload two rounds later, `put` it back. After the
-/// first two rounds every `take` is served from the free list — zero
-/// steady-state allocation. The taken/returned counters make leaks
-/// observable: `outstanding()` is bounded by the number of engine
-/// slots that can hold this node's payloads (two — one per arena
-/// generation) for a leak-free protocol.
-#[derive(Debug, Default)]
-pub struct SeqPool {
-    free: Vec<Vec<NodeId>>,
-    taken: u64,
-    returned: u64,
-}
-
-impl SeqPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        SeqPool::default()
-    }
-
-    /// Takes an empty set of `width`-ID rows, recycling a backing's
-    /// capacity when available.
-    pub fn take(&mut self, width: usize) -> SeqRows {
-        self.taken += 1;
-        SeqRows::from_backing(width, self.free.pop().unwrap_or_default())
-    }
-
-    /// A copy of `rows` in a pooled backing.
-    pub fn copy_of(&mut self, rows: &SeqRows) -> SeqRows {
-        let mut copy = self.take(rows.width());
-        copy.extend_rows(rows);
-        copy
-    }
-
-    /// Returns a payload's backing to the pool (capacity kept).
-    pub fn put(&mut self, rows: SeqRows) {
-        self.returned += 1;
-        self.free.push(rows.into_backing());
-    }
-
-    /// Buffers taken and not (yet) returned — the leak indicator. For a
-    /// slot-recycling protocol this never exceeds the number of arena
-    /// generations (2), no matter how many rounds run.
-    pub fn outstanding(&self) -> u64 {
-        self.taken - self.returned
-    }
-
-    /// Total buffers ever taken.
-    pub fn taken(&self) -> u64 {
-        self.taken
-    }
-
-    /// Buffers currently resting in the free list.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Resets the take/return accounting while keeping the free list —
-    /// for pools recycled across independent runs (batch shards). The
-    /// previous run's in-flight buffers (the ≤ 2 parked in engine
-    /// broadcast slots) are dropped by the engine's workspace reset, so
-    /// carrying their `outstanding` count into the next run would
-    /// misreport a leak that is not there.
-    pub fn reset_accounting(&mut self) {
-        self.taken = 0;
-        self.returned = 0;
-    }
-}
-
 /// Encoded size of a sequence set: count prefix plus `width · id_bits`
 /// per sequence (the receiver learns lengths from the round number; a
 /// conservative per-sequence length field would not change the asymptotics
@@ -136,7 +66,7 @@ pub enum CkMsg {
     /// Phase 1: the edge owner ships the rank to the other endpoint.
     Rank(u64),
     /// Phase 2: sequences for the check identified by `tag`, carried as
-    /// rows of one pooled backing.
+    /// rows of one recycled backing.
     Seqs { tag: EdgeTag, seqs: SeqRows },
     /// Early-abort extension: a node has rejected; the flag floods so
     /// everyone can skip the remaining repetitions (sound because only a
@@ -559,27 +489,5 @@ mod tests {
         assert!(delivered > 0, "some corrupted frames must still decode");
         assert!(rejected > 0, "some corrupted frames must be codec-rejected");
         assert!(tampered > 0, "delivered corrupted frames must include real garbage");
-    }
-
-    #[test]
-    fn pool_recycles_capacity_and_counts_leaks() {
-        let mut pool = SeqPool::new();
-        let b = pool.copy_of(&SeqRows::from_rows(1, &[&[1], &[2]]));
-        assert_eq!((b.width(), b.len()), (1, 2));
-        assert_eq!(pool.outstanding(), 1);
-        let backing = b.ids().as_ptr();
-        pool.put(b);
-        assert_eq!(pool.outstanding(), 0);
-        assert_eq!(pool.pooled(), 1);
-        // The recycled backing comes back cleared, under the new width.
-        let mut reused = pool.take(3);
-        assert!(reused.is_empty());
-        assert_eq!(reused.width(), 3);
-        reused.push(&[4, 5, 6]);
-        assert_eq!(reused.ids().as_ptr(), backing, "the backing must be reused");
-        assert_eq!(pool.taken(), 2);
-        assert_eq!(pool.outstanding(), 1);
-        pool.put(reused);
-        assert_eq!(pool.outstanding(), 0);
     }
 }

@@ -66,19 +66,6 @@ impl SeqRows {
         set
     }
 
-    /// A set of `width`-ID rows over a recycled backing (cleared first).
-    pub(crate) fn from_backing(width: usize, mut ids: Vec<NodeId>) -> Self {
-        ids.clear();
-        let mut set = SeqRows::new(width);
-        set.ids = ids;
-        set
-    }
-
-    /// The backing buffer, for recycling.
-    pub(crate) fn into_backing(self) -> Vec<NodeId> {
-        self.ids
-    }
-
     /// Empties the set and sets its row width, keeping the capacity.
     ///
     /// # Panics

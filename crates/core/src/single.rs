@@ -13,7 +13,6 @@
 //! `⌊k/2⌋ − 1`.
 
 use crate::decide::{decide_all_rejects, RejectWitness};
-use crate::msg::SeqPool;
 use crate::prune::{build_send_set_into, SendSetScratch};
 use crate::seq::{SeqRows, MAX_K};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
@@ -53,9 +52,9 @@ pub struct DetectSingle {
     send_buf: SeqRows,
     /// Pruner workspace.
     scratch: SendSetScratch,
-    /// Recycling pool for outgoing payload backings, refilled by the
-    /// payloads the engine's broadcast slot evicts.
-    pool: SeqPool,
+    /// Spare backing for the next outgoing payload: the payload the
+    /// engine's broadcast slot last evicted.
+    spare: SeqRows,
 }
 
 impl DetectSingle {
@@ -74,7 +73,7 @@ impl DetectSingle {
             recv: SeqRows::default(),
             send_buf: SeqRows::default(),
             scratch: SendSetScratch::default(),
-            pool: SeqPool::new(),
+            spare: SeqRows::default(),
         }
     }
 
@@ -89,10 +88,11 @@ impl DetectSingle {
         self.recv.sort_dedup(self.scratch.sort_scratch());
     }
 
-    /// Returns an evicted broadcast payload's backing to the pool.
-    fn recycle(&mut self, evicted: Option<SeqRows>) {
-        if let Some(seqs) = evicted {
-            self.pool.put(seqs);
+    /// Broadcasts `seqs`, keeping the payload the broadcast evicts from
+    /// this node's slot as the spare backing.
+    fn broadcast_keeping_spare(&mut self, out: &mut Outbox<SeqRows>, seqs: SeqRows) {
+        if let Some(evicted) = out.broadcast(seqs) {
+            self.spare = evicted;
         }
     }
 }
@@ -112,10 +112,10 @@ impl Program for DetectSingle {
                     self.own_sent.push(&seed);
                 }
                 self.verdict.max_sent_seqs = 1;
-                let mut seqs = self.pool.take(1);
+                let mut seqs = std::mem::take(&mut self.spare);
+                seqs.reset(1);
                 seqs.push(&seed);
-                let evicted = out.broadcast(seqs);
-                self.recycle(evicted);
+                self.broadcast_keeping_spare(out, seqs);
             }
             return Status::Running;
         }
@@ -137,9 +137,9 @@ impl Program for DetectSingle {
             if !self.send_buf.is_empty() {
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(self.send_buf.len());
                 self.own_sent.clone_from(&self.send_buf);
-                let seqs = self.pool.copy_of(&self.send_buf);
-                let evicted = out.broadcast(seqs);
-                self.recycle(evicted);
+                let mut seqs = std::mem::take(&mut self.spare);
+                seqs.clone_from(&self.send_buf);
+                self.broadcast_keeping_spare(out, seqs);
             } else if round + 1 == self.half_k {
                 // Nothing to contribute at the final send round: stale
                 // own_sent from earlier rounds must not enter the decision.
@@ -329,14 +329,8 @@ mod tests {
     fn foreign_width_payloads_are_dropped() {
         use ck_congest::node::InboxBuf;
         let g = cycle(7);
-        let init = NodeInit {
-            index: 3,
-            id: g.id(3),
-            neighbor_ids: g.neighbor_ids(3),
-            ports_by_id: &[],
-            n: g.n(),
-            m: g.m(),
-        };
+        let init =
+            NodeInit { index: 3, id: g.id(3), neighbor_ids: g.neighbor_ids(3), n: g.n(), m: g.m() };
         let myid = init.id;
         let mut node = DetectSingle::new(7, &init, (g.id(0), g.id(6)));
         // Engine round 2 (paper round 3) carries width-2 rows.

@@ -1,8 +1,8 @@
 //! The tester's node state, in one arena.
 //!
 //! Every node of the full tester (Algorithm 1) carries O(degree) state:
-//! port ranks, absorb lanes, its last sent sequence set and a payload
-//! pool. A step also needs temporaries: the received set, the send set
+//! port ranks, absorb lanes, its last sent sequence set and a spare
+//! payload backing. A step also needs temporaries: the received set, the send set
 //! and a prune workspace, all dead once the step returns. Instead of
 //! small heap buffers per node, one cache miss each per step, a
 //! [`SoaArena`] packs the per-node state into a few large buffers and
@@ -26,8 +26,9 @@
 //!   `(k-t+1)^{t-1}`, astronomically large near `MAX_K`, so static slabs
 //!   are ruled out): `own_sent`, the last send set, read by the next
 //!   round's decision, keeps its demand-grown [`SeqRows`] backing with
-//!   the header in one arena array, as do the per-node payload pools
-//!   (whose `outstanding` accounting is per-node state in the verdict).
+//!   the header in one arena array, as does each node's spare payload
+//!   backing: the payload its last broadcast evicted from the engine's
+//!   broadcast slot, which its next send fills and ships.
 //! * **chunk-shared** — the per-step temporaries: the received set
 //!   `recv`, the send set `send` and the prune workspace. Each is reset
 //!   at the start of every use and dead once the step returns, so nodes
@@ -39,7 +40,7 @@
 //! A warm `SoaArena::prepare` performs zero heap operations for a
 //! same-shape rerun — the contract `tests/alloc_gate.rs` pins down.
 
-use crate::msg::{EdgeTag, SeqPool};
+use crate::msg::EdgeTag;
 use crate::prune::SendSetScratch;
 use crate::seq::SeqRows;
 use ck_congest::graph::Graph;
@@ -96,8 +97,8 @@ pub struct SoaArena {
     tag_locs: Vec<BundleLoc>,
     /// Last sent sequences, kept for the decision round (node-major).
     own_sent: Vec<SeqRows>,
-    /// Per-node payload pools (outstanding accounting is per-node).
-    pools: Vec<SeqPool>,
+    /// Per-node spare payload backings (node-major).
+    spares: Vec<SeqRows>,
     /// Chunk-shared step temporaries (one per executor chunk).
     chunk_scratch: Vec<StepScratch>,
     /// The executor partition's chunk length this arena was prepared for.
@@ -110,8 +111,8 @@ pub struct SoaArena {
 
 impl SoaArena {
     /// Sizes and clears the arena for a run on `g`: CSR offsets rebuilt,
-    /// lanes zeroed, own sets cleared (backings kept), pools'
-    /// accounting reset, and chunk-shared scratch sized for `chunk_len`
+    /// lanes zeroed, own sets cleared (backings kept), spares kept as
+    /// they are, and chunk-shared scratch sized for `chunk_len`
     /// elements per executor chunk. The caller passes the chunk length
     /// of the *same* plan snapshot it pins on the run (parallel:
     /// [`ck_congest::engine::node_step_plan`] via
@@ -137,11 +138,10 @@ impl SoaArena {
         self.tag_locs.clear();
         self.tag_locs.resize(lanes, BundleLoc::NULL);
         self.own_sent.resize_with(n, SeqRows::default);
-        self.pools.resize_with(n, SeqPool::default);
-        for (own, pool) in self.own_sent.iter_mut().zip(&mut self.pools) {
+        for own in &mut self.own_sent {
             own.reset(0);
-            pool.reset_accounting();
         }
+        self.spares.resize_with(n, SeqRows::default);
         self.chunk_len = chunk_len.max(1);
         let chunks = n.div_ceil(self.chunk_len).max(1);
         self.chunk_scratch.resize_with(chunks, StepScratch::default);
@@ -160,7 +160,7 @@ impl SoaArena {
             tag_tags: self.tag_tags.as_mut_ptr(),
             tag_locs: self.tag_locs.as_mut_ptr(),
             own_sent: self.own_sent.as_mut_ptr(),
-            pools: self.pools.as_mut_ptr(),
+            spares: self.spares.as_mut_ptr(),
             chunk_scratch: self.chunk_scratch.as_mut_ptr(),
             chunk_len: self.chunk_len,
         };
@@ -180,7 +180,7 @@ pub(crate) struct SoaBases {
     tag_tags: *mut EdgeTag,
     tag_locs: *mut BundleLoc,
     own_sent: *mut SeqRows,
-    pools: *mut SeqPool,
+    spares: *mut SeqRows,
     chunk_scratch: *mut StepScratch,
     chunk_len: usize,
 }
@@ -200,7 +200,7 @@ impl Default for SoaBases {
             tag_tags: std::ptr::null_mut(),
             tag_locs: std::ptr::null_mut(),
             own_sent: std::ptr::null_mut(),
-            pools: std::ptr::null_mut(),
+            spares: std::ptr::null_mut(),
             chunk_scratch: std::ptr::null_mut(),
             chunk_len: 1,
         }
@@ -221,8 +221,9 @@ pub(crate) struct BufsRef<'a> {
     pub(crate) locs: &'a mut [BundleLoc],
     /// Last sent sequences, kept for the decision round.
     pub(crate) own_sent: &'a mut SeqRows,
-    /// Recycling pool for outgoing payload backings.
-    pub(crate) pool: &'a mut SeqPool,
+    /// Spare backing for the next outgoing payload (empty after a send
+    /// until a broadcast evicts one back).
+    pub(crate) spare: &'a mut SeqRows,
     /// Deduplicated sequences of the served edge (absorb output; shared
     /// by the nodes of one executor chunk).
     pub(crate) recv: &'a mut SeqRows,
@@ -245,7 +246,7 @@ pub(crate) struct BufsRef<'a> {
 ///   `chunk = node / chunk_len` — all fixed at construction from the
 ///   prepared arena's own tables.
 /// * Per-node regions are disjoint across views: lane slices by CSR
-///   construction, `own_sent` headers and pools by index.
+///   construction, `own_sent` and spare headers by index.
 /// * The chunk-shared [`StepScratch`] (`recv`, `send` and the prune
 ///   workspace, each reset at every use and dead once a step returns)
 ///   is aliased only by views whose nodes step on the same executor
@@ -299,14 +300,6 @@ impl SoaView {
         }
     }
 
-    /// The node's payload-pool `outstanding` counter (verdict field).
-    pub(crate) fn pool_outstanding(&self) -> u64 {
-        // SAFETY: `pools` has one entry per node and `node < n`; shared
-        // read of this node's own pool, no other borrow live (verdict
-        // collection is sequential, after stepping).
-        unsafe { (*(*self.bases).pools.add(self.node as usize)).outstanding() }
-    }
-
     /// Exclusive borrows of every buffer this node's step touches.
     pub(crate) fn bufs(&mut self) -> BufsRef<'_> {
         // SAFETY: `bases` targets the dormant arena's base table
@@ -316,7 +309,7 @@ impl SoaView {
         let (off, deg, node, chunk) =
             (self.off as usize, self.deg as usize, self.node as usize, self.chunk as usize);
         // SAFETY: all regions are inside the prepared arena (CSR bounds
-        // for the lanes, `node < n` for the headers/pools, chunk count
+        // for the lanes, `node < n` for the headers, chunk count
         // for the scratch); disjointness and non-aliasing per the type's
         // invariants; the borrows' lifetime is tied to `&mut self`, so a
         // second `bufs()` on the same view cannot overlap the first.
@@ -327,7 +320,7 @@ impl SoaView {
                 tags: std::slice::from_raw_parts_mut(b.tag_tags.add(off), deg),
                 locs: std::slice::from_raw_parts_mut(b.tag_locs.add(off), deg),
                 own_sent: &mut *b.own_sent.add(node),
-                pool: &mut *b.pools.add(node),
+                spare: &mut *b.spares.add(node),
                 recv,
                 send,
                 prune,
@@ -373,10 +366,10 @@ mod tests {
             let locs = lane(bufs.locs.as_ptr().cast(), b.tag_locs.cast(), size_of::<BundleLoc>());
             assert_eq!((ports, tags, locs), (start, start, start), "node {v}: lane offsets");
             next_lane += deg;
-            // The own set and the pool are this node's own entries; the
+            // The own set and the spare are this node's own entries; the
             // step temporaries are its chunk's.
             let own_sent: *const SeqRows = &*bufs.own_sent;
-            let pool: *const SeqPool = &*bufs.pool;
+            let spare: *const SeqRows = &*bufs.spare;
             let recv: *const SeqRows = &*bufs.recv;
             let send: *const SeqRows = &*bufs.send;
             let prune: *const SendSetScratch = &*bufs.prune;
@@ -384,19 +377,19 @@ mod tests {
             // `v / chunk_len` < chunk count); only addresses are formed.
             unsafe {
                 assert_eq!(own_sent, b.own_sent.add(v).cast_const());
-                assert_eq!(pool, b.pools.add(v).cast_const());
+                assert_eq!(spare, b.spares.add(v).cast_const());
                 let scratch = b.chunk_scratch.add(v / chunk_len);
                 assert_eq!(recv, &raw const (*scratch).recv);
                 assert_eq!(send, &raw const (*scratch).send);
                 assert_eq!(prune, &raw const (*scratch).prune);
             }
-            headers.extend([own_sent as usize, pool as usize]);
+            headers.extend([own_sent as usize, spare as usize]);
         }
         assert_eq!(next_lane, g.num_directed_edges(), "views must tile every directed-edge lane");
         let count = headers.len();
         headers.sort_unstable();
         headers.dedup();
-        assert_eq!(headers.len(), count, "own_sent/pool addresses must be distinct");
+        assert_eq!(headers.len(), count, "own_sent/spare addresses must be distinct");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::decide::{decide_reject, RejectWitness};
 use crate::dist::Fleet;
-use crate::msg::{CkMsg, EdgeTag, SeqPool};
+use crate::msg::{CkMsg, EdgeTag};
 use crate::prune::build_send_set_into;
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
 use crate::seq::{SeqRows, SortScratch, MAX_K};
@@ -179,11 +179,6 @@ pub struct NodeVerdict {
     /// Largest number of sequences this node put into one message (the
     /// measured side of Lemma 3).
     pub max_sent_seqs: usize,
-    /// Payload-pool backings taken and never returned when the verdict
-    /// was collected — the leak indicator of the pooled payload
-    /// cycle. At most 2 for any run length (one per engine arena
-    /// generation still parking this node's last broadcasts).
-    pub pool_outstanding: u64,
 }
 
 /// One node of the full tester.
@@ -299,12 +294,13 @@ fn absorb(
 /// The own set of a decision whose last send served another edge.
 static NO_ROWS: SeqRows = SeqRows::new(0);
 
-/// Recycles the payload a broadcast evicted from this node's slot (the
-/// payload shipped two rounds earlier, which no receiver can still be
-/// reading).
-fn recycle(pool: &mut SeqPool, evicted: Option<CkMsg>) {
-    if let Some(CkMsg::Seqs { seqs, .. }) = evicted {
-        pool.put(seqs);
+/// Broadcasts `msg`, keeping the payload the broadcast evicts from this
+/// node's slot (shipped two rounds earlier, or parked by an earlier run
+/// through the same workspace, and read by no receiver any more) as the
+/// node's spare backing.
+fn broadcast_keeping_spare(out: &mut Outbox<CkMsg>, spare: &mut SeqRows, msg: CkMsg) {
+    if let Some(CkMsg::Seqs { seqs, .. }) = out.broadcast(msg) {
+        *spare = seqs;
     }
 }
 
@@ -313,7 +309,7 @@ impl Program for CkTester<'_> {
     type Verdict = NodeVerdict;
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, CkMsg>, out: &mut Outbox<CkMsg>) -> Status {
-        let BufsRef { ports, tags, locs, own_sent, pool, recv, send, prune } = self.view.bufs();
+        let BufsRef { ports, tags, locs, own_sent, spare, recv, send, prune } = self.view.bufs();
 
         // Early-abort extension: adopt an incoming flag, forward it once,
         // halt the round after (the normal protocol below never runs
@@ -327,8 +323,7 @@ impl Program for CkTester<'_> {
                     return Status::Halted;
                 }
                 self.abort_forwarded = true;
-                let evicted = out.broadcast(CkMsg::Abort);
-                recycle(pool, evicted);
+                broadcast_keeping_spare(out, spare, CkMsg::Abort);
                 return Status::Running;
             }
         }
@@ -390,10 +385,10 @@ impl Program for CkTester<'_> {
                     self.own_sent_tag = Some(tag);
                 }
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(1);
-                let mut seqs = pool.take(1);
+                let mut seqs = std::mem::take(spare);
+                seqs.reset(1);
                 seqs.push(&seed);
-                let evicted = out.broadcast(CkMsg::Seqs { tag, seqs });
-                recycle(pool, evicted);
+                broadcast_keeping_spare(out, spare, CkMsg::Seqs { tag, seqs });
             }
             return Status::Running;
         }
@@ -410,9 +405,9 @@ impl Program for CkTester<'_> {
                 self.own_sent_tag = self.cur;
                 // ck-lint: allow(no-panic, reason = "the send set is only filled while a served repetition is in flight, which sets cur")
                 let tag = self.cur.expect("cur set when R nonempty");
-                let seqs = pool.copy_of(send);
-                let evicted = out.broadcast(CkMsg::Seqs { tag, seqs });
-                recycle(pool, evicted);
+                let mut seqs = std::mem::take(spare);
+                seqs.clone_from(send);
+                broadcast_keeping_spare(out, spare, CkMsg::Seqs { tag, seqs });
             } else if local == self.half_k {
                 // Nothing contributed at the final send round: stale own
                 // sequences must not feed the even-k decision.
@@ -442,8 +437,7 @@ impl Program for CkTester<'_> {
                     // it propagates.
                     self.aborting = true;
                     self.abort_forwarded = true;
-                    let evicted = out.broadcast(CkMsg::Abort);
-                    recycle(pool, evicted);
+                    broadcast_keeping_spare(out, spare, CkMsg::Abort);
                     return Status::Running;
                 }
             }
@@ -456,17 +450,7 @@ impl Program for CkTester<'_> {
     }
 
     fn verdict(&self) -> NodeVerdict {
-        let mut v = self.verdict.clone();
-        v.pool_outstanding = self.view.pool_outstanding();
-        v
-    }
-
-    /// End-of-run drain of the broadcast payloads still parked in the
-    /// engine's slots (the last two generations' bundles): back into
-    /// the pool they came from, so a warm rerun reaches a steady state
-    /// where `SeqPool::take` is always served warm.
-    fn reclaim_msg(&mut self, msg: CkMsg) {
-        recycle(self.view.bufs().pool, Some(msg));
+        self.verdict.clone()
     }
 }
 
@@ -610,8 +594,8 @@ fn tester_exec_inproc(
     }
     // The arena stays dormant behind these Copy base pointers for the
     // whole run (`SoaView`'s invariants); every buffer a view touches
-    // is owned by the arena, including the pools `reclaim_msg` drains
-    // the parked broadcast payloads into.
+    // is owned by the arena, including the spare backings the payloads
+    // parked in the workspace's broadcast slots come back as.
     let bases = arena.bases();
     ws.run_on_into(
         g,
@@ -862,30 +846,7 @@ mod tests {
         }
     }
 
-    /// The pooled bundle cycle must not leak: however many repetitions
-    /// run, a node's outstanding pool buffers are bounded by the two
-    /// engine arena generations still parking its last broadcasts —
-    /// every earlier bundle came back through slot eviction.
-    #[test]
-    fn payload_pool_never_leaks_across_repetitions() {
-        let inst = eps_far_instance(48, 5, 0.05, 2);
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            for reps in [1u32, 8, 25] {
-                let cfg = TesterConfig { repetitions: Some(reps), ..TesterConfig::new(5, 0.05, 3) };
-                let e = EngineConfig { executor: exec, ..EngineConfig::default() };
-                let run = run_tester(&inst.graph, &cfg, &e).unwrap();
-                for (v, verdict) in run.outcome.verdicts.iter().enumerate() {
-                    assert!(
-                        verdict.pool_outstanding <= 2,
-                        "node {v} leaked {} pool buffers over {reps} reps ({exec:?})",
-                        verdict.pool_outstanding
-                    );
-                }
-            }
-        }
-    }
-
-    /// Heavy pooled payloads through the broadcast-slot path must stay
+    /// Heavy recycled payloads through the broadcast-slot path must stay
     /// bit-identical across executors even when a nontrivial fault plan
     /// reshapes both Phase-1 rank delivery and Phase-2 bundles.
     #[test]
@@ -988,14 +949,8 @@ mod tests {
         let mut arena = SoaArena::default();
         arena.prepare(&g, g.n());
         let bases = arena.bases();
-        let init = NodeInit {
-            index: 0,
-            id: g.id(0),
-            neighbor_ids: g.neighbor_ids(0),
-            ports_by_id: &[],
-            n: g.n(),
-            m: g.m(),
-        };
+        let init =
+            NodeInit { index: 0, id: g.id(0), neighbor_ids: g.neighbor_ids(0), n: g.n(), m: g.m() };
         let mut node = CkTester::new(&cfg, &init, SoaView::new(bases, 0));
         let myid = init.id;
         // Paper round t = 3 of repetition 0 carries width-2 rows.

@@ -2,9 +2,10 @@
 //! global allocator for *zero-steady-state-allocation* regression
 //! tests.
 //!
-//! The engine's warm paths (`Session::run_into` reruns,
-//! `TesterSession::test_into` reruns, `SeqPool` take/return cycles)
-//! are documented as allocation-free once warmed. This module turns
+//! The engine's warm paths (`Session::run_into` reruns, and
+//! `TesterSession::test_into` reruns, whose payload backings come back
+//! through the engine's broadcast slots) are documented as
+//! allocation-free once warmed. This module turns
 //! that prose claim into a CI-checkable fact: a test binary installs
 //! [`CountingAlloc`] as its `#[global_allocator]`, warms the path
 //! under test, snapshots the counters with [`AllocGate::snapshot`],

@@ -39,9 +39,9 @@
 //!   against the bytes that remain before anything is sized from them;
 //! - the verdict section is [`ck_core::dist::write_verdicts`]'s, the
 //!   same one a distributed worker's `Verdicts` frame carries: a node
-//!   count, then per node a flag byte, `max_sent_seqs`,
-//!   `pool_outstanding` and any rejection witness, so a served result
-//!   can be compared bit for bit against a direct `TesterSession` run.
+//!   count, then per node a flag byte, `max_sent_seqs` and any
+//!   rejection witness, so a served result can be compared bit for bit
+//!   against a direct `TesterSession` run.
 //!
 //! A `refusal` is a [`ServeError`]:
 //!
@@ -513,7 +513,6 @@ mod tests {
                             rejected: true,
                             first_rejection: Some(Box::new(witness)),
                             max_sent_seqs: 3,
-                            pool_outstanding: 0,
                         },
                     ],
                 }),

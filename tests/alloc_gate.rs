@@ -2,10 +2,10 @@
 //! `ck_lint::alloc_gate`'s counting global allocator.
 //!
 //! The repo's hot paths document themselves as allocation-free once
-//! warm: `Session::run` reruns recycle arenas and slot arrays,
+//! warm: `Session::run` reruns recycle arenas and slot arrays, and
 //! `TesterSession::test` reruns additionally recycle the node-state
-//! arena, and the `SeqPool` take/return cycle recycles payload
-//! backings. These tests install [`CountingAlloc`] as the binary's
+//! arena and, through the broadcast slots, the payload backings. These
+//! tests install [`CountingAlloc`] as the binary's
 //! `#[global_allocator]` and assert that a warm sequential rerun
 //! performs **zero** heap operations through the `_into` entry points,
 //! and that a warm parallel rerun's heap operations are bounded by its
@@ -27,8 +27,6 @@ use ck_congest::engine::{Executor, RunOutcome};
 use ck_congest::graph::{Graph, GraphBuilder};
 use ck_congest::node::{Inbox, Outbox, Program, Status};
 use ck_congest::session::Session;
-use ck_core::msg::SeqPool;
-use ck_core::seq::SeqRows;
 use ck_core::session::TesterSession;
 use ck_core::tester::TesterRun;
 use ck_graphgen::planted::{matched_free_instance, plant_on_host};
@@ -40,7 +38,7 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Heap bytes a cold one-repetition sequential session may request per
 /// node beyond the graph (leg (f)).
-const COLD_BYTES_PER_NODE: u64 = 1_024;
+const COLD_BYTES_PER_NODE: u64 = 800;
 
 /// Heap operations one warm service request may make, at any graph
 /// size (leg (g)).
@@ -111,7 +109,9 @@ fn warm_reruns_perform_zero_heap_operations() {
     // verdict collection — reruns without heap traffic once the
     // session's workspace, node-state arena, and run buffer are warm
     // (the arena's `prepare` must clear-and-resize over kept capacity,
-    // never reallocate, on a same-shape rerun).
+    // never reallocate, on a same-shape rerun, and every payload
+    // backing must come back from the broadcast slots, the previous
+    // run's parked payloads included).
     let free = matched_free_instance(40, 5);
     {
         let mut tester = TesterSession::builder(5, 0.1)
@@ -259,35 +259,16 @@ fn warm_reruns_perform_zero_heap_operations() {
         );
     }
 
-    // (c) `SeqPool` take/return cycle: once the free list holds a
-    // backing of sufficient capacity, every copy_of/put cycle is
-    // served warm.
-    let mut pool = SeqPool::new();
-    let mut seqs = SeqRows::new(1);
-    for i in 1..=8 {
-        seqs.push(&[i]);
-    }
-    for _ in 0..4 {
-        let b = pool.copy_of(&seqs);
-        pool.put(b);
-    }
-    let gate = AllocGate::snapshot();
-    for _ in 0..100 {
-        let b = pool.copy_of(&seqs);
-        pool.put(b);
-    }
-    let d = gate.delta();
-    assert_eq!(d.heap_ops(), 0, "warm SeqPool take/return cycle must not allocate: {d:?}");
-    assert_eq!(pool.outstanding(), 0);
-
     // (f) Cold-session memory: a fresh sequential session's first
     // one-repetition run on a planted random tree requests at most
     // `COLD_BYTES_PER_NODE` heap bytes per node, counted from after the
     // graph is built: k = 4–7 at n = 8,000, and k = 5 at n = 10⁵.
-    // Phase-2 sequence sets sized to the round and one 8-byte mailbox
-    // slot per directed edge keep it there (about 0.9 KB); per-receiver
-    // inbox boxes needed about 1.05–1.09 KB, 64-byte packets about
-    // 1.4 KB, and sets sized for the largest supported k about 4 KB.
+    // Phase-2 sequence sets sized to the round, one 8-byte mailbox slot
+    // per directed edge and one spare payload backing per node keep it
+    // there (about 0.7 KB); per-node payload pools needed about
+    // 0.8–0.9 KB, per-receiver inbox boxes about 1.05–1.09 KB, 64-byte
+    // packets about 1.4 KB, and sets sized for the largest supported k
+    // about 4 KB.
     let inputs = [(8_000usize, 4usize), (8_000, 5), (8_000, 6), (8_000, 7), (100_000, 5)];
     for (n, k) in inputs {
         let inst = plant_on_host(&random_tree(n, 7), k, n / 40, 7);

@@ -1,6 +1,6 @@
 //! Property tests for the sharded multi-graph batch runner: its output
 //! must be **bit-identical** to one-by-one `run_tester` calls — reports,
-//! verdicts, wire/round counters, and `pool_outstanding` — across mixed
+//! verdicts, wire/round counters and rejection witnesses — across mixed
 //! graph sizes, fault plans, shard counts, and both executors.
 
 use ck_congest::engine::{EngineConfig, Executor};
@@ -24,9 +24,9 @@ fn build_graph(kind: u8, n: usize, k: usize, seed: u64) -> Graph {
 }
 
 /// The full observable surface of a run: network verdict, repetitions,
-/// every per-node verdict (including `pool_outstanding` and the
-/// rejection witnesses), round count, and the complete per-round wire
-/// statistics (messages, bits, link maxima).
+/// every per-node verdict (including the rejection witnesses), round
+/// count, and the complete per-round wire statistics (messages, bits,
+/// link maxima).
 #[allow(clippy::type_complexity)]
 fn digest(
     r: &TesterRun,

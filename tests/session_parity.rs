@@ -1,9 +1,9 @@
 //! Session reuse parity: a `Session` / `TesterSession` reused run after
 //! run must be **bit-identical** to a fresh session built for each run —
-//! reports (rounds, executor, per-round wire counters), verdicts, and
-//! `pool_outstanding` — across both executors, fault plans, pinned wire
-//! parameters, and graphs of different shapes (a recycled workspace is
-//! observationally a fresh one).
+//! reports (rounds, executor, per-round wire counters) and verdicts —
+//! across both executors, fault plans, pinned wire parameters, and
+//! graphs of different shapes (a recycled workspace delivers exactly
+//! what a fresh one does).
 
 use ck_congest::engine::{EngineConfig, Executor, RunOutcome};
 use ck_congest::fault::FaultPlan;
@@ -85,7 +85,7 @@ fn tester_digest(r: &TesterRun) -> (bool, u32, Vec<NodeVerdict>, u32, Vec<u64>) 
     (
         r.reject,
         r.repetitions,
-        // NodeVerdict includes pool_outstanding and the full witnesses.
+        // NodeVerdict includes the full witnesses.
         r.outcome.verdicts.clone(),
         r.outcome.report.rounds,
         r.outcome
@@ -162,9 +162,9 @@ proptest! {
     }
 
     /// Tester level: a reused `TesterSession` equals a fresh session
-    /// per run bit for bit — verdicts (including `pool_outstanding` and
-    /// witnesses), reports, wire counters — on both executors and under
-    /// faults. (Batch ≡ one-by-one is `tests/batch_runner.rs`.)
+    /// per run bit for bit — verdicts (including witnesses), reports,
+    /// wire counters — on both executors and under faults. (Batch ≡
+    /// one-by-one is `tests/batch_runner.rs`.)
     #[test]
     fn reused_tester_session_equals_fresh_sessions(
         k in 4usize..6,

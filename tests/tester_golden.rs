@@ -51,12 +51,12 @@ impl Fnv {
 
 /// The digest of one run: FNV-1a-64 over this file's own serialization
 /// of the reject bit, the repetition and round counts, every
-/// `RoundStats` field and every `NodeVerdict` field but the
-/// payload-pool counter (witness IDs included). The executor, thread
-/// and net labels are left out. Serializing here, rather than through a library
-/// encoding, keeps the table fixed if the distributed worker's verdict
-/// wire format changes. The exhaustive destructuring makes a new field
-/// a compile error here rather than a silent gap in the digest.
+/// `RoundStats` field and every `NodeVerdict` field (witness IDs
+/// included). The executor, thread and net labels are left out.
+/// Serializing here, rather than through a library encoding, keeps the
+/// table fixed if the distributed worker's verdict wire format changes.
+/// The exhaustive destructuring makes a new field a compile error here
+/// rather than a silent gap in the digest.
 fn digest(run: &TesterRun) -> u64 {
     let mut h = Fnv::new();
     h.u64(u64::from(run.reject));
@@ -88,7 +88,7 @@ fn digest(run: &TesterRun) -> u64 {
     }
     h.u64(run.outcome.verdicts.len() as u64);
     for verdict in &run.outcome.verdicts {
-        let NodeVerdict { rejected, first_rejection, max_sent_seqs, pool_outstanding: _ } = verdict;
+        let NodeVerdict { rejected, first_rejection, max_sent_seqs } = verdict;
         h.u64(u64::from(*rejected));
         h.u64(*max_sent_seqs as u64);
         match first_rejection.as_deref() {
