@@ -2,9 +2,9 @@
 //!
 //! Every node of the full tester (Algorithm 1) carries O(degree) state:
 //! port ranks, absorb lanes, its last sent sequence set and a spare
-//! payload backing. A step also needs temporaries: the received set, the send set
-//! and a prune workspace, all dead once the step returns. Instead of
-//! small heap buffers per node, one cache miss each per step, a
+//! payload backing. A step also needs temporaries: the received set, the
+//! send set and a prune workspace, all dead once the step returns.
+//! Instead of small heap buffers per node, one cache miss each per step, a
 //! [`SoaArena`] packs the per-node state into a few large buffers and
 //! shares the temporaries per executor chunk, and each node's program
 //! holds a 24-byte `SoaView` of index-based raw-pointer slices into it.

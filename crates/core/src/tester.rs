@@ -490,8 +490,10 @@ impl TesterRun {
 /// for the run and end it on return.
 /// Engine arenas, slot arrays, and the node-state arena
 /// are recycled from the previous run instead of reallocated; the output
-/// is bit-identical to a fresh-state run (a reset workspace and a
-/// re-prepared arena are observationally fresh).
+/// is bit-identical to a fresh-state run (a reset workspace delivers
+/// what a fresh one does, and the payloads earlier runs left parked in
+/// its broadcast slots only come back as spare backings, whose contents
+/// every send overwrites).
 pub(crate) fn tester_exec(
     g: &Graph,
     cfg: &TesterConfig,
