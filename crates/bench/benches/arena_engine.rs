@@ -40,9 +40,8 @@ fn cfg() -> EngineConfig {
     EngineConfig { executor: Executor::Sequential, record_rounds: false, ..EngineConfig::default() }
 }
 
-/// `record_rounds: true` routes the arena engine through the accounted
-/// send path with fused wire accounting (vs `cfg`'s counter-free
-/// delivery).
+/// `record_rounds: true` also appends each round's statistics row (vs
+/// `cfg`'s unrecorded rounds; both price every send as it lands).
 fn cfg_accounted() -> EngineConfig {
     EngineConfig { record_rounds: true, ..cfg() }
 }

@@ -17,14 +17,15 @@
 //!   C5, so Phase-2 traffic is everywhere).
 //!
 //! Each workload is timed in two modes — `fast` (`record_rounds: false`,
-//! the counter-free delivery path) and `accounted` (`record_rounds:
-//! true`, fused wire accounting) — under both executors; every entry
-//! records its `executor` and `threads` honestly. The tester rows time
-//! a cold `TesterSession` per run, the path callers take. Before
-//! timing, the MinFlood verdicts are checked identical across the two
-//! engines, and the arena engine's sequential and parallel outputs are
-//! asserted **bit-identical** (verdicts and, in accounted mode, the
-//! full per-round statistics).
+//! unrecorded rounds) and `accounted` (`record_rounds: true`, each round
+//! also appends its statistics row) — under both executors; both go
+//! through the one send path, which prices every send as it lands.
+//! Every entry records its `executor` and `threads` honestly. The
+//! tester rows time a cold `TesterSession` per run, the path callers
+//! take. Before timing, the MinFlood verdicts are checked identical
+//! across the two engines, and the arena engine's sequential and
+//! parallel outputs are asserted **bit-identical** (verdicts and, in
+//! accounted mode, the full per-round statistics).
 //!
 //! The `acceptance` block gates on the same-run MinFlood
 //! arena-over-legacy ratio in both modes at the largest `n` (the only
@@ -103,7 +104,7 @@ struct Measurement {
     n: usize,
     engine: Engine,
     /// `"fast"` (no round recording) or `"accounted"` (recorded rounds:
-    /// fused wire accounting in the send path).
+    /// one statistics row per round).
     mode: &'static str,
     executor: Executor,
     threads: usize,
@@ -113,8 +114,9 @@ struct Measurement {
     rounds_per_sec: f64,
 }
 
-/// The two measured configurations; `record` selects the engine path
-/// (`false` → counter-free delivery, `true` → accounted writes).
+/// The two measured configurations; `record` is `record_rounds`
+/// (`false` → unrecorded rounds, `true` → a statistics row per round;
+/// every send is priced either way).
 const MODES: [(&str, bool); 2] = [("fast", false), ("accounted", true)];
 
 /// Engine/executor combinations measured per workload: the legacy
@@ -1041,8 +1043,8 @@ fn main() {
          double-buffered CSR mailboxes with one payload segment per sender chunk, one round \
          loop for both in-process executors + clone-free broadcast slots + pooled tester \
          payloads). Mode \
-         'fast' = record_rounds off; mode 'accounted' = record_rounds on (fused wire \
-         accounting). Every entry records its executor and thread count; arena \
+         'fast' = record_rounds off; mode 'accounted' = record_rounds on (a statistics row \
+         per round); both price every send as it lands. Every entry records its executor and thread count; arena \
          sequential/parallel outputs are asserted bit-identical before timing. The MinFlood \
          rows also time the legacy engine (per-round Vec allocation, clone-per-port \
          broadcasts), verdicts checked identical first; the tester rows time a cold \

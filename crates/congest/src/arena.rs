@@ -8,7 +8,7 @@
 use std::cell::UnsafeCell;
 use std::ops::Range;
 
-use crate::engine::{EngineConfig, EngineError, WireFlags};
+use crate::engine::{EngineConfig, EngineError};
 use crate::fault::DropKind;
 use crate::graph::{DirectedEdgeId, NodeIndex};
 use crate::metrics::{RoundStats, RunReport};
@@ -69,15 +69,20 @@ impl<M> PayloadArena<M> {
     }
 }
 
-/// Type-erased write handle of one segment of an [`InboxArena`], for
-/// the outbox's inbox sink: the base of the generation's mailbox
-/// (`*mut *const M`, shared by every segment) and the segment's own
-/// payload arena (`*mut PayloadArena<M>`).
-#[derive(Clone, Copy)]
-pub(crate) struct Segment {
-    pub(crate) mail: *mut (),
-    pub(crate) payloads: *mut (),
+/// Write handle of one segment of an [`InboxArena`], for the outbox's
+/// direct sink: the base of the generation's mailbox (shared by every
+/// segment) and the segment's own payload arena.
+pub(crate) struct Segment<M> {
+    pub(crate) mail: *mut *const M,
+    pub(crate) payloads: *mut PayloadArena<M>,
 }
+
+impl<M> Clone for Segment<M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<M> Copy for Segment<M> {}
 
 /// Double-buffered CSR mailboxes: the message arena of every executor.
 ///
@@ -206,15 +211,14 @@ impl<M> InboxArena<M> {
         }
     }
 
-    /// Type-erased write handle of segment `w` for the outbox's inbox
-    /// sink: the mailbox base and segment `w`'s payload arena. Access
-    /// contract as documented on the type: a slot is written only by
-    /// its sender, the segment only by the thread stepping chunk `w`,
-    /// and only while this arena is in the write role.
-    pub(crate) fn segment_ptr(&self, w: usize) -> Segment {
+    /// Write handle of segment `w` for the outbox's direct sink: the
+    /// mailbox base and segment `w`'s payload arena. Access contract as
+    /// documented on the type: a slot is written only by its sender,
+    /// the segment only by the thread stepping chunk `w`, and only
+    /// while this arena is in the write role.
+    pub(crate) fn segment_ptr(&self, w: usize) -> Segment<M> {
         debug_assert!(w < self.segments);
-        // UnsafeCell<T> is repr(transparent) over T.
-        Segment { mail: self.mail.as_ptr() as *mut (), payloads: self.payloads[w].get() as *mut () }
+        Segment { mail: UnsafeCell::raw_get(self.mail.as_ptr()), payloads: self.payloads[w].get() }
     }
 
     /// Files one delivery at mailbox slot `slot`, its payload moved
@@ -265,13 +269,12 @@ impl<M> InboxArena<M> {
         )
     }
 
-    /// Type-erased base pointer of the broadcast-slot array
-    /// (`*mut Option<M>`), for the sender-side outbox. Access contract
-    /// as documented on the field: slot `v` is touched only by sender
-    /// `v`, and only while this arena is in the write role.
-    pub(crate) fn slots_ptr(&self) -> *mut () {
-        // UnsafeCell<T> is repr(transparent) over T.
-        self.slots.as_ptr() as *mut ()
+    /// Base pointer of the broadcast-slot array, for the sender-side
+    /// outbox. Access contract as documented on the field: slot `v` is
+    /// touched only by sender `v`, and only while this arena is in the
+    /// write role.
+    pub(crate) fn slots_ptr(&self) -> *mut Option<M> {
+        UnsafeCell::raw_get(self.slots.as_ptr())
     }
 }
 
@@ -338,7 +341,7 @@ impl RoundDigest {
         report: &mut RunReport,
     ) -> Result<(), EngineError> {
         if let Some((node, port, bits)) = self.violation {
-            let limit = WireFlags::for_config(config).limit;
+            let limit = config.bandwidth.limit();
             return Err(EngineError::BandwidthExceeded { round, node, port, bits, limit });
         }
         let active_nodes = *active;
@@ -452,7 +455,7 @@ mod tests {
         for w in 0..segs {
             let seg = arena.segment_ptr(w);
             assert_eq!(seg.mail as usize, base, "one mailbox for every segment");
-            assert_eq!(seg.payloads, arena.payloads[w].get() as *mut ());
+            assert_eq!(seg.payloads, arena.payloads[w].get());
             owned.push(seg.payloads as usize);
         }
         owned.sort_unstable();

@@ -35,32 +35,8 @@ pub fn effective_shards(requested: Option<usize>, len: usize) -> usize {
 ///
 /// `job` receives the shard state, the item's global index, and the
 /// item; results are returned in input order. Spawns whenever more than
-/// one shard is requested — callers whose jobs may be too small to pay
-/// for a spawn set a threshold via [`run_sharded_with_min_items`].
+/// one shard is requested.
 pub fn run_sharded<T, S, R, I, J>(items: &[T], shards: usize, init: I, job: J) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    J: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    run_sharded_with_min_items(items, shards, 0, init, job)
-}
-
-/// [`run_sharded`] with a per-call-site inline-vs-spawn threshold:
-/// batches of fewer than `min_items` items run inline on the caller's
-/// thread through a single state (same as `shards = 1`), regardless of
-/// the requested shard count. The global pool heuristic
-/// (`MIN_PAR_LEN`) is tuned for node-step closures, not whole tester
-/// jobs, so batch call sites pick their own break-even point here.
-/// `min_items = 0` always spawns when `shards > 1`.
-pub fn run_sharded_with_min_items<T, S, R, I, J>(
-    items: &[T],
-    shards: usize,
-    min_items: usize,
-    init: I,
-    job: J,
-) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -69,13 +45,13 @@ where
 {
     let n = items.len();
     let shards = shards.clamp(1, n.max(1));
-    if shards <= 1 || n < min_items {
+    if shards <= 1 {
         let mut state = init();
         return items.iter().enumerate().map(|(i, t)| job(&mut state, i, t)).collect();
     }
     let chunk = n.div_ceil(shards);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    out.par_chunks_mut(chunk).with_min_items(min_items).enumerate().for_each(|(ci, outs)| {
+    out.par_chunks_mut(chunk).enumerate().for_each(|(ci, outs)| {
         let base = ci * chunk;
         let mut state = init();
         for (off, slot) in outs.iter_mut().enumerate() {
@@ -133,30 +109,6 @@ mod tests {
         let one = [42u32];
         let out = run_sharded(&one, 8, || (), |(), i, &x| (i, x));
         assert_eq!(out, vec![(0, 42)]);
-    }
-
-    #[test]
-    fn min_items_threshold_runs_small_batches_inline() {
-        let items: Vec<u64> = (0..6).collect();
-        // Below the threshold: one state, inline, same results.
-        let states = AtomicUsize::new(0);
-        let out = run_sharded_with_min_items(
-            &items,
-            4,
-            16,
-            || {
-                states.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), i, &x| (i, x * 3),
-        );
-        assert_eq!(states.load(Ordering::Relaxed), 1, "small batch must not spawn");
-        assert_eq!(out, (0..6).map(|i| (i as usize, i * 3)).collect::<Vec<_>>());
-        // At/above the threshold the sharded path engages and agrees.
-        let out2 = run_sharded_with_min_items(&items, 4, 6, || (), |(), i, &x| (i, x * 3));
-        assert_eq!(out, out2);
-        // min_items = 0 is the plain run_sharded behavior.
-        let out3 = run_sharded(&items, 4, || (), |(), i, &x| (i, x * 3));
-        assert_eq!(out, out3);
     }
 
     #[test]

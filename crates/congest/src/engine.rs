@@ -53,9 +53,10 @@
 //! post-round step of every executor: violation check, halts, faults,
 //! stats row.
 //!
-//! When nothing can observe the wire counters (no round recording, no
-//! bandwidth cap, no fault plan) the send path drops the accounting
-//! entirely (see `SinkMode` in the `node` module).
+//! There is one send path: every send is priced as it lands, whether or
+//! not the run records rounds — [`EngineConfig::record_rounds`] only
+//! decides whether the closed round leaves a statistics row — and the
+//! fault plan is consulted only when one is set.
 //!
 //! Safety of the shared arenas rests on two disjointness invariants,
 //! both enforced by construction: during a round, the *next* arena's
@@ -73,11 +74,10 @@
 use rayon::prelude::*;
 
 use crate::arena::{InboxArena, RoundDigest, Segment};
-use crate::fault::FaultPlan;
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
 use crate::metrics::RunReport;
-use crate::node::{DirectSink, Inbox, NodeInit, Outbox, Program, SinkCtx, SinkMode, Status};
+use crate::node::{DirectSink, Inbox, NodeInit, Outbox, Program, SinkCtx, Status};
 
 /// How strictly the engine applies the `O(log n)`-bit CONGEST bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,6 +88,16 @@ pub enum BandwidthPolicy {
     /// one round. Use this to demonstrate that unpruned protocols violate
     /// the model while Algorithm 1 fits after normalization.
     Enforce { bits: u64 },
+}
+
+impl BandwidthPolicy {
+    /// The enforced per-link bit budget; `u64::MAX` under `Measure`.
+    pub(crate) fn limit(self) -> u64 {
+        match self {
+            BandwidthPolicy::Enforce { bits } => bits,
+            BandwidthPolicy::Measure => u64::MAX,
+        }
+    }
 }
 
 /// Which executor steps the nodes.
@@ -136,8 +146,10 @@ pub struct EngineConfig {
     pub bandwidth: BandwidthPolicy,
     /// Executor choice.
     pub executor: Executor,
-    /// If true, per-round stats are recorded in the report (tiny cost;
-    /// disable only for the hottest benchmark loops).
+    /// If true, each round appends its statistics row to the report's
+    /// `per_round`. Sends are priced into the round digest either way,
+    /// so budgets, fault counters and verdicts do not depend on it;
+    /// turning it off only skips the rows.
     pub record_rounds: bool,
     /// Deterministic message-loss plan (defaults to no loss). Dropped
     /// messages are charged to the sender's accounting but never
@@ -432,53 +444,17 @@ impl<P: Program> Slot<P> {
     }
 }
 
-/// Observability of the wire, derived once per run. Both the
+/// Round `round`'s sink context, shared by every node's step. Both the
 /// in-process round loop and a distributed worker
-/// ([`crate::net::PartitionEngine`]) build each round's sink context
-/// and sink mode through [`WireFlags::sink_ctx`] and
-/// [`WireFlags::mode`], so they can never disagree on sink selection.
-#[derive(Clone, Copy)]
-pub(crate) struct WireFlags {
-    check_faults: bool,
-    /// Enforced per-link bit budget; `u64::MAX` under `Measure`.
-    pub(crate) limit: u64,
-    /// Wire counters observable (recorded rounds or an enforced
-    /// budget): the send paths feed the round digest.
-    pub(crate) account: bool,
-    /// `account || check_faults`: an accounting/fault sink is needed.
-    heavy: bool,
-}
-
-impl WireFlags {
-    pub(crate) fn for_config(config: &EngineConfig) -> WireFlags {
-        let check_faults = !config.faults.is_trivial();
-        let limit = match config.bandwidth {
-            BandwidthPolicy::Enforce { bits } => bits,
-            BandwidthPolicy::Measure => u64::MAX,
-        };
-        let account = config.record_rounds || limit != u64::MAX;
-        WireFlags { check_faults, limit, account, heavy: account || check_faults }
-    }
-
-    /// Round `round`'s sink context, shared by every node's step.
-    pub(crate) fn sink_ctx(&self, params: &WireParams, faults: &FaultPlan, round: u32) -> SinkCtx {
-        SinkCtx {
-            params,
-            faults,
-            check_faults: self.check_faults,
-            account: self.account,
-            limit: self.limit,
-            round,
-        }
-    }
-
-    /// The send path the run's sinks take.
-    pub(crate) fn mode(&self) -> SinkMode {
-        if self.heavy {
-            SinkMode::HeavyInbox
-        } else {
-            SinkMode::FastInbox
-        }
+/// ([`crate::net::PartitionEngine`]) build it here, so they price,
+/// budget and fault their sends alike.
+pub(crate) fn sink_ctx(config: &EngineConfig, params: &WireParams, round: u32) -> SinkCtx {
+    SinkCtx {
+        params,
+        faults: &config.faults,
+        check_faults: !config.faults.is_trivial(),
+        limit: config.bandwidth.limit(),
+        round,
     }
 }
 
@@ -490,7 +466,6 @@ pub(crate) struct RoundIo<'a, M> {
     /// Write arena: round `r+1`'s traffic, filled by senders.
     pub(crate) next: &'a InboxArena<M>,
     pub(crate) ctx: &'a SinkCtx,
-    pub(crate) mode: SinkMode,
 }
 
 /// One node's round: read its mailbox row → step (sends store straight
@@ -512,12 +487,12 @@ pub(crate) struct RoundIo<'a, M> {
 #[inline(always)]
 pub(crate) fn step_node<P: Program>(
     v: NodeIndex,
-    segment: Segment,
+    segment: Segment<P::Msg>,
     slot: &mut Slot<P>,
     io: &RoundIo<'_, P::Msg>,
     acc: &mut RoundDigest,
 ) {
-    let RoundIo { graph, cur, next, ctx, mode } = *io;
+    let RoundIo { graph, cur, next, ctx } = *io;
     let edges = graph.directed_edge_range(v);
     // SAFETY: `v`'s mailbox row of the read arena is touched only by
     // `v`'s own step — this call (see the module doc).
@@ -546,7 +521,6 @@ pub(crate) fn step_node<P: Program>(
                 sender: v,
                 taken: 0,
             },
-            mode,
         )
     };
     // SAFETY: the row's non-null slots point at broadcast slots and
@@ -585,7 +559,7 @@ pub const NODE_STEP_MIN_PAR_LEN: usize = 1024;
 /// round, so the partition and the state provably agree for the whole
 /// run.
 pub fn node_step_plan(n: usize) -> rayon::ChunkPlan {
-    rayon::chunk_plan_with_min_len(n, NODE_STEP_MIN_PAR_LEN)
+    rayon::chunk_plan(n, NODE_STEP_MIN_PAR_LEN)
 }
 
 /// The round loop of both in-process executors (a distributed worker
@@ -605,7 +579,6 @@ fn run_rounds<P: Program>(
     graph: &Graph,
     config: &EngineConfig,
     params: &WireParams,
-    wf: WireFlags,
     slots: &mut [Slot<P>],
     mut active: usize,
     report: &mut RunReport,
@@ -613,11 +586,10 @@ fn run_rounds<P: Program>(
     next: &mut InboxArena<P::Msg>,
     plan: rayon::ChunkPlan,
 ) -> Result<(u32, usize), EngineError> {
-    let mode = wf.mode();
     let mut round = 0u32;
     while round < config.max_rounds && active > 0 {
-        let ctx = wf.sink_ctx(params, &config.faults, round);
-        let io = RoundIo { graph, cur: &*cur, next: &*next, ctx: &ctx, mode };
+        let ctx = sink_ctx(config, params, round);
+        let io = RoundIo { graph, cur: &*cur, next: &*next, ctx: &ctx };
         let acc = if plan.chunks() == 1 {
             let segment = next.segment_ptr(0);
             let mut acc = RoundDigest::default();
@@ -690,7 +662,6 @@ where
     slots.extend((0..n).map(|v| Slot::new(graph, v as NodeIndex, factory)));
 
     let report = &mut out.report;
-    let wf = WireFlags::for_config(config);
     let directed = graph.num_directed_edges();
 
     // One node→thread partition for the whole run, and one arena
@@ -719,18 +690,8 @@ where
     };
     ws.cur.reset(n, directed, plan.chunks());
     ws.next.reset(n, directed, plan.chunks());
-    let rounds_result = run_rounds(
-        graph,
-        config,
-        params,
-        wf,
-        &mut slots,
-        n,
-        report,
-        &mut ws.cur,
-        &mut ws.next,
-        plan,
-    );
+    let rounds_result =
+        run_rounds(graph, config, params, &mut slots, n, report, &mut ws.cur, &mut ws.next, plan);
     let (round, active) = match rounds_result {
         Ok(ra) => ra,
         Err(e) => {
@@ -765,6 +726,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::graph::GraphBuilder;
     use crate::message::WireMessage;
     use crate::net::PartitionEngine;
@@ -953,8 +915,8 @@ mod tests {
     }
 
     /// One message per link per round: a second send or broadcast on a
-    /// link panics, in all four orders, on both executors, accounted
-    /// and counter-free, on the harness outbox, and in a partition
+    /// link panics, in all four orders, on both executors, with rounds
+    /// recorded or not, on the harness outbox, and in a partition
     /// engine's round. A first message the fault plan drops, or whose
     /// tampered frame no longer decodes, still occupies its link.
     #[test]
@@ -1059,8 +1021,8 @@ mod tests {
         }
     }
 
-    /// Both sink modes (accounted and counter-free) on both executors
-    /// must deliver identical inboxes in identical order.
+    /// Recorded and unrecorded runs, on both executors, deliver
+    /// identical inboxes in identical order.
     #[test]
     fn sink_paths_deliver_identically() {
         struct Recorder {
@@ -1349,10 +1311,11 @@ mod tests {
 
     /// The broadcast slot is double-buffered: a broadcast evicts the
     /// payload this sender parked two rounds earlier (same arena
-    /// generation), on every sink mode. Slots survive a workspace reset:
-    /// a second run through the session evicts the first run's last two
-    /// payloads. The first run's seven rounds leave the generations
-    /// swapped, so round 0 evicts round 5's payload and round 1 round 4's.
+    /// generation), with rounds recorded or not. Slots survive a
+    /// workspace reset: a second run through the session evicts the
+    /// first run's last two payloads. The first run's seven rounds leave
+    /// the generations swapped, so round 0 evicts round 5's payload and
+    /// round 1 round 4's.
     #[test]
     fn broadcast_evicts_the_two_round_old_payload() {
         struct SlotProbe {

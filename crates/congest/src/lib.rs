@@ -71,7 +71,7 @@ pub mod rngs;
 pub mod session;
 pub mod topology;
 
-pub use batch::{effective_shards, run_sharded, run_sharded_with_min_items};
+pub use batch::{effective_shards, run_sharded};
 pub use engine::{
     BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor, RunOutcome, SlotStats,
 };

@@ -4,10 +4,12 @@
 //! worker `w` of `W` owns the programs of nodes `[lo, hi)` and steps
 //! them as one chunk of the engine's round loop. Each node goes through
 //! the in-process executors' own per-node step — the mailbox row read,
-//! the fused `DirectInbox` sinks, the broadcast slot generations, the
-//! fault plan evaluated at the send — so verdicts, wire counters,
-//! bandwidth violations, and fault accounting are bit-identical to the
-//! sequential oracle by construction, not by re-implementation.
+//! the one direct sink that prices every send as it lands, the
+//! broadcast slot generations, the fault plan evaluated at the send —
+//! under a sink context from the same builder, so verdicts, wire
+//! counters, bandwidth violations, and fault accounting are
+//! bit-identical to the sequential oracle by construction, not by
+//! re-implementation.
 //!
 //! The worker's inbox arenas are mailboxes over every directed edge,
 //! with one segment: its own thread writes them all. Sends to owned
@@ -39,7 +41,7 @@ use std::ops::Range;
 
 use crate::arena::InboxArena;
 pub use crate::arena::RoundDigest;
-use crate::engine::{step_node, EngineConfig, RoundIo, Slot, WireFlags};
+use crate::engine::{sink_ctx, step_node, EngineConfig, RoundIo, Slot};
 use crate::graph::{Graph, NodeIndex};
 use crate::message::WireParams;
 use crate::node::{NodeInit, Program};
@@ -80,7 +82,6 @@ pub struct PartitionEngine<'g, P: Program> {
     graph: &'g Graph,
     config: EngineConfig,
     params: WireParams,
-    wf: WireFlags,
     lo: NodeIndex,
     hi: NodeIndex,
     /// The receivers outside `[lo, hi)` adjacent to it, ascending and
@@ -126,7 +127,6 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
             graph,
             config: config.clone(),
             params,
-            wf: WireFlags::for_config(config),
             lo: range.start,
             hi: range.end,
             cut,
@@ -141,14 +141,8 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
     /// across the cut to `out`, by ascending receiver and port. Returns
     /// the partition's share of the round accounting.
     pub fn step_round(&mut self, round: u32, out: &mut Vec<OutFrame<P::Msg>>) -> RoundDigest {
-        let ctx = self.wf.sink_ctx(&self.params, &self.config.faults, round);
-        let io = RoundIo {
-            graph: self.graph,
-            cur: &self.cur,
-            next: &self.next,
-            ctx: &ctx,
-            mode: self.wf.mode(),
-        };
+        let ctx = sink_ctx(&self.config, &self.params, round);
+        let io = RoundIo { graph: self.graph, cur: &self.cur, next: &self.next, ctx: &ctx };
         let segment = self.next.segment_ptr(OWN);
         let mut acc = RoundDigest::default();
         for (v, slot) in (self.lo..).zip(&mut self.slots) {
@@ -291,6 +285,50 @@ mod tests {
         assert_eq!(partition(&g, 2, 0).cut, vec![5000]);
         assert_eq!(partition(&g, 2, 1).cut, vec![4999]);
         assert_eq!(partition(&g, 3, 1).cut, vec![3332, 6666]);
+    }
+
+    /// Broadcasts in even rounds and sends on every port in odd ones.
+    struct Talk;
+
+    impl Program for Talk {
+        type Msg = u64;
+        type Verdict = ();
+        fn step(&mut self, round: u32, _inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) -> Status {
+            if round.is_multiple_of(2) {
+                out.broadcast(u64::from(round));
+            } else {
+                for p in 0..out.degree() {
+                    out.send(p, u64::from(round) << 20 | u64::from(p));
+                }
+            }
+            Status::Running
+        }
+        fn verdict(&self) {}
+    }
+
+    /// `step_round`'s digest prices every send whether or not the run
+    /// records rounds: worker 0 of 2 on the path 0–…–5 owns nodes of
+    /// degrees 1, 2 and 2, so each round charges 5 messages, and the
+    /// message, bit and largest-message counts under
+    /// `record_rounds: false` equal those under `true`.
+    #[test]
+    fn unrecorded_rounds_price_their_sends() {
+        let g = path(6);
+        let params = WireParams::for_graph(&g);
+        let digests = |record_rounds| {
+            let cfg = EngineConfig { record_rounds, ..EngineConfig::default() };
+            let mut p = PartitionEngine::new(&g, &cfg, params, 2, 0, |_| Talk);
+            (0..4)
+                .map(|round| {
+                    let d = p.step_round(round, &mut Vec::new());
+                    p.commit_round();
+                    (d.messages, d.bits, d.max_message_bits)
+                })
+                .collect::<Vec<_>>()
+        };
+        let recorded = digests(true);
+        assert!(recorded.iter().all(|&(m, b, x)| m == 5 && b >= 5 * x && x > 0), "{recorded:?}");
+        assert_eq!(digests(false), recorded);
     }
 
     /// The digest a partition ships in its `Done` frame survives the

@@ -279,41 +279,22 @@ impl<M> InboxBuf<M> {
 /// Where an [`Outbox`]'s sends go.
 enum Sink<M> {
     /// Queue into an owned buffer — harnesses, tests, and reference
-    /// engines consume it via [`Outbox::drain_sends`]/[`Outbox::take_sends`].
+    /// engines consume it via [`Outbox::take_sends`].
     Buffered(Vec<(u32, M)>),
     /// Store straight into the link's mailbox slot of the next-round
-    /// inbox arena: no wire counters and no fault checks — chosen by
-    /// the engine when neither can be observed (no round recording, no
-    /// bandwidth cap, no fault plan). Built only by the engines, one
-    /// per node per round, on the stepping thread's stack.
-    DirectInbox(DirectSink),
-    /// As `DirectInbox`, with the wire accounting, bandwidth check and
-    /// fault decision fused into each send: one store per delivered
-    /// message.
-    DirectInboxHeavy(DirectSink),
-}
-
-/// How the engine wants sends routed this round. Both modes store into
-/// the next-round inbox arena's mailbox (and the sender's segment for
-/// owned payloads); they differ only in whether the wire is observed.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SinkMode {
-    /// Counter-free path: nothing can observe the wire.
-    FastInbox,
-    /// Accounting/fault path: recorded rounds, an enforced budget, or a
-    /// fault plan.
-    HeavyInbox,
+    /// inbox arena, pricing every send into the round digest, checking
+    /// it against the budget, and consulting the fault plan when one is
+    /// set: one store per delivered message. Built only by the engines,
+    /// one per node per round, on the stepping thread's stack.
+    Direct(DirectSink<M>),
 }
 
 /// Round-invariant context shared by every node's direct sink; built
-/// once per round on the engine's frame.
+/// once per round on the engine's frame by `engine::sink_ctx`.
 pub(crate) struct SinkCtx {
     pub(crate) params: *const WireParams,
     pub(crate) faults: *const FaultPlan,
     pub(crate) check_faults: bool,
-    /// False when neither round recording nor bandwidth enforcement can
-    /// observe the wire counters — the send path then skips them.
-    pub(crate) account: bool,
     /// Enforced per-link bit budget; `u64::MAX` under `Measure`.
     pub(crate) limit: u64,
     pub(crate) round: u32,
@@ -328,20 +309,17 @@ unsafe impl Sync for SinkCtx {}
 /// of the one `Program::step` call the outbox is built for; the engine
 /// guarantees that the sender's mailbox slots and segment are written
 /// by no other thread meanwhile.
-pub(crate) struct DirectSink {
-    /// The write arena's mailbox (`*mut *const M`, one slot per
-    /// directed edge, receiver-indexed; this sender writes only the
-    /// slots of its own links) and the sender's chunk segment: its
-    /// payload arena (`*mut PayloadArena<M>`), where every payload that
-    /// is not a broadcast moves. Both are type-erased here and re-typed
-    /// in the send path where `M` is known. Only the thread stepping
-    /// this chunk writes the segment.
-    pub(crate) segment: Segment,
-    /// Base of the write arena's per-node broadcast slot array
-    /// (`*mut Option<M>` type-erased). Slot `sender` is written by this
-    /// outbox alone; last generation's occupant is evicted back to the
-    /// program for recycling.
-    pub(crate) slots: *mut (),
+pub(crate) struct DirectSink<M> {
+    /// The write arena's mailbox (one slot per directed edge,
+    /// receiver-indexed; this sender writes only the slots of its own
+    /// links) and the sender's chunk segment: its payload arena, where
+    /// every payload that is not a broadcast moves. Only the thread
+    /// stepping this chunk writes the segment.
+    pub(crate) segment: Segment<M>,
+    /// Base of the write arena's per-node broadcast slot array. Slot
+    /// `sender` is written by this outbox alone; last generation's
+    /// occupant is evicted back to the program for recycling.
+    pub(crate) slots: *mut Option<M>,
     /// Receiver node index per local port (the graph's neighbor row),
     /// for the fault plan's decisions.
     pub(crate) receivers: *const NodeIndex,
@@ -375,24 +353,18 @@ impl<M: WireMessage> Outbox<M> {
     }
 
     /// Builds an inbox-writing outbox for one step call
-    /// (engine-internal); see [`SinkMode`] for the two routings.
+    /// (engine-internal).
     ///
     /// # Safety
     /// `sink`'s pointers must be valid and exclusive for the outbox's
-    /// lifetime: `segment` must hold the write arena's mailbox
-    /// (`*mut *const M`, whose slots at `rev_edges` no other thread
-    /// touches meanwhile, all null when the outbox is built) and the
-    /// sender's payload arena (`*mut PayloadArena<M>`, written by no
-    /// other thread meanwhile), `slots` at the write generation's
-    /// `Option<M>` slot array (slot `sender` unaliased), and
-    /// `acc`/`ctx` at live objects nobody else mutates during the
-    /// call.
-    pub(crate) unsafe fn direct(degree: u32, sink: DirectSink, mode: SinkMode) -> Self {
-        let sink = match mode {
-            SinkMode::FastInbox => Sink::DirectInbox(sink),
-            SinkMode::HeavyInbox => Sink::DirectInboxHeavy(sink),
-        };
-        Outbox { sink, degree, queued: 0, slot_used: false }
+    /// lifetime: `segment` must hold the write arena's mailbox (whose
+    /// slots at `rev_edges` no other thread touches meanwhile, all null
+    /// when the outbox is built) and the sender's payload arena (written
+    /// by no other thread meanwhile), `slots` the write generation's
+    /// slot array (slot `sender` unaliased), and `acc`/`ctx` live
+    /// objects nobody else mutates during the call.
+    pub(crate) unsafe fn direct(degree: u32, sink: DirectSink<M>) -> Self {
+        Outbox { sink: Sink::Direct(sink), degree, queued: 0, slot_used: false }
     }
 
     /// Constructs a free-standing buffered outbox for out-of-crate
@@ -403,23 +375,10 @@ impl<M: WireMessage> Outbox<M> {
         Outbox::new(degree)
     }
 
-    /// Drains the queued `(port, message)` pairs in queueing order —
-    /// how a harness consumes what a step produced.
-    ///
-    /// # Panics
-    /// Panics on an engine-internal direct outbox (those have no queue).
-    pub fn drain_sends(&mut self) -> std::vec::Drain<'_, (u32, M)> {
-        self.queued = 0;
-        match &mut self.sink {
-            Sink::Buffered(v) => v.drain(..),
-            // ck-lint: allow(no-panic, reason = "documented '# Panics' contract: harness-only API, misuse on a direct outbox is a programming error with no recoverable state")
-            _ => panic!("drain_sends requires a buffered outbox"),
-        }
-    }
-
-    /// Moves the queued sends out, leaving an empty buffer. For
-    /// harnesses that want ownership (e.g. the pre-arena reference
-    /// engine kept for benchmarking).
+    /// Moves the queued `(port, message)` pairs out in queueing order,
+    /// leaving an empty buffer — how a harness (e.g. the pre-arena
+    /// reference engine kept for benchmarking) consumes what a step
+    /// produced.
     ///
     /// # Panics
     /// Panics on an engine-internal direct outbox (those have no queue).
@@ -428,7 +387,7 @@ impl<M: WireMessage> Outbox<M> {
         match &mut self.sink {
             Sink::Buffered(v) => std::mem::take(v),
             // ck-lint: allow(no-panic, reason = "documented '# Panics' contract: harness-only API, misuse on a direct outbox is a programming error with no recoverable state")
-            _ => panic!("take_sends requires a buffered outbox"),
+            Sink::Direct(_) => panic!("take_sends requires a buffered outbox"),
         }
     }
 
@@ -438,7 +397,7 @@ impl<M: WireMessage> Outbox<M> {
     /// Panics if `port` is out of range, or if this step already sent
     /// on `port` (by `send` or [`Outbox::broadcast`]): a link carries
     /// one message per round under CONGEST. Both are protocol bugs, not
-    /// runtime conditions. On the engine's sinks the check is the
+    /// runtime conditions. On the engine's sink the check is the
     /// mailbox slot itself; a message the fault plan drops, or whose
     /// tampered frame no longer decodes, still occupies its link until
     /// the step ends, so the rule holds under fault plans too.
@@ -455,18 +414,15 @@ impl<M: WireMessage> Outbox<M> {
                 v.push((port, msg));
             }
             // SAFETY: pointer validity/exclusivity guaranteed by the
-            // `Outbox::direct` contract; `segment` was erased from
-            // `*mut *const M` and `*mut PayloadArena<M>` for this same
-            // `M`.
-            Sink::DirectInbox(d) => unsafe { direct_send_inbox(d, port, msg) },
-            // SAFETY: as above.
-            Sink::DirectInboxHeavy(d) => unsafe { direct_send_inbox_heavy(d, port, msg) },
+            // `Outbox::direct` contract, and `port < degree` was just
+            // checked.
+            Sink::Direct(d) => unsafe { direct_send(d, port, msg) },
         }
     }
 
     /// Sends `msg` on every port.
     ///
-    /// Under the engine's direct sinks the payload is stored **once** in
+    /// Under the engine's direct sink the payload is stored **once** in
     /// this sender's broadcast slot of the write arena and every
     /// receiver's mailbox slot gets a pointer to it — no clone on
     /// either side of the wire, whatever the payload's size (small
@@ -488,20 +444,14 @@ impl<M: WireMessage> Outbox<M> {
     /// # Panics
     /// Panics if this step already sent on any port (by
     /// [`Outbox::send`] or a broadcast), as `send` does: a link carries
-    /// one message per round. A node of degree 0 sends nothing, so its
-    /// broadcasts never panic.
+    /// one message per round. A second broadcast panics before anything
+    /// is parked. A node of degree 0 sends nothing, so its broadcasts
+    /// never panic.
     pub fn broadcast(&mut self, msg: M) -> Option<M> {
         self.queued += self.degree;
         if self.degree == 0 {
             return None;
         }
-        // SAFETY (all direct arms): as in `send` — every port is in
-        // range by definition, slot `sender` is unaliased per the
-        // `Outbox::direct` contract, and the closures only forward to
-        // the send/charge/fan helpers under that same contract. The
-        // payload's wire size is computed once per broadcast (the
-        // parked payload is identical on every link) and only when the
-        // accounting path will read it.
         match &mut self.sink {
             Sink::Buffered(v) => {
                 assert!(v.is_empty(), "broadcast after another message in one round");
@@ -513,32 +463,39 @@ impl<M: WireMessage> Outbox<M> {
                 v.push((last, msg));
                 None
             }
-            // SAFETY: the DirectSink contract — exclusive segment,
-            // unaliased parked slot, live acc/ctx — was established by
-            // the `unsafe` `Outbox::direct` constructor and holds for
-            // the outbox's lifetime.
-            Sink::DirectInbox(d) => unsafe {
-                direct_broadcast(&mut self.slot_used, self.degree, d, msg, |d, p, ptr| {
-                    inbox_push(d, p, ptr)
-                })
-            },
-            // SAFETY: same DirectSink contract as the arm above.
-            Sink::DirectInboxHeavy(d) => unsafe {
-                let bits = account_bits(d, &msg);
-                direct_broadcast(&mut self.slot_used, self.degree, d, msg, |d, p, ptr| {
-                    match charge_send_bits(d, p, bits) {
-                        SendFate::Deliver => inbox_push(d, p, ptr),
-                        SendFate::Dropped => occupy_link::<M>(d, p),
-                        // A corrupted copy diverges from the parked
-                        // payload, so it moves into the payload arena
-                        // instead of pointing at the slot.
-                        SendFate::Corrupt { entropy } => match corrupt_payload(d, &*ptr, entropy) {
-                            Some(garbled) => direct_send_inbox(d, p, garbled),
-                            None => occupy_link::<M>(d, p),
-                        },
+            Sink::Direct(d) => {
+                assert!(!self.slot_used, "second broadcast in one round");
+                self.slot_used = true;
+                // SAFETY: the `Outbox::direct` contract — exclusive
+                // segment, unaliased parked slot, live acc/ctx — holds
+                // for the outbox's lifetime, and every port below
+                // `degree` is in range.
+                unsafe {
+                    // The parked payload is identical on every link, so
+                    // it is priced once.
+                    let bits = msg.wire_bits(&*(*d.ctx).params);
+                    let slot = &mut *d.slots.add(d.sender as usize);
+                    let evicted = slot.replace(msg);
+                    // ck-lint: allow(no-panic, reason = "replace() on the line above just stored a value, so the slot is Some")
+                    let parked = slot.as_ref().expect("just parked");
+                    for p in 0..self.degree {
+                        match charge_send_bits(d, p, bits) {
+                            SendFate::Deliver => inbox_push(d, p, parked),
+                            SendFate::Dropped => occupy_link(d, p),
+                            // A corrupted copy diverges from the parked
+                            // payload, so it moves into the payload
+                            // arena instead of pointing at the slot.
+                            SendFate::Corrupt { entropy } => {
+                                match corrupt_payload(d, parked, entropy) {
+                                    Some(garbled) => file_payload(d, p, garbled),
+                                    None => occupy_link(d, p),
+                                }
+                            }
+                        }
                     }
-                })
-            },
+                    evicted
+                }
+            }
         }
     }
 
@@ -554,19 +511,17 @@ impl<M: WireMessage> Outbox<M> {
 }
 
 impl<M> Drop for Outbox<M> {
-    /// Ends the step on the engine's accounted sink: the links its lost
-    /// sends occupied are null again before any receiver reads them.
+    /// Ends the step on the engine's sink: the links its lost sends
+    /// occupied are null again before any receiver reads them.
     fn drop(&mut self) {
-        if let Sink::DirectInboxHeavy(d) = &self.sink {
+        if let Sink::Direct(d) = &self.sink {
             if d.taken > 0 {
                 for p in 0..self.degree as usize {
                     // SAFETY: the `Outbox::direct` contract holds until
                     // the outbox is gone: `rev_edges` has `degree`
                     // entries, and the sender's mailbox slots are
                     // written by no other thread meanwhile.
-                    let cell = unsafe {
-                        &mut *(d.segment.mail as *mut *const M).add(*d.rev_edges.add(p) as usize)
-                    };
+                    let cell = unsafe { &mut *d.segment.mail.add(*d.rev_edges.add(p) as usize) };
                     if std::ptr::eq(*cell, link_taken()) {
                         *cell = std::ptr::null();
                     }
@@ -574,65 +529,6 @@ impl<M> Drop for Outbox<M> {
             }
         }
     }
-}
-
-/// The payload's wire size if this sink's context will account it,
-/// else 0 (never read): lets a broadcast price its payload once instead
-/// of once per port.
-///
-/// # Safety
-/// `d.ctx` must be valid per the [`Outbox::direct`] contract.
-#[inline(always)]
-unsafe fn account_bits<M: WireMessage>(d: &DirectSink, msg: &M) -> u64 {
-    let ctx = &*d.ctx;
-    if ctx.account {
-        msg.wire_bits(&*ctx.params)
-    } else {
-        0
-    }
-}
-
-/// The shared body of every direct-sink broadcast: parks the payload
-/// once, fans it out via `fan_one`, and returns the evicted previous
-/// generation's payload.
-///
-/// # Panics
-/// On a second broadcast in one step, before anything is parked.
-///
-/// # Safety
-/// See [`Outbox::direct`]; `degree ≥ 1`, and `fan_one` must uphold the
-/// same contract as the send helpers it wraps.
-#[inline(always)]
-unsafe fn direct_broadcast<M>(
-    slot_used: &mut bool,
-    degree: u32,
-    d: &mut DirectSink,
-    msg: M,
-    mut fan_one: impl FnMut(&mut DirectSink, u32, *const M),
-) -> Option<M> {
-    assert!(!*slot_used, "second broadcast in one round");
-    *slot_used = true;
-    let (evicted, ptr) = slot_park(d, msg);
-    for p in 0..degree {
-        fan_one(d, p, ptr);
-    }
-    evicted
-}
-
-/// Parks a broadcast payload in this sender's slot of the write
-/// generation, returning the evicted previous occupant and a pointer to
-/// the parked payload (stable: the slot array never reallocates).
-///
-/// # Safety
-/// See [`Outbox::direct`] — `d.slots` must be the write generation's
-/// slot array with slot `d.sender` unaliased for the outbox's lifetime.
-#[inline(always)]
-unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
-    let slot = &mut *(d.slots as *mut Option<M>).add(d.sender as usize);
-    let evicted = slot.replace(msg);
-    // ck-lint: allow(no-panic, reason = "replace() on the line above just stored a value, so the slot is Some")
-    let ptr: *const M = slot.as_ref().expect("just parked") as *const M;
-    (evicted, ptr)
 }
 
 /// Files one delivery of the payload at `ptr` in the link's mailbox
@@ -644,13 +540,13 @@ unsafe fn slot_park<M>(d: &DirectSink, msg: M) -> (Option<M>, *const M) {
 /// link carries one message per round.
 ///
 /// # Safety
-/// As [`direct_send_inbox`], with `ptr` pointing at a payload of the
-/// same inbox-arena generation as `d.segment`: the sender's parked
-/// broadcast slot or an entry of the segment's payload arena.
+/// See [`Outbox::direct`]; `port < degree`, and `ptr` is [`link_taken`]
+/// or points at a payload of the same inbox-arena generation as
+/// `d.segment`: the sender's parked broadcast slot or an entry of the
+/// segment's payload arena.
 #[inline(always)]
-unsafe fn inbox_push<M>(d: &mut DirectSink, port: u32, ptr: *const M) {
-    let slot = *d.rev_edges.add(port as usize);
-    let cell = &mut *(d.segment.mail as *mut *const M).add(slot as usize);
+unsafe fn inbox_push<M>(d: &mut DirectSink<M>, port: u32, ptr: *const M) {
+    let cell = &mut *d.segment.mail.add(*d.rev_edges.add(port as usize) as usize);
     assert!(cell.is_null(), "second message on port {port} in one round");
     *cell = ptr;
 }
@@ -672,8 +568,8 @@ fn link_taken<M>() -> *const M {
 /// # Safety
 /// As [`inbox_push`].
 #[inline(always)]
-unsafe fn occupy_link<M>(d: &mut DirectSink, port: u32) {
-    inbox_push(d, port, link_taken::<M>());
+unsafe fn occupy_link<M>(d: &mut DirectSink<M>, port: u32) {
+    inbox_push(d, port, link_taken());
     d.taken += 1;
 }
 
@@ -687,42 +583,36 @@ enum SendFate {
     Corrupt { entropy: u64 },
 }
 
-/// The shared half of the heavy send paths: feed the round
-/// accumulator and check the bandwidth budget. A link carries one
-/// message per round, so its load is this message and the budget
-/// applies to `b` itself. Returns the message's fate under the fault
-/// plan (the sender has already been charged either way; per-kind drop
-/// counters land in the accumulator here). `b` is the message's wire
-/// size, priced by the caller (per message for targeted sends, once per
-/// broadcast); it is only read when the context accounts.
+/// Prices one send: feeds the round digest and checks the bandwidth
+/// budget. A link carries one message per round, so its load is this
+/// message and the budget applies to `b` itself. Returns the message's
+/// fate under the fault plan (the sender has already been charged
+/// either way; per-kind drop counters land in the digest here). `b` is
+/// the message's wire size, priced by the caller (per message for
+/// targeted sends, once per broadcast).
 ///
 /// # Safety
 /// See [`Outbox::direct`], and `port < degree`.
 #[inline(always)]
-unsafe fn charge_send_bits(d: &mut DirectSink, port: u32, b: u64) -> SendFate {
+unsafe fn charge_send_bits<M>(d: &mut DirectSink<M>, port: u32, b: u64) -> SendFate {
     let ctx = &*d.ctx;
-    if ctx.account {
-        let acc = &mut *d.acc;
-        acc.messages += 1;
-        acc.bits += b;
-        if b > acc.max_message_bits {
-            acc.max_message_bits = b;
-        }
-        if b > ctx.limit && acc.violation.is_none() {
-            acc.violation = Some((d.sender, port, b));
-        }
+    let acc = &mut *d.acc;
+    acc.messages += 1;
+    acc.bits += b;
+    if b > acc.max_message_bits {
+        acc.max_message_bits = b;
+    }
+    if b > ctx.limit && acc.violation.is_none() {
+        acc.violation = Some((d.sender, port, b));
     }
     if !ctx.check_faults {
         return SendFate::Deliver;
     }
-    // The heavy paths are the only callers, and the engine forces a
-    // heavy sink whenever a fault plan is active, so `d.acc` is always
-    // live here even when `account` is off.
     let receiver = *d.receivers.add(port as usize);
     match (*ctx.faults).decide(ctx.round, d.sender, receiver, port) {
         FaultDecision::Deliver => SendFate::Deliver,
         FaultDecision::Drop(kind) => {
-            (*d.acc).drops_by_kind[kind.index()] += 1;
+            acc.drops_by_kind[kind.index()] += 1;
             SendFate::Dropped
         }
         FaultDecision::Corrupt { entropy } => SendFate::Corrupt { entropy },
@@ -736,10 +626,13 @@ unsafe fn charge_send_bits(d: &mut DirectSink, port: u32, b: u64) -> SendFate {
 ///
 /// # Safety
 /// `d.ctx` and `d.acc` must be valid per the [`Outbox::direct`]
-/// contract (corruption implies an active fault plan, which forces a
-/// heavy sink with a live accumulator).
+/// contract.
 #[inline(always)]
-unsafe fn corrupt_payload<M: WireMessage>(d: &mut DirectSink, msg: &M, entropy: u64) -> Option<M> {
+unsafe fn corrupt_payload<M: WireMessage>(
+    d: &mut DirectSink<M>,
+    msg: &M,
+    entropy: u64,
+) -> Option<M> {
     let ctx = &*d.ctx;
     match msg.corrupt_frame(&*ctx.params, entropy) {
         Some(garbled) => {
@@ -753,35 +646,33 @@ unsafe fn corrupt_payload<M: WireMessage>(d: &mut DirectSink, msg: &M, entropy: 
     }
 }
 
-/// The counter-free write path (see `Sink::DirectInbox`): the payload
-/// moves into the segment's payload arena and the link's mailbox slot
-/// gets a pointer to it.
+/// Moves `msg` into the sender's segment's payload arena and files a
+/// pointer to it in the link's mailbox slot.
 ///
 /// # Safety
-/// See [`Outbox::direct`] — `d.segment` is the sender's segment, written
-/// by no other thread during the round — and `port < degree` was
-/// checked by the caller.
+/// As [`inbox_push`]: `d.segment` is the sender's segment, written by
+/// no other thread during the round.
 #[inline(always)]
-unsafe fn direct_send_inbox<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
-    let ptr = (*(d.segment.payloads as *mut PayloadArena<M>)).push(msg);
+unsafe fn file_payload<M>(d: &mut DirectSink<M>, port: u32, msg: M) {
+    let ptr = (*d.segment.payloads).push(msg);
     inbox_push(d, port, ptr);
 }
 
-/// The accounted write path (see `Sink::DirectInboxHeavy`): accounting,
-/// bandwidth check, fault decision, then the counter-free write — one
-/// message move, no allocation once the payload arena is warm. A lost
-/// message occupies its link instead.
+/// The targeted send: prices `msg`, then files it — or, when the fault
+/// plan loses it, occupies its link. One message move, no allocation
+/// once the payload arena is warm.
 ///
 /// # Safety
-/// As [`direct_send_inbox`].
+/// As [`inbox_push`].
 #[inline(always)]
-unsafe fn direct_send_inbox_heavy<M: WireMessage>(d: &mut DirectSink, port: u32, msg: M) {
-    match charge_send_bits(d, port, account_bits(d, &msg)) {
-        SendFate::Deliver => direct_send_inbox(d, port, msg),
-        SendFate::Dropped => occupy_link::<M>(d, port),
+unsafe fn direct_send<M: WireMessage>(d: &mut DirectSink<M>, port: u32, msg: M) {
+    let bits = msg.wire_bits(&*(*d.ctx).params);
+    match charge_send_bits(d, port, bits) {
+        SendFate::Deliver => file_payload(d, port, msg),
+        SendFate::Dropped => occupy_link(d, port),
         SendFate::Corrupt { entropy } => match corrupt_payload(d, &msg, entropy) {
-            Some(garbled) => direct_send_inbox(d, port, garbled),
-            None => occupy_link::<M>(d, port),
+            Some(garbled) => file_payload(d, port, garbled),
+            None => occupy_link(d, port),
         },
     }
 }
@@ -831,12 +722,10 @@ mod tests {
         ob.send(2, 42);
         ob.send(0, 41);
         assert_eq!(ob.queued(), 2);
-        let sends: Vec<(u32, u64)> = ob.drain_sends().collect();
-        assert_eq!(sends, vec![(2, 42), (0, 41)], "queueing order");
+        assert_eq!(ob.take_sends(), vec![(2, 42), (0, 41)], "queueing order");
         assert_eq!(ob.broadcast(7), None, "buffered outboxes have no slot to evict");
         assert_eq!(ob.queued(), 3);
-        let sends: Vec<(u32, u64)> = ob.drain_sends().collect();
-        assert_eq!(sends, vec![(0, 7), (1, 7), (2, 7)]);
+        assert_eq!(ob.take_sends(), vec![(0, 7), (1, 7), (2, 7)]);
     }
 
     #[test]
@@ -846,14 +735,13 @@ mod tests {
         ob.send(3, 1);
     }
 
-    /// Draining or taking the queue ends a harness step: the next step
-    /// may send on the same ports again.
+    /// Taking the queue ends a harness step: the next step may send on
+    /// the same ports again.
     #[test]
     fn outbox_drain_and_take() {
         let mut ob: Outbox<u64> = Outbox::for_harness(2);
         ob.send(1, 8);
-        let drained: Vec<(u32, u64)> = ob.drain_sends().collect();
-        assert_eq!(drained, vec![(1, 8)]);
+        assert_eq!(ob.take_sends(), vec![(1, 8)]);
         assert_eq!(ob.queued(), 0);
         ob.broadcast(3);
         assert_eq!(ob.take_sends(), vec![(0, 3), (1, 3)]);

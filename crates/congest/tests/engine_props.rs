@@ -341,11 +341,10 @@ proptest! {
         prop_assert_eq!(out.report.faults.total_dropped(), 0);
     }
 
-    /// The counter-free fast paths (taken when round recording is off)
-    /// must deliver exactly what the accounted path delivers, on both
-    /// executors.
+    /// A run with round recording off delivers exactly what a recorded
+    /// run delivers, on both executors, and leaves no statistics rows.
     #[test]
-    fn fast_paths_equivalent_to_accounted(g in arb_graph(), rounds in 1u32..5) {
+    fn unrecorded_runs_deliver_what_recorded_runs_do(g in arb_graph(), rounds in 1u32..5) {
         let mk = |exec, record_rounds| {
             let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
             run(&g, &cfg, |_| Echo { rounds, sent: 0, received: 0 }).unwrap()
@@ -360,9 +359,9 @@ proptest! {
         }
     }
 
-    /// Broadcast-slot equivalence under heavy payloads: the four sink
-    /// paths (accounted/fast × sequential/parallel) must deliver
-    /// bit-identical content in bit-identical order (under forced
+    /// Broadcast-slot equivalence under heavy payloads: recorded and
+    /// unrecorded runs on both executors must deliver bit-identical
+    /// content in bit-identical order (under forced
     /// workers the parallel runs split into several inbox segments),
     /// including under a nontrivial fault plan, and the slot must
     /// recycle (a node broadcasts every other round, so all of its

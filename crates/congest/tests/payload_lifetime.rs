@@ -167,9 +167,9 @@ fn parked_after(runs: &[(&Graph, u32)]) -> i64 {
 }
 
 /// The configurations every executor runs: a fault plan that drops and
-/// corrupts (the accounted send path), a clean counter-free run (the
-/// fast path), and a faulted run capped before every node halts, which
-/// ends with undelivered traffic still in the arenas.
+/// corrupts, a clean run that records no rounds, and a faulted run
+/// capped before every node halts, which ends with undelivered traffic
+/// still in the arenas.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let faults = FaultPlan::none().random_loss(0.2, 11).corrupt_frames(0.3, 5);
     vec![

@@ -202,7 +202,9 @@ pub struct StatsSnapshot {
     pub workers: u32,
     /// Jobs admitted and waiting for a worker.
     pub queue_depth: u32,
-    /// Jobs admitted and not yet answered (queued + executing).
+    /// Jobs admitted and not yet answered (queued + executing). May
+    /// still count a job whose Result was just sent, which the
+    /// completion counters already include.
     pub in_flight: u32,
     /// Jobs currently checked out of the queue by workers — 0 after a
     /// graceful drain, by construction.

@@ -406,7 +406,6 @@ fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
                 let verdict =
                     outcome.as_ref().map(|()| (run.reject, wall_us, &run.outcome.verdicts[..]));
                 let encoded = encode_result_into(&mut out, job.job_id, verdict);
-                send_body(&job.reply, encoded.as_ref().map(|()| &out.0[..]));
                 let delta = session
                     .as_ref()
                     .map(|s| {
@@ -428,7 +427,13 @@ fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
                     s.slot_misses += delta.1;
                     s.latency.record_us(latency_us);
                 });
+                // The job is counted before its Result leaves, so a Stats
+                // RPC issued after the client holds the Result sees it.
+                // `release` stays after the send: a drain never stops the
+                // pool before the last Result is written, and `in_flight`
+                // may still count a job whose Result just left.
                 shared.executing.fetch_sub(1, Ordering::SeqCst);
+                send_body(&job.reply, encoded.as_ref().map(|()| &out.0[..]));
                 shared.release();
             }
             None => {

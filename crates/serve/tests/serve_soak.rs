@@ -160,3 +160,39 @@ fn job_probe() -> JobRequest {
         repetitions: Some(2),
     }
 }
+
+/// A Stats snapshot taken after a client holds a job's Result counts
+/// that job: a worker updates the counters before it sends the Result.
+/// One client runs 2,000 one-repetition C5 jobs back to back; after
+/// each Result a second connection asks for Stats, whose completion
+/// and latency counts must already include every answered job.
+#[test]
+fn stats_after_a_result_count_that_result() {
+    const JOBS: u64 = 2_000;
+    let server =
+        BoundServer::bind(ServeOptions { workers: 2, ..ServeOptions::default() }).unwrap().spawn();
+    let addr = server.addr().to_string();
+    let mut client = ServeClient::connect(&addr, 30_000).unwrap();
+    let mut probe = ServeClient::connect(&addr, 30_000).unwrap();
+    let mut lagging = Vec::new();
+    for j in 0..JOBS {
+        let job = JobRequest {
+            job_id: j,
+            graph: basic::cycle(5),
+            k: 5,
+            eps: 0.1,
+            seed: j,
+            repetitions: Some(1),
+        };
+        client.run_job(&job).unwrap().outcome.unwrap();
+        let s = probe.stats().unwrap();
+        if s.jobs_completed != j + 1 || s.latency.count != j + 1 {
+            lagging.push((j, s.jobs_completed, s.latency.count));
+        }
+    }
+    let first = &lagging[..lagging.len().min(5)];
+    assert!(lagging.is_empty(), "{} snapshots lagged a Result, first {first:?}", lagging.len());
+    assert_eq!(probe.shutdown().unwrap(), JOBS);
+    let snap = server.join();
+    assert_eq!((snap.jobs_completed, snap.jobs_refused), (JOBS, 0));
+}

@@ -1,10 +1,10 @@
 //! Offline stand-in for `rayon`.
 //!
 //! The build environment has no crates.io access, so this crate provides
-//! the fragment of rayon's API the workspace uses — `par_iter_mut` /
-//! `par_iter` over slices, `into_par_iter` over integer ranges, and the
-//! `map` / `enumerate` / `for_each` / `collect` adapters — implemented
-//! with `std::thread::scope` over contiguous chunks.
+//! the fragment of rayon's API the workspace calls — `par_iter_mut` over
+//! slices with its `map` → `collect` and `enumerate` → `fold` →
+//! `reduce` chains, and `par_chunks_mut` → `enumerate` → `for_each` —
+//! implemented with `std::thread::scope` over contiguous chunks.
 //!
 //! Differences from real rayon, by design:
 //!
@@ -13,9 +13,11 @@
 //!   they do with rayon);
 //! * small inputs (below [`MIN_PAR_LEN`]) run inline on the caller's
 //!   thread, since per-call spawning would dominate;
+//! * a caller can pin an element-wise call's partition to a captured
+//!   [`ChunkPlan`] ([`ParIterMut::with_chunk_plan`]), which the round
+//!   engine does to key chunk-local state off the executing partition;
 //! * adapters are executed eagerly at the terminal operation; there is
-//!   no lazy iterator fusion beyond the single `map` this workspace
-//!   needs.
+//!   no lazy iterator fusion.
 //!
 //! Chunks are contiguous and results are reassembled in input order, so
 //! `collect` is order-preserving — the property the round engine's
@@ -29,8 +31,9 @@ use std::sync::OnceLock;
 /// Inputs shorter than this run inline; scoped-thread spawning costs a
 /// few tens of microseconds per call, which only pays off for wide
 /// loops. Call sites whose per-element work is heavier than a trivial
-/// loop body (e.g. a whole CONGEST node step over SoA slices) can lower
-/// the threshold per call with [`ParIterMut::with_min_len`].
+/// loop body (e.g. a whole CONGEST node step) plan under a lower
+/// threshold with [`chunk_plan`] and pin that plan with
+/// [`ParIterMut::with_chunk_plan`].
 pub const MIN_PAR_LEN: usize = 4096;
 
 /// Test override for the worker count (0 = fall back to the
@@ -150,60 +153,34 @@ fn plan_for(len: usize, cores: usize, forced: usize, min_len: usize) -> ChunkPla
     }
 }
 
-/// The partition an element-wise parallel call over `len` items will
-/// use under the default [`MIN_PAR_LEN`] inline threshold.
-pub fn chunk_plan(len: usize) -> ChunkPlan {
-    chunk_plan_with_min_len(len, MIN_PAR_LEN)
-}
-
-/// As [`chunk_plan`], under a caller-chosen inline threshold — pair
-/// with [`ParIterMut::with_min_len`] on the executing call so the plan
-/// and the execution agree.
-pub fn chunk_plan_with_min_len(len: usize, min_len: usize) -> ChunkPlan {
+/// The partition an element-wise parallel call over `len` items uses
+/// under the inline threshold `min_len` (an unpinned call uses
+/// [`MIN_PAR_LEN`]), from the current forced-worker and core state.
+/// Pin the returned plan with [`ParIterMut::with_chunk_plan`] so the
+/// plan and the execution agree.
+pub fn chunk_plan(len: usize, min_len: usize) -> ChunkPlan {
     plan_for(len, cores(), effective_forced(), min_len)
-}
-
-/// How an element-wise parallel call chooses its partition: recompute
-/// from the current worker state under an inline threshold (the
-/// default), or use a caller-captured [`ChunkPlan`] verbatim.
-#[derive(Clone, Copy)]
-enum Split {
-    /// Recompute [`chunk_plan_with_min_len`]`(len, min_len)` at call
-    /// time from the mutable forced-worker/core state.
-    MinLen(usize),
-    /// Use this exact plan — partitioning is then a pure function of
-    /// the plan, immune to forced-worker changes between calls.
-    Pinned(ChunkPlan),
-}
-
-impl Split {
-    fn plan(self, len: usize) -> ChunkPlan {
-        match self {
-            Split::MinLen(m) => chunk_plan_with_min_len(len, m),
-            Split::Pinned(p) => {
-                assert_eq!(p.len, len, "pinned ChunkPlan was computed for a different length");
-                p
-            }
-        }
-    }
 }
 
 /// Runs `f(start_index, chunk)` over contiguous chunks of `data` on
 /// scoped threads, returning per-chunk outputs in input order. The
-/// partition is exactly `split.plan(data.len())` — for the default
-/// [`Split::MinLen`] that is [`chunk_plan_with_min_len`]`(data.len(),
-/// min_len)`, recomputed now; for [`Split::Pinned`] it is the caller's
-/// captured plan verbatim. Callers synchronizing external chunk-local
-/// state rely on that equality.
+/// partition is the caller's `pinned` plan verbatim, or else
+/// [`chunk_plan`]`(data.len(), MIN_PAR_LEN)`, recomputed now. Callers
+/// synchronizing external chunk-local state rely on that equality.
 fn run_mut_chunks<T: Send, R: Send>(
     data: &mut [T],
-    inline: bool,
-    split: Split,
+    pinned: Option<ChunkPlan>,
     f: impl Fn(usize, &mut [T]) -> R + Sync,
 ) -> Vec<R> {
     let n = data.len();
-    let plan = split.plan(n);
-    if inline || plan.workers <= 1 {
+    let plan = match pinned {
+        Some(p) => {
+            assert_eq!(p.len, n, "pinned ChunkPlan was computed for a different length");
+            p
+        }
+        None => chunk_plan(n, MIN_PAR_LEN),
+    };
+    if plan.workers <= 1 {
         if n == 0 {
             return Vec::new();
         }
@@ -224,28 +201,6 @@ fn run_mut_chunks<T: Send, R: Send>(
     })
 }
 
-/// True when a borrowing (`&[T]`) call should run on the caller's
-/// thread; same criterion as [`plan_for`]'s inline branch.
-fn run_inline(workers: usize, len: usize) -> bool {
-    workers <= 1 || (effective_forced() == 0 && len < MIN_PAR_LEN)
-}
-
-/// Order-preserving parallel map over mutable slice elements.
-fn map_mut_indexed<T: Send, R: Send>(
-    data: &mut [T],
-    split: Split,
-    f: impl Fn(usize, &mut T) -> R + Sync,
-) -> Vec<R> {
-    let parts = run_mut_chunks(data, false, split, |base, ch| {
-        ch.iter_mut().enumerate().map(|(i, t)| f(base + i, t)).collect::<Vec<R>>()
-    });
-    let mut out = Vec::with_capacity(data.len());
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
 /// Collection target of a parallel `collect` (only `Vec` is needed).
 pub trait FromParallelVec<R>: Sized {
     fn from_parallel_vec(v: Vec<R>) -> Self;
@@ -262,26 +217,13 @@ impl<R> FromParallelVec<R> for Vec<R> {
 /// Parallel iterator over `&mut [T]`.
 pub struct ParIterMut<'a, T> {
     data: &'a mut [T],
-    split: Split,
+    pinned: Option<ChunkPlan>,
 }
 
 impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Lowers (or raises) the inline-vs-spawn threshold for this call:
-    /// the slice splits across threads whenever `len >= min_len`
-    /// (default [`MIN_PAR_LEN`]). Mirrors rayon's `with_min_len` in
-    /// spirit — call sites whose per-element body is heavy (a full
-    /// CONGEST node step) want threads long before 4096 elements.
-    /// Callers coordinating external chunk-local state must compute
-    /// their partition with [`chunk_plan_with_min_len`] using the same
-    /// value.
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.split = Split::MinLen(min_len);
-        self
-    }
-
     /// Pins this call's partition to a caller-captured [`ChunkPlan`]
-    /// (from [`chunk_plan_with_min_len`]): the element→thread mapping
-    /// becomes a pure function of the plan, unaffected by any
+    /// (from [`chunk_plan`]): the element→thread mapping becomes a pure
+    /// function of the plan, unaffected by any
     /// [`force_workers_for_tests`] / `CK_FORCED_WORKERS` change after
     /// the capture. Callers that key external chunk-local state off a
     /// plan (the round engine's SoA node-state arena) pass that exact
@@ -289,7 +231,7 @@ impl<'a, T: Send> ParIterMut<'a, T> {
     /// provably agree for every call sharing the capture. The plan
     /// must have been computed for this slice's length.
     pub fn with_chunk_plan(mut self, plan: ChunkPlan) -> Self {
-        self.split = Split::Pinned(plan);
+        self.pinned = Some(plan);
         self
     }
 
@@ -298,24 +240,17 @@ impl<'a, T: Send> ParIterMut<'a, T> {
         R: Send,
         F: Fn(&mut T) -> R + Sync,
     {
-        MapMut { data: self.data, split: self.split, f }
+        MapMut { data: self.data, pinned: self.pinned, f }
     }
 
     pub fn enumerate(self) -> EnumerateMut<'a, T> {
-        EnumerateMut { data: self.data, split: self.split }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        run_mut_chunks(self.data, false, self.split, |_, ch| ch.iter_mut().for_each(&f));
+        EnumerateMut { data: self.data, pinned: self.pinned }
     }
 }
 
 pub struct MapMut<'a, T, F> {
     data: &'a mut [T],
-    split: Split,
+    pinned: Option<ChunkPlan>,
     f: F,
 }
 
@@ -326,46 +261,24 @@ impl<'a, T: Send, F> MapMut<'a, T, F> {
         F: Fn(&mut T) -> R + Sync,
         C: FromParallelVec<R>,
     {
-        let f = self.f;
-        C::from_parallel_vec(map_mut_indexed(self.data, self.split, |_, t| f(t)))
+        let (n, f) = (self.data.len(), &self.f);
+        let parts = run_mut_chunks(self.data, self.pinned, |_, ch| {
+            ch.iter_mut().map(f).collect::<Vec<R>>()
+        });
+        let mut out = Vec::with_capacity(n);
+        for p in parts {
+            out.extend(p);
+        }
+        C::from_parallel_vec(out)
     }
 }
 
 pub struct EnumerateMut<'a, T> {
     data: &'a mut [T],
-    split: Split,
+    pinned: Option<ChunkPlan>,
 }
 
 impl<'a, T: Send> EnumerateMut<'a, T> {
-    /// See [`ParIterMut::with_min_len`].
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.split = Split::MinLen(min_len);
-        self
-    }
-
-    /// See [`ParIterMut::with_chunk_plan`].
-    pub fn with_chunk_plan(mut self, plan: ChunkPlan) -> Self {
-        self.split = Split::Pinned(plan);
-        self
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut T)) + Sync,
-    {
-        run_mut_chunks(self.data, false, self.split, |base, ch| {
-            ch.iter_mut().enumerate().for_each(|(i, t)| f((base + i, t)));
-        });
-    }
-
-    pub fn map<R, F>(self, f: F) -> EnumerateMapMut<'a, T, F>
-    where
-        R: Send,
-        F: Fn((usize, &mut T)) -> R + Sync,
-    {
-        EnumerateMapMut { data: self.data, split: self.split, f }
-    }
-
     /// Mirrors rayon's `fold`: each chunk folds its items from a fresh
     /// `identity()`; combine the chunk results with the returned
     /// adapter's `reduce`.
@@ -375,13 +288,13 @@ impl<'a, T: Send> EnumerateMut<'a, T> {
         ID: Fn() -> R + Sync,
         F: Fn(R, (usize, &mut T)) -> R + Sync,
     {
-        EnumerateFoldMut { data: self.data, split: self.split, identity, fold_op }
+        EnumerateFoldMut { data: self.data, pinned: self.pinned, identity, fold_op }
     }
 }
 
 pub struct EnumerateFoldMut<'a, T, ID, F> {
     data: &'a mut [T],
-    split: Split,
+    pinned: Option<ChunkPlan>,
     identity: ID,
     fold_op: F,
 }
@@ -399,47 +312,12 @@ impl<'a, T: Send, ID, F> EnumerateFoldMut<'a, T, ID, F> {
         OP: Fn(R, R) -> R + Sync,
     {
         let (identity_fn, fold_op) = (&self.identity, &self.fold_op);
-        let parts = run_mut_chunks(self.data, false, self.split, |base, ch| {
+        let parts = run_mut_chunks(self.data, self.pinned, |base, ch| {
             let mut acc = identity_fn();
             for (i, t) in ch.iter_mut().enumerate() {
                 acc = fold_op(acc, (base + i, t));
             }
             acc
-        });
-        parts.into_iter().fold(identity(), &op)
-    }
-}
-
-pub struct EnumerateMapMut<'a, T, F> {
-    data: &'a mut [T],
-    split: Split,
-    f: F,
-}
-
-impl<'a, T: Send, F> EnumerateMapMut<'a, T, F> {
-    pub fn collect<C, R>(self) -> C
-    where
-        R: Send,
-        F: Fn((usize, &mut T)) -> R + Sync,
-        C: FromParallelVec<R>,
-    {
-        let f = self.f;
-        C::from_parallel_vec(map_mut_indexed(self.data, self.split, |i, t| f((i, t))))
-    }
-
-    /// Mirrors rayon's `reduce`: folds chunk-locally from `identity`,
-    /// then combines the per-chunk results in input order. With an
-    /// associative `op` this equals the sequential left fold.
-    pub fn reduce<R, ID, OP>(self, identity: ID, op: OP) -> R
-    where
-        R: Send,
-        F: Fn((usize, &mut T)) -> R + Sync,
-        ID: Fn() -> R + Sync,
-        OP: Fn(R, R) -> R + Sync,
-    {
-        let f = self.f;
-        let parts = run_mut_chunks(self.data, false, self.split, |base, ch| {
-            ch.iter_mut().enumerate().map(|(i, t)| f((base + i, t))).fold(identity(), &op)
         });
         parts.into_iter().fold(identity(), &op)
     }
@@ -459,35 +337,17 @@ impl<'a, T: Send, F> EnumerateMapMut<'a, T, F> {
 pub struct ParChunksMut<'a, T> {
     data: &'a mut [T],
     chunk: usize,
-    min_items: usize,
 }
 
 impl<'a, T: Send> ParChunksMut<'a, T> {
-    /// Runs inline when the slice holds fewer than `min_items` total
-    /// elements (default 0 = always spawn when >1 worker fits).
-    /// Shard runners set a small floor so a two-job batch does not pay
-    /// thread spawn-and-join for work that finishes in microseconds.
-    pub fn with_min_items(mut self, min_items: usize) -> Self {
-        self.min_items = min_items;
-        self
-    }
-
     pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
-        EnumerateChunksMut { data: self.data, chunk: self.chunk, min_items: self.min_items }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        self.enumerate().for_each(|(_, ch)| f(ch));
+        EnumerateChunksMut { data: self.data, chunk: self.chunk }
     }
 }
 
 pub struct EnumerateChunksMut<'a, T> {
     data: &'a mut [T],
     chunk: usize,
-    min_items: usize,
 }
 
 impl<'a, T: Send> EnumerateChunksMut<'a, T> {
@@ -498,9 +358,7 @@ impl<'a, T: Send> EnumerateChunksMut<'a, T> {
         let chunk = self.chunk.max(1);
         let chunks = self.data.len().div_ceil(chunk);
         let workers = worker_count(chunks);
-        // The min-items floor is a caller tuning choice, so unlike
-        // MIN_PAR_LEN it is honored even under forced workers.
-        if workers <= 1 || self.data.len() < self.min_items {
+        if workers <= 1 {
             self.data.chunks_mut(chunk).enumerate().for_each(f);
             return;
         }
@@ -523,143 +381,8 @@ impl<'a, T: Send> EnumerateChunksMut<'a, T> {
     }
 }
 
-/// Parallel iterator over `&[T]`.
-pub struct ParIter<'a, T> {
-    data: &'a [T],
-}
-
-impl<'a, T: Sync> ParIter<'a, T> {
-    pub fn map<R, F>(self, f: F) -> MapRef<'a, T, F>
-    where
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        MapRef { data: self.data, f }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&T) + Sync,
-    {
-        let n = self.data.len();
-        let workers = worker_count(n);
-        if run_inline(workers, n) {
-            self.data.iter().for_each(f);
-            return;
-        }
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|s| {
-            let f = &f;
-            let handles: Vec<_> =
-                self.data.chunks(chunk).map(|ch| s.spawn(move || ch.iter().for_each(f))).collect();
-            for h in handles {
-                h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            }
-        });
-    }
-}
-
-pub struct MapRef<'a, T, F> {
-    data: &'a [T],
-    f: F,
-}
-
-impl<'a, T: Sync, F> MapRef<'a, T, F> {
-    pub fn collect<C, R>(self) -> C
-    where
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-        C: FromParallelVec<R>,
-    {
-        let n = self.data.len();
-        let workers = worker_count(n);
-        let f = self.f;
-        if run_inline(workers, n) {
-            return C::from_parallel_vec(self.data.iter().map(f).collect());
-        }
-        let chunk = n.div_ceil(workers);
-        let parts: Vec<Vec<R>> = std::thread::scope(|s| {
-            let f = &f;
-            let handles: Vec<_> = self
-                .data
-                .chunks(chunk)
-                .map(|ch| s.spawn(move || ch.iter().map(f).collect::<Vec<R>>()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(n);
-        for p in parts {
-            out.extend(p);
-        }
-        C::from_parallel_vec(out)
-    }
-}
-
-// ---------------------------------------------------------------- ranges
-
-/// Parallel iterator over an exclusive integer range.
-pub struct RangePar<T> {
-    start: T,
-    end: T,
-}
-
-pub struct RangeMap<T, F> {
-    start: T,
-    end: T,
-    f: F,
-}
-
-macro_rules! impl_range_par {
-    ($($t:ty),*) => {$(
-        impl RangePar<$t> {
-            pub fn map<R, F>(self, f: F) -> RangeMap<$t, F>
-            where
-                R: Send,
-                F: Fn($t) -> R + Sync,
-            {
-                RangeMap { start: self.start, end: self.end, f }
-            }
-        }
-
-        impl<F> RangeMap<$t, F> {
-            pub fn collect<C, R>(self) -> C
-            where
-                R: Send,
-                F: Fn($t) -> R + Sync,
-                C: FromParallelVec<R>,
-            {
-                let mut idx: Vec<$t> = (self.start..self.end).collect();
-                let f = self.f;
-                C::from_parallel_vec(map_mut_indexed(&mut idx, Split::MinLen(MIN_PAR_LEN), |_, v| f(*v)))
-            }
-        }
-
-        impl IntoParallelIterator for core::ops::Range<$t> {
-            type Iter = RangePar<$t>;
-            fn into_par_iter(self) -> RangePar<$t> {
-                RangePar { start: self.start, end: self.end }
-            }
-        }
-    )*};
-}
-
-/// Conversion into a parallel iterator, mirroring rayon's trait of the
-/// same name for the types this workspace fans out over.
-pub trait IntoParallelIterator {
-    type Iter;
-    fn into_par_iter(self) -> Self::Iter;
-}
-
-impl_range_par!(u32, u64, usize);
-
-/// Extension traits providing `par_iter` / `par_iter_mut` on slices.
-pub trait ParallelSlice<T: Sync> {
-    fn par_iter(&self) -> ParIter<'_, T>;
-}
-
+/// Extension trait providing `par_iter_mut` and `par_chunks_mut` on
+/// slices (and, by auto-deref, on `Vec`s).
 pub trait ParallelSliceMut<T: Send> {
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T>;
 
@@ -668,46 +391,33 @@ pub trait ParallelSliceMut<T: Send> {
     fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T>;
 }
 
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { data: self }
-    }
-}
-
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
-        ParIterMut { data: self, split: Split::MinLen(MIN_PAR_LEN) }
+        ParIterMut { data: self, pinned: None }
     }
 
     fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
-        ParChunksMut { data: self, chunk, min_items: 0 }
-    }
-}
-
-impl<T: Sync> ParallelSlice<T> for Vec<T> {
-    fn par_iter(&self) -> ParIter<'_, T> {
-        ParIter { data: self }
-    }
-}
-
-impl<T: Send> ParallelSliceMut<T> for Vec<T> {
-    fn par_iter_mut(&mut self) -> ParIterMut<'_, T> {
-        ParIterMut { data: self, split: Split::MinLen(MIN_PAR_LEN) }
-    }
-
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParChunksMut<'_, T> {
-        ParChunksMut { data: self, chunk, min_items: 0 }
+        ParChunksMut { data: self, chunk }
     }
 }
 
 /// The drop-in prelude, mirroring `rayon::prelude::*`.
 pub mod prelude {
-    pub use crate::{FromParallelVec, IntoParallelIterator, ParallelSlice, ParallelSliceMut};
+    pub use crate::{FromParallelVec, ParallelSliceMut};
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+
+    /// Restores the default worker count when dropped, even on panic.
+    struct Reset;
+
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            crate::force_workers_for_tests(0);
+        }
+    }
 
     #[test]
     fn map_collect_preserves_order() {
@@ -720,23 +430,26 @@ mod tests {
     #[test]
     fn for_each_mutates_every_element() {
         let mut v = vec![1u32; 9000];
-        v.par_iter_mut().for_each(|x| *x += 1);
+        let _: Vec<()> = v.par_iter_mut().map(|x| *x += 1).collect();
         assert!(v.iter().all(|&x| x == 2));
     }
 
     #[test]
     fn enumerate_indices_are_global() {
         let mut v = vec![0usize; 10_000];
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i);
+        let visited = v
+            .par_iter_mut()
+            .enumerate()
+            .fold(
+                || 0usize,
+                |count, (i, x)| {
+                    *x = i;
+                    count + 1
+                },
+            )
+            .reduce(|| 0, |a, b| a + b);
+        assert_eq!(visited, 10_000);
         assert!(v.iter().enumerate().all(|(i, &x)| x == i));
-    }
-
-    #[test]
-    fn range_into_par_iter_collects_in_order() {
-        let out: Vec<u64> = (0u64..5000).into_par_iter().map(|x| x + 1).collect();
-        assert_eq!(out.first(), Some(&1));
-        assert_eq!(out.last(), Some(&5000));
-        assert!(out.windows(2).all(|w| w[1] == w[0] + 1));
     }
 
     #[test]
@@ -752,16 +465,10 @@ mod tests {
         assert_eq!(v, vec![1, 1, 1, 1, 2, 2, 2, 2, 3, 3]);
 
         // Forced workers: exercise the genuinely threaded path.
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                crate::force_workers_for_tests(0);
-            }
-        }
         let _reset = Reset;
         crate::force_workers_for_tests(3);
-        let mut v = vec![0usize; 10];
-        v.par_chunks_mut(3).for_each(|ch| ch.iter_mut().for_each(|x| *x += 7));
+        let mut v = [0usize; 10];
+        v.par_chunks_mut(3).enumerate().for_each(|(_, ch)| ch.iter_mut().for_each(|x| *x += 7));
         assert!(v.iter().all(|&x| x == 7));
 
         // Far more chunks than workers: every chunk still runs with its
@@ -773,10 +480,10 @@ mod tests {
 
     #[test]
     fn small_inputs_run_inline() {
-        let mut v = vec![3u8; 5];
+        let mut v = [3u8; 5];
         let out: Vec<u8> = v.par_iter_mut().map(|x| *x).collect();
         assert_eq!(out, vec![3; 5]);
-        let empty: Vec<u8> = Vec::new().par_iter().map(|x: &u8| *x).collect();
+        let empty: Vec<u8> = Vec::<u8>::new().par_iter_mut().map(|x| *x).collect();
         assert!(empty.is_empty());
     }
 
@@ -815,40 +522,30 @@ mod tests {
         assert_eq!(p.chunk_of(9), 3);
     }
 
+    /// A plan computed under a lowered threshold splits a slice far
+    /// below [`crate::MIN_PAR_LEN`], and a fold pinned to it equals the
+    /// sequential fold (order-preserving combine) — the round engine's
+    /// node-step path.
     #[test]
-    fn with_min_len_override_is_respected() {
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                crate::force_workers_for_tests(0);
-            }
-        }
+    fn lowered_threshold_plan_splits_small_slices() {
         let _reset = Reset;
         // Forced to 3 workers so the threaded path is real even on a
-        // 1-core machine; with_min_len(8) must still produce correct,
-        // order-preserving results on a slice far below MIN_PAR_LEN.
+        // 1-core machine.
         crate::force_workers_for_tests(3);
-        let plan = crate::chunk_plan_with_min_len(10, 8);
+        let plan = crate::chunk_plan(10, 8);
         assert_eq!((plan.workers, plan.chunk_len), (3, 4));
-        let mut v = vec![0usize; 10];
-        v.par_iter_mut().with_min_len(8).enumerate().for_each(|(i, x)| *x = i + 1);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
-
-        // fold/reduce over the same lowered threshold must equal the
-        // sequential fold (order-preserving combine).
-        let mut v: Vec<u64> = (0..100).collect();
+        let mut v: Vec<u64> = (0..10).collect();
         let sum = v
             .par_iter_mut()
+            .with_chunk_plan(plan)
             .enumerate()
-            .with_min_len(16)
             .fold(|| 0u64, |acc, (i, x)| acc + *x + i as u64)
             .reduce(|| 0u64, |a, b| a + b);
-        assert_eq!(sum, 2 * (0..100u64).sum::<u64>());
+        assert_eq!(sum, 2 * (0..10u64).sum::<u64>());
 
-        // Without the override the same tiny slice stays inline under
-        // a non-forced plan: workers == 1 when nothing is forced and
-        // len < MIN_PAR_LEN (cores may exceed 1 on the host, so only
-        // check the planner's inline decision directly).
+        // Without the lowered threshold the same tiny slice stays inline
+        // under a non-forced plan (cores may exceed 1 on the host, so
+        // only check the planner's inline decision directly).
         assert_eq!(crate::plan_for(10, 8, 0, crate::MIN_PAR_LEN).workers, 1);
     }
 
@@ -864,7 +561,7 @@ mod tests {
         // would normally run inline): the pinned plan must still split
         // into its own chunks. Record each element's observed chunk
         // base and check it against the plan's chunk_of mapping.
-        let mut v = vec![usize::MAX; 12];
+        let mut v = [usize::MAX; 12];
         v.par_iter_mut()
             .with_chunk_plan(plan)
             .enumerate()
@@ -893,21 +590,12 @@ mod tests {
         // Mutating the forced state between capture and call must not
         // change the partition: pin 2 chunks, then force 5 workers —
         // the call still splits into exactly the pinned 2 chunks.
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                crate::force_workers_for_tests(0);
-            }
-        }
         let _reset = Reset;
         let pinned = crate::ChunkPlan { len: 10, workers: 2, chunk_len: 5 };
         crate::force_workers_for_tests(5);
         let bases: Vec<usize> = {
             let mut v = vec![0u8; 10];
-            let parts =
-                crate::run_mut_chunks(&mut v, false, crate::Split::Pinned(pinned), |base, ch| {
-                    (base, ch.len())
-                });
+            let parts = crate::run_mut_chunks(&mut v, Some(pinned), |base, ch| (base, ch.len()));
             parts.iter().for_each(|&(base, len)| assert!(len <= pinned.chunk_len, "{base}/{len}"));
             parts.into_iter().map(|(base, _)| base).collect()
         };
@@ -918,35 +606,7 @@ mod tests {
     #[should_panic(expected = "different length")]
     fn with_chunk_plan_rejects_mismatched_length() {
         let plan = crate::ChunkPlan { len: 8, workers: 2, chunk_len: 4 };
-        let mut v = vec![0usize; 9];
-        v.par_iter_mut().with_chunk_plan(plan).for_each(|x| *x += 1);
-    }
-
-    #[test]
-    fn with_min_items_keeps_small_chunked_batches_inline() {
-        struct Reset;
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                crate::force_workers_for_tests(0);
-            }
-        }
-        let _reset = Reset;
-        crate::force_workers_for_tests(3);
-        // Below the floor: inline, still covers every chunk.
-        let mut v = vec![0usize; 4];
-        v.par_chunks_mut(2).with_min_items(8).enumerate().for_each(|(ci, ch)| {
-            for x in ch.iter_mut() {
-                *x = ci + 1;
-            }
-        });
-        assert_eq!(v, vec![1, 1, 2, 2]);
-        // At or above the floor: threaded, same output contract.
-        let mut v = vec![0usize; 8];
-        v.par_chunks_mut(2).with_min_items(8).enumerate().for_each(|(ci, ch)| {
-            for x in ch.iter_mut() {
-                *x = ci + 1;
-            }
-        });
-        assert_eq!(v, vec![1, 1, 2, 2, 3, 3, 4, 4]);
+        let mut v = [0usize; 9];
+        let _: Vec<usize> = v.par_iter_mut().with_chunk_plan(plan).map(|x| *x + 1).collect();
     }
 }
