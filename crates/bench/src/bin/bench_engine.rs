@@ -1069,8 +1069,8 @@ fn main() {
          before timing, plus a recovery-latency row: a chaos-injected worker abort mid-run \
          must be detected within the round deadline and degrade to the sequential oracle \
          inside an explicit wall-clock budget, gated. The v5 soa block: the SoA node-state \
-         arena (the only node-state layout — lane-major CSR port streams, node-major \
-         sequence-set headers, chunk-shared prune workspaces) on the accounted testers, cold \
+         arena (the only node-state layout — one node-major entry of sequence-set \
+         headers per node, chunk-shared prune workspaces) on the accounted testers, cold \
          session per run at a single repetition (the planted instance is asserted rejected \
          first), best-of-N interleaved timing: a sequential row plus the threads axis, \
          rounds/sec of the parallel executor at forced worker counts {{1,2,4,8}} (the cores \

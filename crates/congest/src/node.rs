@@ -341,17 +341,12 @@ pub(crate) struct DirectSink<M> {
 pub struct Outbox<M> {
     sink: Sink<M>,
     degree: u32,
-    queued: u32,
     /// Whether this step already broadcast: a second broadcast would
     /// put a second message on every link.
     slot_used: bool,
 }
 
 impl<M: WireMessage> Outbox<M> {
-    pub(crate) fn new(degree: u32) -> Self {
-        Outbox { sink: Sink::Buffered(Vec::new()), degree, queued: 0, slot_used: false }
-    }
-
     /// Builds an inbox-writing outbox for one step call
     /// (engine-internal).
     ///
@@ -364,7 +359,7 @@ impl<M: WireMessage> Outbox<M> {
     /// slot array (slot `sender` unaliased), and `acc`/`ctx` live
     /// objects nobody else mutates during the call.
     pub(crate) unsafe fn direct(degree: u32, sink: DirectSink<M>) -> Self {
-        Outbox { sink: Sink::Direct(sink), degree, queued: 0, slot_used: false }
+        Outbox { sink: Sink::Direct(sink), degree, slot_used: false }
     }
 
     /// Constructs a free-standing buffered outbox for out-of-crate
@@ -372,7 +367,7 @@ impl<M: WireMessage> Outbox<M> {
     /// [`Program`] step in isolation). The engine builds its own
     /// outboxes internally.
     pub fn for_harness(degree: u32) -> Self {
-        Outbox::new(degree)
+        Outbox { sink: Sink::Buffered(Vec::new()), degree, slot_used: false }
     }
 
     /// Moves the queued `(port, message)` pairs out in queueing order,
@@ -383,7 +378,6 @@ impl<M: WireMessage> Outbox<M> {
     /// # Panics
     /// Panics on an engine-internal direct outbox (those have no queue).
     pub fn take_sends(&mut self) -> Vec<(u32, M)> {
-        self.queued = 0;
         match &mut self.sink {
             Sink::Buffered(v) => std::mem::take(v),
             // ck-lint: allow(no-panic, reason = "documented '# Panics' contract: harness-only API, misuse on a direct outbox is a programming error with no recoverable state")
@@ -404,7 +398,6 @@ impl<M: WireMessage> Outbox<M> {
     #[inline]
     pub fn send(&mut self, port: u32, msg: M) {
         assert!(port < self.degree, "send on port {port} of node with degree {}", self.degree);
-        self.queued += 1;
         match &mut self.sink {
             Sink::Buffered(v) => {
                 assert!(
@@ -448,7 +441,6 @@ impl<M: WireMessage> Outbox<M> {
     /// is parked. A node of degree 0 sends nothing, so its broadcasts
     /// never panic.
     pub fn broadcast(&mut self, msg: M) -> Option<M> {
-        self.queued += self.degree;
         if self.degree == 0 {
             return None;
         }
@@ -497,11 +489,6 @@ impl<M: WireMessage> Outbox<M> {
                 }
             }
         }
-    }
-
-    /// Number of messages queued so far this round.
-    pub fn queued(&self) -> usize {
-        self.queued as usize
     }
 
     /// Number of ports available (the node's degree).
@@ -718,20 +705,18 @@ mod tests {
 
     #[test]
     fn outbox_send_and_broadcast() {
-        let mut ob: Outbox<u64> = Outbox::new(3);
+        let mut ob: Outbox<u64> = Outbox::for_harness(3);
         ob.send(2, 42);
         ob.send(0, 41);
-        assert_eq!(ob.queued(), 2);
         assert_eq!(ob.take_sends(), vec![(2, 42), (0, 41)], "queueing order");
         assert_eq!(ob.broadcast(7), None, "buffered outboxes have no slot to evict");
-        assert_eq!(ob.queued(), 3);
         assert_eq!(ob.take_sends(), vec![(0, 7), (1, 7), (2, 7)]);
     }
 
     #[test]
     #[should_panic(expected = "send on port 3")]
     fn outbox_rejects_bad_port() {
-        let mut ob: Outbox<u64> = Outbox::new(3);
+        let mut ob: Outbox<u64> = Outbox::for_harness(3);
         ob.send(3, 1);
     }
 
@@ -742,10 +727,8 @@ mod tests {
         let mut ob: Outbox<u64> = Outbox::for_harness(2);
         ob.send(1, 8);
         assert_eq!(ob.take_sends(), vec![(1, 8)]);
-        assert_eq!(ob.queued(), 0);
         ob.broadcast(3);
         assert_eq!(ob.take_sends(), vec![(0, 3), (1, 3)]);
-        assert_eq!(ob.queued(), 0);
         ob.send(1, 1);
         assert_eq!(ob.take_sends(), vec![(1, 1)]);
     }
@@ -754,7 +737,6 @@ mod tests {
     fn broadcast_to_degree_zero_is_a_no_op() {
         let mut ob: Outbox<u64> = Outbox::for_harness(0);
         assert_eq!(ob.broadcast(9), None);
-        assert_eq!(ob.queued(), 0);
         assert!(ob.take_sends().is_empty());
     }
 

@@ -3,8 +3,8 @@
 //!
 //! A `Session` is one builder: graph + [`EngineConfig`] + optional
 //! pinned [`WireParams`], with the [`EngineWorkspace`] owned *inside*
-//! the session so the fast path (arena/load-table/slot-array reuse
-//! across runs) is the default rather than an expert opt-in. Repeated
+//! the session so the fast path (arena and slot-array reuse across
+//! runs) is the default rather than an expert opt-in. Repeated
 //! [`Session::run`] calls on the same session allocate nothing once
 //! the first run has warmed the arenas.
 //!

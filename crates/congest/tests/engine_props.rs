@@ -41,7 +41,7 @@ impl Program for Echo {
         self.received += inbox.len() as u64;
         if round < self.rounds {
             out.broadcast(u64::from(round));
-            self.sent += out.queued() as u64;
+            self.sent += u64::from(out.degree());
             Status::Running
         } else {
             Status::Halted

@@ -1357,8 +1357,7 @@ mod tests {
     /// on one link: worker 0 of 2 on the path 0–1–2–3 (k = 5) gets two
     /// from node 2 on node 1's port towards it after round 1, when node
     /// 0 also broadcasts its seed to node 1. The second inject is
-    /// refused typed, and round 2 steps — node 1's tag lane holds one
-    /// tag per port, which three deliveries would overrun.
+    /// refused typed, and round 2 steps on the deliveries that landed.
     #[test]
     fn a_repeated_delivery_is_refused_and_the_next_round_steps() {
         let g = ck_congest::graph::GraphBuilder::new(4)

@@ -26,10 +26,11 @@ use crate::msg::{CkMsg, EdgeTag};
 use crate::prune::build_send_set_into;
 use crate::rank::{draw_rank, repetitions_for, rounds_per_repetition, total_rounds, RankStream};
 use crate::seq::{SeqRows, SortScratch, MAX_K};
-use crate::soa::{BufsRef, BundleLoc, SoaArena, SoaView};
+use crate::soa::{BufsRef, SoaArena, SoaView};
 use ck_congest::engine::{EngineConfig, EngineError, RunOutcome};
 use ck_congest::graph::{Graph, NodeId};
 use ck_congest::node::{Inbox, NodeInit, Outbox, Program, Status};
+use std::cmp::Ordering;
 
 /// A [`TesterConfig`] whose parameters lie outside the algorithm's
 /// domain. Historically `TesterConfig::new` accepted anything and the
@@ -209,6 +210,8 @@ pub(crate) struct CkTester<'g> {
     /// Early-abort: the flag has been forwarded once already.
     abort_forwarded: bool,
     // Per-repetition state.
+    /// The served edge's tag: the smallest key heard so far this
+    /// repetition, lowered by Phase 1 and by absorb.
     cur: Option<EdgeTag>,
     own_sent_tag: Option<EdgeTag>,
     verdict: NodeVerdict,
@@ -241,14 +244,14 @@ impl<'g> CkTester<'g> {
     }
 }
 
-/// Lowers `cur` to the smallest tag among the incoming Phase-2 messages
-/// (the paper's switch rule), then fills `recv` with the deduplicated
-/// `width`-ID sequences of the edge now being served. One pass records
-/// each message's tag and payload location in the degree-sized lanes
-/// (at most one Phase-2 message arrives per port under CONGEST), so the
-/// shared broadcast slots (a random read per sender) are dereferenced
-/// exactly once; payloads are read straight out of the slots — no
-/// clone, no allocation.
+/// Absorbs one round's Phase-2 messages in one pass over the inbox,
+/// keeping the paper's switch rule as a running minimum: a message
+/// whose tag is below `cur` makes that tag the served edge and restarts
+/// `recv`, one carrying `cur` itself adds its rows, and one with a
+/// larger tag is discarded. `recv` ends up holding the deduplicated
+/// `width`-ID sequences of the edge now being served. Payloads are read
+/// straight out of the senders' broadcast slots: no clone, no
+/// allocation.
 ///
 /// `width` is the round's sequence length. A payload of any other width
 /// (a distributed frame whose context word disagrees with the round)
@@ -256,31 +259,22 @@ impl<'g> CkTester<'g> {
 /// every `Seqs` tag does.
 fn absorb(
     cur: &mut Option<EdgeTag>,
-    tags: &mut [EdgeTag],
-    locs: &mut [BundleLoc],
     recv: &mut SeqRows,
     sort: &mut SortScratch,
     inbox: &Inbox<'_, CkMsg>,
     width: usize,
 ) {
     recv.reset(width);
-    let mut len = 0usize;
     for inc in inbox.iter() {
         if let CkMsg::Seqs { tag, seqs } = inc.msg {
-            if cur.is_none_or(|c| *tag < c) {
-                *cur = Some(*tag);
+            match cur.map_or(Ordering::Less, |c| tag.cmp(&c)) {
+                Ordering::Less => {
+                    *cur = Some(*tag);
+                    recv.reset(width);
+                }
+                Ordering::Equal => {}
+                Ordering::Greater => continue,
             }
-            tags[len] = *tag;
-            locs[len] = BundleLoc(seqs as *const _);
-            len += 1;
-        }
-    }
-    let Some(cur) = *cur else { return };
-    for i in 0..len {
-        if tags[i] == cur {
-            // SAFETY: collected from this call's inbox a few lines up;
-            // the payloads live until the step returns.
-            let seqs = unsafe { &*locs[i].0 };
             if seqs.width() == width {
                 recv.extend_rows(seqs);
             }
@@ -289,6 +283,11 @@ fn absorb(
     if recv.len() > 1 {
         recv.sort_dedup(sort);
     }
+}
+
+/// Lowers the running minimum `cur` to `tag` (Phase 1's arbitration).
+fn lower(cur: &mut Option<EdgeTag>, tag: EdgeTag) {
+    *cur = Some(cur.map_or(tag, |c| c.min(tag)));
 }
 
 /// The own set of a decision whose last send served another edge.
@@ -309,7 +308,7 @@ impl Program for CkTester<'_> {
     type Verdict = NodeVerdict;
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, CkMsg>, out: &mut Outbox<CkMsg>) -> Status {
-        let BufsRef { ports, tags, locs, own_sent, spare, recv, send, prune } = self.view.bufs();
+        let BufsRef { own_sent, spare, recv, send, prune } = self.view.bufs();
 
         // Early-abort extension: adopt an incoming flag, forward it once,
         // halt the round after (the normal protocol below never runs
@@ -333,9 +332,9 @@ impl Program for CkTester<'_> {
 
         if local == 0 {
             // Phase 1: reset the repetition, then owners draw and ship
-            // ranks. Non-owners skip RNG construction: their stream is
-            // never drawn from, so the skip is unobservable.
-            ports.fill(0);
+            // ranks, keeping the smallest own key in `cur`. Non-owners
+            // skip RNG construction: their stream is never drawn from,
+            // so the skip is unobservable.
             self.cur = None;
             own_sent.reset(0);
             self.own_sent_tag = None;
@@ -344,7 +343,7 @@ impl Program for CkTester<'_> {
                 for (p, &nb) in self.neighbor_ids.iter().enumerate() {
                     if self.myid < nb {
                         let r = draw_rank(&mut rng, self.m);
-                        ports[p] = r;
+                        lower(&mut self.cur, EdgeTag::new(r, self.myid, nb));
                         out.send(p as u32, CkMsg::Rank(r));
                     }
                 }
@@ -353,30 +352,21 @@ impl Program for CkTester<'_> {
         }
 
         if local == 1 {
-            // Phase 1 completion: learn the remaining ranks, adopt the
-            // minimum-key incident edge, broadcast the seed (paper rd. 1).
+            // Phase 1 completion: lower `cur` with the ranks the other
+            // edges' owners shipped, so it holds the minimum-key
+            // incident edge, and broadcast the seed (paper rd. 1). A
+            // rank lost to a fault leaves its edge out of this
+            // repetition. Ranks are drawn from [1, m²], so a rank 0 can
+            // only be a corrupted frame; it names no edge.
             for inc in inbox.iter() {
                 if let CkMsg::Rank(r) = *inc.msg {
-                    ports[inc.port as usize] = r;
+                    if r != 0 {
+                        let nb = self.neighbor_ids[inc.port as usize];
+                        lower(&mut self.cur, EdgeTag::new(r, self.myid, nb));
+                    }
                 }
             }
-            let mut best: Option<EdgeTag> = None;
-            for (p, &nb) in self.neighbor_ids.iter().enumerate() {
-                // On a reliable network every edge has exactly one owner
-                // and the rank is always known; under fault injection the
-                // rank message may be lost (rank 0 = unknown), in which
-                // case this node cannot serve that edge this repetition.
-                let rank = ports[p];
-                if rank == 0 {
-                    continue;
-                }
-                let tag = EdgeTag::new(rank, self.myid, nb);
-                if best.is_none_or(|b| tag < b) {
-                    best = Some(tag);
-                }
-            }
-            if let Some(tag) = best {
-                self.cur = Some(tag);
+            if let Some(tag) = self.cur {
                 let seed = [self.myid];
                 if self.half_k == 1 {
                     // k = 3: the seed round is the last send round.
@@ -397,7 +387,7 @@ impl Program for CkTester<'_> {
             // Paper round t = local: prioritized prune-and-forward,
             // entirely within recycled buffers.
             let t = local as usize;
-            absorb(&mut self.cur, tags, locs, recv, prune.sort_scratch(), &inbox, t - 1);
+            absorb(&mut self.cur, recv, prune.sort_scratch(), &inbox, t - 1);
             build_send_set_into(recv, self.myid, self.k, t, prune, send);
             if !send.is_empty() {
                 self.verdict.max_sent_seqs = self.verdict.max_sent_seqs.max(send.len());
@@ -420,7 +410,7 @@ impl Program for CkTester<'_> {
         // local == half_k + 1: decision round (Instructions 31–42) on
         // the sequences sent at round half_k.
         let half = self.half_k as usize;
-        absorb(&mut self.cur, tags, locs, recv, prune.sort_scratch(), &inbox, half);
+        absorb(&mut self.cur, recv, prune.sort_scratch(), &inbox, half);
         let own: &SeqRows =
             if self.own_sent_tag == self.cur && self.cur.is_some() { own_sent } else { &NO_ROWS };
         if !self.verdict.rejected {
@@ -685,6 +675,7 @@ pub fn test_ck_freeness(g: &Graph, k: usize, eps: f64, seed: u64) -> TesterRun {
 mod tests {
     use super::*;
     use ck_congest::engine::Executor;
+    use ck_congest::graph::{GraphBuilder, NodeIndex};
     use ck_graphgen::basic::{complete_bipartite, cycle, petersen};
 
     /// The tests' single-run entry: a fresh session per call.
@@ -939,35 +930,89 @@ mod tests {
         assert!(run.reject);
     }
 
-    /// A payload whose width disagrees with the round (a distributed
-    /// frame whose context word is off) is dropped by absorb: the step
-    /// forwards only the round-width rows, each with the node's ID
-    /// appended, instead of tripping the pruner's width check.
+    /// Node `v`'s program over `arena`, prepared for `g` as one chunk,
+    /// for stepping single rounds through an `InboxBuf`.
+    fn lone_node<'g>(
+        g: &'g Graph,
+        cfg: &TesterConfig,
+        arena: &mut SoaArena,
+        v: NodeIndex,
+    ) -> CkTester<'g> {
+        arena.prepare(g, g.n());
+        let init =
+            NodeInit { index: v, id: g.id(v), neighbor_ids: g.neighbor_ids(v), n: g.n(), m: g.m() };
+        CkTester::new(cfg, &init, SoaView::new(arena.bases(), v as usize))
+    }
+
+    /// Phase 1 keeps a running minimum over the node's own keys and the
+    /// ranks it receives. Node 1 of the path 0–1–2 owns the edge (1, 2)
+    /// and hears the rank of (0, 1) from node 0. A received rank 1 wins
+    /// (on a rank tie, endpoint 0 < 1 decides); a received rank 0, which
+    /// only a corrupted frame can carry, names no edge, so the node
+    /// serves its own.
+    #[test]
+    fn phase1_adopts_the_smallest_own_or_received_key() {
+        use ck_congest::node::InboxBuf;
+        let g = GraphBuilder::new(3).edge(0, 1).edge(1, 2).build().unwrap();
+        let cfg = TesterConfig::new(5, 0.1, 3);
+        let (id0, id1, id2) = (g.id(0), g.id(1), g.id(2));
+        let from0 = g.neighbor_ids(1).iter().position(|&nb| nb == id0).unwrap() as u32;
+        for (received, adopts_received) in [(1, true), (0, false)] {
+            let mut arena = SoaArena::default();
+            let mut node = lone_node(&g, &cfg, &mut arena, 1);
+            let mut out = Outbox::for_harness(2);
+            assert_eq!(node.step(0, InboxBuf::new().view(), &mut out), Status::Running);
+            let sends = out.take_sends();
+            assert_eq!(sends.len(), 1, "node 1 ranks the one edge it owns");
+            assert_eq!(sends[0].0, 1 - from0, "the rank goes to node 2");
+            let CkMsg::Rank(r_own) = sends[0].1 else { panic!("round 0 ships a rank") };
+            let mut inbox = InboxBuf::new();
+            inbox.push(from0, CkMsg::Rank(received));
+            assert_eq!(node.step(1, inbox.view(), &mut out), Status::Running);
+            let tag = if adopts_received {
+                EdgeTag::new(1, id0, id1)
+            } else {
+                EdgeTag::new(r_own, id1, id2)
+            };
+            let seed = CkMsg::Seqs { tag, seqs: SeqRows::from_rows(1, &[&[id1]]) };
+            let sends = out.take_sends();
+            assert_eq!(sends.len(), 2, "one seed broadcast over both ports");
+            for (_, msg) in sends {
+                assert_eq!(msg, seed, "received rank {received}");
+            }
+        }
+    }
+
+    /// Absorb serves the smallest tag and drops payloads whose width
+    /// disagrees with the round (a distributed frame whose context word
+    /// is off): the step forwards only the served tag's round-width
+    /// rows, each with the node's ID appended, instead of tripping the
+    /// pruner's width check. A larger tag that arrives first, with rows
+    /// of the round's width, is served until the smaller one replaces
+    /// it, and its rows go with it.
     #[test]
     fn foreign_width_payloads_are_dropped() {
         use ck_congest::node::InboxBuf;
-        let g = cycle(7);
+        let g = GraphBuilder::new(4).edge(0, 1).edge(0, 2).edge(0, 3).build().unwrap();
         let cfg = TesterConfig::new(7, 0.1, 1);
         let mut arena = SoaArena::default();
-        arena.prepare(&g, g.n());
-        let bases = arena.bases();
-        let init =
-            NodeInit { index: 0, id: g.id(0), neighbor_ids: g.neighbor_ids(0), n: g.n(), m: g.m() };
-        let mut node = CkTester::new(&cfg, &init, SoaView::new(bases, 0));
-        let myid = init.id;
+        let mut node = lone_node(&g, &cfg, &mut arena, 0);
+        let myid = g.id(0);
         // Paper round t = 3 of repetition 0 carries width-2 rows.
         let round = 3;
         assert!((2..=node.half_k).contains(&(round % node.rpr)));
         let tag = EdgeTag::new(5, 40, 41);
+        let larger = EdgeTag::new(6, 40, 41);
         let mut inbox = InboxBuf::new();
+        inbox.push(0, CkMsg::Seqs { tag: larger, seqs: SeqRows::from_rows(2, &[&[50, 51]]) });
         let fit = SeqRows::from_rows(2, &[&[20, 21], &[10, 11]]);
-        inbox.push(0, CkMsg::Seqs { tag, seqs: fit });
-        inbox.push(1, CkMsg::Seqs { tag, seqs: SeqRows::from_rows(3, &[&[30, 31, 32]]) });
-        let mut out = Outbox::for_harness(2);
+        inbox.push(1, CkMsg::Seqs { tag, seqs: fit });
+        inbox.push(2, CkMsg::Seqs { tag, seqs: SeqRows::from_rows(3, &[&[30, 31, 32]]) });
+        let mut out = Outbox::for_harness(3);
         assert_eq!(node.step(round, inbox.view(), &mut out), Status::Running);
         let want = SeqRows::from_rows(3, &[&[10, 11, myid], &[20, 21, myid]]);
         let sends = out.take_sends();
-        assert_eq!(sends.len(), 2, "one broadcast over both ports");
+        assert_eq!(sends.len(), 3, "one broadcast over every port");
         for (_, msg) in sends {
             assert_eq!(msg, CkMsg::Seqs { tag, seqs: want.clone() });
         }

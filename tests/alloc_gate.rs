@@ -38,7 +38,7 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Heap bytes a cold one-repetition sequential session may request per
 /// node beyond the graph (leg (f)).
-const COLD_BYTES_PER_NODE: u64 = 800;
+const COLD_BYTES_PER_NODE: u64 = 700;
 
 /// Heap operations one warm service request may make, at any graph
 /// size (leg (g)).
@@ -264,11 +264,12 @@ fn warm_reruns_perform_zero_heap_operations() {
     // `COLD_BYTES_PER_NODE` heap bytes per node, counted from after the
     // graph is built: k = 4–7 at n = 8,000, and k = 5 at n = 10⁵.
     // Phase-2 sequence sets sized to the round, one 8-byte mailbox slot
-    // per directed edge and one spare payload backing per node keep it
-    // there (about 0.7 KB); per-node payload pools needed about
-    // 0.8–0.9 KB, per-receiver inbox boxes about 1.05–1.09 KB, 64-byte
-    // packets about 1.4 KB, and sets sized for the largest supported k
-    // about 4 KB.
+    // per directed edge, one spare payload backing per node and no
+    // per-port tester state keep it there (about 0.6 KB); per-port rank
+    // and tag lanes needed about 0.7–0.75 KB, per-node payload pools
+    // about 0.8–0.9 KB, per-receiver inbox boxes about 1.05–1.09 KB,
+    // 64-byte packets about 1.4 KB, and sets sized for the largest
+    // supported k about 4 KB.
     let inputs = [(8_000usize, 4usize), (8_000, 5), (8_000, 6), (8_000, 7), (100_000, 5)];
     for (n, k) in inputs {
         let inst = plant_on_host(&random_tree(n, 7), k, n / 40, 7);
