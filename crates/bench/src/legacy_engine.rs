@@ -54,6 +54,7 @@ where
             let v = v as NodeIndex;
             let init = NodeInit {
                 index: v,
+                position: v,
                 id: graph.id(v),
                 neighbor_ids: graph.neighbor_ids(v),
                 n,

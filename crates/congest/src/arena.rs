@@ -88,9 +88,13 @@ impl<M> Copy for Segment<M> {}
 ///
 /// A generation's *mailbox* holds one payload pointer per directed
 /// edge, indexed on the receiver's side: a message sent on `(v, p)` is
-/// stored at [`Graph::reverse_edge`](crate::graph::Graph::reverse_edge)
-/// `(v, p)`, which lies in the row of `v`'s neighbour `w`, at `v`'s
-/// position. Receiver `w`'s deliveries therefore sit in its own
+/// stored at the reverse directed edge, which lies in the row of `v`'s
+/// neighbour `w`, at `v`'s place in `w`'s port order. The rows are
+/// those of the run's step order — by node index, where the reverse is
+/// [`Graph::reverse_edge`](crate::graph::Graph::reverse_edge)`(v, p)`,
+/// or by BFS position, each row keeping its node's port order — and
+/// the per-node broadcast slots follow the same order. Receiver `w`'s
+/// deliveries therefore sit in its own
 /// contiguous CSR row, one slot per port and null where nothing
 /// arrived, and port order is ascending sender order — the canonical
 /// delivery order, with no gather and no sort. A send is one 8-byte
@@ -122,7 +126,8 @@ pub(crate) struct InboxArena<M> {
     /// (in `swap_roles` and in `reset`), when every mailbox slot of the
     /// generation is already null.
     payloads: Vec<UnsafeCell<PayloadArena<M>>>,
-    /// Per-sender broadcast slots: slot `v` holds the payload of `v`'s
+    /// Per-sender broadcast slots, one per step position: slot `v` (the
+    /// slot of the node at position `v`) holds the payload of `v`'s
     /// broadcast of this generation *once*; the mailbox carries
     /// pointers into it. Written only by `v` during the write phase,
     /// read only by `v`'s neighbors during the following read phase
@@ -236,8 +241,9 @@ impl<M> InboxArena<M> {
         Ok(())
     }
 
-    /// Receiver `v`'s mailbox row — the slots `row`, `v`'s
-    /// [`Graph::directed_edge_range`](crate::graph::Graph::directed_edge_range)
+    /// Receiver `v`'s mailbox row — the slots `row`, `v`'s row in the
+    /// run's step order (under index order,
+    /// [`Graph::directed_edge_range`](crate::graph::Graph::directed_edge_range))
     /// — to read and then null. Port order is ascending sender order.
     ///
     /// # Safety
@@ -282,10 +288,10 @@ impl<M> InboxArena<M> {
 /// each send lands, folded per executor chunk, and — on the distributed
 /// executor — shipped in each worker's `Done` frame
 /// ([`RoundDigest::to_bytes`]) and merged by the coordinator. Merging
-/// is associative, and `violation` keeps the leftmost (= lowest node
-/// index) entry, so a sequential fold, chunked parallel reductions and
-/// partition digests merged in ascending range order all produce
-/// identical results.
+/// is associative, and `violation` keeps the entry of the lowest node
+/// index whichever digest it came from, so a sequential fold in any
+/// step order, chunked parallel reductions and partition digests all
+/// produce identical results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundDigest {
     pub messages: u64,
@@ -293,7 +299,8 @@ pub struct RoundDigest {
     pub max_message_bits: u64,
     /// Nodes that transitioned `Running → Halted` this round.
     pub halted: u32,
-    /// First (by node index) link that exceeded an enforced budget:
+    /// The link of the lowest node index that exceeded an enforced
+    /// budget (within that node, the first its sends hit):
     /// `(sender, port, message bits)`.
     pub violation: Option<(NodeIndex, u32, u64)>,
     /// Messages lost to each fault kind, indexed by
@@ -306,7 +313,9 @@ pub struct RoundDigest {
 }
 
 impl RoundDigest {
-    /// Associative merge; keeps the leftmost violation.
+    /// Associative merge; keeps the violation of the lowest node index
+    /// (of `a` on a tie, which one node's sends in one digest cannot
+    /// produce).
     pub fn merge(a: RoundDigest, b: RoundDigest) -> RoundDigest {
         let mut drops_by_kind = a.drops_by_kind;
         for (d, s) in drops_by_kind.iter_mut().zip(b.drops_by_kind) {
@@ -317,7 +326,7 @@ impl RoundDigest {
             bits: a.bits + b.bits,
             max_message_bits: a.max_message_bits.max(b.max_message_bits),
             halted: a.halted + b.halted,
-            violation: a.violation.or(b.violation),
+            violation: a.violation.into_iter().chain(b.violation).min_by_key(|&(node, ..)| node),
             drops_by_kind,
             corrupted_delivered: a.corrupted_delivered + b.corrupted_delivered,
             corrupted_rejected: a.corrupted_rejected + b.corrupted_rejected,
@@ -418,7 +427,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_is_associative_and_keeps_leftmost_violation() {
+    fn merge_is_associative_and_keeps_the_lowest_node_violation() {
         let a = RoundDigest {
             messages: 1,
             bits: 10,
@@ -438,6 +447,11 @@ mod tests {
         assert_eq!(left.messages, 7);
         assert_eq!(left.max_message_bits, 99);
         assert_eq!(left.violation, Some((3, 0, 9)));
+        // Chunks in step order need not be in node order: the lower
+        // node's violation wins from either side.
+        for (x, y) in [(b, a), (RoundDigest::merge(c, b), RoundDigest::merge(a, c))] {
+            assert_eq!(RoundDigest::merge(x, y).violation, Some((3, 0, 9)));
+        }
     }
 
     /// Every segment writes the one mailbox, through its own payload

@@ -15,6 +15,17 @@
 //! swap roles each round — nodes read round `r`'s traffic out of the
 //! *current* arena while writing round `r+1`'s into the *next* one.
 //!
+//! In process, the nodes step — and their program slots, broadcast
+//! slots and mailbox rows are stored — in the graph's step order: index
+//! order, or, when [`Graph::row_jump`] finds that the index order
+//! scatters neighbourhoods, a BFS order built once and cached on the
+//! graph. The mailbox is then indexed by *position-space* directed
+//! edges: row `p` holds the ports of the node at position `p`, in that
+//! node's own port order, so ports and delivery order do not change.
+//! Everything observable stays keyed by node index (see
+//! [`EngineWorkspace::run_on_into`]). A distributed worker steps in
+//! index order.
+//!
 //! The model's link rule is the engine's: a node sends at most one
 //! message to each neighbour per round, and a second send or broadcast
 //! on a link panics (see [`Outbox::send`]), so one mailbox slot per
@@ -74,7 +85,7 @@
 use rayon::prelude::*;
 
 use crate::arena::{InboxArena, RoundDigest, Segment};
-use crate::graph::{Graph, NodeIndex};
+use crate::graph::{Graph, NodeIndex, StepLayout};
 use crate::message::WireParams;
 use crate::metrics::RunReport;
 use crate::node::{DirectSink, Inbox, NodeInit, Outbox, Program, SinkCtx, Status};
@@ -297,9 +308,17 @@ impl<M> EngineWorkspace<M> {
     /// want [`crate::session::Session`], which owns its workspace and
     /// pins one graph.
     ///
+    /// `factory` is called once per node, in the order the nodes step:
+    /// index order, or a BFS order on a graph whose index order scatters
+    /// neighbourhoods ([`Graph::row_jump`]). Each [`NodeInit`] carries
+    /// the node's index and its [`position`](NodeInit::position) in that
+    /// order; state a caller keeps per node for the programs, in step
+    /// order, keys off the position. The verdicts come back in node
+    /// order, as does everything else the outcome reports.
+    ///
     /// With a warm workspace, a warm outcome buffer, and the sequential
     /// executor, a rerun of the same program type performs zero heap
-    /// operations; under the parallel executor its heap operations are
+    /// operations (the graph caches its step order on the first run); under the parallel executor its heap operations are
     /// bounded by the rounds (the per-round thread spawns), not by the
     /// node count — the contracts the `ck_lint::alloc_gate` regression
     /// tests enforce. On error the outcome's contents are unspecified.
@@ -427,14 +446,21 @@ pub(crate) struct Slot<P: Program> {
 }
 
 impl<P: Program> Slot<P> {
-    /// Node `v`'s running slot, its program built by `factory` from the
-    /// [`NodeInit`] every executor hands out.
-    pub(crate) fn new<'g, F>(graph: &'g Graph, v: NodeIndex, factory: &mut F) -> Self
+    /// The running slot of position `p` of `layout`, its program built
+    /// by `factory` from the [`NodeInit`] every executor hands out.
+    pub(crate) fn new<'g, F>(
+        graph: &'g Graph,
+        layout: StepLayout<'_>,
+        p: u32,
+        factory: &mut F,
+    ) -> Self
     where
         F: FnMut(NodeInit<'g>) -> P,
     {
+        let v = layout.node(p);
         let init = NodeInit {
             index: v,
+            position: p,
             id: graph.id(v),
             neighbor_ids: graph.neighbor_ids(v),
             n: graph.n(),
@@ -448,8 +474,14 @@ impl<P: Program> Slot<P> {
 /// in-process round loop and a distributed worker
 /// ([`crate::net::PartitionEngine`]) build it here, so they price,
 /// budget and fault their sends alike.
-pub(crate) fn sink_ctx(config: &EngineConfig, params: &WireParams, round: u32) -> SinkCtx {
+pub(crate) fn sink_ctx(
+    graph: &Graph,
+    config: &EngineConfig,
+    params: &WireParams,
+    round: u32,
+) -> SinkCtx {
     SinkCtx {
+        graph,
         params,
         faults: &config.faults,
         check_faults: !config.faults.is_trivial(),
@@ -460,7 +492,9 @@ pub(crate) fn sink_ctx(config: &EngineConfig, params: &WireParams, round: u32) -
 
 /// What every node's step reads during one round.
 pub(crate) struct RoundIo<'a, M> {
-    pub(crate) graph: &'a Graph,
+    /// The order nodes step in, and the position-space rows the arenas
+    /// are laid out by.
+    pub(crate) layout: StepLayout<'a>,
     /// Read arena: round `r`'s traffic, read row by row by receivers.
     pub(crate) cur: &'a InboxArena<M>,
     /// Write arena: round `r+1`'s traffic, filled by senders.
@@ -468,14 +502,16 @@ pub(crate) struct RoundIo<'a, M> {
     pub(crate) ctx: &'a SinkCtx,
 }
 
-/// One node's round: read its mailbox row → step (sends store straight
-/// into the next arena's mailbox, owned payloads going to `segment`,
-/// the stepping chunk's segment, through the outbox's direct
-/// sink — one move per message, with wire accounting and bandwidth
-/// checks fused into the write) → null the row. Called for every node
-/// exactly once per round, on the thread stepping the node's chunk;
-/// everything it touches outside `slot` and `acc` is disjoint from
-/// every other thread's calls (see the module doc).
+/// The round of the node at position `p` of the layout: read its
+/// mailbox row → step (sends store straight into the next arena's
+/// mailbox, owned payloads going to `segment`, the stepping chunk's
+/// segment, through the outbox's direct sink — one move per message,
+/// with wire accounting and bandwidth checks fused into the write) →
+/// null the row. The sink knows the node by its index, for the fault
+/// plan and the violation it reports. Called for every node exactly
+/// once per round, on the thread stepping the node's chunk; everything
+/// it touches outside `slot` and `acc` is disjoint from every other
+/// thread's calls (see the module doc).
 /// Statistics accumulate into `acc` (one per chunk; chunk digests
 /// merge associatively in node order, so every chunk count produces
 /// identical round statistics).
@@ -486,16 +522,16 @@ pub(crate) struct RoundIo<'a, M> {
 /// call per node costs the single-chunk loop measurably.
 #[inline(always)]
 pub(crate) fn step_node<P: Program>(
-    v: NodeIndex,
+    p: u32,
     segment: Segment<P::Msg>,
     slot: &mut Slot<P>,
     io: &RoundIo<'_, P::Msg>,
     acc: &mut RoundDigest,
 ) {
-    let RoundIo { graph, cur, next, ctx } = *io;
-    let edges = graph.directed_edge_range(v);
-    // SAFETY: `v`'s mailbox row of the read arena is touched only by
-    // `v`'s own step — this call (see the module doc).
+    let RoundIo { layout, cur, next, ctx } = *io;
+    let edges = layout.row(p);
+    // SAFETY: position `p`'s mailbox row of the read arena is touched
+    // only by its own node's step — this call (see the module doc).
     let mail = unsafe { cur.row_mut(edges.clone()) };
     if slot.status != Status::Running {
         // A halted node sends and receives nothing: drop its traffic so
@@ -504,21 +540,20 @@ pub(crate) fn step_node<P: Program>(
         return;
     }
     // SAFETY: `segment` is the write arena's mailbox, whose slots at
-    // `v`'s reverse edges only `v` writes, and the segment that only
-    // this chunk's thread writes; `slots` slot `v` is written only by
-    // `v`, and `acc`/`ctx` outlive the outbox, which is dropped before
-    // this frame returns.
+    // this row's reverse edges only this node writes, and the segment
+    // that only this chunk's thread writes; broadcast slot `p` is
+    // written only by this node, and `acc`/`ctx` outlive the outbox,
+    // which is dropped before this frame returns.
     let mut out: Outbox<P::Msg> = unsafe {
         Outbox::direct(
             edges.len() as u32,
             DirectSink {
                 segment,
-                slots: next.slots_ptr(),
-                receivers: graph.neighbors(v).as_ptr(),
-                rev_edges: graph.rev_edges_row(v).as_ptr(),
+                slot: next.slots_ptr().wrapping_add(p as usize),
+                rev_edges: layout.rev_row(edges.clone()).as_ptr(),
                 acc,
                 ctx,
-                sender: v,
+                sender: layout.node(p),
                 taken: 0,
             },
         )
@@ -564,12 +599,13 @@ pub fn node_step_plan(n: usize) -> rayon::ChunkPlan {
 
 /// The round loop of both in-process executors (a distributed worker
 /// steps one chunk of it in
-/// [`crate::net::PartitionEngine::step_round`]). `plan` is the run's
-/// node→thread partition, and its `W = plan.chunks()` chunks are the
-/// segments of both arenas. With one chunk the nodes step in order on
-/// the caller's thread, without going through the shim, so a warm
-/// rerun touches the heap zero times; otherwise every round steps each
-/// chunk on its own scoped thread under the pinned plan. Invariant at
+/// [`crate::net::PartitionEngine::step_round`]). `slots` and the arenas
+/// are in `layout`'s position order, and `plan` is the run's
+/// position→thread partition, whose `W = plan.chunks()` chunks are the
+/// segments of both arenas. With one chunk the nodes step in position
+/// order on the caller's thread, without going through the shim, so a
+/// warm rerun touches the heap zero times; otherwise every round steps
+/// each chunk on its own scoped thread under the pinned plan. Invariant at
 /// the top of every round: `next` is entirely empty — its mailbox
 /// null, its payload arenas empty — and `cur` holds exactly the
 /// undelivered traffic of the previous round. Returns
@@ -577,6 +613,7 @@ pub fn node_step_plan(n: usize) -> rayon::ChunkPlan {
 #[allow(clippy::too_many_arguments)]
 fn run_rounds<P: Program>(
     graph: &Graph,
+    layout: StepLayout<'_>,
     config: &EngineConfig,
     params: &WireParams,
     slots: &mut [Slot<P>],
@@ -588,27 +625,27 @@ fn run_rounds<P: Program>(
 ) -> Result<(u32, usize), EngineError> {
     let mut round = 0u32;
     while round < config.max_rounds && active > 0 {
-        let ctx = sink_ctx(config, params, round);
-        let io = RoundIo { graph, cur: &*cur, next: &*next, ctx: &ctx };
+        let ctx = sink_ctx(graph, config, params, round);
+        let io = RoundIo { layout, cur: &*cur, next: &*next, ctx: &ctx };
         let acc = if plan.chunks() == 1 {
             let segment = next.segment_ptr(0);
             let mut acc = RoundDigest::default();
-            for (v, slot) in slots.iter_mut().enumerate() {
-                step_node(v as NodeIndex, segment, slot, &io, &mut acc);
+            for (p, slot) in slots.iter_mut().enumerate() {
+                step_node(p as u32, segment, slot, &io, &mut acc);
             }
             acc
         } else {
             // Each chunk folds its nodes into its own digest; digests
-            // merge associatively (leftmost-violation rule included),
-            // so the result equals the single-chunk fold.
+            // merge associatively (the violation of the lowest node
+            // index wins), so the result equals the single-chunk fold.
             let io = &io;
             slots
                 .par_iter_mut()
                 .with_chunk_plan(plan)
                 .enumerate()
-                .fold(RoundDigest::default, |mut acc, (v, slot)| {
-                    let segment = io.next.segment_ptr(plan.chunk_of(v));
-                    step_node(v as NodeIndex, segment, slot, io, &mut acc);
+                .fold(RoundDigest::default, |mut acc, (p, slot)| {
+                    let segment = io.next.segment_ptr(plan.chunk_of(p));
+                    step_node(p as u32, segment, slot, io, &mut acc);
                     acc
                 })
                 .reduce(RoundDigest::default, RoundDigest::merge)
@@ -629,6 +666,15 @@ fn run_rounds<P: Program>(
 /// caller-owned [`RunOutcome`]. This is the single implementation
 /// behind [`crate::session::Session`] and
 /// [`EngineWorkspace::run_on_into`].
+///
+/// Nodes step, and their programs, broadcast slots and mailbox rows are
+/// stored, in the graph's step order: index order, or a BFS order when
+/// [`Graph::row_jump`] exceeds one half (built on the graph's first run
+/// and cached on it). `factory` is called once per node in that order,
+/// and [`NodeInit::position`] tells each program its place in it. The
+/// fault plan is asked with node indices and ports, a bandwidth
+/// violation names the lowest violating node index, and the verdicts
+/// come back in node order, so the order changes no output.
 ///
 /// The workspace is reset (never reallocated when the graph fits)
 /// before the run. A reset workspace delivers exactly what a new one
@@ -658,13 +704,14 @@ where
 {
     out.reset();
     let n = graph.n();
+    let layout = graph.step_layout();
     let mut slots: Vec<Slot<P>> = ws.slots.take();
-    slots.extend((0..n).map(|v| Slot::new(graph, v as NodeIndex, factory)));
+    slots.extend((0..n as u32).map(|p| Slot::new(graph, layout, p, factory)));
 
     let report = &mut out.report;
     let directed = graph.num_directed_edges();
 
-    // One node→thread partition for the whole run, and one arena
+    // One position→thread partition for the whole run, and one arena
     // segment per chunk of it. When the caller prepared chunk-keyed
     // external state (the SoA arena's chunk-shared scratch), it handed
     // us the exact snapshot that state was sized against via
@@ -690,8 +737,18 @@ where
     };
     ws.cur.reset(n, directed, plan.chunks());
     ws.next.reset(n, directed, plan.chunks());
-    let rounds_result =
-        run_rounds(graph, config, params, &mut slots, n, report, &mut ws.cur, &mut ws.next, plan);
+    let rounds_result = run_rounds(
+        graph,
+        layout,
+        config,
+        params,
+        &mut slots,
+        n,
+        report,
+        &mut ws.cur,
+        &mut ws.next,
+        plan,
+    );
     let (round, active) = match rounds_result {
         Ok(ra) => ra,
         Err(e) => {
@@ -717,7 +774,8 @@ where
         }
     };
 
-    out.verdicts.extend(slots.iter().map(|s| s.prog.verdict()));
+    out.verdicts
+        .extend((0..n as NodeIndex).map(|v| slots[layout.position(v) as usize].prog.verdict()));
     slots.clear();
     ws.slots.put(slots);
     Ok(())
@@ -731,6 +789,14 @@ mod tests {
     use crate::message::WireMessage;
     use crate::net::PartitionEngine;
     use crate::session::Session;
+
+    /// Restores the default worker count when dropped, even on panic.
+    struct ResetWorkers;
+    impl Drop for ResetWorkers {
+        fn drop(&mut self) {
+            rayon::force_workers_for_tests(0);
+        }
+    }
 
     /// The tests' single-run entry: a fresh session per call.
     fn run<'g, P, F>(
@@ -1113,13 +1179,7 @@ mod tests {
     /// compare every parallel mode against the sequential reference.
     #[test]
     fn parallel_paths_with_real_threads() {
-        struct ResetWorkers;
-        impl Drop for ResetWorkers {
-            fn drop(&mut self) {
-                rayon::force_workers_for_tests(0);
-            }
-        }
-        let _reset = ResetWorkers; // restore default even on panic
+        let _reset = ResetWorkers;
         rayon::force_workers_for_tests(4);
 
         let n = 6000;
@@ -1395,6 +1455,115 @@ mod tests {
             assert_eq!(out.report.per_round[0].messages, 6, "{exec:?}");
             assert_eq!(out.report.per_round[0].bits, 6 * one);
             assert_eq!(out.report.per_round[0].max_link_bits, one);
+        }
+    }
+    /// A 12-node run in a hand-built step order — positions shuffled
+    /// against the indices, so each of the two forced workers' chunks
+    /// steps nodes from all over the index range — equals the
+    /// index-order run on both executors: every node's deliveries
+    /// (round, port, payload) and the evictions its broadcasts return,
+    /// every statistics row and fault counter under drops, a crash, a
+    /// cut and corruption, and the bandwidth violation, which must name
+    /// the lowest violating node index however the nodes are ordered.
+    /// Small enough for Miri.
+    #[test]
+    fn a_hand_built_step_order_runs_like_index_order() {
+        /// Sends `len(id, round)` copies of a round stamp, by broadcast
+        /// or by a send on every port, and records what arrives.
+        struct Mixer {
+            id: u64,
+            log: Vec<(u32, u32, u64, usize)>,
+        }
+        fn len(id: u64, round: u32) -> usize {
+            1 + ((id * 7 + u64::from(round)) % 4) as usize
+        }
+        impl Program for Mixer {
+            type Msg = Vec<u64>;
+            type Verdict = Vec<(u32, u32, u64, usize)>;
+            fn step(
+                &mut self,
+                round: u32,
+                inbox: Inbox<'_, Vec<u64>>,
+                out: &mut Outbox<Vec<u64>>,
+            ) -> Status {
+                for inc in inbox.iter() {
+                    self.log.push((round, inc.port, inc.msg[0], inc.msg.len()));
+                }
+                if round >= 4 {
+                    return Status::Halted;
+                }
+                let stamp = self.id << 8 | u64::from(round);
+                if (self.id + u64::from(round)).is_multiple_of(2) {
+                    let evicted = out.broadcast(vec![stamp; len(self.id, round)]);
+                    self.log.push((round, u32::MAX, evicted.map_or(0, |e| e[0]), 0));
+                } else {
+                    for p in 0..out.degree() {
+                        out.send(p, vec![stamp | u64::from(p) << 4; len(self.id, round)]);
+                    }
+                }
+                Status::Running
+            }
+            fn verdict(&self) -> Vec<(u32, u32, u64, usize)> {
+                self.log.clone()
+            }
+        }
+        let _reset = ResetWorkers;
+        rayon::force_workers_for_tests(2);
+        let edges = [
+            (0, 1),
+            (0, 5),
+            (1, 2),
+            (1, 9),
+            (2, 3),
+            (3, 4),
+            (3, 10),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+            (7, 8),
+            (8, 9),
+            (9, 10),
+            (10, 11),
+            (11, 6),
+        ];
+        let indexed = GraphBuilder::new(12).edges(edges).build().unwrap();
+        let shuffled = indexed.clone();
+        shuffled.set_step_order(vec![11, 4, 0, 9, 2, 7, 5, 1, 10, 3, 8, 6]);
+        assert!(indexed.row_jump() <= 0.5, "a 12-node chain steps in index order");
+        let faults = FaultPlan::none()
+            .drop_at(1, 9, 2)
+            .random_loss(0.1, 3)
+            .crash(7, 2)
+            .cut_link(3, 10)
+            .corrupt_frames(0.2, 5);
+        let params = WireParams::for_graph(&indexed);
+        let wide = vec![0u64; 3].wire_bits(&params);
+        for exec in [Executor::Sequential, Executor::Parallel] {
+            let cfg =
+                EngineConfig { executor: exec, faults: faults.clone(), ..EngineConfig::default() };
+            let factory = |init: NodeInit<'_>| Mixer { id: init.id, log: Vec::new() };
+            let (a, b) =
+                (run(&indexed, &cfg, factory).unwrap(), run(&shuffled, &cfg, factory).unwrap());
+            assert_eq!(a.verdicts, b.verdicts, "{exec:?}");
+            assert_eq!(a.report.per_round, b.report.per_round, "{exec:?}");
+            assert_eq!(a.report.faults, b.report.faults, "{exec:?}");
+            assert!(a.report.faults.dropped_cut > 0 && a.report.faults.dropped_crash > 0);
+            // Payloads of three copies and more break this budget: in
+            // round 0, those of nodes 1, 2, 5, 6, 9 and 10. The shuffled
+            // order steps node 9 at position 3 and node 1 at position 7,
+            // in the second chunk.
+            let cfg =
+                EngineConfig { bandwidth: BandwidthPolicy::Enforce { bits: wide - 1 }, ..cfg };
+            let (a, b) = (run(&indexed, &cfg, factory), run(&shuffled, &cfg, factory));
+            let lowest = EngineError::BandwidthExceeded {
+                round: 0,
+                node: 1,
+                port: 0,
+                bits: vec![0u64; 4].wire_bits(&params),
+                limit: wide - 1,
+            };
+            assert_eq!(a.unwrap_err(), lowest, "{exec:?} index order");
+            assert_eq!(b.unwrap_err(), lowest, "{exec:?} shuffled order");
         }
     }
 }

@@ -11,9 +11,15 @@
 //! A graph has two serial forms: the edge-list text of
 //! [`Graph::to_edge_list`] for files, and the varint graph section of
 //! [`Graph::write_bytes`] for the wire.
+//!
+//! It also fixes the order in which in-process runs step and store its
+//! nodes: index order, unless [`Graph::row_jump`] finds that the index
+//! order scatters neighbourhoods, in which case a BFS order is built
+//! once and cached on the graph (see `StepLayout`).
 
-use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::net::frame::{ByteReader, ByteWriter, FrameError};
 
@@ -161,10 +167,15 @@ impl GraphBuilder {
     }
 }
 
+/// Identity → node index. Only looked up, never iterated, so its
+/// hash order cannot reach any output.
+// ck-lint: allow(determinism, reason = "point lookups only: no code iterates this map, so its randomized hash order reaches no output")
+type IdIndex = std::collections::HashMap<NodeId, NodeIndex>;
+
 /// Maps each identity to its node index, failing on the first
 /// identity seen twice.
-fn index_ids(ids: &[NodeId]) -> Result<HashMap<NodeId, NodeIndex>, GraphError> {
-    let mut index_of_id = HashMap::with_capacity(ids.len());
+fn index_ids(ids: &[NodeId]) -> Result<IdIndex, GraphError> {
+    let mut index_of_id = IdIndex::with_capacity(ids.len());
     for (i, &id) in ids.iter().enumerate() {
         if index_of_id.insert(id, i as NodeIndex).is_some() {
             return Err(GraphError::DuplicateId(id));
@@ -195,9 +206,143 @@ pub struct Graph {
     rev_edge: Vec<DirectedEdgeId>,
     edges: Vec<Edge>,
     ids: Vec<NodeId>,
-    index_of_id: HashMap<NodeId, NodeIndex>,
+    index_of_id: IdIndex,
     /// Identity of `neighbors[s]`, per adjacency slot `s` (CSR-aligned).
     neighbor_ids_flat: Vec<NodeId>,
+    /// The BFS step order, decided and (when the index order scatters
+    /// neighbourhoods) built on the first in-process run; `None` once
+    /// decided means index order. Topology only, so relabelling keeps it.
+    bfs: OnceLock<Option<BfsOrder>>,
+}
+
+/// Consecutive nodes whose smallest neighbours lie more than this many
+/// indices apart make a *row jump* (see [`Graph::row_jump`]).
+const ROW_JUMP_SPAN: u32 = 64;
+
+/// The order in which the in-process round loop steps and stores a
+/// graph's nodes, as seen by the engine: node `order[p]` sits at
+/// *position* `p`. The engine keeps its program slots, broadcast slots
+/// and mailbox rows by position, so a node's step reads rows and slots
+/// next to its neighbours' when the order keeps neighbourhoods
+/// together. Rows live in position space — row `p` is `offsets[p]..
+/// offsets[p + 1]`, and `rev` gives each of its slots the slot its
+/// message lands in — but a row keeps its node's ports, in the node's
+/// own port order, so port `q` of a position-space row is port `q` of
+/// the node. Everything observable stays keyed by node index.
+///
+/// Either the graph's own CSR (positions are node indices, `order` and
+/// `position` empty) or a cached [`BfsOrder`]'s tables: both cases run
+/// one code path.
+#[derive(Clone, Copy)]
+pub(crate) struct StepLayout<'g> {
+    /// Node at each position; empty when positions are node indices.
+    order: &'g [NodeIndex],
+    /// Position of each node; empty when positions are node indices.
+    position: &'g [u32],
+    /// Row offsets in position space.
+    offsets: &'g [u32],
+    /// Per position-space slot, the position-space slot of its reverse
+    /// directed edge.
+    rev: &'g [DirectedEdgeId],
+}
+
+impl<'g> StepLayout<'g> {
+    /// The node at position `p`.
+    #[inline(always)]
+    pub(crate) fn node(&self, p: u32) -> NodeIndex {
+        if self.order.is_empty() {
+            p
+        } else {
+            self.order[p as usize]
+        }
+    }
+
+    /// The position of node `v`.
+    #[inline(always)]
+    pub(crate) fn position(&self, v: NodeIndex) -> u32 {
+        if self.position.is_empty() {
+            v
+        } else {
+            self.position[v as usize]
+        }
+    }
+
+    /// The position-space row of position `p`: its mailbox slots, one
+    /// per port of `node(p)`, in port order.
+    #[inline(always)]
+    pub(crate) fn row(&self, p: u32) -> Range<DirectedEdgeId> {
+        self.offsets[p as usize]..self.offsets[p as usize + 1]
+    }
+
+    /// Per port of `node(p)`, the position-space mailbox slot a send on
+    /// that port is stored in: the receiver's row, at the sender's port
+    /// in the receiver's own port order.
+    #[inline(always)]
+    pub(crate) fn rev_row(&self, row: Range<DirectedEdgeId>) -> &'g [DirectedEdgeId] {
+        &self.rev[row.start as usize..row.end as usize]
+    }
+}
+
+/// A cached BFS step order and its position-space tables: 12 bytes per
+/// node and 4 per directed edge. Components are seeded in ascending
+/// index and each node's neighbours enqueued in port order.
+#[derive(Clone, Debug)]
+struct BfsOrder {
+    order: Vec<NodeIndex>,
+    position: Vec<u32>,
+    offsets: Vec<u32>,
+    rev: Vec<DirectedEdgeId>,
+}
+
+impl BfsOrder {
+    /// The BFS order of `g`. The order itself is the queue, and the
+    /// position table marks visited nodes.
+    fn of(g: &Graph) -> BfsOrder {
+        let mut order: Vec<NodeIndex> = Vec::with_capacity(g.n);
+        let mut position = vec![u32::MAX; g.n];
+        let mut head = 0;
+        for s in 0..g.n as NodeIndex {
+            if position[s as usize] == u32::MAX {
+                position[s as usize] = order.len() as u32;
+                order.push(s);
+            }
+            while let Some(&v) = order.get(head) {
+                head += 1;
+                for &w in g.neighbors(v) {
+                    if position[w as usize] == u32::MAX {
+                        position[w as usize] = order.len() as u32;
+                        order.push(w);
+                    }
+                }
+            }
+        }
+        BfsOrder::with_order(g, order, position)
+    }
+
+    /// The position-space tables of `order` (a permutation of `g`'s
+    /// nodes, `position` its inverse).
+    fn with_order(g: &Graph, order: Vec<NodeIndex>, position: Vec<u32>) -> BfsOrder {
+        let mut offsets = Vec::with_capacity(g.n + 1);
+        let mut end = 0u32;
+        offsets.push(end);
+        for &v in &order {
+            end += g.degree(v) as u32;
+            offsets.push(end);
+        }
+        let mut rev = vec![0 as DirectedEdgeId; g.num_directed_edges()];
+        for (&v, &start) in order.iter().zip(&offsets) {
+            let row = g.directed_edge_range(v);
+            let slots = &mut rev[start as usize..start as usize + row.len()];
+            for (slot, de) in slots.iter_mut().zip(row) {
+                // The reverse of (v, q) is (w, q'): w's row in position
+                // space, at the same port q'.
+                let back = g.rev_edge[de as usize];
+                let w = g.neighbors[de as usize] as usize;
+                *slot = offsets[position[w] as usize] + (back - g.offsets[w]);
+            }
+        }
+        BfsOrder { order, position, offsets, rev }
+    }
 }
 
 impl Graph {
@@ -264,6 +409,7 @@ impl Graph {
             ids,
             index_of_id,
             neighbor_ids_flat,
+            bfs: OnceLock::new(),
         })
     }
 
@@ -379,13 +525,6 @@ impl Graph {
         &self.neighbor_ids_flat[s..t]
     }
 
-    /// Reverse directed edge per local port of `v` (the `rev_edge`
-    /// row): the mailbox slot each of `v`'s sends is stored in.
-    pub(crate) fn rev_edges_row(&self, v: NodeIndex) -> &[DirectedEdgeId] {
-        let (s, t) = (self.offsets[v as usize] as usize, self.offsets[v as usize + 1] as usize);
-        &self.rev_edge[s..t]
-    }
-
     /// True if `{v, w}` is an edge.
     pub fn has_edge(&self, v: NodeIndex, w: NodeIndex) -> bool {
         if v == w {
@@ -412,7 +551,78 @@ impl Graph {
             ids,
             index_of_id,
             neighbor_ids_flat,
+            bfs: self.bfs.clone(),
         })
+    }
+
+    /// How badly the index order scatters neighbourhoods: the share of
+    /// the `n − 1` consecutive pairs `(v − 1, v)` whose smallest
+    /// neighbours lie more than 64 indices apart (a pair with an
+    /// isolated node counts as close; 0 below two nodes). One O(n) pass,
+    /// no allocation. It reads about 0.9 and up on random trees with
+    /// planted cycles and on `G(n, p)`-style graphs, and 0 on cycles,
+    /// chains of cycles and layered graphs, whose rows already stream.
+    /// Above one half, in-process runs step and store the nodes in BFS
+    /// order instead of index order (a choice that changes no output).
+    pub fn row_jump(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        self.row_jumps() as f64 / (self.n - 1) as f64
+    }
+
+    /// The count behind [`Graph::row_jump`].
+    fn row_jumps(&self) -> usize {
+        let first = |v: usize| {
+            let s = self.offsets[v] as usize;
+            (s < self.offsets[v + 1] as usize).then(|| self.neighbors[s])
+        };
+        (1..self.n)
+            .filter(|&v| match (first(v - 1), first(v)) {
+                (Some(a), Some(b)) => a.abs_diff(b) > ROW_JUMP_SPAN,
+                _ => false,
+            })
+            .count()
+    }
+
+    /// The graph's own CSR as a step layout: positions are node
+    /// indices. A distributed worker steps its range in this layout.
+    pub(crate) fn identity_layout(&self) -> StepLayout<'_> {
+        StepLayout { order: &[], position: &[], offsets: &self.offsets, rev: &self.rev_edge }
+    }
+
+    /// The layout in-process runs step in: a BFS order when more than
+    /// half of the consecutive node pairs are row jumps
+    /// ([`Graph::row_jump`]), else the identity. Decided, and built, on
+    /// the first call and cached on the graph, so a rerun on the same
+    /// graph neither checks nor allocates.
+    pub(crate) fn step_layout(&self) -> StepLayout<'_> {
+        let bfs = self.bfs.get_or_init(|| {
+            (2 * self.row_jumps() > self.n.saturating_sub(1)).then(|| BfsOrder::of(self))
+        });
+        match bfs {
+            Some(b) => StepLayout {
+                order: &b.order,
+                position: &b.position,
+                offsets: &b.offsets,
+                rev: &b.rev,
+            },
+            None => self.identity_layout(),
+        }
+    }
+
+    /// Makes in-process runs step in `order`, a permutation of the
+    /// nodes: a hand-built layout for tests. The graph must not have
+    /// run yet.
+    #[cfg(test)]
+    pub(crate) fn set_step_order(&self, order: Vec<NodeIndex>) {
+        let mut position = vec![u32::MAX; self.n];
+        for (p, &v) in order.iter().enumerate() {
+            position[v as usize] = p as u32;
+        }
+        assert!(order.len() == self.n && !position.contains(&u32::MAX), "not a permutation");
+        let bfs = BfsOrder::with_order(self, order, position);
+        assert!(self.bfs.set(Some(bfs)).is_ok(), "the step order is already fixed");
     }
 
     /// BFS distances from `src` (`u32::MAX` marks unreachable nodes).
@@ -732,34 +942,43 @@ mod tests {
         }
     }
 
+    /// 300 random graphs of up to 23 nodes, sparse and dense, with
+    /// isolated nodes, n ≤ 1 and explicit ID tables among them.
+    fn random_graphs() -> Vec<Graph> {
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % bound.max(1)
+        };
+        (0..300u64)
+            .map(|case| {
+                let n = next(24) as usize;
+                let mut b = GraphBuilder::new(n);
+                // Every other case leaves the last node isolated.
+                let span = if case % 2 == 0 { n.saturating_sub(1) } else { n } as u64;
+                if span >= 2 {
+                    for _ in 0..next(3 * span) {
+                        let (x, y) = (next(span) as NodeIndex, next(span) as NodeIndex);
+                        if x != y {
+                            b.edge(x, y);
+                        }
+                    }
+                }
+                if case % 3 == 0 {
+                    b.ids((0..n as NodeId).map(|i| (i * 7919 + 13) ^ 0x5a5a).collect());
+                }
+                b.build().unwrap()
+            })
+            .collect()
+    }
+
     /// On random graphs — isolated nodes, n ≤ 1 and explicit ID tables
     /// included — `rev_edge` is an involution, the reverse of `(v, p)`
     /// lies in the row of `neighbors(v)[p]` at `v`'s position, and
     /// `reverse_port` is that id minus the row offset.
     #[test]
     fn reverse_edges_invert_and_land_in_the_receivers_row() {
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move |bound: u64| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) % bound.max(1)
-        };
-        for case in 0..300u64 {
-            let n = next(24) as usize;
-            let mut b = GraphBuilder::new(n);
-            // Every other case leaves the last node isolated.
-            let span = if case % 2 == 0 { n.saturating_sub(1) } else { n } as u64;
-            if span >= 2 {
-                for _ in 0..next(3 * span) {
-                    let (x, y) = (next(span) as NodeIndex, next(span) as NodeIndex);
-                    if x != y {
-                        b.edge(x, y);
-                    }
-                }
-            }
-            if case % 3 == 0 {
-                b.ids((0..n as NodeId).map(|i| (i * 7919 + 13) ^ 0x5a5a).collect());
-            }
-            let g = b.build().unwrap();
+        for (case, g) in random_graphs().iter().enumerate() {
             assert_eq!(g.rev_edge.len(), g.num_directed_edges());
             for (de, &back) in g.rev_edge.iter().enumerate() {
                 assert_eq!(g.rev_edge[back as usize] as usize, de, "case {case}: involution");
@@ -776,6 +995,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The reference BFS order: a queue, components seeded in ascending
+    /// index, neighbours enqueued in port order.
+    fn reference_bfs(g: &Graph) -> Vec<NodeIndex> {
+        let mut seen = vec![false; g.n()];
+        let mut order = Vec::new();
+        for s in 0..g.n() as NodeIndex {
+            if seen[s as usize] {
+                continue;
+            }
+            seen[s as usize] = true;
+            let mut queue = std::collections::VecDeque::from([s]);
+            while let Some(v) = queue.pop_front() {
+                order.push(v);
+                for &w in g.neighbors(v) {
+                    if !seen[w as usize] {
+                        seen[w as usize] = true;
+                        queue.push_back(w);
+                    }
+                }
+            }
+        }
+        order
+    }
+
+    /// The BFS order is the reference BFS, and a bijection: `position`
+    /// inverts `order`.
+    #[test]
+    fn bfs_order_is_a_bijection() {
+        for (case, g) in random_graphs().iter().enumerate() {
+            let bfs = BfsOrder::of(g);
+            assert_eq!(bfs.order, reference_bfs(g), "case {case}");
+            assert_eq!(bfs.position.len(), g.n());
+            for (p, &v) in bfs.order.iter().enumerate() {
+                assert_eq!(bfs.position[v as usize] as usize, p, "case {case}: node {v}");
+            }
+        }
+    }
+
+    /// Checks a layout against its graph: every position's row has its
+    /// node's degree and lists the node's neighbours in port order (the
+    /// row each slot's reverse edge lands in is the neighbour's), and
+    /// `rev` is an involution that lands in the receiver's row at the
+    /// sender's original reverse port.
+    fn check_layout(g: &Graph, layout: StepLayout<'_>, what: &str) {
+        let owner = |slot: DirectedEdgeId| {
+            let p = layout.offsets.partition_point(|&o| o <= slot) - 1;
+            p as u32
+        };
+        assert_eq!(layout.offsets.len(), g.n() + 1, "{what}");
+        assert_eq!(layout.rev.len(), g.num_directed_edges(), "{what}");
+        for p in 0..g.n() as u32 {
+            let v = layout.node(p);
+            assert_eq!(layout.position(v), p, "{what}: position {p}");
+            let row = layout.row(p);
+            assert_eq!(row.len(), g.degree(v), "{what}: row of node {v}");
+            for (q, (slot, &back)) in row.clone().zip(layout.rev_row(row)).enumerate() {
+                let q = q as u32;
+                assert_eq!(layout.rev[back as usize], slot, "{what}: involution at {slot}");
+                let w = layout.node(owner(back));
+                assert_eq!(w, g.neighbor_at(v, q), "{what}: node {v} port {q}");
+                let q_back = back - layout.row(owner(back)).start;
+                assert_eq!(q_back, g.reverse_port(v, q), "{what}: node {v} port {q}");
+            }
+        }
+    }
+
+    /// Each position-space row lists its node's original neighbours in
+    /// port order, and `rev` is an involution that lands in the
+    /// receiver's row at the original reverse port: for the BFS tables,
+    /// for the identity layout, and for a reversed order.
+    #[test]
+    fn position_rows_keep_ports_and_rev_lands_at_the_reverse_port() {
+        for (case, g) in random_graphs().iter().enumerate() {
+            let bfs = BfsOrder::of(g);
+            let layout = StepLayout {
+                order: &bfs.order,
+                position: &bfs.position,
+                offsets: &bfs.offsets,
+                rev: &bfs.rev,
+            };
+            check_layout(g, layout, &format!("case {case} bfs"));
+            check_layout(g, g.identity_layout(), &format!("case {case} identity"));
+            let reversed = g.clone();
+            reversed.set_step_order((0..g.n() as NodeIndex).rev().collect());
+            check_layout(g, reversed.step_layout(), &format!("case {case} reversed"));
+        }
+    }
+
+    /// A graph steps in BFS order exactly when more than half of its
+    /// consecutive node pairs are row jumps, decided once and cached.
+    #[test]
+    fn step_layout_is_bfs_only_when_rows_jump() {
+        let path = GraphBuilder::new(500).edges((0..499).map(|i| (i, i + 1))).build().unwrap();
+        assert_eq!(path.row_jump(), 0.0);
+        assert!(path.step_layout().order.is_empty(), "index order");
+        // Node v hangs off a parent spread over 0..v, so the smallest
+        // neighbours of consecutive nodes lie far apart.
+        let parent = |v: u32| (u64::from(v).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as u32 % v;
+        let tree =
+            GraphBuilder::new(2_000).edges((1..2_000).map(|v| (parent(v), v))).build().unwrap();
+        assert!(tree.row_jump() > 0.5, "{}", tree.row_jump());
+        let layout = tree.step_layout();
+        assert_eq!(layout.order, reference_bfs(&tree).as_slice());
+        assert!(std::ptr::eq(layout.order, tree.step_layout().order), "built once");
+        check_layout(&tree, layout, "tree");
+        let relabelled = tree.with_ids((0..2_000).map(|i| 5_000 - i).collect()).unwrap();
+        assert_eq!(relabelled.step_layout().order, layout.order, "relabelling keeps the order");
+        assert_eq!(GraphBuilder::new(1).build().unwrap().row_jump(), 0.0);
     }
 
     #[test]

@@ -111,7 +111,8 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
     {
         let n = graph.n();
         let range = partition_range(n, workers, worker);
-        let slots = range.clone().map(|v| Slot::new(graph, v, &mut factory)).collect();
+        let layout = graph.identity_layout();
+        let slots = range.clone().map(|v| Slot::new(graph, layout, v, &mut factory)).collect();
         let mut cut: Vec<NodeIndex> = range
             .clone()
             .flat_map(|v| graph.neighbors(v).iter().copied())
@@ -141,8 +142,9 @@ impl<'g, P: Program> PartitionEngine<'g, P> {
     /// across the cut to `out`, by ascending receiver and port. Returns
     /// the partition's share of the round accounting.
     pub fn step_round(&mut self, round: u32, out: &mut Vec<OutFrame<P::Msg>>) -> RoundDigest {
-        let ctx = sink_ctx(&self.config, &self.params, round);
-        let io = RoundIo { graph: self.graph, cur: &self.cur, next: &self.next, ctx: &ctx };
+        let ctx = sink_ctx(self.graph, &self.config, &self.params, round);
+        let layout = self.graph.identity_layout();
+        let io = RoundIo { layout, cur: &self.cur, next: &self.next, ctx: &ctx };
         let segment = self.next.segment_ptr(OWN);
         let mut acc = RoundDigest::default();
         for (v, slot) in (self.lo..).zip(&mut self.slots) {
@@ -332,7 +334,7 @@ mod tests {
     }
 
     /// The digest a partition ships in its `Done` frame survives the
-    /// encoding bit for bit, merges keeping the leftmost violation, and
+    /// encoding bit for bit, merges keeping the lowest node's violation, and
     /// every truncated body decodes to a typed error.
     #[test]
     fn digest_roundtrip_and_merge() {

@@ -14,7 +14,7 @@
 
 use crate::arena::{PayloadArena, RoundDigest, Segment};
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::graph::{DirectedEdgeId, NodeId, NodeIndex};
+use crate::graph::{DirectedEdgeId, Graph, NodeId, NodeIndex};
 use crate::message::{WireMessage, WireParams};
 
 /// Immutable per-node view of the network, as permitted by the CONGEST
@@ -34,6 +34,16 @@ pub struct NodeInit<'g> {
     /// Dense index of this node (simulator-internal; programs should key
     /// protocol logic on `id`, not `index`).
     pub index: NodeIndex,
+    /// This node's place in the order the engine steps and stores nodes
+    /// in: `index` itself, unless the graph's index order scatters
+    /// neighbourhoods and in-process runs step in BFS order (see
+    /// [`crate::graph::Graph::row_jump`]). A distributed worker steps in
+    /// index order. Positions number `0..n`, and the executors' chunks
+    /// are contiguous runs of them, so state a program's host keeps per
+    /// node or per executor chunk in step order (the tester's node-state
+    /// arena) keys off this, not `index`. Like `index`, it is no input
+    /// to protocol logic.
+    pub position: u32,
     /// Identity of this node.
     pub id: NodeId,
     /// Identities of neighbors, indexed by local port (a borrow of the
@@ -292,6 +302,8 @@ enum Sink<M> {
 /// Round-invariant context shared by every node's direct sink; built
 /// once per round on the engine's frame by `engine::sink_ctx`.
 pub(crate) struct SinkCtx {
+    /// The run's graph, for the receiver the fault plan is asked about.
+    pub(crate) graph: *const Graph,
     pub(crate) params: *const WireParams,
     pub(crate) faults: *const FaultPlan,
     pub(crate) check_faults: bool,
@@ -301,8 +313,8 @@ pub(crate) struct SinkCtx {
 }
 
 // SAFETY: the context is shared by reference across worker threads; its
-// pointers reference round-lived state (`params`, `faults`) that is
-// read-only for the whole round.
+// pointers reference round-lived state (`graph`, `params`, `faults`)
+// that is read-only for the whole round.
 unsafe impl Sync for SinkCtx {}
 
 /// Raw plumbing of the direct sink. Pointers are valid for the duration
@@ -316,21 +328,20 @@ pub(crate) struct DirectSink<M> {
     /// every payload that is not a broadcast moves. Only the thread
     /// stepping this chunk writes the segment.
     pub(crate) segment: Segment<M>,
-    /// Base of the write arena's per-node broadcast slot array. Slot
-    /// `sender` is written by this outbox alone; last generation's
+    /// This sender's broadcast slot in the write arena (the slot of its
+    /// step position), written by this outbox alone; last generation's
     /// occupant is evicted back to the program for recycling.
-    pub(crate) slots: *mut Option<M>,
-    /// Receiver node index per local port (the graph's neighbor row),
-    /// for the fault plan's decisions.
-    pub(crate) receivers: *const NodeIndex,
-    /// Mailbox slot per local port (the graph's reverse-edge row): a
-    /// send on port `p` is stored at `rev_edges[p]`, in the receiver's
-    /// row at the sender's position.
+    pub(crate) slot: *mut Option<M>,
+    /// Mailbox slot per local port (the step layout's reverse-edge
+    /// row): a send on port `p` is stored at `rev_edges[p]`, in the
+    /// receiver's row at the sender's port in the receiver's order.
     pub(crate) rev_edges: *const DirectedEdgeId,
     /// The executor chunk's round digest.
     pub(crate) acc: *mut RoundDigest,
     /// Shared round-invariant context.
     pub(crate) ctx: *const SinkCtx,
+    /// The sender's node index: what the fault plan is asked about and
+    /// what a bandwidth violation names.
     pub(crate) sender: NodeIndex,
     /// Links this step's lost sends occupy (see [`occupy_link`]); the
     /// outbox frees them when it drops.
@@ -355,8 +366,8 @@ impl<M: WireMessage> Outbox<M> {
     /// lifetime: `segment` must hold the write arena's mailbox (whose
     /// slots at `rev_edges` no other thread touches meanwhile, all null
     /// when the outbox is built) and the sender's payload arena (written
-    /// by no other thread meanwhile), `slots` the write generation's
-    /// slot array (slot `sender` unaliased), and `acc`/`ctx` live
+    /// by no other thread meanwhile), `slot` the sender's broadcast slot
+    /// of the write generation (unaliased), and `acc`/`ctx` live
     /// objects nobody else mutates during the call.
     pub(crate) unsafe fn direct(degree: u32, sink: DirectSink<M>) -> Self {
         Outbox { sink: Sink::Direct(sink), degree, slot_used: false }
@@ -466,7 +477,7 @@ impl<M: WireMessage> Outbox<M> {
                     // The parked payload is identical on every link, so
                     // it is priced once.
                     let bits = msg.wire_bits(&*(*d.ctx).params);
-                    let slot = &mut *d.slots.add(d.sender as usize);
+                    let slot = &mut *d.slot;
                     let evicted = slot.replace(msg);
                     // ck-lint: allow(no-panic, reason = "replace() on the line above just stored a value, so the slot is Some")
                     let parked = slot.as_ref().expect("just parked");
@@ -572,7 +583,9 @@ enum SendFate {
 
 /// Prices one send: feeds the round digest and checks the bandwidth
 /// budget. A link carries one message per round, so its load is this
-/// message and the budget applies to `b` itself. Returns the message's
+/// message and the budget applies to `b` itself. Nodes may step in any
+/// order, so the digest keeps the violation of the lowest node index
+/// (within one node, the first one its sends hit). Returns the message's
 /// fate under the fault plan (the sender has already been charged
 /// either way; per-kind drop counters land in the digest here). `b` is
 /// the message's wire size, priced by the caller (per message for
@@ -589,13 +602,13 @@ unsafe fn charge_send_bits<M>(d: &mut DirectSink<M>, port: u32, b: u64) -> SendF
     if b > acc.max_message_bits {
         acc.max_message_bits = b;
     }
-    if b > ctx.limit && acc.violation.is_none() {
+    if b > ctx.limit && acc.violation.is_none_or(|(node, ..)| d.sender < node) {
         acc.violation = Some((d.sender, port, b));
     }
     if !ctx.check_faults {
         return SendFate::Deliver;
     }
-    let receiver = *d.receivers.add(port as usize);
+    let receiver = (*ctx.graph).neighbor_at(d.sender, port);
     match (*ctx.faults).decide(ctx.round, d.sender, receiver, port) {
         FaultDecision::Deliver => SendFate::Deliver,
         FaultDecision::Drop(kind) => {

@@ -529,7 +529,7 @@ fn serve_job(
         params,
         spec.workers,
         spec.worker,
-        |init| CkTester::new(&cfg, &init, SoaView::new(bases, init.index as usize)),
+        |init| CkTester::new(&cfg, &init, SoaView::new(bases, init.position as usize)),
     );
 
     // The worker's own liveness bound inside a job: a coordinator
@@ -1045,9 +1045,9 @@ impl Fleet {
             self.flush_all(round).map_err(DistError::Net)?;
 
             // Collect this round: Msg frames buffer for routing, Done
-            // frames carry the partition digests; merged in ascending
-            // worker (= node-range) order so the leftmost-violation rule
-            // matches the sequential fold.
+            // frames carry the partition digests, merged in ascending
+            // worker (= node-range) order; the merge keeps the violation
+            // of the lowest node index, as every in-process fold does.
             let deadline = Deadline::after_ms(net.round_deadline_ms);
             routed.clear();
             let mut digest = RoundDigest::default();
@@ -1372,7 +1372,7 @@ mod tests {
         arena.prepare(&g, g.n());
         let bases = arena.bases();
         let mut part = PartitionEngine::new(&g, &engine, WireParams::for_graph(&g), 2, 0, |init| {
-            CkTester::new(&cfg, &init, SoaView::new(bases, init.index as usize))
+            CkTester::new(&cfg, &init, SoaView::new(bases, init.position as usize))
         });
         let mut out = Vec::new();
         part.step_round(0, &mut out);

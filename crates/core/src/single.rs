@@ -329,8 +329,14 @@ mod tests {
     fn foreign_width_payloads_are_dropped() {
         use ck_congest::node::InboxBuf;
         let g = cycle(7);
-        let init =
-            NodeInit { index: 3, id: g.id(3), neighbor_ids: g.neighbor_ids(3), n: g.n(), m: g.m() };
+        let init = NodeInit {
+            index: 3,
+            position: 3,
+            id: g.id(3),
+            neighbor_ids: g.neighbor_ids(3),
+            n: g.n(),
+            m: g.m(),
+        };
         let myid = init.id;
         let mut node = DetectSingle::new(7, &init, (g.id(0), g.id(6)));
         // Engine round 2 (paper round 3) carries width-2 rows.

@@ -33,6 +33,12 @@
 //!   [`ck_congest::engine::node_step_plan`] snapshot the tester pins on
 //!   the run, instead of one per node.
 //!
+//! Both arrays are kept in the engine's step order: entry `p` belongs to
+//! the node at step position `p` (`NodeInit::position`, the node index
+//! unless the graph steps in BFS order), and chunk `w` to the positions
+//! the executor's chunk `w` steps. A node's entry then sits next to its
+//! neighbours' when the step order keeps neighbourhoods together.
+//!
 //! A warm `SoaArena::prepare` performs zero heap operations for a
 //! same-shape rerun — the contract `tests/alloc_gate.rs` pins down.
 
@@ -70,7 +76,7 @@ pub(crate) struct StepScratch {
 /// worker prepares one per job. See the module docs for the layout.
 #[derive(Default)]
 pub struct SoaArena {
-    /// One entry per node (node-major).
+    /// One entry per node, in step order (node-major).
     nodes: Vec<NodeEntry>,
     /// Chunk-shared step temporaries (one per executor chunk).
     chunk_scratch: Vec<StepScratch>,
@@ -153,9 +159,12 @@ pub(crate) struct BufsRef<'a> {
 /// * Both pointers were derived from one [`SoaArena::bases`] call on a
 ///   prepared arena that is not otherwise accessed until the last view
 ///   drops ([`SoaArena::bases`]'s contract).
-/// * `node` is entry `index` and `scratch` is chunk `index / chunk_len`
-///   for some `index < n`, checked at construction, so both lie inside
-///   the prepared arrays.
+/// * `node` is entry `position` and `scratch` is chunk
+///   `position / chunk_len` for some `position < n`, checked at
+///   construction, so both lie inside the prepared arrays. `position` is
+///   the node's [`NodeInit::position`](ck_congest::node::NodeInit),
+///   its place in the order the engine steps nodes in; the executor's
+///   chunks are contiguous runs of positions, not of node indices.
 /// * Node entries are disjoint across views: each node has one view.
 /// * The chunk-shared [`StepScratch`] (`recv`, `send` and the prune
 ///   workspace, each reset at every use and dead once a step returns)
@@ -167,7 +176,10 @@ pub(crate) struct BufsRef<'a> {
 ///   (`EngineWorkspace::pin_node_chunk_plan`), so the executing
 ///   partition — contiguous chunks of exactly `chunk_len` nodes — and
 ///   the scratch layout agree by construction for the whole run, even
-///   if the forced-worker state mutates concurrently. The sequential
+///   if the forced-worker state mutates concurrently. Keyed by node
+///   index instead, two nodes stepped by different threads could share
+///   a chunk's scratch whenever the step order is not the index order.
+///   The sequential
 ///   executor is one thread with one chunk, and so is a distributed
 ///   worker: its partition engine steps the owned node range on one
 ///   thread, so it prepares the arena for the whole graph as a single
@@ -185,22 +197,23 @@ pub(crate) struct SoaView {
 unsafe impl Send for SoaView {}
 
 impl SoaView {
-    /// The view of node `index` in the arena `bases` addresses.
+    /// The view of the node at step position `position` in the arena
+    /// `bases` addresses.
     ///
     /// # Panics
-    /// Panics when `index` is not a node of the prepared arena.
-    pub(crate) fn new(bases: SoaBases, index: usize) -> Self {
-        assert!(index < bases.n, "node {index} outside an arena of {} nodes", bases.n);
+    /// Panics when `position` is not a position of the prepared arena.
+    pub(crate) fn new(bases: SoaBases, position: usize) -> Self {
+        assert!(position < bases.n, "position {position} outside an arena of {} nodes", bases.n);
         SoaView {
-            node: bases.nodes.wrapping_add(index),
-            scratch: bases.chunk_scratch.wrapping_add(index / bases.chunk_len),
+            node: bases.nodes.wrapping_add(position),
+            scratch: bases.chunk_scratch.wrapping_add(position / bases.chunk_len),
         }
     }
 
     /// Exclusive borrows of every buffer this node's step touches.
     pub(crate) fn bufs(&mut self) -> BufsRef<'_> {
         // SAFETY: both pointers lie inside the prepared arena's arrays
-        // (`index < n` at construction), the node entry is this view's
+        // (`position < n` at construction), the node entry is this view's
         // alone and the chunk scratch is used by one thread at a time
         // (the type's invariants); the borrows' lifetime is tied to
         // `&mut self`, so a second `bufs()` on the same view cannot

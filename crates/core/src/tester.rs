@@ -593,7 +593,7 @@ fn tester_exec_inproc(
         g,
         ecfg,
         &params,
-        |init| CkTester::new(cfg, &init, SoaView::new(bases, init.index as usize)),
+        |init| CkTester::new(cfg, &init, SoaView::new(bases, init.position as usize)),
         &mut run.outcome,
     )?;
     finish_tester_run(g, cfg, reps, run);
@@ -939,8 +939,14 @@ mod tests {
         v: NodeIndex,
     ) -> CkTester<'g> {
         arena.prepare(g, g.n());
-        let init =
-            NodeInit { index: v, id: g.id(v), neighbor_ids: g.neighbor_ids(v), n: g.n(), m: g.m() };
+        let init = NodeInit {
+            index: v,
+            position: v,
+            id: g.id(v),
+            neighbor_ids: g.neighbor_ids(v),
+            n: g.n(),
+            m: g.m(),
+        };
         CkTester::new(cfg, &init, SoaView::new(arena.bases(), v as usize))
     }
 

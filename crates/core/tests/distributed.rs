@@ -131,7 +131,7 @@ fn early_abort_bit_identical() {
 fn enforced_bandwidth_violation_is_the_oracle_error() {
     // A budget below any real message: both executors must fail with
     // the *same* typed violation (round, node — the distributed merge
-    // keeps the leftmost), not a transport error.
+    // keeps the lowest node index), not a transport error.
     let g = cycle(12);
     let mut cfg = TesterConfig::new(4, 0.3, 2);
     cfg.repetitions = Some(1);

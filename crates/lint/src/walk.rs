@@ -29,10 +29,11 @@ const LIBRARY_CRATES: &[&str] = &["congest", "core", "graphgen", "lint", "serve"
 /// hold the round loop's inbox arena, its per-round digest (which also
 /// feeds the distributed coordinator) and its send paths; `tester`,
 /// `session`, `batch`, `prune` and `decide` are the tester's node
-/// program and the layers that drive it.
+/// program and the layers that drive it. `graph` computes the step
+/// order every in-process run steps its nodes in.
 const DETERMINISM_STEMS: &[&str] = &[
     "engine", "arena", "node", "fault", "dist", "msg", "soa", "tester", "session", "batch",
-    "prune", "decide", "serve", "rpc",
+    "prune", "decide", "serve", "rpc", "graph",
 ];
 
 /// Classifies a workspace-relative path (with `/` separators) into the
@@ -147,6 +148,7 @@ mod tests {
         assert!(classify("crates/congest/src/node.rs").determinism_critical);
         assert!(classify("crates/congest/src/session.rs").determinism_critical);
         assert!(classify("crates/core/src/tester.rs").determinism_critical);
+        assert!(classify("crates/congest/src/graph.rs").determinism_critical);
         // The service's client helper and lib root are not verdict-
         // producing; only the job loop and the wire grammar are.
         assert!(!classify("crates/serve/src/client.rs").determinism_critical);
