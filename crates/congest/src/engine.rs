@@ -317,11 +317,13 @@ impl<M> EngineWorkspace<M> {
     /// order, as does everything else the outcome reports.
     ///
     /// With a warm workspace, a warm outcome buffer, and the sequential
-    /// executor, a rerun of the same program type performs zero heap
-    /// operations (the graph caches its step order on the first run); under the parallel executor its heap operations are
-    /// bounded by the rounds (the per-round thread spawns), not by the
-    /// node count — the contracts the `ck_lint::alloc_gate` regression
-    /// tests enforce. On error the outcome's contents are unspecified.
+    /// executor, a rerun of the same program type on the same graph
+    /// performs zero heap operations (the graph caches its step order
+    /// on its first run); under the parallel executor its heap
+    /// operations are bounded by the rounds (the per-round thread
+    /// spawns), not by the node count — the contracts the
+    /// `ck_lint::alloc_gate` regression tests enforce. On error the
+    /// outcome's contents are unspecified.
     pub fn run_on_into<'g, P, F>(
         &mut self,
         graph: &'g Graph,
@@ -513,8 +515,9 @@ pub(crate) struct RoundIo<'a, M> {
 /// it touches outside `slot` and `acc` is disjoint from every other
 /// thread's calls (see the module doc).
 /// Statistics accumulate into `acc` (one per chunk; chunk digests
-/// merge associatively in node order, so every chunk count produces
-/// identical round statistics).
+/// merge associatively and keep the lowest node index's violation, so
+/// every chunk count and step order produces identical round
+/// statistics).
 ///
 /// The one per-node step of every executor: both arms of the
 /// in-process round loop and a distributed worker's
