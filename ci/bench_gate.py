@@ -23,11 +23,11 @@ Two checks, run by the `bench-gate` CI job:
    across runner generations far more than any sane band.) The floors
    sit well below the observed smoke ratios (MinFlood arena-over-legacy
    >= 2.5x, batch-over-loop >= 1.5x on the bench box with the smoke
-   sample budget: best of 8 interleaved MinFlood runs, the average of
-   up to 8 batch sweeps): they catch an optimization becoming a
-   slowdown — bitrot, an accidental engine regression — while the real
-   performance bars live in the full record's own acceptance gates,
-   checked in (1).
+   sample budget: best of up to 8 interleaved MinFlood runs, and best
+   of up to 8 interleaved sweeps of each batch strategy): they catch an
+   optimization becoming a slowdown — bitrot, an accidental engine
+   regression — while the real performance bars live in the full
+   record's own acceptance gates, checked in (1).
 
 The committed smoke record is also read: it must parse as schema v8 and
 carry the same ratio families (pinning the smoke measurement surface

@@ -36,14 +36,10 @@ where
     Session::builder(graph).config(config.clone()).build().run(factory)
 }
 
+/// The sequential executor under the default engine configuration:
+/// every send priced as it lands, one statistics row per round.
 fn cfg() -> EngineConfig {
-    EngineConfig { executor: Executor::Sequential, record_rounds: false, ..EngineConfig::default() }
-}
-
-/// `record_rounds: true` also appends each round's statistics row (vs
-/// `cfg`'s unrecorded rounds; both price every send as it lands).
-fn cfg_accounted() -> EngineConfig {
-    EngineConfig { record_rounds: true, ..cfg() }
+    EngineConfig { executor: Executor::Sequential, ..EngineConfig::default() }
 }
 
 fn bench_ring(c: &mut Criterion) {
@@ -60,18 +56,6 @@ fn bench_ring(c: &mut Criterion) {
             b.iter(|| {
                 let out = run(&g, &cfg(), |i| MinFlood::new(&i, 60)).unwrap();
                 black_box(out.verdicts[0])
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("legacy-accounted", n), &n, |b, _| {
-            b.iter(|| {
-                let out = run_legacy(&g, &cfg_accounted(), |i| MinFlood::new(&i, 60)).unwrap();
-                black_box(out.report.per_round.len())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("arena-accounted", n), &n, |b, _| {
-            b.iter(|| {
-                let out = run(&g, &cfg_accounted(), |i| MinFlood::new(&i, 60)).unwrap();
-                black_box(out.report.per_round.len())
             });
         });
     }
@@ -96,33 +80,29 @@ fn bench_gnp(c: &mut Criterion) {
     group.finish();
 }
 
-/// The paper's full Ck tester at k = 5 (heavy pooled `SeqRows`
-/// broadcasts through the clone-free slot path) through a cold
-/// `TesterSession` per run — the path callers take — sequential vs
-/// parallel, in both accounting modes. The legacy engine keeps only the
-/// MinFlood groups above.
+/// The paper's full Ck tester at k = 5 (heavy `SeqRows` broadcasts
+/// through the clone-free slot path) through a cold `TesterSession` per
+/// run — the path callers take — sequential vs parallel. The legacy
+/// engine keeps only the MinFlood groups above.
 fn bench_ck5_tester(c: &mut Criterion) {
     let n = 4000;
     let host = random_tree(n, 7);
     let inst = plant_on_host(&host, 5, n / 40, 7);
     let tcfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(5, 0.1, 42) };
     let mut group = c.benchmark_group("engine/ck5-tester-planted4000");
-    for (mode, record) in [("fast", false), ("accounted", true)] {
-        for (name, executor) in
-            [("session-seq", Executor::Sequential), ("session-par", Executor::Parallel)]
-        {
-            let engine =
-                EngineConfig { executor, record_rounds: record, ..EngineConfig::default() };
-            group.bench_function(BenchmarkId::new(name, mode), |b| {
-                b.iter(|| {
-                    let run = TesterSession::from_config(tcfg, engine.clone())
-                        .unwrap()
-                        .test(&inst.graph)
-                        .unwrap();
-                    black_box(run.outcome.verdicts.len())
-                });
+    for (name, executor) in
+        [("session-seq", Executor::Sequential), ("session-par", Executor::Parallel)]
+    {
+        let engine = EngineConfig { executor, ..EngineConfig::default() };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let run = TesterSession::from_config(tcfg, engine.clone())
+                    .unwrap()
+                    .test(&inst.graph)
+                    .unwrap();
+                black_box(run.outcome.verdicts.len())
             });
-        }
+        });
     }
     group.finish();
 }

@@ -61,11 +61,7 @@ fn bench_executors(c: &mut Criterion) {
         let name = format!("engine/minflood-torus40/{exec:?}");
         c.bench_function(&name, |b| {
             b.iter(|| {
-                let cfg = EngineConfig {
-                    executor: exec,
-                    record_rounds: false,
-                    ..EngineConfig::default()
-                };
+                let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
                 let out = run(&g, &cfg, |init| MinFlood { best: init.id, ttl: 80, changed: false })
                     .unwrap();
                 black_box(out.verdicts[0])
@@ -80,7 +76,7 @@ fn bench_density(c: &mut Criterion) {
         let g = gnp(512, p, 3);
         group.bench_with_input(BenchmarkId::from_parameter(format!("p{p}")), &p, |b, _| {
             b.iter(|| {
-                let cfg = EngineConfig { record_rounds: false, ..EngineConfig::default() };
+                let cfg = EngineConfig::default();
                 let out = run(&g, &cfg, |init| MinFlood { best: init.id, ttl: 20, changed: false })
                     .unwrap();
                 black_box(out.verdicts.len())

@@ -16,20 +16,18 @@
 //!   Behrend-style layered hard instance (every edge lies on a planted
 //!   C5, so Phase-2 traffic is everywhere).
 //!
-//! Each workload is timed in two modes — `fast` (`record_rounds: false`,
-//! unrecorded rounds) and `accounted` (`record_rounds: true`, each round
-//! also appends its statistics row) — under both executors; both go
-//! through the one send path, which prices every send as it lands.
-//! Every entry records its `executor` and `threads` honestly. The
-//! tester rows time a cold `TesterSession` per run, the path callers
-//! take. Before timing, the MinFlood verdicts are checked identical
-//! across the two engines, and the arena engine's sequential and
-//! parallel outputs are asserted **bit-identical** (verdicts and, in
-//! accounted mode, the full per-round statistics).
+//! Each workload is timed in one configuration, the library default
+//! (every send priced as it lands, one statistics row per round), under
+//! both executors. Every entry records its `executor` and `threads`
+//! honestly. The tester rows time a cold `TesterSession` per run, the
+//! path callers take. Before timing, the MinFlood verdicts are checked
+//! identical across the two engines, and the arena engine's sequential
+//! and parallel outputs are asserted **bit-identical** (verdicts and
+//! the full per-round statistics).
 //!
 //! The `acceptance` block gates on the same-run MinFlood
-//! arena-over-legacy ratio in both modes at the largest `n` (the only
-//! comparison immune to machine drift between bench days).
+//! arena-over-legacy ratio at the largest `n` (the only comparison
+//! immune to machine drift between bench days).
 //!
 //! Usage: `cargo run --release -p ck-bench --bin bench_engine
 //! [--smoke] [OUT.json]` (default output `BENCH_engine.json`; `--smoke`
@@ -103,9 +101,6 @@ struct Measurement {
     workload: &'static str,
     n: usize,
     engine: Engine,
-    /// `"fast"` (no round recording) or `"accounted"` (recorded rounds:
-    /// one statistics row per round).
-    mode: &'static str,
     executor: Executor,
     threads: usize,
     rounds: u32,
@@ -113,11 +108,6 @@ struct Measurement {
     secs_per_run: f64,
     rounds_per_sec: f64,
 }
-
-/// The two measured configurations; `record` is `record_rounds`
-/// (`false` → unrecorded rounds, `true` → a statistics row per round;
-/// every send is priced either way).
-const MODES: [(&str, bool); 2] = [("fast", false), ("accounted", true)];
 
 /// Engine/executor combinations measured per workload: the legacy
 /// baseline (sequential, MinFlood only), the arena engine on the same
@@ -200,13 +190,13 @@ fn tester_outcome(g: &Graph, tcfg: &TesterConfig, cfg: &EngineConfig) -> RunOutc
         .outcome
 }
 
-fn engine_config(record: bool, executor: Executor) -> EngineConfig {
-    EngineConfig { executor, record_rounds: record, ..EngineConfig::default() }
+fn engine_config(executor: Executor) -> EngineConfig {
+    EngineConfig { executor, ..EngineConfig::default() }
 }
 
 /// Asserts the arena engine's two executors produce bit-identical
 /// outputs on this configuration (verdict projection + full per-round
-/// statistics when recorded), and returns the sequential outcome.
+/// statistics), and returns the sequential outcome.
 fn assert_seq_par_identical<V: PartialEq + std::fmt::Debug>(
     label: &str,
     mut run_with: impl FnMut(Executor) -> RunOutcome<V>,
@@ -270,7 +260,6 @@ fn workloads_for(n: usize) -> Vec<Workload> {
 /// whole multi-graph family.
 struct BatchRow {
     variant: &'static str,
-    mode: &'static str,
     /// Shards the strategy used (1 for the loop and batch-seq rows).
     shards: usize,
     threads: usize,
@@ -280,12 +269,13 @@ struct BatchRow {
 }
 
 /// Measures the batch runner against the one-by-one loop on a
-/// `count`-graph planted sweep: per mode, times (a) the plain
-/// `run_tester` loop, (b) the batch runner with one shard, and (c) the
-/// batch runner sharded across the thread pool — after asserting all
-/// three produce bit-identical per-job outputs. Returns the rows plus
-/// the sweep's observed batch-over-loop ratios keyed
-/// `"<variant>/<mode>"`.
+/// `count`-graph planted sweep: times (a) a loop of fresh sessions, (b)
+/// the batch runner with one shard, and (c) the batch runner sharded
+/// across the thread pool — after asserting all three produce
+/// bit-identical per-job outputs — round-robin in one shared window
+/// (see `time_runs_min_interleaved`), so host drift cannot land on one
+/// variant. Returns the rows plus the sweep's observed batch-over-loop
+/// ratios keyed by variant.
 fn batch_sweep(n: usize, count: usize, budget: &Budget) -> (Vec<BatchRow>, Vec<(String, f64)>) {
     use ck_graphgen::planted::plant_on_host;
     let graphs: Vec<Graph> = (0..count)
@@ -310,96 +300,72 @@ fn batch_sweep(n: usize, count: usize, budget: &Budget) -> (Vec<BatchRow>, Vec<(
             .map(|r| (r.reject, r.outcome.report.rounds, r.outcome.verdicts.clone()))
             .collect()
     };
+    let engine = engine_config(Executor::Sequential);
+    // The loop baseline pays full session setup per job (the cost the
+    // batch runner amortizes); the batch rows go through one session's
+    // sharded runner.
+    let run_loop = || -> Vec<TesterRun> {
+        jobs.iter()
+            .map(|j| {
+                TesterSession::from_config(j.cfg, engine.clone())
+                    .expect("valid config")
+                    .test(j.graph)
+                    .expect("measure policy cannot fail")
+            })
+            .collect()
+    };
+    let batch_session =
+        TesterSession::builder(5, 0.1).engine(engine.clone()).build().expect("valid config");
+    let sharded_width = effective_shards(None, jobs.len());
+    let run_batch = |shards: Option<usize>| -> Vec<TesterRun> {
+        batch_session.test_batch(&jobs, shards).expect("measure policy cannot fail")
+    };
+
+    // Bit-identity across all three strategies, before any timing.
+    let reference = run_loop();
+    assert!(reference.iter().all(|r| r.reject), "planted sweep instance not rejected");
+    for (variant, runs) in [("batch-seq", run_batch(Some(1))), ("batch-sharded", run_batch(None))] {
+        assert_eq!(digest(&reference), digest(&runs), "{variant} diverges from loop");
+        for (a, b) in reference.iter().zip(&runs) {
+            assert_eq!(
+                a.outcome.report.per_round, b.outcome.report.per_round,
+                "{variant} per-round stats diverge"
+            );
+        }
+    }
+
+    // Each closure returns its sweep's total rounds.
+    let sweep_rounds =
+        |runs: Vec<TesterRun>| -> u32 { runs.iter().map(|r| r.outcome.report.rounds).sum() };
+    let variants = [("loop", 1), ("batch-seq", 1), ("batch-sharded", sharded_width)];
+    let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = vec![
+        Box::new(|| sweep_rounds(run_loop())),
+        Box::new(|| sweep_rounds(run_batch(Some(1)))),
+        Box::new(|| sweep_rounds(run_batch(None))),
+    ];
+    let stats = time_runs_min_interleaved(budget, &mut closures);
+    drop(closures);
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
-    for (mode, record) in MODES {
-        let engine = EngineConfig {
-            executor: Executor::Sequential,
-            record_rounds: record,
-            ..EngineConfig::default()
-        };
-        // The loop baseline pays full session setup per job (the cost
-        // the batch runner amortizes); the batch rows go through one
-        // session's sharded runner.
-        let run_loop = || -> Vec<TesterRun> {
-            jobs.iter()
-                .map(|j| {
-                    TesterSession::from_config(j.cfg, engine.clone())
-                        .expect("valid config")
-                        .test(j.graph)
-                        .expect("measure policy cannot fail")
-                })
-                .collect()
-        };
-        let batch_session =
-            TesterSession::builder(5, 0.1).engine(engine.clone()).build().expect("valid config");
-        let sharded_width = effective_shards(None, jobs.len());
-        let run_batch = |shards: Option<usize>| -> Vec<TesterRun> {
-            batch_session.test_batch(&jobs, shards).expect("measure policy cannot fail")
-        };
-
-        // Bit-identity across all three strategies, before any timing.
-        let reference = run_loop();
-        assert!(reference.iter().all(|r| r.reject), "planted sweep instance not rejected [{mode}]");
-        for (variant, runs) in
-            [("batch-seq", run_batch(Some(1))), ("batch-sharded", run_batch(None))]
-        {
-            assert_eq!(digest(&reference), digest(&runs), "{variant} diverges from loop [{mode}]");
-            if record {
-                for (a, b) in reference.iter().zip(&runs) {
-                    assert_eq!(
-                        a.outcome.report.per_round, b.outcome.report.per_round,
-                        "{variant} per-round stats diverge [{mode}]"
-                    );
-                }
-            }
+    let loop_rate = jobs.len() as f64 / stats[0].1;
+    for (&(variant, shards), &(runs, secs, _)) in variants.iter().zip(&stats) {
+        let rate = jobs.len() as f64 / secs;
+        eprintln!(
+            "ck5-batch-planted n={n} jobs={} {variant} shards={shards}: {secs:.4} s/sweep \
+             (best of {runs} interleaved sweeps)",
+            jobs.len()
+        );
+        if variant != "loop" {
+            ratios.push((variant.to_string(), rate / loop_rate));
         }
-
-        let mut loop_rate = 0.0f64;
-        for (variant, shards, threads) in [
-            ("loop", 1usize, 1usize),
-            ("batch-seq", 1, 1),
-            ("batch-sharded", sharded_width, sharded_width),
-        ] {
-            let time_sweep = |exec: &dyn Fn() -> Vec<TesterRun>| -> (u32, f64) {
-                let _warm = exec();
-                let start = Instant::now();
-                let mut sweeps = 0u32;
-                while sweeps < budget.max_runs {
-                    let _ = exec();
-                    sweeps += 1;
-                    if start.elapsed().as_secs_f64() >= budget.measure_secs {
-                        break;
-                    }
-                }
-                (sweeps, start.elapsed().as_secs_f64() / f64::from(sweeps))
-            };
-            let (runs, secs) = match variant {
-                "loop" => time_sweep(&run_loop),
-                "batch-seq" => time_sweep(&|| run_batch(Some(1))),
-                _ => time_sweep(&|| run_batch(None)),
-            };
-            let rate = jobs.len() as f64 / secs;
-            eprintln!(
-                "ck5-batch-planted n={n} jobs={} {variant} [{mode}] shards={shards}: \
-                 {secs:.4} s/sweep ({runs} sweeps)",
-                jobs.len()
-            );
-            if variant == "loop" {
-                loop_rate = rate;
-            } else {
-                ratios.push((format!("{variant}/{mode}"), rate / loop_rate));
-            }
-            rows.push(BatchRow {
-                variant,
-                mode,
-                shards,
-                threads,
-                runs,
-                secs_per_sweep: secs,
-                jobs_per_sec: rate,
-            });
-        }
+        rows.push(BatchRow {
+            variant,
+            shards,
+            threads: shards,
+            runs,
+            secs_per_sweep: secs,
+            jobs_per_sec: rate,
+        });
     }
     (rows, ratios)
 }
@@ -455,7 +421,7 @@ fn robust_sweep(smoke: bool) -> RobustBlock {
 }
 
 /// One row of the soa sweep: one (executor, forced worker count)
-/// configuration on an accounted tester workload.
+/// configuration on a tester workload.
 struct SoaRow {
     workload: &'static str,
     n: usize,
@@ -476,8 +442,8 @@ struct SoaRow {
 /// asserted rejected before any timing.
 const SOA_REPS: u32 = 1;
 
-/// The soa block: the SoA node-state arena on the accounted `Ck`
-/// testers — a sequential row plus the threads axis, rounds/sec of the
+/// The soa block: the SoA node-state arena on the `Ck` testers — a
+/// sequential row plus the threads axis, rounds/sec of the
 /// parallel executor at forced worker counts {1, 2, 4, 8}. The timed
 /// unit is a cold session per run (arena setup included), matching
 /// every other tester row in the record, at a single repetition
@@ -493,7 +459,7 @@ fn soa_sweep(sizes: &[usize], budget: &Budget, thread_axis: &[usize]) -> Vec<Soa
             let tcfg =
                 TesterConfig { repetitions: Some(SOA_REPS), ..TesterConfig::new(k, 0.1, 42) };
             let outcome_of =
-                |executor: Executor| tester_outcome(&g, &tcfg, &engine_config(true, executor));
+                |executor: Executor| tester_outcome(&g, &tcfg, &engine_config(executor));
             // Bit-identity across executors and every forced worker
             // count, before any timing.
             let reference = outcome_of(Executor::Sequential);
@@ -545,7 +511,7 @@ fn soa_sweep(sizes: &[usize], budget: &Budget, thread_axis: &[usize]) -> Vec<Soa
             for (&(ename, w), &(runs, secs, rounds)) in variants.iter().zip(&stats) {
                 let wlabel = if ename == "parallel" { format!(" w={w}") } else { String::new() };
                 eprintln!(
-                    "{name} n={n} {ename}{wlabel} [accounted]: {secs:.4} s/run \
+                    "{name} n={n} {ename}{wlabel}: {secs:.4} s/run \
                      (best of {runs} interleaved runs)"
                 );
                 rows.push(SoaRow {
@@ -610,13 +576,10 @@ fn net_sweep(smoke: bool, budget: &Budget) -> NetBlock {
         ..NetOptions::default()
     };
     let run_with = |executor: Executor, net: NetOptions| -> TesterRun {
-        TesterSession::from_config(
-            tcfg,
-            EngineConfig { executor, net, record_rounds: true, ..EngineConfig::default() },
-        )
-        .expect("valid config")
-        .test(&inst.graph)
-        .expect("measure policy cannot fail")
+        TesterSession::from_config(tcfg, EngineConfig { executor, net, ..EngineConfig::default() })
+            .expect("valid config")
+            .test(&inst.graph)
+            .expect("measure policy cannot fail")
     };
     let oracle = run_with(Executor::Sequential, NetOptions::default());
     assert!(oracle.reject, "net sweep instance not rejected");
@@ -889,84 +852,81 @@ fn main() {
     let mut measurements: Vec<Measurement> = Vec::new();
     for &n in sizes {
         for w in workloads_for(n) {
-            for (mode, record) in MODES {
-                // Arena seq-vs-par bit-identity (plus the cross-engine
-                // verdict check on MinFlood), before any timing.
-                let label = format!("{}/{n}/{mode}", w.name);
-                match &w.tester {
-                    None => {
-                        let arena = assert_seq_par_identical(&label, |exec| {
-                            minflood_outcome(&w.graph, Engine::Arena, &engine_config(record, exec))
-                        });
-                        let legacy = minflood_outcome(
-                            &w.graph,
-                            Engine::Legacy,
-                            &engine_config(record, Executor::Sequential),
-                        );
-                        assert_eq!(legacy.verdicts, arena.verdicts, "engines disagree: {label}");
-                    }
-                    Some(tcfg) => {
-                        let arena = assert_seq_par_identical(&label, |exec| {
-                            tester_outcome(&w.graph, tcfg, &engine_config(record, exec))
-                        });
-                        if w.expect_reject {
-                            assert!(
-                                arena.verdicts.iter().any(|v| v.rejected),
-                                "hard instance not rejected: {label}"
-                            );
-                        }
-                    }
-                }
-                // Every combo sampled round-robin in one shared window
-                // (the arena-over-legacy acceptance gate is a ratio of
-                // the MinFlood rows): see `time_runs_min_interleaved`.
-                // The legacy engine times MinFlood only.
-                let graph = &w.graph;
-                let tester = w.tester.as_ref();
-                let combos: Vec<(Engine, Executor)> = COMBOS
-                    .iter()
-                    .copied()
-                    .filter(|&(engine, _)| tester.is_none() || engine == Engine::Arena)
-                    .collect();
-                let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = combos
-                    .iter()
-                    .map(|&(engine, executor)| {
-                        let cfg = engine_config(record, executor);
-                        let b: Box<dyn FnMut() -> u32 + '_> = match tester {
-                            None => Box::new(move || {
-                                minflood_outcome(graph, engine, &cfg).report.rounds
-                            }),
-                            Some(tcfg) => {
-                                Box::new(move || tester_outcome(graph, tcfg, &cfg).report.rounds)
-                            }
-                        };
-                        b
-                    })
-                    .collect();
-                let stats = time_runs_min_interleaved(&budget, &mut closures);
-                drop(closures);
-                for (&(engine, executor), &(runs, secs, rounds)) in combos.iter().zip(&stats) {
-                    eprintln!(
-                        "{} n={n} {} {} [{mode}]: {:.4} s/run ({rounds} rounds, best of {runs} \
-                         interleaved runs)",
-                        w.name,
-                        engine.name(),
-                        exec_name(executor),
-                        secs
-                    );
-                    measurements.push(Measurement {
-                        workload: w.name,
-                        n,
-                        engine,
-                        mode,
-                        executor,
-                        threads: exec_threads(executor),
-                        rounds,
-                        runs,
-                        secs_per_run: secs,
-                        rounds_per_sec: f64::from(rounds) / secs,
+            // Arena seq-vs-par bit-identity (plus the cross-engine
+            // verdict check on MinFlood), before any timing.
+            let label = format!("{}/{n}", w.name);
+            match &w.tester {
+                None => {
+                    let arena = assert_seq_par_identical(&label, |exec| {
+                        minflood_outcome(&w.graph, Engine::Arena, &engine_config(exec))
                     });
+                    let legacy = minflood_outcome(
+                        &w.graph,
+                        Engine::Legacy,
+                        &engine_config(Executor::Sequential),
+                    );
+                    assert_eq!(legacy.verdicts, arena.verdicts, "engines disagree: {label}");
                 }
+                Some(tcfg) => {
+                    let arena = assert_seq_par_identical(&label, |exec| {
+                        tester_outcome(&w.graph, tcfg, &engine_config(exec))
+                    });
+                    if w.expect_reject {
+                        assert!(
+                            arena.verdicts.iter().any(|v| v.rejected),
+                            "hard instance not rejected: {label}"
+                        );
+                    }
+                }
+            }
+            // Every combo sampled round-robin in one shared window (the
+            // arena-over-legacy acceptance gate is a ratio of the
+            // MinFlood rows): see `time_runs_min_interleaved`. The
+            // legacy engine times MinFlood only.
+            let graph = &w.graph;
+            let tester = w.tester.as_ref();
+            let combos: Vec<(Engine, Executor)> = COMBOS
+                .iter()
+                .copied()
+                .filter(|&(engine, _)| tester.is_none() || engine == Engine::Arena)
+                .collect();
+            let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = combos
+                .iter()
+                .map(|&(engine, executor)| {
+                    let cfg = engine_config(executor);
+                    let b: Box<dyn FnMut() -> u32 + '_> = match tester {
+                        None => {
+                            Box::new(move || minflood_outcome(graph, engine, &cfg).report.rounds)
+                        }
+                        Some(tcfg) => {
+                            Box::new(move || tester_outcome(graph, tcfg, &cfg).report.rounds)
+                        }
+                    };
+                    b
+                })
+                .collect();
+            let stats = time_runs_min_interleaved(&budget, &mut closures);
+            drop(closures);
+            for (&(engine, executor), &(runs, secs, rounds)) in combos.iter().zip(&stats) {
+                eprintln!(
+                    "{} n={n} {} {}: {:.4} s/run ({rounds} rounds, best of {runs} interleaved \
+                     runs)",
+                    w.name,
+                    engine.name(),
+                    exec_name(executor),
+                    secs
+                );
+                measurements.push(Measurement {
+                    workload: w.name,
+                    n,
+                    engine,
+                    executor,
+                    threads: exec_threads(executor),
+                    rounds,
+                    runs,
+                    secs_per_run: secs,
+                    rounds_per_sec: f64::from(rounds) / secs,
+                });
             }
         }
     }
@@ -1013,26 +973,13 @@ fn main() {
     // ---- render ------------------------------------------------------
     let workload_names =
         ["minflood-ring", "c4-tester-planted", "ck5-tester-planted", "ck5-tester-behrend"];
-    let rps_of = |workload: &str, n: usize, engine: Engine, mode: &str, executor: Executor| {
+    let rps_of = |workload: &str, n: usize, engine: Engine, executor: Executor| {
         measurements
             .iter()
             .find(|m| {
-                m.workload == workload
-                    && m.n == n
-                    && m.engine == engine
-                    && m.mode == mode
-                    && m.executor == executor
+                m.workload == workload && m.n == n && m.engine == engine && m.executor == executor
             })
             .map(|m| m.rounds_per_sec)
-    };
-    let case_key = |workload: &str, n: usize, mode: &str| {
-        // The fast-mode key keeps the bare `workload/n` form earlier
-        // acceptance records were keyed on.
-        if mode == "fast" {
-            format!("{workload}/{n}")
-        } else {
-            format!("{workload}/{n}/{mode}")
-        }
     };
 
     let mut json = String::new();
@@ -1041,22 +988,23 @@ fn main() {
         json,
         "  \"description\": \"Round-engine throughput of the arena engine (zero-allocation \
          double-buffered CSR mailboxes with one payload segment per sender chunk, one round \
-         loop for both in-process executors + clone-free broadcast slots + pooled tester \
-         payloads). Mode \
-         'fast' = record_rounds off; mode 'accounted' = record_rounds on (a statistics row \
-         per round); both price every send as it lands. Every entry records its executor and thread count; arena \
-         sequential/parallel outputs are asserted bit-identical before timing. The MinFlood \
-         rows also time the legacy engine (per-round Vec allocation, clone-per-port \
-         broadcasts), verdicts checked identical first; the tester rows time a cold \
+         loop for both in-process executors + clone-free broadcast slots whose evicted \
+         payloads the tester recycles). One configuration, the library default: every send \
+         priced as it lands, one statistics row per round. Every entry records its executor \
+         and thread count; arena sequential/parallel outputs (verdicts and per-round \
+         statistics) are asserted bit-identical before timing. The MinFlood rows also time \
+         the legacy engine (per-round Vec allocation, clone-per-port broadcasts), verdicts \
+         checked identical first; the tester rows time a cold \
          TesterSession per run, the path callers take. acceptance gates on the same-run \
-         MinFlood arena-over-legacy ratio in both modes at the largest n (immune to machine \
-         drift between bench days). Schema revisions, in the order they were added: v2 (these \
+         MinFlood arena-over-legacy ratio at the largest n (immune to machine drift between \
+         bench days). Schema revisions, in the order they were added: v2 (these \
          rows), v3 batch, v4 scan (retired, no longer emitted), v6 robust, v7 net, v5 soa (an \
          out-of-order id), v8 serve; the current id is v8. The v3 batch block: the sharded \
-         multi-graph batch runner (one reusable engine workspace + node-state arena per \
-         shard) vs a one-by-one loop of fresh sessions on a multi-graph planted sweep, all \
-         three strategies asserted bit-identical per job before timing, shards/threads \
-         recorded honestly per row. The v6 robust block: detection-rate curves of the full \
+         multi-graph batch runner (one reusable sequential TesterSession per shard) vs a \
+         one-by-one loop of fresh sessions on a multi-graph planted sweep, all three \
+         strategies asserted bit-identical per job before timing, then timed best-of-N \
+         interleaved (one sweep of each strategy per round), shards/threads recorded \
+         honestly per row. The v6 robust block: detection-rate curves of the full \
          tester under fault-model v2 — i.i.d. loss on a lone C6 and rotating crash-stop sets \
          on an eps-far instance — plus the adaptive-vs-fixed comparison (paper schedule vs \
          the loss_inflation-inflated schedule at 40% loss), all on deterministic fault plans; \
@@ -1070,7 +1018,7 @@ fn main() {
          must be detected within the round deadline and degrade to the sequential oracle \
          inside an explicit wall-clock budget, gated. The v5 soa block: the SoA node-state \
          arena (the only node-state layout — one node-major entry of sequence-set \
-         headers per node, chunk-shared prune workspaces) on the accounted testers, cold \
+         headers per node, chunk-shared prune workspaces) on the testers, cold \
          session per run at a single repetition (the planted instance is asserted rejected \
          first), best-of-N interleaved timing: a sequential row plus the threads axis, \
          rounds/sec of the parallel executor at forced worker counts {{1,2,4,8}} (the cores \
@@ -1096,13 +1044,12 @@ fn main() {
     for (i, m) in measurements.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"workload\": \"{}\", \"n\": {}, \"engine\": \"{}\", \"mode\": \"{}\", \
+            "    {{\"workload\": \"{}\", \"n\": {}, \"engine\": \"{}\", \
              \"executor\": \"{}\", \"threads\": {}, \"rounds\": {}, \"runs\": {}, \
              \"secs_per_run\": {:.6}, \"rounds_per_sec\": {:.2}}}",
             m.workload,
             m.n,
             m.engine.name(),
-            m.mode,
             exec_name(m.executor),
             m.threads,
             m.rounds,
@@ -1116,15 +1063,13 @@ fn main() {
     let mut speedups: Vec<(String, f64)> = Vec::new();
     for &n in sizes {
         for workload in workload_names {
-            for (mode, _) in MODES {
-                let (Some(arena), Some(legacy)) = (
-                    rps_of(workload, n, Engine::Arena, mode, Executor::Sequential),
-                    rps_of(workload, n, Engine::Legacy, mode, Executor::Sequential),
-                ) else {
-                    continue;
-                };
-                speedups.push((case_key(workload, n, mode), arena / legacy));
-            }
+            let (Some(arena), Some(legacy)) = (
+                rps_of(workload, n, Engine::Arena, Executor::Sequential),
+                rps_of(workload, n, Engine::Legacy, Executor::Sequential),
+            ) else {
+                continue;
+            };
+            speedups.push((format!("{workload}/{n}"), arena / legacy));
         }
     }
     for (i, (key, s)) in speedups.iter().enumerate() {
@@ -1143,9 +1088,9 @@ fn main() {
     for (i, r) in batch_rows.iter().enumerate() {
         let _ = write!(
             json,
-            "      {{\"variant\": \"{}\", \"mode\": \"{}\", \"shards\": {}, \"threads\": {}, \
-             \"sweeps\": {}, \"secs_per_sweep\": {:.6}, \"jobs_per_sec\": {:.2}}}",
-            r.variant, r.mode, r.shards, r.threads, r.runs, r.secs_per_sweep, r.jobs_per_sec
+            "      {{\"variant\": \"{}\", \"shards\": {}, \"threads\": {}, \"sweeps\": {}, \
+             \"secs_per_sweep\": {:.6}, \"jobs_per_sec\": {:.2}}}",
+            r.variant, r.shards, r.threads, r.runs, r.secs_per_sweep, r.jobs_per_sec
         );
         json.push_str(if i + 1 < batch_rows.len() { ",\n" } else { "\n" });
     }
@@ -1158,7 +1103,6 @@ fn main() {
 
     // The v5 soa block: the arena's sequential row and the threads axis.
     let _ = writeln!(json, "  \"soa\": {{");
-    let _ = writeln!(json, "    \"mode\": \"accounted\",");
     let _ = writeln!(json, "    \"repetitions\": {SOA_REPS},");
     let _ = writeln!(
         json,
@@ -1298,40 +1242,31 @@ fn main() {
         a.adaptive_rate()
     );
 
-    // Acceptance: the MinFlood case in both modes at the largest
-    // measured n must beat the legacy engine by the required ratio in
-    // the same run (same machine, same minute — the only comparison
-    // that isolates the code from datacenter drift).
+    // Acceptance: the MinFlood case at the largest measured n must beat
+    // the legacy engine by the required ratio in the same run (same
+    // machine, same minute — the only comparison that isolates the code
+    // from datacenter drift).
     let top_n = sizes.iter().copied().max().unwrap_or(0);
-    let mut all_pass = true;
     let mut cases = String::new();
-    let mut first = true;
-    for (mode, _) in MODES {
-        let (Some(arena), Some(legacy)) = (
-            rps_of("minflood-ring", top_n, Engine::Arena, mode, Executor::Sequential),
-            rps_of("minflood-ring", top_n, Engine::Legacy, mode, Executor::Sequential),
-        ) else {
-            continue;
-        };
-        let ratio = arena / legacy;
-        let pass = ratio >= REQUIRED_SPEEDUP;
-        all_pass &= pass;
-        if !first {
-            cases.push_str(",\n");
+    let mut all_pass = match (
+        rps_of("minflood-ring", top_n, Engine::Arena, Executor::Sequential),
+        rps_of("minflood-ring", top_n, Engine::Legacy, Executor::Sequential),
+    ) {
+        (Some(arena), Some(legacy)) => {
+            let ratio = arena / legacy;
+            let pass = ratio >= REQUIRED_SPEEDUP;
+            let _ = write!(
+                cases,
+                "      {{\"case\": \"minflood-ring/{top_n}\", \"arena_rps\": {arena:.2}, \
+                 \"legacy_rps\": {legacy:.2}, \"arena_over_legacy\": {ratio:.3}, \
+                 \"pass\": {pass}}}"
+            );
+            pass
         }
-        first = false;
-        let _ = write!(
-            cases,
-            "      {{\"case\": \"{}\", \"arena_rps\": {arena:.2}, \
-             \"legacy_rps\": {legacy:.2}, \"arena_over_legacy\": {ratio:.3}, \"pass\": {pass}}}",
-            case_key("minflood-ring", top_n, mode)
-        );
-    }
-    if first {
-        all_pass = false;
-    }
+        _ => false,
+    };
     // Batch acceptance: amortized setup must make the batch runner
-    // strictly faster than the one-by-one loop (> 1.0×) in every mode.
+    // strictly faster than the one-by-one loop (> 1.0×).
     // The sharded row is gated only when the machine actually gave it
     // more than one shard — on a 1-core box it degenerates to the
     // sequential path plus scheduling noise, and its honest

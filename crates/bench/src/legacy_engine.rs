@@ -159,9 +159,7 @@ where
             }
         }
 
-        if config.record_rounds {
-            report.per_round.push(stats);
-        }
+        report.per_round.push(stats);
         round += 1;
     }
 

@@ -337,8 +337,8 @@ impl RoundDigest {
     /// post-round step of every executor. A bandwidth violation fails
     /// the run before anything of the round is recorded; otherwise the
     /// round's halts leave `active`, its fault counters fold into
-    /// `report.faults`, and, when `config` records rounds, its
-    /// statistics row is appended to `report.per_round`. A link carries
+    /// `report.faults`, and its statistics row is appended to
+    /// `report.per_round`. A link carries
     /// at most one message per round, so its load is that message: the
     /// row's `max_link_bits` is the largest message and its
     /// `max_link_messages` is 1 when the round charged any message.
@@ -363,17 +363,15 @@ impl RoundDigest {
         fr.dropped_burst += self.drops_by_kind[DropKind::Burst.index()];
         fr.corrupted_delivered += self.corrupted_delivered;
         fr.corrupted_rejected += self.corrupted_rejected;
-        if config.record_rounds {
-            report.per_round.push(RoundStats {
-                round,
-                active_nodes,
-                messages: self.messages,
-                bits: self.bits,
-                max_message_bits: self.max_message_bits,
-                max_link_bits: self.max_message_bits,
-                max_link_messages: u64::from(self.messages > 0),
-            });
-        }
+        report.per_round.push(RoundStats {
+            round,
+            active_nodes,
+            messages: self.messages,
+            bits: self.bits,
+            max_message_bits: self.max_message_bits,
+            max_link_bits: self.max_message_bits,
+            max_link_messages: u64::from(self.messages > 0),
+        });
         Ok(())
     }
 

@@ -64,10 +64,9 @@
 //! post-round step of every executor: violation check, halts, faults,
 //! stats row.
 //!
-//! There is one send path: every send is priced as it lands, whether or
-//! not the run records rounds — [`EngineConfig::record_rounds`] only
-//! decides whether the closed round leaves a statistics row — and the
-//! fault plan is consulted only when one is set.
+//! There is one send path: every send is priced as it lands, every
+//! closed round appends its statistics row to the report's
+//! `per_round`, and the fault plan is consulted only when one is set.
 //!
 //! Safety of the shared arenas rests on two disjointness invariants,
 //! both enforced by construction: during a round, the *next* arena's
@@ -155,13 +154,9 @@ pub struct EngineConfig {
     pub max_rounds: u32,
     /// Bandwidth policy.
     pub bandwidth: BandwidthPolicy,
-    /// Executor choice.
+    /// Executor choice. Every executor appends one statistics row per
+    /// executed round to the report's `per_round`.
     pub executor: Executor,
-    /// If true, each round appends its statistics row to the report's
-    /// `per_round`. Sends are priced into the round digest either way,
-    /// so budgets, fault counters and verdicts do not depend on it;
-    /// turning it off only skips the rows.
-    pub record_rounds: bool,
     /// Deterministic message-loss plan (defaults to no loss). Dropped
     /// messages are charged to the sender's accounting but never
     /// delivered.
@@ -177,7 +172,6 @@ impl Default for EngineConfig {
             max_rounds: 1 << 20,
             bandwidth: BandwidthPolicy::Measure,
             executor: Executor::Parallel,
-            record_rounds: true,
             faults: crate::fault::FaultPlan::none(),
             net: crate::net::NetOptions::default(),
         }
@@ -896,6 +890,8 @@ mod tests {
         let out = run(&g, &cfg, |_| Chatter).unwrap();
         assert_eq!(out.report.rounds, 7);
         assert!(!out.report.all_halted);
+        // A capped run still leaves exactly one row per executed round.
+        assert_eq!(out.report.per_round.len(), 7);
     }
 
     #[test]
@@ -1059,21 +1055,17 @@ mod tests {
         {
             for (fate, faults) in &plans {
                 for exec in [Executor::Sequential, Executor::Parallel] {
-                    for record_rounds in [true, false] {
-                        let cfg = EngineConfig {
-                            executor: exec,
-                            record_rounds,
-                            faults: faults.clone(),
-                            ..EngineConfig::default()
-                        };
-                        let what =
-                            format!("{order:?} {fate} {exec:?} record_rounds={record_rounds}");
-                        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run(&g, &cfg, |_| order)
-                        }))
-                        .expect_err(&what);
-                        assert!(panic_text(err).contains("in one round"), "{what}");
-                    }
+                    let cfg = EngineConfig {
+                        executor: exec,
+                        faults: faults.clone(),
+                        ..EngineConfig::default()
+                    };
+                    let what = format!("{order:?} {fate} {exec:?}");
+                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run(&g, &cfg, |_| order)
+                    }))
+                    .expect_err(&what);
+                    assert!(panic_text(err).contains("in one round"), "{what}");
                 }
                 let cfg = EngineConfig { faults: faults.clone(), ..EngineConfig::default() };
                 let params = WireParams::for_graph(&g);
@@ -1090,8 +1082,7 @@ mod tests {
         }
     }
 
-    /// Recorded and unrecorded runs, on both executors, deliver
-    /// identical inboxes in identical order.
+    /// Both executors deliver identical inboxes in identical order.
     #[test]
     fn sink_paths_deliver_identically() {
         struct Recorder {
@@ -1129,22 +1120,12 @@ mod tests {
             .edges([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 6), (0, 6)])
             .build()
             .unwrap();
-        let mut outcomes = Vec::new();
-        for record_rounds in [true, false] {
-            for exec in [Executor::Sequential, Executor::Parallel] {
-                let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
-                let out = run(&g, &cfg, |init| Recorder { id: init.id, ttl: 4, seen: Vec::new() })
-                    .unwrap();
-                outcomes.push((record_rounds, exec, out.verdicts));
-            }
-        }
-        let reference = outcomes[0].2.clone();
-        for (record_rounds, exec, verdicts) in &outcomes {
-            assert_eq!(
-                verdicts, &reference,
-                "divergent delivery: record_rounds={record_rounds} {exec:?}"
-            );
-        }
+        let [seq, par] = [Executor::Sequential, Executor::Parallel].map(|exec| {
+            let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
+            run(&g, &cfg, |init| Recorder { id: init.id, ttl: 4, seen: Vec::new() }).unwrap()
+        });
+        assert_eq!(par.verdicts, seq.verdicts, "divergent delivery");
+        assert_eq!(par.report.per_round, seq.report.per_round);
     }
 
     /// The maintained active counter must agree with the per-round
@@ -1189,22 +1170,18 @@ mod tests {
         let g = path_graph(n)
             .with_ids((0..n).map(|i| (i as u64).wrapping_mul(2654435761) % 1_000_000).collect())
             .unwrap();
-        let run_one = |exec, record_rounds, faults: crate::fault::FaultPlan| {
-            let cfg =
-                EngineConfig { executor: exec, record_rounds, faults, ..EngineConfig::default() };
+        let run_one = |exec, faults: crate::fault::FaultPlan| {
+            let cfg = EngineConfig { executor: exec, faults, ..EngineConfig::default() };
             run(&g, &cfg, |init| MinFlood { best: init.id, ttl: 30, changed: false }).unwrap()
         };
-        for record_rounds in [true, false] {
-            for faults in [
-                crate::fault::FaultPlan::none(),
-                crate::fault::FaultPlan::none().random_loss(0.2, 5),
-            ] {
-                let seq = run_one(Executor::Sequential, record_rounds, faults.clone());
-                let par = run_one(Executor::Parallel, record_rounds, faults);
-                assert_eq!(seq.verdicts, par.verdicts, "record_rounds={record_rounds}");
-                assert_eq!(seq.report.per_round, par.report.per_round);
-                assert_eq!(seq.report.rounds, par.report.rounds);
-            }
+        for faults in
+            [crate::fault::FaultPlan::none(), crate::fault::FaultPlan::none().random_loss(0.2, 5)]
+        {
+            let seq = run_one(Executor::Sequential, faults.clone());
+            let par = run_one(Executor::Parallel, faults);
+            assert_eq!(seq.verdicts, par.verdicts);
+            assert_eq!(seq.report.per_round, par.report.per_round);
+            assert_eq!(seq.report.rounds, par.report.rounds);
         }
     }
 
@@ -1224,34 +1201,30 @@ mod tests {
         ];
         let (seq, par) = (Executor::Sequential, Executor::Parallel);
         for schedule in [[seq; 4], [par; 4], [seq, par, par, seq]] {
-            for record_rounds in [true, false] {
-                let mut ws = EngineWorkspace::new();
-                for ((g, faults), exec) in jobs.iter().zip(schedule) {
-                    let cfg = EngineConfig {
-                        executor: exec,
-                        record_rounds,
-                        faults: faults.clone(),
-                        ..EngineConfig::default()
-                    };
-                    let ttl = g.n() as u32;
-                    let fresh =
-                        run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false })
-                            .unwrap();
-                    let params = WireParams::for_graph(g);
-                    let mut reused = RunOutcome::default();
-                    exec_into_with_workspace(
-                        g,
-                        &cfg,
-                        &params,
-                        &mut ws,
-                        &mut |init| MinFlood { best: init.id, ttl, changed: false },
-                        &mut reused,
-                    )
-                    .unwrap();
-                    assert_eq!(fresh.verdicts, reused.verdicts, "{exec:?}");
-                    assert_eq!(fresh.report.per_round, reused.report.per_round, "{exec:?}");
-                    assert_eq!(fresh.report.rounds, reused.report.rounds, "{exec:?}");
-                }
+            let mut ws = EngineWorkspace::new();
+            for ((g, faults), exec) in jobs.iter().zip(schedule) {
+                let cfg = EngineConfig {
+                    executor: exec,
+                    faults: faults.clone(),
+                    ..EngineConfig::default()
+                };
+                let ttl = g.n() as u32;
+                let fresh =
+                    run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false }).unwrap();
+                let params = WireParams::for_graph(g);
+                let mut reused = RunOutcome::default();
+                exec_into_with_workspace(
+                    g,
+                    &cfg,
+                    &params,
+                    &mut ws,
+                    &mut |init| MinFlood { best: init.id, ttl, changed: false },
+                    &mut reused,
+                )
+                .unwrap();
+                assert_eq!(fresh.verdicts, reused.verdicts, "{exec:?}");
+                assert_eq!(fresh.report.per_round, reused.report.per_round, "{exec:?}");
+                assert_eq!(fresh.report.rounds, reused.report.rounds, "{exec:?}");
             }
         }
     }
@@ -1406,20 +1379,18 @@ mod tests {
         }
         let g = path_graph(5);
         for exec in [Executor::Sequential, Executor::Parallel] {
-            for record_rounds in [true, false] {
-                let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
-                let mut session = Session::builder(&g).config(cfg).build();
-                let mut parked = [None, None];
-                for pass in 0..2 {
-                    let out = session.run(|_| SlotProbe { ttl: 6, evictions: Vec::new() }).unwrap();
-                    assert_eq!(out.report.rounds, 7);
-                    let mut expect = parked.to_vec();
-                    expect.extend((1000u64..1004).map(Some));
-                    for ev in &out.verdicts {
-                        assert_eq!(ev, &expect, "{exec:?} record_rounds={record_rounds} {pass}");
-                    }
-                    parked = [Some(1005), Some(1004)];
+            let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
+            let mut session = Session::builder(&g).config(cfg).build();
+            let mut parked = [None, None];
+            for pass in 0..2 {
+                let out = session.run(|_| SlotProbe { ttl: 6, evictions: Vec::new() }).unwrap();
+                assert_eq!(out.report.rounds, 7);
+                let mut expect = parked.to_vec();
+                expect.extend((1000u64..1004).map(Some));
+                for ev in &out.verdicts {
+                    assert_eq!(ev, &expect, "{exec:?} {pass}");
                 }
+                parked = [Some(1005), Some(1004)];
             }
         }
     }

@@ -43,7 +43,8 @@ pub struct RunReport {
     pub executor: &'static str,
     /// Worker threads the executor could use (1 for sequential).
     pub threads: usize,
-    /// Per-round statistics.
+    /// Per-round statistics: one row per executed round, in round
+    /// order, so `per_round.len() == rounds as usize`.
     pub per_round: Vec<RoundStats>,
     /// What the fault plan did to this run (all-zero for clean runs).
     /// Executor-independent like every other report field: fault

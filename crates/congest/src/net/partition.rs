@@ -308,29 +308,22 @@ mod tests {
         fn verdict(&self) {}
     }
 
-    /// `step_round`'s digest prices every send whether or not the run
-    /// records rounds: worker 0 of 2 on the path 0–…–5 owns nodes of
-    /// degrees 1, 2 and 2, so each round charges 5 messages, and the
-    /// message, bit and largest-message counts under
-    /// `record_rounds: false` equal those under `true`.
+    /// `step_round`'s digest prices every send: worker 0 of 2 on the
+    /// path 0–…–5 owns nodes of degrees 1, 2 and 2, so each round
+    /// charges 5 messages, and at least 5 times the largest one's bits.
     #[test]
-    fn unrecorded_rounds_price_their_sends() {
+    fn step_round_prices_every_send() {
         let g = path(6);
         let params = WireParams::for_graph(&g);
-        let digests = |record_rounds| {
-            let cfg = EngineConfig { record_rounds, ..EngineConfig::default() };
-            let mut p = PartitionEngine::new(&g, &cfg, params, 2, 0, |_| Talk);
-            (0..4)
-                .map(|round| {
-                    let d = p.step_round(round, &mut Vec::new());
-                    p.commit_round();
-                    (d.messages, d.bits, d.max_message_bits)
-                })
-                .collect::<Vec<_>>()
-        };
-        let recorded = digests(true);
-        assert!(recorded.iter().all(|&(m, b, x)| m == 5 && b >= 5 * x && x > 0), "{recorded:?}");
-        assert_eq!(digests(false), recorded);
+        let mut p = PartitionEngine::new(&g, &EngineConfig::default(), params, 2, 0, |_| Talk);
+        let digests: Vec<_> = (0..4)
+            .map(|round| {
+                let d = p.step_round(round, &mut Vec::new());
+                p.commit_round();
+                (d.messages, d.bits, d.max_message_bits)
+            })
+            .collect();
+        assert!(digests.iter().all(|&(m, b, x)| m == 5 && b >= 5 * x && x > 0), "{digests:?}");
     }
 
     /// The digest a partition ships in its `Done` frame survives the

@@ -14,10 +14,7 @@
 //! a program only as the payloads its broadcasts evict) — property-tested
 //! in `tests/session_parity.rs`.
 
-use crate::engine::{
-    BandwidthPolicy, EngineConfig, EngineError, EngineWorkspace, Executor, RunOutcome, SlotStats,
-};
-use crate::fault::FaultPlan;
+use crate::engine::{EngineConfig, EngineError, EngineWorkspace, Executor, RunOutcome, SlotStats};
 use crate::graph::Graph;
 use crate::message::{WireMessage, WireParams};
 use crate::node::{NodeInit, Program};
@@ -51,30 +48,6 @@ impl<'g, M: WireMessage> SessionBuilder<'g, M> {
     /// Selects the executor ([`Executor::Parallel`] by default).
     pub fn executor(mut self, executor: Executor) -> Self {
         self.config.executor = executor;
-        self
-    }
-
-    /// Sets the bandwidth policy (measure-only by default).
-    pub fn bandwidth(mut self, bandwidth: BandwidthPolicy) -> Self {
-        self.config.bandwidth = bandwidth;
-        self
-    }
-
-    /// Caps the number of executed rounds.
-    pub fn max_rounds(mut self, max_rounds: u32) -> Self {
-        self.config.max_rounds = max_rounds;
-        self
-    }
-
-    /// Enables/disables per-round statistics recording.
-    pub fn record_rounds(mut self, record: bool) -> Self {
-        self.config.record_rounds = record;
-        self
-    }
-
-    /// Installs a deterministic message-loss plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.config.faults = faults;
         self
     }
 
@@ -163,12 +136,6 @@ impl<'g, M: WireMessage> Session<'g, M> {
         &self.config
     }
 
-    /// Mutable access to the configuration (e.g. to adjust the round
-    /// cap between runs); takes effect on the next run.
-    pub fn config_mut(&mut self) -> &mut EngineConfig {
-        &mut self.config
-    }
-
     /// The wire parameters every run accounts under.
     pub fn params(&self) -> &WireParams {
         &self.params
@@ -249,7 +216,7 @@ mod tests {
     fn session_reuse_is_deterministic_and_slot_warm() {
         let g = path(20);
         let mut session: Session<'_, u64> =
-            Session::builder(&g).executor(Executor::Sequential).record_rounds(true).build();
+            Session::builder(&g).executor(Executor::Sequential).build();
         let first = session.run(|_| Echo { rounds: 4, received: 0 }).unwrap();
         for _ in 0..4 {
             let again = session.run(|_| Echo { rounds: 4, received: 0 }).unwrap();

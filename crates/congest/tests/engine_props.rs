@@ -341,30 +341,32 @@ proptest! {
         prop_assert_eq!(out.report.faults.total_dropped(), 0);
     }
 
-    /// A run with round recording off delivers exactly what a recorded
-    /// run delivers, on both executors, and leaves no statistics rows.
+    /// Every executed round appends exactly one statistics row, in
+    /// round order, on both executors, and the rows agree.
     #[test]
-    fn unrecorded_runs_deliver_what_recorded_runs_do(g in arb_graph(), rounds in 1u32..5) {
-        let mk = |exec, record_rounds| {
-            let cfg = EngineConfig { executor: exec, record_rounds, ..EngineConfig::default() };
+    fn every_round_appends_one_row(g in arb_graph(), rounds in 1u32..5) {
+        let mk = |exec| {
+            let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
             run(&g, &cfg, |_| Echo { rounds, sent: 0, received: 0 }).unwrap()
         };
-        let reference = mk(Executor::Sequential, true);
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            let fast = mk(exec, false);
-            prop_assert_eq!(&fast.verdicts, &reference.verdicts, "{:?}", exec);
-            prop_assert_eq!(fast.report.rounds, reference.report.rounds);
-            prop_assert_eq!(fast.report.all_halted, reference.report.all_halted);
-            prop_assert!(fast.report.per_round.is_empty());
+        let reference = mk(Executor::Sequential);
+        let rows = &reference.report.per_round;
+        prop_assert_eq!(rows.len(), reference.report.rounds as usize);
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(row.round, i as u32);
         }
+        let par = mk(Executor::Parallel);
+        prop_assert_eq!(&par.verdicts, &reference.verdicts);
+        prop_assert_eq!(par.report.rounds, reference.report.rounds);
+        prop_assert_eq!(par.report.all_halted, reference.report.all_halted);
+        prop_assert_eq!(&par.report.per_round, rows);
     }
 
-    /// Broadcast-slot equivalence under heavy payloads: recorded and
-    /// unrecorded runs on both executors must deliver bit-identical
-    /// content in bit-identical order (under forced
-    /// workers the parallel runs split into several inbox segments),
-    /// including under a nontrivial fault plan, and the slot must
-    /// recycle (a node broadcasts every other round, so all of its
+    /// Broadcast-slot equivalence under heavy payloads: both executors
+    /// must deliver bit-identical content in bit-identical order (under
+    /// forced workers the parallel runs split into several inbox
+    /// segments), including under a nontrivial fault plan, and the slot
+    /// must recycle (a node broadcasts every other round, so all of its
     /// broadcasts land in one slot generation and each but the first
     /// evicts its predecessor).
     #[test]
@@ -379,11 +381,11 @@ proptest! {
         } else {
             FaultPlan::none().random_loss(f64::from(loss_pct) / 100.0, seed).drop_at(1, 0, 0)
         };
-        let mk = |exec, record_rounds| {
-            let cfg = EngineConfig { executor: exec, record_rounds, faults: faults.clone(), ..EngineConfig::default() };
+        let mk = |exec| {
+            let cfg = EngineConfig { executor: exec, faults: faults.clone(), ..EngineConfig::default() };
             run(&g, &cfg, |init| HeavyGossip { id: init.id, rounds, digest: 0, evictions: 0 }).unwrap()
         };
-        let reference = mk(Executor::Sequential, true);
+        let reference = mk(Executor::Sequential);
         // Faults drop deliveries, never broadcasts: the slot still parks
         // a payload at each of the `b` broadcasts, so a connected node
         // sees `b − 1` evictions (isolated nodes never park — broadcast
@@ -394,16 +396,10 @@ proptest! {
             let expect = if g.degree(v as NodeIndex) > 0 { b.saturating_sub(1) } else { 0 };
             prop_assert_eq!(verdict.1, expect, "node {}", v);
         }
-        for exec in [Executor::Sequential, Executor::Parallel] {
-            for record_rounds in [true, false] {
-                let out = mk(exec, record_rounds);
-                prop_assert_eq!(&out.verdicts, &reference.verdicts, "{:?} record={}", exec, record_rounds);
-                prop_assert_eq!(out.report.rounds, reference.report.rounds);
-                if record_rounds {
-                    prop_assert_eq!(&out.report.per_round, &reference.report.per_round);
-                }
-            }
-        }
+        let out = mk(Executor::Parallel);
+        prop_assert_eq!(&out.verdicts, &reference.verdicts);
+        prop_assert_eq!(out.report.rounds, reference.report.rounds);
+        prop_assert_eq!(&out.report.per_round, &reference.report.per_round);
     }
 
     /// Partitioned execution delivers in the sequential order: with the

@@ -167,14 +167,13 @@ fn parked_after(runs: &[(&Graph, u32)]) -> i64 {
 }
 
 /// The configurations every executor runs: a fault plan that drops and
-/// corrupts, a clean run that records no rounds, and a faulted run
-/// capped before every node halts, which ends with undelivered traffic
-/// still in the arenas.
+/// corrupts, a clean run, and a faulted run capped before every node
+/// halts, which ends with undelivered traffic still in the arenas.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let faults = FaultPlan::none().random_loss(0.2, 11).corrupt_frames(0.3, 5);
     vec![
         ("faults", EngineConfig { faults: faults.clone(), ..EngineConfig::default() }),
-        ("fast", EngineConfig { record_rounds: false, ..EngineConfig::default() }),
+        ("clean", EngineConfig::default()),
         ("capped", EngineConfig { faults, max_rounds: 4, ..EngineConfig::default() }),
     ]
 }

@@ -6,14 +6,14 @@
 //! families — reject rates across dozens of planted ε-far graphs,
 //! trials × seeds per `(k, n)` cell — and a naive loop pays full engine
 //! setup (engine arenas, node-state arena) for every single
-//! run. [`crate::session::TesterSession::test_batch`] amortizes that
-//! across the batch: jobs are sharded contiguously over the thread
-//! pool, each shard drives its
-//! jobs through one [`EngineWorkspace`] + [`SoaArena`] pair that is
-//! cleared and re-sized between jobs (never reallocated when the next
+//! run. [`TesterSession::test_batch`] amortizes that across the batch:
+//! jobs are sharded contiguously over the thread pool, each shard
+//! drives its jobs through one sequential [`TesterSession`]
+//! (reconfigured per job, its engine workspace and node-state arena
+//! cleared and re-sized between jobs, never reallocated when the next
 //! graph fits), and the per-job [`TesterRun`]s come back in input
-//! order, **bit-identical** to one-by-one single-shot runs under
-//! the sequential executor.
+//! order, **bit-identical** to one-by-one single-shot runs under the
+//! sequential executor.
 //!
 //! Within a shard, jobs execute under `Executor::Sequential` regardless
 //! of the template config: the parallelism budget is spent *across*
@@ -22,11 +22,10 @@
 //! oversubscribe the pool. By the engine's determinism contract this
 //! changes no observable output except the report's executor label.
 
-use crate::msg::CkMsg;
-use crate::soa::SoaArena;
-use crate::tester::{tester_exec, ConfigError, TesterConfig, TesterRun};
+use crate::session::TesterSession;
+use crate::tester::{ConfigError, TesterConfig, TesterRun};
 use ck_congest::batch::{effective_shards, run_sharded};
-use ck_congest::engine::{EngineConfig, EngineError, EngineWorkspace, Executor};
+use ck_congest::engine::EngineError;
 use ck_congest::graph::Graph;
 
 /// One unit of batch work: a graph, the tester parameters to run on it
@@ -111,39 +110,35 @@ impl std::error::Error for BatchError {
 }
 
 /// The batch engine proper — the implementation behind
-/// [`crate::session::TesterSession::test_batch`]. Every job's
-/// [`TesterConfig`] is validated before anything runs, so a bad cell is
-/// a [`BatchFailure::Config`] naming the job, never a panic mid-sweep.
-/// The engine template's executor field is ignored (shards run jobs
-/// sequentially; see the module docs); `shards = None` uses the thread
-/// pool's width, clamped to the job count.
+/// [`TesterSession::test_batch`]. Every job's [`TesterConfig`] is
+/// validated before anything runs, so a bad cell is a
+/// [`BatchFailure::Config`] naming the job, never a panic mid-sweep.
+/// Each shard runs its jobs through a sequential twin of `session` (see
+/// the module docs), so the template's executor is ignored;
+/// `shards = None` uses the thread pool's width, clamped to the job
+/// count.
 pub(crate) fn batch_exec(
     jobs: &[BatchJob<'_>],
-    engine_template: &EngineConfig,
+    session: &TesterSession,
     shards: Option<usize>,
 ) -> Result<Vec<TesterRun>, BatchError> {
+    let fail = |idx: usize, job: &BatchJob<'_>, error| BatchError {
+        job: idx,
+        label: job.label.clone(),
+        seed: job.cfg.seed,
+        error,
+    };
     for (idx, job) in jobs.iter().enumerate() {
-        job.cfg.validate().map_err(|e| BatchError {
-            job: idx,
-            label: job.label.clone(),
-            seed: job.cfg.seed,
-            error: BatchFailure::Config(e),
-        })?;
+        job.cfg.validate().map_err(|e| fail(idx, job, BatchFailure::Config(e)))?;
     }
     let shards = effective_shards(shards, jobs.len());
-    let mut engine = engine_template.clone();
-    engine.executor = Executor::Sequential;
     let results = run_sharded(
         jobs,
         shards,
-        || (EngineWorkspace::<CkMsg>::new(), SoaArena::default()),
-        |(ws, arena), idx, job| {
-            tester_exec(job.graph, &job.cfg, &engine, ws, arena).map_err(|error| BatchError {
-                job: idx,
-                label: job.label.clone(),
-                seed: job.cfg.seed,
-                error: BatchFailure::Engine(error),
-            })
+        || session.sequential_twin(),
+        |twin, idx, job| {
+            twin.reconfigure(job.cfg).map_err(|e| fail(idx, job, BatchFailure::Config(e)))?;
+            twin.test(job.graph).map_err(|e| fail(idx, job, BatchFailure::Engine(e)))
         },
     );
     // Results are in input order, so `collect` surfaces the first
@@ -154,8 +149,7 @@ pub(crate) fn batch_exec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::TesterSession;
-    use ck_congest::engine::BandwidthPolicy;
+    use ck_congest::engine::{BandwidthPolicy, EngineConfig, Executor};
     use ck_graphgen::basic::cycle;
     use ck_graphgen::planted::{eps_far_instance, matched_free_instance};
 

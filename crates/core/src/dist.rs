@@ -51,14 +51,17 @@
 //! once, inside the same run's connect budget. Dropping the fleet ends
 //! every worker and joins every worker thread.
 //!
-//! `Hello` carries the magic `ckd6` and the worker's index, so a worker
+//! `Hello` carries the magic `ckd7` and the worker's index, so a worker
 //! from a build with another `Spec`, `Done` or `Verdicts` layout or job
 //! loop fails the handshake typed.
 //! A `Spec` body opens with the graph's varint section
 //! ([`Graph::write_bytes`]), followed by fixed-width tester, engine and
 //! worker fields. The tester fields are `k`, `ε`, the seed, the
 //! optional repetition override, `early_abort`, the optional assumed
-//! loss rate and `verify_witnesses`: every [`TesterConfig`] field. A
+//! loss rate and `verify_witnesses`: every [`TesterConfig`] field. The
+//! engine fields are the round cap, the bandwidth policy and the fault
+//! plan; nothing says whether rounds are recorded, because only the
+//! coordinator closes rounds, and every closed round leaves its row. A
 //! `Verdicts` body is the [`write_verdicts`] section of the worker's
 //! range.
 //!
@@ -101,7 +104,7 @@ use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
-const MAGIC: &[u8; 4] = b"ckd6";
+const MAGIC: &[u8; 4] = b"ckd7";
 
 /// A distributed run fails in one of two distinct worlds.
 #[derive(Debug)]
@@ -195,7 +198,6 @@ impl JobSpec {
             1 => BandwidthPolicy::Enforce { bits: r.u64()? },
             _ => return Err(FrameError::BadBody("unknown bandwidth tag")),
         };
-        let record_rounds = r.u8()? != 0;
         let faults = ck_congest::fault::FaultPlan::from_bytes(r.bytes()?)?;
         let engine = EngineConfig {
             max_rounds,
@@ -203,7 +205,6 @@ impl JobSpec {
             // The worker steps its range as one chunk of the engine's
             // round loop; the executor field is irrelevant inside it.
             executor: Executor::Sequential,
-            record_rounds,
             faults,
             net: NetOptions::default(),
         };
@@ -266,7 +267,6 @@ fn encode_spec_prefix(
             w.u64(bits);
         }
     }
-    w.u8(engine.record_rounds as u8);
     w.bytes(&engine.faults.to_bytes());
     w.u32(workers);
     w
@@ -1336,7 +1336,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let mut hello = b"ckd5".to_vec();
+        let mut hello = b"ckd6".to_vec();
         hello.extend_from_slice(&0u32.to_le_bytes());
         write_frame(&mut client, FrameKind::Hello, &hello).unwrap();
         let mut slots: Vec<Option<WorkerLink>> = vec![None];

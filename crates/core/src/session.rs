@@ -81,21 +81,10 @@ impl TesterSessionBuilder {
     }
 
     /// Selects the executor without replacing the whole engine template.
+    /// Under [`Executor::Distributed`] the session's first test spawns
+    /// the worker fleet (see [`crate::dist`]) and later tests reuse it.
     pub fn executor(mut self, executor: Executor) -> Self {
         self.engine.executor = executor;
-        self
-    }
-
-    /// Runs every test distributed across `workers` cross-process
-    /// partitions (see [`crate::dist`]); transport tuning comes from
-    /// the engine template's [`ck_congest::net::NetOptions`]. The
-    /// session's first test spawns the worker fleet and later tests
-    /// reuse it. On any transport failure the run degrades to the
-    /// in-process sequential oracle within the configured deadlines,
-    /// recording the fallback in the report's `net` block, and the next
-    /// test respawns the fleet.
-    pub fn distributed(mut self, workers: u16) -> Self {
-        self.engine.executor = Executor::Distributed { workers };
         self
     }
 
@@ -169,13 +158,25 @@ impl TesterSession {
     /// validating it.
     pub fn from_config(cfg: TesterConfig, engine: EngineConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        Ok(TesterSession {
+        Ok(TesterSession::assemble(cfg, engine))
+    }
+
+    /// A fresh session with this one's (validated) configuration and
+    /// engine template under the sequential executor: the state each
+    /// batch shard runs its jobs through.
+    pub(crate) fn sequential_twin(&self) -> TesterSession {
+        let engine = EngineConfig { executor: Executor::Sequential, ..self.engine.clone() };
+        TesterSession::assemble(self.cfg, engine)
+    }
+
+    fn assemble(cfg: TesterConfig, engine: EngineConfig) -> TesterSession {
+        TesterSession {
             cfg,
             engine,
             ws: EngineWorkspace::new(),
             arena: SoaArena::default(),
             fleet: Fleet::default(),
-        })
+        }
     }
 
     /// The validated tester configuration.
@@ -273,7 +274,7 @@ impl TesterSession {
         jobs: &[BatchJob<'_>],
         shards: Option<usize>,
     ) -> Result<Vec<TesterRun>, BatchError> {
-        batch_exec(jobs, &self.engine, shards)
+        batch_exec(jobs, self, shards)
     }
 
     /// A batch job running this session's configuration on `graph` with
@@ -333,9 +334,9 @@ mod tests {
         assert_eq!(session.engine().executor, Executor::Sequential);
         // Per-run knobs (unvalidated state) mutate in place.
         session.set_seed(77);
-        session.engine_mut().record_rounds = false;
+        session.engine_mut().max_rounds = 12;
         assert_eq!(session.config().seed, 77);
-        assert!(!session.engine().record_rounds);
+        assert_eq!(session.engine().max_rounds, 12);
     }
 
     #[test]

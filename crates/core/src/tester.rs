@@ -473,34 +473,17 @@ impl TesterRun {
     }
 }
 
-/// The tester engine proper, for callers that keep no worker fleet:
-/// one full run through a caller-owned engine workspace and node-state
-/// arena. This is the batch runner's per-shard hot path (its shards run
-/// the sequential executor); a distributed engine would spawn a fleet
-/// for the run and end it on return.
-/// Engine arenas, slot arrays, and the node-state arena
-/// are recycled from the previous run instead of reallocated; the output
-/// is bit-identical to a fresh-state run (a reset workspace delivers
-/// what a fresh one does, and the payloads earlier runs left parked in
-/// its broadcast slots only come back as spare backings, whose contents
-/// every send overwrites).
-pub(crate) fn tester_exec(
-    g: &Graph,
-    cfg: &TesterConfig,
-    engine: &EngineConfig,
-    ws: &mut ck_congest::engine::EngineWorkspace<CkMsg>,
-    arena: &mut SoaArena,
-) -> Result<TesterRun, EngineError> {
-    let mut run = TesterRun::default();
-    tester_exec_into(g, cfg, engine, ws, arena, &mut Fleet::default(), &mut run)?;
-    Ok(run)
-}
-
-/// As [`tester_exec`], writing the result into a caller-owned
-/// [`TesterRun`] instead of allocating a fresh one, and running a
-/// distributed engine on the caller's worker `fleet` (see
-/// [`Fleet::run`]). This is the single implementation behind
-/// [`crate::session::TesterSession`]. The run's engine outcome is reset
+/// The tester engine proper: one full run through a caller-owned
+/// engine workspace and node-state arena, written into a caller-owned
+/// [`TesterRun`], running a distributed engine on the caller's worker
+/// `fleet` (see [`Fleet::run`]). This is the single implementation
+/// behind [`crate::session::TesterSession`], and so behind every batch
+/// shard. Engine arenas, slot arrays and the node-state arena are
+/// recycled from the previous run instead of reallocated; the output is
+/// bit-identical to a fresh-state run (a reset workspace delivers what
+/// a fresh one does, and the payloads earlier runs left parked in its
+/// broadcast slots only come back as spare backings, whose contents
+/// every send overwrites). The run's engine outcome is reset
 /// (capacities kept) rather than rebuilt, so a warm accept-path rerun
 /// under the sequential executor performs zero heap operations — the
 /// dynamic contract `ck_lint::alloc_gate` pins down. On error the run's

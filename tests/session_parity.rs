@@ -107,7 +107,6 @@ proptest! {
     fn reused_session_equals_fresh_sessions(
         g in arb_graph(),
         loss_i in 0usize..3,
-        record_rounds in any::<bool>(),
     ) {
         let loss = [0.0, 0.2, 0.45][loss_i];
         let faults = if loss == 0.0 {
@@ -122,12 +121,7 @@ proptest! {
             changed: false,
         };
         for executor in [Executor::Sequential, Executor::Parallel] {
-            let cfg = EngineConfig {
-                executor,
-                record_rounds,
-                faults: faults.clone(),
-                ..EngineConfig::default()
-            };
+            let cfg = EngineConfig { executor, faults: faults.clone(), ..EngineConfig::default() };
             // Derived and pinned wire parameters: the pinned set widens
             // every ID, so the wire counters differ between the two.
             let fat = WireParams {

@@ -86,7 +86,7 @@ fn faults_are_keyed_by_node_index() {
         .cut_link(cut.a, cut.b)
         .corrupt_frames(0.02, 4);
     let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(5, 0.1, 3) };
-    let engine = EngineConfig { faults, record_rounds: true, ..EngineConfig::default() };
+    let engine = EngineConfig { faults, ..EngineConfig::default() };
     let runs = runs(&g, cfg, &engine);
     let (_, first) = &runs[0];
     let first = first.as_ref().unwrap();
@@ -95,6 +95,11 @@ fn faults_are_keyed_by_node_index() {
     assert!(f.dropped_random > 0 && f.dropped_crash > 0 && f.dropped_cut > 0, "{f:?}");
     assert!(f.corrupted_delivered + f.corrupted_rejected > 0, "{f:?}");
     assert_eq!(f.crashed_nodes, vec![1_234]);
+    for (what, run) in &runs {
+        let report = &run.as_ref().unwrap_or_else(|e| panic!("{what}: {e}")).outcome.report;
+        assert_eq!(report.per_round.len(), report.rounds as usize, "{what}");
+        assert!(report.per_round.iter().enumerate().all(|(i, r)| r.round == i as u32), "{what}");
+    }
     for (what, run) in &runs[1..] {
         let run = run.as_ref().unwrap_or_else(|e| panic!("{what}: {e}"));
         if let Some(net) = &run.outcome.report.net {

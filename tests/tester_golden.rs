@@ -162,12 +162,7 @@ fn grid() -> Vec<Case> {
 }
 
 fn engine(case: &Case, executor: Executor) -> EngineConfig {
-    EngineConfig {
-        executor,
-        record_rounds: true,
-        faults: case.faults.clone(),
-        ..EngineConfig::default()
-    }
+    EngineConfig { executor, faults: case.faults.clone(), ..EngineConfig::default() }
 }
 
 /// The digest of every grid case, in [`grid`] order. First recorded at
