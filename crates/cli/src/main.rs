@@ -212,9 +212,10 @@ fn run_single_sessions(req: &Request) {
         "tester: ck — C{}-freeness (ε = {}), executor {}",
         req.k,
         req.eps,
-        match req.workers {
-            Some(w) => format!("distributed ({w} workers)"),
-            None => "sequential".into(),
+        match engine.executor {
+            Executor::Sequential => "sequential".into(),
+            Executor::Parallel => "parallel".into(),
+            Executor::Distributed { workers } => format!("distributed ({workers} workers)"),
         },
     );
     let trials = req.trials.max(1);

@@ -343,7 +343,7 @@ fn cli_trials_reuse_one_worker_fleet_and_reap_it() {
 }
 
 #[test]
-fn cli_verbose_sequential_smoke() {
+fn cli_verbose_parallel_smoke() {
     let out = Command::new(ckprobe())
         .args([
             "--graph",
@@ -360,6 +360,9 @@ fn cli_verbose_sequential_smoke() {
         .expect("running ckprobe");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "free instance accepts:\n{stdout}");
+    // Without `--workers` the session runs the default engine config:
+    // the parallel executor, and the header says so.
+    assert!(stdout.contains("executor parallel"), "{stdout}");
     assert!(stdout.contains("faults: none"), "{stdout}");
     assert!(stdout.contains("verdict: accept"), "{stdout}");
 }

@@ -167,21 +167,20 @@ impl GraphBuilder {
     }
 }
 
-/// Identity → node index. Only looked up, never iterated, so its
-/// hash order cannot reach any output.
-// ck-lint: allow(determinism, reason = "point lookups only: no code iterates this map, so its randomized hash order reaches no output")
-type IdIndex = std::collections::HashMap<NodeId, NodeIndex>;
-
-/// Maps each identity to its node index, failing on the first
-/// identity seen twice.
-fn index_ids(ids: &[NodeId]) -> Result<IdIndex, GraphError> {
-    let mut index_of_id = IdIndex::with_capacity(ids.len());
-    for (i, &id) in ids.iter().enumerate() {
-        if index_of_id.insert(id, i as NodeIndex).is_some() {
-            return Err(GraphError::DuplicateId(id));
+/// The node indices sorted by identity, which [`Graph::index_of`]
+/// binary-searches: one allocation of 4 bytes per node. Fails on the
+/// smallest identity that two nodes share.
+fn index_ids(ids: &[NodeId]) -> Result<Vec<NodeIndex>, GraphError> {
+    let mut by_id: Vec<NodeIndex> = (0..ids.len() as NodeIndex).collect();
+    by_id.sort_unstable_by_key(|&v| ids[v as usize]);
+    for pair in by_id.windows(2) {
+        if let [v, w] = *pair {
+            if ids[v as usize] == ids[w as usize] {
+                return Err(GraphError::DuplicateId(ids[v as usize]));
+            }
         }
     }
-    Ok(index_of_id)
+    Ok(by_id)
 }
 
 /// The CSR-aligned table of neighbor identities. Recomputed whenever
@@ -206,7 +205,8 @@ pub struct Graph {
     rev_edge: Vec<DirectedEdgeId>,
     edges: Vec<Edge>,
     ids: Vec<NodeId>,
-    index_of_id: IdIndex,
+    /// Node indices sorted by identity (see [`index_ids`]).
+    by_id: Vec<NodeIndex>,
     /// Identity of `neighbors[s]`, per adjacency slot `s` (CSR-aligned).
     neighbor_ids_flat: Vec<NodeId>,
     /// The BFS step order, decided and (when the index order scatters
@@ -396,7 +396,7 @@ impl Graph {
             Some(ids) => ids,
             None => (0..n as NodeId).collect(),
         };
-        let index_of_id = index_ids(&ids)?;
+        let by_id = index_ids(&ids)?;
         let neighbor_ids_flat = neighbor_ids_of(&neighbors, &ids);
 
         Ok(Graph {
@@ -407,7 +407,7 @@ impl Graph {
             rev_edge,
             edges,
             ids,
-            index_of_id,
+            by_id,
             neighbor_ids_flat,
             bfs: OnceLock::new(),
         })
@@ -440,7 +440,8 @@ impl Graph {
 
     /// Node index carrying identity `id`, if any.
     pub fn index_of(&self, id: NodeId) -> Option<NodeIndex> {
-        self.index_of_id.get(&id).copied()
+        let p = self.by_id.binary_search_by_key(&id, |&v| self.ids[v as usize]).ok()?;
+        Some(self.by_id[p])
     }
 
     /// Degree of `v`.
@@ -539,7 +540,7 @@ impl Graph {
         if ids.len() != self.n {
             return Err(GraphError::IdTableLength { expected: self.n, got: ids.len() });
         }
-        let index_of_id = index_ids(&ids)?;
+        let by_id = index_ids(&ids)?;
         let neighbor_ids_flat = neighbor_ids_of(&self.neighbors, &ids);
         Ok(Graph {
             n: self.n,
@@ -549,7 +550,7 @@ impl Graph {
             rev_edge: self.rev_edge.clone(),
             edges: self.edges.clone(),
             ids,
-            index_of_id,
+            by_id,
             neighbor_ids_flat,
             bfs: self.bfs.clone(),
         })

@@ -22,7 +22,9 @@
 //!   CONGEST-normalized round costs) and the pluggable
 //!   [`message::WireCodec`] byte encoding backing it;
 //! * [`metrics`] — per-round and per-run measurement reports;
-//! * [`rngs`] — deterministic seed derivation so every run replays.
+//! * [`rngs`] — deterministic seed derivation so every run replays;
+//! * [`clock`] — the one wall clock: the transport's read deadlines and
+//!   the stopwatch behind reported timings, never a verdict input.
 //!
 //! ## Example
 //!
@@ -59,6 +61,7 @@
 
 pub(crate) mod arena;
 pub mod batch;
+pub mod clock;
 pub mod engine;
 pub mod fault;
 pub mod graph;

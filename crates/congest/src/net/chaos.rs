@@ -121,7 +121,8 @@ impl<T: Write> Write for ChaosTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::frame::{read_frame, write_frame, Deadline, FrameError, FrameKind};
+    use crate::clock::Deadline;
+    use crate::net::frame::{read_frame, write_frame, FrameError, FrameKind};
 
     #[test]
     fn truncation_cuts_a_frame_mid_body() {

@@ -33,9 +33,8 @@
 //! every prefix length.
 
 use std::io::{Read, Write};
-// ck-lint: allow(determinism, reason = "Deadline is wall-clock transport budgeting; expiry becomes a typed FrameError::TimedOut fault, never a verdict-bit divergence")
-use std::time::{Duration, Instant};
 
+use crate::clock::Deadline;
 use crate::message::CodecError;
 
 /// Hard cap on a frame body — larger announced lengths are rejected
@@ -150,48 +149,6 @@ impl From<std::io::Error> for FrameError {
             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => FrameError::TimedOut,
             _ => FrameError::Io(e.to_string()),
         }
-    }
-}
-
-/// A wall-clock budget; reads retry short socket timeouts until it
-/// expires, so a slow link degrades to [`FrameError::TimedOut`], never
-/// a hang.
-#[derive(Clone, Copy, Debug)]
-pub struct Deadline {
-    /// `None` never expires.
-    // ck-lint: allow(determinism, reason = "wall-clock budget for socket reads; see module-level rationale on the use-declaration allow")
-    at: Option<Instant>,
-}
-
-impl Deadline {
-    /// A deadline `ms` milliseconds from now.
-    pub fn after_ms(ms: u64) -> Self {
-        Deadline::after(Duration::from_millis(ms))
-    }
-
-    /// A deadline `d` from now.
-    pub fn after(d: Duration) -> Self {
-        // ck-lint: allow(determinism, reason = "deadline arming is transport-side only; expiry surfaces as a typed fault")
-        Deadline { at: Some(Instant::now() + d) }
-    }
-
-    /// A deadline that never expires: the read blocks until the frame
-    /// arrives or the stream ends.
-    pub fn never() -> Self {
-        Deadline { at: None }
-    }
-
-    /// True once the budget is spent.
-    pub fn expired(&self) -> bool {
-        // ck-lint: allow(determinism, reason = "expiry check feeds FrameError::TimedOut, a typed fault the harness treats like any link failure")
-        self.at.is_some_and(|at| Instant::now() >= at)
-    }
-
-    /// Time left: zero when expired, `Duration::MAX` for
-    /// [`Deadline::never`].
-    pub fn remaining(&self) -> Duration {
-        // ck-lint: allow(determinism, reason = "remaining budget only tunes socket read timeouts, never message content")
-        self.at.map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -462,6 +419,7 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn frame_roundtrip() {

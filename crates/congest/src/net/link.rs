@@ -9,7 +9,8 @@ use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use super::frame::{write_frame, Deadline, FrameKind};
+use super::frame::{write_frame, FrameKind};
+use crate::clock::Deadline;
 
 /// Connects to `addr`, retrying with exponential backoff (`base_ms`,
 /// doubling per attempt) up to `attempts` tries. Bounded time by

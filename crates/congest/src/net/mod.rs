@@ -45,7 +45,7 @@ pub mod link;
 pub mod partition;
 
 pub use chaos::{ChaosPlan, ChaosTransport};
-pub use frame::{Deadline, Frame, FrameError, FrameKind, MsgHeader};
+pub use frame::{Frame, FrameError, FrameKind, MsgHeader};
 pub use link::{connect_with_retry, HeartbeatHandle, SharedWriter};
 pub use partition::{partition_range, OutFrame, PartitionEngine, RoundDigest};
 

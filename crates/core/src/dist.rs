@@ -81,17 +81,20 @@
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-// ck-lint: allow(determinism, reason = "Instant only drives heartbeat liveness deadlines; a late worker becomes a typed NetError and the run falls back to the sequential oracle, so verdict bits never depend on the clock")
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+// The clock only bounds reads and dates heartbeats: a late worker
+// becomes a typed `NetError` and the run falls back to the sequential
+// oracle, so verdict bits never depend on it.
+use ck_congest::clock::{Deadline, Stopwatch};
 use ck_congest::engine::{BandwidthPolicy, EngineConfig, EngineError, Executor, RunOutcome};
 use ck_congest::graph::Graph;
 use ck_congest::message::{BitReader, ContextCodec, WireCodec, WireParams};
 use ck_congest::metrics::{NetReport, RunReport};
 use ck_congest::net::chaos::{ChaosPlan, ChaosTransport};
 use ck_congest::net::frame::{
-    decode_msg_body, encode_msg_body, read_frame, write_frame, ByteReader, ByteWriter, Deadline,
-    Frame, FrameError, FrameKind, MsgHeader,
+    decode_msg_body, encode_msg_body, read_frame, write_frame, ByteReader, ByteWriter, Frame,
+    FrameError, FrameKind, MsgHeader,
 };
 use ck_congest::net::link::{connect_with_retry, HeartbeatHandle, SharedWriter};
 use ck_congest::net::partition::{partition_range, OutFrame, PartitionEngine, RoundDigest};
@@ -610,8 +613,8 @@ pub fn worker_main(addr: &str, index: u32) -> Result<(), String> {
 struct WorkerLink {
     reader: BufReader<TcpStream>,
     writer: BufWriter<ChaosTransport<TcpStream>>,
-    // ck-lint: allow(determinism, reason = "liveness bookkeeping only; see the use-declaration allow")
-    last_beat: Instant,
+    /// Time since the worker's last heartbeat (or since the job began).
+    last_beat: Stopwatch,
     child: Option<std::process::Child>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -747,8 +750,7 @@ impl Fleet {
         loop {
             match read_frame(&mut self.links[w].reader, deadline) {
                 Ok(f) if f.kind == FrameKind::Heartbeat => {
-                    // ck-lint: allow(determinism, reason = "heartbeat timestamping; liveness only")
-                    self.links[w].last_beat = Instant::now();
+                    self.links[w].last_beat = Stopwatch::start();
                     self.report.heartbeats += 1;
                 }
                 Ok(f) if f.kind == FrameKind::Error => {
@@ -919,8 +921,7 @@ impl Fleet {
         // Heartbeats flow only while a job is in flight, so freshness
         // counts from this job's start.
         for link in &mut self.links {
-            // ck-lint: allow(determinism, reason = "liveness baseline for the heartbeat monitor")
-            link.last_beat = Instant::now();
+            link.last_beat = Stopwatch::start();
         }
         for i in 0..self.links.len() {
             if self.read_protocol(i, deadline, 0)?.kind != FrameKind::Ready {
@@ -1200,8 +1201,7 @@ fn admit(
     slots[i] = Some(WorkerLink {
         reader,
         writer: BufWriter::new(ChaosTransport::new(stream, &plan)),
-        // ck-lint: allow(determinism, reason = "liveness baseline for the heartbeat monitor")
-        last_beat: Instant::now(),
+        last_beat: Stopwatch::start(),
         child: children.get_mut(i).and_then(Option::take),
         thread: threads.get_mut(i).and_then(Option::take),
     });

@@ -4,9 +4,10 @@
 //! typed error through the framing layer: never a panic, never a read
 //! past the announced payload, never a silently wrong message.
 
+use ck_congest::clock::Deadline;
 use ck_congest::message::{BitReader, WireCodec, WireParams};
 use ck_congest::net::frame::{
-    decode_msg_body, read_frame, write_frame, Deadline, Frame, FrameError, FrameKind,
+    decode_msg_body, read_frame, write_frame, Frame, FrameError, FrameKind,
 };
 use ck_congest::net::OutFrame;
 use ck_core::dist::{decode_in_frame, encode_out_frame};

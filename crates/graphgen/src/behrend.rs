@@ -26,11 +26,13 @@
 use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
 
 /// Behrend's construction: numbers whose base-`(2d−1)` digits are all
-/// `< d` and whose squared digit-norm equals the most popular value.
-/// Such a set has no 3-term arithmetic progression: digitwise addition
-/// never carries, and equal norms force the midpoint to coincide.
+/// `< d` and whose squared digit-norm equals the most popular value
+/// (the smallest such norm when several are equally popular). Such a
+/// set has no 3-term arithmetic progression: digitwise addition never
+/// carries, and equal norms force the midpoint to coincide.
 ///
-/// Returns a 3-AP-free subset of `[0, N)`, non-empty for `N ≥ 1`.
+/// Returns a 3-AP-free subset of `[0, N)`, non-empty for `N ≥ 1`; the
+/// set is a function of `N` alone.
 pub fn behrend_ap_free_set(n_bound: u64) -> Vec<u64> {
     assert!(n_bound >= 1);
     if n_bound <= 3 {
@@ -53,8 +55,8 @@ pub fn behrend_ap_free_set(n_bound: u64) -> Vec<u64> {
         }
         let base = 2 * d - 1;
         // Enumerate digit vectors with entries < d, bucket by norm.
-        let mut buckets: std::collections::HashMap<u64, Vec<u64>> =
-            std::collections::HashMap::new();
+        let mut buckets: std::collections::BTreeMap<u64, Vec<u64>> =
+            std::collections::BTreeMap::new();
         let mut digit_vec = vec![0u64; digits];
         loop {
             let norm: u64 = digit_vec.iter().map(|&x| x * x).sum();
@@ -79,7 +81,9 @@ pub fn behrend_ap_free_set(n_bound: u64) -> Vec<u64> {
                 break;
             }
         }
-        if let Some(candidate) = buckets.into_values().max_by_key(|v| v.len()) {
+        // The largest bucket; `max_by_key` keeps the last of equals, so
+        // walking the norms downwards hands a tie to the smallest norm.
+        if let Some(candidate) = buckets.into_values().rev().max_by_key(|v| v.len()) {
             if candidate.len() > best.len() {
                 best = candidate;
             }
@@ -141,7 +145,7 @@ pub fn layered_ck(k: usize, width: usize, strides: &[u64]) -> LayeredInstance {
     let mut sorted: Vec<u64> = strides.iter().map(|&s| s % width as u64).collect();
     sorted.sort_unstable();
     sorted.dedup();
-    let mut seen_close = std::collections::HashSet::new();
+    let mut seen_close = std::collections::BTreeSet::new();
     let strides: Vec<u64> = sorted
         .into_iter()
         .filter(|&s| seen_close.insert((k as u64 - 1) * s % width as u64))
@@ -200,6 +204,20 @@ mod tests {
             assert!(s.iter().all(|&x| x < n));
             assert!(!has_three_ap(&s), "AP found for N={n}: {s:?}");
         }
+    }
+
+    #[test]
+    fn behrend_set_is_a_function_of_n() {
+        // At these N two norm buckets tie for the largest; the smallest
+        // norm wins in every call, in every process.
+        for &n in &[25u64, 40, 400, 4_000] {
+            let first = behrend_ap_free_set(n);
+            for _ in 1..64 {
+                assert_eq!(behrend_ap_free_set(n), first, "N = {n}");
+            }
+        }
+        assert_eq!(behrend_ap_free_set(40), [1, 3, 9]);
+        assert_eq!(behrend_ap_free_set(400), [4, 10, 12, 28, 30, 36, 82, 84, 90, 108]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::farness::{find_ck_filtered, greedy_ck_packing};
 
 /// Removes edges from `g` (by edge index set) and rebuilds.
 pub fn remove_edges(g: &Graph, remove: &[u32]) -> Graph {
-    let dead: std::collections::HashSet<u32> = remove.iter().copied().collect();
+    let dead: std::collections::BTreeSet<u32> = remove.iter().copied().collect();
     let mut b = GraphBuilder::new(g.n());
     for (i, e) in g.edges().iter().enumerate() {
         if !dead.contains(&(i as u32)) {

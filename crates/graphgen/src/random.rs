@@ -8,7 +8,7 @@
 use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
 use ck_congest::rngs::{derived_rng, labels};
 use rand::RngExt;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Erdős–Rényi `G(n, p)`: every pair independently an edge.
 pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
@@ -30,7 +30,7 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
     let max_m = n * (n.saturating_sub(1)) / 2;
     assert!(m <= max_m, "requested {m} edges but K_{n} has only {max_m}");
     let mut rng = derived_rng(seed, labels::GRAPH_TOPOLOGY, 1, 0);
-    let mut chosen: HashSet<(NodeIndex, NodeIndex)> = HashSet::with_capacity(m);
+    let mut chosen: BTreeSet<(NodeIndex, NodeIndex)> = BTreeSet::new();
     while chosen.len() < m {
         let i = rng.random_range(0..n) as NodeIndex;
         let j = rng.random_range(0..n) as NodeIndex;
@@ -85,7 +85,7 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
 pub fn connected_gnm(n: usize, m: usize, seed: u64) -> Graph {
     assert!(m + 1 >= n, "need at least n-1 edges for connectivity");
     let tree = random_tree(n, seed);
-    let mut chosen: HashSet<(NodeIndex, NodeIndex)> =
+    let mut chosen: BTreeSet<(NodeIndex, NodeIndex)> =
         tree.edges().iter().map(|e| (e.a, e.b)).collect();
     let mut rng = derived_rng(seed, labels::GRAPH_TOPOLOGY, 3, 0);
     let max_m = n * (n - 1) / 2;
@@ -117,7 +117,7 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
             let j = rng.random_range(0..=i);
             stubs.swap(i, j);
         }
-        let mut seen = HashSet::with_capacity(n * d / 2);
+        let mut seen = BTreeSet::new();
         for pair in stubs.chunks(2) {
             // ck-lint: allow(index-literal, reason = "stubs has even length n*d, so chunks(2) yields exactly-two-element slices")
             let (x, y) = (pair[0], pair[1]);
@@ -202,7 +202,7 @@ pub fn randomize_ids(g: &Graph, seed: u64) -> Graph {
     let n = g.n();
     let range = (n as u64).saturating_mul(n as u64).max(n as u64 + 1);
     let mut rng = derived_rng(seed, labels::GRAPH_IDS, 0, 0);
-    let mut used = HashSet::with_capacity(n);
+    let mut used = BTreeSet::new();
     let mut ids = Vec::with_capacity(n);
     while ids.len() < n {
         let id = rng.random_range(0..range);

@@ -6,7 +6,8 @@
 //!   dependency-free lint pass over every workspace `.rs` file,
 //!   enforcing the repo-specific invariants the compiler cannot —
 //!   `// SAFETY:` coverage of `unsafe`, a panic-free library surface,
-//!   and determinism hygiene in the bit-identity-critical modules. Run
+//!   and determinism hygiene in every library file but the clock
+//!   module (`ck_congest::clock`). Run
 //!   it as
 //!   `cargo run -p ck-lint` (nonzero exit on findings; CI's `lint`
 //!   job does exactly this).

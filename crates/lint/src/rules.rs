@@ -9,7 +9,7 @@
 //! | `safety-comment` | auditability of the arena engine's `unsafe` aliasing contracts |
 //! | `no-panic` | the panic-free library surface (`ckserve` north star) |
 //! | `index-literal` | same — a literal index is a latent panic site |
-//! | `determinism` | the sequential ≡ parallel ≡ distributed bit-identity oracle |
+//! | `determinism` | the sequential ≡ parallel ≡ distributed bit-identity oracle, and seed-only verdicts and instances |
 //! | `bad-allow` | integrity of the suppression mechanism itself |
 //!
 //! Findings are suppressed **only** by an inline
@@ -19,7 +19,9 @@
 //! in plain `//` comments whose text starts with `ck-lint:` — never in
 //! doc comments, so documentation *about* the syntax stays inert. A suppression without a
 //! reason is itself a finding — the point of the mechanism is that
-//! every exception is *argued*, in place, in the diff.
+//! every exception is *argued*, in place, in the diff. The
+//! `determinism` rule takes no suppressions at all: its one exemption
+//! is the clock module, by path ([`crate::walk::CLOCK_MODULE`]).
 
 use crate::lexer::{find_token, has_token, is_ident_continue, mask_source, MaskedLine};
 
@@ -47,18 +49,22 @@ pub enum Rule {
     /// shape nobody tested. Use pattern matching, `first`/`get`, or
     /// carry a reasoned allow arguing why the bound holds.
     IndexLiteral,
-    /// **R3 — `determinism`.** The bit-identity-critical modules
-    /// (`engine`, `fault`, `net/*`, `dist`, `msg`, `soa`, `serve`,
-    /// `rpc`) must not
-    /// use wall clocks (`Instant`, `SystemTime`), hash-randomized
-    /// collections (`HashMap`, `HashSet`, `RandomState`), or process
-    /// environment reads — any of these can silently break the
-    /// sequential ≡ parallel ≡ distributed oracle that every
-    /// equivalence proptest and the whole bench gate rests on.
+    /// **R3 — `determinism`.** Library code outside `#[cfg(test)]`
+    /// must not use wall clocks (`Instant`, `SystemTime`),
+    /// hash-randomized collections (`HashMap`, `HashSet`,
+    /// `RandomState`), or process environment reads — any of these can
+    /// silently make a verdict, a rank draw or a generated instance
+    /// depend on something besides the graph, the identities and the
+    /// seeds, and break the sequential ≡ parallel ≡ distributed oracle
+    /// that every equivalence proptest and the whole bench gate rests
+    /// on. The one exemption is the clock module,
+    /// [`crate::walk::CLOCK_MODULE`], through which library code reads
+    /// the time. An allow naming this rule is a [`Rule::BadAllow`]
+    /// finding, so no other site can opt out.
     Determinism,
-    /// **Meta — `bad-allow`.** A malformed `ck-lint:` suppression
-    /// comment: unknown rule name, missing or empty `reason`. Never
-    /// itself suppressible.
+    /// **Meta — `bad-allow`.** A malformed or refused `ck-lint:`
+    /// suppression comment: unknown rule name, missing or empty
+    /// `reason`, or a `determinism` allow. Never itself suppressible.
     BadAllow,
 }
 
@@ -114,13 +120,12 @@ pub struct FileContext {
     /// apply): `crates/{congest,core,graphgen,lint,serve}/src/**`
     /// (minus `src/bin/**`) and `crates/cli/src/lib.rs`.
     pub library: bool,
-    /// True for the bit-identity-critical modules (`determinism`
-    /// applies): `engine.rs`, `fault.rs`, `net/**`, `dist.rs`,
-    /// `msg.rs`, `soa.rs`, `serve.rs`, `rpc.rs` under a `src/` tree.
+    /// True where `determinism` applies: every library file except the
+    /// clock module, [`crate::walk::CLOCK_MODULE`].
     pub determinism_critical: bool,
 }
 
-/// Identifiers banned in determinism-critical modules, with the reason
+/// Identifiers banned where `determinism` applies, with the reason
 /// given in the diagnostic.
 const DETERMINISM_BANNED: &[(&str, &str)] = &[
     ("Instant", "wall-clock reads vary across runs and executors"),
@@ -194,6 +199,14 @@ fn scan_directives(comment: &str, line: usize) -> DirectiveScan {
             out.errors.push(format!("unknown rule `{rule_id}` in allow directive"));
             continue;
         };
+        if rule == Rule::Determinism {
+            out.errors.push(format!(
+                "`determinism` takes no allows: read the wall clock through `{}`, and use \
+                 ordered collections",
+                crate::walk::CLOCK_MODULE
+            ));
+            continue;
+        }
         let reason = reason_part.trim();
         let Some(quoted) = reason
             .strip_prefix("reason")
@@ -446,23 +459,15 @@ pub fn lint_source(src: &str, ctx: &FileContext) -> Vec<Finding> {
             }
         }
 
-        // R3: determinism hygiene in the bit-identity-critical modules.
+        // R3: determinism hygiene in every library file but the clock.
         if ctx.determinism_critical && !facts.in_test[idx] {
             for &(ident, why) in DETERMINISM_BANNED {
                 if has_token(code, ident) {
-                    emit(
-                        idx,
-                        Rule::Determinism,
-                        format!("`{ident}` in a bit-identity-critical module: {why}"),
-                    );
+                    emit(idx, Rule::Determinism, format!("`{ident}` in library code: {why}"));
                 }
             }
             if code.contains("env::var") || code.contains("env::vars_os") {
-                emit(
-                    idx,
-                    Rule::Determinism,
-                    "process-environment read in a bit-identity-critical module".into(),
-                );
+                emit(idx, Rule::Determinism, "process-environment read in library code".into());
             }
         }
     }
@@ -684,6 +689,30 @@ mod tests {
     }
 
     #[test]
+    fn instant_in_the_rank_draws_is_flagged() {
+        let src = "pub fn draw() -> u64 {\n    std::time::Instant::now().elapsed().as_nanos() as u64\n}\n";
+        let f = lint_source(src, &crate::walk::classify("crates/core/src/rank.rs"));
+        assert_eq!(rules_of(&f), vec![Rule::Determinism]);
+        assert_eq!(f[0].line, 2);
+        let clock = crate::walk::classify(crate::walk::CLOCK_MODULE);
+        assert!(lint_source(src, &clock).is_empty());
+    }
+
+    #[test]
+    fn determinism_allows_are_refused() {
+        // Neither scope suppresses; each directive is itself a finding.
+        let id = Rule::Determinism.id();
+        for scope in ["allow", "allow-file"] {
+            let src = format!(
+                "// ck-lint: {scope}({id}, reason = \"only a timing\")\n\
+                 pub fn f() {{ let _ = Instant::now(); }}\n"
+            );
+            let f = lint_source(&src, &det_ctx());
+            assert_eq!(rules_of(&f), vec![Rule::BadAllow, Rule::Determinism], "{scope}");
+        }
+    }
+
+    #[test]
     fn btree_collections_pass_the_determinism_rule() {
         let src = "use std::collections::{BTreeMap, BTreeSet};\npub fn f(m: &BTreeMap<u32, u32>, s: &BTreeSet<u32>) -> usize { m.len() + s.len() }\n";
         assert!(lint_source(src, &det_ctx()).is_empty());
@@ -719,7 +748,7 @@ mod tests {
 
     #[test]
     fn allow_of_wrong_rule_does_not_suppress() {
-        let src = "// ck-lint: allow(determinism, reason = \"misdirected\")\npub fn f() { x().unwrap() }\n";
+        let src = "// ck-lint: allow(index-literal, reason = \"misdirected\")\npub fn f() { x().unwrap() }\n";
         let f = lint_source(src, &lib_ctx());
         assert_eq!(rules_of(&f), vec![Rule::NoPanic]);
     }

@@ -1,6 +1,13 @@
 //! Workspace traversal: find every `.rs` file, classify it into a
 //! [`FileContext`], and run the rule engine over it.
 //!
+//! Classification is by path alone. Library files — the `src/` trees
+//! (minus `src/bin/`) of `congest`, `core`, `graphgen`, `lint` and
+//! `serve`, plus `crates/cli/src/lib.rs` — carry the panic rules and the
+//! `determinism` rule, except [`CLOCK_MODULE`], the one file the
+//! `determinism` rule exempts. Tests, binaries, benches and the
+//! non-library crates carry neither.
+//!
 //! The walker is deterministic (directory entries are sorted before
 //! recursion) so diagnostics come out in a stable order regardless of
 //! filesystem enumeration order — the lint's own output obeys the
@@ -12,29 +19,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Library crates whose `src/` trees carry the panic-free-surface
-/// rules (`no-panic`, `index-literal`). `cli` is listed separately:
-/// only its `lib.rs` is library surface, the binary half may panic at
-/// the top level.
+/// rules (`no-panic`, `index-literal`) and the `determinism` rule.
+/// `cli` is listed separately: only its `lib.rs` is library surface,
+/// the binary half may panic at the top level.
 const LIBRARY_CRATES: &[&str] = &["congest", "core", "graphgen", "lint", "serve"];
 
-/// File stems that are bit-identity-critical when under `src/`
-/// (see [`crate::rules::Rule::Determinism`]). `soa` is the SoA
-/// node-state arena: its raw-pointer views back both executors, so any
-/// nondeterminism there breaks the seq≡par bit-identity contract.
-/// `serve` is the probe service's job loop (verdicts must be a pure
-/// function of the submitted job — wall-clock reads there are confined
-/// to reasoned allows for latency histograms and idle-reclaim timers)
-/// and `rpc` its verdict-carrying wire grammar, whose encode/decode
-/// must be a pure function of the message bytes. `arena` and `node`
-/// hold the round loop's inbox arena, its per-round digest (which also
-/// feeds the distributed coordinator) and its send paths; `tester`,
-/// `session`, `batch`, `prune` and `decide` are the tester's node
-/// program and the layers that drive it. `graph` computes the step
-/// order every in-process run steps its nodes in.
-const DETERMINISM_STEMS: &[&str] = &[
-    "engine", "arena", "node", "fault", "dist", "msg", "soa", "tester", "session", "batch",
-    "prune", "decide", "serve", "rpc", "graph",
-];
+/// The one library file that may read the wall clock, and so the
+/// `determinism` rule's only exemption (see
+/// [`crate::rules::Rule::Determinism`]).
+pub const CLOCK_MODULE: &str = "crates/congest/src/clock.rs";
 
 /// Classifies a workspace-relative path (with `/` separators) into the
 /// rule context the engine needs. Pure so the mapping itself is
@@ -45,13 +38,7 @@ pub fn classify(rel_path: &str) -> FileContext {
     };
     let library = LIBRARY_CRATES.iter().any(|c| in_src(&format!("crates/{c}/src/")))
         || rel_path == "crates/cli/src/lib.rs";
-
-    let stem = Path::new(rel_path).file_stem().and_then(|s| s.to_str()).unwrap_or("");
-    let under_src = rel_path.contains("/src/");
-    let in_net_dir = rel_path.contains("/src/net/");
-    let determinism_critical = under_src
-        && (in_net_dir || DETERMINISM_STEMS.contains(&stem))
-        && !rel_path.contains("/bin/");
+    let determinism_critical = library && rel_path != CLOCK_MODULE;
 
     FileContext { rel_path: rel_path.to_string(), library, determinism_critical }
 }
@@ -135,27 +122,42 @@ mod tests {
 
     #[test]
     fn determinism_classification() {
-        assert!(classify("crates/congest/src/engine.rs").determinism_critical);
-        assert!(classify("crates/congest/src/fault.rs").determinism_critical);
-        assert!(classify("crates/congest/src/net/frame.rs").determinism_critical);
-        assert!(classify("crates/congest/src/net/mod.rs").determinism_critical);
-        assert!(classify("crates/core/src/dist.rs").determinism_critical);
-        assert!(classify("crates/core/src/msg.rs").determinism_critical);
-        assert!(classify("crates/core/src/soa.rs").determinism_critical);
-        assert!(classify("crates/serve/src/serve.rs").determinism_critical);
-        assert!(classify("crates/serve/src/rpc.rs").determinism_critical);
-        assert!(classify("crates/congest/src/arena.rs").determinism_critical);
-        assert!(classify("crates/congest/src/node.rs").determinism_critical);
-        assert!(classify("crates/congest/src/session.rs").determinism_critical);
-        assert!(classify("crates/core/src/tester.rs").determinism_critical);
-        assert!(classify("crates/congest/src/graph.rs").determinism_critical);
-        // The service's client helper and lib root are not verdict-
-        // producing; only the job loop and the wire grammar are.
-        assert!(!classify("crates/serve/src/client.rs").determinism_critical);
-        assert!(!classify("crates/serve/src/lib.rs").determinism_critical);
-        // Test files named like critical modules are out of scope: the
-        // rule is about library behavior, not test harness clocks.
-        assert!(!classify("crates/congest/tests/engine.rs").determinism_critical);
-        assert!(!classify("tests/tester_golden.rs").determinism_critical);
+        // Every library file is critical, the verdict path's rank draws,
+        // sequence rows, seed derivation and wire codec included.
+        for path in [
+            "crates/core/src/rank.rs",
+            "crates/core/src/seq.rs",
+            "crates/congest/src/rngs.rs",
+            "crates/congest/src/message.rs",
+            "crates/graphgen/src/random.rs",
+            "crates/congest/src/engine.rs",
+            "crates/congest/src/net/frame.rs",
+            "crates/core/src/dist.rs",
+            "crates/core/src/tester.rs",
+            "crates/serve/src/serve.rs",
+            "crates/serve/src/client.rs",
+            "crates/lint/src/rules.rs",
+            "crates/cli/src/lib.rs",
+        ] {
+            assert!(classify(path).determinism_critical, "{path}");
+        }
+        // The clock module is the rule's one exemption.
+        assert!(!classify(CLOCK_MODULE).determinism_critical);
+        // Tests, binaries, the bench crate and the baselines are out of
+        // scope: the rule is about library behavior, not harness clocks.
+        for path in [
+            "crates/congest/tests/engine.rs",
+            "crates/graphgen/tests/generator_golden.rs",
+            "tests/tester_golden.rs",
+            "crates/cli/src/main.rs",
+            "crates/congest/src/bin/tool.rs",
+            "crates/lint/src/bin/ck_lint.rs",
+            "crates/bench/src/lib.rs",
+            "crates/bench/src/bin/bench_engine.rs",
+            "crates/baselines/src/c4.rs",
+            "src/lib.rs",
+        ] {
+            assert!(!classify(path).determinism_critical, "{path}");
+        }
     }
 }

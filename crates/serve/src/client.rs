@@ -17,7 +17,8 @@ use std::fmt;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use ck_congest::net::frame::{read_frame, Deadline, FrameError, FrameKind};
+use ck_congest::clock::Deadline;
+use ck_congest::net::frame::{read_frame, FrameError, FrameKind};
 use ck_congest::net::link::{connect_with_retry, SharedWriter};
 
 use crate::rpc::{

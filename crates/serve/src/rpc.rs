@@ -465,8 +465,9 @@ pub fn decode_serve_body(body: &[u8]) -> Result<ServeMsg, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ck_congest::clock::Deadline;
     use ck_congest::graph::GraphBuilder;
-    use ck_congest::net::frame::{read_frame, write_frame, Deadline, FrameKind};
+    use ck_congest::net::frame::{read_frame, write_frame, FrameKind};
     use ck_core::decide::RejectWitness;
     use ck_core::msg::EdgeTag;
     use ck_core::seq::IdSeq;

@@ -28,11 +28,12 @@
 //!   acceptor shuts every tracked connection down, so handlers
 //!   blocked in a read see EOF, and joins everything.
 //!
-//! This file is determinism-lint-critical (`serve` stem): verdict
-//! bits come exclusively from the session/engine layers below. The
-//! wall-clock reads here — latency histograms and idle-reclaim timers
-//! — are measurement and liveness plumbing, each carrying a reasoned
-//! `ck-lint` allow.
+//! Verdict bits come exclusively from the session/engine layers below.
+//! The service's timings — a job's wall time and its submit-to-result
+//! latency — are [`Stopwatch`] readings that land in the result's
+//! `wall_us` field and the latency histogram, never in a verdict; like
+//! every library file but `ck_congest::clock`, this one is under
+//! ck-lint's `determinism` rule.
 
 use std::collections::VecDeque;
 use std::io;
@@ -41,12 +42,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
-// ck-lint: allow(determinism, reason = "Instant feeds latency histograms and idle-reclaim timers only; verdict bits never depend on it")
-use std::time::Instant;
 
+use ck_congest::clock::{Deadline, Stopwatch};
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::graph::Graph;
-use ck_congest::net::frame::{read_frame, ByteWriter, Deadline, FrameError, FrameKind};
+use ck_congest::net::frame::{read_frame, ByteWriter, FrameError, FrameKind};
 use ck_congest::net::link::SharedWriter;
 use ck_core::session::TesterSession;
 use ck_core::tester::{TesterConfig, TesterRun};
@@ -228,8 +228,8 @@ struct Job {
     graph: Graph,
     cfg: TesterConfig,
     reply: SharedWriter<TcpStream>,
-    // ck-lint: allow(determinism, reason = "submit timestamp feeds the latency histogram only")
-    submitted: Instant,
+    /// Started at admission; read for the latency histogram.
+    submitted: Stopwatch,
 }
 
 /// Lifetime counters behind one short-critical-section lock.
@@ -388,8 +388,7 @@ fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
         match shared.next_job(opts.idle_reclaim_ms) {
             Some(job) => {
                 shared.executing.fetch_add(1, Ordering::SeqCst);
-                // ck-lint: allow(determinism, reason = "job wall time is reported measurement, not verdict input")
-                let t0 = Instant::now();
+                let t0 = Stopwatch::start();
                 let outcome = match session.as_mut() {
                     Some(s) => warm_job(s, &job.graph, job.cfg, &mut run),
                     None => match TesterSession::from_config(job.cfg, engine_template()) {
@@ -400,7 +399,6 @@ fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
                         Err(e) => Err(ServeError::Config(e)),
                     },
                 };
-                // ck-lint: allow(determinism, reason = "elapsed time lands in the verdict's wall_us metric field only")
                 let wall_us = t0.elapsed().as_micros() as u64;
                 let ok = outcome.is_ok();
                 let verdict =
@@ -415,7 +413,6 @@ fn worker_loop(shared: Arc<Shared>, opts: Arc<ServeOptions>) {
                         d
                     })
                     .unwrap_or((0, 0));
-                // ck-lint: allow(determinism, reason = "submit-to-result latency is histogram data only")
                 let latency_us = job.submitted.elapsed().as_micros() as u64;
                 shared.stats(|s| {
                     if ok {
@@ -505,8 +502,7 @@ fn handle_submit(
                 graph: req.graph,
                 cfg,
                 reply: writer.clone(),
-                // ck-lint: allow(determinism, reason = "submit timestamp feeds the latency histogram only")
-                submitted: Instant::now(),
+                submitted: Stopwatch::start(),
             };
             shared.lock_queue().push_back(job);
             shared.work_cv.notify_one();

@@ -123,7 +123,8 @@ fn exhausted_inflight_budget_refuses_with_overloaded() {
 /// finished handler threads, so the cap counts *live* connections.)
 #[test]
 fn connection_cap_refuses_excess_clients_loudly() {
-    use ck_congest::net::frame::{read_frame, Deadline, FrameKind};
+    use ck_congest::clock::Deadline;
+    use ck_congest::net::frame::{read_frame, FrameKind};
 
     let server =
         BoundServer::bind(ServeOptions { workers: 1, max_conns: 1, ..ServeOptions::default() })

@@ -90,7 +90,8 @@ fn every_rpc_body_prefix_fails_typed_and_link_recovers() {
 /// stream and misparse mid-frame bytes as a new header.
 #[test]
 fn submit_dribbled_across_poll_windows_still_completes() {
-    use ck_congest::net::frame::{read_frame, Deadline, FrameKind};
+    use ck_congest::clock::Deadline;
+    use ck_congest::net::frame::{read_frame, FrameKind};
     use ck_serve::rpc::decode_serve_body;
     use std::io::Write;
 
