@@ -519,9 +519,7 @@ pub(crate) fn tester_exec_into(
                 if !ecfg.net.fallback {
                     return Err(EngineError::Net(ne));
                 }
-                // Times only the fallback's `recovery_ms`; no verdict or
-                // round counter reads it.
-                let recovery = ck_congest::clock::Stopwatch::start();
+                let recovery_start = ck_congest::clock::Stopwatch::start();
                 let mut seq = ecfg.clone();
                 seq.executor = ck_congest::engine::Executor::Sequential;
                 tester_exec_inproc(g, cfg, reps, &seq, ws, arena, run)?;
@@ -532,7 +530,7 @@ pub(crate) fn tester_exec_into(
                     workers: w,
                     fleet_spawned: fleet.spawned(),
                     fallback: Some(ne.to_string()),
-                    recovery_ms: Some(recovery.elapsed().as_millis() as u64),
+                    recovery_ms: Some(recovery_start.elapsed().as_millis() as u64),
                     ..ck_congest::metrics::NetReport::default()
                 });
                 return Ok(());

@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn behrend_set_is_a_function_of_n() {
-        // At these N two norm buckets tie for the largest; the smallest
+        // At these N several norm buckets tie for the largest; the smallest
         // norm wins in every call, in every process.
         for &n in &[25u64, 40, 400, 4_000] {
             let first = behrend_ap_free_set(n);

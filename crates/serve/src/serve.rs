@@ -31,9 +31,7 @@
 //! Verdict bits come exclusively from the session/engine layers below.
 //! The service's timings — a job's wall time and its submit-to-result
 //! latency — are [`Stopwatch`] readings that land in the result's
-//! `wall_us` field and the latency histogram, never in a verdict; like
-//! every library file but `ck_congest::clock`, this one is under
-//! ck-lint's `determinism` rule.
+//! `wall_us` field and the latency histogram, never in a verdict.
 
 use std::collections::VecDeque;
 use std::io;
