@@ -19,6 +19,7 @@ use ck_congest::graph::Graph;
 use ck_core::framework::{CkFreenessTester, DistributedTester};
 use ck_core::rank::try_repetitions_for;
 use ck_graphgen::{basic, behrend, families, planted, random};
+use ck_serve::ServeOptions;
 
 /// Parsed command-line request.
 pub struct Request {
@@ -50,31 +51,6 @@ pub struct BatchRequest {
     pub seed: u64,
     pub repetitions: Option<u32>,
     pub shards: Option<usize>,
-}
-
-/// A `serve` request: run the long-lived probe service until a client
-/// sends Shutdown.
-#[derive(Clone, Debug)]
-pub struct ServeRequest {
-    pub addr: String,
-    pub workers: usize,
-    pub max_nodes: usize,
-    pub inflight_budget: u32,
-    pub idle_reclaim_ms: u64,
-    pub max_conns: usize,
-}
-
-impl Default for ServeRequest {
-    fn default() -> Self {
-        ServeRequest {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            max_nodes: 1 << 20,
-            inflight_budget: 256,
-            idle_reclaim_ms: 30_000,
-            max_conns: 1024,
-        }
-    }
 }
 
 /// A `submit` request: one client interaction with a running service —
@@ -109,8 +85,9 @@ pub enum Invocation {
     /// `net-worker ADDR INDEX`: serve one distributed-executor worker —
     /// the argv a coordinator spawns per partition.
     Worker { addr: String, index: u32 },
-    /// `serve [flags]`: run the probe service.
-    Serve(ServeRequest),
+    /// `serve [flags]`: run the probe service until a client sends
+    /// Shutdown.
+    Serve(ServeOptions),
     /// `submit ADDR [flags]`: talk to a running probe service.
     Submit(SubmitRequest),
 }
@@ -312,41 +289,41 @@ pub fn graph_spec_help() -> &'static str {
 
 /// Parses `serve` subcommand flags (everything after the word `serve`).
 fn parse_serve_args(args: &[String]) -> Result<Invocation, String> {
-    let mut req = ServeRequest::default();
+    let mut opts = ServeOptions::default();
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
         args.get(i + 1).cloned().ok_or(format!("{flag} needs a value"))
     };
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => req.addr = value(args, i, "--addr")?,
+            "--addr" => opts.addr = value(args, i, "--addr")?,
             "--workers" => {
-                req.workers =
+                opts.workers =
                     value(args, i, "--workers")?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if req.workers == 0 {
+                if opts.workers == 0 {
                     return Err("--workers: need at least one worker".into());
                 }
             }
             "--max-nodes" => {
-                req.max_nodes = value(args, i, "--max-nodes")?
+                opts.max_nodes = value(args, i, "--max-nodes")?
                     .parse()
                     .map_err(|e| format!("--max-nodes: {e}"))?;
             }
             "--inflight-budget" => {
-                req.inflight_budget = value(args, i, "--inflight-budget")?
+                opts.inflight_budget = value(args, i, "--inflight-budget")?
                     .parse()
                     .map_err(|e| format!("--inflight-budget: {e}"))?;
             }
             "--idle-reclaim-ms" => {
-                req.idle_reclaim_ms = value(args, i, "--idle-reclaim-ms")?
+                opts.idle_reclaim_ms = value(args, i, "--idle-reclaim-ms")?
                     .parse()
                     .map_err(|e| format!("--idle-reclaim-ms: {e}"))?;
             }
             "--max-conns" => {
-                req.max_conns = value(args, i, "--max-conns")?
+                opts.max_conns = value(args, i, "--max-conns")?
                     .parse()
                     .map_err(|e| format!("--max-conns: {e}"))?;
-                if req.max_conns == 0 {
+                if opts.max_conns == 0 {
                     return Err("--max-conns: need at least one connection".into());
                 }
             }
@@ -354,7 +331,7 @@ fn parse_serve_args(args: &[String]) -> Result<Invocation, String> {
         }
         i += 2;
     }
-    Ok(Invocation::Serve(req))
+    Ok(Invocation::Serve(opts))
 }
 
 /// Parses `submit` subcommand argv: `ADDR` positional, then flags.

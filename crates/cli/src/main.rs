@@ -2,7 +2,7 @@
 
 use ck_cli::{
     batch_jobs, graph_spec_help, parse_args, parse_batch_file, parse_graph_spec, BatchRequest,
-    Invocation, Request, ServeRequest, SubmitRequest,
+    Invocation, Request, SubmitRequest,
 };
 use ck_congest::engine::{EngineConfig, Executor};
 use ck_congest::message::WireParams;
@@ -40,27 +40,20 @@ fn main() {
                 std::process::exit(3);
             }
         }
-        Invocation::Serve(req) => run_serve(&req),
+        Invocation::Serve(opts) => run_serve(opts),
         Invocation::Submit(req) => run_submit(&req),
     }
 }
 
 /// The `serve` subcommand: run the probe service until a client sends
 /// Shutdown, then report the drained counters.
-fn run_serve(req: &ServeRequest) {
+fn run_serve(opts: ck_serve::ServeOptions) {
     use std::io::Write as _;
-    let opts = ck_serve::ServeOptions {
-        addr: req.addr.clone(),
-        workers: req.workers,
-        max_nodes: req.max_nodes,
-        inflight_budget: req.inflight_budget,
-        idle_reclaim_ms: req.idle_reclaim_ms,
-        max_conns: req.max_conns,
-    };
+    let addr = opts.addr.clone();
     let server = match ck_serve::BoundServer::bind(opts) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("error: binding {}: {e}", req.addr);
+            eprintln!("error: binding {addr}: {e}");
             std::process::exit(3);
         }
     };

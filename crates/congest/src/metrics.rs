@@ -97,49 +97,6 @@ impl NetReport {
     pub fn completed_distributed(&self) -> bool {
         self.fallback.is_none()
     }
-
-    /// Serializes the net record as a JSON object.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"workers\":{},\"frames_routed\":{},\"frame_bytes\":{},\"barriers\":{},\
-             \"heartbeats\":{},\"fleet_spawned\":{},\"fallback\":",
-            self.workers,
-            self.frames_routed,
-            self.frame_bytes,
-            self.barriers,
-            self.heartbeats,
-            self.fleet_spawned
-        );
-        match &self.fallback {
-            Some(reason) => {
-                s.push('"');
-                for c in reason.chars() {
-                    match c {
-                        '"' => s.push_str("\\\""),
-                        '\\' => s.push_str("\\\\"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(s, "\\u{:04x}", c as u32);
-                        }
-                        c => s.push(c),
-                    }
-                }
-                s.push('"');
-            }
-            None => s.push_str("null"),
-        }
-        s.push_str(",\"recovery_ms\":");
-        match self.recovery_ms {
-            Some(ms) => {
-                let _ = write!(s, "{ms}");
-            }
-            None => s.push_str("null"),
-        }
-        s.push('}');
-        s
-    }
 }
 
 /// Observability record of a run's injected faults: how many messages
@@ -192,38 +149,6 @@ impl FaultReport {
             + self.dropped_burst
             + self.corrupted_rejected
     }
-
-    /// True when the run saw no fault activity at all.
-    pub fn is_clean(&self) -> bool {
-        *self == FaultReport::default()
-    }
-
-    /// Serializes the fault record as a JSON object.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"dropped_explicit\":{},\"dropped_random\":{},\"dropped_crash\":{},\
-             \"dropped_cut\":{},\"dropped_burst\":{},\"corrupted_delivered\":{},\
-             \"corrupted_rejected\":{},\"crashed_nodes\":[",
-            self.dropped_explicit,
-            self.dropped_random,
-            self.dropped_crash,
-            self.dropped_cut,
-            self.dropped_burst,
-            self.corrupted_delivered,
-            self.corrupted_rejected
-        );
-        for (i, v) in self.crashed_nodes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{v}");
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 impl RunReport {
@@ -271,49 +196,6 @@ impl RunReport {
             .iter()
             .map(|r| if r.max_link_bits == 0 { 1 } else { r.max_link_bits.div_ceil(b) })
             .sum()
-    }
-
-    /// Serializes the report as JSON (hand-rolled: the offline build has
-    /// no serde, and the schema is small and flat).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"rounds\":{},\"all_halted\":{},\"executor\":\"{}\",\"threads\":{},\"per_round\":[",
-            self.rounds, self.all_halted, self.executor, self.threads
-        );
-        for (i, r) in self.per_round.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.to_json());
-        }
-        s.push_str("],\"faults\":");
-        s.push_str(&self.faults.to_json());
-        if let Some(net) = &self.net {
-            s.push_str(",\"net\":");
-            s.push_str(&net.to_json());
-        }
-        s.push('}');
-        s
-    }
-}
-
-impl RoundStats {
-    /// Serializes one round's statistics as a JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"round\":{},\"active_nodes\":{},\"messages\":{},\"bits\":{},\
-             \"max_message_bits\":{},\"max_link_bits\":{},\"max_link_messages\":{}}}",
-            self.round,
-            self.active_nodes,
-            self.messages,
-            self.bits,
-            self.max_message_bits,
-            self.max_link_bits,
-            self.max_link_messages
-        )
     }
 }
 
@@ -391,45 +273,12 @@ mod tests {
     }
 
     #[test]
-    fn json_emission_is_well_formed() {
-        let r = report();
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"rounds\":3"));
-        assert!(json.contains("\"executor\":\"sequential\""));
-        assert!(json.contains("\"threads\":1"));
-        assert!(json.contains("\"max_link_bits\":70"));
-        // Three per-round objects.
-        assert_eq!(json.matches("\"round\":").count(), 3);
-        assert!(json.contains("\"faults\":{\"dropped_explicit\":0"));
-        assert!(json.contains("\"dropped_random\":2"));
-        assert!(json.contains("\"corrupted_rejected\":1"));
-        assert!(json.contains("\"crashed_nodes\":[1,3]"));
-    }
-
-    #[test]
-    fn net_json_records_whether_the_fleet_was_spawned() {
-        let reused = NetReport { workers: 2, barriers: 16, ..NetReport::default() };
-        assert_eq!(
-            reused.to_json(),
-            "{\"workers\":2,\"frames_routed\":0,\"frame_bytes\":0,\"barriers\":16,\
-             \"heartbeats\":0,\"fleet_spawned\":false,\"fallback\":null,\"recovery_ms\":null}"
-        );
-        let spawned = NetReport { fleet_spawned: true, ..reused };
-        assert!(spawned.to_json().contains("\"fleet_spawned\":true,"));
-    }
-
-    #[test]
     fn fault_report_totals_and_cleanliness() {
-        assert!(FaultReport::default().is_clean());
         assert_eq!(FaultReport::default().total_dropped(), 0);
-        let fr = report().faults;
-        assert!(!fr.is_clean());
         // Rejected corrupted frames count as lost; delivered garbage
         // does not.
-        assert_eq!(fr.total_dropped(), 3);
+        assert_eq!(report().faults.total_dropped(), 3);
         let delivered_only = FaultReport { corrupted_delivered: 5, ..FaultReport::default() };
         assert_eq!(delivered_only.total_dropped(), 0);
-        assert!(!delivered_only.is_clean());
     }
 }

@@ -51,19 +51,21 @@
 //! once, inside the same run's connect budget. Dropping the fleet ends
 //! every worker and joins every worker thread.
 //!
-//! `Hello` carries the magic `ckd7` and the worker's index, so a worker
+//! `Hello` carries the magic `ckd8` and the worker's index, so a worker
 //! from a build with another `Spec`, `Done` or `Verdicts` layout or job
 //! loop fails the handshake typed.
 //! A `Spec` body opens with the graph's varint section
 //! ([`Graph::write_bytes`]), followed by fixed-width tester, engine and
 //! worker fields. The tester fields are `k`, `ε`, the seed, the
-//! optional repetition override, `early_abort`, the optional assumed
-//! loss rate and `verify_witnesses`: every [`TesterConfig`] field. The
-//! engine fields are the round cap, the bandwidth policy and the fault
-//! plan; nothing says whether rounds are recorded, because only the
-//! coordinator closes rounds, and every closed round leaves its row. A
-//! `Verdicts` body is the [`write_verdicts`] section of the worker's
-//! range.
+//! optional repetition override and the optional assumed loss rate:
+//! every [`TesterConfig`] field. The engine fields are the round cap,
+//! the bandwidth policy and the fault plan; nothing says whether rounds
+//! are recorded, because only the coordinator closes rounds, and every
+//! closed round leaves its row. A `Verdicts` body is the
+//! [`write_verdicts`] section of the worker's range. Nothing says
+//! whether witnesses are validated either: the coordinator validates
+//! the merged verdicts of a run whose merged round digests count a
+//! delivered corrupted frame, as an in-process run does its own.
 //!
 //! `⇥` marks a flush. Both sides write through buffers and flush only
 //! before they wait for an answer, so every frame queued on a link
@@ -102,12 +104,12 @@ use ck_congest::net::{LostCause, NetError, NetOptions};
 
 use crate::decide::RejectWitness;
 use crate::msg::{CkCodec, CkMsg, EdgeTag};
-use crate::seq::IdSeq;
+use crate::seq::{IdSeq, MAX_K};
 use crate::soa::{SoaArena, SoaView};
 use crate::tester::{CkTester, NodeVerdict, Rejection, TesterConfig};
 
 /// Hello-frame magic: protocol name + version byte.
-const MAGIC: &[u8; 4] = b"ckd7";
+const MAGIC: &[u8; 4] = b"ckd8";
 
 /// A distributed run fails in one of two distinct worlds.
 #[derive(Debug)]
@@ -183,17 +185,8 @@ impl JobSpec {
         let eps = r.f64()?;
         let seed = r.u64()?;
         let repetitions = if r.u8()? != 0 { Some(r.u32()?) } else { None };
-        let early_abort = r.u8()? != 0;
         let assumed_loss = if r.u8()? != 0 { Some(r.f64()?) } else { None };
-        let verify_witnesses = r.u8()? != 0;
-        let mut cfg = TesterConfig::new(3, 0.5, 0);
-        cfg.k = k;
-        cfg.eps = eps;
-        cfg.seed = seed;
-        cfg.repetitions = repetitions;
-        cfg.early_abort = early_abort;
-        cfg.assumed_loss = assumed_loss;
-        cfg.verify_witnesses = verify_witnesses;
+        let cfg = TesterConfig { k, eps, seed, repetitions, assumed_loss };
         cfg.validate().map_err(|_| FrameError::BadBody("tester config out of domain"))?;
         let max_rounds = r.u32()?;
         let bandwidth = match r.u8()? {
@@ -253,7 +246,6 @@ fn encode_spec_prefix(
         }
         None => w.u8(0),
     }
-    w.u8(cfg.early_abort as u8);
     match cfg.assumed_loss {
         Some(l) => {
             w.u8(1);
@@ -261,7 +253,6 @@ fn encode_spec_prefix(
         }
         None => w.u8(0),
     }
-    w.u8(cfg.verify_witnesses as u8);
     w.u32(engine.max_rounds);
     match engine.bandwidth {
         BandwidthPolicy::Measure => w.u8(0),
@@ -359,8 +350,8 @@ pub fn write_verdicts(w: &mut ByteWriter, verdicts: &[NodeVerdict]) {
 /// Reads a [`write_verdicts`] section. The node count is checked
 /// against the bytes that remain (a node costs at least two) before
 /// anything is sized from it; unknown flag bits, a repetition past
-/// `u32`, `lo >= hi` and a sequence longer than
-/// [`MAX_SEQ_LEN`](crate::seq::MAX_SEQ_LEN) are
+/// `u32`, `lo >= hi`, a witness `k` outside `3..=`[`MAX_K`] and a
+/// sequence longer than [`MAX_SEQ_LEN`](crate::seq::MAX_SEQ_LEN) are
 /// [`FrameError::BadBody`].
 pub fn read_verdicts(r: &mut ByteReader<'_>) -> Result<Vec<NodeVerdict>, FrameError> {
     let count = r.varint()?;
@@ -382,7 +373,10 @@ pub fn read_verdicts(r: &mut ByteReader<'_>) -> Result<Vec<NodeVerdict>, FrameEr
                 return Err(FrameError::BadBody("edge tag endpoints must satisfy lo < hi"));
             }
             let myid = r.varint()?;
-            let k = r.varint()? as usize;
+            let k = usize::try_from(r.varint()?)
+                .ok()
+                .filter(|k| (3..=MAX_K).contains(k))
+                .ok_or(FrameError::BadBody("witness k outside 3..=MAX_K"))?;
             let l1 = read_seq(r)?;
             let l2 = read_seq(r)?;
             Some(Box::new(Rejection {
@@ -1319,12 +1313,21 @@ mod tests {
         for cut in 0..body.len() {
             assert!(read_verdicts(&mut ByteReader::new(&body[..cut])).is_err(), "prefix {cut}");
         }
-        // Flag bits past the two defined ones, and a count the bytes
-        // cannot hold, are bad bodies.
+        // Flag bits past the two defined ones, a witness `k` outside
+        // `3..=MAX_K` (the coordinator sizes the cycle it validates by
+        // it) and a count the bytes cannot hold are bad bodies.
         let mut bad = body.clone();
         bad[1] |= 4;
         let err = read_verdicts(&mut ByteReader::new(&bad)).unwrap_err();
         assert!(matches!(err, FrameError::BadBody(_)), "{err:?}");
+        for k in [2, 1 << 62] {
+            let mut bad = verdicts.clone();
+            bad[1].first_rejection.as_mut().unwrap().witness.k = k;
+            let mut w = ByteWriter::new();
+            write_verdicts(&mut w, &bad);
+            let err = read_verdicts(&mut ByteReader::new(&w.0)).unwrap_err();
+            assert!(matches!(err, FrameError::BadBody(_)), "k = {k}: {err:?}");
+        }
         let mut hostile = ByteWriter::new();
         hostile.varint(1 << 40);
         let err = read_verdicts(&mut ByteReader::new(&hostile.0)).unwrap_err();
@@ -1336,7 +1339,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let mut hello = b"ckd6".to_vec();
+        let mut hello = b"ckd7".to_vec();
         hello.extend_from_slice(&0u32.to_le_bytes());
         write_frame(&mut client, FrameKind::Hello, &hello).unwrap();
         let mut slots: Vec<Option<WorkerLink>> = vec![None];
@@ -1402,7 +1405,6 @@ mod tests {
         let params = WireParams::for_graph(&g);
         let msgs = [
             CkMsg::Rank(5),
-            CkMsg::Abort,
             CkMsg::Seqs {
                 tag: EdgeTag { rank: 1, lo: 0, hi: 2 },
                 seqs: crate::seq::SeqRows::from_rows(2, &[&[1, 2], &[0, 2]]),

@@ -68,10 +68,6 @@ pub enum CkMsg {
     /// Phase 2: sequences for the check identified by `tag`, carried as
     /// rows of one recycled backing.
     Seqs { tag: EdgeTag, seqs: SeqRows },
-    /// Early-abort extension: a node has rejected; the flag floods so
-    /// everyone can skip the remaining repetitions (sound because only a
-    /// genuine reject originates it).
-    Abort,
 }
 
 impl WireMessage for CkMsg {
@@ -85,8 +81,6 @@ impl WireMessage for CkMsg {
                     + 2 * u64::from(params.id_bits)
                     + seqs.wire_bits(params)
             }
-            // A bare flag (discriminant only).
-            CkMsg::Abort => 2,
         }
     }
 
@@ -120,12 +114,9 @@ impl WireMessage for CkMsg {
 /// | variant | bits |
 /// |---|---|
 /// | `Rank(r)` | `0`, then `r` in `rank_bits` |
-/// | `Abort` | `1`, then `1` |
 /// | `Seqs`  | `1`, then `tag.rank` (`rank_bits`), `tag.lo`, `tag.hi` (`id_bits` each), the sequence count `c` in `bits_for(max(c,1))` bits, then `c · seq_len` IDs (`id_bits` each) |
 ///
-/// The first bit separates `Rank` from the rest; `Abort` and `Seqs`
-/// separate by frame length (an `Abort` frame has exactly one bit after
-/// the discriminant, a `Seqs` frame always more). Exactly like the
+/// The first bit separates `Rank` from `Seqs`. Exactly like the
 /// accounting in [`seqs_wire_bits`], the encoding carries **no
 /// per-sequence length fields**: the CONGEST receiver knows every
 /// sequence's length from the round number ("the receiver learns
@@ -138,7 +129,7 @@ impl WireMessage for CkMsg {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CkCodec {
     /// Length of every sequence in a `Seqs` bundle under this round's
-    /// context (`1..=MAX_SEQ_LEN`; irrelevant for `Rank`/`Abort`).
+    /// context (`1..=MAX_SEQ_LEN`; irrelevant for `Rank`).
     pub seq_len: usize,
 }
 
@@ -167,7 +158,7 @@ impl CkCodec {
 /// ships `seq_len` as its context word, so a receiving worker — which
 /// has no shared round counter to derive the Phase-2 sequence length
 /// from — rebuilds the exact sender-side codec before touching the
-/// payload bits. `Rank`/`Abort` frames (and empty bundles) travel under
+/// payload bits. `Rank` frames (and empty bundles) travel under
 /// context `0`; any word above [`MAX_SEQ_LEN`] is rejected as a typed
 /// protocol error rather than trusted.
 impl ContextCodec for CkCodec {
@@ -185,7 +176,8 @@ impl ContextCodec for CkCodec {
     fn context_for(&self, msg: &CkMsg) -> u16 {
         match msg {
             // Bundle frames need the round's sequence length to split
-            // the ID stream; control frames decode under any context.
+            // the ID stream; rank frames and empty bundles decode under
+            // any context.
             CkMsg::Seqs { seqs, .. } if !seqs.is_empty() => self.seq_len as u16,
             _ => 0,
         }
@@ -212,7 +204,6 @@ impl WireCodec for CkCodec {
         };
         match msg {
             CkMsg::Rank(r) => fits(*r, params.rank_bits)?,
-            CkMsg::Abort => {}
             CkMsg::Seqs { tag, seqs } => {
                 fits(tag.rank, params.rank_bits)?;
                 fits(tag.lo, params.id_bits)?;
@@ -241,10 +232,6 @@ impl WireCodec for CkCodec {
                 out.push_bits(0, 1)?;
                 out.push_bits(*r, params.rank_bits)?;
             }
-            CkMsg::Abort => {
-                out.push_bits(1, 1)?;
-                out.push_bits(1, 1)?;
-            }
             CkMsg::Seqs { tag, seqs } => {
                 out.push_bits(1, 1)?;
                 out.push_bits(tag.rank, params.rank_bits)?;
@@ -269,12 +256,6 @@ impl WireCodec for CkCodec {
                 return Err(CodecError::TrailingBits { remaining: r.remaining_bits() });
             }
             return Ok(CkMsg::Rank(rank));
-        }
-        if r.remaining_bits() == 1 {
-            if r.read_bits(1)? != 1 {
-                return Err(CodecError::Invalid("abort flag bit must be set"));
-            }
-            return Ok(CkMsg::Abort);
         }
         let rank = r.read_bits(params.rank_bits)?;
         let lo = r.read_bits(params.id_bits)?;
@@ -381,7 +362,6 @@ mod tests {
         let msgs = [
             CkMsg::Rank(7),
             CkMsg::Rank((1 << 14) - 1),
-            CkMsg::Abort,
             CkMsg::Seqs { tag: EdgeTag::new(7, 1, 2), seqs: SeqRows::new(2) },
             CkMsg::Seqs {
                 tag: EdgeTag::new(200, 40, 3),
@@ -457,7 +437,6 @@ mod tests {
         let p = params();
         let msgs = [
             CkMsg::Rank(7),
-            CkMsg::Abort,
             CkMsg::Seqs { tag: EdgeTag::new(7, 1, 2), seqs: SeqRows::new(0) },
             CkMsg::Seqs {
                 tag: EdgeTag::new(200, 3, 40),

@@ -15,13 +15,15 @@
 //!   and independent repetitions recover the 2/3 bound at the cost of a
 //!   constant-factor schedule inflation.
 //!
-//! * **Corruption needs a verifier.** A tampered frame that still
-//!   decodes carries sequences that never traversed the network, so
-//!   Lemma 1's "every arrived sequence is a genuine path" premise
-//!   breaks and a phantom cycle can be assembled. The
-//!   [`TesterConfig::verify_witnesses`](crate::tester::TesterConfig::verify_witnesses)
-//!   knob re-validates every rejection's cycle against the input graph
-//!   and discards fabrications, restoring 1-sidedness.
+//! * **Corruption needs a verifier, and gets one.** A tampered frame
+//!   that still decodes carries sequences that never traversed the
+//!   network, so Lemma 1's "every arrived sequence is a genuine path"
+//!   premise breaks and a phantom cycle can be assembled. A run that
+//!   delivered any corrupted frame therefore re-validates every
+//!   rejection's cycle against the input graph and discards
+//!   fabrications (counted in
+//!   [`TesterRun::discarded_witnesses`](crate::tester::TesterRun::discarded_witnesses)),
+//!   which keeps the tester 1-sided; there is nothing to switch on.
 //! * **The degradation knob has a closed form.** With per-message loss
 //!   `p`, a repetition's `k·⌊k/2⌋` cycle-critical deliveries all
 //!   survive with probability `(1−p)^{k·⌊k/2⌋}`, so inflating the

@@ -50,27 +50,12 @@ impl TesterSessionBuilder {
         self
     }
 
-    /// Enables the early-abort extension (1-bit abort flood on the
-    /// first rejection).
-    pub fn early_abort(mut self, early_abort: bool) -> Self {
-        self.cfg.early_abort = early_abort;
-        self
-    }
-
     /// Assumes a per-message loss rate in `[0, 1)` and inflates the
     /// repetition schedule by `⌈1/(1−p)^{k·⌊k/2⌋}⌉`
     /// ([`crate::rank::loss_inflation`]) to recover the ≥ 2/3 detection
     /// bound on lossy networks. Validated at build time.
     pub fn assume_loss(mut self, loss: f64) -> Self {
         self.cfg.assumed_loss = Some(loss);
-        self
-    }
-
-    /// Re-validates every rejection's witness cycle against the input
-    /// graph after the run, discarding fabricated witnesses — restores
-    /// 1-sidedness under frame corruption.
-    pub fn verify_witnesses(mut self, verify: bool) -> Self {
-        self.cfg.verify_witnesses = verify;
         self
     }
 
@@ -318,17 +303,13 @@ mod tests {
         let mut session = TesterSession::builder(7, 0.2)
             .seed(9)
             .repetitions(4)
-            .early_abort(true)
             .assume_loss(0.1)
-            .verify_witnesses(true)
             .executor(Executor::Sequential)
             .build()
             .unwrap();
         let cfg = session.config();
         assert_eq!((cfg.k, cfg.seed, cfg.repetitions), (7, 9, Some(4)));
-        assert!(cfg.early_abort);
         assert_eq!(cfg.assumed_loss, Some(0.1));
-        assert!(cfg.verify_witnesses);
         // The schedule is inflated by ⌈1/0.9²¹⌉ = 10 for k = 7.
         assert_eq!(cfg.effective_repetitions(), 4 * 10);
         assert_eq!(session.engine().executor, Executor::Sequential);

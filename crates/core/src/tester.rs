@@ -84,12 +84,6 @@ pub struct TesterConfig {
     pub seed: u64,
     /// Overrides the paper's `⌈(e²/ε)·ln 3⌉` repetition schedule.
     pub repetitions: Option<u32>,
-    /// Early-abort extension (off by default, matching the paper): a
-    /// rejecting node floods a 1-bit abort flag; every node halts within
-    /// diameter+1 rounds of the first rejection instead of finishing the
-    /// repetition schedule. Sound because only genuine rejects originate
-    /// the flag; on accepted inputs the cost is unchanged.
-    pub early_abort: bool,
     /// Graceful degradation under lossy networks: an assumed per-message
     /// loss rate in `[0, 1)`. When set, the repetition schedule is
     /// inflated by [`crate::rank::loss_inflation`] —
@@ -97,37 +91,12 @@ pub struct TesterConfig {
     /// repetitions matches the paper's schedule and the ≥ 2/3 detection
     /// bound is recovered. `None` (the default) runs the paper schedule.
     pub assumed_loss: Option<f64>,
-    /// Defence against frame corruption: when set, every node-level
-    /// rejection's witness cycle is re-validated against the input graph
-    /// after the run (length, distinctness, adjacency including the
-    /// wraparound edge, and the tagged edge lying on the cycle), and
-    /// rejections with invalid witnesses are discarded instead of
-    /// reported. On an uncorrupted network this never fires (witnesses
-    /// are genuine by Lemma 1); under frame corruption it restores
-    /// 1-sidedness: garbage payloads can no longer fabricate a reject.
-    pub verify_witnesses: bool,
 }
 
 impl TesterConfig {
     /// Standard configuration for testing `Ck`-freeness at parameter `eps`.
     pub fn new(k: usize, eps: f64, seed: u64) -> Self {
-        TesterConfig {
-            k,
-            eps,
-            seed,
-            repetitions: None,
-            early_abort: false,
-            assumed_loss: None,
-            verify_witnesses: false,
-        }
-    }
-
-    /// As [`TesterConfig::new`], rejecting out-of-range parameters
-    /// instead of deferring the failure to the run.
-    pub fn try_new(k: usize, eps: f64, seed: u64) -> Result<Self, ConfigError> {
-        let cfg = TesterConfig::new(k, eps, seed);
-        cfg.validate()?;
-        Ok(cfg)
+        TesterConfig { k, eps, seed, repetitions: None, assumed_loss: None }
     }
 
     /// Checks the parameter domain: `k ∈ 3..=MAX_K`, `ε ∈ (0, 1)`. The
@@ -204,11 +173,6 @@ pub(crate) struct CkTester<'g> {
     /// RNG construction entirely, which is unobservable since an
     /// ownerless stream would never be drawn from.
     owns_edges: bool,
-    early_abort: bool,
-    /// Early-abort: an abort flag was seen or originated.
-    aborting: bool,
-    /// Early-abort: the flag has been forwarded once already.
-    abort_forwarded: bool,
     // Per-repetition state.
     /// The served edge's tag: the smallest key heard so far this
     /// repetition, lowered by Phase 1 and by absorb.
@@ -233,9 +197,6 @@ impl<'g> CkTester<'g> {
             m: init.m,
             ranks: RankStream::new(cfg.seed, init.id),
             owns_edges: init.neighbor_ids.iter().any(|&nb| init.id < nb),
-            early_abort: cfg.early_abort,
-            aborting: false,
-            abort_forwarded: false,
             cur: None,
             own_sent_tag: None,
             verdict: NodeVerdict::default(),
@@ -309,23 +270,6 @@ impl Program for CkTester<'_> {
 
     fn step(&mut self, round: u32, inbox: Inbox<'_, CkMsg>, out: &mut Outbox<CkMsg>) -> Status {
         let BufsRef { own_sent, spare, recv, send, prune } = self.view.bufs();
-
-        // Early-abort extension: adopt an incoming flag, forward it once,
-        // halt the round after (the normal protocol below never runs
-        // again on this node).
-        if self.early_abort {
-            if inbox.iter().any(|inc| matches!(inc.msg, CkMsg::Abort)) {
-                self.aborting = true;
-            }
-            if self.aborting {
-                if self.abort_forwarded {
-                    return Status::Halted;
-                }
-                self.abort_forwarded = true;
-                broadcast_keeping_spare(out, spare, CkMsg::Abort);
-                return Status::Running;
-            }
-        }
 
         let rep = round / self.rpr;
         let local = round % self.rpr;
@@ -422,14 +366,6 @@ impl Program for CkTester<'_> {
                     tag: self.cur.expect("a decision needs served traffic"),
                     witness: w,
                 }));
-                if self.early_abort {
-                    // Originate the abort flood and linger one round so
-                    // it propagates.
-                    self.aborting = true;
-                    self.abort_forwarded = true;
-                    broadcast_keeping_spare(out, spare, CkMsg::Abort);
-                    return Status::Running;
-                }
             }
         }
         if rep + 1 == self.reps_total {
@@ -453,9 +389,10 @@ pub struct TesterRun {
     /// Repetitions executed.
     pub repetitions: u32,
     /// Rejections whose witness failed post-run validation and were
-    /// discarded (always 0 unless
-    /// [`TesterConfig::verify_witnesses`] is set, and 0 on uncorrupted
-    /// networks even then).
+    /// discarded. Witnesses are validated only when the run delivered
+    /// corrupted frames
+    /// ([`FaultReport::corrupted_delivered`](ck_congest::metrics::FaultReport::corrupted_delivered)
+    /// above 0), so this is 0 on every other run.
     pub discarded_witnesses: u32,
     /// Engine outcome (per-round stats + per-node verdicts).
     pub outcome: RunOutcome<NodeVerdict>,
@@ -582,13 +519,19 @@ fn tester_exec_inproc(
     Ok(())
 }
 
-/// The shared post-run tail: optional witness re-validation, then the
+/// The shared post-run tail: witness re-validation, then the
 /// network-level verdict — identical for in-process and distributed
 /// outcomes, which is what keeps the two bit-comparable. Operates on
 /// the run in place so the warm-rerun path stays allocation-free.
+///
+/// Witnesses are re-validated exactly when the run delivered corrupted
+/// frames. Every executor counts those deliveries identically (the
+/// distributed coordinator merges the workers' counts from their round
+/// digests), and a run that delivered none cannot hold a fabricated
+/// witness: by Lemma 1 every sequence that arrives is a genuine path.
 fn finish_tester_run(g: &Graph, cfg: &TesterConfig, reps: u32, run: &mut TesterRun) {
     let mut discarded_witnesses = 0u32;
-    if cfg.verify_witnesses {
+    if run.outcome.report.faults.corrupted_delivered > 0 {
         for v in &mut run.outcome.verdicts {
             let valid = v.first_rejection.as_deref().is_none_or(|r| witness_is_valid(g, cfg.k, r));
             if !valid {
@@ -770,57 +713,6 @@ mod tests {
         assert_eq!(a.outcome.report.per_round, b.outcome.report.per_round);
     }
 
-    #[test]
-    fn early_abort_cuts_rounds_on_far_instances() {
-        use crate::rank::total_rounds;
-        let inst = eps_far_instance(60, 5, 0.05, 0);
-        let reps = 150u32;
-        let base = TesterConfig { repetitions: Some(reps), ..TesterConfig::new(5, 0.05, 3) };
-        let full = run_tester(&inst.graph, &base, &EngineConfig::default()).unwrap();
-        assert!(full.reject);
-        assert_eq!(full.outcome.report.rounds, total_rounds(5, reps));
-
-        let abort_cfg = TesterConfig { early_abort: true, ..base };
-        let fast = run_tester(&inst.graph, &abort_cfg, &EngineConfig::default()).unwrap();
-        assert!(fast.reject, "abort must not lose the verdict");
-        assert!(
-            fast.outcome.report.rounds < full.outcome.report.rounds / 4,
-            "expected a large cut: {} vs {}",
-            fast.outcome.report.rounds,
-            full.outcome.report.rounds
-        );
-        assert!(fast.outcome.report.all_halted);
-    }
-
-    #[test]
-    fn early_abort_never_fires_on_free_graphs() {
-        use crate::rank::total_rounds;
-        let g = matched_free_instance(40, 5);
-        let cfg = TesterConfig {
-            early_abort: true,
-            repetitions: Some(4),
-            ..TesterConfig::new(5, 0.1, 7)
-        };
-        let run = run_tester(&g, &cfg, &EngineConfig::default()).unwrap();
-        assert!(!run.reject);
-        // Without a reject the schedule runs in full: identical cost.
-        assert_eq!(run.outcome.report.rounds, total_rounds(5, 4));
-    }
-
-    #[test]
-    fn early_abort_preserves_witness_soundness() {
-        use ck_graphgen::farness::is_valid_ck;
-        let inst = eps_far_instance(40, 4, 0.05, 1);
-        let cfg = TesterConfig { early_abort: true, ..TesterConfig::new(4, 0.05, 5) };
-        let run = run_tester(&inst.graph, &cfg, &EngineConfig::default()).unwrap();
-        assert!(run.reject);
-        for r in run.rejections() {
-            let idx: Vec<_> =
-                r.witness.cycle_ids().iter().map(|&id| inst.graph.index_of(id).unwrap()).collect();
-            assert!(is_valid_ck(&inst.graph, 4, &idx));
-        }
-    }
-
     /// Heavy recycled payloads through the broadcast-slot path must stay
     /// bit-identical across executors even when a nontrivial fault plan
     /// reshapes both Phase-1 rank delivery and Phase-2 bundles.
@@ -857,28 +749,25 @@ mod tests {
         }
     }
 
+    /// A clean run delivers no corrupted frame, so it validates no
+    /// witness: the ε-far instance rejects and nothing is discarded.
     #[test]
     fn witness_verification_is_a_noop_on_honest_runs() {
         let inst = eps_far_instance(40, 5, 0.05, 2);
-        let base = TesterConfig { repetitions: Some(3), ..TesterConfig::new(5, 0.05, 3) };
-        let plain = run_tester(&inst.graph, &base, &EngineConfig::default()).unwrap();
-        let verified = run_tester(
-            &inst.graph,
-            &TesterConfig { verify_witnesses: true, ..base },
-            &EngineConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(plain.reject, verified.reject);
-        assert_eq!(verified.discarded_witnesses, 0, "honest witnesses must all survive");
-        assert_eq!(plain.outcome.verdicts, verified.outcome.verdicts);
+        let cfg = TesterConfig { repetitions: Some(3), ..TesterConfig::new(5, 0.05, 3) };
+        let run = run_tester(&inst.graph, &cfg, &EngineConfig::default()).unwrap();
+        assert!(run.reject);
+        assert_eq!(run.outcome.report.faults.corrupted_delivered, 0);
+        assert_eq!(run.discarded_witnesses, 0, "honest witnesses must all survive");
     }
 
     #[test]
-    fn corruption_cannot_fabricate_rejects_under_verification() {
+    fn corruption_cannot_fabricate_rejects_by_default() {
         use ck_congest::fault::FaultPlan;
         // Ck-free graphs under aggressive frame corruption: garbage
-        // payloads reach the decision logic, but with witness
-        // verification on, the network-level verdict stays accept.
+        // payloads reach the decision logic, and the default
+        // configuration's witness verification keeps the network-level
+        // verdict at accept.
         for k in [4usize, 5] {
             let g = matched_free_instance(36, k);
             for seed in 0..3u64 {
@@ -886,11 +775,7 @@ mod tests {
                     faults: FaultPlan::none().corrupt_frames(0.5, seed * 13 + 1),
                     ..EngineConfig::default()
                 };
-                let cfg = TesterConfig {
-                    repetitions: Some(3),
-                    verify_witnesses: true,
-                    ..TesterConfig::new(k, 0.1, seed)
-                };
+                let cfg = TesterConfig { repetitions: Some(3), ..TesterConfig::new(k, 0.1, seed) };
                 let run = run_tester(&g, &cfg, &engine).unwrap();
                 assert!(!run.reject, "fabricated reject survived verification: k={k} seed={seed}");
             }

@@ -112,19 +112,9 @@ fn composed_fault_plan_bit_identical() {
         .corrupt_frames(0.04, 17);
     let mut cfg = TesterConfig::new(5, 0.2, 13);
     cfg.repetitions = Some(2);
-    cfg.verify_witnesses = true;
     for workers in [2u16, 4] {
         assert_bit_identical(&inst.graph, cfg, plan.clone(), workers);
     }
-}
-
-#[test]
-fn early_abort_bit_identical() {
-    let inst = eps_far_instance(32, 4, 0.15, 31);
-    let mut cfg = TesterConfig::new(4, 0.2, 19);
-    cfg.repetitions = Some(3);
-    cfg.early_abort = true;
-    assert_bit_identical(&inst.graph, cfg, FaultPlan::none(), 3);
 }
 
 #[test]
@@ -358,7 +348,6 @@ fn fleet_jobs_over_new_graphs_seeds_and_k_match_the_oracle() {
     assert_fleet_run(&run, false, &g, cfg, "k = 4, seed 99, G(n, p)");
     let mut five = TesterConfig::new(5, 0.2, 7);
     five.repetitions = Some(2);
-    five.early_abort = true;
     session.reconfigure(five).unwrap();
     let run = session.test(&far5.graph).unwrap();
     assert_fleet_run(&run, false, &far5.graph, five, "reconfigured to k = 5");
@@ -613,17 +602,15 @@ mod sweep {
             corrupt in 0u8..2,
         ) {
             let g = gnp(n, f64::from(p_pct) / 100.0, gseed);
-            let corrupt = corrupt == 1;
             let mut plan = FaultPlan::none();
             if drop_pct > 1 {
                 plan = plan.random_loss(f64::from(drop_pct) / 100.0, gseed ^ 0x5bd1e995);
             }
-            if corrupt {
+            if corrupt == 1 {
                 plan = plan.corrupt_frames(0.05, gseed.wrapping_add(7));
             }
             let mut cfg = TesterConfig::new(k, 0.3, gseed ^ 0xabcd);
             cfg.repetitions = Some(1);
-            cfg.verify_witnesses = corrupt;
             assert_bit_identical(&g, cfg, plan, workers);
         }
     }

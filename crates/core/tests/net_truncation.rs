@@ -25,7 +25,7 @@ fn params() -> WireParams {
 fn arb_msg() -> impl Strategy<Value = CkMsg> {
     let p = params();
     (
-        0u8..3,
+        0u8..2,
         0u64..(1u64 << p.rank_bits),
         0u64..(1u64 << p.id_bits),
         1usize..(MAX_SEQ_LEN + 1),
@@ -34,7 +34,6 @@ fn arb_msg() -> impl Strategy<Value = CkMsg> {
     )
         .prop_map(move |(variant, rank, lo, seq_len, count, salt)| match variant {
             0 => CkMsg::Rank(rank),
-            1 => CkMsg::Abort,
             _ => {
                 let hi = if lo + 1 < (1 << p.id_bits) { lo + 1 } else { lo - 1 };
                 let tag = EdgeTag::new(rank, lo, hi);

@@ -126,11 +126,7 @@ proptest! {
                 .corrupt_frames(0.2, seed ^ 9)
                 .random_loss(0.1, seed ^ 5),
         ];
-        let cfg = TesterConfig {
-            repetitions: Some(2),
-            verify_witnesses: true,
-            ..TesterConfig::new(k, 0.2, seed)
-        };
+        let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(k, 0.2, seed) };
         for faults in plans {
             let mut e = EngineConfig {
                 executor: Executor::Sequential,
@@ -148,8 +144,8 @@ proptest! {
         }
     }
 
-    /// Soundness under aggressive frame corruption: with witness
-    /// verification on, a Ck-free graph is never rejected no matter how
+    /// Soundness under aggressive frame corruption in the default
+    /// configuration: a Ck-free graph is never rejected no matter how
     /// much garbage the corrupting links deliver, and on any graph every
     /// surviving rejection still reconstructs a real Ck.
     #[test]
@@ -164,11 +160,7 @@ proptest! {
             faults: FaultPlan::none().corrupt_frames(f64::from(corrupt_pct) / 100.0, seed ^ 3),
             ..EngineConfig::default()
         };
-        let cfg = TesterConfig {
-            repetitions: Some(2),
-            verify_witnesses: true,
-            ..TesterConfig::new(k, 0.1, seed)
-        };
+        let cfg = TesterConfig { repetitions: Some(2), ..TesterConfig::new(k, 0.1, seed) };
         let run = run_once(&g, &cfg, &engine).unwrap();
         if run.reject {
             prop_assert!(contains_ck(&g, k), "fabricated reject on a Ck-free graph");

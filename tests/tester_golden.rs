@@ -1,6 +1,6 @@
-//! Golden digests of the full `Ck` tester. A fixed grid of 96 cases —
-//! `k`, Phase-1 seed, i.i.d. loss, early abort and four graph families
-//! — was run once and each run reduced to a 64-bit digest of everything
+//! Golden digests of the full `Ck` tester. A fixed grid of 48 cases —
+//! `k`, Phase-1 seed, i.i.d. loss and four graph families — was run
+//! once and each run reduced to a 64-bit digest of everything
 //! observable about it. Every executor must reproduce that table: the
 //! sequential and parallel executors, the parallel executor at forced
 //! worker counts, one warm session replaying the whole grid (arena
@@ -124,36 +124,30 @@ struct Case {
     faults: FaultPlan,
 }
 
-/// The 96-case grid, in table order: k ∈ {4, 5} × seed ∈ {0, 17} ×
-/// loss ∈ {none, 0.15, 0.35} × early abort off/on × {ε-far planted,
-/// matched C_k-free, C_k, C_k copies planted on a 2,000-node random
-/// tree}. Each case runs 2 repetitions.
+/// The 48-case grid, in table order: k ∈ {4, 5} × seed ∈ {0, 17} ×
+/// loss ∈ {none, 0.15, 0.35} × {ε-far planted, matched C_k-free, C_k,
+/// C_k copies planted on a 2,000-node random tree}. Each case runs 2
+/// repetitions.
 fn grid() -> Vec<Case> {
-    let mut cases = Vec::with_capacity(96);
+    let mut cases = Vec::with_capacity(48);
     for k in [4usize, 5] {
         for seed in [0u64, 17] {
             for loss in [None, Some(0.15), Some(0.35)] {
-                for early_abort in [false, true] {
-                    let graphs = [
-                        ("eps-far", eps_far_instance(40, k, 0.1, seed % 5).graph),
-                        ("free", matched_free_instance(30, k)),
-                        ("cycle", cycle(k)),
-                        ("tree", plant_on_host(&random_tree(2_000, seed), k, 50, seed).graph),
-                    ];
-                    for (family, graph) in graphs {
-                        let faults = match loss {
-                            None => FaultPlan::none(),
-                            Some(p) => FaultPlan::none().random_loss(p, seed ^ 0x9e37_79b9),
-                        };
-                        let cfg = TesterConfig {
-                            repetitions: Some(2),
-                            early_abort,
-                            ..TesterConfig::new(k, 0.1, seed)
-                        };
-                        let label =
-                            format!("k={k} seed={seed} loss={loss:?} abort={early_abort} {family}");
-                        cases.push(Case { label, family, loss, graph, cfg, faults });
-                    }
+                let graphs = [
+                    ("eps-far", eps_far_instance(40, k, 0.1, seed % 5).graph),
+                    ("free", matched_free_instance(30, k)),
+                    ("cycle", cycle(k)),
+                    ("tree", plant_on_host(&random_tree(2_000, seed), k, 50, seed).graph),
+                ];
+                for (family, graph) in graphs {
+                    let faults = match loss {
+                        None => FaultPlan::none(),
+                        Some(p) => FaultPlan::none().random_loss(p, seed ^ 0x9e37_79b9),
+                    };
+                    let cfg =
+                        TesterConfig { repetitions: Some(2), ..TesterConfig::new(k, 0.1, seed) };
+                    let label = format!("k={k} seed={seed} loss={loss:?} {family}");
+                    cases.push(Case { label, family, loss, graph, cfg, faults });
                 }
             }
         }
@@ -176,104 +170,58 @@ fn engine(case: &Case, executor: Executor) -> EngineConfig {
 /// way on the library as it stood before any run stepped its nodes in
 /// an order other than the index order (the sequential and parallel
 /// executors agreeing); every other row kept its value and place in
-/// the grid's order.
-const GOLDEN: [u64; 96] = [
-    0x39b6b4c5827c2ee3, // k=4 seed=0 loss=None abort=false eps-far
-    0x826c1a48751de099, // k=4 seed=0 loss=None abort=false free
-    0xf6e07bae88bd0784, // k=4 seed=0 loss=None abort=false cycle
-    0x4b4ddf2e55774740, // k=4 seed=0 loss=None abort=false tree
-    0x54edb0b3c05af4c5, // k=4 seed=0 loss=None abort=true eps-far
-    0x826c1a48751de099, // k=4 seed=0 loss=None abort=true free
-    0x705533770da80049, // k=4 seed=0 loss=None abort=true cycle
-    0x7dc51edfdef41837, // k=4 seed=0 loss=None abort=true tree
-    0xd3698ae0c1d64a68, // k=4 seed=0 loss=Some(0.15) abort=false eps-far
-    0xb02b6cb5e2849f49, // k=4 seed=0 loss=Some(0.15) abort=false free
-    0x000ad3ebb5f00381, // k=4 seed=0 loss=Some(0.15) abort=false cycle
-    0xdd0e8f2fb4f759d5, // k=4 seed=0 loss=Some(0.15) abort=false tree
-    0x6fce773e2dbf473a, // k=4 seed=0 loss=Some(0.15) abort=true eps-far
-    0xb02b6cb5e2849f49, // k=4 seed=0 loss=Some(0.15) abort=true free
-    0x604d05cac039f54c, // k=4 seed=0 loss=Some(0.15) abort=true cycle
-    0xc53c729ffd2fe658, // k=4 seed=0 loss=Some(0.15) abort=true tree
-    0x475fe1bdc56aec3b, // k=4 seed=0 loss=Some(0.35) abort=false eps-far
-    0x410c71110c0ed1e1, // k=4 seed=0 loss=Some(0.35) abort=false free
-    0x039cdb246a7c0543, // k=4 seed=0 loss=Some(0.35) abort=false cycle
-    0x2c25b8f59bd9420c, // k=4 seed=0 loss=Some(0.35) abort=false tree
-    0x1c47d08418db23c4, // k=4 seed=0 loss=Some(0.35) abort=true eps-far
-    0x410c71110c0ed1e1, // k=4 seed=0 loss=Some(0.35) abort=true free
-    0x039cdb246a7c0543, // k=4 seed=0 loss=Some(0.35) abort=true cycle
-    0xb3aa6b884780834d, // k=4 seed=0 loss=Some(0.35) abort=true tree
-    0x9c3b88b3633f8678, // k=4 seed=17 loss=None abort=false eps-far
-    0x826c1a48751de099, // k=4 seed=17 loss=None abort=false free
-    0x4bf156aa7ccda903, // k=4 seed=17 loss=None abort=false cycle
-    0xa43ee16ff471ef3a, // k=4 seed=17 loss=None abort=false tree
-    0x16925f9cc07ed291, // k=4 seed=17 loss=None abort=true eps-far
-    0x826c1a48751de099, // k=4 seed=17 loss=None abort=true free
-    0x10085e0cdac4c929, // k=4 seed=17 loss=None abort=true cycle
-    0xa21d0b11dfb83628, // k=4 seed=17 loss=None abort=true tree
-    0xcc4bcb45b43b800f, // k=4 seed=17 loss=Some(0.15) abort=false eps-far
-    0xdeafb3fa42d1f0f1, // k=4 seed=17 loss=Some(0.15) abort=false free
-    0x039cdb246a7c0543, // k=4 seed=17 loss=Some(0.15) abort=false cycle
-    0x4c32f69da2445c64, // k=4 seed=17 loss=Some(0.15) abort=false tree
-    0xd42d550b6c9727ef, // k=4 seed=17 loss=Some(0.15) abort=true eps-far
-    0xdeafb3fa42d1f0f1, // k=4 seed=17 loss=Some(0.15) abort=true free
-    0x039cdb246a7c0543, // k=4 seed=17 loss=Some(0.15) abort=true cycle
-    0x0db64a8f03aeb611, // k=4 seed=17 loss=Some(0.15) abort=true tree
-    0xc562b387cb61792b, // k=4 seed=17 loss=Some(0.35) abort=false eps-far
-    0xbe335372616447cb, // k=4 seed=17 loss=Some(0.35) abort=false free
-    0xa8f15e09c9ab3be7, // k=4 seed=17 loss=Some(0.35) abort=false cycle
-    0x7c0f5405a1581e52, // k=4 seed=17 loss=Some(0.35) abort=false tree
-    0xd082e92b8411eb8e, // k=4 seed=17 loss=Some(0.35) abort=true eps-far
-    0xbe335372616447cb, // k=4 seed=17 loss=Some(0.35) abort=true free
-    0xa8f15e09c9ab3be7, // k=4 seed=17 loss=Some(0.35) abort=true cycle
-    0x87f687bc2c24217b, // k=4 seed=17 loss=Some(0.35) abort=true tree
-    0xcc06d5cb39cace83, // k=5 seed=0 loss=None abort=false eps-far
-    0xc2470534eb9bf5cd, // k=5 seed=0 loss=None abort=false free
-    0x4f66be180d2cbdcb, // k=5 seed=0 loss=None abort=false cycle
-    0xe48bc461444bce3d, // k=5 seed=0 loss=None abort=false tree
-    0x47e1d6498b03fd04, // k=5 seed=0 loss=None abort=true eps-far
-    0xc2470534eb9bf5cd, // k=5 seed=0 loss=None abort=true free
-    0x4dee1e9897f3d9dc, // k=5 seed=0 loss=None abort=true cycle
-    0x3658f45ed29afcb3, // k=5 seed=0 loss=None abort=true tree
-    0x5c5d863ff6800409, // k=5 seed=0 loss=Some(0.15) abort=false eps-far
-    0xc30c17a64e6eb8bf, // k=5 seed=0 loss=Some(0.15) abort=false free
-    0xf1d939e41859a8af, // k=5 seed=0 loss=Some(0.15) abort=false cycle
-    0xb4089227d6a4dfc5, // k=5 seed=0 loss=Some(0.15) abort=false tree
-    0xa7c4eecdc2c1692e, // k=5 seed=0 loss=Some(0.15) abort=true eps-far
-    0xc30c17a64e6eb8bf, // k=5 seed=0 loss=Some(0.15) abort=true free
-    0x7e2eed8bde836c78, // k=5 seed=0 loss=Some(0.15) abort=true cycle
-    0x6c613d1a69e312c3, // k=5 seed=0 loss=Some(0.15) abort=true tree
-    0xc116e1eb70949ee5, // k=5 seed=0 loss=Some(0.35) abort=false eps-far
-    0x055c4e455868dfc5, // k=5 seed=0 loss=Some(0.35) abort=false free
-    0xac686d803191357d, // k=5 seed=0 loss=Some(0.35) abort=false cycle
-    0xc75605511b607372, // k=5 seed=0 loss=Some(0.35) abort=false tree
-    0x42c04b273528aa80, // k=5 seed=0 loss=Some(0.35) abort=true eps-far
-    0x055c4e455868dfc5, // k=5 seed=0 loss=Some(0.35) abort=true free
-    0xac686d803191357d, // k=5 seed=0 loss=Some(0.35) abort=true cycle
-    0x0624ce996b557150, // k=5 seed=0 loss=Some(0.35) abort=true tree
-    0x261f18057a64460b, // k=5 seed=17 loss=None abort=false eps-far
-    0xc2470534eb9bf5cd, // k=5 seed=17 loss=None abort=false free
-    0xc978a8298f07f6c0, // k=5 seed=17 loss=None abort=false cycle
-    0x9af5df170d41247e, // k=5 seed=17 loss=None abort=false tree
-    0x132b73b0ca26f0b5, // k=5 seed=17 loss=None abort=true eps-far
-    0xc2470534eb9bf5cd, // k=5 seed=17 loss=None abort=true free
-    0x4e361f65d33cb4b8, // k=5 seed=17 loss=None abort=true cycle
-    0xc16070d81ffefea4, // k=5 seed=17 loss=None abort=true tree
-    0x5f90f2b757688551, // k=5 seed=17 loss=Some(0.15) abort=false eps-far
-    0x95444e9154265273, // k=5 seed=17 loss=Some(0.15) abort=false free
-    0xb78d510e620f1567, // k=5 seed=17 loss=Some(0.15) abort=false cycle
-    0xc171cc32722ce8c8, // k=5 seed=17 loss=Some(0.15) abort=false tree
-    0xa55fd8fec0ee8b1a, // k=5 seed=17 loss=Some(0.15) abort=true eps-far
-    0x95444e9154265273, // k=5 seed=17 loss=Some(0.15) abort=true free
-    0x85f7bcb7247dab40, // k=5 seed=17 loss=Some(0.15) abort=true cycle
-    0xbec01ca0069fa476, // k=5 seed=17 loss=Some(0.15) abort=true tree
-    0xd187050a07af0cc5, // k=5 seed=17 loss=Some(0.35) abort=false eps-far
-    0x2bb8d0609704a875, // k=5 seed=17 loss=Some(0.35) abort=false free
-    0x20106dae7480579f, // k=5 seed=17 loss=Some(0.35) abort=false cycle
-    0x06d39b3fd0893172, // k=5 seed=17 loss=Some(0.35) abort=false tree
-    0xd187050a07af0cc5, // k=5 seed=17 loss=Some(0.35) abort=true eps-far
-    0x2bb8d0609704a875, // k=5 seed=17 loss=Some(0.35) abort=true free
-    0x20106dae7480579f, // k=5 seed=17 loss=Some(0.35) abort=true cycle
-    0x17a0dd87aa3fe809, // k=5 seed=17 loss=Some(0.35) abort=true tree
+/// the grid's order. The grid then lost its early-abort axis with the
+/// extension itself: the 48 rows it ran with the extension off are the
+/// table, each with its recorded value, in their old relative order.
+const GOLDEN: [u64; 48] = [
+    0x39b6b4c5827c2ee3, // k=4 seed=0 loss=None eps-far
+    0x826c1a48751de099, // k=4 seed=0 loss=None free
+    0xf6e07bae88bd0784, // k=4 seed=0 loss=None cycle
+    0x4b4ddf2e55774740, // k=4 seed=0 loss=None tree
+    0xd3698ae0c1d64a68, // k=4 seed=0 loss=Some(0.15) eps-far
+    0xb02b6cb5e2849f49, // k=4 seed=0 loss=Some(0.15) free
+    0x000ad3ebb5f00381, // k=4 seed=0 loss=Some(0.15) cycle
+    0xdd0e8f2fb4f759d5, // k=4 seed=0 loss=Some(0.15) tree
+    0x475fe1bdc56aec3b, // k=4 seed=0 loss=Some(0.35) eps-far
+    0x410c71110c0ed1e1, // k=4 seed=0 loss=Some(0.35) free
+    0x039cdb246a7c0543, // k=4 seed=0 loss=Some(0.35) cycle
+    0x2c25b8f59bd9420c, // k=4 seed=0 loss=Some(0.35) tree
+    0x9c3b88b3633f8678, // k=4 seed=17 loss=None eps-far
+    0x826c1a48751de099, // k=4 seed=17 loss=None free
+    0x4bf156aa7ccda903, // k=4 seed=17 loss=None cycle
+    0xa43ee16ff471ef3a, // k=4 seed=17 loss=None tree
+    0xcc4bcb45b43b800f, // k=4 seed=17 loss=Some(0.15) eps-far
+    0xdeafb3fa42d1f0f1, // k=4 seed=17 loss=Some(0.15) free
+    0x039cdb246a7c0543, // k=4 seed=17 loss=Some(0.15) cycle
+    0x4c32f69da2445c64, // k=4 seed=17 loss=Some(0.15) tree
+    0xc562b387cb61792b, // k=4 seed=17 loss=Some(0.35) eps-far
+    0xbe335372616447cb, // k=4 seed=17 loss=Some(0.35) free
+    0xa8f15e09c9ab3be7, // k=4 seed=17 loss=Some(0.35) cycle
+    0x7c0f5405a1581e52, // k=4 seed=17 loss=Some(0.35) tree
+    0xcc06d5cb39cace83, // k=5 seed=0 loss=None eps-far
+    0xc2470534eb9bf5cd, // k=5 seed=0 loss=None free
+    0x4f66be180d2cbdcb, // k=5 seed=0 loss=None cycle
+    0xe48bc461444bce3d, // k=5 seed=0 loss=None tree
+    0x5c5d863ff6800409, // k=5 seed=0 loss=Some(0.15) eps-far
+    0xc30c17a64e6eb8bf, // k=5 seed=0 loss=Some(0.15) free
+    0xf1d939e41859a8af, // k=5 seed=0 loss=Some(0.15) cycle
+    0xb4089227d6a4dfc5, // k=5 seed=0 loss=Some(0.15) tree
+    0xc116e1eb70949ee5, // k=5 seed=0 loss=Some(0.35) eps-far
+    0x055c4e455868dfc5, // k=5 seed=0 loss=Some(0.35) free
+    0xac686d803191357d, // k=5 seed=0 loss=Some(0.35) cycle
+    0xc75605511b607372, // k=5 seed=0 loss=Some(0.35) tree
+    0x261f18057a64460b, // k=5 seed=17 loss=None eps-far
+    0xc2470534eb9bf5cd, // k=5 seed=17 loss=None free
+    0xc978a8298f07f6c0, // k=5 seed=17 loss=None cycle
+    0x9af5df170d41247e, // k=5 seed=17 loss=None tree
+    0x5f90f2b757688551, // k=5 seed=17 loss=Some(0.15) eps-far
+    0x95444e9154265273, // k=5 seed=17 loss=Some(0.15) free
+    0xb78d510e620f1567, // k=5 seed=17 loss=Some(0.15) cycle
+    0xc171cc32722ce8c8, // k=5 seed=17 loss=Some(0.15) tree
+    0xd187050a07af0cc5, // k=5 seed=17 loss=Some(0.35) eps-far
+    0x2bb8d0609704a875, // k=5 seed=17 loss=Some(0.35) free
+    0x20106dae7480579f, // k=5 seed=17 loss=Some(0.35) cycle
+    0x06d39b3fd0893172, // k=5 seed=17 loss=Some(0.35) tree
 ];
 
 fn run(case: &Case, engine: EngineConfig) -> TesterRun {
@@ -328,7 +276,7 @@ fn warm_session_replays_the_grid_twice() {
     }
 }
 
-/// Two distributed workers (thread mode, loopback TCP) on the 16
+/// Two distributed workers (thread mode, loopback TCP) on the 8
 /// loss-free ε-far and tree cases: each worker runs its node range over
 /// its own arena, and the coordinator's merged outcome must hit the
 /// table. A worker steps its range in index order whatever order an
@@ -358,5 +306,5 @@ fn distributed_executor_reproduces_the_loss_free_eps_far_cases() {
         assert_eq!(digest(&dist), golden, "distributed: {} drifted", case.label);
         checked += 1;
     }
-    assert_eq!(checked, 16);
+    assert_eq!(checked, 8);
 }
