@@ -14,7 +14,8 @@ Two checks, run by the `bench-gate` CI job:
    that fails its own gates.
 
 2. A fresh `bench_engine --smoke` run must keep every optimized-over-
-   reference ratio above its family's floor. Both the numerator and the
+   reference ratio above its family's floor, the partition block's
+   worker-0-of-1 over worker-0-of-8 round time included. Both the numerator and the
    denominator of each ratio are measured in the same fresh run on the
    same machine, so the check is machine-independent by construction.
    (An earlier revision instead required fresh ratios within 15% of the
@@ -55,6 +56,11 @@ FLOORS = {
     # (spawn overhead, no parallelism), so the batch floor leaves room
     # below 1.0-adjacent outcomes while still catching collapses.
     "batch_over_loop": 0.9,
+    # One distributed worker's round, worker 0 of 1 over worker 0 of 8
+    # (the `partition` block): the round should cost the worker's range,
+    # so this reads 7-9x; a round that went back to costing O(n) reads
+    # about 1.
+    "w1_over_w8": 2.0,
 }
 THREAD_AXIS = [1, 2, 4, 8]
 
@@ -66,6 +72,8 @@ def ratios(record):
         out[("arena_over_legacy", row["case"])] = row["arena_over_legacy"]
     for row in record["batch"]["speedups"]:
         out[("batch_over_loop", row["case"])] = row["batch_over_loop"]
+    for row in record["partition"]["speedups"]:
+        out[("w1_over_w8", row["case"])] = row["w1_over_w8"]
     return out
 
 

@@ -29,17 +29,25 @@
 //! arena-over-legacy ratio at the largest `n` (the only comparison
 //! immune to machine drift between bench days).
 //!
+//! The `partition` block times one distributed worker's round in
+//! process: worker 0 of W ∈ {1, 2, 4, 8} on a settled min-ID flood over
+//! a torus, with the same-run ratio of W = 1 to W = 8, which
+//! `ci/bench_gate.py` gates on the smoke record.
+//!
+//! Every MinFlood row runs `ck_congest::protocols::MinIdFlood`.
+//!
 //! Usage: `cargo run --release -p ck-bench --bin bench_engine
 //! [--smoke] [OUT.json]` (default output `BENCH_engine.json`; `--smoke`
 //! runs a seconds-long tiny-`n` pass for CI, default output
 //! `BENCH_smoke.json`).
 
 use ck_bench::legacy_engine::run_legacy;
-use ck_bench::workloads::MinFlood;
 use ck_congest::batch::effective_shards;
 use ck_congest::engine::{EngineConfig, Executor, RunOutcome};
-use ck_congest::graph::Graph;
-use ck_congest::net::{ChaosPlan, NetOptions};
+use ck_congest::graph::{Graph, NodeId};
+use ck_congest::message::WireParams;
+use ck_congest::net::{partition_range, ChaosPlan, NetOptions, OutFrame, PartitionEngine};
+use ck_congest::protocols::MinIdFlood;
 use ck_congest::session::Session;
 use ck_core::batch::BatchJob;
 use ck_core::robust::{
@@ -48,7 +56,7 @@ use ck_core::robust::{
 };
 use ck_core::session::TesterSession;
 use ck_core::tester::{NodeVerdict, TesterConfig, TesterRun};
-use ck_graphgen::basic::cycle;
+use ck_graphgen::basic::{cycle, torus};
 use ck_graphgen::behrend::{behrend_ap_free_set, layered_ck};
 use ck_graphgen::planted::{eps_far_instance, plant_on_host};
 use ck_graphgen::random::random_tree;
@@ -167,7 +175,7 @@ fn time_runs_min_interleaved(
 }
 
 fn minflood_outcome(g: &Graph, engine: Engine, cfg: &EngineConfig) -> RunOutcome<u64> {
-    let mk = |init: ck_congest::node::NodeInit| MinFlood::new(&init, FLOOD_TTL);
+    let mk = |init: ck_congest::node::NodeInit| MinIdFlood::new(init.id, FLOOD_TTL);
     match engine {
         Engine::Legacy => run_legacy(g, cfg, mk).expect("measure policy cannot fail"),
         // A fresh session per run: the timed unit stays cold-start,
@@ -254,6 +262,88 @@ fn workloads_for(n: usize) -> Vec<Workload> {
             expect_reject: true,
         },
     ]
+}
+
+/// Worker counts of the partition block.
+const PARTITION_WORKERS: [u32; 4] = [1, 2, 4, 8];
+/// Rounds per timed partition sample: one round of worker 0 of 8 at the
+/// smoke size takes about 20 µs, too short to time alone.
+const PARTITION_ROUNDS: u32 = 32;
+
+/// One row of the partition block: worker 0 of `workers`.
+struct PartitionRow {
+    workers: u32,
+    /// Nodes worker 0 owns.
+    range: usize,
+    samples: u32,
+    secs_per_round: f64,
+}
+
+/// Steps one round of `part` with no deliveries routed in and returns
+/// the messages it sent.
+fn partition_round(
+    part: &mut PartitionEngine<'_, MinIdFlood>,
+    round: &mut u32,
+    out: &mut Vec<OutFrame<NodeId>>,
+) -> u64 {
+    let digest = part.step_round(*round, out);
+    out.clear();
+    part.commit_round();
+    *round += 1;
+    digest.messages
+}
+
+/// The partition block: one distributed worker's round on a
+/// `side × side` torus, stepped in process with no transport. Worker 0
+/// of each count in [`PARTITION_WORKERS`] runs `MinIdFlood` with no
+/// horizon until a round sends nothing, and must then hold its range's
+/// minimum ID at every node. From there on no round sends, so a round
+/// costs the worker's pass over its range and its cut, which should
+/// follow the range (`n/W`), not `n`. A sample is [`PARTITION_ROUNDS`]
+/// rounds of `step_round` plus `commit_round`; the workers are sampled
+/// interleaved (see `time_runs_min_interleaved`). Returns the rows and
+/// the same-run ratio of W = 1's round time to W = 8's.
+fn partition_sweep(side: usize, budget: &Budget) -> (Vec<PartitionRow>, f64) {
+    let g = torus(side, side);
+    let params = WireParams::for_graph(&g);
+    let cfg = engine_config(Executor::Sequential);
+    let mut ranges = Vec::new();
+    let mut closures: Vec<Box<dyn FnMut() -> u32 + '_>> = Vec::new();
+    for workers in PARTITION_WORKERS {
+        let mut part =
+            PartitionEngine::new(&g, &cfg, params, workers, 0, |i| MinIdFlood::new(i.id, u32::MAX));
+        let (mut round, mut out) = (0u32, Vec::new());
+        while partition_round(&mut part, &mut round, &mut out) > 0 {}
+        let range = partition_range(g.n(), workers, 0);
+        let min_id = range.clone().map(|v| g.id(v)).min();
+        assert!(
+            part.verdicts().iter().all(|&v| Some(v) == min_id),
+            "worker 0 of {workers} did not settle on its range's minimum"
+        );
+        ranges.push(range.len());
+        closures.push(Box::new(move || {
+            for _ in 0..PARTITION_ROUNDS {
+                let sent = partition_round(&mut part, &mut round, &mut out);
+                assert_eq!(sent, 0, "a settled flood sent");
+            }
+            PARTITION_ROUNDS
+        }));
+    }
+    let stats = time_runs_min_interleaved(budget, &mut closures);
+    let mut rows = Vec::new();
+    for ((workers, range), (samples, secs, rounds)) in
+        PARTITION_WORKERS.into_iter().zip(ranges).zip(stats)
+    {
+        let secs_per_round = secs / f64::from(rounds);
+        eprintln!(
+            "partition-round torus{side} worker 0 of {workers} ({range} nodes): \
+             {:.1} µs/round (best of {samples} interleaved samples of {rounds} rounds)",
+            secs_per_round * 1e6
+        );
+        rows.push(PartitionRow { workers, range, samples, secs_per_round });
+    }
+    let w1_over_w8 = rows[0].secs_per_round / rows[3].secs_per_round;
+    (rows, w1_over_w8)
 }
 
 /// One row of the batch sweep: how one execution strategy ran the
@@ -931,6 +1021,13 @@ fn main() {
         }
     }
 
+    // ---- partition worker round --------------------------------------
+    // Worker 0 of W on a settled flood: its round cost should follow
+    // its range, not n.
+    let partition_side = if smoke { 100 } else { 316 };
+    let (partition_rows, w1_over_w8) =
+        partition_sweep(partition_side, &Budget { measure_secs: 1.0, max_runs: 20 });
+
     // ---- batch sweep (schema v3) -------------------------------------
     // The multi-graph family workload: batch-over-loop on a planted
     // sweep, sequential and sharded, bit-identity asserted inside.
@@ -999,7 +1096,12 @@ fn main() {
          MinFlood arena-over-legacy ratio at the largest n (immune to machine drift between \
          bench days). Schema revisions, in the order they were added: v2 (these \
          rows), v3 batch, v4 scan (retired, no longer emitted), v6 robust, v7 net, v5 soa (an \
-         out-of-order id), v8 serve; the current id is v8. The v3 batch block: the sharded \
+         out-of-order id), v8 serve; the current id is v8. The partition block: one \
+         distributed worker's round, worker 0 of W in {{1,2,4,8}} (PartitionEngine step_round \
+         plus commit_round, no deliveries routed in) on a min-ID flood over a torus, settled \
+         so that no round sends, timed best-of-N interleaved over several rounds per sample; \
+         it records seconds per round per W and the same-run W1-over-W8 ratio, which the \
+         bench gate floors. The v3 batch block: the sharded \
          multi-graph batch runner (one reusable sequential TesterSession per shard) vs a \
          one-by-one loop of fresh sessions on a multi-graph planted sweep, all three \
          strategies asserted bit-identical per job before timing, then timed best-of-N \
@@ -1077,6 +1179,28 @@ fn main() {
         json.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n");
+
+    // The partition block: one distributed worker's round.
+    let _ = writeln!(json, "  \"partition\": {{");
+    let _ = writeln!(json, "    \"workload\": \"minflood-torus-worker0\",");
+    let _ = writeln!(json, "    \"side\": {partition_side},");
+    let _ = writeln!(json, "    \"n\": {},", partition_side * partition_side);
+    let _ = writeln!(json, "    \"rounds_per_sample\": {PARTITION_ROUNDS},");
+    json.push_str("    \"entries\": [\n");
+    for (i, r) in partition_rows.iter().enumerate() {
+        let _ = write!(
+            json,
+            "      {{\"workers\": {}, \"range\": {}, \"samples\": {}, \
+             \"secs_per_round\": {:.9}}}",
+            r.workers, r.range, r.samples, r.secs_per_round
+        );
+        json.push_str(if i + 1 < partition_rows.len() { ",\n" } else { "\n" });
+    }
+    let _ = writeln!(
+        json,
+        "    ],\n    \"speedups\": [\n      {{\"case\": \"minflood-torus{partition_side}/worker0\", \
+         \"w1_over_w8\": {w1_over_w8:.3}}}\n    ]\n  }},"
+    );
 
     // The v3 batch block: the multi-graph family sweep.
     let _ = writeln!(json, "  \"batch\": {{");
@@ -1412,6 +1536,7 @@ fn main() {
         "\"schema\"",
         "\"entries\"",
         "\"speedups\"",
+        "\"partition\"",
         "\"acceptance\"",
         "\"batch\"",
         "\"soa\"",

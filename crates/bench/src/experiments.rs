@@ -1,5 +1,5 @@
-//! The experiment suite (DESIGN.md §4): one function per table/figure of
-//! the reproduction, each emitting a markdown table and a pass flag.
+//! The experiment suite (E1–E15): one function per table/figure of the
+//! reproduction, each emitting a markdown table and a pass flag.
 //!
 //! The paper is a theory paper; its "evaluation" is Theorem 1, Lemmas 1–5
 //! and two illustrative figures. Every experiment here measures the
@@ -634,7 +634,7 @@ pub fn e10_behrend() -> Result<ExperimentResult, ExperimentError> {
         claim: "cycles spread by arithmetic structure (the [20] hard instances for k ≥ 5) are still detected: Phase 2 is exact per edge, and farness (packing = m/k > εm) drives the full tester".into(),
         table,
         pass,
-        notes: "Substitution per DESIGN.md: Behrend strides as a workload family, not a lower-bound re-proof.".into(),
+        notes: "Substitution: Behrend strides as a workload family, not a re-proof of the [20] lower bound.".into(),
     })
 }
 

@@ -1,15 +1,16 @@
 //! # ck-bench — experiment harness
 //!
-//! One function per experiment of DESIGN.md §4 (E1–E12). Each returns a
-//! rendered markdown table plus a machine-checkable pass flag; the
-//! `experiments` binary prints them, and `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison. Criterion benches in `benches/` reuse
-//! the same workloads for timing-shaped measurements.
+//! One function per experiment (E1–E15), each measuring one claim on
+//! concrete instances. Each returns a rendered
+//! markdown table plus a machine-checkable pass flag; the `experiments`
+//! binary prints them. The `bench_engine` binary times the engine and
+//! the tester and writes the gated bench records; the frozen pre-arena
+//! engine in [`legacy_engine`] is the baseline of its
+//! arena-over-legacy ratio.
 
 pub mod experiments;
 pub mod legacy_engine;
 pub mod table;
-pub mod workloads;
 
 pub use experiments::{all_experiments, run_experiment, ExperimentResult};
 pub use legacy_engine::run_legacy;

@@ -93,6 +93,10 @@ pub enum Invocation {
 }
 
 /// Builds a graph from a spec string (see [`graph_spec_help`]).
+///
+/// Each generator asserts its preconditions; this parser checks them
+/// first, so an out-of-range argument is an error that names the family,
+/// never a panic.
 pub fn parse_graph_spec(spec: &str) -> Result<Graph, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     let usize_arg = |i: usize, what: &str| -> Result<usize, String> {
@@ -101,6 +105,13 @@ pub fn parse_graph_spec(spec: &str) -> Result<Graph, String> {
             .ok_or(format!("{what}: missing argument {i}"))?
             .parse()
             .map_err(|e| format!("{what}: bad argument {i}: {e}"))
+    };
+    let usize_min = |i: usize, what: &str, min: usize| -> Result<usize, String> {
+        let v = usize_arg(i, what)?;
+        if v < min {
+            return Err(format!("{what}: argument {i} must be at least {min}, got {v}"));
+        }
+        Ok(v)
     };
     let f64_arg = |i: usize, what: &str| -> Result<f64, String> {
         parts
@@ -128,56 +139,80 @@ pub fn parse_graph_spec(spec: &str) -> Result<Graph, String> {
     };
     // ck-lint: allow(index-literal, reason = "str::split always yields at least one piece, so parts[0] exists")
     match parts[0] {
-        "cycle" => Ok(basic::cycle(usize_arg(1, "cycle")?)),
-        "path" => Ok(basic::path(usize_arg(1, "path")?)),
+        "cycle" => Ok(basic::cycle(usize_min(1, "cycle", 3)?)),
+        "path" => Ok(basic::path(usize_min(1, "path", 1)?)),
         "complete" => Ok(basic::complete(usize_arg(1, "complete")?)),
         "grid" => Ok(basic::grid(usize_arg(1, "grid")?, usize_arg(2, "grid")?)),
-        "torus" => Ok(basic::torus(usize_arg(1, "torus")?, usize_arg(2, "torus")?)),
+        "torus" => Ok(basic::torus(usize_min(1, "torus", 3)?, usize_min(2, "torus", 3)?)),
         "hypercube" => Ok(basic::hypercube(usize_arg(1, "hypercube")? as u32)),
         "petersen" => Ok(basic::petersen()),
         "heawood" => Ok(basic::heawood()),
         "mobius-kantor" => Ok(families::mobius_kantor()),
         "pappus" => Ok(families::pappus()),
-        "theta" => Ok(basic::theta(usize_arg(1, "theta")?, usize_arg(2, "theta")?)),
-        "fan" => Ok(basic::fan(usize_arg(1, "fan")?)),
-        "spindle" => Ok(basic::spindle(usize_arg(1, "spindle")?, usize_arg(2, "spindle")?)),
-        "cactus" => Ok(basic::cycle_cactus(usize_arg(1, "cactus")?, usize_arg(2, "cactus")?)),
+        "theta" => Ok(basic::theta(usize_min(1, "theta", 1)?, usize_min(2, "theta", 1)?)),
+        "fan" => Ok(basic::fan(usize_min(1, "fan", 2)?)),
+        "spindle" => Ok(basic::spindle(usize_min(1, "spindle", 1)?, usize_min(2, "spindle", 1)?)),
+        "cactus" => Ok(basic::cycle_cactus(usize_min(1, "cactus", 1)?, usize_min(2, "cactus", 3)?)),
         "circulant" => {
-            let n = usize_arg(1, "circulant")?;
+            let n = usize_min(1, "circulant", 3)?;
             let strides: Result<Vec<usize>, _> =
                 parts[2..].iter().map(|s| s.parse::<usize>()).collect();
             let strides = strides.map_err(|e| format!("circulant strides: {e}"))?;
             if strides.is_empty() {
                 return Err("circulant needs at least one stride".into());
             }
+            if let Some(s) = strides.iter().find(|&&s| s == 0 || s >= n) {
+                return Err(format!("circulant: stride {s} must lie in 1..{n}"));
+            }
             Ok(families::circulant(n, &strides))
         }
-        "gnp" => Ok(random::gnp(usize_arg(1, "gnp")?, f64_arg(2, "gnp")?, seed_arg(3, "gnp")?)),
-        "gnm" => Ok(random::gnm(usize_arg(1, "gnm")?, usize_arg(2, "gnm")?, seed_arg(3, "gnm")?)),
-        "tree" => Ok(random::random_tree(usize_arg(1, "tree")?, seed_arg(2, "tree")?)),
-        "regular" => Ok(random::random_regular(
-            usize_arg(1, "regular")?,
-            usize_arg(2, "regular")?,
-            seed_arg(3, "regular")?,
-        )),
+        "gnp" => {
+            let (n, p, seed) = (usize_arg(1, "gnp")?, f64_arg(2, "gnp")?, seed_arg(3, "gnp")?);
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("gnp: p must lie in [0,1], got {p}"));
+            }
+            Ok(random::gnp(n, p, seed))
+        }
+        "gnm" => {
+            let (n, m, seed) = (usize_arg(1, "gnm")?, usize_arg(2, "gnm")?, seed_arg(3, "gnm")?);
+            let max_m = n.saturating_mul(n.saturating_sub(1)) / 2;
+            if m > max_m {
+                return Err(format!("gnm: {m} edges exceed the {max_m} of K_{n}"));
+            }
+            Ok(random::gnm(n, m, seed))
+        }
+        "tree" => Ok(random::random_tree(usize_min(1, "tree", 1)?, seed_arg(2, "tree")?)),
+        "regular" => {
+            let (n, d) = (usize_arg(1, "regular")?, usize_arg(2, "regular")?);
+            let seed = seed_arg(3, "regular")?;
+            if d >= n || !(n * d).is_multiple_of(2) {
+                return Err(format!("regular: needs d < n and n·d even, got n = {n}, d = {d}"));
+            }
+            Ok(random::random_regular(n, d, seed))
+        }
         "high-girth" => Ok(random::high_girth(
-            usize_arg(1, "high-girth")?,
+            usize_min(1, "high-girth", 1)?,
             usize_arg(2, "high-girth")?,
             usize_arg(3, "high-girth")?,
             seed_arg(4, "high-girth")?,
         )),
-        "eps-far" => Ok(planted::eps_far_instance(
-            usize_arg(1, "eps-far")?,
-            usize_arg(2, "eps-far")?,
-            eps_arg(3, "eps-far")?,
-            seed_arg(4, "eps-far")?,
+        "eps-far" => {
+            let (n, k) = (usize_arg(1, "eps-far")?, usize_min(2, "eps-far", 3)?);
+            let (eps, seed) = (eps_arg(3, "eps-far")?, seed_arg(4, "eps-far")?);
+            let cap = 1.0 / (k as f64 + 1.0);
+            if eps >= cap {
+                return Err(format!("eps-far: ε must lie below 1/(k+1) = {cap:.3}, got {eps}"));
+            }
+            Ok(planted::eps_far_instance(n, k, eps, seed).graph)
+        }
+        "free" => {
+            Ok(planted::matched_free_instance(usize_arg(1, "free")?, usize_min(2, "free", 2)?))
+        }
+        "behrend" => Ok(behrend::behrend_ck_instance(
+            usize_min(1, "behrend", 3)?,
+            usize_min(2, "behrend", 1)?,
         )
         .graph),
-        "free" => Ok(planted::matched_free_instance(usize_arg(1, "free")?, usize_arg(2, "free")?)),
-        "behrend" => {
-            Ok(behrend::behrend_ck_instance(usize_arg(1, "behrend")?, usize_arg(2, "behrend")?)
-                .graph)
-        }
         "file" => {
             let path = parts.get(1).ok_or("file: missing path")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -612,6 +647,31 @@ mod tests {
         assert!(parse_graph_spec("gnp:10:notafloat").is_err());
         assert!(parse_graph_spec("circulant:10").is_err());
         assert!(parse_graph_spec("file:/definitely/not/here.col").is_err());
+        // Out-of-range family arguments: each generator would assert.
+        for spec in [
+            "cycle:2",
+            "path:0",
+            "tree:0",
+            "torus:2:2",
+            "theta:0:0",
+            "fan:1",
+            "spindle:0:0",
+            "cactus:0:0",
+            "circulant:5:7",
+            "circulant:2:1",
+            "gnp:10:1.5",
+            "gnm:5:11",
+            "regular:5:3",
+            "regular:3:3",
+            "eps-far:24:4:0.3",
+            "eps-far:24:2:0.1",
+            "free:10:1",
+            "behrend:2:20",
+        ] {
+            let family = spec.split(':').next().unwrap();
+            let err = parse_graph_spec(spec).err().unwrap_or_else(|| panic!("{spec} accepted"));
+            assert!(err.starts_with(family), "{spec}: {err}");
+        }
     }
 
     /// A malformed optional seed must be a parse error, not a silent

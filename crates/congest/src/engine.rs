@@ -785,6 +785,7 @@ mod tests {
     use crate::graph::GraphBuilder;
     use crate::message::WireMessage;
     use crate::net::PartitionEngine;
+    use crate::protocols::MinIdFlood;
     use crate::session::Session;
 
     /// Restores the default worker count when dropped, even on panic.
@@ -808,40 +809,6 @@ mod tests {
         Session::builder(graph).config(config.clone()).build().run(factory)
     }
 
-    /// Flood the smallest ID seen so far; halt after `ttl` rounds. The
-    /// classical leader-election-by-flooding warm-up protocol.
-    struct MinFlood {
-        best: u64,
-        ttl: u32,
-        changed: bool,
-    }
-
-    impl Program for MinFlood {
-        type Msg = u64;
-        type Verdict = u64;
-
-        fn step(&mut self, round: u32, inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) -> Status {
-            for inc in inbox.iter() {
-                if *inc.msg < self.best {
-                    self.best = *inc.msg;
-                    self.changed = true;
-                }
-            }
-            if round >= self.ttl {
-                return Status::Halted;
-            }
-            if round == 0 || self.changed {
-                out.broadcast(self.best);
-                self.changed = false;
-            }
-            Status::Running
-        }
-
-        fn verdict(&self) -> u64 {
-            self.best
-        }
-    }
-
     fn path_graph(n: usize) -> Graph {
         GraphBuilder::new(n).edges((0..n as u32 - 1).map(|i| (i, i + 1))).build().unwrap()
     }
@@ -849,7 +816,7 @@ mod tests {
     fn run_minflood(g: &Graph, exec: Executor) -> RunOutcome<u64> {
         let ttl = g.n() as u32; // diameter bound
         let cfg = EngineConfig { executor: exec, ..EngineConfig::default() };
-        run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false }).unwrap()
+        run(g, &cfg, |init| MinIdFlood::new(init.id, ttl)).unwrap()
     }
 
     #[test]
@@ -1172,7 +1139,7 @@ mod tests {
             .unwrap();
         let run_one = |exec, faults: crate::fault::FaultPlan| {
             let cfg = EngineConfig { executor: exec, faults, ..EngineConfig::default() };
-            run(&g, &cfg, |init| MinFlood { best: init.id, ttl: 30, changed: false }).unwrap()
+            run(&g, &cfg, |init| MinIdFlood::new(init.id, 30)).unwrap()
         };
         for faults in
             [crate::fault::FaultPlan::none(), crate::fault::FaultPlan::none().random_loss(0.2, 5)]
@@ -1209,8 +1176,7 @@ mod tests {
                     ..EngineConfig::default()
                 };
                 let ttl = g.n() as u32;
-                let fresh =
-                    run(g, &cfg, |init| MinFlood { best: init.id, ttl, changed: false }).unwrap();
+                let fresh = run(g, &cfg, |init| MinIdFlood::new(init.id, ttl)).unwrap();
                 let params = WireParams::for_graph(g);
                 let mut reused = RunOutcome::default();
                 exec_into_with_workspace(
@@ -1218,7 +1184,7 @@ mod tests {
                     &cfg,
                     &params,
                     &mut ws,
-                    &mut |init| MinFlood { best: init.id, ttl, changed: false },
+                    &mut |init| MinIdFlood::new(init.id, ttl),
                     &mut reused,
                 )
                 .unwrap();

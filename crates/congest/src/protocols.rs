@@ -2,8 +2,9 @@
 //!
 //! Reusable building blocks (and engine stress-tests): min-ID leader
 //! election by flooding and BFS tree construction from a root. They
-//! double as reference workloads for the engine benchmarks and as
-//! executable documentation of the programming model.
+//! double as executable documentation of the programming model, and
+//! [`MinIdFlood`] is the workspace's one min-ID flood: the engine's
+//! tests and the `bench_engine` rows run it.
 
 use crate::engine::{EngineConfig, EngineError, RunOutcome};
 use crate::graph::{Graph, NodeId, NodeIndex};
@@ -52,18 +53,17 @@ impl Program for MinIdFlood {
 }
 
 /// Elects the minimum ID (requires a connected graph); returns the
-/// elected ID and the run report.
+/// elected ID, `None` on a graph with no nodes, and the run report.
 pub fn elect_min_id(
     g: &Graph,
     config: &EngineConfig,
-) -> Result<(NodeId, RunOutcome<NodeId>), EngineError> {
+) -> Result<(Option<NodeId>, RunOutcome<NodeId>), EngineError> {
     let ttl = g.n() as u32; // ≥ diameter
     let outcome = Session::builder(g)
         .config(config.clone())
         .build()
         .run(|init| MinIdFlood::new(init.id, ttl))?;
-    // ck-lint: allow(index-literal, reason = "Graph construction rejects n == 0, so node 0 always has a verdict")
-    let leader = outcome.verdicts[0];
+    let leader = outcome.verdicts.first().copied();
     Ok((leader, outcome))
 }
 
@@ -174,10 +174,13 @@ mod tests {
 
     #[test]
     fn elects_global_minimum() {
-        let g = ring(12).with_ids((0..12).map(|i| 100 - 3 * i as u64).collect()).unwrap();
-        let (leader, out) = elect_min_id(&g, &EngineConfig::default()).unwrap();
-        assert_eq!(leader, *g.ids().iter().min().unwrap());
-        assert!(out.verdicts.iter().all(|&v| v == leader));
+        // A graph with no nodes elects no leader.
+        for n in [12usize, 0] {
+            let g = ring(n).with_ids((0..n).map(|i| 100 - 3 * i as u64).collect()).unwrap();
+            let (leader, out) = elect_min_id(&g, &EngineConfig::default()).unwrap();
+            assert_eq!(leader, g.ids().iter().min().copied());
+            assert!(out.verdicts.iter().all(|&v| Some(v) == leader));
+        }
     }
 
     #[test]

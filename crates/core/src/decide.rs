@@ -12,9 +12,8 @@
 //!   round `k/2`. Pairing two received sequences would be unsound: two
 //!   length-`k/2` paths overlapping in exactly one internal node also
 //!   reach union size `k` without forming any cycle. This is the even-`k`
-//!   correction discussed in DESIGN.md (the arXiv pseudocode's
-//!   "`⌊k/2⌋ − 1`" cannot ever reject; the Lemma 2 proof uses the version
-//!   implemented here).
+//!   correction: the arXiv pseudocode's "`⌊k/2⌋ − 1`" cannot ever reject;
+//!   the Lemma 2 proof uses the version implemented here.
 //!
 //! Both sets arrive as [`SeqRows`]; a set whose width is not `⌊k/2⌋`
 //! takes part in no pair. A witness's two rows are copied into the fixed

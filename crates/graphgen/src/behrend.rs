@@ -18,9 +18,9 @@
 //!   `Ck` per (offset, stride) pair; the planted copies are pairwise
 //!   edge-disjoint by construction.
 //!
-//! **Substitution note (see DESIGN.md):** we use these as *workload
-//! generators* exercising the spread-cycle regime, not as a re-proof of
-//! the \[FRST16\] lower bound.
+//! **Substitution note:** we use these as *workload generators*
+//! exercising the spread-cycle regime, not as a re-proof of the
+//! \[FRST16\] lower bound.
 
 // ck-lint: allow-file(no-panic, reason = "Behrend constructions emit in-range edges by arithmetic on validated parameters")
 use ck_congest::graph::{Graph, GraphBuilder, NodeIndex};
@@ -169,11 +169,12 @@ pub fn layered_ck(k: usize, width: usize, strides: &[u64]) -> LayeredInstance {
 }
 
 /// Convenience: a layered `Ck` instance with Behrend strides, the
-/// spread-cycle workload for experiment E10. `width` is chosen so strides
-/// stay distinct modulo it.
+/// spread-cycle workload for experiment E10. The strides are a 3-AP-free
+/// subset of `[0, width/2k)`, so they stay distinct modulo `width`; a
+/// width below `2k` leaves that range empty and uses the one stride 1.
 pub fn behrend_ck_instance(k: usize, width: usize) -> LayeredInstance {
-    let strides = behrend_ap_free_set((width as u64) / (2 * k as u64).max(1)).to_vec();
-    let strides = if strides.is_empty() { vec![1] } else { strides };
+    let bound = (width as u64) / (2 * k as u64).max(1);
+    let strides = if bound == 0 { vec![1] } else { behrend_ap_free_set(bound) };
     layered_ck(k, width, &strides)
 }
 
@@ -286,9 +287,13 @@ mod tests {
 
     #[test]
     fn behrend_instance_builds() {
-        let inst = behrend_ck_instance(5, 64);
-        assert_eq!(inst.graph.n(), 5 * 64);
-        assert!(contains_ck(&inst.graph, 5));
-        assert!(!inst.planted.is_empty());
+        // Widths below 2k leave no Behrend stride and use stride 1.
+        for (k, width) in [(5usize, 64usize), (5, 9), (3, 5)] {
+            let inst = behrend_ck_instance(k, width);
+            assert_eq!(inst.graph.n(), k * width);
+            assert!(contains_ck(&inst.graph, k), "k={k} width={width}");
+            assert!(!inst.planted.is_empty());
+        }
+        assert_eq!(behrend_ck_instance(5, 9).strides, [1]);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Umbrella crate re-exporting the workspace members; the examples and
 //! cross-crate integration tests live here. See `README.md` for the
-//! architecture overview, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! architecture overview and the experiment tables (E1–E15) that check
+//! each of the paper's claims.
 
 pub use ck_baselines as baselines;
 pub use ck_congest as congest;

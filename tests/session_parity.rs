@@ -9,46 +9,13 @@ use ck_congest::engine::{EngineConfig, Executor, RunOutcome};
 use ck_congest::fault::FaultPlan;
 use ck_congest::graph::{Graph, GraphBuilder};
 use ck_congest::message::WireParams;
-use ck_congest::node::{Inbox, Outbox, Program, Status};
+use ck_congest::protocols::MinIdFlood;
 use ck_congest::session::Session;
 use ck_core::session::TesterSession;
 use ck_core::tester::{NodeVerdict, TesterConfig, TesterRun};
 use ck_graphgen::basic::cycle;
 use ck_graphgen::planted::{eps_far_instance, matched_free_instance};
 use proptest::prelude::*;
-
-/// Flood-min with a TTL — the engine-level probe protocol.
-struct MinFlood {
-    best: u64,
-    ttl: u32,
-    changed: bool,
-}
-
-impl Program for MinFlood {
-    type Msg = u64;
-    type Verdict = u64;
-
-    fn step(&mut self, round: u32, inbox: Inbox<'_, u64>, out: &mut Outbox<u64>) -> Status {
-        for inc in inbox.iter() {
-            if *inc.msg < self.best {
-                self.best = *inc.msg;
-                self.changed = true;
-            }
-        }
-        if round >= self.ttl {
-            return Status::Halted;
-        }
-        if round == 0 || self.changed {
-            out.broadcast(self.best);
-            self.changed = false;
-        }
-        Status::Running
-    }
-
-    fn verdict(&self) -> u64 {
-        self.best
-    }
-}
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (6usize..40, any::<u64>()).prop_map(|(n, seed)| {
@@ -115,11 +82,7 @@ proptest! {
             FaultPlan::none().random_loss(loss, 7)
         };
         let ttl = g.n() as u32;
-        let mk = |init: ck_congest::node::NodeInit| MinFlood {
-            best: init.id,
-            ttl,
-            changed: false,
-        };
+        let mk = |init: ck_congest::node::NodeInit| MinIdFlood::new(init.id, ttl);
         for executor in [Executor::Sequential, Executor::Parallel] {
             let cfg = EngineConfig { executor, faults: faults.clone(), ..EngineConfig::default() };
             // Derived and pinned wire parameters: the pinned set widens

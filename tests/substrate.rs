@@ -87,7 +87,7 @@ fn classic_protocols_agree_with_structure() {
         let (cyclic, _) = test_cycle_freeness(&tree, &EngineConfig::default()).unwrap();
         assert!(!cyclic);
         let (leader, _) = elect_min_id(&tree, &EngineConfig::default()).unwrap();
-        assert_eq!(leader, *tree.ids().iter().min().unwrap());
+        assert_eq!(leader, tree.ids().iter().min().copied());
 
         let dense = connected_gnm(20, 30, seed);
         let (cyclic, _) = test_cycle_freeness(&dense, &EngineConfig::default()).unwrap();
